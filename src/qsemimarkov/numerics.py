@@ -229,24 +229,21 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
         raise NumericalError("kernel must return finite values on the grid")
     maps = np.empty((n + 1, dim, dim), dtype=np.result_type(G, float))
     maps[0] = np.eye(dim)
+    # real view of the trajectory, so each memory sum is one real matmul
+    flat = maps.reshape(n + 1, -1).view(np.float64)
+    wdt = dt * kvals[::-1]          # wdt[n - j] = dt k(t_j)
+    end = 0.5 * wdt[n]              # trapezoid weight of the newest point
+    mem = np.zeros((dim, dim), dtype=maps.dtype)  # memory sum at t_0
     for m in range(n):
-        # trapezoidal memory sum at t_m over history tau_0..tau_m
-        w = kvals[m::-1].copy()
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if m == 0:
-            mem = np.zeros((dim, dim), dtype=maps.dtype)
-        else:
-            mem = np.einsum("n,nij->ij", w * dt, maps[: m + 1])
         rhs = G @ mem
         predicted = maps[m] + dt * rhs
-        # corrector: memory sum at t_{m+1} with the predicted endpoint
-        w1 = kvals[m + 1:: -1].copy()
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
-        mem1 = np.einsum("n,nij->ij", w1[: m + 1] * dt, maps[: m + 1])
-        mem1 += dt * w1[m + 1] * predicted
-        maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ mem1)
+        # history part of the memory sum at t_{m+1}: tau_0..tau_m, with the
+        # trapezoid half weight on tau_0
+        hist = (wdt[n - m: n] @ flat[1: m + 1]
+                + 0.5 * wdt[n - m - 1] * flat[0]).view(maps.dtype)
+        hist = hist.reshape(dim, dim)
+        maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ (hist + end * predicted))
+        mem = hist + end * maps[m + 1]
     return VolterraSolution(times, maps)
 
 

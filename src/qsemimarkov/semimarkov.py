@@ -99,9 +99,6 @@ class ExponentialWTD:
             raise DomainError("inverse CDF argument must lie in [0, 1)")
         return -np.log1p(-u) / self.rate
 
-    def sample_waits(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.inverse_cdf(gen.random(n))
-
 
 @dataclass(frozen=True)
 class ExpConvolutionWTD:
@@ -150,13 +147,8 @@ class ExpConvolutionWTD:
     def inverse_cdf(self, u):
         raise UnsupportedVariant(
             "the two-exponential convolution has no single-argument closed-form "
-            "inverse CDF; sample_waits composes the two stages instead"
+            "inverse CDF; a wait is the sum of one inverse-CDF draw per stage"
         )
-
-    def sample_waits(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        u = gen.random((int(n), 2))
-        return (-np.log1p(-u[:, 0]) / self.rate1
-                - np.log1p(-u[:, 1]) / self.rate2)
 
 
 @dataclass(frozen=True)
@@ -183,9 +175,6 @@ class TanhSechWTD:
         if np.any(u < 0.0) or np.any(u >= 1.0):
             raise DomainError("inverse CDF argument must lie in [0, 1)")
         return np.arccosh(1.0 / (1.0 - u)) / self.rate
-
-    def sample_waits(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.inverse_cdf(gen.random(n))
 
 
 @dataclass(frozen=True)
@@ -386,7 +375,8 @@ def map_at(proc, t: float) -> list[np.ndarray]:
     if t < 0.0:
         raise DomainError(f"t must be non-negative, got {t!r}")
     if isinstance(proc, DephasingSemiMarkov):
-        q = float(q_of_t(proc, t))
+        # |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0
+        q = min(1.0, max(-1.0, float(q_of_t(proc, t))))
         return [np.sqrt((1.0 + q) / 2.0) * np.eye(2),
                 np.sqrt((1.0 - q) / 2.0) * _PAULI_Z]
     if isinstance(proc, NonUnitalSemiMarkov):
@@ -505,15 +495,95 @@ class ClassicalSimResult:
     seed: int
 
 
-_SIM_BLOCK = 16  # renewal steps drawn per RNG call; fixed for reproducibility
+_SIM_BLOCK = 16            # renewal steps per block of a path's stream
+_CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
+
+# Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product x * m, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = x_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, paths: np.ndarray, block: int,
+                     per_step: int) -> np.ndarray:
+    """Uniforms of renewal block ``block`` for every path in ``paths``.
+
+    Row i holds draws ``block * k`` to ``(block + 1) * k - 1`` of
+    ``Generator(Philox(key=(seed, paths[i]))).random``, k = 16 per_step.
+    k is a multiple of 4, so the block starts on a fresh counter.
+    """
+    n_ctr = _SIM_BLOCK * per_step // 4
+    c0 = np.broadcast_to(
+        np.arange(block * n_ctr + 1, (block + 1) * n_ctr + 1, dtype=np.uint64),
+        (paths.size, n_ctr))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k1 = paths.astype(np.uint64)[:, None]
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k1 = k1 + np.uint64(_PHILOX_W[1])
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(paths.size, -1)
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
-    """Map a (m, k) block of uniforms to m waits via the inverse CDF."""
+    """Map uniforms of shape (..., per_step) to waits via the inverse CDF."""
     if isinstance(wtd, ExpConvolutionWTD):
-        return (-np.log1p(-u[:, 0]) / wtd.rate1
-                - np.log1p(-u[:, 1]) / wtd.rate2)
-    return wtd.inverse_cdf(u[:, 0])
+        return (-np.log1p(-u[..., 0]) / wtd.rate1
+                - np.log1p(-u[..., 1]) / wtd.rate2)
+    return wtd.inverse_cdf(u[..., 0])
+
+
+def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
+          paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk a set of paths block by block until each passes ``times[-1]``.
+
+    :return: integer histograms over the time indices 0..len(times):
+        ``first[j]`` counts paths whose first jump is at a time in
+        (times[j-1], times[j]] (index len(times): none before t_max), and
+        ``flips[j]`` is the net change of the site-0 count at times[j].
+    """
+    t_max = times[-1]
+    n_bins = times.size + 1
+    last = np.zeros(paths.size)     # epoch reached by each path so far
+    total = np.zeros(paths.size)    # blockwise wait sum: the stopping rule
+    site = np.zeros(paths.size, dtype=np.int64)
+    flips = np.zeros(n_bins, dtype=np.int64)
+    block = 0
+    while paths.size:
+        u = _philox_uniforms(seed, paths, block, per_step)
+        u = u.reshape(paths.size, _SIM_BLOCK, per_step)
+        w = _waits_from_uniforms(wtd, u)
+        # sequential cumsum carried over from the last block: same bits
+        epochs = np.cumsum(np.column_stack([last, w]), axis=1)[:, 1:]
+        if block == 0:
+            t1 = np.where(epochs[:, 0] < t_max, epochs[:, 0], np.inf)
+            first = np.bincount(np.searchsorted(times, t1), minlength=n_bins)
+        hops = (u[..., -1] < jump_prob) & (epochs < t_max)
+        n_hops = np.cumsum(hops, axis=1)
+        from_one = ((site[:, None] + n_hops - hops) & 1)[hops].astype(bool)
+        idx = np.searchsorted(times, epochs[hops])
+        flips += (np.bincount(idx[from_one], minlength=n_bins)
+                  - np.bincount(idx[~from_one], minlength=n_bins))
+        total += w.sum(axis=1)
+        going = total < t_max
+        paths, last, total = paths[going], epochs[going, -1], total[going]
+        site = ((site + n_hops[:, -1]) & 1)[going]
+        block += 1
+    return first, flips
 
 
 def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
@@ -524,9 +594,11 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     Paths start in site 0; at each renewal epoch the walker hops to the
     other site with probability ``jump_prob``. Waits come from the inverse
     CDF of ``wtd``. Path i consumes its own counter-based stream
-    ``Philox(key=(seed, i))`` in blocks of renewal steps, each step using
+    ``Philox(key=(seed, i))`` in blocks of 16 renewal steps, each step using
     its uniforms in a fixed order (wait draws, then the hop draw), so
     results are bit-reproducible and independent of evaluation order.
+    Paths are walked together in chunks of a fixed size, so memory stays
+    bounded for any ``n_paths``.
 
     :param seed: required 64-bit seed (0 <= seed < 2**64).
     :return: ``ClassicalSimResult`` on a uniform grid of ``n_times`` points
@@ -543,34 +615,20 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
-    t_max = float(t_max)
+    n_paths = int(n_paths)
+    times = np.linspace(0.0, float(t_max), int(n_times))
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
-    times = np.linspace(0.0, t_max, int(n_times))
-    survived = np.zeros(times.size)
-    occ0 = np.zeros(times.size)
-    for i in range(int(n_paths)):
-        key = np.array([seed, i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        wait_blocks, hop_blocks, total = [], [], 0.0
-        while total < t_max:
-            u = gen.random((_SIM_BLOCK, per_step))
-            w = _waits_from_uniforms(wtd, u)
-            wait_blocks.append(w)
-            hop_blocks.append(u[:, -1])
-            total += float(w.sum())
-        epochs = np.cumsum(np.concatenate(wait_blocks))
-        n_jumps = int(np.searchsorted(epochs, t_max, side="left"))
-        first_jump = epochs[0] if n_jumps >= 1 else np.inf
-        survived += times < first_jump
-        hops = np.concatenate(hop_blocks)[:n_jumps] < jump_prob
-        # site after each realized epoch, prefixed by the initial site 0
-        sites = np.concatenate([[0], np.cumsum(hops) & 1])
-        idx = np.searchsorted(np.concatenate([[0.0], epochs[:n_jumps]]),
-                              times, side="right") - 1
-        occ0 += sites[idx] == 0
+    chunk = max(1, _CHUNK_UNIFORMS // (_SIM_BLOCK * per_step))
+    first = np.zeros(times.size + 1, dtype=np.int64)
+    flips = np.zeros(times.size + 1, dtype=np.int64)
+    for start in range(0, n_paths, chunk):
+        paths = np.arange(start, min(start + chunk, n_paths), dtype=np.uint64)
+        f, h = _walk(wtd, per_step, jump_prob, times, seed, paths)
+        first += f
+        flips += h
 
-    survival = survived / n_paths
-    occ0 /= n_paths
+    survival = (n_paths - np.cumsum(first[:-1])) / n_paths
+    occ0 = (n_paths + np.cumsum(flips[:-1])) / n_paths
     occupation = np.vstack([occ0, 1.0 - occ0])
     survival_se = np.sqrt(survival * (1.0 - survival) / n_paths)
     occupation_se = np.sqrt(occupation * (1.0 - occupation) / n_paths)
@@ -580,6 +638,6 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
         survival_se=survival_se,
         occupation=occupation,
         occupation_se=occupation_se,
-        n_paths=int(n_paths),
+        n_paths=n_paths,
         seed=seed,
     )

@@ -299,6 +299,15 @@ def test_divisibility_scan_output(capsys):
     assert doc["metadata"]["violation_count"] == 0
 
 
+@pytest.mark.parametrize("s", [0.9, 0.95, 1.1])
+def test_boundary_search_away_from_s_one(capsys, s):
+    # q(t) rounding to 1 + 2e-16 once made map_at's Kraus weight NaN here
+    doc = _json_out(capsys, ["divisibility", "--boundary-search", "--s", str(s),
+                             "--format", "json"])
+    exact = s**2 / 8
+    assert abs(doc["metadata"]["p_boundary_estimate"] - exact) <= 0.016 * exact
+
+
 def test_holevo_output(capsys):
     doc = _json_out(capsys, ["holevo", "--grid", "25", "--t-max", "3",
                              "--format", "json"])

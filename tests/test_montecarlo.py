@@ -10,6 +10,7 @@ from qsemimarkov import (
     TanhSechWTD,
     classical_jump_simulate,
 )
+from qsemimarkov import semimarkov
 
 
 def _z_scores(observed, se, exact):
@@ -77,14 +78,31 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.survival, c.survival)
 
 
-def test_path_count_extension_is_consistent():
-    # per-path streams are keyed by (seed, path index), so the first paths
-    # of a longer run reproduce a shorter run exactly on the same grid
+def test_path_count_extension_is_consistent(monkeypatch):
+    # per-path streams are keyed by (seed, path index), so the first 500
+    # paths of a longer run reproduce a 500-path run exactly: with chunks of
+    # 500 paths, the long run's first chunk gives the short run's counts
     wtd = TanhSechWTD(rate=1.0)
     small = classical_jump_simulate(wtd, 1.0, 1.0, 500, seed=9, n_times=3)
+    monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 16 * 2)
+    chunks = []
+    walk = semimarkov._walk
+
+    def recording_walk(*args):
+        chunks.append(walk(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(semimarkov, "_walk", recording_walk)
     large = classical_jump_simulate(wtd, 1.0, 1.0, 1_000, seed=9, n_times=3)
-    # means differ, but the small-run counts divide the large-run sums
-    assert (small.survival * 500 <= large.survival * 1_000 + 1e-9).all()
+    assert len(chunks) == 2
+    first, flips = chunks[0]
+    assert np.array_equal(500 - np.cumsum(first[:-1]),
+                          np.rint(small.survival * 500))
+    assert np.array_equal(500 + np.cumsum(flips[:-1]),
+                          np.rint(small.occupation[0] * 500))
+    # and the long run's counts are the sum over its two chunks
+    assert np.array_equal(1_000 - np.cumsum(first + chunks[1][0])[:-1],
+                          np.rint(large.survival * 1_000))
 
 
 def test_result_shapes_and_se_bounds():
@@ -115,3 +133,90 @@ def test_argument_validation():
         classical_jump_simulate(wtd, 1.0, -2.0, 10, seed=1)
     with pytest.raises(DomainError):
         classical_jump_simulate(wtd, 1.0, 2.0, 10, seed=1, n_times=1)
+
+
+# ------------------------------------------------------------------ streams
+
+def _generator_uniforms(seed, path, start, stop):
+    key = np.array([seed, path], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(stop)[start:]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("per_step", [2, 3])
+def test_vectorized_streams_equal_per_path_generators(seed, per_step):
+    # path ids straddle the first chunk boundary; blocks 0, 1 and 4
+    chunk = semimarkov._CHUNK_UNIFORMS // (16 * per_step)
+    paths = np.arange(chunk - 3, chunk + 3, dtype=np.uint64)
+    k = 16 * per_step
+    for block in (0, 1, 4):
+        u = semimarkov._philox_uniforms(seed, paths, block, per_step)
+        expected = [_generator_uniforms(seed, int(i), block * k, (block + 1) * k)
+                    for i in paths]
+        assert np.array_equal(u, np.array(expected))
+
+
+@pytest.mark.parametrize("wtd, jump_prob, t_max", [
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 0.7, 2.0),
+    (TanhSechWTD(rate=1.0), 1.0, 40.0),
+    (ExponentialWTD(rate=1.0), 0.3, 2.0),
+])
+def test_chunk_size_does_not_change_results(monkeypatch, wtd, jump_prob,
+                                            t_max):
+    def simulate(n_paths):
+        return classical_jump_simulate(wtd, jump_prob, t_max, n_paths,
+                                       seed=17, n_times=21)
+
+    # one path per chunk; then all paths in one chunk, where the default
+    # budget splits the 3000 paths into two or three chunks
+    for budget, n_paths in ((1, 300), (10**9, 3000)):
+        default = simulate(n_paths)
+        monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", budget)
+        other = simulate(n_paths)
+        monkeypatch.undo()
+        assert np.array_equal(default.survival, other.survival)
+        assert np.array_equal(default.occupation, other.occupation)
+
+
+def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
+    """The original per-path walk: one Generator per path, one path a loop."""
+    per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
+    times = np.linspace(0.0, t_max, n_times)
+    survived = np.zeros(times.size)
+    occ0 = np.zeros(times.size)
+    for i in range(n_paths):
+        key = np.array([seed, i], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        wait_blocks, hop_blocks, total = [], [], 0.0
+        while total < t_max:
+            u = gen.random((16, per_step))
+            w = semimarkov._waits_from_uniforms(wtd, u)
+            wait_blocks.append(w)
+            hop_blocks.append(u[:, -1])
+            total += float(w.sum())
+        epochs = np.cumsum(np.concatenate(wait_blocks))
+        n_jumps = int(np.searchsorted(epochs, t_max, side="left"))
+        first_jump = epochs[0] if n_jumps >= 1 else np.inf
+        survived += times < first_jump
+        hops = np.concatenate(hop_blocks)[:n_jumps] < jump_prob
+        sites = np.concatenate([[0], np.cumsum(hops) & 1])
+        idx = np.searchsorted(np.concatenate([[0.0], epochs[:n_jumps]]),
+                              times, side="right") - 1
+        occ0 += sites[idx] == 0
+    return survived / n_paths, occ0 / n_paths
+
+
+@pytest.mark.parametrize("wtd, jump_prob, t_max, seed", [
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 0.7, 2.0, 2**64 - 1),
+    (ExpConvolutionWTD(rate1=1.5, rate2=1.5), 0.5, 60.0, 2**63),
+    (TanhSechWTD(rate=1.0), 0.3, 80.0, 11),
+    (ExponentialWTD(rate=1.0), 0.6, 50.0, 0),
+])
+def test_walk_equals_per_path_loop(wtd, jump_prob, t_max, seed):
+    # several blocks per path and thinned hops: the site parity and the
+    # epoch sum both carry over block boundaries
+    survival, occ0 = _loop_reference(wtd, jump_prob, t_max, 200, seed, 33)
+    result = classical_jump_simulate(wtd, jump_prob, t_max, 200, seed=seed,
+                                     n_times=33)
+    assert np.array_equal(result.survival, survival)
+    assert np.array_equal(result.occupation[0], occ0)

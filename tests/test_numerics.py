@@ -154,6 +154,45 @@ def test_solve_volterra_scalar_oracle():
     assert 3.5 < dev2 / dev < 4.5  # second-order convergence
 
 
+def _volterra_oracle(kernel, G, t_max, dt):
+    """The original O(n^2) solver: two einsum memory sums per step."""
+    n = int(round(t_max / dt))
+    dim = G.shape[0]
+    kvals = kernel(dt * np.arange(n + 1))
+    maps = np.empty((n + 1, dim, dim), dtype=np.result_type(G, float))
+    maps[0] = np.eye(dim)
+    for m in range(n):
+        w = kvals[m::-1].copy()
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        if m == 0:
+            mem = np.zeros((dim, dim), dtype=maps.dtype)
+        else:
+            mem = np.einsum("n,nij->ij", w * dt, maps[: m + 1])
+        rhs = G @ mem
+        predicted = maps[m] + dt * rhs
+        w1 = kvals[m + 1:: -1].copy()
+        w1[0] *= 0.5
+        w1[-1] *= 0.5
+        mem1 = np.einsum("n,nij->ij", w1[: m + 1] * dt, maps[: m + 1])
+        mem1 += dt * w1[m + 1] * predicted
+        maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ mem1)
+    return maps
+
+
+@pytest.mark.parametrize("generator, kernel", [
+    (np.array([[-1.0]]), lambda t: np.exp(-t)),
+    # dephasing bracket Z.Z - 1 as a complex superoperator, k = p e^{-s t}
+    (np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
+     - np.eye(4), lambda t: 3.0 * np.exp(-t)),
+])
+def test_solve_volterra_matches_einsum_oracle(generator, kernel):
+    sol = solve_volterra(kernel, generator, 2.5, 0.01)  # 250 steps
+    expected = _volterra_oracle(kernel, generator, 2.5, 0.01)
+    assert sol.maps.dtype == expected.dtype
+    assert np.abs(sol.maps - expected).max() <= 1e-13
+
+
 def test_solve_volterra_initial_condition_and_grid():
     sol = solve_volterra(lambda t: np.exp(-t), np.array([[-1.0]]), 1.0, 0.25)
     assert sol.times[0] == 0.0

@@ -312,6 +312,15 @@ def test_jump_superops():
     assert np.abs(out - expected).max() < 1e-14
 
 
+def test_map_at_clips_coherence_rounded_above_one():
+    # q(0) evaluates to 1 + 2e-16 here; the Kraus weights must stay finite
+    proc = DephasingSemiMarkov(s=0.9, p=0.1)
+    assert float(q_of_t(proc, 0.0)) > 1.0
+    ident, flip = map_at(proc, 0.0)
+    assert np.array_equal(ident, np.eye(2))
+    assert np.array_equal(flip, np.zeros((2, 2)))
+
+
 def test_map_at_rejects_negative_time():
     with pytest.raises(DomainError):
         map_at(DephasingSemiMarkov(s=1.0, p=0.3), -0.5)
