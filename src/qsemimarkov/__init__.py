@@ -16,12 +16,12 @@ equations, and quantify their departure from semigroup dynamics:
   information curves.
 - ``numerics``: Hermitian eigensolves, trace norms, entropies, adaptive
   quadrature with singularity excision, a Volterra integro-differential
-  solver, golden-section minimization, and bracketed root finding.
+  solver, and bracketed root finding.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.
 
 All randomness is counter-based and seeded explicitly; all evaluation
-functions are pure, so sweeps parallelize with deterministic output.
+functions are pure, so output is deterministic.
 """
 
 from .errors import (
@@ -49,7 +49,6 @@ from .numerics import (
     binary_entropy,
     find_root,
     hermitian_eig,
-    minimize_scalar,
     solve_volterra,
     trace_norm,
     von_neumann_entropy,
@@ -126,7 +125,7 @@ __all__ = [
     # numerics
     "Spectrum", "QuadratureResult", "VolterraSolution", "hermitian_eig",
     "trace_norm", "von_neumann_entropy", "binary_entropy", "adaptive_quad",
-    "solve_volterra", "minimize_scalar", "find_root",
+    "solve_volterra", "find_root",
     # quantum
     "weyl_z", "check_density_matrix", "apply_kraus", "kraus_trace_defect",
     "superop_of_kraus", "apply_superop", "choi_of_map", "choi_of_superop",

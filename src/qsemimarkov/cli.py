@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,7 +57,6 @@ from .semimarkov import (
 )
 
 _BOOL_FLAGS = {"boundary-search"}
-_MAX_WORKERS = 8
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--gamma-ref", type=float, default=None,
                         help="fixed reference rate (default 0)")
     p_meas.add_argument("--gamma-max", type=float, default=None,
-                        help="upper end of the reference search bracket")
+                        help="upper clip of the minimizing reference "
+                             "(default none)")
     p_meas.add_argument("--epsilon", type=float, default=None,
                         help="half-width excised around rate poles "
                              "(default 1e-6)")
@@ -317,14 +316,6 @@ def _grid_size(value: int, minimum: int = 2) -> int:
     return int(value)
 
 
-def _sweep(fn: Callable, values: Sequence) -> list:
-    """Evaluate fn over values concurrently, results ordered by input."""
-    if len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(values))) as ex:
-        return list(ex.map(fn, values))
-
-
 def _sss_config(r: _Resolved) -> SSSConfig:
     horizon = _positive("--T", r.get("T", 1.0))
     mode = r.get("mode", "paper")
@@ -360,11 +351,6 @@ def cmd_rate(r: _Resolved) -> ResultTable:
     )
 
 
-def _measure_row(proc, cfg: SSSConfig):
-    res = sss_measure(proc, cfg)
-    return res
-
-
 def cmd_measure(r: _Resolved) -> ResultTable:
     kind = r.get("family", "dephasing")
     cfg = _sss_config(r)
@@ -375,16 +361,14 @@ def cmd_measure(r: _Resolved) -> ResultTable:
         "form": cfg.form, "gamma-ref": cfg.gamma_ref,
         "epsilon": cfg.excision,
     }
+    if cfg.gamma_max is not None:
+        config_echo["gamma-max"] = cfg.gamma_max
     if kind == "nonunital":
-        a = r.args
-        _require(all(v is None for v in (a.s, a.p, a.lambda1, a.lambda2)),
-                 "the non-unital family takes only --lambda")
-        lam = r.get("lam", 1.0)
-        proc = NonUnitalSemiMarkov(rate=lam)
-        res = _measure_row(proc, cfg)
-        config_echo["lambda"] = lam
+        proc = _family(r)
+        res = sss_measure(proc, cfg)
+        config_echo["lambda"] = proc.rate
         columns = {
-            "lambda": np.array([lam]),
+            "lambda": np.array([proc.rate]),
             "xi": np.array([res.xi]),
             "zeta": np.array([res.zeta]),
             "gamma_ref": np.array([res.gamma_ref]),
@@ -412,7 +396,7 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     config_echo["s"] = s
 
     procs = [DephasingSemiMarkov(s=s, p=float(p)) for p in p_values]
-    results = _sweep(lambda pr: _measure_row(pr, cfg), procs)
+    results = [sss_measure(pr, cfg) for pr in procs]
     columns = {
         "p": p_values,
         "xi": np.array([res.xi for res in results]),
@@ -447,9 +431,8 @@ def cmd_holevo(r: _Resolved) -> ResultTable:
     t_max = _positive("--t-max", r.get("t_max", 6.0))
     n = _grid_size(r.get("grid", 500))
     ts = np.linspace(0.0, t_max, n)
-    curves = _sweep(
-        lambda p: holevo_curve(DephasingSemiMarkov(s=s, p=p), ts), p_values
-    )
+    curves = [holevo_curve(DephasingSemiMarkov(s=s, p=p), ts)
+              for p in p_values]
     columns: dict[str, np.ndarray] = {"t": ts}
     for p, chi in zip(p_values, curves):
         columns[f"chi_p{p:g}"] = chi

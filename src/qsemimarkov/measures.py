@@ -23,17 +23,23 @@ information curves for a fixed input ensemble.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridError, NoSignChange, SingularMap
+from .errors import (
+    DomainError,
+    GridError,
+    NoSignChange,
+    NumericalError,
+    SingularMap,
+)
 from .numerics import (
     _excised_pieces,
     adaptive_quad,
     find_root,
-    minimize_scalar,
     trace_norm,
     von_neumann_entropy,
 )
@@ -83,7 +89,6 @@ MINUS_STATE = _readonly(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
 
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
-_REF_TOL = 1e-8  # reference-rate search tolerance (golden-section bracket)
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,9 @@ class SSSConfig:
         ``"choi"`` goes through generator Choi matrices and normalizes by
         the family constant.
     :param gamma_ref: the reference rate used by ``mode="fixed"``.
-    :param gamma_max: upper end of the reference search bracket for
-        ``mode="min"``; default is 10x the largest sampled |gamma|.
+    :param gamma_max: upper clip of the minimizing reference for
+        ``mode="min"``, which is the time-median of gamma clipped to
+        [0, gamma_max]; default is no upper clip.
     :param excision: half-width of the neighborhoods removed around rate
         poles before integrating.
     """
@@ -182,33 +188,49 @@ def _reference_crossings(gamma_fn: Callable[[float], float],
     return sorted(roots)
 
 
-def _minimize_reference(objective: Callable[[float], float],
-                        samples: Sequence[tuple[np.ndarray, np.ndarray]],
-                        gamma_max: float | None) -> float:
-    """Locate the reference rate minimizing the (convex) average deviation.
+def _median_reference(gamma_fn: Callable[[float], float],
+                      samples: Sequence[tuple[np.ndarray, np.ndarray]],
+                      gamma_max: float | None) -> float:
+    """Time-median of gamma over the retained pieces, clipped to [0, gamma_max].
 
-    The search domain is [0, gamma_max] (references are non-negative
-    constant rates). Warm-starts a golden-section search in a narrow
-    bracket around the time-median of the sampled rate; if the minimizer
-    lands on that bracket's edge the search is redone on the full bracket.
+    The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
+    where L is the retained length and below(r) the length of
+    {t: gamma(t) < r}, so the clipped median is its exact minimizer.
+    below(r) is measured from the crossings of gamma with r, classifying each
+    sub-interval by gamma at its midpoint. Without ``gamma_max`` the upper
+    end of the root bracket starts at the largest sampled gamma and widens.
     """
-    gs = np.concatenate([g for _, g in samples])
-    lo = 0.0
-    hi = gamma_max if gamma_max is not None else 10.0 * float(np.abs(gs).max())
-    hi = max(hi, lo + 1e-6)
-    half = (hi - lo) / 16.0
-    median = float(np.clip(np.median(gs), lo, hi))
-    w_lo = max(lo, median - half)
-    w_hi = min(hi, median + half)
-    if w_hi > w_lo:
-        ref, _ = minimize_scalar(objective, w_lo, w_hi, tol=_REF_TOL)
-        margin = max(16.0 * _REF_TOL, 1e-12 * (hi - lo))
-        interior_lo = w_lo == lo or ref - w_lo > margin
-        interior_hi = w_hi == hi or w_hi - ref > margin
-        if interior_lo and interior_hi:
-            return ref
-    ref, _ = minimize_scalar(objective, lo, hi, tol=_REF_TOL)
-    return ref
+    length = sum(float(ts[-1] - ts[0]) for ts, _ in samples)
+
+    def sublevel(r: float, cmp: Callable) -> float:
+        total = 0.0
+        for piece in samples:
+            ts = piece[0]
+            edges = [float(ts[0]), *_reference_crossings(gamma_fn, [piece], r),
+                     float(ts[-1])]
+            for a, b in zip(edges[:-1], edges[1:]):
+                if b > a and cmp(float(gamma_fn(0.5 * (a + b))), r):
+                    total += b - a
+        return total
+
+    def excess(r: float) -> float:
+        return sublevel(r, operator.lt) - 0.5 * length
+
+    if sublevel(0.0, operator.le) >= 0.5 * length:
+        return 0.0  # the slope is non-negative at r = 0 (covers gamma == 0)
+    if gamma_max is not None:
+        hi = float(gamma_max)
+        if excess(hi) <= 0.0:
+            return hi
+    else:
+        hi = max(float(np.concatenate([g for _, g in samples]).max()), 0.0)
+        step = max(hi, 1.0)
+        while np.isfinite(hi) and excess(hi) <= 0.0:
+            hi += step
+            step *= 2.0
+        if not np.isfinite(hi):
+            raise NumericalError("no finite upper bracket for the median rate")
+    return find_root(excess, 0.0, hi)
 
 
 def _solve_measure(gamma_fn: Callable[[float], float], config: SSSConfig,
@@ -220,8 +242,9 @@ def _solve_measure(gamma_fn: Callable[[float], float], config: SSSConfig,
 
     ``deviation_of(ref)`` returns the integrand t -> distance between the
     instantaneous generator and the constant-ref generator; its kinks at
-    gamma(t) = ref are located per evaluation and passed to the quadrature
-    as forced breakpoints.
+    gamma(t) = ref are located on the sampled rate and passed to the
+    quadrature as forced breakpoints. ``mode="min"`` takes ref as the
+    clipped time-median of gamma, so either mode makes one quadrature.
     """
     T = config.horizon
     sing = sorted(float(x) for x in singular_points)
@@ -229,17 +252,12 @@ def _solve_measure(gamma_fn: Callable[[float], float], config: SSSConfig,
     if not pieces:
         raise GridError("singular-point excision removed the entire horizon")
     samples = _sample_rate(gamma_fn, pieces, T)
-
-    def average(ref: float) -> float:
-        brk = _reference_crossings(gamma_fn, samples, ref)
-        res = adaptive_quad(deviation_of(ref), 0.0, T,
-                            singular_points=sing, excision=config.excision,
-                            breakpoints=brk)
-        return res.value / T
-
     ref = (config.gamma_ref if config.mode == "fixed"
-           else _minimize_reference(average, samples, config.gamma_max))
-    raw = average(ref)
+           else _median_reference(gamma_fn, samples, config.gamma_max))
+    res = adaptive_quad(deviation_of(ref), 0.0, T,
+                        singular_points=sing, excision=config.excision,
+                        breakpoints=_reference_crossings(gamma_fn, samples, ref))
+    raw = res.value / T
     xi = raw / normalizer
     return xi, raw, ref, tuple(holes)
 

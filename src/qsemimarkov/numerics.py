@@ -1,10 +1,11 @@
-"""Dense small-matrix linear algebra, quadrature, and scalar search.
+"""Dense small-matrix linear algebra, quadrature, and root finding.
 
 Everything here operates on plain numpy arrays and Python callables. Matrix
 routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature wraps QUADPACK (via scipy) and adds excision of flagged singular
-points; the Volterra solver and the golden-section search are implemented
-directly because no library routine matches their required form.
+points; root finding wraps Brent's method (via scipy); the Volterra solver
+is implemented directly because no library routine matches its required
+form.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "binary_entropy",
     "adaptive_quad",
     "solve_volterra",
-    "minimize_scalar",
     "find_root",
 ]
 
@@ -245,46 +245,6 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
         maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ (hist + end * predicted))
         mem = hist + end * maps[m + 1]
     return VolterraSolution(times, maps)
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_scalar(f: Callable[[float], float], lo: float, hi: float, *,
-                    tol: float = 1e-8,
-                    max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi].
-
-    :return: ``(argmin, f(argmin))`` with ``|argmin - true|`` bounded by the
-        final bracket width (at most ``tol`` unless ``max_iter`` hits first).
-    :raises NumericalError: if f returns a non-finite value.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-        raise DomainError(f"bad search interval [{lo}, {hi}]")
-
-    def probe(x: float) -> float:
-        y = float(f(x))
-        if not np.isfinite(y):
-            raise NumericalError(f"objective returned {y!r} at x={x!r}")
-        return y
-
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    x = 0.5 * (a + b)
-    return x, probe(x)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, *,

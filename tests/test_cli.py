@@ -147,6 +147,32 @@ def test_measure_sweep_and_regime_column(capsys):
     assert flags == [1.0 if p > 0.125 else 0.0 for p in ps]
 
 
+@pytest.mark.parametrize("horizon", ["3", "6"])
+def test_measure_min_mode_past_a_rate_pole(capsys, horizon):
+    args = ["measure", "--p", "3", "--T", horizon, "--format", "json"]
+    doc = _json_out(capsys, args + ["--mode", "min"])
+    xi, ref = doc["columns"]["xi"][0], doc["columns"]["gamma_ref"][0]
+    for shift in (-1e-4, 1e-4):
+        moved = _json_out(capsys, args + ["--gamma-ref", repr(ref + shift)])
+        assert moved["columns"]["xi"][0] >= xi
+
+
+def test_measure_min_mode_semigroup_is_exactly_zero(capsys):
+    doc = _json_out(capsys, ["measure", "--p", "0", "--mode", "min",
+                             "--format", "json"])
+    assert doc["columns"]["xi"] == [0.0]
+    assert doc["columns"]["gamma_ref"] == [0.0]
+
+
+def test_measure_echoes_gamma_max(capsys):
+    doc = _json_out(capsys, ["measure", "--p", "0.1", "--mode", "min",
+                             "--gamma-max", "0.01", "--format", "json"])
+    assert doc["config"]["gamma-max"] == 0.01
+    assert doc["columns"]["gamma_ref"] == [0.01]
+    doc = _json_out(capsys, ["measure", "--p", "0.1", "--format", "json"])
+    assert "gamma-max" not in doc["config"]
+
+
 def test_measure_nonunital_modes(capsys):
     doc = _json_out(capsys, ["measure", "--family", "nonunital",
                              "--format", "json"])

@@ -25,6 +25,8 @@ from qsemimarkov import (
     sss_rate_form,
 )
 
+from golden_section import minimize_scalar
+
 
 # ------------------------------------------------------------ configuration
 
@@ -86,8 +88,16 @@ def test_excision_swallowing_horizon_raises():
 
 def test_minimizing_reference_of_constant_rate_is_that_rate():
     result = sss_rate_form(lambda t: 1.3, SSSConfig(horizon=2.0, mode="min"))
-    assert result.gamma_ref == pytest.approx(1.3, abs=1e-6)
-    assert result.xi < 1e-6
+    assert result.gamma_ref == pytest.approx(1.3, abs=1e-11)
+    assert result.xi < 1e-11
+
+
+def test_minimizing_reference_of_negative_rate_is_zero():
+    # the median -2.3 lies below the allowed range, so the clip at 0 wins
+    result = sss_rate_form(lambda t: -1.3 - t, SSSConfig(horizon=2.0,
+                                                        mode="min"))
+    assert result.gamma_ref == 0.0
+    assert result.xi == pytest.approx(2.3, rel=1e-12)
 
 
 def test_minimizing_reference_is_time_median_for_monotone_rate():
@@ -117,7 +127,33 @@ def test_gamma_max_bounds_the_reference_search():
     proc = DephasingSemiMarkov(s=1.0, p=0.1)
     capped = sss_measure(proc, SSSConfig(horizon=1.0, mode="min",
                                          gamma_max=0.01))
-    assert capped.gamma_ref <= 0.01 + 1e-8
+    assert capped.gamma_ref == 0.01
+
+
+# the processes of acceptance criterion 8; the golden-section oracle cannot
+# resolve the reference at p = 3, where a 6e-6 shift of gamma_ref moves xi by
+# under 1e-11, below the quadrature's resolution
+@pytest.mark.parametrize("proc, oracle_resolves_ref", [
+    (DephasingSemiMarkov(s=1.0, p=0.05), True),
+    (DephasingSemiMarkov(s=1.0, p=0.1), True),
+    (DephasingSemiMarkov(s=1.0, p=3.0), False),
+    (NonUnitalSemiMarkov(rate=0.5), True),
+    (NonUnitalSemiMarkov(rate=1.0), True),
+    (NonUnitalSemiMarkov(rate=2.0), True),
+], ids=["p0.05", "p0.1", "p3", "lam0.5", "lam1", "lam2"])
+def test_median_reference_against_golden_section_oracle(proc,
+                                                        oracle_resolves_ref):
+    def xi_at(ref):
+        return sss_measure(proc, SSSConfig(horizon=1.0, gamma_ref=ref)).xi
+
+    oracle_ref, oracle_xi = minimize_scalar(xi_at, 0.0, 5.0, tol=1e-8)
+    median = sss_measure(proc, SSSConfig(horizon=1.0, mode="min"))
+    assert median.xi <= oracle_xi + 1e-12
+    assert median.xi == xi_at(median.gamma_ref)
+    if oracle_resolves_ref:
+        assert median.gamma_ref == pytest.approx(oracle_ref, abs=1e-6)
+    for shift in (-1e-4, 1e-4):
+        assert xi_at(median.gamma_ref + shift) >= median.xi
 
 
 # ------------------------------------------------------------- choi form
@@ -140,6 +176,15 @@ def test_choi_form_min_mode_agrees_on_reference():
     choi = sss_measure(proc, SSSConfig(horizon=1.0, mode="min", form="choi"))
     assert choi.gamma_ref == pytest.approx(rate.gamma_ref, abs=1e-6)
     assert choi.xi == pytest.approx(rate.xi, rel=1e-6)
+
+
+def test_choi_form_min_mode_objective_is_lowest_at_the_median():
+    proc = DephasingSemiMarkov(s=1.0, p=0.25)
+    choi = sss_measure(proc, SSSConfig(horizon=1.0, mode="min", form="choi"))
+    for shift in (-1e-4, 1e-4):
+        moved = sss_measure(proc, SSSConfig(horizon=1.0, form="choi",
+                                            gamma_ref=choi.gamma_ref + shift))
+        assert moved.raw_average >= choi.raw_average
 
 
 def test_choi_form_nonunital_constant():

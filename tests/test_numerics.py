@@ -14,11 +14,12 @@ from qsemimarkov import (
     binary_entropy,
     find_root,
     hermitian_eig,
-    minimize_scalar,
     solve_volterra,
     trace_norm,
     von_neumann_entropy,
 )
+
+from golden_section import minimize_scalar
 
 
 def random_hermitian(rng, d):
