@@ -13,18 +13,16 @@ import numpy as np
 from qsemimarkov import (
     DephasingSemiMarkov,
     ExponentialKernel,
+    jump_superop,
     q_of_t,
     solve_volterra,
-    superop_of_kraus,
 )
-
-_Z = np.diag([1.0, -1.0])
 
 
 def main() -> None:
-    bracket = superop_of_kraus([_Z]).real - np.eye(4)
     for s, p in ((1.0, 0.1), (1.0, 3.0)):
         proc = DephasingSemiMarkov(s=s, p=p)
+        bracket = jump_superop(proc) - np.eye(4)
         kernel = ExponentialKernel(amplitude=p, decay=s)
         print(f"s={s:g}, p={p:g}")
         prev = None

@@ -41,7 +41,6 @@ from .measures import (
     sss_measure,
 )
 from .numerics import solve_volterra
-from .quantum import superop_of_kraus
 from .semimarkov import (
     DephasingSemiMarkov,
     ExpConvolutionWTD,
@@ -53,6 +52,7 @@ from .semimarkov import (
     classical_jump_simulate,
     coherence_zeros,
     gamma_dephasing,
+    jump_superop,
     q_of_t,
 )
 
@@ -572,7 +572,7 @@ def cmd_kernel_check(r: _Resolved) -> ResultTable:
     # k(t) = p exp(-s t); valid for every p >= 0 even where no real rate
     # pair (lambda1, lambda2) exists
     kernel = ExponentialKernel(amplitude=p, decay=s)
-    bracket = superop_of_kraus([np.diag([1.0, -1.0])]) - np.eye(4)
+    bracket = jump_superop(proc) - np.eye(4)
 
     def q_error(step: float) -> tuple[np.ndarray, np.ndarray, float]:
         sol = solve_volterra(kernel, bracket, t_max, step)

@@ -34,7 +34,6 @@ from .errors import (
     GridError,
     NoSignChange,
     NumericalError,
-    SingularMap,
 )
 from .numerics import (
     _excised_pieces,
@@ -46,7 +45,7 @@ from .numerics import (
 from .quantum import (
     DephasingGenerator,
     ProjectorGenerator,
-    apply_kraus,
+    apply_superop,
     check_density_matrix,
     choi_of_generator,
     choi_of_superop,
@@ -58,7 +57,6 @@ from .semimarkov import (
     coherence_zeros,
     gamma_dephasing,
     gamma_nonunital,
-    map_at,
     superop_at,
 )
 
@@ -364,9 +362,7 @@ def blp_measure(proc, t_max: float, *,
         rho1, rho2 = (check_density_matrix(r) for r in pair)
     delta = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
     times = np.linspace(0.0, float(t_max), int(n_grid))
-    dist = np.empty(times.size)
-    for i, t in enumerate(times):
-        dist[i] = 0.5 * trace_norm(apply_kraus(map_at(proc, float(t)), delta))
+    dist = 0.5 * trace_norm(apply_superop(superop_at(proc, times), delta))
     inc = np.diff(dist)
     measure = float(inc[inc > increment_floor].sum())
     return BLPResult(measure=measure, times=times, trace_distance=dist)
@@ -404,27 +400,20 @@ def cp_divisibility_scan(proc, times: Sequence[float], *, tol: float = 1e-8,
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
         raise GridError("times must be a 1-D increasing grid of length >= 2")
-    superops = [superop_at(proc, float(t)) for t in ts]
+    superops = superop_at(proc, ts)
+    early, late = superops[:-1], superops[1:]
+    cond = np.linalg.cond(early)
+    regular = np.isfinite(cond) & (cond <= cond_max)
+    V = intermediate_map(late[regular], early[regular], cond_max=cond_max)
+    chi = choi_of_superop(V)
+    chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))  # drop roundoff skew part
     min_eigs = np.full(ts.size - 1, np.nan)
-    violations = 0
-    first: float | None = None
-    singular = 0
-    for i in range(ts.size - 1):
-        try:
-            V = intermediate_map(superops[i + 1], superops[i], cond_max=cond_max)
-        except SingularMap:
-            singular += 1
-            continue
-        chi = choi_of_superop(V)
-        chi = 0.5 * (chi + chi.conj().T)  # drop roundoff anti-Hermitian part
-        min_eigs[i] = float(np.linalg.eigvalsh(chi).min())
-        if min_eigs[i] < -tol:
-            violations += 1
-            if first is None:
-                first = float(ts[i + 1])
-    return DivisibilityReport(times=ts, min_eigenvalues=min_eigs,
-                              violation_count=violations, first_violation=first,
-                              singular_steps=singular, tol=tol)
+    min_eigs[regular] = np.linalg.eigvalsh(chi)[:, 0]
+    violating = min_eigs < -tol  # NaN (singular) steps never violate
+    return DivisibilityReport(
+        times=ts, min_eigenvalues=min_eigs, violation_count=int(violating.sum()),
+        first_violation=float(ts[1:][violating][0]) if violating.any() else None,
+        singular_steps=int((~regular).sum()), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -503,13 +492,7 @@ def holevo_curve(proc, times: Sequence[float], *,
     probs = np.array([float(p) for p, _ in ensemble])
     if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-10:
         raise DomainError("ensemble probabilities must be positive and sum to 1")
-    states = [check_density_matrix(r) for _, r in ensemble]
-    chi = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        kraus = map_at(proc, float(t))
-        outs = [apply_kraus(kraus, r) for r in states]
-        avg = sum(p * out for p, out in zip(probs, outs))
-        chi[i] = von_neumann_entropy(avg) - sum(
-            p * von_neumann_entropy(out) for p, out in zip(probs, outs)
-        )
-    return chi
+    states = np.array([check_density_matrix(r) for _, r in ensemble])
+    outs = apply_superop(superop_at(proc, ts)[:, None], states)  # (time, state)
+    avg = (probs[:, None, None] * outs).sum(axis=1)
+    return von_neumann_entropy(avg) - (probs * von_neumann_entropy(outs)).sum(axis=1)

@@ -61,48 +61,56 @@ class VolterraSolution(NamedTuple):
 def hermitian_eig(matrix: np.ndarray, *, tol: float = 1e-12) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    :param matrix: square complex matrix, Hermitian within ``tol`` relative
-        to its largest-magnitude entry.
+    :param matrix: square complex matrix, or a stack (..., d, d) of them, each
+        Hermitian within ``tol`` relative to its largest-magnitude entry.
     :param tol: relative Hermiticity tolerance.
-    :raises NonHermitianInput: if the Hermiticity check fails.
+    :raises NonHermitianInput: if the Hermiticity check fails for any matrix.
     :raises NoConvergence: if the underlying LAPACK driver does not converge.
     :return: ``Spectrum(eigenvalues, eigenvectors)`` with real eigenvalues in
-        descending order and matching eigenvector columns.
+        descending order along the last axis and matching eigenvector columns.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    defect = np.abs(m - m.conj().T).max()
-    if defect > tol * scale:
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(defect > tol * scale):
+        i = np.unravel_index(np.argmax(defect / scale), defect.shape)
         raise NonHermitianInput(
-            f"matrix deviates from Hermiticity by {defect:.3e} "
-            f"(allowed {tol * scale:.3e})"
+            f"matrix deviates from Hermiticity by {defect[i]:.3e} "
+            f"(allowed {tol * scale[i]:.3e})"
         )
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(evals)[::-1]
-    return Spectrum(evals[order], evecs[:, order])
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    return Spectrum(np.take_along_axis(evals, order, -1),
+                    np.take_along_axis(evecs, order[..., None, :], -1))
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input this is sum |eigenvalues|."""
+def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; for Hermitian input this is sum |eigenvalues|.
+
+    A stack (..., m, n) gives an array of shape (...), one matrix a float.
+    """
     m = np.asarray(matrix)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DomainError(f"expected a matrix, got shape {m.shape}")
     try:
-        return float(np.linalg.svd(m, compute_uv=False).sum())
+        norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    return float(norms) if m.ndim == 2 else norms
 
 
 def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = 1e-8,
-                        negativity_tol: float = 1e-10) -> float:
+                        negativity_tol: float = 1e-10) -> float | np.ndarray:
     """Von Neumann entropy in bits, -sum(lambda log2 lambda).
 
-    :raises InvalidState: if ``rho`` is non-Hermitian, its trace deviates
+    A stack of states (..., d, d) gives an array of shape (...), one a float.
+
+    :raises InvalidState: if any state is non-Hermitian, its trace deviates
         from 1 by more than ``trace_tol``, or an eigenvalue is below
         ``-negativity_tol``.
     """
@@ -110,14 +118,14 @@ def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = 1e-8,
         evals = hermitian_eig(np.asarray(rho, dtype=complex)).eigenvalues
     except NonHermitianInput as exc:
         raise InvalidState(str(exc)) from exc
-    trace_defect = abs(evals.sum() - 1.0)
-    if trace_defect > trace_tol:
-        raise InvalidState(f"trace deviates from 1 by {trace_defect:.3e}")
-    if evals.min() < -negativity_tol:
+    trace_defect = np.abs(evals.sum(axis=-1) - 1.0)
+    if np.any(trace_defect > trace_tol):
+        raise InvalidState(f"trace deviates from 1 by {trace_defect.max():.3e}")
+    if np.any(evals < -negativity_tol):
         raise InvalidState(f"negative eigenvalue {evals.min():.3e}")
     lam = np.clip(evals, 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
+    ent = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    return float(ent) if evals.ndim == 1 else ent
 
 
 def binary_entropy(x: float) -> float:

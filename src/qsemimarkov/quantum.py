@@ -9,6 +9,8 @@ Conventions used throughout:
   carries the map output, so tracing it out leaves the identity for any
   trace-preserving map. Under this convention the Choi matrix of a Kraus set
   is sum_m |w_m><w_m| with w_m the row-major flattening of K_m.
+- ``apply_superop``, ``choi_of_superop`` and ``intermediate_map`` take
+  stacks over leading axes: superoperators (..., d^2, d^2), states (..., d, d).
 """
 
 from __future__ import annotations
@@ -114,18 +116,24 @@ def superop_of_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     return S
 
 
-def apply_superop(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a column-stacking superoperator to a matrix."""
-    S = np.asarray(superop)
-    d = int(round(np.sqrt(S.shape[0])))
-    if S.shape != (d * d, d * d):
+def _superop_dim(S: np.ndarray) -> int:
+    d = int(round(np.sqrt(S.shape[-1]))) if S.ndim >= 2 else 0
+    if S.ndim < 2 or S.shape[-2:] != (d * d, d * d):
         raise DimensionMismatch(f"superoperator shape {S.shape} is not d^2 x d^2")
+    return d
+
+
+def apply_superop(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply column-stacking superoperators to states, broadcasting stacks."""
+    S = np.asarray(superop)
+    d = _superop_dim(S)
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (d, d):
+    if r.ndim < 2 or r.shape[-2:] != (d, d):
         raise DimensionMismatch(
             f"state shape {r.shape} does not match superoperator dimension {d}"
         )
-    return (S @ r.flatten(order="F")).reshape((d, d), order="F")
+    out = S @ r.swapaxes(-1, -2).reshape(*r.shape[:-2], d * d, 1)  # vec(rho)
+    return out.reshape(*out.shape[:-2], d, d).swapaxes(-1, -2)
 
 
 def choi_of_map(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -140,19 +148,17 @@ def choi_of_map(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def choi_of_superop(superop: np.ndarray) -> np.ndarray:
-    """Choi matrix of a map given as a column-stacking superoperator."""
+    """Choi matrices of column-stacking superoperators, same stack shape.
+
+    A reshuffle of the entries (Wood, Biamonte & Cory, arXiv:1111.6950):
+    chi[(i, k), (j, l)] = S[(j, i), (l, k)], pairs read as row-major indices.
+    """
     S = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(S.shape[0])))
-    if S.shape != (d * d, d * d):
-        raise DimensionMismatch(f"superoperator shape {S.shape} is not d^2 x d^2")
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    basis = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.outer(basis[:, i], basis[:, j])
-            out = (S @ E.flatten(order="F")).reshape((d, d), order="F")
-            chi += np.kron(out, E)
-    return chi
+    d = _superop_dim(S)
+    lead = S.shape[:-2]
+    n = len(lead)
+    axes = (*range(n), n + 1, n + 3, n, n + 2)
+    return S.reshape(*lead, d, d, d, d).transpose(axes).reshape(S.shape)
 
 
 def kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> list[np.ndarray]:
@@ -222,22 +228,25 @@ def is_cptp(choi: np.ndarray, *, tol: float = 1e-8) -> CPTPReport:
 
 def intermediate_map(superop_late: np.ndarray, superop_early: np.ndarray, *,
                      cond_max: float = 1e12) -> np.ndarray:
-    """Propagator V with V . Phi(t1) = Phi(t2), as a superoperator.
+    """Propagator V with V . Phi(t1) = Phi(t2), as a superoperator (stacks too).
 
-    :raises SingularMap: if the early map's condition number exceeds
+    :raises SingularMap: if any early map's condition number exceeds
         ``cond_max`` (the inverse is numerically meaningless).
     """
-    S2 = np.asarray(superop_late, dtype=complex)
-    S1 = np.asarray(superop_early, dtype=complex)
-    if S1.shape != S2.shape or S1.ndim != 2 or S1.shape[0] != S1.shape[1]:
+    S2 = np.asarray(superop_late)
+    S1 = np.asarray(superop_early)
+    if S1.shape != S2.shape or S1.ndim < 2 or S1.shape[-1] != S1.shape[-2]:
         raise DimensionMismatch(
             f"superoperator shapes {S2.shape} and {S1.shape} are incompatible"
         )
-    cond = float(np.linalg.cond(S1))
-    if not np.isfinite(cond) or cond > cond_max:
-        raise SingularMap(f"early map condition number {cond:.3e} > {cond_max:.0e}")
+    cond = np.linalg.cond(S1)
+    bad = ~np.isfinite(cond) | (cond > cond_max)
+    if np.any(bad):
+        raise SingularMap(f"early map condition number {np.max(cond[bad]):.3e} "
+                          f"> {cond_max:.0e}")
     # V = S2 @ inv(S1), computed as a linear solve on the transpose pair
-    return np.linalg.solve(S1.T, S2.T).T
+    return np.linalg.solve(S1.swapaxes(-1, -2),
+                           S2.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

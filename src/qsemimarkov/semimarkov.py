@@ -18,6 +18,9 @@ Each jump applies a fixed channel. Two families are implemented:
   survival is g(t) = sech(lambda t), and the rate is lambda tanh(lambda t).
   The map is the affine mixture Phi(t) = g(t) id + (1 - g(t)) P.
 
+Both maps are Phi(t) = w id + (1 - w) J with J the jump channel: w = (1 + q)/2
+for dephasing and w = g for the non-unital family.
+
 q(t) and its derivative are evaluated in exponential-partial-fraction form so
 they stay finite and accurate for large t in every branch of eta.
 """
@@ -36,7 +39,12 @@ from .errors import (
     SingularityOnGrid,
     UnsupportedVariant,
 )
-from .quantum import check_density_matrix, kraus_from_choi
+from .quantum import (
+    apply_superop,
+    check_density_matrix,
+    choi_of_superop,
+    kraus_from_choi,
+)
 
 __all__ = [
     "ExponentialWTD",
@@ -368,8 +376,8 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
 def map_at(proc, t: float) -> list[np.ndarray]:
     """Kraus operators of the dynamical map Phi(t).
 
-    Dephasing: {sqrt((1+q)/2) I, sqrt((1-q)/2) Z}. Non-unital: derived from
-    the Choi matrix of g id + (1-g) P by spectral decomposition.
+    Dephasing: {sqrt((1+q)/2) I, sqrt((1-q)/2) Z}. Non-unital: the spectral
+    decomposition of the Choi matrix of ``superop_at(proc, t)``.
     """
     t = float(t)
     if t < 0.0:
@@ -379,16 +387,7 @@ def map_at(proc, t: float) -> list[np.ndarray]:
         q = min(1.0, max(-1.0, float(q_of_t(proc, t))))
         return [np.sqrt((1.0 + q) / 2.0) * np.eye(2),
                 np.sqrt((1.0 - q) / 2.0) * _PAULI_Z]
-    if isinstance(proc, NonUnitalSemiMarkov):
-        g = float(proc.survival(t))
-        # Choi of g id + (1-g) P: g |Psi><Psi| + (1-g) |0><0| (x) I
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = psi[3] = 1.0
-        chi = g * np.outer(psi, psi.conj())
-        chi[0, 0] += 1.0 - g
-        chi[1, 1] += 1.0 - g
-        return kraus_from_choi(chi)
-    raise DomainError(f"unknown process type {type(proc)!r}")
+    return kraus_from_choi(choi_of_superop(superop_at(proc, t)))
 
 
 def jump_superop(proc) -> np.ndarray:
@@ -405,23 +404,23 @@ def jump_superop(proc) -> np.ndarray:
     raise DomainError(f"unknown process type {type(proc)!r}")
 
 
-def superop_at(proc, t: float) -> np.ndarray:
-    """Superoperator form of Phi(t), built from its Kraus set."""
-    from .quantum import superop_of_kraus
+def superop_at(proc, t) -> np.ndarray:
+    """Superoperators of Phi(t) = w id + (1 - w) J, shape np.shape(t) + (4, 4).
 
-    return superop_of_kraus(map_at(proc, t))
-
-
-def _jump_apply(proc):
+    J is ``jump_superop(proc)``; w = (1 + q(t))/2 for dephasing, with q
+    clipped to [-1, 1], and w = sech(rate t) for the non-unital family.
+    """
+    J = jump_superop(proc)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise DomainError(f"t must be non-negative, got min {t.min()!r}")
     if isinstance(proc, DephasingSemiMarkov):
-        return lambda rho: _PAULI_Z @ rho @ _PAULI_Z
-    if isinstance(proc, NonUnitalSemiMarkov):
-        def project(rho):
-            out = np.zeros_like(rho)
-            out[0, 0] = rho.trace()
-            return out
-        return project
-    raise DomainError(f"unknown process type {type(proc)!r}")
+        # |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0
+        w = (1.0 + np.clip(q_of_t(proc, t), -1.0, 1.0)) / 2.0
+    else:
+        w = proc.survival(t)
+    w = np.asarray(w)[..., None, None]
+    return w * np.eye(4) + (1.0 - w) * J
 
 
 def _rate_function(proc):
@@ -460,10 +459,10 @@ def evolve_timelocal(proc, rho0: np.ndarray, times: Sequence[float], *,
     if max_step is None:
         max_step = min(1e-3, span / 1000.0) if span > 0.0 else 1e-3
     gamma = _rate_function(proc)
-    jump = _jump_apply(proc)
+    jump = jump_superop(proc)
 
     def rhs(t: float, r: np.ndarray) -> np.ndarray:
-        return gamma(t) * (jump(r) - r)
+        return gamma(t) * (apply_superop(jump, r) - r)
 
     out = np.empty((ts.size, *rho.shape), dtype=complex)
     out[0] = rho

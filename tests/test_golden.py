@@ -7,6 +7,12 @@ figure recipes must match byte for byte. The min-mode measure sweep was
 captured with a golden-section reference search, which stopped within about
 1e-8 of the exact time-median the package now computes, so its numbers are
 compared within 1e-8.
+
+The map-stack goldens (Holevo recipe, divisibility scan, boundary searches,
+BLP curve and the non-unital library curves) were captured when every time
+point went through a per-time Kraus map. The closed-form map stack changes
+only rounding, so the searches stay byte-identical and the curves are
+compared within stated tolerances, column by column.
 """
 
 import json
@@ -15,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsemimarkov import NonUnitalSemiMarkov, blp_measure, holevo_curve
 from qsemimarkov.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,18 +61,80 @@ def test_kernel_check_golden_within_rounding(capsys):
                                   abs=1e-9)
 
 
-@pytest.mark.parametrize("name, command", [
-    ("fig1.csv", "rate"),
-    ("fig2.csv", "measure"),
-    ("fig3.csv", "holevo"),
+def _assert_golden(text, gold, tol=None):
+    """Byte-identical, except that each column named in ``tol`` may differ
+    from the golden by at most its tolerance, with NaNs in the same cells.
+    """
+    if not tol:
+        assert text == gold
+        return
+
+    def split(t):
+        lines = t.splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        return [line for line in lines if line.startswith("#")], rows
+
+    head, rows = split(text)
+    gold_head, gold_rows = split(gold)
+    assert head == gold_head
+    assert rows[0] == gold_rows[0] and len(rows) == len(gold_rows)
+    for j, name in enumerate(rows[0]):
+        got = [row[j] for row in rows[1:]]
+        want = [row[j] for row in gold_rows[1:]]
+        if name not in tol:
+            assert got == want, name
+            continue
+        a, b = np.array(got, dtype=float), np.array(want, dtype=float)
+        assert np.array_equal(np.isnan(a), np.isnan(b)), name
+        err = np.abs(a - b)[~np.isnan(a)]
+        assert err.max(initial=0.0) <= tol[name], (name, err.max())
+
+
+@pytest.mark.parametrize("name, command, tol", [
+    pytest.param("fig1.csv", "rate", None, id="fig1.csv-rate"),
+    pytest.param("fig2.csv", "measure", None, id="fig2.csv-measure"),
+    pytest.param("fig3.csv", "holevo", {"chi_p2": 5e-16},
+                 id="fig3.csv-holevo"),
 ])
-def test_recipe_golden_bytes(tmp_path, capsys, name, command):
+def test_recipe_golden_bytes(tmp_path, capsys, name, command, tol):
+    """The recipes match byte for byte, except in fig3's chi_p2 column.
+
+    There a cell may differ from the golden by at most 5e-16 absolute: the
+    closed-form map stack rounds the states differently. Eight cells do
+    (0-based data rows 79, 213, 215, 346, 350, 479, 490 and 491, all with
+    chi < 1e-4, by at most 3.0e-16). Its # lines and the t, chi_p0.1 and
+    chi_p0.01 columns stay byte-identical.
+    """
     recipe = Path(__file__).parent.parent / "recipes" / name.replace(".csv",
                                                                      ".cfg")
     out = tmp_path / name
     _output(capsys, [command, "--config", str(recipe), "--format", "csv",
                      "--out", str(out)])
-    assert out.read_text() == (GOLDEN / name).read_text()
+    _assert_golden(out.read_text(), (GOLDEN / name).read_text(), tol)
+
+
+@pytest.mark.parametrize("name, argv, tol", [
+    ("divisibility_p3.csv", ["divisibility", "--p", "3"],
+     {"min_choi_eigenvalue": 1e-10}),
+    ("divisibility_boundary.csv", ["divisibility", "--boundary-search"], None),
+    ("divisibility_boundary_s0.9.csv",
+     ["divisibility", "--boundary-search", "--s", "0.9"], None),
+    ("blp_p3.csv", ["blp", "--p", "3"], {"trace_distance": 2e-13}),
+])
+def test_map_stack_golden(capsys, name, argv, tol):
+    out = _output(capsys, [*argv, "--format", "csv"])
+    _assert_golden(out, (GOLDEN / name).read_text(), tol)
+
+
+def test_nonunital_library_curves_golden():
+    gold = json.loads((GOLDEN / "nonunital_curves.json").read_text())
+    proc = NonUnitalSemiMarkov(rate=gold["lambda"])
+    blp = blp_measure(proc, gold["t_max"], n_grid=gold["n_grid"])
+    chi = holevo_curve(proc, blp.times)
+    assert np.array_equal(blp.times, gold["t"])
+    assert np.abs(blp.trace_distance - gold["trace_distance"]).max() <= 1e-14
+    assert np.abs(chi - gold["chi"]).max() <= 1e-14
+    assert blp.measure == pytest.approx(gold["blp"], abs=1e-14)
 
 
 def _columns(csv_text):

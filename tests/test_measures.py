@@ -213,6 +213,18 @@ def test_blp_counts_coherence_revivals():
     assert result.measure > 0.01
 
 
+@pytest.mark.parametrize("proc", [DephasingSemiMarkov(s=1.0, p=3.0),
+                                  DephasingSemiMarkov(s=1.0, p=0.1),
+                                  NonUnitalSemiMarkov(rate=1.05)])
+def test_blp_distance_matches_closed_form_to_rounding(proc):
+    result = blp_measure(proc, 10.0, n_grid=2001)
+    if isinstance(proc, NonUnitalSemiMarkov):
+        expected = 1.0 / np.cosh(proc.rate * result.times)
+    else:
+        expected = np.abs(np.asarray(q_of_t(proc, result.times)))
+    assert np.abs(result.trace_distance - expected).max() <= 2.5e-16
+
+
 def test_blp_insensitive_pairs():
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     same = blp_measure(proc, 5.0, pair=(PLUS_STATE, PLUS_STATE), n_grid=201)
@@ -256,6 +268,19 @@ def test_scan_flags_indivisible_regime():
     t_star = float(coherence_zeros(proc, 10.0)[0])
     assert t_star < report.first_violation < t_star + 0.02
     assert np.nanmin(report.min_eigenvalues) < -1e-3
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 3.0])
+def test_scan_eigenvalues_match_closed_form(p):
+    # the intermediate map is diag(1, r, r, 1) with r = q(t2)/q(t1); its
+    # Choi eigenvalues are 1 + r, 1 - r, 0, 0
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    grid = np.linspace(0.0, 10.0, 1000)
+    report = cp_divisibility_scan(proc, grid)
+    q = np.asarray(q_of_t(proc, grid))
+    want = np.minimum(0.0, 1.0 - np.abs(q[1:] / q[:-1]))
+    away = np.abs(q[:-1]) > 1e-3
+    assert np.abs(report.min_eigenvalues - want)[away].max() <= 1e-12
 
 
 def test_scan_records_singular_steps():
@@ -307,6 +332,15 @@ def test_holevo_closed_form_for_dephasing():
     expected = 1.0 - np.array([binary_entropy((1 + q) / 2) for q in qs])
     assert np.abs(chi - expected).max() < 1e-8
     assert chi[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.0, 0.1, 0.01])
+def test_holevo_matches_closed_form_on_fig3_grid(p):
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    ts = np.linspace(0.0, 6.0, 500)
+    qs = np.abs(np.asarray(q_of_t(proc, ts)))
+    expected = 1.0 - np.array([binary_entropy((1 + q) / 2) for q in qs])
+    assert np.abs(holevo_curve(proc, ts) - expected).max() <= 1e-15
 
 
 def test_holevo_vanishes_at_coherence_zero():

@@ -39,6 +39,20 @@ def test_hermitian_eig_descending_and_consistent():
             assert np.linalg.norm(m @ v - lam * v) < 1e-10
 
 
+def test_hermitian_eig_of_a_stack_equals_per_matrix_spectra():
+    rng = np.random.default_rng(16)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(6)]).reshape(
+        2, 3, 3, 3)
+    spec = hermitian_eig(stack)
+    for idx in np.ndindex(2, 3):
+        one = hermitian_eig(stack[idx])
+        assert np.array_equal(spec.eigenvalues[idx], one.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[idx], one.eigenvectors)
+    stack[1, 2, 0, 1] += 1.0
+    with pytest.raises(NonHermitianInput):
+        hermitian_eig(stack)
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonHermitianInput):
@@ -61,6 +75,19 @@ def test_trace_norm_diagonal():
     assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
 
 
+def test_trace_norm_of_a_stack_equals_per_matrix_norms():
+    rng = np.random.default_rng(13)
+    stack = np.array([[random_hermitian(rng, 3) for _ in range(4)]
+                      for _ in range(2)])
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 4)
+    for idx in np.ndindex(2, 4):
+        assert norms[idx] == trace_norm(stack[idx])
+    assert isinstance(trace_norm(stack[0, 0]), float)
+    with pytest.raises(DomainError):
+        trace_norm(np.ones(3))
+
+
 # ------------------------------------------------------------------ entropy
 
 def test_von_neumann_entropy_values():
@@ -80,6 +107,35 @@ def test_von_neumann_entropy_rejects_bad_states():
         von_neumann_entropy(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(InvalidState):
         von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def random_state(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / rho.trace()
+
+
+def test_von_neumann_entropy_of_a_stack():
+    rng = np.random.default_rng(14)
+    stack = np.array([random_state(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+    ent = von_neumann_entropy(stack)
+    assert ent.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert ent[idx] == von_neumann_entropy(stack[idx])
+    assert isinstance(von_neumann_entropy(stack[0, 0]), float)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 1.0], [0.0, 0.5]]),  # non-Hermitian
+    np.diag([1.2, 0.8]),                 # trace 2
+    np.diag([1.5, -0.5]),                # negative eigenvalue
+])
+def test_von_neumann_entropy_checks_every_state_of_a_stack(bad):
+    rng = np.random.default_rng(15)
+    stack = np.array([random_state(rng, 2) for _ in range(5)])
+    stack[3] = bad
+    with pytest.raises(InvalidState):
+        von_neumann_entropy(stack)
 
 
 def test_binary_entropy():

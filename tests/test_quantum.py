@@ -26,6 +26,8 @@ from qsemimarkov import (
     weyl_z,
 )
 
+import choi_loop
+
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -103,6 +105,23 @@ def test_choi_of_map_matches_choi_of_superop():
     assert np.abs(chi_direct - chi_via_superop).max() < 1e-12
 
 
+def test_choi_reshuffle_equals_defining_sum():
+    rng = np.random.default_rng(26)
+    for d in (2, 3):
+        S = (rng.standard_normal((d * d, d * d))
+             + 1j * rng.standard_normal((d * d, d * d)))
+        assert np.array_equal(choi_of_superop(S), choi_loop.choi_of_superop(S))
+    stack = (rng.standard_normal((2, 3, 9, 9))
+             + 1j * rng.standard_normal((2, 3, 9, 9)))
+    chi = choi_of_superop(stack)
+    assert chi.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(chi[idx], choi_loop.choi_of_superop(stack[idx]))
+    for bad in (np.eye(5), np.ones(4), np.ones((2, 4, 9))):
+        with pytest.raises(DimensionMismatch):
+            choi_of_superop(bad)
+
+
 def test_choi_of_identity():
     chi = choi_of_map([np.eye(2)])
     evals = hermitian_eig(chi).eigenvalues
@@ -161,6 +180,30 @@ def test_intermediate_map():
         intermediate_map(S2, singular)
     with pytest.raises(DimensionMismatch):
         intermediate_map(S2, np.eye(9))
+
+
+def test_stacked_superop_action_and_intermediate_map():
+    rng = np.random.default_rng(27)
+    S = np.array([superop_of_kraus(random_channel(rng, 2, 2)) for _ in range(6)])
+    rho = np.array([random_state(rng, 2) for _ in range(6)])
+    out = apply_superop(S, rho)
+    assert out.shape == (6, 2, 2)
+    for i in range(6):
+        assert np.array_equal(out[i], apply_superop(S[i], rho[i]))
+    # one map over a stack of states, and a stack of maps over one state
+    assert np.array_equal(apply_superop(S[0], rho)[4], apply_superop(S[0], rho[4]))
+    assert np.array_equal(apply_superop(S, rho[2])[5], apply_superop(S[5], rho[2]))
+    with pytest.raises(DimensionMismatch):
+        apply_superop(S, np.ones((6, 3, 3)))
+    V = intermediate_map(S[1:], S[:-1])
+    for i in range(5):
+        assert np.array_equal(V[i], intermediate_map(S[i + 1], S[i]))
+    early = S[:-1].copy()
+    early[2] = np.diag([1.0, 0.0, 0.0, 1.0])
+    with pytest.raises(SingularMap):
+        intermediate_map(S[1:], early)
+    with pytest.raises(DimensionMismatch):
+        intermediate_map(S[1:], S[:-2])
 
 
 # --------------------------------------------------------------- generators

@@ -32,6 +32,7 @@ from qsemimarkov import (
     gamma_nonunital,
     jump_superop,
     kernel_closed_form,
+    kraus_from_choi,
     map_at,
     q_derivative,
     q_of_t,
@@ -324,6 +325,69 @@ def test_map_at_clips_coherence_rounded_above_one():
 def test_map_at_rejects_negative_time():
     with pytest.raises(DomainError):
         map_at(DephasingSemiMarkov(s=1.0, p=0.3), -0.5)
+
+
+@pytest.mark.parametrize("proc", [DephasingSemiMarkov(s=1.0, p=3.0),
+                                  DephasingSemiMarkov(s=0.9, p=0.1),
+                                  NonUnitalSemiMarkov(rate=1.05)])
+def test_superop_stack_matches_kraus_route(proc):
+    ts = np.linspace(0.0, 8.0, 401)
+    stack = superop_at(proc, ts)
+    assert stack.shape == (401, 4, 4)
+    for t, S in zip(ts, stack):
+        assert np.abs(S - superop_of_kraus(map_at(proc, t))).max() <= 2e-15
+    assert superop_at(proc, 0.7).shape == (4, 4)
+    assert superop_at(proc, ts.reshape(1, 401, 1)).shape == (1, 401, 1, 4, 4)
+    with pytest.raises(DomainError):
+        superop_at(proc, np.r_[ts[:200], -1e-9, ts[200:]])
+
+
+def test_superop_at_rejects_unknown_family():
+    with pytest.raises(DomainError):
+        superop_at(object(), 1.0)
+    with pytest.raises(DomainError):
+        map_at(object(), 1.0)
+
+
+def _hand_built_nonunital_kraus(proc, t):
+    """Kraus set of g id + (1-g) P from its Choi matrix written out by hand:
+    g |Psi><Psi| + (1-g) |0><0| (x) I."""
+    g = float(proc.survival(t))
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1.0
+    chi = g * np.outer(psi, psi.conj())
+    chi[0, 0] += 1.0 - g
+    chi[1, 1] += 1.0 - g
+    return kraus_from_choi(chi)
+
+
+def test_nonunital_map_at_equals_hand_built_choi_route():
+    proc = NonUnitalSemiMarkov(rate=1.0)
+    for t in np.linspace(0.0, 8.0, 801):
+        got, want = map_at(proc, t), _hand_built_nonunital_kraus(proc, t)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _jump_closure(proc):
+    """The per-jump channel written as a function of the state."""
+    if isinstance(proc, DephasingSemiMarkov):
+        return lambda rho: Z @ rho @ Z
+    def project(rho):
+        out = np.zeros_like(rho)
+        out[0, 0] = rho.trace()
+        return out
+    return project
+
+
+@pytest.mark.parametrize("proc", [DephasingSemiMarkov(s=1.0, p=0.3),
+                                  NonUnitalSemiMarkov(rate=1.0)])
+def test_jump_superop_action_equals_the_channel_closure(proc):
+    rng = np.random.default_rng(31)
+    J, jump = jump_superop(proc), _jump_closure(proc)
+    for _ in range(1000):
+        rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.array_equal(apply_superop(J, rho), jump(rho))
 
 
 # ------------------------------------------------------- time-local evolution
