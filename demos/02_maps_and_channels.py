@@ -15,7 +15,6 @@ from qsemimarkov import (
     is_cptp,
     map_at,
     superop_at,
-    superop_of_kraus,
 )
 
 
@@ -25,7 +24,7 @@ def main() -> None:
     kraus = map_at(proc, t)
     print(f"Phi({t:g}) Kraus weights:",
           ", ".join(f"{np.linalg.norm(K):.4f}" for K in kraus))
-    report = is_cptp(choi_of_superop(superop_of_kraus(kraus)))
+    report = is_cptp(choi_of_superop(superop_at(proc, t)))
     print(f"snapshot CPTP check: ok={report.ok}, "
           f"min Choi eigenvalue {report.min_eigenvalue:.2e}, "
           f"trace defect {report.trace_defect:.2e}")

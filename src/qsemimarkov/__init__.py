@@ -1,15 +1,15 @@
 """Quantum semi-Markov dynamics and non-Markovianity measures.
 
 Construct renewal (semi-Markov) quantum processes from waiting-time
-distributions, evolve them through time-local and memory-kernel master
-equations, and quantify their departure from semigroup dynamics:
+distributions, build their dynamical maps in closed form, and quantify
+their departure from semigroup dynamics:
 
 - ``semimarkov``: waiting-time distributions, the dephasing and non-unital
   qubit families, coherence factors q(t) and canonical rates gamma(t),
-  time-local evolution, memory kernels, and a classical Monte Carlo
-  renewal simulator.
-- ``quantum``: states, Kraus/superoperator/Choi conversions, CPTP checks,
-  intermediate maps, and generator snapshots.
+  dynamical maps as superoperators and Kraus sets, memory kernels, and a
+  classical Monte Carlo renewal simulator.
+- ``quantum``: states, superoperator-to-Choi and Choi-to-Kraus conversions,
+  CPTP checks, intermediate maps, and generator snapshots.
 - ``measures``: the deviation-from-semigroup measure xi (rate and Choi
   routes, fixed and minimized references), zeta = xi/(1+xi), trace-distance
   revivals, CP-divisibility scans with a boundary bisection, and Holevo
@@ -37,7 +37,6 @@ from .errors import (
     QsmError,
     SingularMap,
     Singularity,
-    SingularityOnGrid,
     ToleranceNotMet,
     UnsupportedVariant,
 )
@@ -57,17 +56,13 @@ from .quantum import (
     CPTPReport,
     DephasingGenerator,
     ProjectorGenerator,
-    apply_kraus,
     apply_superop,
     check_density_matrix,
     choi_of_generator,
-    choi_of_map,
     choi_of_superop,
     intermediate_map,
     is_cptp,
     kraus_from_choi,
-    kraus_trace_defect,
-    superop_of_kraus,
     weyl_z,
 )
 from .semimarkov import (
@@ -85,7 +80,6 @@ from .semimarkov import (
     classical_jump_simulate,
     coherence_zeros,
     eta,
-    evolve_timelocal,
     gamma_dephasing,
     gamma_nonunital,
     jump_superop,
@@ -121,14 +115,13 @@ __all__ = [
     "QsmError", "ConfigError", "UnsupportedVariant", "NumericalError",
     "NonHermitianInput", "NoConvergence", "InvalidState", "DomainError",
     "ToleranceNotMet", "GridError", "NoSignChange", "DimensionMismatch",
-    "SingularMap", "Singularity", "SingularityOnGrid",
+    "SingularMap", "Singularity",
     # numerics
     "Spectrum", "QuadratureResult", "VolterraSolution", "hermitian_eig",
     "trace_norm", "von_neumann_entropy", "binary_entropy", "adaptive_quad",
     "solve_volterra", "find_root",
     # quantum
-    "weyl_z", "check_density_matrix", "apply_kraus", "kraus_trace_defect",
-    "superop_of_kraus", "apply_superop", "choi_of_map", "choi_of_superop",
+    "weyl_z", "check_density_matrix", "apply_superop", "choi_of_superop",
     "kraus_from_choi", "CPTPReport", "is_cptp", "intermediate_map",
     "DephasingGenerator", "ProjectorGenerator", "choi_of_generator",
     # semimarkov
@@ -137,7 +130,7 @@ __all__ = [
     "REGIME_DIVISIBLE", "REGIME_INDIVISIBLE", "DephasingSemiMarkov",
     "NonUnitalSemiMarkov", "q_of_t", "q_derivative", "gamma_dephasing",
     "gamma_nonunital", "coherence_zeros", "map_at", "superop_at",
-    "jump_superop", "evolve_timelocal", "ClassicalSimResult",
+    "jump_superop", "ClassicalSimResult",
     "classical_jump_simulate",
     # measures
     "PLUS_STATE", "MINUS_STATE", "SSSConfig", "MeasureResult",

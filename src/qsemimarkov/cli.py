@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     DomainError,
     NumericalError,
-    Singularity,
     UnsupportedVariant,
 )
 from .measures import (
@@ -67,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"qsm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # exact flag names only, so that a prefix such as --s cannot land on --seed
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
+        lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
 
     def family_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", choices=("dephasing", "nonunital"),
@@ -76,6 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dephasing rate sum s = lambda1 + lambda2")
         p.add_argument("--p", type=float, default=None,
                        help="dephasing rate product p = lambda1 * lambda2")
+        rate_flags(p)
+
+    def rate_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--lambda1", type=float, default=None,
                        help="first jump rate (alternative to --s/--p)")
         p.add_argument("--lambda2", type=float, default=None,
@@ -166,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("classical-sim",
                            help="Monte Carlo renewal simulation")
-    family_flags(p_sim)
+    rate_flags(p_sim)
     output_flags(p_sim)
     p_sim.add_argument("--wtd", choices=("exponential", "expconv", "tanhsech"),
                        default=None,
@@ -267,6 +271,13 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _reject(r: _Resolved, names: Sequence[str], context: str) -> None:
+    """Refuse given flags that ``context`` never reads, rather than drop them."""
+    given = [f"--{n.replace('_', '-')}" for n in names
+             if getattr(r.args, n) is not None]
+    _require(not given, f"{context} does not use {', '.join(given)}")
+
+
 def _dephasing_params(r: _Resolved, *, s_default: float = 1.0,
                       p_default: float | None = None) -> tuple[float, float]:
     """Resolve (s, p), enforcing parametrization exclusivity."""
@@ -296,9 +307,7 @@ def _family(r: _Resolved, *, allow_nonunital: bool = True,
     if kind == "nonunital":
         _require(allow_nonunital,
                  "this command supports only the dephasing family")
-        a = r.args
-        _require(all(v is None for v in (a.s, a.p, a.lambda1, a.lambda2)),
-                 "the non-unital family takes only --lambda")
+        _reject(r, ["s", "p", "lambda1", "lambda2"], "the non-unital family")
         lam = r.get("lam", 1.0)
         return NonUnitalSemiMarkov(rate=lam)
     s, p = _dephasing_params(r, p_default=p_default)
@@ -319,6 +328,8 @@ def _grid_size(value: int, minimum: int = 2) -> int:
 def _sss_config(r: _Resolved) -> SSSConfig:
     horizon = _positive("--T", r.get("T", 1.0))
     mode = r.get("mode", "paper")
+    _reject(r, ["gamma_max"] if mode == "paper" else ["gamma_ref"],
+            f"measure --mode {mode}")
     form = r.get("form", "rate")
     gamma_ref = r.get("gamma_ref", 0.0)
     epsilon = _positive("--epsilon", r.get("epsilon", 1e-6))
@@ -333,12 +344,7 @@ def cmd_rate(r: _Resolved) -> ResultTable:
     t_max = _positive("--t-max", r.get("t_max", 6.0))
     n = _grid_size(r.get("grid", 500))
     ts = np.linspace(0.0, t_max, n)
-    vals = np.empty(n)
-    for i, t in enumerate(ts):
-        try:
-            vals[i] = gamma_dephasing(proc, float(t))
-        except Singularity:
-            vals[i] = np.nan  # annotated below, not fatal
+    vals = gamma_dephasing(proc, ts)  # NaN at poles, annotated below
     poles = coherence_zeros(proc, t_max)
     meta = r.metadata()
     meta["singular_times"] = [float(x) for x in poles]
@@ -364,6 +370,7 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     if cfg.gamma_max is not None:
         config_echo["gamma-max"] = cfg.gamma_max
     if kind == "nonunital":
+        _reject(r, ["p_min", "p_max", "p_points"], "the non-unital measure")
         proc = _family(r)
         res = sss_measure(proc, cfg)
         config_echo["lambda"] = proc.rate
@@ -383,6 +390,7 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     _require(a.lam is None, "--lambda belongs to the non-unital family")
     pair_given = a.lambda1 is not None or a.lambda2 is not None
     if a.p is not None or pair_given:
+        _reject(r, ["p_min", "p_max", "p_points"], "a single-p measure")
         s, p = _dephasing_params(r, p_default=None)
         p_values = np.array([p])
     else:
@@ -468,6 +476,8 @@ def cmd_divisibility(r: _Resolved) -> ResultTable:
         a = r.args
         _require(all(v is None for v in (a.p, a.lambda1, a.lambda2, a.lam)),
                  "--boundary-search sweeps p; fix only --s")
+        _require(a.family in (None, "dephasing"),
+                 "--boundary-search is defined for the dephasing family")
         s = r.get("s", 1.0)
         bracket = (r.get("p_min", 0.05), r.get("p_max", 0.4))
         t_max = _positive("--t-max", r.get("t_max", 60.0))
@@ -487,6 +497,7 @@ def cmd_divisibility(r: _Resolved) -> ResultTable:
                      "p_high": np.array([est.p_high])},
             metadata=meta,
         )
+    _reject(r, ["p_min", "p_max", "p_tol"], "the divisibility scan")
     proc = _family(r, allow_nonunital=False, p_default=3.0)
     t_max = _positive("--t-max", r.get("t_max", 10.0))
     n = _grid_size(r.get("grid", 1000))
@@ -526,8 +537,7 @@ def cmd_classical_sim(r: _Resolved) -> ResultTable:
         wtd = ExpConvolutionWTD(rate1=l1, rate2=l2)
         rates = {"lambda1": l1, "lambda2": l2}
     else:
-        _require(a.lambda1 is None and a.lambda2 is None,
-                 f"{kind} waits take --lambda")
+        _reject(r, ["lambda1", "lambda2"], f"--wtd {kind}")
         wtd = _WTD_BUILDERS[kind](r)
         rates = {"lambda": wtd.rate}
     _require(a.seed is not None, "--seed is required for classical-sim")

@@ -58,9 +58,5 @@ class Singularity(NumericalError):
     """Evaluation requested at (or too close to) a pole of the rate."""
 
 
-class SingularityOnGrid(Singularity):
-    """A rate pole lies inside the requested integration span."""
-
-
 class UnsupportedVariant(QsmError):
     """The requested operation is not defined for this distribution variant."""

@@ -16,7 +16,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -26,11 +25,7 @@ from .numerics import hermitian_eig
 __all__ = [
     "weyl_z",
     "check_density_matrix",
-    "apply_kraus",
-    "kraus_trace_defect",
-    "superop_of_kraus",
     "apply_superop",
-    "choi_of_map",
     "choi_of_superop",
     "kraus_from_choi",
     "CPTPReport",
@@ -71,51 +66,6 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def _check_kraus_dims(kraus_ops: Sequence[np.ndarray]) -> int:
-    if not kraus_ops:
-        raise DimensionMismatch("empty Kraus set")
-    d = np.asarray(kraus_ops[0]).shape
-    if len(d) != 2 or d[0] != d[1]:
-        raise DimensionMismatch(f"Kraus operators must be square, got {d}")
-    for K in kraus_ops:
-        if np.asarray(K).shape != d:
-            raise DimensionMismatch("Kraus operators have mixed shapes")
-    return d[0]
-
-
-def apply_kraus(kraus_ops: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """sum_m K_m rho K_m^dag."""
-    d = _check_kraus_dims(kraus_ops)
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (d, d):
-        raise DimensionMismatch(
-            f"state shape {r.shape} does not match Kraus dimension {d}"
-        )
-    out = np.zeros_like(r)
-    for K in kraus_ops:
-        out += K @ r @ np.asarray(K).conj().T
-    return out
-
-
-def kraus_trace_defect(kraus_ops: Sequence[np.ndarray]) -> float:
-    """max-entry deviation of sum K^dag K from the identity."""
-    d = _check_kraus_dims(kraus_ops)
-    acc = np.zeros((d, d), dtype=complex)
-    for K in kraus_ops:
-        acc += np.asarray(K).conj().T @ K
-    return float(np.abs(acc - np.eye(d)).max())
-
-
-def superop_of_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-stacking superoperator sum_m kron(conj(K_m), K_m)."""
-    d = _check_kraus_dims(kraus_ops)
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for K in kraus_ops:
-        K = np.asarray(K, dtype=complex)
-        S += np.kron(K.conj(), K)
-    return S
-
-
 def _superop_dim(S: np.ndarray) -> int:
     d = int(round(np.sqrt(S.shape[-1]))) if S.ndim >= 2 else 0
     if S.ndim < 2 or S.shape[-2:] != (d * d, d * d):
@@ -134,17 +84,6 @@ def apply_superop(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
         )
     out = S @ r.swapaxes(-1, -2).reshape(*r.shape[:-2], d * d, 1)  # vec(rho)
     return out.reshape(*out.shape[:-2], d, d).swapaxes(-1, -2)
-
-
-def choi_of_map(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix (Phi (x) 1)|Psi><Psi| of a Kraus set, |Psi> unnormalized."""
-    _check_kraus_dims(kraus_ops)
-    chi = None
-    for K in kraus_ops:
-        w = np.asarray(K, dtype=complex).flatten()  # row-major: (K (x) 1)|Psi>
-        term = np.outer(w, w.conj())
-        chi = term if chi is None else chi + term
-    return chi
 
 
 def choi_of_superop(superop: np.ndarray) -> np.ndarray:
@@ -185,7 +124,7 @@ def kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> list[np.ndarray]
     for lam, vec in zip(evals, evecs.T):
         if lam <= tol * scale:
             continue
-        K = np.sqrt(lam) * vec.reshape(d, d)  # row-major, matching choi_of_map
+        K = np.sqrt(lam) * vec.reshape(d, d)  # row-major, per the Choi convention
         idx = np.unravel_index(np.argmax(np.abs(K)), K.shape)
         phase = K[idx] / abs(K[idx])
         ops.append(K / phase)

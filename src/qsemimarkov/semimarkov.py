@@ -28,23 +28,11 @@ they stay finite and accurate for large t in every branch of eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridError,
-    Singularity,
-    SingularityOnGrid,
-    UnsupportedVariant,
-)
-from .quantum import (
-    apply_superop,
-    check_density_matrix,
-    choi_of_superop,
-    kraus_from_choi,
-)
+from .errors import DomainError, Singularity, UnsupportedVariant
+from .quantum import choi_of_superop, kraus_from_choi
 
 __all__ = [
     "ExponentialWTD",
@@ -67,7 +55,6 @@ __all__ = [
     "map_at",
     "superop_at",
     "jump_superop",
-    "evolve_timelocal",
     "ClassicalSimResult",
     "classical_jump_simulate",
 ]
@@ -309,24 +296,37 @@ def q_derivative(proc: DephasingSemiMarkov, t):
     return -(4.0 * p / (s * w)) * np.exp(-s * t / 2) * np.sin(x)
 
 
-def gamma_dephasing(proc: DephasingSemiMarkov, t: float) -> float:
+def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """Time-local dephasing rate gamma(t) = -(1/2) d ln q / dt.
 
     Algebraically equal to the closed form 2p / (s eta coth(s t eta / 2) + s)
     on every branch, but evaluated through q and dq/dt so extrema of q give
-    an exact zero instead of an inf/inf form.
+    an exact zero instead of an inf/inf form. A numpy array t gives an array
+    of rates, NaN wherever |q(t)| < 1e-12 (a pole of the rate).
 
-    :raises Singularity: when |q(t)| < 1e-12 (t is at a pole of the rate).
+    :raises Singularity: for a scalar t with |q(t)| < 1e-12.
     """
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t!r}")
-    if proc.p == 0.0 or t == 0.0:
-        return 0.0
-    q = float(q_of_t(proc, t))
-    if abs(q) < _COHERENCE_FLOOR:
-        raise Singularity(f"rate pole: |q({t:g})| = {abs(q):.3e}")
-    return -0.5 * float(q_derivative(proc, t)) / q
+    if isinstance(t, np.ndarray) and t.ndim:
+        if np.any(t < 0.0):
+            raise DomainError(f"t must be non-negative, got min {t.min()!r}")
+        q, dq = q_of_t(proc, t), q_derivative(proc, t)
+    else:
+        t = float(t)
+        if t < 0.0:
+            raise DomainError(f"t must be non-negative, got {t!r}")
+        if proc.p == 0.0 or t == 0.0:
+            return 0.0
+        q, dq = float(q_of_t(proc, t)), float(q_derivative(proc, t))
+    pole = abs(q) < _COHERENCE_FLOOR
+    # adding the pole mask keeps 1/q finite at poles and is exact elsewhere
+    gamma = -0.5 * dq / (q + pole)
+    if isinstance(t, float):
+        if pole:
+            raise Singularity(f"rate pole: |q({t:g})| = {abs(q):.3e}")
+        return gamma
+    gamma[pole] = np.nan
+    gamma[(t == 0.0) | (proc.p == 0.0)] = 0.0  # +0.0, where -0.5 q'/q is -0.0
+    return gamma
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -421,64 +421,6 @@ def superop_at(proc, t) -> np.ndarray:
         w = proc.survival(t)
     w = np.asarray(w)[..., None, None]
     return w * np.eye(4) + (1.0 - w) * J
-
-
-def _rate_function(proc):
-    if isinstance(proc, DephasingSemiMarkov):
-        return lambda t: gamma_dephasing(proc, t)
-    if isinstance(proc, NonUnitalSemiMarkov):
-        return lambda t: float(gamma_nonunital(proc, t))
-    raise DomainError(f"unknown process type {type(proc)!r}")
-
-
-def evolve_timelocal(proc, rho0: np.ndarray, times: Sequence[float], *,
-                     max_step: float | None = None) -> np.ndarray:
-    """Integrate drho/dt = gamma(t) (J[rho] - rho) through the output grid.
-
-    Classic fixed-step RK4 between consecutive output times, with substeps
-    no larger than ``max_step`` (default min(1e-3, span/1000)).
-
-    :param times: increasing grid starting at 0.
-    :raises SingularityOnGrid: for a dephasing process whose q has a zero
-        inside the span (the time-local rate diverges there).
-    :raises GridError: if the grid is malformed.
-    :return: array of states, shape (len(times), d, d); the first entry is
-        rho0 itself.
-    """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0.0):
-        raise GridError("times must be a 1-D increasing grid starting at 0")
-    rho = check_density_matrix(rho0)
-    if isinstance(proc, DephasingSemiMarkov):
-        zeros = coherence_zeros(proc, float(ts[-1]))
-        if zeros.size:
-            raise SingularityOnGrid(
-                f"rate pole at t = {zeros[0]:.6g} inside the integration span"
-            )
-    span = float(ts[-1] - ts[0])
-    if max_step is None:
-        max_step = min(1e-3, span / 1000.0) if span > 0.0 else 1e-3
-    gamma = _rate_function(proc)
-    jump = jump_superop(proc)
-
-    def rhs(t: float, r: np.ndarray) -> np.ndarray:
-        return gamma(t) * (apply_superop(jump, r) - r)
-
-    out = np.empty((ts.size, *rho.shape), dtype=complex)
-    out[0] = rho
-    for i in range(ts.size - 1):
-        t, t_end = float(ts[i]), float(ts[i + 1])
-        n_sub = max(1, int(np.ceil((t_end - t) / max_step)))
-        h = (t_end - t) / n_sub
-        for _ in range(n_sub):
-            k1 = rhs(t, rho)
-            k2 = rhs(t + h / 2, rho + h / 2 * k1)
-            k3 = rhs(t + h / 2, rho + h / 2 * k2)
-            k4 = rhs(t + h, rho + h * k3)
-            rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        out[i + 1] = rho
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Choi matrix by the defining sum, kept as a test oracle.
+"""Channel representations by their defining sums, kept as test oracles.
 
 The package takes the Choi matrix as a reshuffle of the superoperator's
 entries; the tests check that against this loop over the matrix units,
-chi = sum_ij Phi(|i><j|) (x) |i><j|.
+chi = sum_ij Phi(|i><j|) (x) |i><j|. The Kraus-set sums below give the
+superoperator and Choi matrix of a channel written as {K_m}.
 """
 
 import numpy as np
@@ -24,3 +25,14 @@ def choi_of_superop(superop: np.ndarray) -> np.ndarray:
             out = (S @ E.flatten(order="F")).reshape((d, d), order="F")
             chi += np.kron(out, E)
     return chi
+
+
+def superop_of_kraus(kraus) -> np.ndarray:
+    """Column-stacking superoperator sum_m kron(conj(K_m), K_m)."""
+    return sum(np.kron(K.conj(), K) for K in np.asarray(kraus, dtype=complex))
+
+
+def choi_of_kraus(kraus) -> np.ndarray:
+    """Choi matrix sum_m |w_m><w_m|, w_m the row-major flattening of K_m."""
+    return sum(np.outer(K.ravel(), K.ravel().conj())
+               for K in np.asarray(kraus, dtype=complex))

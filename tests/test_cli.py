@@ -61,6 +61,14 @@ def test_rate_pole_reported_not_fatal(capsys):
     assert doc["metadata"]["singular_times"] == pytest.approx([T_STAR])
 
 
+def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
+    code, out, _ = _run(capsys, ["rate", "--p", "3", "--t-max",
+                                 "0.740795521828109", "--grid", "3"])
+    assert code == 0
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    assert rows[0] == "0,0" and rows[-1].endswith(",nan")
+
+
 # -------------------------------------------------------------- exit codes
 
 @pytest.mark.parametrize("argv", [
@@ -80,6 +88,12 @@ def test_rate_pole_reported_not_fatal(capsys):
     ["classical-sim", "--seed", "1", "--lambda", "1"],
     ["kernel-check", "--lambda", "1"],
     ["divisibility", "--boundary-search", "--p", "3"],
+    ["divisibility", "--boundary-search", "--family", "nonunital"],
+    ["measure", "--p", "0.2", "--p-min", "0.1", "--p-points", "7"],
+    ["measure", "--family", "nonunital", "--p-points", "3"],
+    ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
+    ["measure", "--mode", "min", "--gamma-ref", "5"],
+    ["measure", "--p", "0.1", "--gamma-max", "0.01"],
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -93,6 +107,9 @@ def test_configuration_errors_exit_2(capsys, argv):
     ["rate", "--bogus"],
     ["measure", "--mode", "median"],
     ["rate", "--format", "yaml"],
+    ["classical-sim", "--seed", "1", "--family", "nonunital"],
+    ["classical-sim", "--seed", "1", "--s", "5"],
+    ["classical-sim", "--seed", "1", "--p", "2"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, _ = _run(capsys, argv)

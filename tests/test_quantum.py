@@ -1,4 +1,4 @@
-"""Kraus / superoperator / Choi conversions and generator snapshots."""
+"""Superoperator / Choi / Kraus conversions and generator snapshots."""
 
 import numpy as np
 import pytest
@@ -10,23 +10,20 @@ from qsemimarkov import (
     InvalidState,
     ProjectorGenerator,
     SingularMap,
-    apply_kraus,
     apply_superop,
     check_density_matrix,
     choi_of_generator,
-    choi_of_map,
     choi_of_superop,
     hermitian_eig,
     intermediate_map,
     is_cptp,
     kraus_from_choi,
-    kraus_trace_defect,
-    superop_of_kraus,
     trace_norm,
     weyl_z,
 )
 
 import choi_loop
+from choi_loop import choi_of_kraus, superop_of_kraus
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -72,20 +69,6 @@ def test_check_density_matrix():
         check_density_matrix(np.zeros((2, 3)))
 
 
-def test_apply_kraus_and_trace_defect():
-    rng = np.random.default_rng(21)
-    kraus = random_channel(rng, 2, 3)
-    assert kraus_trace_defect(kraus) < 1e-12
-    rho = random_state(rng, 2)
-    out = apply_kraus(kraus, rho)
-    assert out.trace() == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(out - out.conj().T).max() < 1e-12
-    with pytest.raises(DimensionMismatch):
-        apply_kraus(kraus, np.eye(3) / 3)
-    with pytest.raises(DimensionMismatch):
-        apply_kraus([], rho)
-
-
 # ------------------------------------------------- representation coherence
 
 def test_superop_matches_kraus_action():
@@ -94,15 +77,8 @@ def test_superop_matches_kraus_action():
         kraus = random_channel(rng, d, 2)
         S = superop_of_kraus(kraus)
         rho = random_state(rng, d)
-        assert np.abs(apply_superop(S, rho) - apply_kraus(kraus, rho)).max() < 1e-12
-
-
-def test_choi_of_map_matches_choi_of_superop():
-    rng = np.random.default_rng(23)
-    kraus = random_channel(rng, 2, 3)
-    chi_direct = choi_of_map(kraus)
-    chi_via_superop = choi_of_superop(superop_of_kraus(kraus))
-    assert np.abs(chi_direct - chi_via_superop).max() < 1e-12
+        direct = sum(K @ rho @ K.conj().T for K in kraus)
+        assert np.abs(apply_superop(S, rho) - direct).max() < 1e-12
 
 
 def test_choi_reshuffle_equals_defining_sum():
@@ -123,7 +99,7 @@ def test_choi_reshuffle_equals_defining_sum():
 
 
 def test_choi_of_identity():
-    chi = choi_of_map([np.eye(2)])
+    chi = choi_of_kraus([np.eye(2)])
     evals = hermitian_eig(chi).eigenvalues
     assert evals == pytest.approx([2.0, 0.0, 0.0, 0.0], abs=1e-12)
     assert chi.trace() == pytest.approx(2.0)
@@ -134,14 +110,12 @@ def test_kraus_from_choi_round_trip():
     rng = np.random.default_rng(24)
     for d in (2, 3):
         kraus = random_channel(rng, d, 2)
-        chi = choi_of_map(kraus)
+        chi = choi_of_kraus(kraus)
         recovered = kraus_from_choi(chi)
         # the Kraus set is gauge-dependent; the channel action is not
-        rho = random_state(rng, d)
-        assert np.abs(
-            apply_kraus(recovered, rho) - apply_kraus(kraus, rho)
-        ).max() < 1e-10
-        assert np.abs(choi_of_map(recovered) - chi).max() < 1e-10
+        assert np.abs(superop_of_kraus(recovered)
+                      - superop_of_kraus(kraus)).max() < 1e-10
+        assert np.abs(choi_of_kraus(recovered) - chi).max() < 1e-10
 
 
 def _transpose_choi():
@@ -161,9 +135,9 @@ def test_kraus_from_choi_rejects_non_cp():
 
 
 def test_is_cptp_flags_violations():
-    ok = is_cptp(choi_of_map([np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * Z]))
+    ok = is_cptp(choi_of_kraus([np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * Z]))
     assert ok.ok and bool(ok)
-    not_tp = is_cptp(1.1 * choi_of_map([np.eye(2)]))
+    not_tp = is_cptp(1.1 * choi_of_kraus([np.eye(2)]))
     assert not not_tp.ok and not_tp.trace_defect > 1e-3
     not_cp = is_cptp(_transpose_choi())
     assert not not_cp.ok and not_cp.min_eigenvalue == pytest.approx(-1.0)

@@ -1,4 +1,4 @@
-"""Waiting-time distributions, coherence factors, rates, maps, evolution."""
+"""Waiting-time distributions, coherence factors, rates, maps, kernels."""
 
 import cmath
 
@@ -13,21 +13,17 @@ from qsemimarkov import (
     ExpConvolutionWTD,
     ExponentialKernel,
     ExponentialWTD,
-    GridError,
-    InvalidState,
     NonUnitalSemiMarkov,
     REGIME_DIVISIBLE,
     REGIME_INDIVISIBLE,
     REGIME_SEMIGROUP,
     Singularity,
-    SingularityOnGrid,
     TanhSechWTD,
     UnsupportedVariant,
     adaptive_quad,
     apply_superop,
     coherence_zeros,
     eta,
-    evolve_timelocal,
     gamma_dephasing,
     gamma_nonunital,
     jump_superop,
@@ -38,8 +34,9 @@ from qsemimarkov import (
     q_of_t,
     solve_volterra,
     superop_at,
-    superop_of_kraus,
 )
+
+from choi_loop import superop_of_kraus
 
 Z = np.diag([1.0, -1.0])
 
@@ -123,7 +120,7 @@ def test_delta_kernel_limit_is_a_semigroup():
     # exponential waits: the memory kernel is delta-correlated and the map
     # is exp(t lambda (J - 1)); off-diagonals decay as exp(-2 lambda t)
     lam = kernel_closed_form(ExponentialWTD(rate=0.8)).rate
-    G = lam * (superop_of_kraus([Z]).real - np.eye(4))
+    G = lam * (jump_superop(DephasingSemiMarkov(s=1.0, p=0.0)) - np.eye(4))
     for t in (0.3, 1.0, 2.5):
         S = expm(t * G)
         expected = np.diag([1.0, np.exp(-2 * lam * t), np.exp(-2 * lam * t), 1.0])
@@ -231,6 +228,8 @@ def test_gamma_limits():
     )
     with pytest.raises(DomainError):
         gamma_dephasing(proc, -1.0)
+    with pytest.raises(DomainError):
+        gamma_dephasing(proc, np.array([0.5, -1.0]))
 
 
 def test_gamma_raises_at_poles():
@@ -240,6 +239,27 @@ def test_gamma_raises_at_poles():
         gamma_dephasing(proc, t_star)
     # finite (large) just outside the pole
     assert abs(gamma_dephasing(proc, t_star - 1e-6)) > 1e3
+
+
+@pytest.mark.parametrize("s,p,t_max,n", [
+    (1.0, 3.0, 6.0, 600), (1.0, 0.1, 6.0, 5000), (1.0, 0.125, 6.0, 5000),
+    (0.93, 2.7, 6.0, 5000), (1.1, 0.5, 6.0, 5000), (1.0, 0.0, 6.0, 50),
+    (1.0, 3.0, 1.481591043656218, 3),  # middle point on the first pole
+])
+def test_gamma_on_a_grid_equals_the_scalar_loop(s, p, t_max, n):
+    proc = DephasingSemiMarkov(s=s, p=p)
+    ts = np.linspace(0.0, t_max, n)
+
+    def scalar(t):
+        try:
+            return gamma_dephasing(proc, float(t))
+        except Singularity:
+            return np.nan
+
+    loop = np.array([scalar(t) for t in ts])
+    grid = gamma_dephasing(proc, ts)
+    assert np.array_equal(grid, loop, equal_nan=True)
+    assert np.array_equal(np.signbit(grid), np.signbit(loop))  # +0.0 at t = 0
 
 
 def test_gamma_nonunital():
@@ -390,41 +410,22 @@ def test_jump_superop_action_equals_the_channel_closure(proc):
         assert np.array_equal(apply_superop(J, rho), jump(rho))
 
 
-# ------------------------------------------------------- time-local evolution
+# ------------------------------------------------------- time-local equation
 
-def test_evolve_timelocal_dephasing_matches_q():
-    proc = DephasingSemiMarkov(s=1.0, p=0.1)
-    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    ts = np.linspace(0.0, 5.0, 11)
-    states = evolve_timelocal(proc, rho0, ts)
-    qs = np.asarray(q_of_t(proc, ts))
-    for i in range(ts.size):
-        assert states[i][0, 1] == pytest.approx(0.5 * qs[i], abs=1e-9)
-        assert states[i][0, 0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_evolve_timelocal_nonunital_matches_affine_form():
-    proc = NonUnitalSemiMarkov(rate=1.0)
-    rho0 = np.array([[0.2, 0.1j], [-0.1j, 0.8]], dtype=complex)
-    ts = np.linspace(0.0, 3.0, 7)
-    states = evolve_timelocal(proc, rho0, ts)
-    for i, t in enumerate(ts):
-        g = float(proc.survival(t))
-        expected = g * rho0 + (1 - g) * np.diag([1.0, 0.0])
-        assert np.abs(states[i] - expected).max() < 1e-9
-
-
-def test_evolve_timelocal_guards():
-    proc = DephasingSemiMarkov(s=1.0, p=3.0)
-    rho0 = np.eye(2, dtype=complex) / 2
-    with pytest.raises(SingularityOnGrid):
-        evolve_timelocal(proc, rho0, [0.0, 1.0])  # pole at ~0.74
-    with pytest.raises(GridError):
-        evolve_timelocal(proc, rho0, [0.5, 1.0])  # must start at 0
-    with pytest.raises(GridError):
-        evolve_timelocal(proc, rho0, [0.0, 0.4, 0.2])
-    with pytest.raises(InvalidState):
-        evolve_timelocal(proc, np.diag([0.9, 0.9]), [0.0, 0.1])
+def test_rate_generates_the_closed_form_map():
+    # dPhi/dt = gamma(t) (J - 1) Phi(t), with dPhi/dt by central differences
+    h = 1e-5
+    ts = np.linspace(0.01, 6.0, 600)
+    cases = [(DephasingSemiMarkov(s=1.0, p=p), gamma_dephasing)
+             for p in (0.1, 0.125, 3.0)]
+    cases.append((NonUnitalSemiMarkov(rate=1.0), gamma_nonunital))
+    for proc, gamma in cases:
+        dphi = (superop_at(proc, ts + h) - superop_at(proc, ts - h)) / (2 * h)
+        generator = (jump_superop(proc) - np.eye(4)) @ superop_at(proc, ts)
+        err = np.abs(dphi - gamma(proc, ts)[:, None, None] * generator)
+        keep = (np.abs(q_of_t(proc, ts)) > 1e-3
+                if isinstance(proc, DephasingSemiMarkov) else slice(None))
+        assert err[keep].max() <= 1e-8
 
 
 # ----------------------------------------------- memory-kernel consistency
@@ -433,7 +434,7 @@ def test_volterra_reproduces_q():
     # the time-nonlocal equation with k(t) = p e^{-st} and the sigma_z
     # conjugation bracket must reproduce the closed-form coherence factor
     proc = DephasingSemiMarkov(s=1.0, p=0.1)
-    G = superop_of_kraus([Z]).real - np.eye(4)
+    G = jump_superop(proc) - np.eye(4)
     sol = solve_volterra(ExponentialKernel(amplitude=0.1, decay=1.0), G, 3.0, 2e-3)
     dev = np.abs(sol.maps[:, 1, 1].real
                  - np.asarray(q_of_t(proc, sol.times))).max()
