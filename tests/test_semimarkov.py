@@ -412,20 +412,43 @@ def test_jump_superop_action_equals_the_channel_closure(proc):
 
 # ------------------------------------------------------- time-local equation
 
-def test_rate_generates_the_closed_form_map():
+def _assert_rate_generates_map(proc, gamma, ts, keep):
     # dPhi/dt = gamma(t) (J - 1) Phi(t), with dPhi/dt by central differences
     h = 1e-5
+    dphi = (superop_at(proc, ts + h) - superop_at(proc, ts - h)) / (2 * h)
+    generator = (jump_superop(proc) - np.eye(4)) @ superop_at(proc, ts)
+    err = np.abs(dphi - gamma(proc, ts)[:, None, None] * generator)
+    assert err[keep].max() <= 1e-8
+
+
+def test_evolve_timelocal_dephasing_matches_q():
     ts = np.linspace(0.01, 6.0, 600)
-    cases = [(DephasingSemiMarkov(s=1.0, p=p), gamma_dephasing)
-             for p in (0.1, 0.125, 3.0)]
-    cases.append((NonUnitalSemiMarkov(rate=1.0), gamma_nonunital))
-    for proc, gamma in cases:
-        dphi = (superop_at(proc, ts + h) - superop_at(proc, ts - h)) / (2 * h)
-        generator = (jump_superop(proc) - np.eye(4)) @ superop_at(proc, ts)
-        err = np.abs(dphi - gamma(proc, ts)[:, None, None] * generator)
-        keep = (np.abs(q_of_t(proc, ts)) > 1e-3
-                if isinstance(proc, DephasingSemiMarkov) else slice(None))
-        assert err[keep].max() <= 1e-8
+    for p in (0.1, 0.125, 3.0):
+        proc = DephasingSemiMarkov(s=1.0, p=p)
+        qs = np.asarray(q_of_t(proc, ts))
+        _assert_rate_generates_map(proc, gamma_dephasing, ts,
+                                   np.abs(qs) > 1e-3)
+    # the state it generates from |+><+| has coherence q(t) / 2
+    proc = DephasingSemiMarkov(s=1.0, p=0.1)
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    ts = np.linspace(0.0, 5.0, 11)
+    states = apply_superop(superop_at(proc, ts), rho0)
+    qs = np.asarray(q_of_t(proc, ts))
+    assert np.abs(states[:, 0, 1] - 0.5 * qs).max() < 1e-9
+    assert np.abs(states[:, 0, 0] - 0.5).max() < 1e-12
+
+
+def test_evolve_timelocal_nonunital_matches_affine_form():
+    proc = NonUnitalSemiMarkov(rate=1.0)
+    _assert_rate_generates_map(proc, gamma_nonunital,
+                               np.linspace(0.01, 6.0, 600), slice(None))
+    # the state it generates is g(t) rho0 + (1 - g(t)) |0><0|
+    rho0 = np.array([[0.2, 0.1j], [-0.1j, 0.8]], dtype=complex)
+    ts = np.linspace(0.0, 3.0, 7)
+    states = apply_superop(superop_at(proc, ts), rho0)
+    g = np.asarray(proc.survival(ts))[:, None, None]
+    expected = g * rho0 + (1 - g) * np.diag([1.0, 0.0])
+    assert np.abs(states - expected).max() < 1e-9
 
 
 # ----------------------------------------------- memory-kernel consistency
