@@ -1,14 +1,19 @@
 """qsm: command-line front end for the semi-Markov dynamics toolkit.
 
 Grammar: ``qsm <command> [flags]`` with commands rate, measure, holevo, blp,
-divisibility, classical-sim, kernel-check. Families are selected with
-``--family {dephasing|nonunital}``; the dephasing family takes either
-``--s/--p`` or ``--lambda1/--lambda2`` (converted as s = l1 + l2, p = l1 l2
-at parse time; the two parametrizations are mutually exclusive), the
-non-unital family takes ``--lambda``.
+divisibility, classical-sim, kernel-check. ``_DEFAULTS`` names each command's
+flags and their defaults, ``_FLAGS`` each flag's type and help line; the
+subparsers, ``--help`` and every default a command uses come from them. The
+dephasing family takes ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2,
+p = l1 l2), the non-unital family ``--lambda``.
 
-A flat key=value config file (``--config PATH``) supplies flag defaults;
-flags given on the command line override the file. Output goes to stdout or
+Commands read their settings through ``_Resolved.get``. Before computing, a
+command refuses every given flag it did not read, so each spelling and mode
+accepts exactly the flags it uses; ``meta.defaults_applied`` lists the flags
+read but not given.
+
+A flat key=value config file (``--config PATH``) supplies flags; flags given
+on the command line override the file. Output goes to stdout or
 ``--out PATH`` as CSV (default), JSON, or SVG.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -55,7 +61,79 @@ from .semimarkov import (
     q_of_t,
 )
 
-_BOOL_FLAGS = {"boundary-search"}
+# flag: (type, the tuple of its choices, or bool for a switch; help line)
+_FLAGS = {
+    "family": (("dephasing", "nonunital"), "process family"),
+    "s": (float, "dephasing rate sum s = lambda1 + lambda2"),
+    "p": (float, "dephasing rate product p = lambda1 * lambda2"),
+    "lambda1": (float, "first jump rate (with --lambda2, replaces --s/--p)"),
+    "lambda2": (float, "second jump rate (with --lambda1)"),
+    "lambda": (float, "non-unital rate, or rate of single-rate waiting times"),
+    "T": (float, "averaging horizon"),
+    "mode": (("paper", "min"), "reference: 'paper' is --gamma-ref, 'min' the "
+                               "time-median of gamma in [0, --gamma-max]"),
+    "form": (("rate", "choi"), "integrand route"),
+    "gamma-ref": (float, "fixed reference rate of --mode paper"),
+    "gamma-max": (float, "upper clip of the min-mode median (default none)"),
+    "epsilon": (float, "half-width excised around rate poles"),
+    "p-min": (float, "lower end of the p sweep or bisection bracket"),
+    "p-max": (float, "upper end of the p sweep or bisection bracket"),
+    "p-points": (int, "sweep length; the sweep runs when no p is given"),
+    "p-list": (str, "comma-separated p values"),
+    "t-max": (float, "end of the time grid"),
+    "grid": (int, "number of time points"),
+    "boundary-search": (bool, "bisect in p for the divisibility boundary"),
+    "p-tol": (float, "bisection width target"),
+    "wtd": (("exponential", "expconv", "tanhsech"), "waiting-time law"),
+    "jump-prob": (float, "site-flip probability per renewal"),
+    "paths": (int, "number of Monte Carlo paths"),
+    "seed": (int, "64-bit seed (required)"),
+    "dt": (float, "integration step"),
+    "format": (("csv", "json", "svg"), "output format"),
+    "out": (str, "output path (stdout if not given)"),
+    "config": (str, "key=value file of flags"),
+}
+
+_BOOL_FLAGS = {flag for flag, (kind, _) in _FLAGS.items() if kind is bool}
+
+# read by run() itself, so no command reads them
+_OUTPUT = {"format": "csv", "out": None, "config": None}
+_FAMILY = {"family": "dephasing", "s": 1.0, "p": 3.0, "lambda1": None,
+           "lambda2": None, "lambda": None}
+
+# command -> {flag: default}; "command --switch" overrides defaults in that
+# mode. None means no default: the flag is optional, or required.
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "rate": {**_FAMILY, "t-max": 6.0, "grid": 500, **_OUTPUT},
+    "measure": {**_FAMILY, "p": None, "lambda": 1.0, "T": 1.0,
+                "mode": "paper", "form": "rate", "gamma-ref": 0.0,
+                "gamma-max": None, "epsilon": 1e-6, "p-min": 0.0,
+                "p-max": 0.5, "p-points": 51, **_OUTPUT},
+    "holevo": {**_FAMILY, "p": None, "p-list": "2,0.1,0.01", "t-max": 6.0,
+               "grid": 500, **_OUTPUT},
+    "blp": {**_FAMILY, "t-max": 10.0, "grid": 2001, **_OUTPUT},
+    "divisibility": {**_FAMILY, "t-max": 10.0, "grid": 1000,
+                     "boundary-search": False, "p-min": 0.05, "p-max": 0.4,
+                     "p-tol": 1e-4, **_OUTPUT},
+    "divisibility --boundary-search": {"t-max": 60.0, "grid": 1200},
+    "classical-sim": {"lambda1": 1.0, "lambda2": 2.0, "lambda": 1.0,
+                      "wtd": "expconv", "jump-prob": 1.0, "paths": 100_000,
+                      "seed": None, "t-max": 2.0, "grid": 41, **_OUTPUT},
+    "kernel-check": {**_FAMILY, "p": 0.1, "dt": 1e-3, "t-max": 5.0,
+                     **_OUTPUT},
+}
+
+
+def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
+    """The flag's help line with its default in each mode ("" for none)."""
+    shown = []
+    for mode, table in modes.items():
+        default = table.get(flag)
+        if default is not None and default is not False:
+            text = f"{default:g}" if isinstance(default, float) else default
+            shown.append(f"{text} for {mode}" if mode else f"{text}")
+    line = _FLAGS[flag][1]
+    return f"{line} (default {'; '.join(shown)})" if shown else line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,140 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
     # exact flag names only, so that a prefix such as --s cannot land on --seed
     sub = parser.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
-
-    def family_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", choices=("dephasing", "nonunital"),
-                       default=None, help="process family (default dephasing)")
-        p.add_argument("--s", type=float, default=None,
-                       help="dephasing rate sum s = lambda1 + lambda2")
-        p.add_argument("--p", type=float, default=None,
-                       help="dephasing rate product p = lambda1 * lambda2")
-        rate_flags(p)
-
-    def rate_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lambda1", type=float, default=None,
-                       help="first jump rate (alternative to --s/--p)")
-        p.add_argument("--lambda2", type=float, default=None,
-                       help="second jump rate (alternative to --s/--p)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="rate of the non-unital family (or of "
-                            "single-rate waiting times)")
-
-    def output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json", "svg"),
-                       default="csv", help="output format (default csv)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (default stdout)")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file of flag defaults")
-
-    p_rate = sub.add_parser("rate", help="time-local decay rate curve")
-    family_flags(p_rate)
-    output_flags(p_rate)
-    p_rate.add_argument("--t-max", type=float, default=None,
-                        help="curve endpoint (default 6)")
-    p_rate.add_argument("--grid", type=int, default=None,
-                        help="number of samples (default 500)")
-
-    p_meas = sub.add_parser("measure",
-                            help="deviation-from-semigroup measure (xi, zeta)")
-    family_flags(p_meas)
-    output_flags(p_meas)
-    p_meas.add_argument("--T", type=float, default=None,
-                        help="averaging horizon (default 1)")
-    p_meas.add_argument("--mode", choices=("paper", "min"), default=None,
-                        help="reference policy: 'paper' scores against "
-                             "--gamma-ref (default 0); 'min' minimizes over "
-                             "constant references (default paper)")
-    p_meas.add_argument("--form", choices=("rate", "choi"), default=None,
-                        help="integrand route (default rate)")
-    p_meas.add_argument("--gamma-ref", type=float, default=None,
-                        help="fixed reference rate (default 0)")
-    p_meas.add_argument("--gamma-max", type=float, default=None,
-                        help="upper clip of the minimizing reference "
-                             "(default none)")
-    p_meas.add_argument("--epsilon", type=float, default=None,
-                        help="half-width excised around rate poles "
-                             "(default 1e-6)")
-    p_meas.add_argument("--p-min", type=float, default=None,
-                        help="sweep start (default 0)")
-    p_meas.add_argument("--p-max", type=float, default=None,
-                        help="sweep end (default 0.5)")
-    p_meas.add_argument("--p-points", type=int, default=None,
-                        help="sweep length (default 51)")
-
-    p_hol = sub.add_parser("holevo", help="Holevo information curves")
-    family_flags(p_hol)
-    output_flags(p_hol)
-    p_hol.add_argument("--p-list", type=str, default=None,
-                       help="comma-separated p values (default 2,0.1,0.01)")
-    p_hol.add_argument("--t-max", type=float, default=None,
-                       help="curve endpoint (default 6)")
-    p_hol.add_argument("--grid", type=int, default=None,
-                       help="number of samples (default 500)")
-
-    p_blp = sub.add_parser("blp", help="trace-distance revival measure")
-    family_flags(p_blp)
-    output_flags(p_blp)
-    p_blp.add_argument("--t-max", type=float, default=None,
-                       help="scan endpoint (default 10)")
-    p_blp.add_argument("--grid", type=int, default=None,
-                       help="number of samples (default 2001)")
-
-    p_div = sub.add_parser("divisibility",
-                           help="CP-divisibility scan or boundary search")
-    family_flags(p_div)
-    output_flags(p_div)
-    p_div.add_argument("--t-max", type=float, default=None,
-                       help="scan endpoint (default 10; 60 for "
-                            "--boundary-search)")
-    p_div.add_argument("--grid", type=int, default=None,
-                       help="grid points (default 1000; 1200 for "
-                            "--boundary-search)")
-    p_div.add_argument("--boundary-search", action="store_true",
-                       help="bisect in p for the divisibility boundary")
-    p_div.add_argument("--p-min", type=float, default=None,
-                       help="bisection bracket start (default 0.05)")
-    p_div.add_argument("--p-max", type=float, default=None,
-                       help="bisection bracket end (default 0.4)")
-    p_div.add_argument("--p-tol", type=float, default=None,
-                       help="bisection width target (default 1e-4)")
-
-    p_sim = sub.add_parser("classical-sim",
-                           help="Monte Carlo renewal simulation")
-    rate_flags(p_sim)
-    output_flags(p_sim)
-    p_sim.add_argument("--wtd", choices=("exponential", "expconv", "tanhsech"),
-                       default=None,
-                       help="waiting-time distribution (default expconv)")
-    p_sim.add_argument("--jump-prob", type=float, default=None,
-                       help="site-flip probability per renewal (default 1)")
-    p_sim.add_argument("--paths", type=int, default=None,
-                       help="number of Monte Carlo paths (default 100000)")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="64-bit seed (required)")
-    p_sim.add_argument("--t-max", type=float, default=None,
-                       help="simulation endpoint (default 2)")
-    p_sim.add_argument("--grid", type=int, default=None,
-                       help="number of report times (default 41)")
-
-    p_ker = sub.add_parser("kernel-check",
-                           help="memory-kernel integration vs closed form")
-    family_flags(p_ker)
-    output_flags(p_ker)
-    p_ker.add_argument("--dt", type=float, default=None,
-                       help="integration step (default 1e-3)")
-    p_ker.add_argument("--t-max", type=float, default=None,
-                       help="integration endpoint (default 5)")
-
+    for command, cmd in _DISPATCH.items():
+        p = sub.add_parser(command, help=cmd.__doc__)
+        modes = {key.partition(" ")[2]: table for key, table in
+                 _DEFAULTS.items() if key.partition(" ")[0] == command}
+        for flag in _DEFAULTS[command]:
+            kind, _ = _FLAGS[flag]
+            kw = ({"action": "store_true"} if kind is bool else
+                  {"choices": kind} if isinstance(kind, tuple) else
+                  {"type": kind})
+            p.add_argument(f"--{flag}", default=_OUTPUT.get(flag),
+                           help=_help(flag, modes), **kw)
     return parser
 
 
 def _load_config_flags(path: str) -> list[str]:
     """Translate a key=value file into an argv fragment."""
-    p = Path(path)
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     flags: list[str] = []
@@ -245,73 +207,55 @@ def _merge_config(argv: list[str]) -> list[str]:
     return argv
 
 
-class _Resolved:
-    """Tracks which settings fell back to documented defaults."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.defaults_applied: list[str] = []
-
-    def get(self, name: str, default):
-        value = getattr(self.args, name)
-        if value is None:
-            self.defaults_applied.append(name.replace("_", "-"))
-            return default
-        return value
-
-    def metadata(self) -> dict:
-        return {
-            "version": __version__,
-            "defaults_applied": ",".join(sorted(self.defaults_applied)),
-        }
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
 
 
-def _reject(r: _Resolved, names: Sequence[str], context: str) -> None:
-    """Refuse given flags that ``context`` never reads, rather than drop them."""
-    given = [f"--{n.replace('_', '-')}" for n in names
-             if getattr(r.args, n) is not None]
-    _require(not given, f"{context} does not use {', '.join(given)}")
+class _Resolved:
+    """A command's settings: the given flags, else the table's defaults.
+
+    Records what the command reads: ``applied`` holds the flags read but not
+    given, and :meth:`check_unread` refuses a given flag never read.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.defaults = dict(_DEFAULTS[args.command])
+        self.read = set(_OUTPUT)
+        self.applied: set[str] = set()
+
+    def given(self, flag: str) -> bool:
+        # identity tests: 0.0 is a given value, a switch left off is not
+        value = getattr(self.args, flag.replace("-", "_"))
+        return value is not None and value is not False
+
+    def get(self, flag: str):
+        self.read.add(flag)
+        if self.given(flag):
+            return getattr(self.args, flag.replace("-", "_"))
+        if flag not in _BOOL_FLAGS:  # a switch left off is a choice
+            self.applied.add(flag)
+        return self.defaults[flag]
+
+    def check_unread(self) -> None:
+        unread = [f"--{flag}" for flag in self.defaults
+                  if flag not in self.read and self.given(flag)]
+        _require(not unread, f"{self.args.command} does not use "
+                             f"{', '.join(unread)} with the flags given")
 
 
-def _dephasing_params(r: _Resolved, *, s_default: float = 1.0,
-                      p_default: float | None = None) -> tuple[float, float]:
-    """Resolve (s, p), enforcing parametrization exclusivity."""
-    a = r.args
-    pair_given = a.lambda1 is not None or a.lambda2 is not None
-    sp_given = a.s is not None or a.p is not None
-    _require(not (pair_given and sp_given),
-             "(--s, --p) and (--lambda1, --lambda2) are mutually exclusive")
-    _require(a.lam is None,
-             "--lambda belongs to the non-unital family; dephasing takes "
-             "--s/--p or --lambda1/--lambda2")
-    if pair_given:
-        _require(a.lambda1 is not None and a.lambda2 is not None,
+def _dephasing(r: _Resolved, rates: bool = True) -> tuple[float, float | None]:
+    """(s, p) of a dephasing process: from --lambda1/--lambda2 when either
+    is given, else from --s and, when ``rates``, --p (else p is None)."""
+    _require(r.get("family") == "dephasing",
+             f"{r.args.command} is defined for the dephasing family")
+    if rates and (r.given("lambda1") or r.given("lambda2")):
+        _require(r.given("lambda1") and r.given("lambda2"),
                  "--lambda1 and --lambda2 must be given together")
-        return a.lambda1 + a.lambda2, a.lambda1 * a.lambda2
-    s = r.get("s", s_default)
-    if p_default is None:
-        _require(a.p is not None, "--p is required for this command")
-        return s, a.p
-    return s, r.get("p", p_default)
-
-
-def _family(r: _Resolved, *, allow_nonunital: bool = True,
-            p_default: float | None = None):
-    """Build the process object named by --family and its parameter flags."""
-    kind = r.get("family", "dephasing")
-    if kind == "nonunital":
-        _require(allow_nonunital,
-                 "this command supports only the dephasing family")
-        _reject(r, ["s", "p", "lambda1", "lambda2"], "the non-unital family")
-        lam = r.get("lam", 1.0)
-        return NonUnitalSemiMarkov(rate=lam)
-    s, p = _dephasing_params(r, p_default=p_default)
-    return DephasingSemiMarkov(s=s, p=p)
+        l1, l2 = r.get("lambda1"), r.get("lambda2")
+        return l1 + l2, l1 * l2
+    return r.get("s"), (r.get("p") if rates else None)
 
 
 def _positive(name: str, value: float) -> float:
@@ -320,265 +264,185 @@ def _positive(name: str, value: float) -> float:
     return float(value)
 
 
-def _grid_size(value: int, minimum: int = 2) -> int:
-    _require(value >= minimum, f"--grid must be >= {minimum}, got {value}")
-    return int(value)
+def _time_grid(r: _Resolved) -> tuple[float, int]:
+    """(--t-max, --grid), checked."""
+    t_max, n = _positive("--t-max", r.get("t-max")), r.get("grid")
+    _require(n >= 2, f"--grid must be >= 2, got {n}")
+    return t_max, int(n)
 
 
-def _sss_config(r: _Resolved) -> SSSConfig:
-    horizon = _positive("--T", r.get("T", 1.0))
-    mode = r.get("mode", "paper")
-    _reject(r, ["gamma_max"] if mode == "paper" else ["gamma_ref"],
-            f"measure --mode {mode}")
-    form = r.get("form", "rate")
-    gamma_ref = r.get("gamma_ref", 0.0)
-    epsilon = _positive("--epsilon", r.get("epsilon", 1e-6))
-    return SSSConfig(horizon=horizon,
-                     mode="fixed" if mode == "paper" else "min",
-                     form=form, gamma_ref=gamma_ref,
-                     gamma_max=r.args.gamma_max, excision=epsilon)
+def _curve_config(proc: DephasingSemiMarkov, t_max: float, n: int) -> dict:
+    return {"family": "dephasing", "s": proc.s, "p": proc.p, "t-max": t_max,
+            "grid": n}
 
 
 def cmd_rate(r: _Resolved) -> ResultTable:
-    proc = _family(r, allow_nonunital=False, p_default=3.0)
-    t_max = _positive("--t-max", r.get("t_max", 6.0))
-    n = _grid_size(r.get("grid", 500))
+    """time-local decay rate curve"""
+    proc = DephasingSemiMarkov(*_dephasing(r))
+    t_max, n = _time_grid(r)
+    r.check_unread()
     ts = np.linspace(0.0, t_max, n)
     vals = gamma_dephasing(proc, ts)  # NaN at poles, annotated below
     poles = coherence_zeros(proc, t_max)
-    meta = r.metadata()
-    meta["singular_times"] = [float(x) for x in poles]
-    return ResultTable(
-        command="rate",
-        config={"family": "dephasing", "s": proc.s, "p": proc.p,
-                "t-max": t_max, "grid": n},
-        columns={"t": ts, "gamma": vals},
-        metadata=meta,
-    )
+    return ResultTable("rate", _curve_config(proc, t_max, n),
+                       {"t": ts, "gamma": vals},
+                       {"singular_times": [float(x) for x in poles]})
 
 
 def cmd_measure(r: _Resolved) -> ResultTable:
-    kind = r.get("family", "dephasing")
-    cfg = _sss_config(r)
-    meta = r.metadata()
-    config_echo = {
-        "family": kind, "T": cfg.horizon,
-        "mode": "min" if cfg.mode == "min" else "paper",
-        "form": cfg.form, "gamma-ref": cfg.gamma_ref,
-        "epsilon": cfg.excision,
-    }
-    if cfg.gamma_max is not None:
-        config_echo["gamma-max"] = cfg.gamma_max
+    """deviation-from-semigroup measure (xi, zeta)"""
+    kind, mode = r.get("family"), r.get("mode")
+    ref = ({"gamma_ref": r.get("gamma-ref")} if mode == "paper"
+           else {"gamma_max": r.get("gamma-max")})
+    cfg = SSSConfig(horizon=r.get("T"), form=r.get("form"),
+                    mode="fixed" if mode == "paper" else "min",
+                    excision=r.get("epsilon"), **ref)
+    config = {"family": kind, "T": cfg.horizon, "mode": mode, "form": cfg.form,
+              "gamma-ref": ref.get("gamma_ref"), "epsilon": cfg.excision,
+              "gamma-max": cfg.gamma_max}
+    config = {key: value for key, value in config.items() if value is not None}
     if kind == "nonunital":
-        _reject(r, ["p_min", "p_max", "p_points"], "the non-unital measure")
-        proc = _family(r)
-        res = sss_measure(proc, cfg)
-        config_echo["lambda"] = proc.rate
-        columns = {
-            "lambda": np.array([proc.rate]),
-            "xi": np.array([res.xi]),
-            "zeta": np.array([res.zeta]),
-            "gamma_ref": np.array([res.gamma_ref]),
-        }
-        if cfg.form == "choi":
-            columns["xi_raw"] = np.array([res.raw_average])
-            meta["family_constant"] = res.family_constant
-        meta["excised_intervals"] = [list(h) for h in res.excised]
-        return ResultTable("measure", config_echo, columns, meta)
-
-    a = r.args
-    _require(a.lam is None, "--lambda belongs to the non-unital family")
-    pair_given = a.lambda1 is not None or a.lambda2 is not None
-    if a.p is not None or pair_given:
-        _reject(r, ["p_min", "p_max", "p_points"], "a single-p measure")
-        s, p = _dephasing_params(r, p_default=None)
-        p_values = np.array([p])
+        procs = [NonUnitalSemiMarkov(rate=r.get("lambda"))]
+        config["lambda"] = procs[0].rate
+        columns = {"lambda": np.array([procs[0].rate])}
     else:
-        s = r.get("s", 1.0)
-        p_lo = r.get("p_min", 0.0)
-        p_hi = r.get("p_max", 0.5)
-        n_p = r.get("p_points", 51)
-        _require(n_p >= 1, f"--p-points must be >= 1, got {n_p}")
-        _require(p_hi >= p_lo >= 0.0, "need 0 <= --p-min <= --p-max")
-        p_values = np.linspace(p_lo, p_hi, n_p)
-    config_echo["s"] = s
-
-    procs = [DephasingSemiMarkov(s=s, p=float(p)) for p in p_values]
+        s, p = _dephasing(r, rates=any(map(r.given,
+                                           ("p", "lambda1", "lambda2"))))
+        if p is None:
+            p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
+            _require(n_p >= 1, f"--p-points must be >= 1, got {n_p}")
+            _require(p_hi >= p_lo >= 0.0, "need 0 <= --p-min <= --p-max")
+            p_values = np.linspace(p_lo, p_hi, n_p)
+        else:
+            p_values = np.array([p])
+        config["s"] = s
+        columns = {"p": p_values}
+        procs = [DephasingSemiMarkov(s=s, p=float(p)) for p in p_values]
+    r.check_unread()
     results = [sss_measure(pr, cfg) for pr in procs]
-    columns = {
-        "p": p_values,
-        "xi": np.array([res.xi for res in results]),
-        "zeta": np.array([res.zeta for res in results]),
-        "gamma_ref": np.array([res.gamma_ref for res in results]),
-        "cp_indivisible": np.array(
+    for name in ("xi", "zeta", "gamma_ref"):
+        columns[name] = np.array([getattr(res, name) for res in results])
+    meta: dict[str, object] = {}
+    if kind == "dephasing":
+        columns["cp_indivisible"] = np.array(
             [1.0 if pr.regime() == REGIME_INDIVISIBLE else 0.0
-             for pr in procs]),
-    }
+             for pr in procs])
     if cfg.form == "choi":
         columns["xi_raw"] = np.array([res.raw_average for res in results])
         meta["family_constant"] = results[0].family_constant
-    meta["p_boundary"] = s**2 / 8.0
-    excised = [list(h) for res in results for h in res.excised]
-    meta["excised_intervals"] = excised
-    return ResultTable("measure", config_echo, columns, meta)
+    if kind == "dephasing":
+        meta["p_boundary"] = s**2 / 8.0
+    meta["excised_intervals"] = [list(h) for res in results
+                                 for h in res.excised]
+    return ResultTable("measure", config, columns, meta)
 
 
 def cmd_holevo(r: _Resolved) -> ResultTable:
-    _require(r.get("family", "dephasing") == "dephasing",
-             "holevo curves are implemented for the dephasing family")
-    a = r.args
-    _require(all(v is None for v in (a.p, a.lambda1, a.lambda2, a.lam)),
-             "holevo takes --p-list for its p values")
-    s = r.get("s", 1.0)
-    raw_list = r.get("p_list", "2,0.1,0.01")
+    """Holevo information curves"""
+    s, _ = _dephasing(r, rates=False)
+    raw_list = r.get("p-list")
     try:
         p_values = [float(tok) for tok in raw_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --p-list {raw_list!r}: {exc}") from exc
     _require(len(p_values) >= 1, "--p-list must name at least one p value")
-    t_max = _positive("--t-max", r.get("t_max", 6.0))
-    n = _grid_size(r.get("grid", 500))
+    t_max, n = _time_grid(r)
+    r.check_unread()
     ts = np.linspace(0.0, t_max, n)
-    curves = [holevo_curve(DephasingSemiMarkov(s=s, p=p), ts)
-              for p in p_values]
-    columns: dict[str, np.ndarray] = {"t": ts}
-    for p, chi in zip(p_values, curves):
-        columns[f"chi_p{p:g}"] = chi
-    meta = r.metadata()
-    meta["ensemble"] = "equal-weight |+>,|->"
-    return ResultTable(
-        command="holevo",
-        config={"family": "dephasing", "s": s, "p-list": raw_list,
-                "t-max": t_max, "grid": n},
-        columns=columns,
-        metadata=meta,
-    )
+    columns = {"t": ts}
+    for p in p_values:
+        columns[f"chi_p{p:g}"] = holevo_curve(DephasingSemiMarkov(s=s, p=p),
+                                              ts)
+    return ResultTable("holevo", {"family": "dephasing", "s": s,
+                                  "p-list": raw_list, "t-max": t_max,
+                                  "grid": n},
+                       columns, {"ensemble": "equal-weight |+>,|->"})
 
 
 def cmd_blp(r: _Resolved) -> ResultTable:
-    proc = _family(r, allow_nonunital=False, p_default=3.0)
-    t_max = _positive("--t-max", r.get("t_max", 10.0))
-    n = _grid_size(r.get("grid", 2001))
+    """trace-distance revival measure"""
+    proc = DephasingSemiMarkov(*_dephasing(r))
+    t_max, n = _time_grid(r)
+    r.check_unread()
     res = blp_measure(proc, t_max, n_grid=n)
-    meta = r.metadata()
-    meta["blp"] = res.measure
-    return ResultTable(
-        command="blp",
-        config={"family": "dephasing", "s": proc.s, "p": proc.p,
-                "t-max": t_max, "grid": n},
-        columns={"t": res.times, "trace_distance": res.trace_distance},
-        metadata=meta,
-    )
+    return ResultTable("blp", _curve_config(proc, t_max, n),
+                       {"t": res.times, "trace_distance": res.trace_distance},
+                       {"blp": res.measure})
 
 
 def cmd_divisibility(r: _Resolved) -> ResultTable:
-    if r.args.boundary_search:
-        a = r.args
-        _require(all(v is None for v in (a.p, a.lambda1, a.lambda2, a.lam)),
-                 "--boundary-search sweeps p; fix only --s")
-        _require(a.family in (None, "dephasing"),
-                 "--boundary-search is defined for the dephasing family")
-        s = r.get("s", 1.0)
-        bracket = (r.get("p_min", 0.05), r.get("p_max", 0.4))
-        t_max = _positive("--t-max", r.get("t_max", 60.0))
-        n = _grid_size(r.get("grid", 1200))
-        p_tol = _positive("--p-tol", r.get("p_tol", 1e-4))
+    """CP-divisibility scan or boundary search"""
+    search = r.get("boundary-search")
+    if search:
+        r.defaults.update(_DEFAULTS["divisibility --boundary-search"])
+    s, p = _dephasing(r, rates=not search)
+    t_max, n = _time_grid(r)
+    if search:
+        bracket = (r.get("p-min"), r.get("p-max"))
+        p_tol = _positive("--p-tol", r.get("p-tol"))
+        r.check_unread()
         est = divisibility_boundary(s, p_bracket=bracket, t_max=t_max,
                                     n_grid=n, p_tol=p_tol)
-        meta = r.metadata()
-        meta["p_boundary_estimate"] = est.p_estimate
         return ResultTable(
-            command="divisibility",
-            config={"family": "dephasing", "s": s, "t-max": t_max,
-                    "grid": n, "p-tol": p_tol, "boundary-search": True,
-                    "p-min": bracket[0], "p-max": bracket[1]},
-            columns={"p_estimate": np.array([est.p_estimate]),
-                     "p_low": np.array([est.p_low]),
-                     "p_high": np.array([est.p_high])},
-            metadata=meta,
-        )
-    _reject(r, ["p_min", "p_max", "p_tol"], "the divisibility scan")
-    proc = _family(r, allow_nonunital=False, p_default=3.0)
-    t_max = _positive("--t-max", r.get("t_max", 10.0))
-    n = _grid_size(r.get("grid", 1000))
+            "divisibility",
+            {"family": "dephasing", "s": s, "t-max": t_max, "grid": n,
+             "p-tol": p_tol, "boundary-search": True, "p-min": bracket[0],
+             "p-max": bracket[1]},
+            {"p_estimate": np.array([est.p_estimate]),
+             "p_low": np.array([est.p_low]),
+             "p_high": np.array([est.p_high])},
+            {"p_boundary_estimate": est.p_estimate})
+    proc = DephasingSemiMarkov(s=s, p=p)
+    r.check_unread()
     report = cp_divisibility_scan(proc, np.linspace(0.0, t_max, n))
-    meta = r.metadata()
-    meta["violation_count"] = report.violation_count
-    meta["first_violation"] = report.first_violation
-    meta["singular_steps"] = report.singular_steps
-    meta["cp_divisible"] = report.cp_divisible
     violating = (np.nan_to_num(report.min_eigenvalues, nan=0.0)
                  < -report.tol).astype(float)
     return ResultTable(
-        command="divisibility",
-        config={"family": "dephasing", "s": proc.s, "p": proc.p,
-                "t-max": t_max, "grid": n, "boundary-search": False},
-        columns={"t": report.times[1:],
-                 "min_choi_eigenvalue": report.min_eigenvalues,
-                 "violation": violating},
-        metadata=meta,
-    )
-
-
-_WTD_BUILDERS = {
-    "exponential": lambda r: ExponentialWTD(rate=r.get("lam", 1.0)),
-    "tanhsech": lambda r: TanhSechWTD(rate=r.get("lam", 1.0)),
-}
+        "divisibility",
+        {**_curve_config(proc, t_max, n), "boundary-search": False},
+        {"t": report.times[1:], "min_choi_eigenvalue": report.min_eigenvalues,
+         "violation": violating},
+        {"violation_count": report.violation_count,
+         "first_violation": report.first_violation,
+         "singular_steps": report.singular_steps,
+         "cp_divisible": report.cp_divisible})
 
 
 def cmd_classical_sim(r: _Resolved) -> ResultTable:
-    a = r.args
-    kind = r.get("wtd", "expconv")
-    if kind == "expconv":
-        _require(a.lam is None,
-                 "expconv waits take --lambda1/--lambda2, not --lambda")
-        l1 = r.get("lambda1", 1.0)
-        l2 = r.get("lambda2", 2.0)
-        wtd = ExpConvolutionWTD(rate1=l1, rate2=l2)
-        rates = {"lambda1": l1, "lambda2": l2}
-    else:
-        _reject(r, ["lambda1", "lambda2"], f"--wtd {kind}")
-        wtd = _WTD_BUILDERS[kind](r)
-        rates = {"lambda": wtd.rate}
-    _require(a.seed is not None, "--seed is required for classical-sim")
-    jump_prob = r.get("jump_prob", 1.0)
-    n_paths = r.get("paths", 100_000)
-    t_max = _positive("--t-max", r.get("t_max", 2.0))
-    n_times = _grid_size(r.get("grid", 41))
-    sim = classical_jump_simulate(wtd, jump_prob, t_max, n_paths,
-                                  seed=a.seed, n_times=n_times)
+    """Monte Carlo renewal simulation"""
+    kind = r.get("wtd")
+    rates = {flag: r.get(flag) for flag in
+             (("lambda1", "lambda2") if kind == "expconv" else ("lambda",))}
+    wtd = {"expconv": ExpConvolutionWTD, "exponential": ExponentialWTD,
+           "tanhsech": TanhSechWTD}[kind](*rates.values())
+    _require(r.given("seed"), "--seed is required for classical-sim")
+    seed, p_jump, n_paths = r.get("seed"), r.get("jump-prob"), r.get("paths")
+    t_max, n_times = _time_grid(r)
+    r.check_unread()
+    sim = classical_jump_simulate(wtd, p_jump, t_max, n_paths,
+                                  seed=seed, n_times=n_times)
     exact = np.asarray(wtd.survival(sim.times), dtype=float)
-    meta = r.metadata()
-    meta["max_survival_error_se"] = float(np.max(
-        np.abs(sim.survival - exact) / np.maximum(sim.survival_se, 1e-12)
-    ))
+    columns = {"t": sim.times, "survival": sim.survival,
+               "survival_se": sim.survival_se, "survival_exact": exact}
+    for site in (0, 1):
+        columns[f"occupation{site}"] = sim.occupation[site]
+        columns[f"occupation{site}_se"] = sim.occupation_se[site]
+    err = np.abs(sim.survival - exact) / np.maximum(sim.survival_se, 1e-12)
     return ResultTable(
-        command="classical-sim",
-        config={"wtd": kind, **rates, "jump-prob": jump_prob,
-                "paths": n_paths, "seed": a.seed, "t-max": t_max,
-                "grid": n_times},
-        columns={
-            "t": sim.times,
-            "survival": sim.survival,
-            "survival_se": sim.survival_se,
-            "survival_exact": exact,
-            "occupation0": sim.occupation[0],
-            "occupation0_se": sim.occupation_se[0],
-            "occupation1": sim.occupation[1],
-            "occupation1_se": sim.occupation_se[1],
-        },
-        metadata=meta,
-    )
+        "classical-sim",
+        {"wtd": kind, **rates, "jump-prob": p_jump, "paths": n_paths,
+         "seed": seed, "t-max": t_max, "grid": n_times},
+        columns, {"max_survival_error_se": float(np.max(err))})
 
 
 def cmd_kernel_check(r: _Resolved) -> ResultTable:
-    _require(r.get("family", "dephasing") == "dephasing",
-             "kernel-check is defined for the dephasing family")
-    s, p = _dephasing_params(r, p_default=0.1)
-    dt = _positive("--dt", r.get("dt", 1e-3))
-    t_max = _positive("--t-max", r.get("t_max", 5.0))
+    """memory-kernel integration vs closed form"""
+    s, p = _dephasing(r)
+    dt = _positive("--dt", r.get("dt"))
+    t_max = _positive("--t-max", r.get("t-max"))
     _require(t_max >= 4 * dt, "--t-max must cover at least a few steps")
     proc = DephasingSemiMarkov(s=s, p=p)
+    r.check_unread()
     # k(t) = p exp(-s t); valid for every p >= 0 even where no real rate
     # pair (lambda1, lambda2) exists
     kernel = ExponentialKernel(amplitude=p, decay=s)
@@ -596,21 +460,15 @@ def cmd_kernel_check(r: _Resolved) -> ResultTable:
     q_ref = np.asarray(q_of_t(proc, times), dtype=float)
     stride = max(1, times.size // 500)
     sel = np.unique(np.r_[np.arange(0, times.size, stride), times.size - 1])
-    meta = r.metadata()
-    meta["max_deviation"] = dev
-    meta["max_deviation_coarse"] = dev_coarse
-    meta["convergence_ratio"] = ratio
-    meta["convergence_order"] = float(np.log2(ratio)) if np.isfinite(ratio) else np.nan
     return ResultTable(
-        command="kernel-check",
-        config={"family": "dephasing", "s": s, "p": p, "dt": dt,
-                "t-max": t_max},
-        columns={"t": times[sel],
-                 "q_closed": q_ref[sel],
-                 "q_volterra": q_num[sel],
-                 "abs_error": np.abs(q_num - q_ref)[sel]},
-        metadata=meta,
-    )
+        "kernel-check",
+        {"family": "dephasing", "s": s, "p": p, "dt": dt, "t-max": t_max},
+        {"t": times[sel], "q_closed": q_ref[sel], "q_volterra": q_num[sel],
+         "abs_error": np.abs(q_num - q_ref)[sel]},
+        {"max_deviation": dev, "max_deviation_coarse": dev_coarse,
+         "convergence_ratio": ratio,
+         "convergence_order": (float(np.log2(ratio)) if np.isfinite(ratio)
+                               else np.nan)})
 
 
 _DISPATCH: dict[str, Callable[[_Resolved], ResultTable]] = {
@@ -632,7 +490,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_config(argv))
-        table = _DISPATCH[args.command](_Resolved(args))
+        r = _Resolved(args)
+        table = _DISPATCH[args.command](r)
+        meta = {"version": __version__,
+                "defaults_applied": ",".join(sorted(r.applied))}
+        table = replace(table, metadata={**meta, **table.metadata})
         text = _RENDERERS[args.format](table)
         if args.out:
             Path(args.out).write_text(text)

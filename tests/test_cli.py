@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, formats, config files, determinism."""
 
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
@@ -13,7 +14,7 @@ from qsemimarkov import (
     coherence_zeros,
     q_of_t,
 )
-from qsemimarkov.cli import run
+from qsemimarkov.cli import build_parser, run
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
 
@@ -94,6 +95,10 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
     ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
     ["measure", "--mode", "min", "--gamma-ref", "5"],
     ["measure", "--p", "0.1", "--gamma-max", "0.01"],
+    ["measure", "--family", "nonunital", "--mode", "min", "--gamma-ref", "1"],
+    ["holevo", "--lambda1", "1", "--lambda2", "2"],
+    ["classical-sim", "--seed", "1", "--wtd", "tanhsech", "--lambda2", "1"],
+    ["kernel-check", "--lambda1", "1"],
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -137,6 +142,54 @@ def test_version_and_help_exit_0(capsys):
     code, out, _ = _run(capsys, ["rate", "--help"])
     assert code == 0
     assert "usage: qsm rate" in out
+
+
+def test_divisibility_help_shows_scan_and_boundary_search_defaults(
+        capsys, monkeypatch):
+    # argparse wraps help to the terminal width, which can split a default
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = _run(capsys, ["divisibility", "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    assert "(default 10; 60 for --boundary-search)" in text
+    assert "(default 1000; 1200 for --boundary-search)" in text
+    for default in ("0.05", "0.4", "0.0001"):
+        assert f"(default {default})" in text
+
+
+def _registered_flags(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt[2:] for opt in sub.choices[command]._option_string_actions
+            if opt.startswith("--") and opt != "--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate"],
+    ["measure"],
+    ["measure", "--mode", "min"],
+    ["measure", "--family", "nonunital"],
+    ["measure", "--family", "nonunital", "--mode", "min"],
+    ["holevo"],
+    ["blp"],
+    ["divisibility"],
+    ["divisibility", "--boundary-search"],
+    ["classical-sim", "--seed", "1"],
+    ["classical-sim", "--seed", "1", "--wtd", "tanhsech"],
+    ["kernel-check"],
+])
+def test_defaults_applied_lists_every_default_read(capsys, argv):
+    """A config value whose flag was not given came from a default, and
+    defaults_applied names only registered flags."""
+    doc = _json_out(capsys, [*argv, "--format", "json"])
+    flags = _registered_flags(argv[0])
+    applied = doc["metadata"]["defaults_applied"].split(",")
+    assert set(applied) <= flags
+    given = {tok[2:] for tok in argv if tok.startswith("--")}
+    for key in doc["config"]:
+        # a switch left off is a choice of mode, not a default
+        if key in flags and key not in given and key != "boundary-search":
+            assert key in applied, key
 
 
 # ---------------------------------------------------------------- measure

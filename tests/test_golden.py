@@ -13,6 +13,14 @@ BLP curve and the non-unital library curves) were captured when every time
 point went through a per-time Kraus map. The closed-form map stack changes
 only rounding, so the searches stay byte-identical and the curves are
 compared within stated tolerances, column by column.
+
+The measure goldens (non-unital rate and Choi routes, the dephasing Choi
+sweep, each in both reference modes) pin the measure command byte for byte.
+
+Provenance lines were re-captured where the CLI began to list every default
+it reads in ``meta.defaults_applied`` (spelled as the flag: ``lambda``, not
+``lam``) and stopped echoing ``config.gamma-ref`` in min mode, which never
+reads it. Their data rows were not re-captured.
 """
 
 import json
@@ -124,6 +132,23 @@ def test_recipe_golden_bytes(tmp_path, capsys, name, command, tol):
 def test_map_stack_golden(capsys, name, argv, tol):
     out = _output(capsys, [*argv, "--format", "csv"])
     _assert_golden(out, (GOLDEN / name).read_text(), tol)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("measure_nonunital_rate_paper.csv",
+     ["--family", "nonunital", "--form", "rate", "--mode", "paper"]),
+    ("measure_nonunital_rate_min.csv",
+     ["--family", "nonunital", "--form", "rate", "--mode", "min"]),
+    ("measure_nonunital_choi_paper.csv",
+     ["--family", "nonunital", "--form", "choi", "--mode", "paper"]),
+    ("measure_nonunital_choi_min.csv",
+     ["--family", "nonunital", "--form", "choi", "--mode", "min"]),
+    ("measure_choi_sweep_paper.csv", ["--form", "choi", "--mode", "paper"]),
+    ("measure_choi_sweep_min.csv", ["--form", "choi", "--mode", "min"]),
+])
+def test_measure_golden_bytes(capsys, name, argv):
+    out = _output(capsys, ["measure", *argv, "--format", "csv"])
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_nonunital_library_curves_golden():
