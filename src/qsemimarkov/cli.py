@@ -427,7 +427,11 @@ def cmd_classical_sim(r: _Resolved) -> ResultTable:
     for site in (0, 1):
         columns[f"occupation{site}"] = sim.occupation[site]
         columns[f"occupation{site}_se"] = sim.occupation_se[site]
-    err = np.abs(sim.survival - exact) / np.maximum(sim.survival_se, 1e-12)
+    # where every path agrees the empirical SE is 0; the binomial SE of the
+    # exact survival keeps the ratio meaningful there
+    gap = np.abs(sim.survival - exact)
+    se = np.maximum(sim.survival_se, np.sqrt(exact * (1.0 - exact) / n_paths))
+    err = np.divide(gap, se, out=np.zeros_like(gap), where=gap > 0.0)
     return ResultTable(
         "classical-sim",
         {"wtd": kind, **rates, "jump-prob": p_jump, "paths": n_paths,

@@ -9,11 +9,14 @@ reported together with its bounded companion zeta = xi / (1 + xi). Two
 reference policies are supported: ``mode="fixed"`` scores against a given
 constant (default 0, the semigroup with no decay), while ``mode="min"``
 minimizes over all constants, which for an L1 cost means the time-median of
-gamma. Two integrand routes are supported and must agree: ``form="rate"``
-integrates |gamma - gamma_ref| directly, while ``form="choi"`` integrates the
-trace norm of the difference of generator Choi matrices and divides by the
-family constant (the trace norm per unit rate), computed at runtime from the
-generator itself.
+gamma. Two routes are supported and must agree. ``form="rate"`` is exact:
+gamma is a log-derivative, so between the kinks where gamma crosses the
+reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
+Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
+integrates the trace norm of the difference of generator Choi matrices by
+adaptive quadrature and divides by the family constant (the trace norm per
+unit rate), computed at runtime from the generator itself. Both routes find
+the kinks on gamma sampled on whole grids, refining every crossing at once.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a bisection search for the
@@ -23,9 +26,8 @@ information curves for a fixed input ensemble.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,11 +36,13 @@ from .errors import (
     GridError,
     NoSignChange,
     NumericalError,
+    Singularity,
 )
 from .numerics import (
+    QuadratureResult,
+    _bracketed_roots,
     _excised_pieces,
     adaptive_quad,
-    find_root,
     trace_norm,
     von_neumann_entropy,
 )
@@ -54,6 +58,7 @@ from .quantum import (
 from .semimarkov import (
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
+    _log_abs_q,
     coherence_zeros,
     gamma_dephasing,
     gamma_nonunital,
@@ -96,9 +101,9 @@ class SSSConfig:
     :param horizon: averaging window T.
     :param mode: ``"fixed"`` scores against ``gamma_ref``; ``"min"``
         minimizes over constant references.
-    :param form: ``"rate"`` integrates the rate deviation directly;
-        ``"choi"`` goes through generator Choi matrices and normalizes by
-        the family constant.
+    :param form: ``"rate"`` sums the rate deviation in closed form from
+        the antiderivative of gamma; ``"choi"`` integrates trace norms of
+        generator Choi differences and normalizes by the family constant.
     :param gamma_ref: the reference rate used by ``mode="fixed"``.
     :param gamma_max: upper clip of the minimizing reference for
         ``mode="min"``, which is the time-median of gamma clipped to
@@ -137,7 +142,10 @@ class MeasureResult:
 
     ``raw_average`` and ``family_constant`` are populated by the Choi route:
     the former is the time-averaged trace-norm integral before dividing by
-    the latter. For the rate route both are None.
+    the latter. ``quadrature`` is the Choi route's ``QuadratureResult``
+    (value, error estimate, evaluation count). The rate route is exact and
+    leaves all three None. ``kinks`` counts the times where gamma crosses
+    the reference, the edges of the pieces on which the integrand is smooth.
     """
 
     xi: float
@@ -147,189 +155,333 @@ class MeasureResult:
     config: SSSConfig
     family_constant: float | None = None
     raw_average: float | None = None
+    quadrature: QuadratureResult | None = None
+    kinks: int = 0
 
 
-def _sample_rate(gamma_fn: Callable[[float], float],
+class _Scan(NamedTuple):
+    """gamma sampled on a scan grid of every retained piece, in time order."""
+
+    ts: np.ndarray
+    gs: np.ndarray
+    piece: np.ndarray  # index of the piece each scan time belongs to
+    first: np.ndarray  # index of each piece's first and last scan time,
+    last: np.ndarray   # which are exactly its lo and hi
+
+
+def _sample_rate(rate: Callable[[np.ndarray], np.ndarray],
                  pieces: Sequence[tuple[float, float]],
-                 horizon: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cache gamma on a scan grid of each retained piece (~257 points total)."""
-    out = []
+                 horizon: float) -> _Scan:
+    """gamma on a scan grid of each retained piece (~257 points total).
+
+    One vectorized rate call per piece.
+
+    :raises Singularity: if gamma is not finite at a scan time.
+    """
+    ts, gs = [], []
     for lo, hi in pieces:
         n = max(33, int(np.ceil(257 * (hi - lo) / horizon)) + 1)
-        ts = np.linspace(lo, hi, n)
-        out.append((ts, np.array([float(gamma_fn(t)) for t in ts])))
-    return out
+        ts.append(np.linspace(lo, hi, n))
+        gs.append(np.asarray(rate(ts[-1]), dtype=float))
+    sizes = np.array([t.size for t in ts])
+    ts, gs = np.concatenate(ts), np.concatenate(gs)
+    if not np.all(np.isfinite(gs)):
+        raise Singularity("rate is not finite at t = "
+                          f"{ts[~np.isfinite(gs)][0]:g}, outside the "
+                          "excised neighborhoods")
+    last = np.cumsum(sizes) - 1
+    return _Scan(ts, gs, np.repeat(np.arange(sizes.size), sizes),
+                 last - sizes + 1, last)
 
 
-def _reference_crossings(gamma_fn: Callable[[float], float],
-                         samples: Sequence[tuple[np.ndarray, np.ndarray]],
-                         ref: float) -> list[float]:
-    """Kink locations of |gamma - ref|: sign changes refined by Brent.
+class _Split(NamedTuple):
+    """Where |gamma - ref| is smooth: the retained pieces cut at the kinks."""
+
+    edges: np.ndarray  # piece ends and kinks, non-decreasing
+    sign: np.ndarray   # sign of gamma - ref on each [edges[i], edges[i+1]]
+    gap: np.ndarray    # True where [edges[i], edges[i+1]] is an excised hole
+    kinks: np.ndarray
+
+    def below(self, strict: bool = True) -> float:
+        """Length of {t: gamma(t) < ref} (``<=`` if not ``strict``)."""
+        inside = (self.sign < 0.0 if strict else self.sign <= 0.0) & ~self.gap
+        return float((self.edges[1:] - self.edges[:-1])[inside].sum())
+
+
+class _Crossings(NamedTuple):
+    """Sign changes of gamma - ref along the scan.
 
     Only genuine sign changes produce kinks (a touch without sign change
     leaves |gamma - ref| smooth), so runs of exact zeros — e.g. gamma
-    identically equal to the reference — contribute at most one point.
+    identically equal to the reference — contribute at most one kink, the
+    middle of the run.
     """
-    roots: list[float] = []
-    for ts, gs in samples:
-        sig = np.sign(gs - ref)
-        nz = np.flatnonzero(sig != 0.0)
-        for a, b in zip(nz[:-1], nz[1:]):
-            if sig[a] == sig[b]:
-                continue
-            if b == a + 1:
-                roots.append(find_root(lambda t: float(gamma_fn(t)) - ref,
-                                       float(ts[a]), float(ts[b])))
-            else:
-                # the crossing sits inside a run of exact zeros
-                roots.append(float(ts[(a + b) // 2]))
-    return sorted(roots)
+
+    d: np.ndarray     # gamma - ref at the scan times
+    nz: np.ndarray    # scan indices where d != 0
+    a: np.ndarray     # d changes sign between scan times a and a + 1
+    runs: np.ndarray  # scan indices of the kinks inside zero runs
 
 
-def _median_reference(gamma_fn: Callable[[float], float],
-                      samples: Sequence[tuple[np.ndarray, np.ndarray]],
+def _crossings(scan: _Scan, ref: float) -> _Crossings:
+    d = scan.gs - ref
+    sig = np.sign(d)
+    nz = np.flatnonzero(sig)
+    a, b = nz[:-1], nz[1:]
+    flip = (sig[a] != sig[b]) & (scan.piece[a] == scan.piece[b])
+    a, b = a[flip], b[flip]
+    adjacent = b == a + 1
+    return _Crossings(d, nz, a[adjacent], (a + b)[~adjacent] // 2)
+
+
+def _cut(scan: _Scan, cr: _Crossings, roots: np.ndarray) -> _Split:
+    """Cut the pieces at ``roots`` (one per bracket ``cr.a``) and the runs.
+
+    The edges are ordered by scan index, not by time: a root may round onto
+    the end of its bracket, and a piece end must stay outside its kinks.
+    Each stretch between kinks takes the sign of the scan inside it (0 if
+    gamma equals ref at every scan time there).
+    """
+    keys = np.concatenate([scan.first - 0.25, scan.last + 0.25, cr.a + 0.5,
+                           cr.runs])
+    edges = np.concatenate([scan.ts[scan.first], scan.ts[scan.last], roots,
+                            scan.ts[cr.runs]])
+    order = np.argsort(keys)
+    keys, edges = keys[order], edges[order]
+    sign = np.zeros(edges.size - 1)
+    sign[np.searchsorted(keys, cr.nz) - 1] = np.sign(cr.d[cr.nz])
+    gap = keys[:-1] % 1.0 == 0.25  # the stretch after a piece's hi
+    return _Split(edges, sign, gap, edges[order >= 2 * scan.first.size])
+
+
+def _split(rate: Callable[[np.ndarray], np.ndarray], scan: _Scan,
+           ref: float) -> _Split:
+    """Kinks of |gamma - ref|: the scan's sign changes, refined together."""
+    cr = _crossings(scan, ref)
+    a, ts = cr.a, scan.ts
+    roots = (_bracketed_roots(lambda t: rate(t) - ref, ts[a], ts[a + 1],
+                              cr.d[a], cr.d[a + 1]) if a.size
+             else np.empty(0))
+    return _cut(scan, cr, roots)
+
+
+def _newton_median(rate: Callable[[np.ndarray], np.ndarray], scan: _Scan,
+                   length: float, max_iter: int = 50) -> float | None:
+    """Median rate by Newton steps on r that move every kink at once.
+
+    Each kink carries a secant model of gamma through its last point
+    (t_k, g_k), so at level r it sits at t_k + (r - g_k) / m_k, and
+    below(r) is linear in r with slope sum 1/|m_k|. A Newton step on r
+    moves every kink, and one rate call at the moved kinks updates their
+    models. The models start from the scan's chords, and start again
+    whenever the crossings change. The iteration starts from the median of
+    the sampled values. It stops when gamma at every kink's last point
+    equals r to within the rounding of r and of that point, and either the
+    step on r or below(r) - L/2 is at the rounding level (a flat gamma
+    leaves the kinks ill-conditioned, but not r).
+
+    :return: the median, or None where the iteration does not apply (no
+        crossing to move) or does not settle.
+    """
+    ts, gs = scan.ts, scan.gs
+    r = float(np.median(gs))
+    a = None
+    tol = 8.0 * np.finfo(float).eps
+    for _ in range(max_iter):
+        cr = _crossings(scan, r)
+        if cr.runs.size:  # r is a sampled value: step off it
+            r = np.nextafter(r, np.inf)
+            continue
+        if not cr.a.size:
+            return None
+        if a is None or not np.array_equal(cr.a, a):
+            a = cr.a
+            lo, hi = ts[a], ts[a + 1]
+            t, g = lo, gs[a]
+            m = (gs[a + 1] - g) / (hi - lo)
+        kinks = np.clip(t + (r - g) / m, lo, hi)
+        sp = _cut(scan, cr, kinks)
+        excess = sp.below() - 0.5 * length
+        step = excess / np.sum(1.0 / np.abs(m))
+        if (np.all(np.abs(g - r) <= tol * (abs(r) + np.abs(m * t)))
+                and min(abs(step) / abs(r), abs(excess) / length) <= tol):
+            return float(r)
+        r -= step
+        moved = np.clip(t + (r - g) / m, lo, hi)
+        g_moved = np.asarray(rate(moved), dtype=float)
+        dt = moved - t
+        secant = (g_moved - g) / np.where(dt == 0.0, 1.0, dt)
+        keep = (np.abs(dt) < 1e-7 * (hi - lo)) | ~(secant * m > 0.0)
+        m = np.where(keep, m, secant)
+        t, g = moved, g_moved
+    return None
+
+
+def _median_reference(rate: Callable[[np.ndarray], np.ndarray],
+                      split_at: Callable[[float], _Split], scan: _Scan,
                       gamma_max: float | None) -> float:
     """Time-median of gamma over the retained pieces, clipped to [0, gamma_max].
 
     The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
     where L is the retained length and below(r) the length of
     {t: gamma(t) < r}, so the clipped median is its exact minimizer.
-    below(r) is measured from the crossings of gamma with r, classifying each
-    sub-interval by gamma at its midpoint. Without ``gamma_max`` the upper
-    end of the root bracket starts at the largest sampled gamma and widens.
+    below(r) is summed over the stretches between the crossings of gamma
+    with r, each classified by its sign. Inside the clip the median comes
+    from :func:`_newton_median`. Where that gives None it is the root of
+    below(r) - L/2 on [0, hi], found by :func:`_bracketed_roots` on one
+    bracket; hi starts at the largest sampled gamma (or ``gamma_max``) and
+    widens. That solve refines every kink at every probe of r; on a
+    min-mode sweep it takes about four times as long as the Newton steps.
     """
-    length = sum(float(ts[-1] - ts[0]) for ts, _ in samples)
-
-    def sublevel(r: float, cmp: Callable) -> float:
-        total = 0.0
-        for piece in samples:
-            ts = piece[0]
-            edges = [float(ts[0]), *_reference_crossings(gamma_fn, [piece], r),
-                     float(ts[-1])]
-            for a, b in zip(edges[:-1], edges[1:]):
-                if b > a and cmp(float(gamma_fn(0.5 * (a + b))), r):
-                    total += b - a
-        return total
+    length = float(np.sum(scan.ts[scan.last] - scan.ts[scan.first]))
 
     def excess(r: float) -> float:
-        return sublevel(r, operator.lt) - 0.5 * length
+        return split_at(float(r)).below() - 0.5 * length
 
-    if sublevel(0.0, operator.le) >= 0.5 * length:
+    if split_at(0.0).below(strict=False) >= 0.5 * length:
         return 0.0  # the slope is non-negative at r = 0 (covers gamma == 0)
+    if gamma_max is not None and excess(gamma_max) <= 0.0:
+        return float(gamma_max)
+    median = _newton_median(rate, scan, length)
+    if median is not None:
+        return median
     if gamma_max is not None:
         hi = float(gamma_max)
-        if excess(hi) <= 0.0:
-            return hi
     else:
-        hi = max(float(np.concatenate([g for _, g in samples]).max()), 0.0)
+        hi = max(float(scan.gs.max()), 0.0)
         step = max(hi, 1.0)
         while np.isfinite(hi) and excess(hi) <= 0.0:
             hi += step
             step *= 2.0
         if not np.isfinite(hi):
             raise NumericalError("no finite upper bracket for the median rate")
-    return find_root(excess, 0.0, hi)
+    root = _bracketed_roots(lambda r: np.array([excess(r[0])]), [0.0], [hi],
+                            [excess(0.0)], [excess(hi)])
+    return float(root[0])
 
 
-def _solve_measure(gamma_fn: Callable[[float], float], config: SSSConfig,
-                   singular_points: Sequence[float],
-                   deviation_of: Callable[[float], Callable[[float], float]],
-                   normalizer: float) -> tuple[float, float, float,
-                                               tuple[tuple[float, float], ...]]:
-    """Shared engine: average deviation_of(ref) over the excised horizon.
+def _reference_split(rate: Callable[[np.ndarray], np.ndarray],
+                     config: SSSConfig, singular_points: Sequence[float]
+                     ) -> tuple[float, _Split, tuple[tuple[float, float], ...]]:
+    """Shared engine: the reference rate and the split of the excised horizon.
 
-    ``deviation_of(ref)`` returns the integrand t -> distance between the
-    instantaneous generator and the constant-ref generator; its kinks at
-    gamma(t) = ref are located on the sampled rate and passed to the
-    quadrature as forced breakpoints. ``mode="min"`` takes ref as the
-    clipped time-median of gamma, so either mode makes one quadrature.
+    ``mode="min"`` takes the reference as the clipped time-median of gamma.
+    Splits are cached by reference, so the median's last probe is reused.
     """
     T = config.horizon
-    sing = sorted(float(x) for x in singular_points)
+    sing = [float(x) for x in singular_points]
     pieces, holes = _excised_pieces(0.0, T, sing, config.excision)
     if not pieces:
         raise GridError("singular-point excision removed the entire horizon")
-    samples = _sample_rate(gamma_fn, pieces, T)
+    scan = _sample_rate(rate, pieces, T)
+    cache: dict[float, _Split] = {}
+
+    def split_at(r: float) -> _Split:
+        if r not in cache:
+            cache[r] = _split(rate, scan, r)
+        return cache[r]
+
     ref = (config.gamma_ref if config.mode == "fixed"
-           else _median_reference(gamma_fn, samples, config.gamma_max))
-    res = adaptive_quad(deviation_of(ref), 0.0, T,
-                        singular_points=sing, excision=config.excision,
-                        breakpoints=_reference_crossings(gamma_fn, samples, ref))
-    raw = res.value / T
-    xi = raw / normalizer
-    return xi, raw, ref, tuple(holes)
+           else _median_reference(rate, split_at, scan, config.gamma_max))
+    return ref, split_at(ref), tuple(holes)
 
 
-def sss_rate_form(gamma_fn: Callable[[float], float], config: SSSConfig, *,
+def sss_rate_form(rate: Callable[[np.ndarray], np.ndarray],
+                  antiderivative: Callable[[np.ndarray], np.ndarray],
+                  config: SSSConfig, *,
                   singular_points: Sequence[float] = ()) -> MeasureResult:
-    """Deviation measure from the rate function directly.
+    """Deviation measure from the rate function, exact on every piece.
 
-    :param gamma_fn: scalar canonical rate gamma(t); may raise
-        ``Singularity`` inside the excised neighborhoods of
-        ``singular_points`` but must be finite elsewhere on [0, horizon].
+    Between consecutive kinks gamma - ref keeps its sign, so the integral
+    of |gamma - ref| over each such stretch [a, b] is
+    |Gamma(b) - Gamma(a) - ref (b - a)|, with Gamma the antiderivative of
+    gamma. No quadrature is made.
+
+    :param rate: canonical rate gamma(t), vectorized over an array of t;
+        finite on [0, horizon] outside the excised neighborhoods of
+        ``singular_points``.
+    :param antiderivative: Gamma(t) with Gamma' = gamma, vectorized; e.g.
+        -(1/2) ln|q(t)| for dephasing, ln cosh(lambda t) for the non-unital
+        family.
     """
-    def deviation_of(ref: float) -> Callable[[float], float]:
-        return lambda t: abs(float(gamma_fn(t)) - ref)
-
-    xi, _, ref, holes = _solve_measure(gamma_fn, config, singular_points,
-                                       deviation_of, 1.0)
+    ref, sp, holes = _reference_split(rate, config, singular_points)
+    jump = np.diff(np.asarray(antiderivative(sp.edges), dtype=float))
+    xi = float(np.abs(jump - ref * np.diff(sp.edges))[~sp.gap].sum()
+               / config.horizon)
     return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
-                         excised=holes, config=config)
+                         excised=holes, config=config, kinks=sp.kinks.size)
 
 
-def sss_choi_form(gamma_fn: Callable[[float], float],
+def sss_choi_form(rate: Callable[[np.ndarray], np.ndarray],
                   generator_factory: Callable[[float], object],
                   config: SSSConfig, *,
                   singular_points: Sequence[float] = ()) -> MeasureResult:
     """Deviation measure via trace norms of generator Choi differences.
 
-    ``generator_factory(rate)`` must build the family's generator snapshot
-    (an object accepted by ``choi_of_generator``). The family constant --
-    trace norm of the Choi difference per unit rate -- is measured from the
-    factory at rates 1 and 0 and used to normalize, making the result
-    directly comparable to :func:`sss_rate_form`.
+    ``rate`` is gamma(t), vectorized over an array of t and also called
+    with one float t by the quadrature. ``generator_factory(rate)`` must
+    build the family's generator snapshot (an object accepted by
+    ``choi_of_generator``). The family constant -- trace norm of the Choi
+    difference per unit rate -- is measured from the factory at rates 1
+    and 0 and used to normalize, making the result directly comparable to
+    :func:`sss_rate_form`. The trace norm is integrated by adaptive
+    quadrature with the kinks as breakpoints, an independent check of the
+    rate route's closed form.
     """
     constant = trace_norm(choi_of_generator(generator_factory(1.0))
                           - choi_of_generator(generator_factory(0.0)))
     if constant <= 0.0:
         raise DomainError("generator family has zero Choi response per unit rate")
+    ref, sp, holes = _reference_split(rate, config, singular_points)
+    chi_ref = choi_of_generator(generator_factory(ref))
 
-    def deviation_of(ref: float) -> Callable[[float], float]:
-        chi_ref = choi_of_generator(generator_factory(ref))
+    def integrand(t: float) -> float:
+        chi = choi_of_generator(generator_factory(float(rate(t))))
+        return trace_norm(chi - chi_ref)
 
-        def integrand(t: float) -> float:
-            chi = choi_of_generator(generator_factory(float(gamma_fn(t))))
-            return trace_norm(chi - chi_ref)
-
-        return integrand
-
-    xi, raw, ref, holes = _solve_measure(gamma_fn, config, singular_points,
-                                         deviation_of, constant)
+    quad = adaptive_quad(integrand, 0.0, config.horizon,
+                         singular_points=singular_points,
+                         excision=config.excision, breakpoints=sp.kinks)
+    raw = quad.value / config.horizon
+    xi = raw / constant
     return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
                          excised=holes, config=config,
-                         family_constant=constant, raw_average=raw)
+                         family_constant=constant, raw_average=raw,
+                         quadrature=quad, kinks=sp.kinks.size)
+
+
+def _log_cosh(x: np.ndarray) -> np.ndarray:
+    """ln cosh x without overflow, and to full relative precision near 0."""
+    x = np.abs(np.asarray(x, dtype=float))
+    small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(x, 1.0)) ** 2)
+    return np.where(x < 1.0, small, x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     """Deviation measure of a process family, dispatching on the config form.
 
     For the dephasing family the rate poles (zeros of the coherence factor)
-    inside the horizon are excised automatically.
+    inside the horizon are excised automatically. The rate route integrates
+    with the family's Gamma: -(1/2) ln|q(t)| for dephasing, ln cosh(lambda t)
+    for the non-unital family.
     """
     config = config or SSSConfig()
     if isinstance(proc, DephasingSemiMarkov):
-        gamma_fn = lambda t: gamma_dephasing(proc, t)
+        rate = lambda t: gamma_dephasing(proc, t)
+        antiderivative = lambda t: -0.5 * _log_abs_q(proc, t)
         singular = coherence_zeros(proc, config.horizon)
         factory = lambda rate: DephasingGenerator(rate=rate, dim=2)
     elif isinstance(proc, NonUnitalSemiMarkov):
-        gamma_fn = lambda t: float(gamma_nonunital(proc, t))
+        rate = lambda t: gamma_nonunital(proc, t)
+        antiderivative = lambda t: _log_cosh(proc.rate * np.asarray(t))
         singular = ()
         factory = lambda rate: ProjectorGenerator(rate=rate, dim=2)
     else:
         raise DomainError(f"unknown process type {type(proc)!r}")
     if config.form == "rate":
-        return sss_rate_form(gamma_fn, config, singular_points=singular)
-    return sss_choi_form(gamma_fn, factory, config, singular_points=singular)
+        return sss_rate_form(rate, antiderivative, config,
+                             singular_points=singular)
+    return sss_choi_form(rate, factory, config, singular_points=singular)
 
 
 @dataclass(frozen=True)

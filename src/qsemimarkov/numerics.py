@@ -3,9 +3,11 @@
 Everything here operates on plain numpy arrays and Python callables. Matrix
 routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature wraps QUADPACK (via scipy) and adds excision of flagged singular
-points; root finding wraps Brent's method (via scipy); the Volterra solver
-is implemented directly because no library routine matches its required
-form.
+points; scalar root finding wraps Brent's method (via scipy), and many
+bracketed roots of one vectorized function are refined together by
+Chandrupatla's method; the Volterra solver is implemented directly because
+no library routine matches its required form. scipy is imported on the
+first quadrature or scalar root, so commands that use neither never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     DomainError,
@@ -188,6 +189,8 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
         raise DomainError(f"bad integration range [{a}, {b}]")
     if b == a:
         return QuadratureResult(0.0, 0.0, 0)
+    from scipy import integrate
+
     pieces, _ = _excised_pieces(a, b, singular_points, excision)
     total = 0.0
     err = 0.0
@@ -261,6 +264,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, *,
 
     :raises NoSignChange: if f(lo) and f(hi) have the same (nonzero) sign.
     """
+    from scipy import optimize
+
     flo, fhi = float(f(lo)), float(f(hi))
     if flo == 0.0:
         return float(lo)
@@ -272,3 +277,54 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, *,
             "have the same sign"
         )
     return float(optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
+
+
+def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+                     b: np.ndarray, fa: np.ndarray, fb: np.ndarray, *,
+                     max_iter: int = 100) -> np.ndarray:
+    """Roots of a vectorized f, one in each bracket [a_i, b_i], all at once.
+
+    Chandrupatla's method: inverse quadratic interpolation where the last
+    three points allow it, bisection otherwise, and every step at least a
+    few ulps from the bracket ends. Each iteration makes one call of f on
+    the unconverged points; a point stops when its bracket is within 4 ulps
+    or f is exactly 0 there. The first step is the secant point.
+
+    :param fa, fb: f at a and b, of opposite signs.
+    :raises NumericalError: if f is not finite inside a bracket.
+    :raises NoConvergence: if a bracket is not resolved in ``max_iter`` steps.
+    """
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x3, f3 = x2.copy(), f2.copy()
+    root = np.empty_like(x1)
+    t = f1 / (f1 - f2)
+    live = np.arange(x1.size)
+    for _ in range(max_iter):
+        if not live.size:
+            return root
+        xt = x1 + t * (x2 - x1)
+        ft = np.asarray(f(xt), dtype=float)
+        if not np.all(np.isfinite(ft)):
+            raise NumericalError("root function is not finite in a bracket")
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        width = np.abs(x2 - x1)
+        done = (width < 4.0 * np.finfo(float).eps * np.abs(xm)) | (fm == 0.0)
+        root[live[done]] = xm[done]
+        keep = ~done
+        live = live[keep]
+        x1, x2, x3, f1, f2, f3 = (v[keep] for v in (x1, x2, x3, f1, f2, f3))
+        tl = 2.0 * np.finfo(float).eps * np.abs(xm[keep]) / width[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (phi**2 < xi) & ((1.0 - phi)**2 < 1.0 - xi)
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        t = np.clip(np.where(iqi, t, 0.5), tl, 1.0 - tl)
+    raise NoConvergence(f"{live.size} brackets unresolved after "
+                        f"{max_iter} steps")

@@ -296,6 +296,24 @@ def q_derivative(proc: DephasingSemiMarkov, t):
     return -(4.0 * p / (s * w)) * np.exp(-s * t / 2) * np.sin(x)
 
 
+def _log_abs_q(proc: DephasingSemiMarkov, t):
+    """ln|q(t)|, vectorized, to full relative precision also where q ~ 1.
+
+    On the real branch, where q > 1/2 it is log1p(q - 1), with q - 1 and
+    1 - eta = c = (8p/s^2)/(1 + eta) formed without cancellation:
+    q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
+    """
+    t = np.asarray(t, dtype=float)
+    log_q = np.log(np.abs(q_of_t(proc, t)))
+    tag, w = _branch(proc.s, proc.p)
+    if tag != "real":
+        return log_q
+    c = 8.0 * proc.p / proc.s**2 / (1.0 + w)
+    q_minus_1 = ((2.0 - c) * np.expm1(-proc.s * c * t / 2)
+                 - c * np.expm1(-proc.s * (2.0 - c) * t / 2)) / (2.0 * w)
+    return np.where(q_minus_1 > -0.5, np.log1p(q_minus_1), log_q)
+
+
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """Time-local dephasing rate gamma(t) = -(1/2) d ln q / dt.
 

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -425,6 +429,37 @@ def test_classical_sim_output_and_determinism(capsys):
     assert doc["metadata"]["max_survival_error_se"] < 4.0
     occ = np.array(doc["columns"]["occupation0"])
     assert occ[0] == 1.0
+
+
+def test_classical_sim_error_in_se_where_every_path_agrees(capsys):
+    # 2000 paths to t = 200: past t = 10 no path survives, so the empirical
+    # SE is 0 in most rows; the ratio uses the binomial SE of the exact value
+    doc = _json_out(capsys, ["classical-sim", "--wtd", "tanhsech", "--paths",
+                             "2000", "--t-max", "200", "--grid", "401",
+                             "--seed", "11", "--format", "json"])
+    assert np.array(doc["columns"]["survival_se"])[-1] == 0.0
+    err = doc["metadata"]["max_survival_error_se"]
+    assert np.isfinite(err) and err < 5.0
+
+
+def test_commands_without_quadrature_do_not_import_scipy():
+    # the rate route of measure is exact: no quadrature, and no Brent
+    script = (
+        "import contextlib, io, sys\n"
+        "from qsemimarkov.cli import run\n"
+        "for argv in (['rate'], ['holevo'], ['blp'], ['divisibility'],\n"
+        "             ['divisibility', '--boundary-search'],\n"
+        "             ['classical-sim', '--seed', '1'], ['kernel-check'],\n"
+        "             ['measure'], ['measure', '--mode', 'min']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_kernel_check_convergence(capsys):

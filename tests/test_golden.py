@@ -15,7 +15,16 @@ only rounding, so the searches stay byte-identical and the curves are
 compared within stated tolerances, column by column.
 
 The measure goldens (non-unital rate and Choi routes, the dephasing Choi
-sweep, each in both reference modes) pin the measure command byte for byte.
+sweep, each in both reference modes) pin the measure command byte for byte,
+except the min-mode Choi sweep. Its reference rates were found by a Brent
+search to 1e-12; the package now solves for the time-median to rounding, so
+there its xi, zeta, gamma_ref and xi_raw columns are compared within 1e-10
+relative (one cell differs, gamma_ref at p = 0.22, by 1.1e-12 relative).
+
+The ``# meta.max_survival_error_se`` line of the tanh-sech and max-seed
+classical-sim files was re-captured when its denominator became the larger
+of the empirical SE and the binomial SE of the exact survival (it had been
+the empirical SE floored at 1e-12). Their data rows were not re-captured.
 
 Provenance lines were re-captured where the CLI began to list every default
 it reads in ``meta.defaults_applied`` (spelled as the flag: ``lambda``, not
@@ -69,9 +78,11 @@ def test_kernel_check_golden_within_rounding(capsys):
                                   abs=1e-9)
 
 
-def _assert_golden(text, gold, tol=None):
+def _assert_golden(text, gold, tol=None, relative=False):
     """Byte-identical, except that each column named in ``tol`` may differ
     from the golden by at most its tolerance, with NaNs in the same cells.
+    With ``relative`` the tolerances are relative to the golden's nonzero
+    cells (absolute where the golden cell is 0).
     """
     if not tol:
         assert text == gold
@@ -94,7 +105,10 @@ def _assert_golden(text, gold, tol=None):
             continue
         a, b = np.array(got, dtype=float), np.array(want, dtype=float)
         assert np.array_equal(np.isnan(a), np.isnan(b)), name
-        err = np.abs(a - b)[~np.isnan(a)]
+        err = np.abs(a - b)
+        if relative:
+            err = err / np.where(b == 0.0, 1.0, np.abs(b))
+        err = err[~np.isnan(a)]
         assert err.max(initial=0.0) <= tol[name], (name, err.max())
 
 
@@ -134,6 +148,11 @@ def test_map_stack_golden(capsys, name, argv, tol):
     _assert_golden(out, (GOLDEN / name).read_text(), tol)
 
 
+# the reference rates of this golden came from a search stopped at 1e-12
+_MEASURE_REL_TOL = {"measure_choi_sweep_min.csv": dict.fromkeys(
+    ("xi", "zeta", "gamma_ref", "xi_raw"), 1e-10)}
+
+
 @pytest.mark.parametrize("name, argv", [
     ("measure_nonunital_rate_paper.csv",
      ["--family", "nonunital", "--form", "rate", "--mode", "paper"]),
@@ -148,7 +167,8 @@ def test_map_stack_golden(capsys, name, argv, tol):
 ])
 def test_measure_golden_bytes(capsys, name, argv):
     out = _output(capsys, ["measure", *argv, "--format", "csv"])
-    assert out == (GOLDEN / name).read_text()
+    _assert_golden(out, (GOLDEN / name).read_text(),
+                   _MEASURE_REL_TOL.get(name), relative=True)
 
 
 def test_nonunital_library_curves_golden():

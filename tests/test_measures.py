@@ -1,5 +1,7 @@
 """Deviation-from-semigroup measure, revival measure, divisibility, Holevo."""
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,23 @@ from qsemimarkov import (
     PLUS_STATE,
     MINUS_STATE,
     SSSConfig,
+    adaptive_quad,
     binary_entropy,
     blp_measure,
     coherence_zeros,
     cp_divisibility_scan,
     divisibility_boundary,
+    find_root,
     gamma_dephasing,
+    gamma_nonunital,
     holevo_curve,
     q_of_t,
     sss_measure,
     sss_rate_form,
 )
+
+from qsemimarkov import measures
+from qsemimarkov.numerics import _excised_pieces
 
 from golden_section import minimize_scalar
 
@@ -68,6 +76,7 @@ def test_fixed_reference_with_pole_excision():
     t_star = float(coherence_zeros(proc, 1.0)[0])
     assert len(result.excised) == 1
     lo, hi = result.excised[0]
+    assert type(lo) is float and type(hi) is float  # CSV metadata repr
     assert lo == pytest.approx(t_star - 1e-6, abs=1e-12)
     assert hi == pytest.approx(t_star + 1e-6, abs=1e-12)
 
@@ -87,15 +96,16 @@ def test_excision_swallowing_horizon_raises():
 # ------------------------------------------------------- rate form, min ref
 
 def test_minimizing_reference_of_constant_rate_is_that_rate():
-    result = sss_rate_form(lambda t: 1.3, SSSConfig(horizon=2.0, mode="min"))
+    result = sss_rate_form(lambda t: np.full_like(t, 1.3), lambda t: 1.3 * t,
+                           SSSConfig(horizon=2.0, mode="min"))
     assert result.gamma_ref == pytest.approx(1.3, abs=1e-11)
     assert result.xi < 1e-11
 
 
 def test_minimizing_reference_of_negative_rate_is_zero():
     # the median -2.3 lies below the allowed range, so the clip at 0 wins
-    result = sss_rate_form(lambda t: -1.3 - t, SSSConfig(horizon=2.0,
-                                                        mode="min"))
+    result = sss_rate_form(lambda t: -1.3 - t, lambda t: -1.3 * t - t**2 / 2,
+                           SSSConfig(horizon=2.0, mode="min"))
     assert result.gamma_ref == 0.0
     assert result.xi == pytest.approx(2.3, rel=1e-12)
 
@@ -154,6 +164,154 @@ def test_median_reference_against_golden_section_oracle(proc,
         assert median.gamma_ref == pytest.approx(oracle_ref, abs=1e-6)
     for shift in (-1e-4, 1e-4):
         assert xi_at(median.gamma_ref + shift) >= median.xi
+
+
+# --------------------------------------- exact oracles for the paper's claim
+
+def _q_40_digits(s, p, t):
+    """q(t) on the non-oscillating branch in 40-digit decimal arithmetic.
+
+    Float q loses ~1e-16 absolute where q is near 1, too much for a 1e-12
+    relative oracle of a small xi. At p = s^2/8 the float inputs may leave
+    1 - 8p/s^2 at -1e-17; its magnitude is used, which moves q by ~1e-16
+    relative.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        s, p, t = (decimal.Decimal(x) for x in (s, p, t))
+        eta = abs(1 - 8 * p / s**2).sqrt()
+        x = eta * s * t / 2
+        if x == 0:
+            return (-s * t / 2).exp() * (1 + s * t / 2)
+        cosh, sinh = (x.exp() + (-x).exp()) / 2, (x.exp() - (-x).exp()) / 2
+        return (-s * t / 2).exp() * (cosh + sinh / eta)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.1])
+@pytest.mark.parametrize("fraction", [1e-8, 0.01, 0.25, 0.5, 0.999, 1.0])
+def test_cp_divisible_dephasing_has_memory_in_closed_form(fraction, s, T):
+    # for 0 < p <= s^2/8 gamma rises from 0 without a pole, so its median is
+    # gamma(T/2) and xi_min = [Gamma(T) - 2 Gamma(T/2)] / T with
+    # Gamma = -ln(q)/2: memory (xi_min > 0) although the map is CP-divisible
+    proc = DephasingSemiMarkov(s=s, p=fraction * s**2 / 8)
+    q_half, q_end = (_q_40_digits(s, proc.p, t) for t in (T / 2, T))
+    xi_min = float((q_half / q_end.sqrt()).ln() / decimal.Decimal(T))
+    assert xi_min > 0.0
+    lowest = sss_measure(proc, SSSConfig(horizon=T, mode="min"))
+    assert lowest.xi == pytest.approx(xi_min, rel=1e-12, abs=0.0)
+    fixed = sss_measure(proc, SSSConfig(horizon=T))
+    assert fixed.xi == pytest.approx(float(-q_end.ln() / decimal.Decimal(2 * T)),
+                                     rel=1e-12, abs=0.0)
+    assert cp_divisibility_scan(proc, np.linspace(0.0, T, 400)).cp_divisible
+    assert blp_measure(proc, T).measure == 0.0
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("mode", ["fixed", "min"])
+def test_semigroup_has_no_memory(mode, T):
+    result = sss_measure(DephasingSemiMarkov(s=1.0, p=0.0),
+                         SSSConfig(horizon=T, mode=mode))
+    assert result.xi == 0.0 and result.gamma_ref == 0.0
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_nonunital_min_mode_closed_form(lam, T):
+    xi_min = (np.log(np.cosh(lam * T)) - 2 * np.log(np.cosh(lam * T / 2))) / T
+    result = sss_measure(NonUnitalSemiMarkov(rate=lam),
+                         SSSConfig(horizon=T, mode="min"))
+    assert result.xi == pytest.approx(xi_min, abs=1e-13)
+    assert result.gamma_ref == pytest.approx(lam * np.tanh(lam * T / 2),
+                                             abs=1e-13)
+
+
+# ---------------------------------------------- oracles for the batched paths
+
+_ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]
+
+
+def _scan(proc, T):
+    rate = (lambda t: gamma_dephasing(proc, t)) if isinstance(
+        proc, DephasingSemiMarkov) else (lambda t: gamma_nonunital(proc, t))
+    poles = (coherence_zeros(proc, T) if isinstance(proc, DephasingSemiMarkov)
+             else ())
+    pieces, _ = _excised_pieces(0.0, T, poles, 1e-6)
+    return rate, poles, measures._sample_rate(rate, pieces, T)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("proc", [
+    *(DephasingSemiMarkov(s=1.0, p=p) for p in [0.0, *_ORACLE_P]),
+    NonUnitalSemiMarkov(rate=1.0)])
+def test_vectorized_scan_equals_scalar_loop(proc, T):
+    rate, _, scan = _scan(proc, T)
+    scalar = [float(rate(t)) for t in scan.ts.tolist()]
+    assert np.array_equal(scan.gs, scalar)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("p", _ORACLE_P)
+def test_batched_kinks_match_brent_per_bracket(p, T):
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    rate, _, scan = _scan(proc, T)
+    median = sss_measure(proc, SSSConfig(horizon=T, mode="min")).gamma_ref
+    for ref in (0.0, median, 0.5 * median, 1.7):
+        cr = measures._crossings(scan, ref)
+        assert cr.runs.size == 0
+        brent = [find_root(lambda t: gamma_dephasing(proc, t) - ref,
+                           float(scan.ts[a]), float(scan.ts[a + 1]))
+                 for a in cr.a]
+        kinks = measures._split(rate, scan, ref).kinks
+        assert kinks.size == len(brent)
+        assert np.abs(kinks - np.sort(brent)).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("newton", [True, False])
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("p", _ORACLE_P)
+def test_median_solves_match_brent_on_the_same_splits(p, T, newton,
+                                                      monkeypatch):
+    # the Newton steps, and the bracketed solve they fall back to
+    if not newton:
+        monkeypatch.setattr(measures, "_newton_median", lambda *a: None)
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    rate, _, scan = _scan(proc, T)
+    length = float(np.sum(scan.ts[scan.last] - scan.ts[scan.first]))
+    median = measures._median_reference(
+        rate, lambda r: measures._split(rate, scan, r), scan, None)
+    brent = find_root(lambda r: measures._split(rate, scan, r).below()
+                      - 0.5 * length, 0.0, 2.0 * float(scan.gs.max()))
+    assert median == pytest.approx(brent, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "min"])
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("p", _ORACLE_P)
+def test_closed_form_matches_quadrature_of_the_rate(p, T, mode):
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    result = sss_measure(proc, SSSConfig(horizon=T, mode=mode))
+    rate, poles, scan = _scan(proc, T)
+    ref = result.gamma_ref
+    kinks = measures._split(rate, scan, ref).kinks
+    assert result.kinks == kinks.size
+    quad = adaptive_quad(lambda t: abs(gamma_dephasing(proc, t) - ref),
+                         0.0, T, singular_points=poles, excision=1e-6,
+                         breakpoints=kinks, abs_tol=0.0, rel_tol=1e-12)
+    assert result.xi == pytest.approx(quad.value / T, rel=1e-10, abs=0.0)
+
+
+def test_measure_result_provenance():
+    proc = DephasingSemiMarkov(s=1.0, p=3.0)
+    rate = sss_measure(proc, SSSConfig(mode="min"))
+    assert rate.quadrature is None and rate.kinks == 1
+    choi = sss_measure(proc, SSSConfig(mode="min", form="choi"))
+    assert choi.kinks == rate.kinks
+    assert choi.quadrature.evaluations > 0
+    assert 0.0 < choi.quadrature.error_estimate < 1e-6
+    assert choi.raw_average == choi.quadrature.value / choi.config.horizon
+    fixed = sss_measure(DephasingSemiMarkov(s=1.0, p=0.1), SSSConfig())
+    assert fixed.kinks == 0
 
 
 # ------------------------------------------------------------- choi form

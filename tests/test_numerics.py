@@ -18,6 +18,7 @@ from qsemimarkov import (
     trace_norm,
     von_neumann_entropy,
 )
+from qsemimarkov.numerics import _bracketed_roots
 
 from golden_section import minimize_scalar
 
@@ -292,3 +293,19 @@ def test_find_root():
     assert find_root(lambda x: x, 0.0, 1.0) == 0.0  # endpoint shortcut
     with pytest.raises(NoSignChange):
         find_root(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+
+def test_bracketed_roots_all_at_once():
+    a, b = np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0])
+    roots = _bracketed_roots(np.cos, a, b, np.cos(a), np.cos(b))
+    assert np.abs(roots - np.array([0.5, 1.5, 2.5]) * np.pi).max() <= 4e-15
+    # an exact zero ends the iteration at that point
+    half = _bracketed_roots(lambda x: x - 0.5, np.array([0.0]),
+                            np.array([1.0]), np.array([-0.5]),
+                            np.array([0.5]))
+    assert half[0] == 0.5
+    assert _bracketed_roots(np.cos, np.empty(0), np.empty(0), np.empty(0),
+                            np.empty(0)).size == 0
+    with pytest.raises(NumericalError):
+        _bracketed_roots(lambda x: np.full_like(x, np.nan), np.array([0.0]),
+                         np.array([1.0]), np.array([-1.0]), np.array([1.0]))
