@@ -10,13 +10,14 @@ their departure from semigroup dynamics:
   classical Monte Carlo renewal simulator.
 - ``quantum``: states, superoperator-to-Choi and Choi-to-Kraus conversions,
   CPTP checks, intermediate maps, and generator snapshots.
-- ``measures``: the deviation-from-semigroup measure xi (rate and Choi
-  routes, fixed and minimized references), zeta = xi/(1+xi), trace-distance
-  revivals, CP-divisibility scans with a boundary bisection, and Holevo
-  information curves.
+- ``measures``: the deviation-from-semigroup measure xi from one function,
+  ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
+  minimized references), zeta = xi/(1+xi), trace-distance revivals,
+  CP-divisibility scans with a boundary bisection, and Holevo information
+  curves.
 - ``numerics``: Hermitian eigensolves, trace norms, entropies, adaptive
   quadrature with singularity excision, a Volterra integro-differential
-  solver, and bracketed root finding.
+  solver, and vectorized bracketed root finding.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.
 
@@ -46,7 +47,6 @@ from .numerics import (
     VolterraSolution,
     adaptive_quad,
     binary_entropy,
-    find_root,
     hermitian_eig,
     solve_volterra,
     trace_norm,
@@ -101,9 +101,7 @@ from .measures import (
     cp_divisibility_scan,
     divisibility_boundary,
     holevo_curve,
-    sss_choi_form,
     sss_measure,
-    sss_rate_form,
 )
 from .emitters import JSON_SCHEMA, ResultTable, to_csv, to_json, to_svg
 
@@ -119,7 +117,7 @@ __all__ = [
     # numerics
     "Spectrum", "QuadratureResult", "VolterraSolution", "hermitian_eig",
     "trace_norm", "von_neumann_entropy", "binary_entropy", "adaptive_quad",
-    "solve_volterra", "find_root",
+    "solve_volterra",
     # quantum
     "weyl_z", "check_density_matrix", "apply_superop", "choi_of_superop",
     "kraus_from_choi", "CPTPReport", "is_cptp", "intermediate_map",
@@ -134,9 +132,9 @@ __all__ = [
     "classical_jump_simulate",
     # measures
     "PLUS_STATE", "MINUS_STATE", "SSSConfig", "MeasureResult",
-    "sss_rate_form", "sss_choi_form", "sss_measure", "BLPResult",
-    "blp_measure", "DivisibilityReport", "cp_divisibility_scan",
-    "BoundaryEstimate", "divisibility_boundary", "holevo_curve",
+    "sss_measure", "BLPResult", "blp_measure", "DivisibilityReport",
+    "cp_divisibility_scan", "BoundaryEstimate", "divisibility_boundary",
+    "holevo_curve",
     # emitters
     "ResultTable", "to_csv", "to_json", "to_svg", "JSON_SCHEMA",
 ]

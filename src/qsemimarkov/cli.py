@@ -332,8 +332,9 @@ def cmd_measure(r: _Resolved) -> ResultTable:
         meta["family_constant"] = results[0].family_constant
     if kind == "dephasing":
         meta["p_boundary"] = s**2 / 8.0
-    meta["excised_intervals"] = [list(h) for res in results
-                                 for h in res.excised]
+    # [lo, hi, p]: only the dephasing family has poles to excise
+    meta["excised_intervals"] = [[lo, hi, pr.p] for pr, res in
+                                 zip(procs, results) for lo, hi in res.excised]
     return ResultTable("measure", config, columns, meta)
 
 

@@ -9,7 +9,8 @@ reported together with its bounded companion zeta = xi / (1 + xi). Two
 reference policies are supported: ``mode="fixed"`` scores against a given
 constant (default 0, the semigroup with no decay), while ``mode="min"``
 minimizes over all constants, which for an L1 cost means the time-median of
-gamma. Two routes are supported and must agree. ``form="rate"`` is exact:
+gamma. :func:`sss_measure` computes xi for a process family by either of
+two routes, which must agree. ``form="rate"`` is exact:
 gamma is a log-derivative, so between the kinks where gamma crosses the
 reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
@@ -70,8 +71,6 @@ __all__ = [
     "MINUS_STATE",
     "SSSConfig",
     "MeasureResult",
-    "sss_rate_form",
-    "sss_choi_form",
     "sss_measure",
     "BLPResult",
     "blp_measure",
@@ -360,96 +359,6 @@ def _median_reference(rate: Callable[[np.ndarray], np.ndarray],
     return float(root[0])
 
 
-def _reference_split(rate: Callable[[np.ndarray], np.ndarray],
-                     config: SSSConfig, singular_points: Sequence[float]
-                     ) -> tuple[float, _Split, tuple[tuple[float, float], ...]]:
-    """Shared engine: the reference rate and the split of the excised horizon.
-
-    ``mode="min"`` takes the reference as the clipped time-median of gamma.
-    Splits are cached by reference, so the median's last probe is reused.
-    """
-    T = config.horizon
-    sing = [float(x) for x in singular_points]
-    pieces, holes = _excised_pieces(0.0, T, sing, config.excision)
-    if not pieces:
-        raise GridError("singular-point excision removed the entire horizon")
-    scan = _sample_rate(rate, pieces, T)
-    cache: dict[float, _Split] = {}
-
-    def split_at(r: float) -> _Split:
-        if r not in cache:
-            cache[r] = _split(rate, scan, r)
-        return cache[r]
-
-    ref = (config.gamma_ref if config.mode == "fixed"
-           else _median_reference(rate, split_at, scan, config.gamma_max))
-    return ref, split_at(ref), tuple(holes)
-
-
-def sss_rate_form(rate: Callable[[np.ndarray], np.ndarray],
-                  antiderivative: Callable[[np.ndarray], np.ndarray],
-                  config: SSSConfig, *,
-                  singular_points: Sequence[float] = ()) -> MeasureResult:
-    """Deviation measure from the rate function, exact on every piece.
-
-    Between consecutive kinks gamma - ref keeps its sign, so the integral
-    of |gamma - ref| over each such stretch [a, b] is
-    |Gamma(b) - Gamma(a) - ref (b - a)|, with Gamma the antiderivative of
-    gamma. No quadrature is made.
-
-    :param rate: canonical rate gamma(t), vectorized over an array of t;
-        finite on [0, horizon] outside the excised neighborhoods of
-        ``singular_points``.
-    :param antiderivative: Gamma(t) with Gamma' = gamma, vectorized; e.g.
-        -(1/2) ln|q(t)| for dephasing, ln cosh(lambda t) for the non-unital
-        family.
-    """
-    ref, sp, holes = _reference_split(rate, config, singular_points)
-    jump = np.diff(np.asarray(antiderivative(sp.edges), dtype=float))
-    xi = float(np.abs(jump - ref * np.diff(sp.edges))[~sp.gap].sum()
-               / config.horizon)
-    return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
-                         excised=holes, config=config, kinks=sp.kinks.size)
-
-
-def sss_choi_form(rate: Callable[[np.ndarray], np.ndarray],
-                  generator_factory: Callable[[float], object],
-                  config: SSSConfig, *,
-                  singular_points: Sequence[float] = ()) -> MeasureResult:
-    """Deviation measure via trace norms of generator Choi differences.
-
-    ``rate`` is gamma(t), vectorized over an array of t and also called
-    with one float t by the quadrature. ``generator_factory(rate)`` must
-    build the family's generator snapshot (an object accepted by
-    ``choi_of_generator``). The family constant -- trace norm of the Choi
-    difference per unit rate -- is measured from the factory at rates 1
-    and 0 and used to normalize, making the result directly comparable to
-    :func:`sss_rate_form`. The trace norm is integrated by adaptive
-    quadrature with the kinks as breakpoints, an independent check of the
-    rate route's closed form.
-    """
-    constant = trace_norm(choi_of_generator(generator_factory(1.0))
-                          - choi_of_generator(generator_factory(0.0)))
-    if constant <= 0.0:
-        raise DomainError("generator family has zero Choi response per unit rate")
-    ref, sp, holes = _reference_split(rate, config, singular_points)
-    chi_ref = choi_of_generator(generator_factory(ref))
-
-    def integrand(t: float) -> float:
-        chi = choi_of_generator(generator_factory(float(rate(t))))
-        return trace_norm(chi - chi_ref)
-
-    quad = adaptive_quad(integrand, 0.0, config.horizon,
-                         singular_points=singular_points,
-                         excision=config.excision, breakpoints=sp.kinks)
-    raw = quad.value / config.horizon
-    xi = raw / constant
-    return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
-                         excised=holes, config=config,
-                         family_constant=constant, raw_average=raw,
-                         quadrature=quad, kinks=sp.kinks.size)
-
-
 def _log_cosh(x: np.ndarray) -> np.ndarray:
     """ln cosh x without overflow, and to full relative precision near 0."""
     x = np.abs(np.asarray(x, dtype=float))
@@ -458,30 +367,62 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
 
 
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
-    """Deviation measure of a process family, dispatching on the config form.
+    """Deviation measure of a process family, by the route the config names.
 
     For the dephasing family the rate poles (zeros of the coherence factor)
-    inside the horizon are excised automatically. The rate route integrates
-    with the family's Gamma: -(1/2) ln|q(t)| for dephasing, ln cosh(lambda t)
-    for the non-unital family.
+    inside the horizon are excised. The rate route sums
+    |Gamma(b) - Gamma(a) - ref (b - a)| over the stretches between kinks,
+    with Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
+    non-unital family. The Choi route integrates the trace norm of the Choi
+    difference with the kinks as breakpoints, and divides by the family
+    constant measured from the generator at rates 1 and 0.
     """
     config = config or SSSConfig()
+    T = config.horizon
     if isinstance(proc, DephasingSemiMarkov):
         rate = lambda t: gamma_dephasing(proc, t)
         antiderivative = lambda t: -0.5 * _log_abs_q(proc, t)
-        singular = coherence_zeros(proc, config.horizon)
-        factory = lambda rate: DephasingGenerator(rate=rate, dim=2)
+        poles = coherence_zeros(proc, T).tolist()
+        generator = DephasingGenerator
     elif isinstance(proc, NonUnitalSemiMarkov):
         rate = lambda t: gamma_nonunital(proc, t)
-        antiderivative = lambda t: _log_cosh(proc.rate * np.asarray(t))
-        singular = ()
-        factory = lambda rate: ProjectorGenerator(rate=rate, dim=2)
+        antiderivative = lambda t: _log_cosh(proc.rate * t)
+        poles = []
+        generator = ProjectorGenerator
     else:
         raise DomainError(f"unknown process type {type(proc)!r}")
+    pieces, holes = _excised_pieces(0.0, T, poles, config.excision)
+    if not pieces:
+        raise GridError("singular-point excision removed the entire horizon")
+    scan = _sample_rate(rate, pieces, T)
+    cache: dict[float, _Split] = {}  # the median's last probe is reused
+
+    def split_at(r: float) -> _Split:
+        if r not in cache:
+            cache[r] = _split(rate, scan, r)
+        return cache[r]
+
+    ref = (config.gamma_ref if config.mode == "fixed"
+           else _median_reference(rate, split_at, scan, config.gamma_max))
+    sp = split_at(ref)
     if config.form == "rate":
-        return sss_rate_form(rate, antiderivative, config,
-                             singular_points=singular)
-    return sss_choi_form(rate, factory, config, singular_points=singular)
+        jump = np.diff(antiderivative(sp.edges))
+        xi = float(np.abs(jump - ref * np.diff(sp.edges))[~sp.gap].sum() / T)
+        return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
+                             excised=tuple(holes), config=config,
+                             kinks=sp.kinks.size)
+    choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
+    constant = trace_norm(choi(1.0) - choi(0.0))
+    chi_ref = choi(ref)
+    quad = adaptive_quad(lambda t: trace_norm(choi(float(rate(t))) - chi_ref),
+                         0.0, T, singular_points=poles,
+                         excision=config.excision, breakpoints=sp.kinks)
+    raw = quad.value / T
+    xi = raw / constant
+    return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
+                         excised=tuple(holes), config=config,
+                         family_constant=constant, raw_average=raw,
+                         quadrature=quad, kinks=sp.kinks.size)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@
 Everything here operates on plain numpy arrays and Python callables. Matrix
 routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature wraps QUADPACK (via scipy) and adds excision of flagged singular
-points; scalar root finding wraps Brent's method (via scipy), and many
-bracketed roots of one vectorized function are refined together by
-Chandrupatla's method; the Volterra solver is implemented directly because
-no library routine matches its required form. scipy is imported on the
-first quadrature or scalar root, so commands that use neither never load it.
+points; many bracketed roots of one vectorized function are refined together
+by Chandrupatla's method, in numpy; the Volterra solver is implemented
+directly because no library routine matches its required form. scipy is
+imported on the first quadrature, so commands that make none never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
     InvalidState,
     NoConvergence,
     NonHermitianInput,
-    NoSignChange,
     NumericalError,
     ToleranceNotMet,
 )
@@ -37,7 +35,6 @@ __all__ = [
     "binary_entropy",
     "adaptive_quad",
     "solve_volterra",
-    "find_root",
 ]
 
 
@@ -256,27 +253,6 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
         maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ (hist + end * predicted))
         mem = hist + end * maps[m + 1]
     return VolterraSolution(times, maps)
-
-
-def find_root(f: Callable[[float], float], lo: float, hi: float, *,
-              tol: float = 1e-12) -> float:
-    """Bracketed root of f on [lo, hi] via Brent's method.
-
-    :raises NoSignChange: if f(lo) and f(hi) have the same (nonzero) sign.
-    """
-    from scipy import optimize
-
-    flo, fhi = float(f(lo)), float(f(hi))
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if np.sign(flo) == np.sign(fhi):
-        raise NoSignChange(
-            f"f({lo:g}) = {flo:.3e} and f({hi:g}) = {fhi:.3e} "
-            "have the same sign"
-        )
-    return float(optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
 
 
 def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,

@@ -190,16 +190,14 @@ def intermediate_map(superop_late: np.ndarray, superop_early: np.ndarray, *,
 
 @dataclass(frozen=True)
 class DephasingGenerator:
-    """Snapshot gamma * c * (Z rho Z^dag - rho) of the dephasing generator.
+    """Snapshot (gamma / d) (Z rho Z^dag - rho) of the dephasing generator.
 
-    ``normalized`` selects the qudit convention c = 1/d (under which the
-    Choi-difference family constant is dimension-independent); with
-    ``normalized=False`` the bare qubit form gamma (Z rho Z - rho) results.
+    The qudit convention 1/d makes the Choi-difference family constant
+    dimension-independent.
     """
 
     rate: float
     dim: int = 2
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -212,8 +210,7 @@ class DephasingGenerator:
                 f"state shape {r.shape} does not match dimension {self.dim}"
             )
         Z = weyl_z(self.dim)
-        scale = self.rate / self.dim if self.normalized else self.rate
-        return scale * (Z @ r @ Z.conj().T - r)
+        return self.rate / self.dim * (Z @ r @ Z.conj().T - r)
 
 
 @dataclass(frozen=True)

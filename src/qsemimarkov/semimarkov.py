@@ -61,7 +61,7 @@ __all__ = [
 
 _PAULI_Z = np.diag([1.0, -1.0])
 _BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
-_COHERENCE_FLOOR = 1e-12    # |q| below this counts as a rate pole
+_COHERENCE_FLOOR = 1e-12    # |q| below this is a pole where q oscillates
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -311,7 +311,9 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
     c = 8.0 * proc.p / proc.s**2 / (1.0 + w)
     q_minus_1 = ((2.0 - c) * np.expm1(-proc.s * c * t / 2)
                  - c * np.expm1(-proc.s * (2.0 - c) * t / 2)) / (2.0 * w)
-    return np.where(q_minus_1 > -0.5, np.log1p(q_minus_1), log_q)
+    # the clip keeps log1p finite where q underflows and np.where drops it
+    return np.where(q_minus_1 > -0.5, np.log1p(np.maximum(q_minus_1, -0.5)),
+                    log_q)
 
 
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
@@ -320,9 +322,11 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     Algebraically equal to the closed form 2p / (s eta coth(s t eta / 2) + s)
     on every branch, but evaluated through q and dq/dt so extrema of q give
     an exact zero instead of an inf/inf form. A numpy array t gives an array
-    of rates, NaN wherever |q(t)| < 1e-12 (a pole of the rate).
+    of rates, NaN at a pole of the rate: where |q(t)| < 1e-12 on the
+    oscillating branch (p > s^2/8), the only one where q has zeros, and
+    where q underflows to 0 on the others.
 
-    :raises Singularity: for a scalar t with |q(t)| < 1e-12.
+    :raises Singularity: for a scalar t at a pole.
     """
     if isinstance(t, np.ndarray) and t.ndim:
         if np.any(t < 0.0):
@@ -335,7 +339,10 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
         if proc.p == 0.0 or t == 0.0:
             return 0.0
         q, dq = float(q_of_t(proc, t)), float(q_derivative(proc, t))
-    pole = abs(q) < _COHERENCE_FLOOR
+    if _branch(proc.s, proc.p)[0] == "imag":
+        pole = abs(q) < _COHERENCE_FLOOR
+    else:  # q decays without zeros: a small q is exact, not a pole
+        pole = q == 0.0
     # adding the pole mask keeps 1/q finite at poles and is exact elsewhere
     gamma = -0.5 * dq / (q + pole)
     if isinstance(t, float):

@@ -56,6 +56,12 @@ def test_rate_csv_layout_and_defaults(capsys):
     assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
 
 
+def test_rate_has_no_pole_where_q_decays_without_zeros(capsys):
+    # p <= s^2/8: q(150) ~ 1e-18 is small, but q has no zero
+    code, out, _ = _run(capsys, ["rate", "--p", "0.1", "--t-max", "150"])
+    assert code == 0 and "nan" not in out
+
+
 def test_rate_pole_reported_not_fatal(capsys):
     # grid point landing exactly on the coherence zero: gamma is null in
     # JSON, and the pole location is listed in the metadata
@@ -275,9 +281,18 @@ def test_measure_excision_reported(capsys):
     doc = _json_out(capsys, ["measure", "--p", "3", "--format", "json"])
     intervals = doc["metadata"]["excised_intervals"]
     assert len(intervals) == 1
-    lo, hi = intervals[0]
+    lo, hi, p = intervals[0]
     assert lo == pytest.approx(T_STAR - 1e-6, abs=1e-12)
     assert hi == pytest.approx(T_STAR + 1e-6, abs=1e-12)
+    assert p == 3.0
+    # in a sweep each interval names the p of its row
+    doc = _json_out(capsys, ["measure", "--p-min", "2.5", "--p-max", "3",
+                             "--p-points", "3", "--format", "json"])
+    intervals = doc["metadata"]["excised_intervals"]
+    assert [p for _, _, p in intervals] == doc["columns"]["p"]
+    for lo, hi, p in intervals:
+        pole = coherence_zeros(DephasingSemiMarkov(s=1.0, p=p), 1.0)
+        assert lo < pole[0] < hi
 
 
 # ----------------------------------------------------- parametrization alias

@@ -2,12 +2,16 @@
 dangling entry in an ``__all__`` list."""
 
 import importlib
+import inspect
 
 import pytest
 
+import qsemimarkov
+from qsemimarkov import errors
+
+LIBRARY = ["emitters", "measures", "numerics", "quantum", "semimarkov"]
 MODULES = ["qsemimarkov"] + [f"qsemimarkov.{name}" for name in (
-    "cli", "emitters", "errors", "measures", "numerics", "quantum",
-    "semimarkov")]
+    "cli", "errors", *LIBRARY)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,3 +22,14 @@ def test_all_names_resolve(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == []
 
+
+def test_package_exports_every_library_export():
+    # a name removed from a module but not from the package (or the other
+    # way round) fails here
+    expected = {"__version__"}
+    for name in LIBRARY:
+        expected |= set(importlib.import_module(f"qsemimarkov.{name}").__all__)
+    classes = inspect.getmembers(errors, inspect.isclass)
+    expected |= {name for name, cls in classes
+                 if issubclass(cls, errors.QsmError)}
+    assert set(qsemimarkov.__all__) == expected

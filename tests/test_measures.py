@@ -4,6 +4,7 @@ import decimal
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qsemimarkov import (
     DephasingSemiMarkov,
@@ -21,13 +22,11 @@ from qsemimarkov import (
     coherence_zeros,
     cp_divisibility_scan,
     divisibility_boundary,
-    find_root,
     gamma_dephasing,
     gamma_nonunital,
     holevo_curve,
     q_of_t,
     sss_measure,
-    sss_rate_form,
 )
 
 from qsemimarkov import measures
@@ -95,19 +94,29 @@ def test_excision_swallowing_horizon_raises():
 
 # ------------------------------------------------------- rate form, min ref
 
+def _min_mode_engine(rate, antiderivative, T):
+    """sss_measure's min-mode rate route for a synthetic rate on [0, T]."""
+    scan = measures._sample_rate(rate, [(0.0, T)], T)
+    split_at = lambda r: measures._split(rate, scan, r)
+    ref = measures._median_reference(rate, split_at, scan, None)
+    sp = split_at(ref)
+    jump = np.diff(antiderivative(sp.edges)) - ref * np.diff(sp.edges)
+    return ref, float(np.abs(jump)[~sp.gap].sum() / T)
+
+
 def test_minimizing_reference_of_constant_rate_is_that_rate():
-    result = sss_rate_form(lambda t: np.full_like(t, 1.3), lambda t: 1.3 * t,
-                           SSSConfig(horizon=2.0, mode="min"))
-    assert result.gamma_ref == pytest.approx(1.3, abs=1e-11)
-    assert result.xi < 1e-11
+    ref, xi = _min_mode_engine(lambda t: np.full_like(t, 1.3),
+                               lambda t: 1.3 * t, 2.0)
+    assert ref == pytest.approx(1.3, abs=1e-11)
+    assert xi < 1e-11
 
 
 def test_minimizing_reference_of_negative_rate_is_zero():
     # the median -2.3 lies below the allowed range, so the clip at 0 wins
-    result = sss_rate_form(lambda t: -1.3 - t, lambda t: -1.3 * t - t**2 / 2,
-                           SSSConfig(horizon=2.0, mode="min"))
-    assert result.gamma_ref == 0.0
-    assert result.xi == pytest.approx(2.3, rel=1e-12)
+    ref, xi = _min_mode_engine(lambda t: -1.3 - t,
+                               lambda t: -1.3 * t - t**2 / 2, 2.0)
+    assert ref == 0.0
+    assert xi == pytest.approx(2.3, rel=1e-12)
 
 
 def test_minimizing_reference_is_time_median_for_monotone_rate():
@@ -187,13 +196,14 @@ def _q_40_digits(s, p, t):
         return (-s * t / 2).exp() * (cosh + sinh / eta)
 
 
-@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("T", [1.0, 3.0, 6.0, 150.0])
 @pytest.mark.parametrize("s", [0.9, 1.0, 1.1])
 @pytest.mark.parametrize("fraction", [1e-8, 0.01, 0.25, 0.5, 0.999, 1.0])
 def test_cp_divisible_dephasing_has_memory_in_closed_form(fraction, s, T):
     # for 0 < p <= s^2/8 gamma rises from 0 without a pole, so its median is
     # gamma(T/2) and xi_min = [Gamma(T) - 2 Gamma(T/2)] / T with
-    # Gamma = -ln(q)/2: memory (xi_min > 0) although the map is CP-divisible
+    # Gamma = -ln(q)/2: memory (xi_min > 0) although the map is CP-divisible.
+    # By T = 150 q has decayed below 1e-12, which is still no pole.
     proc = DephasingSemiMarkov(s=s, p=fraction * s**2 / 8)
     q_half, q_end = (_q_40_digits(s, proc.p, t) for t in (T / 2, T))
     xi_min = float((q_half / q_end.sqrt()).ln() / decimal.Decimal(T))
@@ -224,6 +234,26 @@ def test_nonunital_min_mode_closed_form(lam, T):
     assert result.xi == pytest.approx(xi_min, abs=1e-13)
     assert result.gamma_ref == pytest.approx(lam * np.tanh(lam * T / 2),
                                              abs=1e-13)
+
+
+def test_saturated_rate_reaches_the_bracketed_median(monkeypatch):
+    # gamma = lam tanh(lam t) equals lam to rounding over most of [0, 20],
+    # so the Newton steps do not settle and the bracketed solve finds r
+    newton, returned = measures._newton_median, []
+
+    def spy(*args):
+        returned.append(newton(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(measures, "_newton_median", spy)
+    lam, T = 2.0, 20.0
+    result = sss_measure(NonUnitalSemiMarkov(rate=lam),
+                         SSSConfig(horizon=T, mode="min"))
+    assert returned == [None]
+    assert result.gamma_ref == pytest.approx(lam * np.tanh(lam * T / 2),
+                                             abs=1e-13)
+    xi_min = (np.log(np.cosh(lam * T)) - 2 * np.log(np.cosh(lam * T / 2))) / T
+    assert result.xi == pytest.approx(xi_min, abs=1e-13)
 
 
 # ---------------------------------------------- oracles for the batched paths
@@ -259,9 +289,9 @@ def test_batched_kinks_match_brent_per_bracket(p, T):
     for ref in (0.0, median, 0.5 * median, 1.7):
         cr = measures._crossings(scan, ref)
         assert cr.runs.size == 0
-        brent = [find_root(lambda t: gamma_dephasing(proc, t) - ref,
-                           float(scan.ts[a]), float(scan.ts[a + 1]))
-                 for a in cr.a]
+        brent = [brentq(lambda t: gamma_dephasing(proc, t) - ref,
+                        float(scan.ts[a]), float(scan.ts[a + 1]),
+                        xtol=1e-12, rtol=8.9e-16) for a in cr.a]
         kinks = measures._split(rate, scan, ref).kinks
         assert kinks.size == len(brent)
         assert np.abs(kinks - np.sort(brent)).max(initial=0.0) <= 1e-12
@@ -280,8 +310,9 @@ def test_median_solves_match_brent_on_the_same_splits(p, T, newton,
     length = float(np.sum(scan.ts[scan.last] - scan.ts[scan.first]))
     median = measures._median_reference(
         rate, lambda r: measures._split(rate, scan, r), scan, None)
-    brent = find_root(lambda r: measures._split(rate, scan, r).below()
-                      - 0.5 * length, 0.0, 2.0 * float(scan.gs.max()))
+    brent = brentq(lambda r: measures._split(rate, scan, r).below()
+                   - 0.5 * length, 0.0, 2.0 * float(scan.gs.max()),
+                   xtol=1e-12, rtol=8.9e-16)
     assert median == pytest.approx(brent, abs=1e-12)
 
 

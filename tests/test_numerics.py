@@ -8,11 +8,9 @@ from qsemimarkov import (
     GridError,
     InvalidState,
     NonHermitianInput,
-    NoSignChange,
     NumericalError,
     adaptive_quad,
     binary_entropy,
-    find_root,
     hermitian_eig,
     solve_volterra,
     trace_norm,
@@ -286,13 +284,6 @@ def test_minimize_scalar_rejects_non_finite_objective():
         minimize_scalar(lambda x: np.nan, 0.0, 1.0)
     with pytest.raises(DomainError):
         minimize_scalar(lambda x: x, 1.0, 0.0)
-
-
-def test_find_root():
-    assert find_root(np.cos, 0.0, 2.0) == pytest.approx(np.pi / 2, abs=1e-12)
-    assert find_root(lambda x: x, 0.0, 1.0) == 0.0  # endpoint shortcut
-    with pytest.raises(NoSignChange):
-        find_root(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
 def test_bracketed_roots_all_at_once():

@@ -189,9 +189,6 @@ def test_dephasing_generator_action():
     assert np.abs(gen.apply(rho) - expected).max() < 1e-14
     assert abs(gen.apply(rho).trace()) < 1e-14  # trace-annihilating
 
-    bare = DephasingGenerator(rate=0.7, dim=2, normalized=False)
-    assert np.abs(bare.apply(rho) - 2 * gen.apply(rho)).max() < 1e-14
-
 
 def test_dephasing_generator_is_trace_annihilating_for_qutrits():
     gen = DephasingGenerator(rate=1.0, dim=3)
@@ -220,13 +217,9 @@ def test_family_constants():
     # trace norm of the generator Choi per unit rate, measured not assumed
     c2 = trace_norm(choi_of_generator(DephasingGenerator(rate=1.0, dim=2)))
     c3 = trace_norm(choi_of_generator(DephasingGenerator(rate=1.0, dim=3)))
-    c2_bare = trace_norm(
-        choi_of_generator(DephasingGenerator(rate=1.0, dim=2, normalized=False))
-    )
     c_proj = trace_norm(choi_of_generator(ProjectorGenerator(rate=1.0)))
     assert c2 == pytest.approx(2.0, abs=1e-12)
     assert abs(c2 - c3) < 1e-9  # dimension-independent under 1/d scaling
-    assert c2_bare == pytest.approx(4.0, abs=1e-12)
     assert c_proj == pytest.approx(1.0 + np.sqrt(5.0), abs=1e-9)
 
 
