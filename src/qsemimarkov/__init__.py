@@ -16,8 +16,8 @@ their departure from semigroup dynamics:
   CP-divisibility scans with a boundary bisection, and Holevo information
   curves.
 - ``numerics``: Hermitian eigensolves, trace norms, entropies, adaptive
-  quadrature with singularity excision, a Volterra integro-differential
-  solver, and vectorized bracketed root finding.
+  quadrature with singularity excision, and a Volterra integro-differential
+  solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.
 

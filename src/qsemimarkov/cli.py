@@ -347,13 +347,17 @@ def cmd_holevo(r: _Resolved) -> ResultTable:
     except ValueError as exc:
         raise ConfigError(f"bad --p-list {raw_list!r}: {exc}") from exc
     _require(len(p_values) >= 1, "--p-list must name at least one p value")
+    names = [f"chi_p{p:g}" for p in p_values]
+    for i, name in enumerate(names):
+        j = names.index(name)
+        _require(i == j, f"--p-list values {p_values[j]!r} and "
+                 f"{p_values[i]!r} both print as column {name}")
     t_max, n = _time_grid(r)
     r.check_unread()
     ts = np.linspace(0.0, t_max, n)
     columns = {"t": ts}
-    for p in p_values:
-        columns[f"chi_p{p:g}"] = holevo_curve(DephasingSemiMarkov(s=s, p=p),
-                                              ts)
+    for name, p in zip(names, p_values):
+        columns[name] = holevo_curve(DephasingSemiMarkov(s=s, p=p), ts)
     return ResultTable("holevo", {"family": "dephasing", "s": s,
                                   "p-list": raw_list, "t-max": t_max,
                                   "grid": n},

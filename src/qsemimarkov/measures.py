@@ -16,8 +16,10 @@ reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
 integrates the trace norm of the difference of generator Choi matrices by
 adaptive quadrature and divides by the family constant (the trace norm per
-unit rate), computed at runtime from the generator itself. Both routes find
-the kinks on gamma sampled on whole grids, refining every crossing at once.
+unit rate), computed at runtime from the generator itself. Neither route
+searches: gamma rises between its poles, so each retained piece holds at
+most one kink, at a closed-form time, and the time-median is one
+interpolation.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a bisection search for the
@@ -28,7 +30,7 @@ information curves for a fixed input ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,12 +38,10 @@ from .errors import (
     DomainError,
     GridError,
     NoSignChange,
-    NumericalError,
     Singularity,
 )
 from .numerics import (
     QuadratureResult,
-    _bracketed_roots,
     _excised_pieces,
     adaptive_quad,
     trace_norm,
@@ -59,6 +59,7 @@ from .quantum import (
 from .semimarkov import (
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
+    _level_time,
     _log_abs_q,
     coherence_zeros,
     gamma_dephasing,
@@ -158,205 +159,29 @@ class MeasureResult:
     kinks: int = 0
 
 
-class _Scan(NamedTuple):
-    """gamma sampled on a scan grid of every retained piece, in time order."""
-
-    ts: np.ndarray
-    gs: np.ndarray
-    piece: np.ndarray  # index of the piece each scan time belongs to
-    first: np.ndarray  # index of each piece's first and last scan time,
-    last: np.ndarray   # which are exactly its lo and hi
-
-
-def _sample_rate(rate: Callable[[np.ndarray], np.ndarray],
-                 pieces: Sequence[tuple[float, float]],
-                 horizon: float) -> _Scan:
-    """gamma on a scan grid of each retained piece (~257 points total).
-
-    One vectorized rate call per piece.
-
-    :raises Singularity: if gamma is not finite at a scan time.
-    """
-    ts, gs = [], []
-    for lo, hi in pieces:
-        n = max(33, int(np.ceil(257 * (hi - lo) / horizon)) + 1)
-        ts.append(np.linspace(lo, hi, n))
-        gs.append(np.asarray(rate(ts[-1]), dtype=float))
-    sizes = np.array([t.size for t in ts])
-    ts, gs = np.concatenate(ts), np.concatenate(gs)
-    if not np.all(np.isfinite(gs)):
-        raise Singularity("rate is not finite at t = "
-                          f"{ts[~np.isfinite(gs)][0]:g}, outside the "
-                          "excised neighborhoods")
-    last = np.cumsum(sizes) - 1
-    return _Scan(ts, gs, np.repeat(np.arange(sizes.size), sizes),
-                 last - sizes + 1, last)
-
-
-class _Split(NamedTuple):
-    """Where |gamma - ref| is smooth: the retained pieces cut at the kinks."""
-
-    edges: np.ndarray  # piece ends and kinks, non-decreasing
-    sign: np.ndarray   # sign of gamma - ref on each [edges[i], edges[i+1]]
-    gap: np.ndarray    # True where [edges[i], edges[i+1]] is an excised hole
-    kinks: np.ndarray
-
-    def below(self, strict: bool = True) -> float:
-        """Length of {t: gamma(t) < ref} (``<=`` if not ``strict``)."""
-        inside = (self.sign < 0.0 if strict else self.sign <= 0.0) & ~self.gap
-        return float((self.edges[1:] - self.edges[:-1])[inside].sum())
-
-
-class _Crossings(NamedTuple):
-    """Sign changes of gamma - ref along the scan.
-
-    Only genuine sign changes produce kinks (a touch without sign change
-    leaves |gamma - ref| smooth), so runs of exact zeros — e.g. gamma
-    identically equal to the reference — contribute at most one kink, the
-    middle of the run.
-    """
-
-    d: np.ndarray     # gamma - ref at the scan times
-    nz: np.ndarray    # scan indices where d != 0
-    a: np.ndarray     # d changes sign between scan times a and a + 1
-    runs: np.ndarray  # scan indices of the kinks inside zero runs
-
-
-def _crossings(scan: _Scan, ref: float) -> _Crossings:
-    d = scan.gs - ref
-    sig = np.sign(d)
-    nz = np.flatnonzero(sig)
-    a, b = nz[:-1], nz[1:]
-    flip = (sig[a] != sig[b]) & (scan.piece[a] == scan.piece[b])
-    a, b = a[flip], b[flip]
-    adjacent = b == a + 1
-    return _Crossings(d, nz, a[adjacent], (a + b)[~adjacent] // 2)
-
-
-def _cut(scan: _Scan, cr: _Crossings, roots: np.ndarray) -> _Split:
-    """Cut the pieces at ``roots`` (one per bracket ``cr.a``) and the runs.
-
-    The edges are ordered by scan index, not by time: a root may round onto
-    the end of its bracket, and a piece end must stay outside its kinks.
-    Each stretch between kinks takes the sign of the scan inside it (0 if
-    gamma equals ref at every scan time there).
-    """
-    keys = np.concatenate([scan.first - 0.25, scan.last + 0.25, cr.a + 0.5,
-                           cr.runs])
-    edges = np.concatenate([scan.ts[scan.first], scan.ts[scan.last], roots,
-                            scan.ts[cr.runs]])
-    order = np.argsort(keys)
-    keys, edges = keys[order], edges[order]
-    sign = np.zeros(edges.size - 1)
-    sign[np.searchsorted(keys, cr.nz) - 1] = np.sign(cr.d[cr.nz])
-    gap = keys[:-1] % 1.0 == 0.25  # the stretch after a piece's hi
-    return _Split(edges, sign, gap, edges[order >= 2 * scan.first.size])
-
-
-def _split(rate: Callable[[np.ndarray], np.ndarray], scan: _Scan,
-           ref: float) -> _Split:
-    """Kinks of |gamma - ref|: the scan's sign changes, refined together."""
-    cr = _crossings(scan, ref)
-    a, ts = cr.a, scan.ts
-    roots = (_bracketed_roots(lambda t: rate(t) - ref, ts[a], ts[a + 1],
-                              cr.d[a], cr.d[a + 1]) if a.size
-             else np.empty(0))
-    return _cut(scan, cr, roots)
-
-
-def _newton_median(rate: Callable[[np.ndarray], np.ndarray], scan: _Scan,
-                   length: float, max_iter: int = 50) -> float | None:
-    """Median rate by Newton steps on r that move every kink at once.
-
-    Each kink carries a secant model of gamma through its last point
-    (t_k, g_k), so at level r it sits at t_k + (r - g_k) / m_k, and
-    below(r) is linear in r with slope sum 1/|m_k|. A Newton step on r
-    moves every kink, and one rate call at the moved kinks updates their
-    models. The models start from the scan's chords, and start again
-    whenever the crossings change. The iteration starts from the median of
-    the sampled values. It stops when gamma at every kink's last point
-    equals r to within the rounding of r and of that point, and either the
-    step on r or below(r) - L/2 is at the rounding level (a flat gamma
-    leaves the kinks ill-conditioned, but not r).
-
-    :return: the median, or None where the iteration does not apply (no
-        crossing to move) or does not settle.
-    """
-    ts, gs = scan.ts, scan.gs
-    r = float(np.median(gs))
-    a = None
-    tol = 8.0 * np.finfo(float).eps
-    for _ in range(max_iter):
-        cr = _crossings(scan, r)
-        if cr.runs.size:  # r is a sampled value: step off it
-            r = np.nextafter(r, np.inf)
-            continue
-        if not cr.a.size:
-            return None
-        if a is None or not np.array_equal(cr.a, a):
-            a = cr.a
-            lo, hi = ts[a], ts[a + 1]
-            t, g = lo, gs[a]
-            m = (gs[a + 1] - g) / (hi - lo)
-        kinks = np.clip(t + (r - g) / m, lo, hi)
-        sp = _cut(scan, cr, kinks)
-        excess = sp.below() - 0.5 * length
-        step = excess / np.sum(1.0 / np.abs(m))
-        if (np.all(np.abs(g - r) <= tol * (abs(r) + np.abs(m * t)))
-                and min(abs(step) / abs(r), abs(excess) / length) <= tol):
-            return float(r)
-        r -= step
-        moved = np.clip(t + (r - g) / m, lo, hi)
-        g_moved = np.asarray(rate(moved), dtype=float)
-        dt = moved - t
-        secant = (g_moved - g) / np.where(dt == 0.0, 1.0, dt)
-        keep = (np.abs(dt) < 1e-7 * (hi - lo)) | ~(secant * m > 0.0)
-        m = np.where(keep, m, secant)
-        t, g = moved, g_moved
-    return None
-
-
-def _median_reference(rate: Callable[[np.ndarray], np.ndarray],
-                      split_at: Callable[[float], _Split], scan: _Scan,
-                      gamma_max: float | None) -> float:
+def _median_rate(rate: Callable[[float], float], start: np.ndarray,
+                 length: np.ndarray, gamma_max: float | None) -> float:
     """Time-median of gamma over the retained pieces, clipped to [0, gamma_max].
 
     The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
     where L is the retained length and below(r) the length of
-    {t: gamma(t) < r}, so the clipped median is its exact minimizer.
-    below(r) is summed over the stretches between the crossings of gamma
-    with r, each classified by its sign. Inside the clip the median comes
-    from :func:`_newton_median`. Where that gives None it is the root of
-    below(r) - L/2 on [0, hi], found by :func:`_bracketed_roots` on one
-    bracket; hi starts at the largest sampled gamma (or ``gamma_max``) and
-    widens. That solve refines every kink at every probe of r; on a
-    min-mode sweep it takes about four times as long as the Newton steps.
+    {t: gamma(t) < r}, so the clipped median is its exact minimizer. Moved
+    back onto the first branch of gamma, each piece covers the phases
+    [start, start + length], and there gamma is one increasing function of
+    the phase. So below is sum clip(phi - start, 0, length) in the phase
+    phi: piecewise linear, with slope the number of pieces that cover phi,
+    and one interpolation finds the phase where it is L/2. The median is
+    never negative: gamma >= 0 without poles, and with poles gamma < 0 only
+    just after each pole, for less time than the stretch before that pole
+    spends above 0.
     """
-    length = float(np.sum(scan.ts[scan.last] - scan.ts[scan.first]))
-
-    def excess(r: float) -> float:
-        return split_at(float(r)).below() - 0.5 * length
-
-    if split_at(0.0).below(strict=False) >= 0.5 * length:
-        return 0.0  # the slope is non-negative at r = 0 (covers gamma == 0)
-    if gamma_max is not None and excess(gamma_max) <= 0.0:
-        return float(gamma_max)
-    median = _newton_median(rate, scan, length)
-    if median is not None:
-        return median
-    if gamma_max is not None:
-        hi = float(gamma_max)
-    else:
-        hi = max(float(scan.gs.max()), 0.0)
-        step = max(hi, 1.0)
-        while np.isfinite(hi) and excess(hi) <= 0.0:
-            hi += step
-            step *= 2.0
-        if not np.isfinite(hi):
-            raise NumericalError("no finite upper bracket for the median rate")
-    root = _bracketed_roots(lambda r: np.array([excess(r[0])]), [0.0], [hi],
-                            [excess(0.0)], [excess(hi)])
-    return float(root[0])
+    ends = np.concatenate([start, start + length])
+    order = np.argsort(ends, kind="stable")
+    slope = np.cumsum(np.where(order < start.size, 1.0, -1.0))[:-1]
+    below = np.concatenate([[0.0], np.cumsum(slope * np.diff(ends[order]))])
+    phase = np.interp(0.5 * length.sum(), below, ends[order])
+    median = float(rate(max(phase, 0.0)))  # gamma(0) = 0 clips a phase < 0
+    return median if gamma_max is None else min(median, gamma_max)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -373,9 +198,13 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     inside the horizon are excised. The rate route sums
     |Gamma(b) - Gamma(a) - ref (b - a)| over the stretches between kinks,
     with Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
-    non-unital family. The Choi route integrates the trace norm of the Choi
-    difference with the kinks as breakpoints, and divides by the family
-    constant measured from the generator at rates 1 and 0.
+    non-unital family; the kinks come in closed form from
+    ``semimarkov._level_time``. The Choi route integrates the trace norm of
+    the Choi difference with the kinks as breakpoints, and divides by the
+    family constant measured from the generator at rates 1 and 0.
+
+    :raises Singularity: if gamma at the median or Gamma at a piece end or
+        kink is not finite, which happens only where q underflows.
     """
     config = config or SSSConfig()
     T = config.horizon
@@ -394,35 +223,38 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     pieces, holes = _excised_pieces(0.0, T, poles, config.excision)
     if not pieces:
         raise GridError("singular-point excision removed the entire horizon")
-    scan = _sample_rate(rate, pieces, T)
-    cache: dict[float, _Split] = {}  # the median's last probe is reused
-
-    def split_at(r: float) -> _Split:
-        if r not in cache:
-            cache[r] = _split(rate, scan, r)
-        return cache[r]
-
+    lo, hi = np.array(pieces).T
+    level_time, period = _level_time(proc)
+    # the piece above j poles lies j periods after the first branch of gamma
+    shift = period * np.searchsorted(poles, lo) if poles else np.zeros_like(lo)
     ref = (config.gamma_ref if config.mode == "fixed"
-           else _median_reference(rate, split_at, scan, config.gamma_max))
-    sp = split_at(ref)
+           else _median_rate(rate, lo - shift, hi - lo, config.gamma_max))
+    # gamma rises on each piece, so it crosses ref at most once there
+    cut = np.clip(level_time(ref) + shift, lo, hi)
+    kinks = cut[(lo < cut) & (cut < hi)]
     if config.form == "rate":
-        jump = np.diff(antiderivative(sp.edges))
-        xi = float(np.abs(jump - ref * np.diff(sp.edges))[~sp.gap].sum() / T)
+        edges = np.stack([lo, cut, hi], axis=1)
+        big_gamma = antiderivative(edges)
+        if not np.all(np.isfinite(big_gamma)):
+            raise Singularity("antiderivative of the rate is not finite at t = "
+                              f"{edges[~np.isfinite(big_gamma)][0]:g}")
+        jump = np.abs(np.diff(big_gamma) - ref * np.diff(edges))
+        xi = float(jump[np.diff(edges) > 0.0].sum() / T)
         return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
                              excised=tuple(holes), config=config,
-                             kinks=sp.kinks.size)
+                             kinks=kinks.size)
     choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
     constant = trace_norm(choi(1.0) - choi(0.0))
     chi_ref = choi(ref)
     quad = adaptive_quad(lambda t: trace_norm(choi(float(rate(t))) - chi_ref),
                          0.0, T, singular_points=poles,
-                         excision=config.excision, breakpoints=sp.kinks)
+                         excision=config.excision, breakpoints=kinks)
     raw = quad.value / T
     xi = raw / constant
     return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
                          excised=tuple(holes), config=config,
                          family_constant=constant, raw_average=raw,
-                         quadrature=quad, kinks=sp.kinks.size)
+                         quadrature=quad, kinks=kinks.size)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Dense small-matrix linear algebra, quadrature, and root finding.
+"""Dense small-matrix linear algebra, quadrature, and a Volterra solver.
 
 Everything here operates on plain numpy arrays and Python callables. Matrix
 routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature wraps QUADPACK (via scipy) and adds excision of flagged singular
-points; many bracketed roots of one vectorized function are refined together
-by Chandrupatla's method, in numpy; the Volterra solver is implemented
-directly because no library routine matches its required form. scipy is
-imported on the first quadrature, so commands that make none never load it.
+points; the Volterra solver is implemented directly because no library
+routine matches its required form, and it refuses step counts past a cap.
+scipy is imported on the first quadrature, so commands that make none never
+load it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ __all__ = [
     "adaptive_quad",
     "solve_volterra",
 ]
+
+
+# 1e5 steps of 4x4 real maps are 12.8 MB, and the memory sum's time grows as
+# the square of the steps; kernel-check takes 5000 at its defaults
+_VOLTERRA_MAX_STEPS = 100_000
 
 
 class Spectrum(NamedTuple):
@@ -219,7 +224,8 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
         integral (for a jump channel J this is the bracket J - 1).
     :param t_max: final time; the grid is uniform on [0, t_max].
     :param dt: step size; t_max is rounded to an integer number of steps.
-    :raises GridError: if dt or t_max is non-positive or t_max < dt.
+    :raises GridError: if dt or t_max is non-positive, t_max < dt, or the
+        step count t_max / dt exceeds ``_VOLTERRA_MAX_STEPS``.
     :return: ``VolterraSolution(times, maps)`` with maps[0] the identity.
     """
     if not (np.isfinite(dt) and dt > 0.0) or not np.isfinite(t_max):
@@ -230,6 +236,9 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError(f"generator must be square, got shape {G.shape}")
     n = int(round(t_max / dt))
+    if n > _VOLTERRA_MAX_STEPS:
+        raise GridError(f"{n} steps exceed the cap of {_VOLTERRA_MAX_STEPS}: "
+                        "the memory sum takes time quadratic in the steps")
     dim = G.shape[0]
     times = dt * np.arange(n + 1)
     kvals = np.asarray(kernel(times), dtype=float)
@@ -253,54 +262,3 @@ def solve_volterra(kernel: Callable[[np.ndarray], np.ndarray],
         maps[m + 1] = maps[m] + 0.5 * dt * (rhs + G @ (hist + end * predicted))
         mem = hist + end * maps[m + 1]
     return VolterraSolution(times, maps)
-
-
-def _bracketed_roots(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
-                     b: np.ndarray, fa: np.ndarray, fb: np.ndarray, *,
-                     max_iter: int = 100) -> np.ndarray:
-    """Roots of a vectorized f, one in each bracket [a_i, b_i], all at once.
-
-    Chandrupatla's method: inverse quadratic interpolation where the last
-    three points allow it, bisection otherwise, and every step at least a
-    few ulps from the bracket ends. Each iteration makes one call of f on
-    the unconverged points; a point stops when its bracket is within 4 ulps
-    or f is exactly 0 there. The first step is the secant point.
-
-    :param fa, fb: f at a and b, of opposite signs.
-    :raises NumericalError: if f is not finite inside a bracket.
-    :raises NoConvergence: if a bracket is not resolved in ``max_iter`` steps.
-    """
-    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    x3, f3 = x2.copy(), f2.copy()
-    root = np.empty_like(x1)
-    t = f1 / (f1 - f2)
-    live = np.arange(x1.size)
-    for _ in range(max_iter):
-        if not live.size:
-            return root
-        xt = x1 + t * (x2 - x1)
-        ft = np.asarray(f(xt), dtype=float)
-        if not np.all(np.isfinite(ft)):
-            raise NumericalError("root function is not finite in a bracket")
-        same = np.sign(ft) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = xt, ft
-        near = np.abs(f1) < np.abs(f2)
-        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
-        width = np.abs(x2 - x1)
-        done = (width < 4.0 * np.finfo(float).eps * np.abs(xm)) | (fm == 0.0)
-        root[live[done]] = xm[done]
-        keep = ~done
-        live = live[keep]
-        x1, x2, x3, f1, f2, f3 = (v[keep] for v in (x1, x2, x3, f1, f2, f3))
-        tl = 2.0 * np.finfo(float).eps * np.abs(xm[keep]) / width[keep]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (phi**2 < xi) & ((1.0 - phi)**2 < 1.0 - xi)
-            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
-        t = np.clip(np.where(iqi, t, 0.5), tl, 1.0 - tl)
-    raise NoConvergence(f"{live.size} brackets unresolved after "
-                        f"{max_iter} steps")

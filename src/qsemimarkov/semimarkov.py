@@ -299,21 +299,31 @@ def q_derivative(proc: DephasingSemiMarkov, t):
 def _log_abs_q(proc: DephasingSemiMarkov, t):
     """ln|q(t)|, vectorized, to full relative precision also where q ~ 1.
 
-    On the real branch, where q > 1/2 it is log1p(q - 1), with q - 1 and
-    1 - eta = c = (8p/s^2)/(1 + eta) formed without cancellation:
+    Where q oscillates (p > s^2/8) it is ln|q|. On the other branches ln q
+    is formed in log space where q <= 1/2, so it stays finite where q
+    underflows: -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t}) / (2 eta)]
+    with c = 1 - eta = (8p/s^2)/(1 + eta), and -s t/2 + log1p(s t/2) at
+    p = s^2/8. Where q > 1/2 on the real branch it is log1p(q - 1), with
     q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
     """
     t = np.asarray(t, dtype=float)
-    log_q = np.log(np.abs(q_of_t(proc, t)))
-    tag, w = _branch(proc.s, proc.p)
-    if tag != "real":
-        return log_q
-    c = 8.0 * proc.p / proc.s**2 / (1.0 + w)
-    q_minus_1 = ((2.0 - c) * np.expm1(-proc.s * c * t / 2)
-                 - c * np.expm1(-proc.s * (2.0 - c) * t / 2)) / (2.0 * w)
-    # the clip keeps log1p finite where q underflows and np.where drops it
+    s, p = proc.s, proc.p
+    tag, w = _branch(s, p)
+    q = q_of_t(proc, t)
+    if tag == "imag":
+        with np.errstate(divide="ignore"):  # -inf where q underflows
+            return np.log(np.abs(q))
+    if tag == "boundary":
+        # the clips keep each log finite where np.where drops it
+        return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
+                        -s * t / 2 + np.log1p(s * t / 2))
+    c = 8.0 * p / s**2 / (1.0 + w)
+    q_minus_1 = ((2.0 - c) * np.expm1(-s * c * t / 2)
+                 - c * np.expm1(-s * (2.0 - c) * t / 2)) / (2.0 * w)
+    log_space = -s * c * t / 2 + np.log(
+        ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t)) / (2.0 * w))
     return np.where(q_minus_1 > -0.5, np.log1p(np.maximum(q_minus_1, -0.5)),
-                    log_q)
+                    log_space)
 
 
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
@@ -369,6 +379,47 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     k_max = int(np.floor((proc.s * t_max * w / 2 + offset) / np.pi))
     ks = np.arange(1, k_max + 1)
     return 2.0 * (ks * np.pi - offset) / (proc.s * w)
+
+
+def _level_time(proc):
+    """t(r), where gamma first equals r, and the spacing of the rate poles.
+
+    Between poles gamma rises strictly: it solves the Riccati equation
+    gamma' = 2 gamma^2 - s gamma + p for dephasing (q'' + s q' + 2p q = 0)
+    and gamma' = lambda^2 - gamma^2 for the non-unital family. So gamma = r
+    at t(r) = int_0^r dg / gamma'(g), in closed form. Where p > s^2/8
+    gamma runs from -inf to inf once per period 2 pi/k, k = s|eta|, and on
+    the stretch above j poles it equals r at t(r) + j 2 pi/k. Elsewhere the
+    period is inf, t(r) is inf where gamma stays below r, and it is
+    negative where gamma exceeds r at every t >= 0.
+
+    :return: (t, period), with t vectorized over r.
+    """
+    if isinstance(proc, NonUnitalSemiMarkov):
+        lam = proc.rate
+
+        def level_time(r):
+            with np.errstate(divide="ignore"):
+                return np.arctanh(np.clip(np.asarray(r) / lam, -1.0, 1.0)) / lam
+        return level_time, np.inf
+    s, p = proc.s, proc.p
+    tag, w = _branch(s, p)
+    if tag == "imag":
+        k = s * w
+        return (lambda r: 2.0 / k * (np.arctan((4.0 * np.asarray(r) - s) / k)
+                                     + np.arctan(s / k))), 2.0 * np.pi / k
+    top = s / 4.0 if tag == "boundary" else 2.0 * p / s / (1.0 + w)
+
+    def level_time(r):  # gamma rises to top as t -> inf
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if tag == "boundary":
+                t = 8.0 * r / (s * (s - 4.0 * r))
+            else:
+                t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
+                     - np.log1p(-r / top)) / (s * w)
+        return np.where(r < top, t, np.inf)
+    return level_time, np.inf
 
 
 @dataclass(frozen=True)

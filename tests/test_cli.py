@@ -93,6 +93,7 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
     ["measure", "--p-points", "0"],
     ["blp", "--p", "3", "--grid", "1"],
     ["holevo", "--p-list", "1,abc"],
+    ["holevo", "--p-list", "1e-7,1.00000001e-7"],
     ["holevo", "--p", "3"],
     ["classical-sim", "--paths", "10"],
     ["classical-sim", "--seed", "1", "--wtd", "exponential", "--lambda1", "1"],
@@ -131,6 +132,12 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+def test_holevo_refuses_p_values_that_print_as_one_column(capsys):
+    code, out, err = _run(capsys, ["holevo", "--p-list", "1e-7,1.00000001e-7"])
+    assert code == 2 and out == ""
+    assert "1e-07 and 1.00000001e-07" in err and "chi_p1e-07" in err
+
+
 def test_numerical_failures_exit_3(capsys):
     # excision halo wider than the horizon leaves nothing to integrate
     code, out, err = _run(capsys, ["measure", "--s", "1", "--p", "3",
@@ -143,6 +150,24 @@ def test_numerical_failures_exit_3(capsys):
         "0.4", "--t-max", "30", "--grid", "400",
     ])
     assert code == 3
+    # 5e6 Volterra steps exceed the cap: refused before the O(n^2) sum
+    code, out, err = _run(capsys, ["kernel-check", "--dt", "1e-6"])
+    assert code == 3 and "cap" in err
+
+
+def test_measure_past_the_underflow_of_q(capsys):
+    # p <= s^2/8: q(3000) underflows, but ln q is formed in log space, so
+    # the rate route stays finite in both modes
+    for mode in ("paper", "min"):
+        code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
+                                       "--mode", mode])
+        assert code == 0, err
+        row = [l for l in out.splitlines() if not l.startswith("#")][1]
+        assert all(np.isfinite(float(x)) for x in row.split(","))
+    # the Choi route evaluates gamma itself, where q underflows: exit 3
+    code, _, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
+                                 "--form", "choi"])
+    assert code == 3 and "qsm: numerical failure:" in err
 
 
 def test_version_and_help_exit_0(capsys):

@@ -29,7 +29,7 @@ from qsemimarkov import (
     sss_measure,
 )
 
-from qsemimarkov import measures
+from qsemimarkov import semimarkov
 from qsemimarkov.numerics import _excised_pieces
 
 from golden_section import minimize_scalar
@@ -93,31 +93,6 @@ def test_excision_swallowing_horizon_raises():
 
 
 # ------------------------------------------------------- rate form, min ref
-
-def _min_mode_engine(rate, antiderivative, T):
-    """sss_measure's min-mode rate route for a synthetic rate on [0, T]."""
-    scan = measures._sample_rate(rate, [(0.0, T)], T)
-    split_at = lambda r: measures._split(rate, scan, r)
-    ref = measures._median_reference(rate, split_at, scan, None)
-    sp = split_at(ref)
-    jump = np.diff(antiderivative(sp.edges)) - ref * np.diff(sp.edges)
-    return ref, float(np.abs(jump)[~sp.gap].sum() / T)
-
-
-def test_minimizing_reference_of_constant_rate_is_that_rate():
-    ref, xi = _min_mode_engine(lambda t: np.full_like(t, 1.3),
-                               lambda t: 1.3 * t, 2.0)
-    assert ref == pytest.approx(1.3, abs=1e-11)
-    assert xi < 1e-11
-
-
-def test_minimizing_reference_of_negative_rate_is_zero():
-    # the median -2.3 lies below the allowed range, so the clip at 0 wins
-    ref, xi = _min_mode_engine(lambda t: -1.3 - t,
-                               lambda t: -1.3 * t - t**2 / 2, 2.0)
-    assert ref == 0.0
-    assert xi == pytest.approx(2.3, rel=1e-12)
-
 
 def test_minimizing_reference_is_time_median_for_monotone_rate():
     # gamma increasing on [0, T]: the L1-optimal constant is gamma(T/2)
@@ -225,8 +200,10 @@ def test_semigroup_has_no_memory(mode, T):
     assert result.xi == 0.0 and result.gamma_ref == 0.0
 
 
-@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+# lambda = 2 at T = 20: gamma equals lambda to rounding over most of [0, T]
+@pytest.mark.parametrize("lam, T", [
+    *((lam, T) for T in (1.0, 3.0, 6.0) for lam in (0.5, 1.0, 2.0)),
+    (2.0, 20.0)])
 def test_nonunital_min_mode_closed_form(lam, T):
     xi_min = (np.log(np.cosh(lam * T)) - 2 * np.log(np.cosh(lam * T / 2))) / T
     result = sss_measure(NonUnitalSemiMarkov(rate=lam),
@@ -236,83 +213,111 @@ def test_nonunital_min_mode_closed_form(lam, T):
                                              abs=1e-13)
 
 
-def test_saturated_rate_reaches_the_bracketed_median(monkeypatch):
-    # gamma = lam tanh(lam t) equals lam to rounding over most of [0, 20],
-    # so the Newton steps do not settle and the bracketed solve finds r
-    newton, returned = measures._newton_median, []
-
-    def spy(*args):
-        returned.append(newton(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(measures, "_newton_median", spy)
-    lam, T = 2.0, 20.0
-    result = sss_measure(NonUnitalSemiMarkov(rate=lam),
-                         SSSConfig(horizon=T, mode="min"))
-    assert returned == [None]
-    assert result.gamma_ref == pytest.approx(lam * np.tanh(lam * T / 2),
-                                             abs=1e-13)
-    xi_min = (np.log(np.cosh(lam * T)) - 2 * np.log(np.cosh(lam * T / 2))) / T
-    assert result.xi == pytest.approx(xi_min, abs=1e-13)
+@pytest.mark.parametrize("mode", ["fixed", "min"])
+@pytest.mark.parametrize("p", [0.1, 0.12])
+def test_divisible_measure_past_the_underflow_of_q(p, mode):
+    # q(3000) underflows a double, but ln q is formed in log space
+    s, T = 1.0, 3000.0
+    proc = DephasingSemiMarkov(s=s, p=p)
+    q_half, q_end = (_q_40_digits(s, p, t) for t in (T / 2, T))
+    assert float(q_end) == 0.0
+    expected = (-q_end.ln() / 2 if mode == "fixed"
+                else (q_half / q_end.sqrt()).ln()) / decimal.Decimal(T)
+    result = sss_measure(proc, SSSConfig(horizon=T, mode=mode))
+    assert result.xi == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
-# ---------------------------------------------- oracles for the batched paths
+# ---------------------------------------------- oracles for the closed forms
 
 _ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]
 
 
-def _scan(proc, T):
-    rate = (lambda t: gamma_dephasing(proc, t)) if isinstance(
-        proc, DephasingSemiMarkov) else (lambda t: gamma_nonunital(proc, t))
-    poles = (coherence_zeros(proc, T) if isinstance(proc, DephasingSemiMarkov)
-             else ())
-    pieces, _ = _excised_pieces(0.0, T, poles, 1e-6)
-    return rate, poles, measures._sample_rate(rate, pieces, T)
+def _rate_and_pieces(proc, T, excision=1e-6):
+    if isinstance(proc, DephasingSemiMarkov):
+        rate, poles = (lambda t: gamma_dephasing(proc, t),
+                       coherence_zeros(proc, T))
+    else:
+        rate, poles = lambda t: gamma_nonunital(proc, t), np.empty(0)
+    return rate, poles, _excised_pieces(0.0, T, poles, excision)[0]
 
 
-@pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
+def _closed_form_kinks(proc, T, ref):
+    """Where gamma = ref inside each retained piece, from the level time."""
+    _, poles, pieces = _rate_and_pieces(proc, T)
+    level_time, period = semimarkov._level_time(proc)
+    lo, hi = np.array(pieces).T
+    t = level_time(ref) + (period * np.searchsorted(poles, lo) if poles.size
+                           else np.zeros_like(lo))
+    return t[(lo < t) & (t < hi)]
+
+
 @pytest.mark.parametrize("proc", [
-    *(DephasingSemiMarkov(s=1.0, p=p) for p in [0.0, *_ORACLE_P]),
-    NonUnitalSemiMarkov(rate=1.0)])
-def test_vectorized_scan_equals_scalar_loop(proc, T):
-    rate, _, scan = _scan(proc, T)
-    scalar = [float(rate(t)) for t in scan.ts.tolist()]
-    assert np.array_equal(scan.gs, scalar)
+    *(DephasingSemiMarkov(s=1.0, p=p) for p in _ORACLE_P),
+    *(NonUnitalSemiMarkov(rate=lam) for lam in (0.5, 1.0, 2.0))],
+    ids=repr)
+def test_rate_solves_its_riccati_equation(proc):
+    # the premise of the closed forms: gamma' = 2 gamma^2 - s gamma + p for
+    # dephasing and lambda^2 - gamma^2 for the non-unital family, both
+    # positive, so gamma rises on every pole-free stretch
+    rate, _, pieces = _rate_and_pieces(proc, 6.0, excision=0.05)
+    h = 1e-5
+    for lo, hi in pieces:
+        t = np.linspace(lo + h, hi - h, 201)
+        g = rate(t)
+        slope = (rate(t + h) - rate(t - h)) / (2.0 * h)
+        if isinstance(proc, DephasingSemiMarkov):
+            riccati = 2.0 * g**2 - proc.s * g + proc.p
+        else:
+            riccati = proc.rate**2 - g**2
+        assert np.all(riccati > 0.0)
+        assert slope == pytest.approx(riccati, rel=1e-6, abs=1e-9)
 
 
 @pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
 @pytest.mark.parametrize("p", _ORACLE_P)
 def test_batched_kinks_match_brent_per_bracket(p, T):
+    # each retained piece is a bracket holding at most one crossing
     proc = DephasingSemiMarkov(s=1.0, p=p)
-    rate, _, scan = _scan(proc, T)
+    rate, _, pieces = _rate_and_pieces(proc, T)
     median = sss_measure(proc, SSSConfig(horizon=T, mode="min")).gamma_ref
     for ref in (0.0, median, 0.5 * median, 1.7):
-        cr = measures._crossings(scan, ref)
-        assert cr.runs.size == 0
-        brent = [brentq(lambda t: gamma_dephasing(proc, t) - ref,
-                        float(scan.ts[a]), float(scan.ts[a + 1]),
-                        xtol=1e-12, rtol=8.9e-16) for a in cr.a]
-        kinks = measures._split(rate, scan, ref).kinks
+        brent = [brentq(lambda t: gamma_dephasing(proc, t) - ref, lo, hi,
+                        xtol=1e-12, rtol=8.9e-16) for lo, hi in pieces
+                 if (rate(lo) - ref) * (rate(hi) - ref) < 0.0]
+        kinks = _closed_form_kinks(proc, T, ref)
         assert kinks.size == len(brent)
-        assert np.abs(kinks - np.sort(brent)).max(initial=0.0) <= 1e-12
+        assert np.abs(kinks - brent).max(initial=0.0) <= 1e-12
+        fixed = sss_measure(proc, SSSConfig(horizon=T, gamma_ref=ref))
+        assert fixed.kinks == len(brent)
 
 
-@pytest.mark.parametrize("newton", [True, False])
+@pytest.mark.parametrize("wide_excision", [True, False])
 @pytest.mark.parametrize("T", [1.0, 3.0, 6.0])
 @pytest.mark.parametrize("p", _ORACLE_P)
-def test_median_solves_match_brent_on_the_same_splits(p, T, newton,
-                                                      monkeypatch):
-    # the Newton steps, and the bracketed solve they fall back to
-    if not newton:
-        monkeypatch.setattr(measures, "_newton_median", lambda *a: None)
+def test_median_solves_match_brent_on_the_same_splits(p, T, wide_excision):
+    # below(r) = |{t: gamma(t) < r}| over the same retained pieces, each
+    # crossing found by brentq; the median solves below(r) = L/2. A wide
+    # excision leaves pieces of unequal length around the poles.
+    excision = 0.1 if wide_excision else 1e-6
     proc = DephasingSemiMarkov(s=1.0, p=p)
-    rate, _, scan = _scan(proc, T)
-    length = float(np.sum(scan.ts[scan.last] - scan.ts[scan.first]))
-    median = measures._median_reference(
-        rate, lambda r: measures._split(rate, scan, r), scan, None)
-    brent = brentq(lambda r: measures._split(rate, scan, r).below()
-                   - 0.5 * length, 0.0, 2.0 * float(scan.gs.max()),
+    rate, _, pieces = _rate_and_pieces(proc, T, excision)
+    length = sum(hi - lo for lo, hi in pieces)
+
+    def below(r):
+        total = 0.0
+        for lo, hi in pieces:
+            if rate(hi) < r:
+                total += hi - lo
+            elif rate(lo) < r:
+                total += brentq(lambda t: rate(t) - r, lo, hi, xtol=1e-13,
+                                rtol=8.9e-16) - lo
+        return total
+
+    top = max(rate(hi) for _, hi in pieces)
+    brent = brentq(lambda r: below(r) - 0.5 * length, 0.0, top,
                    xtol=1e-12, rtol=8.9e-16)
+    median = sss_measure(proc, SSSConfig(horizon=T, mode="min",
+                                         excision=excision)).gamma_ref
     assert median == pytest.approx(brent, abs=1e-12)
 
 
@@ -322,13 +327,13 @@ def test_median_solves_match_brent_on_the_same_splits(p, T, newton,
 def test_closed_form_matches_quadrature_of_the_rate(p, T, mode):
     proc = DephasingSemiMarkov(s=1.0, p=p)
     result = sss_measure(proc, SSSConfig(horizon=T, mode=mode))
-    rate, poles, scan = _scan(proc, T)
     ref = result.gamma_ref
-    kinks = measures._split(rate, scan, ref).kinks
+    kinks = _closed_form_kinks(proc, T, ref)
     assert result.kinks == kinks.size
     quad = adaptive_quad(lambda t: abs(gamma_dephasing(proc, t) - ref),
-                         0.0, T, singular_points=poles, excision=1e-6,
-                         breakpoints=kinks, abs_tol=0.0, rel_tol=1e-12)
+                         0.0, T, singular_points=coherence_zeros(proc, T),
+                         excision=1e-6, breakpoints=kinks, abs_tol=0.0,
+                         rel_tol=1e-12)
     assert result.xi == pytest.approx(quad.value / T, rel=1e-10, abs=0.0)
 
 

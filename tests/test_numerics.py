@@ -1,5 +1,7 @@
 """Linear algebra, quadrature, Volterra, and scalar-search building blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qsemimarkov import (
     trace_norm,
     von_neumann_entropy,
 )
-from qsemimarkov.numerics import _bracketed_roots
+from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS
 
 from golden_section import minimize_scalar
 
@@ -266,6 +268,26 @@ def test_solve_volterra_rejects_bad_steps():
         solve_volterra(lambda t: np.full_like(t, np.inf), gen, 1.0, 0.1)
 
 
+def test_solve_volterra_refuses_steps_past_the_cap_before_allocating():
+    calls = []
+
+    def kernel(t):
+        calls.append(t)
+        return np.ones_like(t)
+
+    dt = 1e-3
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="cap"):
+            solve_volterra(kernel, np.eye(4), (_VOLTERRA_MAX_STEPS + 1) * dt,
+                           dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grid alone would be 0.8 MB and the maps 12.8 MB
+    assert calls == [] and peak < 100_000
+
+
 # ------------------------------------------------------------ scalar search
 
 def test_minimize_scalar_quadratic():
@@ -284,19 +306,3 @@ def test_minimize_scalar_rejects_non_finite_objective():
         minimize_scalar(lambda x: np.nan, 0.0, 1.0)
     with pytest.raises(DomainError):
         minimize_scalar(lambda x: x, 1.0, 0.0)
-
-
-def test_bracketed_roots_all_at_once():
-    a, b = np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0])
-    roots = _bracketed_roots(np.cos, a, b, np.cos(a), np.cos(b))
-    assert np.abs(roots - np.array([0.5, 1.5, 2.5]) * np.pi).max() <= 4e-15
-    # an exact zero ends the iteration at that point
-    half = _bracketed_roots(lambda x: x - 0.5, np.array([0.0]),
-                            np.array([1.0]), np.array([-0.5]),
-                            np.array([0.5]))
-    assert half[0] == 0.5
-    assert _bracketed_roots(np.cos, np.empty(0), np.empty(0), np.empty(0),
-                            np.empty(0)).size == 0
-    with pytest.raises(NumericalError):
-        _bracketed_roots(lambda x: np.full_like(x, np.nan), np.array([0.0]),
-                         np.array([1.0]), np.array([-1.0]), np.array([1.0]))
