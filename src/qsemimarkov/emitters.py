@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from html import escape
 from typing import Mapping
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -201,7 +201,8 @@ def to_svg(table: ResultTable, *, title: str | None = None) -> str:
     heading = title if title is not None else table.command
     out.append(
         f'<text x="{_W / 2:g}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(heading)}</text>'
+        f'font-family="sans-serif" font-size="16">'
+        f'{escape(heading, quote=False)}</text>'
     )
     # axes
     out.append(
@@ -233,7 +234,8 @@ def to_svg(table: ResultTable, *, title: str | None = None) -> str:
         )
     out.append(
         f'<text x="{(_ML + _W - _MR) / 2:g}" y="{_H - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(names[0])}</text>'
+        f'font-family="sans-serif" font-size="13">'
+        f'{escape(names[0], quote=False)}</text>'
     )
     # series polylines in data coordinates
     out.append(
@@ -261,7 +263,7 @@ def to_svg(table: ResultTable, *, title: str | None = None) -> str:
         )
         out.append(
             f'<text x="{_W - _MR - 90}" y="{yp}" font-family="sans-serif" '
-            f'font-size="12">{escape(name)}</text>'
+            f'font-size="12">{escape(name, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

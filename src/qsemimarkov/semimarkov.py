@@ -329,39 +329,42 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """Time-local dephasing rate gamma(t) = -(1/2) d ln q / dt.
 
-    Algebraically equal to the closed form 2p / (s eta coth(s t eta / 2) + s)
-    on every branch, but evaluated through q and dq/dt so extrema of q give
-    an exact zero instead of an inf/inf form. A numpy array t gives an array
-    of rates, NaN at a pole of the rate: where |q(t)| < 1e-12 on the
-    oscillating branch (p > s^2/8), the only one where q has zeros, and
-    where q underflows to 0 on the others.
+    Where q decays without zeros it is formed from neither q nor q', so it
+    stays finite where q underflows (it tends to s(1 - eta)/4): for
+    p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
+    2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and at
+    p = s^2/8 it is s^2 t / (8 + 4 s t). Where q oscillates (p > s^2/8) it
+    is -q'/(2q), so extrema of q give an exact zero, with a pole where
+    |q(t)| < 1e-12; a numpy array t gives NaN there.
 
     :raises Singularity: for a scalar t at a pole.
     """
-    if isinstance(t, np.ndarray) and t.ndim:
-        if np.any(t < 0.0):
-            raise DomainError(f"t must be non-negative, got min {t.min()!r}")
-        q, dq = q_of_t(proc, t), q_derivative(proc, t)
-    else:
+    scalar = not (isinstance(t, np.ndarray) and t.ndim)
+    if scalar:
         t = float(t)
         if t < 0.0:
             raise DomainError(f"t must be non-negative, got {t!r}")
         if proc.p == 0.0 or t == 0.0:
             return 0.0
-        q, dq = float(q_of_t(proc, t)), float(q_derivative(proc, t))
-    if _branch(proc.s, proc.p)[0] == "imag":
-        pole = abs(q) < _COHERENCE_FLOOR
-    else:  # q decays without zeros: a small q is exact, not a pole
-        pole = q == 0.0
-    # adding the pole mask keeps 1/q finite at poles and is exact elsewhere
-    gamma = -0.5 * dq / (q + pole)
-    if isinstance(t, float):
-        if pole:
+    elif np.any(t < 0.0):
+        raise DomainError(f"t must be non-negative, got min {t.min()!r}")
+    s, p = proc.s, proc.p
+    tag, w = _branch(s, p)
+    if tag == "boundary":
+        gamma = s**2 * t / (8.0 + 4.0 * s * t)
+    elif tag == "real":  # +0.0 at t = 0 and at p = 0
+        gamma = (2.0 * p * -np.expm1(-s * w * t)
+                 / (s * ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t))))
+    else:
+        q, dq = q_of_t(proc, t), q_derivative(proc, t)
+        pole = np.abs(q) < _COHERENCE_FLOOR
+        if scalar and pole:
             raise Singularity(f"rate pole: |q({t:g})| = {abs(q):.3e}")
-        return gamma
-    gamma[pole] = np.nan
-    gamma[(t == 0.0) | (proc.p == 0.0)] = 0.0  # +0.0, where -0.5 q'/q is -0.0
-    return gamma
+        # adding the pole mask keeps 1/q finite at poles, exact elsewhere
+        gamma = -0.5 * dq / (q + pole)
+        if not scalar:
+            gamma[pole] = np.nan
+    return float(gamma) if scalar else gamma
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -512,7 +515,6 @@ class ClassicalSimResult:
     seed: int
 
 
-_SIM_BLOCK = 16            # renewal steps per block of a path's stream
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
@@ -522,38 +524,64 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _mulhilo(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product x * m, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = x_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, x * np.uint64(m)
+def _mulhilo(x: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
+             a: np.ndarray, b: np.ndarray) -> None:
+    """Write the high and low words of the 128-bit product x * m into hi, lo.
 
-
-def _philox_uniforms(seed: int, paths: np.ndarray, block: int,
-                     per_step: int) -> np.ndarray:
-    """Uniforms of renewal block ``block`` for every path in ``paths``.
-
-    Row i holds draws ``block * k`` to ``(block + 1) * k - 1`` of
-    ``Generator(Philox(key=(seed, paths[i]))).random``, k = 16 per_step.
-    k is a multiple of 4, so the block starts on a fresh counter.
+    Schoolbook product of 32-bit halves (Warren, Hacker's Delight, mulhu),
+    with the scratch buffers a, b of x's shape: no temporary is allocated.
     """
-    n_ctr = _SIM_BLOCK * per_step // 4
-    c0 = np.broadcast_to(
-        np.arange(block * n_ctr + 1, (block + 1) * n_ctr + 1, dtype=np.uint64),
-        (paths.size, n_ctr))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    np.bitwise_and(x, _LO32, out=a)           # x_lo
+    np.right_shift(x, _S32, out=hi)           # x_hi
+    np.multiply(a, m_lo, out=b)
+    np.right_shift(b, _S32, out=b)            # (x_lo m_lo) >> 32
+    np.multiply(hi, m_lo, out=lo)
+    np.add(lo, b, out=lo)                     # u = x_hi m_lo + that
+    np.right_shift(lo, _S32, out=b)           # u >> 32
+    np.bitwise_and(lo, _LO32, out=lo)
+    np.multiply(a, m_hi, out=a)
+    np.add(lo, a, out=lo)                     # v = (u & LO32) + x_lo m_hi
+    np.multiply(hi, m_hi, out=hi)
+    np.add(hi, b, out=hi)
+    np.right_shift(lo, _S32, out=lo)
+    np.add(hi, lo, out=hi)                    # x_hi m_hi + u>>32 + v>>32
+    np.multiply(x, np.uint64(m), out=lo)      # x m mod 2^64
+
+
+def _philox_uniforms(seed: int, paths: np.ndarray, start_step: int,
+                     steps: int, per_step: int) -> np.ndarray:
+    """Uniforms of ``steps`` renewal steps from ``start_step``, per path.
+
+    Row i holds draws ``start_step * per_step`` to
+    ``(start_step + steps) * per_step - 1`` of
+    ``Generator(Philox(key=(seed, paths[i]))).random``. Both step counts are
+    multiples of 4, so the block covers whole counters: counters
+    ``start_step * per_step / 4 + 1`` upward. The 10 rounds run in buffers
+    allocated once per call.
+    """
+    n_ctr = steps * per_step // 4
+    first = start_step * per_step // 4 + 1
+    shape = (paths.size, n_ctr)
+    c0 = np.tile(np.arange(first, first + n_ctr, dtype=np.uint64),
+                 (paths.size, 1))
+    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    h0, l0, h1, l1, a, b = (np.empty(shape, dtype=np.uint64) for _ in range(6))
     k1 = paths.astype(np.uint64)[:, None]
+    w1 = np.uint64(_PHILOX_W[1])
     for r in range(10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k1 = k1 + np.uint64(_PHILOX_W[1])
+        _mulhilo(c0, _PHILOX_M[0], h0, l0, a, b)
+        _mulhilo(c2, _PHILOX_M[1], h1, l1, a, b)
+        np.bitwise_xor(h1, c1, out=h1)
+        np.bitwise_xor(h1, k0, out=h1)        # new c0 = hi1 ^ c1 ^ k0
+        np.bitwise_xor(h0, c3, out=h0)
+        np.bitwise_xor(h0, k1, out=h0)        # new c2 = hi0 ^ c3 ^ k1
+        c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
+        np.add(k1, w1, out=k1)
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(paths.size, -1)
-    return (words >> np.uint64(11)) * 2.0**-53
+    np.right_shift(words, np.uint64(11), out=words)
+    return words * 2.0**-53
 
 
 def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
@@ -568,6 +596,11 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
           paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk a set of paths block by block until each passes ``times[-1]``.
 
+    The first block is 4 renewal steps; each later one doubles, capped at
+    the largest multiple of 4 for which the live paths' draw fits
+    ``_CHUNK_UNIFORMS`` (never below 4). A path stops once its last epoch
+    reaches ``times[-1]``.
+
     :return: integer histograms over the time indices 0..len(times):
         ``first[j]`` counts paths whose first jump is at a time in
         (times[j-1], times[j]] (index len(times): none before t_max), and
@@ -576,17 +609,18 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
     t_max = times[-1]
     n_bins = times.size + 1
     last = np.zeros(paths.size)     # epoch reached by each path so far
-    total = np.zeros(paths.size)    # blockwise wait sum: the stopping rule
     site = np.zeros(paths.size, dtype=np.int64)
     flips = np.zeros(n_bins, dtype=np.int64)
-    block = 0
+    start, steps = 0, 2             # so the first block is 4 steps
     while paths.size:
-        u = _philox_uniforms(seed, paths, block, per_step)
-        u = u.reshape(paths.size, _SIM_BLOCK, per_step)
+        fit = _CHUNK_UNIFORMS // (paths.size * per_step) // 4 * 4
+        steps = max(4, min(2 * steps, fit))
+        u = _philox_uniforms(seed, paths, start, steps, per_step)
+        u = u.reshape(paths.size, steps, per_step)
         w = _waits_from_uniforms(wtd, u)
         # sequential cumsum carried over from the last block: same bits
         epochs = np.cumsum(np.column_stack([last, w]), axis=1)[:, 1:]
-        if block == 0:
+        if start == 0:
             t1 = np.where(epochs[:, 0] < t_max, epochs[:, 0], np.inf)
             first = np.bincount(np.searchsorted(times, t1), minlength=n_bins)
         hops = (u[..., -1] < jump_prob) & (epochs < t_max)
@@ -595,11 +629,10 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         idx = np.searchsorted(times, epochs[hops])
         flips += (np.bincount(idx[from_one], minlength=n_bins)
                   - np.bincount(idx[~from_one], minlength=n_bins))
-        total += w.sum(axis=1)
-        going = total < t_max
-        paths, last, total = paths[going], epochs[going, -1], total[going]
+        going = epochs[:, -1] < t_max
+        paths, last = paths[going], epochs[going, -1]
         site = ((site + n_hops[:, -1]) & 1)[going]
-        block += 1
+        start += steps
     return first, flips
 
 
@@ -611,11 +644,14 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     Paths start in site 0; at each renewal epoch the walker hops to the
     other site with probability ``jump_prob``. Waits come from the inverse
     CDF of ``wtd``. Path i consumes its own counter-based stream
-    ``Philox(key=(seed, i))`` in blocks of 16 renewal steps, each step using
-    its uniforms in a fixed order (wait draws, then the hop draw), so
-    results are bit-reproducible and independent of evaluation order.
-    Paths are walked together in chunks of a fixed size, so memory stays
-    bounded for any ``n_paths``.
+    ``Philox(key=(seed, i))``, each renewal step using its uniforms in a
+    fixed order (wait draws, then the hop draw), so results are
+    bit-reproducible and independent of evaluation order. A path stops once
+    its epoch reaches ``t_max``. Paths are walked together in chunks of
+    ``_CHUNK_UNIFORMS // (4 per_step)`` paths, in blocks of 4 steps first
+    and then of doubling length while the live paths' draw fits
+    ``_CHUNK_UNIFORMS`` uniforms, so memory stays bounded for any
+    ``n_paths`` and short paths waste few draws.
 
     :param seed: required 64-bit seed (0 <= seed < 2**64).
     :return: ``ClassicalSimResult`` on a uniform grid of ``n_times`` points
@@ -635,7 +671,7 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     n_paths = int(n_paths)
     times = np.linspace(0.0, float(t_max), int(n_times))
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
-    chunk = max(1, _CHUNK_UNIFORMS // (_SIM_BLOCK * per_step))
+    chunk = max(1, _CHUNK_UNIFORMS // (4 * per_step))
     first = np.zeros(times.size + 1, dtype=np.int64)
     flips = np.zeros(times.size + 1, dtype=np.int64)
     for start in range(0, n_paths, chunk):

@@ -164,10 +164,12 @@ def test_measure_past_the_underflow_of_q(capsys):
         assert code == 0, err
         row = [l for l in out.splitlines() if not l.startswith("#")][1]
         assert all(np.isfinite(float(x)) for x in row.split(","))
-    # the Choi route evaluates gamma itself, where q underflows: exit 3
-    code, _, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
-                                 "--form", "choi"])
-    assert code == 3 and "qsm: numerical failure:" in err
+    # the Choi route evaluates gamma itself, in closed form: finite too
+    code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
+                                   "--form", "choi"])
+    assert code == 0, err
+    row = [l for l in out.splitlines() if not l.startswith("#")][1]
+    assert all(np.isfinite(float(x)) for x in row.split(","))
 
 
 def test_version_and_help_exit_0(capsys):
@@ -483,17 +485,22 @@ def test_classical_sim_error_in_se_where_every_path_agrees(capsys):
 
 
 def test_commands_without_quadrature_do_not_import_scipy():
-    # the rate route of measure is exact: no quadrature, and no Brent
+    # the rate route of measure is exact: no quadrature, and no Brent. The
+    # SVG writer escapes text without xml.sax, which would pull in
+    # urllib.request, http, ssl and email (numpy itself loads urllib.parse)
     script = (
         "import contextlib, io, sys\n"
         "from qsemimarkov.cli import run\n"
         "for argv in (['rate'], ['holevo'], ['blp'], ['divisibility'],\n"
         "             ['divisibility', '--boundary-search'],\n"
         "             ['classical-sim', '--seed', '1'], ['kernel-check'],\n"
-        "             ['measure'], ['measure', '--mode', 'min']):\n"
+        "             ['measure'], ['measure', '--mode', 'min'],\n"
+        "             ['rate', '--format', 'svg']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(argv) == 0, argv\n"
-        "    assert 'scipy' not in sys.modules, argv\n")
+        "    for name in ('scipy', 'xml', 'urllib.request', 'http', 'ssl',\n"
+        "                 'email'):\n"
+        "        assert name not in sys.modules, (argv, name)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}

@@ -227,6 +227,31 @@ def test_divisible_measure_past_the_underflow_of_q(p, mode):
     assert result.xi == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.12, 0.125])
+def test_divisible_rate_past_the_underflow_of_q(p):
+    # gamma = -q'/(2q) with q and q' = -(4p/(s eta)) e^{-st/2} sinh(eta s t/2)
+    # in 40 digits, where the float q has underflowed to 0
+    s = 1.0
+    ts = np.array([1500.0, 3000.0])
+    assert q_of_t(DephasingSemiMarkov(s=s, p=p), ts[-1]) == 0.0
+    expected = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for t in ts:
+            sd, pd, td = (decimal.Decimal(x) for x in (s, p, t))
+            eta = abs(1 - 8 * pd / sd**2).sqrt()
+            x = eta * sd * td / 2
+            dq = (-(-sd * td / 2).exp() * sd**2 * td / 4 if x == 0 else
+                  -4 * pd / (sd * eta) * (-sd * td / 2).exp()
+                  * ((x.exp() - (-x).exp()) / 2))
+            expected.append(float(-dq / (2 * _q_40_digits(s, p, t))))
+    proc = DephasingSemiMarkov(s=s, p=p)
+    assert gamma_dephasing(proc, ts) == pytest.approx(expected, rel=1e-12,
+                                                      abs=0.0)
+    assert gamma_dephasing(proc, 3000.0) == pytest.approx(expected[-1],
+                                                          rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------- oracles for the closed forms
 
 _ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]

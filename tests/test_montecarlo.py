@@ -81,10 +81,11 @@ def test_determinism_and_seed_sensitivity():
 def test_path_count_extension_is_consistent(monkeypatch):
     # per-path streams are keyed by (seed, path index), so the first 500
     # paths of a longer run reproduce a 500-path run exactly: with chunks of
-    # 500 paths, the long run's first chunk gives the short run's counts
+    # 500 paths (4-step first blocks of 2 uniforms a step), the long run's
+    # first chunk gives the short run's counts
     wtd = TanhSechWTD(rate=1.0)
     small = classical_jump_simulate(wtd, 1.0, 1.0, 500, seed=9, n_times=3)
-    monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 16 * 2)
+    monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 4 * 2)
     chunks = []
     walk = semimarkov._walk
 
@@ -145,15 +146,47 @@ def _generator_uniforms(seed, path, start, stop):
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("per_step", [2, 3])
 def test_vectorized_streams_equal_per_path_generators(seed, per_step):
-    # path ids straddle the first chunk boundary; blocks 0, 1 and 4
-    chunk = semimarkov._CHUNK_UNIFORMS // (16 * per_step)
+    # path ids straddle the first chunk boundary; the doubling schedule's
+    # blocks of 4, 8, 16 and 32 steps, and a capped block far along the path
+    chunk = semimarkov._CHUNK_UNIFORMS // (4 * per_step)
     paths = np.arange(chunk - 3, chunk + 3, dtype=np.uint64)
-    k = 16 * per_step
-    for block in (0, 1, 4):
-        u = semimarkov._philox_uniforms(seed, paths, block, per_step)
-        expected = [_generator_uniforms(seed, int(i), block * k, (block + 1) * k)
+    for start, steps in ((0, 4), (4, 8), (12, 16), (28, 32), (380, 20)):
+        u = semimarkov._philox_uniforms(seed, paths, start, steps, per_step)
+        expected = [_generator_uniforms(seed, int(i), start * per_step,
+                                        (start + steps) * per_step)
                     for i in paths]
         assert np.array_equal(u, np.array(expected))
+
+
+@pytest.mark.parametrize("wtd, t_max, n_paths, longest", [
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 2.0, 10_000, 8),
+    (TanhSechWTD(rate=1.0), 400.0, 300, 64),
+])
+def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
+                                                 n_paths, longest):
+    per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
+    draws = []
+    philox = semimarkov._philox_uniforms
+
+    def recording_philox(seed, paths, start, steps, k):
+        draws.append((paths.size, start, steps))
+        return philox(seed, paths, start, steps, k)
+
+    monkeypatch.setattr(semimarkov, "_philox_uniforms", recording_philox)
+    classical_jump_simulate(wtd, 1.0, t_max, n_paths, seed=3, n_times=5)
+    assert draws and draws[0][1] == 0
+    prev = None
+    for n, start, steps in draws:
+        assert steps % 4 == 0
+        if start == 0:
+            assert steps == 4        # every chunk opens with 4 steps
+        else:
+            assert start == prev[1] + prev[2] and steps <= 2 * prev[2]
+        if steps > 4:
+            assert n * steps * per_step <= semimarkov._CHUNK_UNIFORMS
+        prev = (n, start, steps)
+    # two chunks of short paths; long paths soon reach long blocks
+    assert max(steps for _, _, steps in draws) >= longest
 
 
 @pytest.mark.parametrize("wtd, jump_prob, t_max", [
@@ -211,6 +244,8 @@ def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
     (ExpConvolutionWTD(rate1=1.5, rate2=1.5), 0.5, 60.0, 2**63),
     (TanhSechWTD(rate=1.0), 0.3, 80.0, 11),
     (ExponentialWTD(rate=1.0), 0.6, 50.0, 0),
+    # about 250 steps a path: blocks of 4, 8, ..., 128 and more
+    (ExponentialWTD(rate=1.0), 0.4, 250.0, 5),
 ])
 def test_walk_equals_per_path_loop(wtd, jump_prob, t_max, seed):
     # several blocks per path and thinned hops: the site parity and the
