@@ -15,11 +15,11 @@ gamma is a log-derivative, so between the kinks where gamma crosses the
 reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
 integrates the trace norm of the difference of generator Choi matrices by
-adaptive quadrature and divides by the family constant (the trace norm per
-unit rate), computed at runtime from the generator itself. Neither route
-searches: gamma rises between its poles, so each retained piece holds at
-most one kink, at a closed-form time, and the time-median is one
-interpolation.
+adaptive quadrature, batched over the nodes of each round, and divides by
+the family constant (the trace norm per unit rate), computed at runtime
+from the generator itself. Neither route searches: gamma rises between its
+poles, so each retained piece holds at most one kink, at a closed-form
+time, and the time-median is one interpolation.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a bisection search for the
@@ -200,11 +200,13 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     with Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
     non-unital family; the kinks come in closed form from
     ``semimarkov._level_time``. The Choi route integrates the trace norm of
-    the Choi difference with the kinks as breakpoints, and divides by the
-    family constant measured from the generator at rates 1 and 0.
+    the Choi difference (one Choi stack per round of nodes) with the kinks
+    as breakpoints, and divides by the family constant measured from the
+    generator at rates 1 and 0.
 
-    :raises Singularity: if gamma at the median or Gamma at a piece end or
-        kink is not finite, which happens only where q underflows.
+    :raises Singularity: if gamma at the median, at a quadrature node, or
+        Gamma at a piece end or kink is not finite, which happens only where
+        q underflows or at a rate pole inside a tiny excision.
     """
     config = config or SSSConfig()
     T = config.horizon
@@ -246,8 +248,15 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
     constant = trace_norm(choi(1.0) - choi(0.0))
     chi_ref = choi(ref)
-    quad = adaptive_quad(lambda t: trace_norm(choi(float(rate(t))) - chi_ref),
-                         0.0, T, singular_points=poles,
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        gamma = rate(t)
+        if not np.all(np.isfinite(gamma)):
+            raise Singularity("rate pole at t = "
+                              f"{t[~np.isfinite(gamma)][0]:g}")
+        return trace_norm(choi(gamma) - chi_ref)
+
+    quad = adaptive_quad(integrand, 0.0, T, singular_points=poles,
                          excision=config.excision, breakpoints=kinks)
     raw = quad.value / T
     xi = raw / constant

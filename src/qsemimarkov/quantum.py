@@ -11,6 +11,7 @@ Conventions used throughout:
   is sum_m |w_m><w_m| with w_m the row-major flattening of K_m.
 - ``apply_superop``, ``choi_of_superop`` and ``intermediate_map`` take
   stacks over leading axes: superoperators (..., d^2, d^2), states (..., d, d).
+  A generator snapshot with an array ``rate`` has a stack as its ``superop``.
 """
 
 from __future__ import annotations
@@ -189,63 +190,45 @@ def intermediate_map(superop_late: np.ndarray, superop_early: np.ndarray, *,
 
 
 @dataclass(frozen=True)
-class DephasingGenerator:
+class _GeneratorSnapshot:
+    rate: float | np.ndarray
+    dim: int = 2
+
+    def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise DomainError(f"dimension must be >= 2, got {self.dim}")
+
+    @property
+    def superop(self) -> np.ndarray:
+        """Column-stacking superoperator, shape rate.shape + (d^2, d^2)."""
+        return np.multiply.outer(self.rate, self._unit_rate())
+
+
+class DephasingGenerator(_GeneratorSnapshot):
     """Snapshot (gamma / d) (Z rho Z^dag - rho) of the dephasing generator.
 
     The qudit convention 1/d makes the Choi-difference family constant
     dimension-independent.
     """
 
-    rate: float
-    dim: int = 2
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.dim}")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        r = np.asarray(rho, dtype=complex)
-        if r.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"state shape {r.shape} does not match dimension {self.dim}"
-            )
-        Z = weyl_z(self.dim)
-        return self.rate / self.dim * (Z @ r @ Z.conj().T - r)
+    def _unit_rate(self) -> np.ndarray:  # (conj(Z) (x) Z - 1) / d, diagonal
+        z = np.diag(weyl_z(self.dim))
+        return np.diag(np.outer(z.conj(), z).ravel() - 1.0) / self.dim
 
 
-@dataclass(frozen=True)
-class ProjectorGenerator:
+class ProjectorGenerator(_GeneratorSnapshot):
     """Snapshot gamma * (P[rho] - rho) with P[rho] = |0><0| tr(rho)."""
 
-    rate: float
-    dim: int = 2
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.dim}")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        r = np.asarray(rho, dtype=complex)
-        if r.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"state shape {r.shape} does not match dimension {self.dim}"
-            )
-        out = -r.copy()
-        out[0, 0] += r.trace()
-        return self.rate * out
+    def _unit_rate(self) -> np.ndarray:  # P - 1; row 0 of P reads tr(rho)
+        unit = -np.eye(self.dim**2)
+        unit[0, :: self.dim + 1] += 1.0
+        return unit
 
 
 def choi_of_generator(generator) -> np.ndarray:
-    """Choi matrix (L (x) 1)|Psi><Psi| of a generator snapshot.
+    """Choi matrix (L (x) 1)|Psi><Psi| of a generator snapshot, or a stack.
 
-    Works for any object with ``dim`` and a linear ``apply``; the result is
-    Hermitian and traceless for a trace-annihilating generator.
+    The reshuffle of the generator's ``superop``; the result is Hermitian
+    and traceless for a trace-annihilating generator.
     """
-    d = generator.dim
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    basis = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.outer(basis[:, i], basis[:, j])
-            chi += np.kron(generator.apply(E), E)
-    return chi
+    return choi_of_superop(generator.superop)

@@ -2,13 +2,14 @@
 
 The package takes the Choi matrix as a reshuffle of the superoperator's
 entries; the tests check that against this loop over the matrix units,
-chi = sum_ij Phi(|i><j|) (x) |i><j|. The Kraus-set sums below give the
-superoperator and Choi matrix of a channel written as {K_m}.
+chi = sum_ij Phi(|i><j|) (x) |i><j|, for a superoperator and for a
+generator snapshot acting by its defining formula. The Kraus-set sums below
+give the superoperator and Choi matrix of a channel written as {K_m}.
 """
 
 import numpy as np
 
-from qsemimarkov import DimensionMismatch
+from qsemimarkov import DephasingGenerator, DimensionMismatch, weyl_z
 
 
 def choi_of_superop(superop: np.ndarray) -> np.ndarray:
@@ -24,6 +25,30 @@ def choi_of_superop(superop: np.ndarray) -> np.ndarray:
             E = np.outer(basis[:, i], basis[:, j])
             out = (S @ E.flatten(order="F")).reshape((d, d), order="F")
             chi += np.kron(out, E)
+    return chi
+
+
+def generator_action(gen, rho: np.ndarray) -> np.ndarray:
+    """(rate/d)(Z rho Z^dag - rho) for dephasing, rate (|0><0| tr rho - rho)
+    for the projector family."""
+    r = np.asarray(rho, dtype=complex)
+    if isinstance(gen, DephasingGenerator):
+        Z = weyl_z(gen.dim)
+        return gen.rate / gen.dim * (Z @ r @ Z.conj().T - r)
+    out = -r.copy()
+    out[0, 0] += r.trace()
+    return gen.rate * out
+
+
+def choi_of_generator(gen) -> np.ndarray:
+    """Choi matrix of one generator snapshot, built term by term."""
+    d = gen.dim
+    chi = np.zeros((d * d, d * d), dtype=complex)
+    basis = np.eye(d, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.outer(basis[:, i], basis[:, j])
+            chi += np.kron(generator_action(gen, E), E)
     return chi
 
 

@@ -155,6 +155,15 @@ def test_numerical_failures_exit_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_measure_choi_form_reports_a_rate_pole_inside_a_tiny_excision(capsys):
+    # a node lands within 1e-12 of the pole at t = 0.740796, where gamma is
+    # not finite: the Choi route stops with the rate route's exit code
+    code, out, err = _run(capsys, ["measure", "--p", "3", "--form", "choi",
+                                   "--epsilon", "1e-13"])
+    assert code == 3 and out == ""
+    assert "rate pole" in err and "0.7407" in err
+
+
 def test_measure_past_the_underflow_of_q(capsys):
     # p <= s^2/8: q(3000) underflows, but ln q is formed in log space, so
     # the rate route stays finite in both modes
@@ -485,8 +494,9 @@ def test_classical_sim_error_in_se_where_every_path_agrees(capsys):
 
 
 def test_commands_without_quadrature_do_not_import_scipy():
-    # the rate route of measure is exact: no quadrature, and no Brent. The
-    # SVG writer escapes text without xml.sax, which would pull in
+    # no command loads scipy, the Choi route's quadrature included: the
+    # rate route of measure is exact, and the Gauss-Kronrod rule is numpy.
+    # The SVG writer escapes text without xml.sax, which would pull in
     # urllib.request, http, ssl and email (numpy itself loads urllib.parse)
     script = (
         "import contextlib, io, sys\n"
@@ -495,6 +505,12 @@ def test_commands_without_quadrature_do_not_import_scipy():
         "             ['divisibility', '--boundary-search'],\n"
         "             ['classical-sim', '--seed', '1'], ['kernel-check'],\n"
         "             ['measure'], ['measure', '--mode', 'min'],\n"
+        "             ['measure', '--form', 'choi'],\n"
+        "             ['measure', '--form', 'choi', '--mode', 'min'],\n"
+        "             ['measure', '--form', 'choi', '--family', 'nonunital'],\n"
+        "             ['measure', '--form', 'choi', '--family', 'nonunital',\n"
+        "              '--mode', 'min'],\n"
+        "             ['measure', '--form', 'choi', '--format', 'json'],\n"
         "             ['rate', '--format', 'svg']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert run(argv) == 0, argv\n"

@@ -406,6 +406,17 @@ def test_choi_form_min_mode_objective_is_lowest_at_the_median():
         assert moved.raw_average >= choi.raw_average
 
 
+@pytest.mark.parametrize("mode", ["fixed", "min"])
+def test_choi_form_matches_rate_form_across_many_poles(mode):
+    # T = 20 at p = 3 spans 15 rate poles, each excised from both routes
+    proc = DephasingSemiMarkov(s=1.0, p=3.0)
+    rate = sss_measure(proc, SSSConfig(horizon=20.0, mode=mode))
+    choi = sss_measure(proc, SSSConfig(horizon=20.0, mode=mode, form="choi"))
+    assert len(choi.excised) == 15
+    assert choi.gamma_ref == rate.gamma_ref
+    assert choi.xi == pytest.approx(rate.xi, rel=1e-9)
+
+
 def test_choi_form_nonunital_constant():
     result = sss_measure(NonUnitalSemiMarkov(rate=1.0),
                          SSSConfig(horizon=1.0, form="choi"))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qsemimarkov import (
     DomainError,
@@ -11,6 +12,7 @@ from qsemimarkov import (
     InvalidState,
     NonHermitianInput,
     NumericalError,
+    ToleranceNotMet,
     adaptive_quad,
     binary_entropy,
     hermitian_eig,
@@ -18,7 +20,7 @@ from qsemimarkov import (
     trace_norm,
     von_neumann_entropy,
 )
-from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS
+from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
 
@@ -183,6 +185,58 @@ def test_adaptive_quad_breakpoints_resolve_kinks():
                         breakpoints=[1.0 / 3.0])
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
     assert res.value == pytest.approx(exact, abs=1e-14)
+
+
+def test_adaptive_quad_takes_every_node_of_a_round_in_one_call():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / np.abs(t - 0.5)
+
+    res = adaptive_quad(f, 0.0, 1.0, singular_points=[0.5], breakpoints=[0.25])
+    assert all(isinstance(t, np.ndarray) and t.shape[1:] == (21,)
+               for t in calls)
+    # the first round covers [0, 0.25], [0.25, 0.5 - eps] and [0.5 + eps, 1]
+    assert calls[0].shape == (3, 21)
+    assert res.evaluations % 21 == 0
+    assert res.evaluations == sum(t.size for t in calls)
+    # each round bisects several intervals at once
+    assert len(calls) < res.evaluations // 21
+
+
+def test_gk21_matches_quadpack_qk21():
+    # scipy's quad with limit=1 returns QUADPACK's single qk21 result and its
+    # scaled error estimate (the rough integrands keep that scaling active)
+    for f, a, b in ((lambda t: np.exp(-t) * np.sin(10.0 * t), 0.0, 5.0),
+                    (np.sqrt, 0.0, 1.0), (np.cos, 0.0, 1.0)):
+        value, err, _ = integrate.quad(f, a, b, limit=1, full_output=1)[:3]
+        _, _, mine_value, mine_err = _gk21(f, np.array([a]), np.array([b]))
+        assert mine_value[0] == pytest.approx(value, rel=1e-14)
+        assert mine_err[0] == pytest.approx(err, rel=1e-9)
+
+
+def test_adaptive_quad_matches_quadpack():
+    f = lambda t: np.exp(-t) * np.sin(10.0 * t)
+    res = adaptive_quad(f, 0.0, 5.0, abs_tol=0.0, rel_tol=1e-12)
+    exact = (10.0 - np.exp(-5.0) * (np.sin(50.0) + 10.0 * np.cos(50.0))) / 101.0
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.value == pytest.approx(
+        integrate.quad(f, 0.0, 5.0, epsabs=0.0, epsrel=1e-12)[0], rel=1e-12)
+    assert res.error_estimate <= 1e-12 * abs(res.value)
+
+
+def test_adaptive_quad_raises_when_the_budget_runs_out():
+    f = lambda t: np.sin(40.0 * t)
+    with pytest.raises(ToleranceNotMet):
+        adaptive_quad(f, 0.0, 10.0, limit=1)
+    assert adaptive_quad(f, 0.0, 10.0).value == pytest.approx(
+        (1.0 - np.cos(400.0)) / 40.0, abs=1e-10)
+
+
+def test_adaptive_quad_rejects_a_nan_integrand():
+    with pytest.raises(NumericalError):
+        adaptive_quad(lambda t: np.where(t > 0.7, np.nan, t), 0.0, 1.0)
 
 
 def test_adaptive_quad_rejects_bad_range():

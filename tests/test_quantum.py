@@ -186,15 +186,16 @@ def test_dephasing_generator_action():
     gen = DephasingGenerator(rate=0.7, dim=2)
     rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     expected = 0.35 * (Z @ rho @ Z - rho)
-    assert np.abs(gen.apply(rho) - expected).max() < 1e-14
-    assert abs(gen.apply(rho).trace()) < 1e-14  # trace-annihilating
+    out = apply_superop(gen.superop, rho)
+    assert np.abs(out - expected).max() < 1e-14
+    assert abs(out.trace()) < 1e-14  # trace-annihilating
 
 
 def test_dephasing_generator_is_trace_annihilating_for_qutrits():
     gen = DephasingGenerator(rate=1.0, dim=3)
     rng = np.random.default_rng(26)
     rho = random_state(rng, 3)
-    assert abs(gen.apply(rho).trace()) < 1e-12
+    assert abs(apply_superop(gen.superop, rho).trace()) < 1e-12
 
 
 def test_projector_generator_action():
@@ -202,7 +203,26 @@ def test_projector_generator_action():
     rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     projected = np.zeros((2, 2), dtype=complex)
     projected[0, 0] = rho.trace()
-    assert np.abs(gen.apply(rho) - 2.0 * (projected - rho)).max() < 1e-14
+    out = apply_superop(gen.superop, rho)
+    assert np.abs(out - 2.0 * (projected - rho)).max() < 1e-14
+
+
+@pytest.mark.parametrize("family", [DephasingGenerator, ProjectorGenerator])
+def test_generator_choi_reshuffle_equals_defining_loop(family):
+    rates = (0.0, 1.0, 0.3717, -2.5)
+    for r in rates:
+        gen = family(rate=r)
+        assert np.array_equal(choi_of_generator(gen),
+                              choi_loop.choi_of_generator(gen))
+        gen3 = family(rate=r, dim=3)
+        assert np.abs(choi_of_generator(gen3)
+                      - choi_loop.choi_of_generator(gen3)).max() <= 1e-15
+    # an array of rates gives the stack of the single-rate matrices
+    stack = choi_of_generator(family(rate=np.array([rates, rates[::-1]])))
+    assert stack.shape == (2, 4, 4, 4)
+    for idx in np.ndindex(2, 4):
+        single = family(rate=np.array([rates, rates[::-1]])[idx])
+        assert np.array_equal(stack[idx], choi_of_generator(single))
 
 
 def test_generator_choi_is_hermitian_traceless():

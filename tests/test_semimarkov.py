@@ -52,7 +52,7 @@ Z = np.diag([1.0, -1.0])
 def test_wtd_density_survival_consistency(wtd):
     # survival complements the integrated density: int_0^T f = 1 - g(T)
     for T in (0.5, 2.0, 6.0):
-        integral = adaptive_quad(lambda t: float(wtd.density(t)), 0.0, T).value
+        integral = adaptive_quad(wtd.density, 0.0, T).value
         assert integral == pytest.approx(1.0 - float(wtd.survival(T)), abs=1e-9)
     # density is -dg/dt
     ts = np.array([0.3, 1.1, 2.7])
