@@ -85,7 +85,6 @@ from .semimarkov import (
     jump_superop,
     kernel_closed_form,
     map_at,
-    q_derivative,
     q_of_t,
     superop_at,
 )
@@ -126,10 +125,9 @@ __all__ = [
     "ExponentialWTD", "ExpConvolutionWTD", "TanhSechWTD", "DeltaKernel",
     "ExponentialKernel", "kernel_closed_form", "eta", "REGIME_SEMIGROUP",
     "REGIME_DIVISIBLE", "REGIME_INDIVISIBLE", "DephasingSemiMarkov",
-    "NonUnitalSemiMarkov", "q_of_t", "q_derivative", "gamma_dephasing",
-    "gamma_nonunital", "coherence_zeros", "map_at", "superop_at",
-    "jump_superop", "ClassicalSimResult",
-    "classical_jump_simulate",
+    "NonUnitalSemiMarkov", "q_of_t", "gamma_dephasing", "gamma_nonunital",
+    "coherence_zeros", "map_at", "superop_at", "jump_superop",
+    "ClassicalSimResult", "classical_jump_simulate",
     # measures
     "PLUS_STATE", "MINUS_STATE", "SSSConfig", "MeasureResult",
     "sss_measure", "BLPResult", "blp_measure", "DivisibilityReport",

@@ -191,22 +191,6 @@ def _load_config_flags(path: str) -> list[str]:
     return flags
 
 
-def _merge_config(argv: list[str]) -> list[str]:
-    """Splice config-file flags after the command so CLI flags override."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            return argv[: i + 1] + _load_config_flags(path) + argv[i + 1:]
-    return argv
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -498,7 +482,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_merge_config(argv))
+        args = parser.parse_args(argv)
+        if args.config:  # file flags after the command, so given flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _load_config_flags(args.config) + argv[at:])
         r = _Resolved(args)
         table = _DISPATCH[args.command](r)
         meta = {"version": __version__,

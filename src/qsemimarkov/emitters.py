@@ -156,18 +156,9 @@ def _finite_range(arrs: list[np.ndarray]) -> tuple[float, float]:
 
 def _segments(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """Split a series at non-finite samples; returns index arrays."""
-    ok = np.isfinite(x) & np.isfinite(y)
-    segs: list[np.ndarray] = []
-    start = None
-    for i, good in enumerate(ok):
-        if good and start is None:
-            start = i
-        elif not good and start is not None:
-            segs.append(np.arange(start, i))
-            start = None
-    if start is not None:
-        segs.append(np.arange(start, ok.size))
-    return [s for s in segs if s.size >= 1]
+    ok = np.concatenate([[False], np.isfinite(x) & np.isfinite(y), [False]])
+    edges = np.flatnonzero(np.diff(ok))  # alternating run starts and ends
+    return [np.arange(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def to_svg(table: ResultTable, *, title: str | None = None) -> str:

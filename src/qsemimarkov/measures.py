@@ -205,8 +205,10 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     generator at rates 1 and 0.
 
     :raises Singularity: if gamma at the median, at a quadrature node, or
-        Gamma at a piece end or kink is not finite, which happens only where
-        q underflows or at a rate pole inside a tiny excision.
+        Gamma at a piece end or kink is not finite, which happens only at a
+        rate pole inside a tiny excision.
+    :raises GridError: if the horizon holds more rate poles than
+        ``coherence_zeros`` allows, or the excision removes all of it.
     """
     config = config or SSSConfig()
     T = config.horizon

@@ -21,8 +21,9 @@ Each jump applies a fixed channel. Two families are implemented:
 Both maps are Phi(t) = w id + (1 - w) J with J the jump channel: w = (1 + q)/2
 for dephasing and w = g for the non-unital family.
 
-q(t) and its derivative are evaluated in exponential-partial-fraction form so
-they stay finite and accurate for large t in every branch of eta.
+q(t) is evaluated in exponential-partial-fraction form, and gamma(t) and
+ln|q(t)| from closed forms that never divide by q or take its log, so they
+stay finite and accurate for large t in every branch of eta.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, Singularity, UnsupportedVariant
+from .errors import DomainError, GridError, Singularity, UnsupportedVariant
 from .quantum import choi_of_superop, kraus_from_choi
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "DephasingSemiMarkov",
     "NonUnitalSemiMarkov",
     "q_of_t",
-    "q_derivative",
     "gamma_dephasing",
     "gamma_nonunital",
     "coherence_zeros",
@@ -61,7 +61,8 @@ __all__ = [
 
 _PAULI_Z = np.diag([1.0, -1.0])
 _BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
-_COHERENCE_FLOOR = 1e-12    # |q| below this is a pole where q oscillates
+_COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
+_MAX_POLES = 10**6          # coherence_zeros refuses more zeros than this
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -282,37 +283,26 @@ def q_of_t(proc: DephasingSemiMarkov, t):
     return np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w)
 
 
-def q_derivative(proc: DephasingSemiMarkov, t):
-    """dq/dt; vectorized over t >= 0."""
-    t = np.asarray(t, dtype=float)
-    s, p = proc.s, proc.p
-    tag, w = _branch(s, p)
-    if tag == "boundary":
-        return -np.exp(-s * t / 2) * (s**2 * t / 4)
-    if tag == "real":
-        return -(2.0 * p / (s * w)) * (np.exp(-s * (1.0 - w) * t / 2)
-                                       - np.exp(-s * (1.0 + w) * t / 2))
-    x = s * t * w / 2
-    return -(4.0 * p / (s * w)) * np.exp(-s * t / 2) * np.sin(x)
-
-
 def _log_abs_q(proc: DephasingSemiMarkov, t):
     """ln|q(t)|, vectorized, to full relative precision also where q ~ 1.
 
-    Where q oscillates (p > s^2/8) it is ln|q|. On the other branches ln q
-    is formed in log space where q <= 1/2, so it stays finite where q
-    underflows: -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t}) / (2 eta)]
-    with c = 1 - eta = (8p/s^2)/(1 + eta), and -s t/2 + log1p(s t/2) at
-    p = s^2/8. Where q > 1/2 on the real branch it is log1p(q - 1), with
+    Where q oscillates (p > s^2/8) it is -s t/2 + ln|cos x + sin x/|eta||
+    with x = s|eta|t/2, so only the zeros of q make it -inf. On the other
+    branches ln q is formed in log space where q <= 1/2, so it stays finite
+    where q underflows: -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t})
+    / (2 eta)] with c = 1 - eta = (8p/s^2)/(1 + eta), and
+    -s t/2 + log1p(s t/2) at p = s^2/8. Where q > 1/2 on the real branch it
+    is log1p(q - 1), with
     q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
     """
     t = np.asarray(t, dtype=float)
     s, p = proc.s, proc.p
     tag, w = _branch(s, p)
-    q = q_of_t(proc, t)
     if tag == "imag":
-        with np.errstate(divide="ignore"):  # -inf where q underflows
-            return np.log(np.abs(q))
+        x = s * w * t / 2
+        with np.errstate(divide="ignore"):  # -inf at an exact zero of q
+            return -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
+    q = q_of_t(proc, t)
     if tag == "boundary":
         # the clips keep each log finite where np.where drops it
         return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
@@ -329,24 +319,19 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """Time-local dephasing rate gamma(t) = -(1/2) d ln q / dt.
 
-    Where q decays without zeros it is formed from neither q nor q', so it
-    stays finite where q underflows (it tends to s(1 - eta)/4): for
-    p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
-    2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and at
-    p = s^2/8 it is s^2 t / (8 + 4 s t). Where q oscillates (p > s^2/8) it
-    is -q'/(2q), so extrema of q give an exact zero, with a pole where
-    |q(t)| < 1e-12; a numpy array t gives NaN there.
+    Formed from neither q nor q', so it stays finite where q underflows.
+    For p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
+    2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and
+    tends to s(1 - eta)/4; at p = s^2/8 it is s^2 t / (8 + 4 s t). Where q
+    oscillates (p > s^2/8) it is 2p sin x / (s (|eta| cos x + sin x)) with
+    x = s|eta|t/2, with a pole where |cos x + sin x/|eta|| < 1e-12: the
+    test ignores the decay e^{-st/2} of q, so only its zeros are poles. An
+    array t gives NaN at a pole; a 0-d t gives a float.
 
-    :raises Singularity: for a scalar t at a pole.
+    :raises Singularity: for a 0-d t at a pole.
     """
-    scalar = not (isinstance(t, np.ndarray) and t.ndim)
-    if scalar:
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"t must be non-negative, got {t!r}")
-        if proc.p == 0.0 or t == 0.0:
-            return 0.0
-    elif np.any(t < 0.0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise DomainError(f"t must be non-negative, got min {t.min()!r}")
     s, p = proc.s, proc.p
     tag, w = _branch(s, p)
@@ -356,15 +341,15 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
         gamma = (2.0 * p * -np.expm1(-s * w * t)
                  / (s * ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t))))
     else:
-        q, dq = q_of_t(proc, t), q_derivative(proc, t)
-        pole = np.abs(q) < _COHERENCE_FLOOR
-        if scalar and pole:
-            raise Singularity(f"rate pole: |q({t:g})| = {abs(q):.3e}")
-        # adding the pole mask keeps 1/q finite at poles, exact elsewhere
-        gamma = -0.5 * dq / (q + pole)
-        if not scalar:
-            gamma[pole] = np.nan
-    return float(gamma) if scalar else gamma
+        x = s * w * t / 2
+        sin_x, cos_x = np.sin(x), np.cos(x)
+        pole = np.abs(cos_x + sin_x / w) < _COHERENCE_FLOOR
+        if pole.ndim == 0 and pole:
+            raise Singularity(f"rate pole at t = {float(t):g}")
+        # adding the pole mask keeps the quotient finite at poles
+        gamma = np.where(pole, np.nan,
+                         2.0 * p * sin_x / (s * (w * cos_x + sin_x) + pole))
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -372,6 +357,9 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
 
     In the oscillatory branch the zeros solve tan(w s t / 2) = -w with
     w = |eta|, i.e. t_k = 2 (k pi - arctan w) / (s w), k = 1, 2, ...
+
+    :raises GridError: if there are more than ``_MAX_POLES`` zeros, before
+        any is allocated.
     """
     if t_max < 0.0:
         raise DomainError(f"t_max must be non-negative, got {t_max!r}")
@@ -380,6 +368,9 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
         return np.array([])
     offset = np.arctan(w)
     k_max = int(np.floor((proc.s * t_max * w / 2 + offset) / np.pi))
+    if k_max > _MAX_POLES:
+        raise GridError(f"{k_max} coherence zeros on (0, {t_max:g}] exceed "
+                        f"the cap of {_MAX_POLES}")
     ks = np.arange(1, k_max + 1)
     return 2.0 * (ks * np.pi - offset) / (proc.s * w)
 

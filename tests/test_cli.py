@@ -57,9 +57,14 @@ def test_rate_csv_layout_and_defaults(capsys):
 
 
 def test_rate_has_no_pole_where_q_decays_without_zeros(capsys):
-    # p <= s^2/8: q(150) ~ 1e-18 is small, but q has no zero
-    code, out, _ = _run(capsys, ["rate", "--p", "0.1", "--t-max", "150"])
-    assert code == 0 and "nan" not in out
+    for argv in (
+        # p <= s^2/8: q(150) ~ 1e-18 is small, but q has no zero
+        ["--p", "0.1", "--t-max", "150"],
+        # p > s^2/8: |q| < 1e-12 from t ~ 55 on, yet no grid point is a zero
+        ["--p", "3", "--t-max", "100", "--grid", "11"],
+    ):
+        code, out, _ = _run(capsys, ["rate", *argv])
+        assert code == 0 and "nan" not in out
 
 
 def test_rate_pole_reported_not_fatal(capsys):
@@ -153,6 +158,9 @@ def test_numerical_failures_exit_3(capsys):
     # 5e6 Volterra steps exceed the cap: refused before the O(n^2) sum
     code, out, err = _run(capsys, ["kernel-check", "--dt", "1e-6"])
     assert code == 3 and "cap" in err
+    # 7.6e11 rate poles exceed the cap: refused before they are listed
+    code, out, err = _run(capsys, ["measure", "--p", "3", "--T", "1e12"])
+    assert code == 3 and "cap" in err
 
 
 def test_measure_choi_form_reports_a_rate_pole_inside_a_tiny_excision(capsys):
@@ -165,14 +173,15 @@ def test_measure_choi_form_reports_a_rate_pole_inside_a_tiny_excision(capsys):
 
 
 def test_measure_past_the_underflow_of_q(capsys):
-    # p <= s^2/8: q(3000) underflows, but ln q is formed in log space, so
-    # the rate route stays finite in both modes
-    for mode in ("paper", "min"):
-        code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
-                                       "--mode", mode])
-        assert code == 0, err
-        row = [l for l in out.splitlines() if not l.startswith("#")][1]
-        assert all(np.isfinite(float(x)) for x in row.split(","))
+    # q(3000) underflows, but ln|q| is never taken of the float q, so the
+    # rate route stays finite in both modes; at p = 3 it excises 2290 poles
+    for p, poles in (("0.1", 0), ("3", 2290)):
+        for mode in ("paper", "min"):
+            doc = _json_out(capsys, ["measure", "--p", p, "--T", "3000",
+                                     "--mode", mode, "--format", "json"])
+            assert all(np.isfinite(doc["columns"][c][0])
+                       for c in ("xi", "zeta", "gamma_ref"))
+            assert len(doc["metadata"]["excised_intervals"]) == poles
     # the Choi route evaluates gamma itself, in closed form: finite too
     code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
                                    "--form", "choi"])

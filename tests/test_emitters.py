@@ -130,12 +130,14 @@ def test_svg_structure_and_numeric_fidelity():
 
 def test_svg_splits_series_at_non_finite_samples():
     x = np.linspace(0.0, 1.0, 6)
-    y = np.array([0.0, 1.0, np.nan, 2.0, 3.0, np.inf])
-    svg = to_svg(_table(columns={"t": x, "y": y}))
-    polys = _polylines(svg)
-    assert len(polys) == 2
-    assert len(polys[0].get("points").split()) == 2
-    assert len(polys[1].get("points").split()) == 2
+    for y, runs in (
+        (np.array([0.0, 1.0, np.nan, 2.0, 3.0, np.inf]), [2, 2]),
+        (np.array([np.nan, 1.0, 2.0, -np.inf, np.nan, 3.0]), [2, 1]),
+        (np.full(6, np.nan), []),
+    ):
+        svg = to_svg(_table(columns={"t": x, "y": y}))
+        assert [len(poly.get("points").split())
+                for poly in _polylines(svg)] == runs
 
 
 def test_svg_title_defaults_to_command():

@@ -252,6 +252,47 @@ def test_divisible_rate_past_the_underflow_of_q(p):
                                                           rel=1e-12, abs=0.0)
 
 
+_PI_60 = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _sin_cos(x):
+    """sin x and cos x in the current decimal context.
+
+    x is first reduced mod 2 pi with a 60-digit pi; then each is summed as
+    its Taylor series, as in the recipes of the ``decimal`` documentation.
+    """
+    x -= 2 * _PI_60 * (x / (2 * _PI_60)).to_integral_value()
+    sums = []
+    for k, term in ((1, x), (0, decimal.Decimal(1))):
+        total, last = term, None
+        while total != last:
+            last, k = total, k + 2
+            term *= -x * x / (k * (k - 1))
+            total += term
+        sums.append(total)
+    return sums
+
+
+def test_oscillating_antiderivative_matches_40_digit_oracle():
+    # Gamma = -(1/2) ln|q| = s t/4 - (1/2) ln|cos x + sin x/w|, x = s w t/2,
+    # w = |eta|; q is subnormal at t = 1465.47 and underflows by t = 3000
+    s, p = 1.0, 3.0
+    ts = np.array([60.0, 1465.47, 3000.0])
+    assert q_of_t(DephasingSemiMarkov(s=s, p=p), ts[-1]) == 0.0
+    expected = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for t in ts:
+            sd, pd, td = (decimal.Decimal(x) for x in (s, p, t))
+            w = (8 * pd / sd**2 - 1).sqrt()
+            sin_x, cos_x = _sin_cos(sd * w * td / 2)
+            expected.append(float(sd * td / 4
+                                  - abs(cos_x + sin_x / w).ln() / 2))
+    big_gamma = -0.5 * semimarkov._log_abs_q(DephasingSemiMarkov(s=s, p=p), ts)
+    assert big_gamma == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------- oracles for the closed forms
 
 _ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]
@@ -408,13 +449,15 @@ def test_choi_form_min_mode_objective_is_lowest_at_the_median():
 
 @pytest.mark.parametrize("mode", ["fixed", "min"])
 def test_choi_form_matches_rate_form_across_many_poles(mode):
-    # T = 20 at p = 3 spans 15 rate poles, each excised from both routes
+    # T = 20 at p = 3 spans 15 rate poles, each excised from both routes;
+    # by T = 60 |q| < 1e-12 between poles too, which are still the 46 zeros
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
-    rate = sss_measure(proc, SSSConfig(horizon=20.0, mode=mode))
-    choi = sss_measure(proc, SSSConfig(horizon=20.0, mode=mode, form="choi"))
-    assert len(choi.excised) == 15
-    assert choi.gamma_ref == rate.gamma_ref
-    assert choi.xi == pytest.approx(rate.xi, rel=1e-9)
+    for T, poles in ((20.0, 15), (60.0, len(coherence_zeros(proc, 60.0)))):
+        rate = sss_measure(proc, SSSConfig(horizon=T, mode=mode))
+        choi = sss_measure(proc, SSSConfig(horizon=T, mode=mode, form="choi"))
+        assert len(choi.excised) == poles
+        assert choi.gamma_ref == rate.gamma_ref
+        assert choi.xi == pytest.approx(rate.xi, rel=1e-9)
 
 
 def test_choi_form_nonunital_constant():
