@@ -248,10 +248,15 @@ def _positive(name: str, value: float) -> float:
     return float(value)
 
 
+# refused before allocating: a divisibility scan takes ~1 kB per grid point
+_MAX_GRID = 10**6
+
+
 def _time_grid(r: _Resolved) -> tuple[float, int]:
     """(--t-max, --grid), checked."""
     t_max, n = _positive("--t-max", r.get("t-max")), r.get("grid")
-    _require(n >= 2, f"--grid must be >= 2, got {n}")
+    _require(2 <= n <= _MAX_GRID,
+             f"--grid must be in [2, {_MAX_GRID}], got {n}")
     return t_max, int(n)
 
 
@@ -294,7 +299,8 @@ def cmd_measure(r: _Resolved) -> ResultTable:
                                            ("p", "lambda1", "lambda2"))))
         if p is None:
             p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
-            _require(n_p >= 1, f"--p-points must be >= 1, got {n_p}")
+            _require(1 <= n_p <= _MAX_GRID,
+                     f"--p-points must be in [1, {_MAX_GRID}], got {n_p}")
             _require(p_hi >= p_lo >= 0.0, "need 0 <= --p-min <= --p-max")
             p_values = np.linspace(p_lo, p_hi, n_p)
         else:

@@ -5,6 +5,11 @@ computation (the CLI maps it to exit code 3); ``ConfigError`` covers bad
 user input (exit code 2).
 """
 
+__all__ = ["QsmError", "ConfigError", "UnsupportedVariant", "NumericalError",
+           "NonHermitianInput", "NoConvergence", "InvalidState", "DomainError",
+           "ToleranceNotMet", "GridError", "NoSignChange", "DimensionMismatch",
+           "SingularMap", "Singularity"]
+
 
 class QsmError(Exception):
     """Base class for all package-specific errors."""

@@ -19,7 +19,8 @@ adaptive quadrature, batched over the nodes of each round, and divides by
 the family constant (the trace norm per unit rate), computed at runtime
 from the generator itself. Neither route searches: gamma rises between its
 poles, so each retained piece holds at most one kink, at a closed-form
-time, and the time-median is one interpolation.
+time, and the time-median is one interpolation. The rate poles are cut out
+here only, and both routes work on the same pieces, split at their kinks.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a bisection search for the
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .numerics import (
     QuadratureResult,
-    _excised_pieces,
     adaptive_quad,
     trace_norm,
     von_neumann_entropy,
@@ -50,11 +50,11 @@ from .numerics import (
 from .quantum import (
     DephasingGenerator,
     ProjectorGenerator,
+    _propagator,
     apply_superop,
     check_density_matrix,
     choi_of_generator,
     choi_of_superop,
-    intermediate_map,
 )
 from .semimarkov import (
     DephasingSemiMarkov,
@@ -191,18 +191,46 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, small, x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
+def _excised_pieces(a: float, b: float, singular_points: Sequence[float],
+                    excision: float) -> tuple[list[tuple[float, float]],
+                                              list[tuple[float, float]]]:
+    """Split [a, b] into (pieces, holes): the intervals kept and those
+    removed, the ``excision``-neighborhoods of the poles clipped to [a, b]
+    and merged where they overlap. A plain loop: at the default horizon a
+    sweep point has at most one pole, where numpy would cost 20x more."""
+    holes: list[tuple[float, float]] = []
+    for x in sorted(singular_points):
+        lo, hi = max(a, x - excision), min(b, x + excision)
+        if hi <= a or lo >= b or hi <= lo:
+            continue
+        if holes and lo <= holes[-1][1]:
+            holes[-1] = (holes[-1][0], max(holes[-1][1], hi))
+        else:
+            holes.append((lo, hi))
+    pieces: list[tuple[float, float]] = []
+    cursor = a
+    for lo, hi in holes:
+        if lo > cursor:
+            pieces.append((cursor, lo))
+        cursor = hi
+    if cursor < b:
+        pieces.append((cursor, b))
+    return pieces, holes
+
+
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     """Deviation measure of a process family, by the route the config names.
 
-    For the dephasing family the rate poles (zeros of the coherence factor)
-    inside the horizon are excised. The rate route sums
-    |Gamma(b) - Gamma(a) - ref (b - a)| over the stretches between kinks,
-    with Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
-    non-unital family; the kinks come in closed form from
-    ``semimarkov._level_time``. The Choi route integrates the trace norm of
-    the Choi difference (one Choi stack per round of nodes) with the kinks
-    as breakpoints, and divides by the family constant measured from the
-    generator at rates 1 and 0.
+    For the dephasing family ``_excised_pieces`` cuts the rate poles (zeros
+    of the coherence factor) out of the horizon, and each retained piece is
+    split at its kink, in closed form from ``semimarkov._level_time``, into
+    the edges [lo, cut, hi]. The rate route sums
+    |Gamma(b) - Gamma(a) - ref (b - a)| over them, with
+    Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
+    non-unital family. The Choi route integrates the trace norm of the Choi
+    difference over the same intervals (one Choi stack per round of nodes),
+    and divides by the family constant measured from the generator at
+    rates 1 and 0.
 
     :raises Singularity: if gamma at the median, at a quadrature node, or
         Gamma at a piece end or kink is not finite, which happens only at a
@@ -235,9 +263,9 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
            else _median_rate(rate, lo - shift, hi - lo, config.gamma_max))
     # gamma rises on each piece, so it crosses ref at most once there
     cut = np.clip(level_time(ref) + shift, lo, hi)
-    kinks = cut[(lo < cut) & (cut < hi)]
+    kinks = int(np.count_nonzero((lo < cut) & (cut < hi)))
+    edges = np.stack([lo, cut, hi], axis=1)
     if config.form == "rate":
-        edges = np.stack([lo, cut, hi], axis=1)
         big_gamma = antiderivative(edges)
         if not np.all(np.isfinite(big_gamma)):
             raise Singularity("antiderivative of the rate is not finite at t = "
@@ -246,7 +274,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         xi = float(jump[np.diff(edges) > 0.0].sum() / T)
         return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
                              excised=tuple(holes), config=config,
-                             kinks=kinks.size)
+                             kinks=kinks)
     choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
     constant = trace_norm(choi(1.0) - choi(0.0))
     chi_ref = choi(ref)
@@ -258,14 +286,14 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
                               f"{t[~np.isfinite(gamma)][0]:g}")
         return trace_norm(choi(gamma) - chi_ref)
 
-    quad = adaptive_quad(integrand, 0.0, T, singular_points=poles,
-                         excision=config.excision, breakpoints=kinks)
+    quad = adaptive_quad(integrand, edges[:, :-1].ravel(),
+                         edges[:, 1:].ravel())
     raw = quad.value / T
     xi = raw / constant
     return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
                          excised=tuple(holes), config=config,
                          family_constant=constant, raw_average=raw,
-                         quadrature=quad, kinks=kinks.size)
+                         quadrature=quad, kinks=kinks)
 
 
 @dataclass(frozen=True)
@@ -340,7 +368,8 @@ def cp_divisibility_scan(proc, times: Sequence[float], *, tol: float = 1e-8,
     early, late = superops[:-1], superops[1:]
     cond = np.linalg.cond(early)
     regular = np.isfinite(cond) & (cond <= cond_max)
-    V = intermediate_map(late[regular], early[regular], cond_max=cond_max)
+    # intermediate_map less its second conditioning test
+    V = _propagator(late[regular], early[regular])
     chi = choi_of_superop(V)
     chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))  # drop roundoff skew part
     min_eigs = np.full(ts.size - 1, np.nan)

@@ -3,15 +3,16 @@
 Everything here operates on plain numpy arrays and Python callables. Matrix
 routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate in
-numpy, bisecting many intervals per round and taking the integrand on all
-their nodes in one call, with excision of flagged singular points; the
-Volterra solver is implemented directly because no library routine matches
-its required form, and it refuses step counts past a cap.
+numpy over intervals the caller gives, bisecting many intervals per round
+and taking the integrand on all their nodes in one call; callers cut out
+poles and split at kinks by the intervals they pass. The Volterra solver is
+implemented directly because no library routine matches its required form,
+and it refuses step counts past a cap.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,34 +159,6 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
-def _excised_pieces(a: float, b: float, singular_points: Sequence[float],
-                    excision: float) -> tuple[list[tuple[float, float]],
-                                              list[tuple[float, float]]]:
-    """Split [a, b] into subintervals excluding excision-neighborhoods.
-
-    Returns (pieces, excised) where excised lists the removed intervals
-    clipped to [a, b]. Overlapping neighborhoods are merged.
-    """
-    holes: list[tuple[float, float]] = []
-    for x in sorted(singular_points):
-        lo, hi = max(a, x - excision), min(b, x + excision)
-        if hi <= a or lo >= b or hi <= lo:
-            continue
-        if holes and lo <= holes[-1][1]:
-            holes[-1] = (holes[-1][0], max(holes[-1][1], hi))
-        else:
-            holes.append((lo, hi))
-    pieces: list[tuple[float, float]] = []
-    cursor = a
-    for lo, hi in holes:
-        if lo > cursor:
-            pieces.append((cursor, lo))
-        cursor = hi
-    if cursor < b:
-        pieces.append((cursor, b))
-    return pieces, holes
-
-
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
           hi: np.ndarray) -> np.ndarray:
     """Rows lo, hi, value and QUADPACK's qk21 error; f is called once."""
@@ -206,39 +179,38 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return np.array([lo, hi, resk * half, err])
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  *, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
-                  singular_points: Sequence[float] = (),
-                  excision: float = 1e-6,
-                  breakpoints: Sequence[float] = (),
+def adaptive_quad(f: Callable[[np.ndarray], np.ndarray],
+                  a: float | np.ndarray, b: float | np.ndarray, *,
+                  abs_tol: float = 1e-10, rel_tol: float = 1e-8,
                   limit: int = 200) -> QuadratureResult:
-    """Adaptive 21-point Gauss-Kronrod quadrature with singular-point excision.
+    """Adaptive 21-point Gauss-Kronrod quadrature over given intervals.
 
+    ``a`` and ``b`` are the ends of one interval, or equal-length 1-D arrays
+    of the ends of several, summed over; zero-width intervals are skipped.
     Each round calls f once, on the nodes of every new interval, then
     bisects the largest-error intervals until the rest sum to at most half
     the tolerance max(abs_tol, rel_tol |value|), which ends the rounds.
 
     :param f: vectorized integrand, nodes array in, same shape out, finite
-        on [a, b] away from ``singular_points``.
-    :param singular_points: pole locations; an ``excision``-neighborhood
-        around each is removed from the integration range.
-    :param breakpoints: known kinks; the pieces start out split there.
-    :param limit: subdivision budget per piece.
-    :raises ToleranceNotMet: if the intervals outnumber ``limit`` per piece.
+        on every given interval.
+    :param limit: subdivision budget per nonzero-width starting interval.
+    :raises DomainError: if the ends are not finite, do not pair up, or an
+        interval is reversed.
+    :raises ToleranceNotMet: if the intervals outnumber ``limit`` per
+        starting interval.
     :raises NumericalError: if f returns a value that is not finite.
     :return: ``QuadratureResult(value, error_estimate, evaluations)`` summed
-        over the retained subintervals; 21 evaluations per interval.
+        over the intervals; 21 evaluations per interval.
     """
-    if not np.isfinite(a) or not np.isfinite(b) or b < a:
+    lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
+    if (lo.ndim != 1 or lo.shape != hi.shape
+            or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))):
         raise DomainError(f"bad integration range [{a}, {b}]")
-    if b == a:
+    wide = lo < hi
+    if not wide.any():
         return QuadratureResult(0.0, 0.0, 0)
-    pieces, _ = _excised_pieces(a, b, singular_points, excision)
-    ends = [np.array([lo, *sorted(x for x in breakpoints if lo < x < hi), hi])
-            for lo, hi in pieces]
-    iv = _gk21(f, np.concatenate([e[:-1] for e in ends]),
-               np.concatenate([e[1:] for e in ends]))
-    evaluated = iv.shape[1]
+    iv = _gk21(f, lo[wide], hi[wide])
+    evaluated = starts = iv.shape[1]
     while True:
         value, err = iv[2].sum(), iv[3].sum()
         tol = max(abs_tol, rel_tol * abs(value))
@@ -246,14 +218,15 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             return QuadratureResult(float(value), float(err),
                                     _GK_X.size * evaluated)
         iv = iv[:, np.argsort(-iv[3], kind="stable")]
-        k = 1 + np.count_nonzero(err - np.cumsum(iv[3])[:-1] > 0.5 * tol)
-        if iv.shape[1] + k > limit * len(pieces):
-            raise ToleranceNotMet(f"quadrature on [{a:g}, {b:g}]: error "
-                                  f"{err:.3e} > {tol:.3e} at the limit")
-        lo, hi = iv[:2, :k]
-        mid = 0.5 * (lo + hi)
-        iv = np.concatenate([_gk21(f, np.concatenate([lo, mid]),
-                                   np.concatenate([mid, hi])), iv[:, k:]], 1)
+        k = 1 + int(np.count_nonzero(err - np.cumsum(iv[3])[:-1] > 0.5 * tol))
+        if iv.shape[1] + k > limit * starts:
+            raise ToleranceNotMet(
+                f"quadrature on [{lo.min():g}, {hi.max():g}]: error "
+                f"{err:.3e} > {tol:.3e} at the limit")
+        lo_k, hi_k = iv[:2, :k]
+        mid = 0.5 * (lo_k + hi_k)
+        iv = np.concatenate([_gk21(f, np.concatenate([lo_k, mid]),
+                                   np.concatenate([mid, hi_k])), iv[:, k:]], 1)
         evaluated += 2 * k
 
 

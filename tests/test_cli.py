@@ -123,6 +123,22 @@ def test_configuration_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    *([*command, flag, str(2**62)] for command, flag in (
+        (["rate"], "--grid"), (["holevo"], "--grid"), (["blp"], "--grid"),
+        (["divisibility"], "--grid"),
+        (["divisibility", "--boundary-search"], "--grid"),
+        (["classical-sim", "--seed", "1"], "--grid"),
+        (["measure"], "--p-points"))),
+    ["rate", "--grid", "1000001"],
+])
+def test_grids_past_the_cap_exit_2(capsys, argv):
+    # refused before anything is allocated; a grid near the cap is never run
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "[" in err and "1000000]" in err
+
+
+@pytest.mark.parametrize("argv", [
     [],
     ["frobnicate"],
     ["rate", "--bogus"],

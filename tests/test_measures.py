@@ -29,8 +29,8 @@ from qsemimarkov import (
     sss_measure,
 )
 
-from qsemimarkov import semimarkov
-from qsemimarkov.numerics import _excised_pieces
+from qsemimarkov import numerics, semimarkov
+from qsemimarkov.measures import _excised_pieces
 
 from golden_section import minimize_scalar
 
@@ -396,11 +396,34 @@ def test_closed_form_matches_quadrature_of_the_rate(p, T, mode):
     ref = result.gamma_ref
     kinks = _closed_form_kinks(proc, T, ref)
     assert result.kinks == kinks.size
+    # each retained piece, split at the kink inside it
+    ends = [np.array([lo, *kinks[(lo < kinks) & (kinks < hi)], hi])
+            for lo, hi in _rate_and_pieces(proc, T)[2]]
     quad = adaptive_quad(lambda t: abs(gamma_dephasing(proc, t) - ref),
-                         0.0, T, singular_points=coherence_zeros(proc, T),
-                         excision=1e-6, breakpoints=kinks, abs_tol=0.0,
-                         rel_tol=1e-12)
+                         np.concatenate([e[:-1] for e in ends]),
+                         np.concatenate([e[1:] for e in ends]),
+                         abs_tol=0.0, rel_tol=1e-12)
     assert result.xi == pytest.approx(quad.value / T, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("mode, rows", [("fixed", 31), ("min", 32)])
+def test_choi_route_starts_on_the_pieces_split_at_their_kinks(monkeypatch,
+                                                              mode, rows):
+    # the first quadrature round has one interval per retained piece plus
+    # one per kink: sss_measure excises the poles, adaptive_quad does not
+    firsts = []
+    gk21 = numerics._gk21
+
+    def recorder(f, lo, hi):
+        firsts.append(lo.size)
+        return gk21(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "_gk21", recorder)
+    proc = DephasingSemiMarkov(s=1.0, p=3.0)
+    result = sss_measure(proc, SSSConfig(horizon=20.0, form="choi",
+                                         mode=mode))
+    pieces = len(coherence_zeros(proc, 20.0)) + 1
+    assert firsts[0] == pieces + result.kinks == rows
 
 
 def test_measure_result_provenance():

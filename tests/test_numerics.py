@@ -20,6 +20,7 @@ from qsemimarkov import (
     trace_norm,
     von_neumann_entropy,
 )
+from qsemimarkov.measures import _excised_pieces
 from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
@@ -157,32 +158,40 @@ def test_adaptive_quad_polynomial():
     res = adaptive_quad(lambda t: t**2, 0.0, 1.0)
     assert res.value == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert res.error_estimate < 1e-8
-    assert res.evaluations > 0
+    assert type(res.evaluations) is int and res.evaluations > 0
 
 
 def test_adaptive_quad_zero_width():
     assert adaptive_quad(np.sin, 2.0, 2.0).value == 0.0
 
 
+def _excised(a, b, poles, excision):
+    """Interval ends of [a, b] with the poles cut out, as sss_measure does."""
+    pieces, holes = _excised_pieces(a, b, poles, excision)
+    lo, hi = np.array(pieces).T
+    return lo, hi, holes
+
+
 def test_adaptive_quad_excises_singularities():
     # integral of 1/|t - 1/2| over [0,1] minus the (1/2 +- eps) hole
     eps = 1e-6
-    res = adaptive_quad(lambda t: 1.0 / abs(t - 0.5), 0.0, 1.0,
-                        singular_points=[0.5], excision=eps)
+    lo, hi, _ = _excised(0.0, 1.0, [0.5], eps)
+    res = adaptive_quad(lambda t: 1.0 / abs(t - 0.5), lo, hi)
     assert res.value == pytest.approx(2.0 * np.log(0.5 / eps), rel=1e-8)
 
 
 def test_adaptive_quad_merges_overlapping_holes():
     # two poles closer than 2 eps: the holes merge into one interval
-    res = adaptive_quad(lambda t: 1.0, 0.0, 1.0,
-                        singular_points=[0.5, 0.5 + 1e-3], excision=1e-3)
+    lo, hi, holes = _excised(0.0, 1.0, [0.5, 0.5 + 1e-3], 1e-3)
+    assert len(holes) == 1
+    res = adaptive_quad(lambda t: 1.0, lo, hi)
     assert res.value == pytest.approx(1.0 - 3e-3, abs=1e-12)
 
 
 def test_adaptive_quad_breakpoints_resolve_kinks():
-    # |t - 1/3| has a kink; a forced breakpoint pins it exactly
-    res = adaptive_quad(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0,
-                        breakpoints=[1.0 / 3.0])
+    # |t - 1/3| has a kink; splitting the range there pins it exactly
+    res = adaptive_quad(lambda t: abs(t - 1.0 / 3.0), [0.0, 1.0 / 3.0],
+                        [1.0 / 3.0, 1.0])
     exact = (1.0 / 3.0) ** 2 / 2 + (2.0 / 3.0) ** 2 / 2
     assert res.value == pytest.approx(exact, abs=1e-14)
 
@@ -194,7 +203,9 @@ def test_adaptive_quad_takes_every_node_of_a_round_in_one_call():
         calls.append(t)
         return 1.0 / np.abs(t - 0.5)
 
-    res = adaptive_quad(f, 0.0, 1.0, singular_points=[0.5], breakpoints=[0.25])
+    eps = 1e-6
+    res = adaptive_quad(f, np.array([0.0, 0.25, 0.5 + eps]),
+                        np.array([0.25, 0.5 - eps, 1.0]))
     assert all(isinstance(t, np.ndarray) and t.shape[1:] == (21,)
                for t in calls)
     # the first round covers [0, 0.25], [0.25, 0.5 - eps] and [0.5 + eps, 1]
@@ -244,6 +255,17 @@ def test_adaptive_quad_rejects_bad_range():
         adaptive_quad(np.sin, 1.0, 0.0)
     with pytest.raises(DomainError):
         adaptive_quad(np.sin, 0.0, np.inf)
+    with pytest.raises(DomainError):  # mismatched arrays
+        adaptive_quad(np.sin, np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(DomainError):  # one reversed interval
+        adaptive_quad(np.sin, np.array([0.0, 2.0]), np.array([1.0, 1.5]))
+    # zero-width intervals are skipped: no nodes, no evaluations
+    assert adaptive_quad(np.sin, np.array([1.0, 2.0]),
+                         np.array([1.0, 2.0])) == (0.0, 0.0, 0)
+    skipped = adaptive_quad(np.sin, np.array([0.0, 1.0, 1.0]),
+                            np.array([1.0, 1.0, 2.0]))
+    assert skipped == adaptive_quad(np.sin, np.array([0.0, 1.0]),
+                                    np.array([1.0, 2.0]))
 
 
 # ------------------------------------------------------------------ Volterra
