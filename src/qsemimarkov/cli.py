@@ -9,8 +9,10 @@ p = l1 l2), the non-unital family ``--lambda``.
 
 Commands read their settings through ``_Resolved.get``. Before computing, a
 command refuses every given flag it did not read, so each spelling and mode
-accepts exactly the flags it uses; ``meta.defaults_applied`` lists the flags
-read but not given.
+accepts exactly the flags it uses. A command returns only its columns and
+metadata; ``run`` builds the one ``ResultTable``, whose ``config.*`` is every
+value the command read and ``meta.defaults_applied`` the flags read but not
+given.
 
 A flat key=value config file (``--config PATH``) supplies flags; flags given
 on the command line override the file. Output goes to stdout or
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -102,22 +103,23 @@ _FAMILY = {"family": "dephasing", "s": 1.0, "p": 3.0, "lambda1": None,
            "lambda2": None, "lambda": None}
 
 # command -> {flag: default}; "command --switch" overrides defaults in that
-# mode. None means no default: the flag is optional, or required.
+# mode. None means no default: the flag is optional, or required. A result
+# echoes the flags it read in this order.
 _DEFAULTS: dict[str, dict[str, object]] = {
     "rate": {**_FAMILY, "t-max": 6.0, "grid": 500, **_OUTPUT},
-    "measure": {**_FAMILY, "p": None, "lambda": 1.0, "T": 1.0,
-                "mode": "paper", "form": "rate", "gamma-ref": 0.0,
-                "gamma-max": None, "epsilon": 1e-6, "p-min": 0.0,
-                "p-max": 0.5, "p-points": 51, **_OUTPUT},
+    "measure": {"family": "dephasing", "T": 1.0, "mode": "paper",
+                "form": "rate", "gamma-ref": 0.0, "epsilon": 1e-6,
+                "gamma-max": None, **_FAMILY, "p": None, "lambda": 1.0,
+                "p-min": 0.0, "p-max": 0.5, "p-points": 51, **_OUTPUT},
     "holevo": {**_FAMILY, "p": None, "p-list": "2,0.1,0.01", "t-max": 6.0,
                "grid": 500, **_OUTPUT},
     "blp": {**_FAMILY, "t-max": 10.0, "grid": 2001, **_OUTPUT},
-    "divisibility": {**_FAMILY, "t-max": 10.0, "grid": 1000,
+    "divisibility": {**_FAMILY, "t-max": 10.0, "grid": 1000, "p-tol": 1e-4,
                      "boundary-search": False, "p-min": 0.05, "p-max": 0.4,
-                     "p-tol": 1e-4, **_OUTPUT},
+                     **_OUTPUT},
     "divisibility --boundary-search": {"t-max": 60.0, "grid": 1200},
-    "classical-sim": {"lambda1": 1.0, "lambda2": 2.0, "lambda": 1.0,
-                      "wtd": "expconv", "jump-prob": 1.0, "paths": 100_000,
+    "classical-sim": {"wtd": "expconv", "lambda1": 1.0, "lambda2": 2.0,
+                      "lambda": 1.0, "jump-prob": 1.0, "paths": 100_000,
                       "seed": None, "t-max": 2.0, "grid": 41, **_OUTPUT},
     "kernel-check": {**_FAMILY, "p": 0.1, "dt": 1e-3, "t-max": 5.0,
                      **_OUTPUT},
@@ -172,22 +174,15 @@ def _load_config_flags(path: str) -> list[str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(
-                f"{path}:{lineno}: expected key=value, got {raw!r}"
-            )
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
-        if key in _BOOL_FLAGS:
-            if value.lower() in ("1", "true", "yes", "on"):
-                flags.append(f"--{key}")
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise ConfigError(
-                    f"{path}:{lineno}: boolean flag {key!r} got {value!r}"
-                )
-        else:
-            flags.extend((f"--{key}", value))
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (key and eq):
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in _BOOL_FLAGS:
+            flags += [f"--{key}", value]
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise ConfigError(f"{path}:{lineno}: boolean flag {key!r} got {value!r}")
     return flags
 
 
@@ -199,14 +194,16 @@ def _require(condition: bool, message: str) -> None:
 class _Resolved:
     """A command's settings: the given flags, else the table's defaults.
 
-    Records what the command reads: ``applied`` holds the flags read but not
-    given, and :meth:`check_unread` refuses a given flag never read.
+    Records what the command reads: ``values`` holds each value read,
+    ``applied`` the flags read but not given, and :meth:`check_unread`
+    refuses a given flag never read.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.defaults = dict(_DEFAULTS[args.command])
         self.read = set(_OUTPUT)
+        self.values: dict[str, object] = {}
         self.applied: set[str] = set()
 
     def given(self, flag: str) -> bool:
@@ -216,11 +213,17 @@ class _Resolved:
 
     def get(self, flag: str):
         self.read.add(flag)
-        if self.given(flag):
-            return getattr(self.args, flag.replace("-", "_"))
-        if flag not in _BOOL_FLAGS:  # a switch left off is a choice
+        given = self.given(flag)
+        if not given and flag not in _BOOL_FLAGS:  # a switch left off is a choice
             self.applied.add(flag)
-        return self.defaults[flag]
+        self.values[flag] = (getattr(self.args, flag.replace("-", "_"))
+                             if given else self.defaults[flag])
+        return self.values[flag]
+
+    def config(self) -> dict[str, object]:
+        """The values read, less None, in table order (no output flag)."""
+        return {flag: self.values[flag] for flag in self.defaults
+                if self.values.get(flag) is not None}
 
     def check_unread(self) -> None:
         unread = [f"--{flag}" for flag in self.defaults
@@ -238,7 +241,9 @@ def _dephasing(r: _Resolved, rates: bool = True) -> tuple[float, float | None]:
         _require(r.given("lambda1") and r.given("lambda2"),
                  "--lambda1 and --lambda2 must be given together")
         l1, l2 = r.get("lambda1"), r.get("lambda2")
-        return l1 + l2, l1 * l2
+        # echoed as s and p, so both spellings print the same bytes
+        r.values.update(lambda1=None, lambda2=None, s=l1 + l2, p=l1 * l2)
+        return r.values["s"], r.values["p"]
     return r.get("s"), (r.get("p") if rates else None)
 
 
@@ -260,12 +265,7 @@ def _time_grid(r: _Resolved) -> tuple[float, int]:
     return t_max, int(n)
 
 
-def _curve_config(proc: DephasingSemiMarkov, t_max: float, n: int) -> dict:
-    return {"family": "dephasing", "s": proc.s, "p": proc.p, "t-max": t_max,
-            "grid": n}
-
-
-def cmd_rate(r: _Resolved) -> ResultTable:
+def cmd_rate(r: _Resolved) -> tuple[dict, dict]:
     """time-local decay rate curve"""
     proc = DephasingSemiMarkov(*_dephasing(r))
     t_max, n = _time_grid(r)
@@ -273,12 +273,11 @@ def cmd_rate(r: _Resolved) -> ResultTable:
     ts = np.linspace(0.0, t_max, n)
     vals = gamma_dephasing(proc, ts)  # NaN at poles, annotated below
     poles = coherence_zeros(proc, t_max)
-    return ResultTable("rate", _curve_config(proc, t_max, n),
-                       {"t": ts, "gamma": vals},
-                       {"singular_times": [float(x) for x in poles]})
+    return ({"t": ts, "gamma": vals},
+            {"singular_times": [float(x) for x in poles]})
 
 
-def cmd_measure(r: _Resolved) -> ResultTable:
+def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
     """deviation-from-semigroup measure (xi, zeta)"""
     kind, mode = r.get("family"), r.get("mode")
     ref = ({"gamma_ref": r.get("gamma-ref")} if mode == "paper"
@@ -286,17 +285,11 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     cfg = SSSConfig(horizon=r.get("T"), form=r.get("form"),
                     mode="fixed" if mode == "paper" else "min",
                     excision=r.get("epsilon"), **ref)
-    config = {"family": kind, "T": cfg.horizon, "mode": mode, "form": cfg.form,
-              "gamma-ref": ref.get("gamma_ref"), "epsilon": cfg.excision,
-              "gamma-max": cfg.gamma_max}
-    config = {key: value for key, value in config.items() if value is not None}
     if kind == "nonunital":
         procs = [NonUnitalSemiMarkov(rate=r.get("lambda"))]
-        config["lambda"] = procs[0].rate
         columns = {"lambda": np.array([procs[0].rate])}
     else:
-        s, p = _dephasing(r, rates=any(map(r.given,
-                                           ("p", "lambda1", "lambda2"))))
+        s, p = _dephasing(r, any(map(r.given, ("p", "lambda1", "lambda2"))))
         if p is None:
             p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
             _require(1 <= n_p <= _MAX_GRID,
@@ -305,7 +298,6 @@ def cmd_measure(r: _Resolved) -> ResultTable:
             p_values = np.linspace(p_lo, p_hi, n_p)
         else:
             p_values = np.array([p])
-        config["s"] = s
         columns = {"p": p_values}
         procs = [DephasingSemiMarkov(s=s, p=float(p)) for p in p_values]
     r.check_unread()
@@ -315,8 +307,7 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     meta: dict[str, object] = {}
     if kind == "dephasing":
         columns["cp_indivisible"] = np.array(
-            [1.0 if pr.regime() == REGIME_INDIVISIBLE else 0.0
-             for pr in procs])
+            [float(pr.regime() == REGIME_INDIVISIBLE) for pr in procs])
     if cfg.form == "choi":
         columns["xi_raw"] = np.array([res.raw_average for res in results])
         meta["family_constant"] = results[0].family_constant
@@ -325,10 +316,10 @@ def cmd_measure(r: _Resolved) -> ResultTable:
     # [lo, hi, p]: only the dephasing family has poles to excise
     meta["excised_intervals"] = [[lo, hi, pr.p] for pr, res in
                                  zip(procs, results) for lo, hi in res.excised]
-    return ResultTable("measure", config, columns, meta)
+    return columns, meta
 
 
-def cmd_holevo(r: _Resolved) -> ResultTable:
+def cmd_holevo(r: _Resolved) -> tuple[dict, dict]:
     """Holevo information curves"""
     s, _ = _dephasing(r, rates=False)
     raw_list = r.get("p-list")
@@ -348,24 +339,20 @@ def cmd_holevo(r: _Resolved) -> ResultTable:
     columns = {"t": ts}
     for name, p in zip(names, p_values):
         columns[name] = holevo_curve(DephasingSemiMarkov(s=s, p=p), ts)
-    return ResultTable("holevo", {"family": "dephasing", "s": s,
-                                  "p-list": raw_list, "t-max": t_max,
-                                  "grid": n},
-                       columns, {"ensemble": "equal-weight |+>,|->"})
+    return columns, {"ensemble": "equal-weight |+>,|->"}
 
 
-def cmd_blp(r: _Resolved) -> ResultTable:
+def cmd_blp(r: _Resolved) -> tuple[dict, dict]:
     """trace-distance revival measure"""
     proc = DephasingSemiMarkov(*_dephasing(r))
     t_max, n = _time_grid(r)
     r.check_unread()
     res = blp_measure(proc, t_max, n_grid=n)
-    return ResultTable("blp", _curve_config(proc, t_max, n),
-                       {"t": res.times, "trace_distance": res.trace_distance},
-                       {"blp": res.measure})
+    return ({"t": res.times, "trace_distance": res.trace_distance},
+            {"blp": res.measure})
 
 
-def cmd_divisibility(r: _Resolved) -> ResultTable:
+def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
     """CP-divisibility scan or boundary search"""
     search = r.get("boundary-search")
     if search:
@@ -378,32 +365,25 @@ def cmd_divisibility(r: _Resolved) -> ResultTable:
         r.check_unread()
         est = divisibility_boundary(s, p_bracket=bracket, t_max=t_max,
                                     n_grid=n, p_tol=p_tol)
-        return ResultTable(
-            "divisibility",
-            {"family": "dephasing", "s": s, "t-max": t_max, "grid": n,
-             "p-tol": p_tol, "boundary-search": True, "p-min": bracket[0],
-             "p-max": bracket[1]},
-            {"p_estimate": np.array([est.p_estimate]),
-             "p_low": np.array([est.p_low]),
-             "p_high": np.array([est.p_high])},
-            {"p_boundary_estimate": est.p_estimate})
+        return ({"p_estimate": np.array([est.p_estimate]),
+                 "p_low": np.array([est.p_low]),
+                 "p_high": np.array([est.p_high])},
+                {"p_boundary_estimate": est.p_estimate})
     proc = DephasingSemiMarkov(s=s, p=p)
     r.check_unread()
     report = cp_divisibility_scan(proc, np.linspace(0.0, t_max, n))
-    violating = (np.nan_to_num(report.min_eigenvalues, nan=0.0)
-                 < -report.tol).astype(float)
-    return ResultTable(
-        "divisibility",
-        {**_curve_config(proc, t_max, n), "boundary-search": False},
-        {"t": report.times[1:], "min_choi_eigenvalue": report.min_eigenvalues,
-         "violation": violating},
-        {"violation_count": report.violation_count,
-         "first_violation": report.first_violation,
-         "singular_steps": report.singular_steps,
-         "cp_divisible": report.cp_divisible})
+    # NaN (singular) steps compare False: they never violate
+    violating = report.min_eigenvalues < -report.tol
+    return ({"t": report.times[1:],
+             "min_choi_eigenvalue": report.min_eigenvalues,
+             "violation": violating.astype(float)},
+            {"violation_count": report.violation_count,
+             "first_violation": report.first_violation,
+             "singular_steps": report.singular_steps,
+             "cp_divisible": report.cp_divisible})
 
 
-def cmd_classical_sim(r: _Resolved) -> ResultTable:
+def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
     """Monte Carlo renewal simulation"""
     kind = r.get("wtd")
     rates = {flag: r.get(flag) for flag in
@@ -427,14 +407,10 @@ def cmd_classical_sim(r: _Resolved) -> ResultTable:
     gap = np.abs(sim.survival - exact)
     se = np.maximum(sim.survival_se, np.sqrt(exact * (1.0 - exact) / n_paths))
     err = np.divide(gap, se, out=np.zeros_like(gap), where=gap > 0.0)
-    return ResultTable(
-        "classical-sim",
-        {"wtd": kind, **rates, "jump-prob": p_jump, "paths": n_paths,
-         "seed": seed, "t-max": t_max, "grid": n_times},
-        columns, {"max_survival_error_se": float(np.max(err))})
+    return columns, {"max_survival_error_se": float(np.max(err))}
 
 
-def cmd_kernel_check(r: _Resolved) -> ResultTable:
+def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     """memory-kernel integration vs closed form"""
     s, p = _dephasing(r)
     dt = _positive("--dt", r.get("dt"))
@@ -459,18 +435,15 @@ def cmd_kernel_check(r: _Resolved) -> ResultTable:
     q_ref = np.asarray(q_of_t(proc, times), dtype=float)
     stride = max(1, times.size // 500)
     sel = np.unique(np.r_[np.arange(0, times.size, stride), times.size - 1])
-    return ResultTable(
-        "kernel-check",
-        {"family": "dephasing", "s": s, "p": p, "dt": dt, "t-max": t_max},
-        {"t": times[sel], "q_closed": q_ref[sel], "q_volterra": q_num[sel],
-         "abs_error": np.abs(q_num - q_ref)[sel]},
-        {"max_deviation": dev, "max_deviation_coarse": dev_coarse,
-         "convergence_ratio": ratio,
-         "convergence_order": (float(np.log2(ratio)) if np.isfinite(ratio)
-                               else np.nan)})
+    return ({"t": times[sel], "q_closed": q_ref[sel], "q_volterra": q_num[sel],
+             "abs_error": np.abs(q_num - q_ref)[sel]},
+            {"max_deviation": dev, "max_deviation_coarse": dev_coarse,
+             "convergence_ratio": ratio,
+             "convergence_order": (float(np.log2(ratio))
+                                   if np.isfinite(ratio) else np.nan)})
 
 
-_DISPATCH: dict[str, Callable[[_Resolved], ResultTable]] = {
+_DISPATCH: dict[str, Callable[[_Resolved], tuple[dict, dict]]] = {
     "rate": cmd_rate,
     "measure": cmd_measure,
     "holevo": cmd_holevo,
@@ -494,19 +467,22 @@ def run(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(
                 argv[:at] + _load_config_flags(args.config) + argv[at:])
         r = _Resolved(args)
-        table = _DISPATCH[args.command](r)
-        meta = {"version": __version__,
-                "defaults_applied": ",".join(sorted(r.applied))}
-        table = replace(table, metadata={**meta, **table.metadata})
+        columns, meta = _DISPATCH[args.command](r)
+        table = ResultTable(args.command, r.config(), columns,
+                            {"version": __version__,
+                             "defaults_applied": ",".join(sorted(r.applied)),
+                             **meta})
         text = _RENDERERS[args.format](table)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out!r}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return 0
     except SystemExit as exc:  # argparse --help / usage errors
-        code = exc.code
-        return int(code) if code else 0
+        return int(exc.code or 0)
     except (ConfigError, UnsupportedVariant, DomainError) as exc:
         print(f"qsm: configuration error: {exc}", file=sys.stderr)
         return 2

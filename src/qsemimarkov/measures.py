@@ -48,6 +48,8 @@ from .numerics import (
     von_neumann_entropy,
 )
 from .quantum import (
+    _COND_MAX,
+    _CP_TOL,
     DephasingGenerator,
     ProjectorGenerator,
     _propagator,
@@ -92,6 +94,7 @@ MINUS_STATE = _readonly(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
 
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
+_REVIVAL_FLOOR = 1e-12  # trace-distance increments up to this are rounding
 
 
 @dataclass(frozen=True)
@@ -307,12 +310,11 @@ class BLPResult:
 
 def blp_measure(proc, t_max: float, *,
                 pair: tuple[np.ndarray, np.ndarray] | None = None,
-                n_grid: int = 2001,
-                increment_floor: float = 1e-12) -> BLPResult:
+                n_grid: int = 2001) -> BLPResult:
     """Sum of trace-distance revivals over a uniform grid.
 
     D(t) = (1/2) || Phi(t)[rho_1 - rho_2] ||_1 is sampled on ``n_grid``
-    points; increments exceeding ``increment_floor`` are accumulated. The
+    points; increments exceeding ``_REVIVAL_FLOOR`` are accumulated. The
     default pair is |+><+|, |-><-|, which maximizes revivals for the
     dephasing family (D(t) = |q(t)|).
     """
@@ -328,7 +330,7 @@ def blp_measure(proc, t_max: float, *,
     times = np.linspace(0.0, float(t_max), int(n_grid))
     dist = 0.5 * trace_norm(apply_superop(superop_at(proc, times), delta))
     inc = np.diff(dist)
-    measure = float(inc[inc > increment_floor].sum())
+    measure = float(inc[inc > _REVIVAL_FLOOR].sum())
     return BLPResult(measure=measure, times=times, trace_distance=dist)
 
 
@@ -339,7 +341,7 @@ class DivisibilityReport:
     ``min_eigenvalues[i]`` is the smallest Choi eigenvalue of the propagator
     from times[i] to times[i+1] (NaN where the early map was numerically
     singular). A step counts as a violation when that eigenvalue drops below
-    ``-tol``.
+    ``-tol``, the CP tolerance ``quantum._CP_TOL``.
     """
 
     times: np.ndarray
@@ -354,11 +356,10 @@ class DivisibilityReport:
         return self.violation_count == 0
 
 
-def cp_divisibility_scan(proc, times: Sequence[float], *, tol: float = 1e-8,
-                         cond_max: float = 1e12) -> DivisibilityReport:
+def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
     """Check complete positivity of every consecutive intermediate map.
 
-    Steps whose early map has condition number above ``cond_max`` are
+    Steps whose early map has condition number above ``_COND_MAX`` are
     recorded as singular and skipped rather than treated as violations.
     """
     ts = np.asarray(times, dtype=float)
@@ -367,18 +368,18 @@ def cp_divisibility_scan(proc, times: Sequence[float], *, tol: float = 1e-8,
     superops = superop_at(proc, ts)
     early, late = superops[:-1], superops[1:]
     cond = np.linalg.cond(early)
-    regular = np.isfinite(cond) & (cond <= cond_max)
+    regular = np.isfinite(cond) & (cond <= _COND_MAX)
     # intermediate_map less its second conditioning test
     V = _propagator(late[regular], early[regular])
     chi = choi_of_superop(V)
     chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))  # drop roundoff skew part
     min_eigs = np.full(ts.size - 1, np.nan)
     min_eigs[regular] = np.linalg.eigvalsh(chi)[:, 0]
-    violating = min_eigs < -tol  # NaN (singular) steps never violate
+    violating = min_eigs < -_CP_TOL  # NaN (singular) steps never violate
     return DivisibilityReport(
         times=ts, min_eigenvalues=min_eigs, violation_count=int(violating.sum()),
         first_violation=float(ts[1:][violating][0]) if violating.any() else None,
-        singular_steps=int((~regular).sum()), tol=tol)
+        singular_steps=int((~regular).sum()), tol=_CP_TOL)
 
 
 @dataclass(frozen=True)
@@ -396,13 +397,14 @@ class BoundaryEstimate:
 
 def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0.4),
                           t_max: float = 60.0, n_grid: int = 1200,
-                          p_tol: float = 1e-4, tol: float = 1e-8,
-                          cond_max: float = 1e12) -> BoundaryEstimate:
+                          p_tol: float = 1e-4) -> BoundaryEstimate:
     """Bisect in p for the smallest jump-rate product breaking divisibility.
 
     Each probe runs :func:`cp_divisibility_scan` for the dephasing process
     (s, p) on a uniform grid over [0, t_max]. The bracket must straddle the
     boundary: no violation at ``p_bracket[0]``, violation at ``p_bracket[1]``.
+    It is halved until it is ``p_tol`` wide, or one float wide where
+    ``p_tol`` is finer than that.
 
     Near the boundary the violations are exponentially weak (the first
     negative Choi eigenvalue scales like the coherence revival amplitude),
@@ -420,14 +422,13 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
 
     def violates(p: float) -> bool:
         proc = DephasingSemiMarkov(s=float(s), p=p)
-        report = cp_divisibility_scan(proc, grid, tol=tol, cond_max=cond_max)
-        return report.violation_count > 0
+        return cp_divisibility_scan(proc, grid).violation_count > 0
 
     if violates(p_lo):
         raise NoSignChange(f"divisibility already broken at p = {p_lo:g}")
     if not violates(p_hi):
         raise NoSignChange(f"no violation found up to p = {p_hi:g}")
-    while p_hi - p_lo > p_tol:
+    while p_hi - p_lo > max(p_tol, np.spacing(p_hi)):
         mid = 0.5 * (p_lo + p_hi)
         if violates(mid):
             p_hi = mid

@@ -43,6 +43,9 @@ __all__ = [
 # the square of the steps; kernel-check takes 5000 at its defaults
 _VOLTERRA_MAX_STEPS = 100_000
 
+_STATE_TOL = 1e-10  # rounding allowed in a state's entries, trace, eigenvalues
+_TRACE_TOL = 1e-8   # rounding allowed in the trace of an entropy's argument
+
 # QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae on
 # [0, 1], their weights, and those of the embedded 10-point Gauss rule
 _QK21 = np.array([
@@ -126,24 +129,23 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(norms) if m.ndim == 2 else norms
 
 
-def von_neumann_entropy(rho: np.ndarray, *, trace_tol: float = 1e-8,
-                        negativity_tol: float = 1e-10) -> float | np.ndarray:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits, -sum(lambda log2 lambda).
 
     A stack of states (..., d, d) gives an array of shape (...), one a float.
 
     :raises InvalidState: if any state is non-Hermitian, its trace deviates
-        from 1 by more than ``trace_tol``, or an eigenvalue is below
-        ``-negativity_tol``.
+        from 1 by more than ``_TRACE_TOL``, or an eigenvalue is below
+        ``-_STATE_TOL``.
     """
     try:
         evals = hermitian_eig(np.asarray(rho, dtype=complex)).eigenvalues
     except NonHermitianInput as exc:
         raise InvalidState(str(exc)) from exc
     trace_defect = np.abs(evals.sum(axis=-1) - 1.0)
-    if np.any(trace_defect > trace_tol):
+    if np.any(trace_defect > _TRACE_TOL):
         raise InvalidState(f"trace deviates from 1 by {trace_defect.max():.3e}")
-    if np.any(evals < -negativity_tol):
+    if np.any(evals < -_STATE_TOL):
         raise InvalidState(f"negative eigenvalue {evals.min():.3e}")
     lam = np.clip(evals, 0.0, None)
     ent = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidState, SingularMap
-from .numerics import hermitian_eig
+from .numerics import _STATE_TOL, hermitian_eig
 
 __all__ = [
     "weyl_z",
@@ -37,6 +37,10 @@ __all__ = [
     "choi_of_generator",
 ]
 
+_COND_MAX = 1e12      # a map with a larger condition number has no inverse
+_CP_TOL = 1e-8        # a Choi eigenvalue above -_CP_TOL counts as CP
+_KRAUS_CUTOFF = 1e-12  # Kraus weights up to this (relative) are dropped
+
 
 def weyl_z(d: int) -> np.ndarray:
     """Clock matrix diag(1, w, ..., w^(d-1)) with w = exp(2 pi i / d)."""
@@ -46,23 +50,23 @@ def weyl_z(d: int) -> np.ndarray:
     return np.diag(omega ** np.arange(d))
 
 
-def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-10) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate Hermiticity, unit trace, and positivity of a state.
 
-    :raises InvalidState: on any violation beyond ``atol``.
+    :raises InvalidState: on any violation beyond ``numerics._STATE_TOL``.
     :return: the input as a complex array.
     """
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidState(f"state must be a square matrix, got {m.shape}")
     herm = np.abs(m - m.conj().T).max()
-    if herm > atol:
+    if herm > _STATE_TOL:
         raise InvalidState(f"state deviates from Hermiticity by {herm:.3e}")
     tr = abs(m.trace() - 1.0)
-    if tr > atol:
+    if tr > _STATE_TOL:
         raise InvalidState(f"state trace deviates from 1 by {tr:.3e}")
     min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig < -atol:
+    if min_eig < -_STATE_TOL:
         raise InvalidState(f"state has negative eigenvalue {min_eig:.3e}")
     return m
 
@@ -101,15 +105,17 @@ def choi_of_superop(superop: np.ndarray) -> np.ndarray:
     return S.reshape(*lead, d, d, d, d).transpose(axes).reshape(S.shape)
 
 
-def kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> list[np.ndarray]:
+def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus operators from the spectral decomposition of a Choi matrix.
 
-    Eigenvalues below ``tol`` (relative to the largest) are dropped; each
+    Eigenvalues up to ``_KRAUS_CUTOFF`` (relative to the largest) are
+    dropped; each
     retained operator's global phase is fixed so its largest-magnitude entry
     is real and positive.
 
-    :raises InvalidState: if the Choi matrix has a significantly negative
-        eigenvalue (the map is not completely positive).
+    :raises InvalidState: if the Choi matrix has an eigenvalue below
+        ``-_CP_TOL`` relative to the largest (the map is not completely
+        positive).
     """
     chi = np.asarray(choi, dtype=complex)
     d = int(round(np.sqrt(chi.shape[0])))
@@ -117,13 +123,13 @@ def kraus_from_choi(choi: np.ndarray, *, tol: float = 1e-12) -> list[np.ndarray]
         raise DimensionMismatch(f"Choi shape {chi.shape} is not d^2 x d^2")
     evals, evecs = hermitian_eig(chi)
     scale = max(float(evals.max()), 0.0) or 1.0
-    if float(evals.min()) < -1e-8 * scale:
+    if float(evals.min()) < -_CP_TOL * scale:
         raise InvalidState(
             f"Choi matrix is not positive semidefinite (min eig {evals.min():.3e})"
         )
     ops: list[np.ndarray] = []
     for lam, vec in zip(evals, evecs.T):
-        if lam <= tol * scale:
+        if lam <= _KRAUS_CUTOFF * scale:
             continue
         K = np.sqrt(lam) * vec.reshape(d, d)  # row-major, per the Choi convention
         idx = np.unravel_index(np.argmax(np.abs(K)), K.shape)
@@ -145,11 +151,12 @@ class CPTPReport:
         return self.ok
 
 
-def is_cptp(choi: np.ndarray, *, tol: float = 1e-8) -> CPTPReport:
+def is_cptp(choi: np.ndarray) -> CPTPReport:
     """Check CPTP-ness of a map from its Choi matrix.
 
-    CP requires the minimum eigenvalue >= -tol; TP requires the partial
-    trace over the output (first) factor to equal the identity within tol.
+    CP requires the minimum eigenvalue >= -_CP_TOL; TP requires the partial
+    trace over the output (first) factor to equal the identity within
+    _CP_TOL. The report's ``tol`` is that tolerance.
     """
     chi = np.asarray(choi, dtype=complex)
     d = int(round(np.sqrt(chi.shape[0])))
@@ -159,19 +166,19 @@ def is_cptp(choi: np.ndarray, *, tol: float = 1e-8) -> CPTPReport:
     reduced = np.einsum("abae->be", chi.reshape(d, d, d, d))
     trace_defect = float(np.abs(reduced - np.eye(d)).max())
     return CPTPReport(
-        ok=(min_eig >= -tol and trace_defect <= tol),
+        ok=(min_eig >= -_CP_TOL and trace_defect <= _CP_TOL),
         min_eigenvalue=min_eig,
         trace_defect=trace_defect,
-        tol=tol,
+        tol=_CP_TOL,
     )
 
 
-def intermediate_map(superop_late: np.ndarray, superop_early: np.ndarray, *,
-                     cond_max: float = 1e12) -> np.ndarray:
+def intermediate_map(superop_late: np.ndarray,
+                     superop_early: np.ndarray) -> np.ndarray:
     """Propagator V with V . Phi(t1) = Phi(t2), as a superoperator (stacks too).
 
     :raises SingularMap: if any early map's condition number exceeds
-        ``cond_max`` (the inverse is numerically meaningless).
+        ``_COND_MAX`` (the inverse is numerically meaningless).
     """
     S2 = np.asarray(superop_late)
     S1 = np.asarray(superop_early)
@@ -180,10 +187,10 @@ def intermediate_map(superop_late: np.ndarray, superop_early: np.ndarray, *,
             f"superoperator shapes {S2.shape} and {S1.shape} are incompatible"
         )
     cond = np.linalg.cond(S1)
-    bad = ~np.isfinite(cond) | (cond > cond_max)
+    bad = ~np.isfinite(cond) | (cond > _COND_MAX)
     if np.any(bad):
         raise SingularMap(f"early map condition number {np.max(cond[bad]):.3e} "
-                          f"> {cond_max:.0e}")
+                          f"> {_COND_MAX:.0e}")
     return _propagator(S2, S1)
 
 

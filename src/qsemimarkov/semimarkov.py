@@ -263,10 +263,6 @@ class DephasingSemiMarkov:
             return REGIME_INDIVISIBLE
         return REGIME_DIVISIBLE
 
-    @property
-    def dim(self) -> int:
-        return 2
-
 
 def q_of_t(proc: DephasingSemiMarkov, t):
     """Coherence factor q(t); vectorized over t >= 0."""
@@ -431,10 +427,6 @@ class NonUnitalSemiMarkov:
 
     def survival(self, t):
         return TanhSechWTD(self.rate).survival(t)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
 
 def gamma_nonunital(proc: NonUnitalSemiMarkov, t):

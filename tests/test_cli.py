@@ -16,6 +16,7 @@ from qsemimarkov import (
     DephasingSemiMarkov,
     JSON_SCHEMA,
     coherence_zeros,
+    measures,
     q_of_t,
 )
 from qsemimarkov.cli import build_parser, run
@@ -248,10 +249,15 @@ def _registered_flags(command):
     ["classical-sim", "--seed", "1"],
     ["classical-sim", "--seed", "1", "--wtd", "tanhsech"],
     ["kernel-check"],
+    ["measure", "--p", "3", "--T", "2"],
+    ["measure", "--p-points", "3", "--mode", "min", "--gamma-max", "0.5"],
+    ["divisibility", "--boundary-search", "--p-tol", "0.01",
+     "--config", os.devnull],
 ])
 def test_defaults_applied_lists_every_default_read(capsys, argv):
-    """A config value whose flag was not given came from a default, and
-    defaults_applied names only registered flags."""
+    """A config value whose flag was not given came from a default,
+    defaults_applied names only registered flags, and every flag given,
+    other than the output flags, is echoed in config."""
     doc = _json_out(capsys, [*argv, "--format", "json"])
     flags = _registered_flags(argv[0])
     applied = doc["metadata"]["defaults_applied"].split(",")
@@ -261,6 +267,7 @@ def test_defaults_applied_lists_every_default_read(capsys, argv):
         # a switch left off is a choice of mode, not a default
         if key in flags and key not in given and key != "boundary-search":
             assert key in applied, key
+    assert given - {"format", "out", "config"} <= set(doc["config"])
 
 
 # ---------------------------------------------------------------- measure
@@ -359,13 +366,28 @@ def test_measure_excision_reported(capsys):
 # ----------------------------------------------------- parametrization alias
 
 def test_rate_parametrizations_are_identical(capsys):
-    base = ["--t-max", "2", "--grid", "5"]
-    code, out_sp, _ = _run(capsys, ["rate", "--s", "3", "--p", "2", *base])
-    assert code == 0
-    code, out_pair, _ = _run(capsys,
-                             ["rate", "--lambda1", "1", "--lambda2", "2", *base])
-    assert code == 0
-    assert out_sp == out_pair
+    """Both spellings of a dephasing process echo it as s and p."""
+    for argv in (["rate", "--t-max", "2", "--grid", "5"],
+                 ["blp", "--t-max", "2", "--grid", "5"],
+                 ["divisibility", "--t-max", "2", "--grid", "5"],
+                 ["kernel-check", "--dt", "0.02", "--t-max", "1.5"],
+                 ["measure", "--T", "2"]):
+        code, out_sp, _ = _run(capsys, [*argv, "--s", "3", "--p", "2"])
+        assert code == 0
+        code, out_pair, _ = _run(capsys,
+                                 [*argv, "--lambda1", "1", "--lambda2", "2"])
+        assert code == 0
+        assert out_sp == out_pair, argv
+        assert "# config.s: 3\n# config.p: 2\n" in out_sp, argv
+
+
+def test_measure_sweep_echoes_its_p_range(capsys):
+    doc = _json_out(capsys, ["measure", "--p-min", "0.1", "--p-max", "0.2",
+                             "--p-points", "3", "--format", "json"])
+    assert doc["config"]["p-min"] == 0.1
+    assert doc["config"]["p-max"] == 0.2
+    assert doc["config"]["p-points"] == 3
+    assert "p" not in doc["config"]
 
 
 # ------------------------------------------------------------- config files
@@ -394,6 +416,11 @@ def test_config_file_boolean_flag(capsys, tmp_path):
     doc = _json_out(capsys, ["divisibility", "--config", str(cfg),
                              "--format", "json"])
     assert doc["config"]["boundary-search"] is False
+    cfg.write_text("boundary-search = true\np-tol = 0.01\n")
+    doc = _json_out(capsys, ["divisibility", "--config", str(cfg),
+                             "--format", "json"])
+    assert doc["config"]["boundary-search"] is True
+    assert list(doc["columns"]) == ["p_estimate", "p_low", "p_high"]
 
 
 @pytest.mark.parametrize("content", [
@@ -425,6 +452,15 @@ def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("# command: rate")
+
+
+@pytest.mark.parametrize("target", ["missing/rate.csv", "."])
+def test_unwritable_out_exits_2(capsys, tmp_path, target):
+    # a missing directory, or a directory in place of a file
+    code, out, err = _run(capsys, ["rate", "--grid", "5",
+                                   "--out", str(tmp_path / target)])
+    assert code == 2 and out == ""
+    assert err.startswith("qsm: configuration error: cannot write")
 
 
 def test_svg_points_carry_the_csv_numbers(capsys):
@@ -475,6 +511,25 @@ def test_divisibility_scan_output(capsys):
     assert doc["metadata"]["violation_count"] == 0
 
 
+def test_boundary_search_stops_at_one_float(capsys, monkeypatch):
+    # with p_tol below the float spacing the midpoint rounds onto an end;
+    # the search must stop there, after about 55 scans, not loop forever
+    scan, calls = measures.cp_divisibility_scan, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= 100, "boundary search does not terminate"
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "cp_divisibility_scan", counted)
+    doc = _json_out(capsys, ["divisibility", "--boundary-search", "--p-tol",
+                             "1e-300", "--grid", "50", "--format", "json"])
+    (lo,), (hi,) = doc["columns"]["p_low"], doc["columns"]["p_high"]
+    assert lo < hi == np.nextafter(lo, 1.0)
+    assert doc["metadata"]["p_boundary_estimate"] == pytest.approx(
+        0.126638839029, abs=1e-12)
+
+
 @pytest.mark.parametrize("s", [0.9, 0.95, 1.1])
 def test_boundary_search_away_from_s_one(capsys, s):
     # q(t) rounding to 1 + 2e-16 once made map_at's Kraus weight NaN here
@@ -518,6 +573,13 @@ def test_classical_sim_error_in_se_where_every_path_agrees(capsys):
     assert np.isfinite(err) and err < 5.0
 
 
+def _package_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_commands_without_quadrature_do_not_import_scipy():
     # no command loads scipy, the Choi route's quadrature included: the
     # rate route of measure is exact, and the Gauss-Kronrod rule is numpy.
@@ -542,12 +604,28 @@ def test_commands_without_quadrature_do_not_import_scipy():
         "    for name in ('scipy', 'xml', 'urllib.request', 'http', 'ssl',\n"
         "                 'email'):\n"
         "        assert name not in sys.modules, (argv, name)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_package_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_module_entry_point_exit_codes():
+    """``python -m qsemimarkov.cli`` exits with run()'s code; a failure
+    prints nothing on stdout and one qsm: line on stderr."""
+    for argv, code in ((["rate", "--grid", "5"], 0),
+                       (["rate", "--grid", "1"], 2),
+                       (["measure", "--p", "3", "--form", "choi",
+                         "--epsilon", "1e-13"], 3)):
+        done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli", *argv],
+                              env=_package_env(), capture_output=True,
+                              text=True)
+        assert done.returncode == code, (argv, done.stderr)
+        if code:
+            assert done.stdout == ""
+            assert done.stderr.startswith("qsm: ")
+            assert done.stderr.count("\n") == 1, done.stderr
+        else:
+            assert done.stdout.startswith("# command: rate\n")
 
 
 def test_kernel_check_convergence(capsys):

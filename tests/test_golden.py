@@ -30,6 +30,14 @@ Provenance lines were re-captured where the CLI began to list every default
 it reads in ``meta.defaults_applied`` (spelled as the flag: ``lambda``, not
 ``lam``) and stopped echoing ``config.gamma-ref`` in min mode, which never
 reads it. Their data rows were not re-captured.
+
+The headers of the four p-sweep measure files (``fig2.csv``,
+``measure_min_sweep.csv``, ``measure_choi_sweep_paper.csv`` and
+``measure_choi_sweep_min.csv``) were re-captured when ``config.*`` became
+exactly the settings the command read: each gained the lines
+``# config.p-min``, ``# config.p-max`` and ``# config.p-points`` after
+``# config.s``. No other line of any golden changed, and no data row was
+re-captured.
 """
 
 import json
