@@ -16,7 +16,7 @@ given.
 
 A flat key=value config file (``--config PATH``) supplies flags; flags given
 on the command line override the file. Output goes to stdout or
-``--out PATH`` as CSV (default), JSON, or SVG.
+``--out PATH`` as CSV (default), JSON, or SVG; a format suffix must match.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
@@ -466,6 +466,9 @@ def run(argv: Sequence[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(
                 argv[:at] + _load_config_flags(args.config) + argv[at:])
+        suffix = Path(args.out or "").suffix.lower()[1:]
+        _require(suffix not in _RENDERERS or suffix == args.format,
+                 f"--format {args.format} does not match --out {args.out!r}")
         r = _Resolved(args)
         columns, meta = _DISPATCH[args.command](r)
         table = ResultTable(args.command, r.config(), columns,

@@ -23,9 +23,9 @@ time, and the time-median is one interpolation. The rate poles are cut out
 here only, and both routes work on the same pieces, split at their kinks.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
-a CP-divisibility scan over intermediate maps, a bisection search for the
-divisibility-breaking boundary of the dephasing family, and Holevo
-information curves for a fixed input ensemble.
+a CP-divisibility scan over intermediate maps, a closed-form bisection for
+the divisibility boundary of the dephasing family, certified by the scan,
+and Holevo information curves for a fixed input ensemble.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .semimarkov import (
     coherence_zeros,
     gamma_dephasing,
     gamma_nonunital,
+    q_of_t,
     superop_at,
 )
 
@@ -395,21 +396,43 @@ class BoundaryEstimate:
     p_tol: float
 
 
+def _steps_violate(proc: DephasingSemiMarkov, times: np.ndarray) -> bool:
+    """Whether ``cp_divisibility_scan`` finds a violation, in closed form: the
+    map has factor c = q(t2)/q(t1), Choi eigenvalues 1 +- c, 0, 0, cond 1/|q(t1)|."""
+    q = np.clip(q_of_t(proc, times), -1.0, 1.0)
+    kept = np.abs(q[:-1]) >= 1.0 / _COND_MAX
+    return bool(np.any(np.abs(q[1:][kept] / q[:-1][kept]) - 1.0 > _CP_TOL))
+
+
+def _bisect(violates: Callable[[float], bool], lo: float, hi: float,
+            p_tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] across the onset of ``violates`` to p_tol or one ulp."""
+    if violates(lo):
+        raise NoSignChange(f"divisibility already broken at p = {lo:g}")
+    if not violates(hi):
+        raise NoSignChange(f"no violation found up to p = {hi:g}")
+    while hi - lo > max(p_tol, np.spacing(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if violates(mid) else (mid, hi)
+    return lo, hi
+
+
 def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0.4),
                           t_max: float = 60.0, n_grid: int = 1200,
                           p_tol: float = 1e-4) -> BoundaryEstimate:
     """Bisect in p for the smallest jump-rate product breaking divisibility.
 
-    Each probe runs :func:`cp_divisibility_scan` for the dephasing process
-    (s, p) on a uniform grid over [0, t_max]. The bracket must straddle the
-    boundary: no violation at ``p_bracket[0]``, violation at ``p_bracket[1]``.
-    It is halved until it is ``p_tol`` wide, or one float wide where
-    ``p_tol`` is finer than that.
+    Each probe is ``_steps_violate`` for the dephasing process (s, p) on a
+    uniform grid over [0, t_max]. The bracket must straddle the boundary: no
+    violation at ``p_bracket[0]``, violation at ``p_bracket[1]``. It is
+    halved until it is ``p_tol`` wide, or one float wide where ``p_tol`` is
+    finer. :func:`cp_divisibility_scan` must then find no violation at
+    ``p_low`` and one at ``p_high``. Where it does not, or the closed form
+    refuses the bracket, the bisection reruns with the scan as its probe.
 
-    Near the boundary the violations are exponentially weak (the first
-    negative Choi eigenvalue scales like the coherence revival amplitude),
-    so the detectable onset sits slightly above the exact threshold; the
-    defaults resolve it to a few parts in 1e3 of s^2/8.
+    |q| rises only after a zero of q, so a probe violates only where the
+    first zero comes while |q(t1)| >= 1/``_COND_MAX``: the defaults at s = 1
+    find the onset 1.3% above s^2/8.
 
     :raises NoSignChange: if the bracket does not straddle the boundary.
     """
@@ -419,23 +442,17 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
     if p_tol <= 0.0:
         raise DomainError(f"p_tol must be positive, got {p_tol!r}")
     grid = np.linspace(0.0, float(t_max), int(n_grid))
-
-    def violates(p: float) -> bool:
-        proc = DephasingSemiMarkov(s=float(s), p=p)
-        return cp_divisibility_scan(proc, grid).violation_count > 0
-
-    if violates(p_lo):
-        raise NoSignChange(f"divisibility already broken at p = {p_lo:g}")
-    if not violates(p_hi):
-        raise NoSignChange(f"no violation found up to p = {p_hi:g}")
-    while p_hi - p_lo > max(p_tol, np.spacing(p_hi)):
-        mid = 0.5 * (p_lo + p_hi)
-        if violates(mid):
-            p_hi = mid
-        else:
-            p_lo = mid
-    return BoundaryEstimate(p_estimate=0.5 * (p_lo + p_hi), p_low=p_lo,
-                            p_high=p_hi, s=float(s), t_max=float(t_max),
+    process = lambda p: DephasingSemiMarkov(s=float(s), p=p)
+    scan = lambda p: cp_divisibility_scan(process(p), grid).violation_count > 0
+    try:
+        lo, hi = _bisect(lambda p: _steps_violate(process(p), grid), p_lo, p_hi, p_tol)
+        certified = not scan(lo) and scan(hi)
+    except NoSignChange:
+        certified = False
+    if not certified:
+        lo, hi = _bisect(scan, p_lo, p_hi, p_tol)
+    return BoundaryEstimate(p_estimate=0.5 * (lo + hi), p_low=lo,
+                            p_high=hi, s=float(s), t_max=float(t_max),
                             n_grid=int(n_grid), p_tol=float(p_tol))
 
 

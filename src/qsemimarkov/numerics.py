@@ -33,7 +33,6 @@ __all__ = [
     "hermitian_eig",
     "trace_norm",
     "von_neumann_entropy",
-    "binary_entropy",
     "adaptive_quad",
     "solve_volterra",
 ]
@@ -150,15 +149,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     lam = np.clip(evals, 0.0, None)
     ent = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
     return float(ent) if evals.ndim == 1 else ent
-
-
-def binary_entropy(x: float) -> float:
-    """H2(x) = -x log2 x - (1-x) log2(1-x) in bits; H2(0) = H2(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,

@@ -42,7 +42,6 @@ __all__ = [
     "DeltaKernel",
     "ExponentialKernel",
     "kernel_closed_form",
-    "eta",
     "REGIME_SEMIGROUP",
     "REGIME_DIVISIBLE",
     "REGIME_INDIVISIBLE",
@@ -216,15 +215,6 @@ def kernel_closed_form(wtd):
 REGIME_SEMIGROUP = "semigroup-limit"
 REGIME_DIVISIBLE = "cp-divisible"
 REGIME_INDIVISIBLE = "cp-indivisible"
-
-
-def eta(s: float, p: float) -> complex:
-    """eta = sqrt(1 - 8p/s^2), purely real or purely imaginary."""
-    _require_positive("s", s)
-    disc = 1.0 - 8.0 * p / s**2
-    if disc >= 0.0:
-        return complex(np.sqrt(disc), 0.0)
-    return complex(0.0, np.sqrt(-disc))
 
 
 def _branch(s: float, p: float) -> tuple[str, float]:

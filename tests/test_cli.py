@@ -463,6 +463,32 @@ def test_unwritable_out_exits_2(capsys, tmp_path, target):
     assert err.startswith("qsm: configuration error: cannot write")
 
 
+@pytest.mark.parametrize("command, recipe", [
+    ("rate", "fig1"), ("measure", "fig2"), ("holevo", "fig3")])
+def test_format_contradicting_out_suffix_exits_2(capsys, tmp_path,
+                                                 monkeypatch, command, recipe):
+    # the recipe's out = figN.svg would otherwise receive CSV text
+    monkeypatch.chdir(tmp_path)
+    config = Path(__file__).parent.parent / "recipes" / f"{recipe}.cfg"
+    code, out, err = _run(capsys, [command, "--config", str(config),
+                                   "--format", "csv"])
+    assert code == 2 and out == ""
+    assert err == (f"qsm: configuration error: --format csv does not match "
+                   f"--out '{recipe}.svg'\n")
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = _run(capsys, [command, "--config", str(config), "--format",
+                               "csv", "--out", f"{recipe}.csv"])
+    assert code == 0
+    assert [f.name for f in tmp_path.iterdir()] == [f"{recipe}.csv"]
+
+
+def test_out_suffix_outside_the_formats_is_not_checked(capsys, tmp_path):
+    target = tmp_path / "rate.txt"
+    code, _, _ = _run(capsys, ["rate", "--grid", "5", "--format", "json",
+                               "--out", str(target)])
+    assert code == 0 and target.read_text().startswith("{")
+
+
 def test_svg_points_carry_the_csv_numbers(capsys):
     argv = ["rate", "--p", "0.1", "--grid", "6", "--t-max", "3"]
     code, csv_text, _ = _run(capsys, argv)

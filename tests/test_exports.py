@@ -33,3 +33,12 @@ def test_package_exports_every_library_export():
     expected |= {name for name, cls in classes
                  if issubclass(cls, errors.QsmError)}
     assert set(qsemimarkov.__all__) == expected
+
+
+@pytest.mark.parametrize("module, name", [
+    ("semimarkov", "eta"),                # duplicated the private _branch
+    ("numerics", "binary_entropy"),       # now the Holevo oracle of the tests
+])
+def test_deleted_names_stay_out_of_the_exports(module, name):
+    assert name not in qsemimarkov.__all__
+    assert not hasattr(importlib.import_module(f"qsemimarkov.{module}"), name)

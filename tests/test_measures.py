@@ -1,6 +1,7 @@
 """Deviation-from-semigroup measure, revival measure, divisibility, Holevo."""
 
 import decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qsemimarkov import (
     MINUS_STATE,
     SSSConfig,
     adaptive_quad,
-    binary_entropy,
     blp_measure,
     coherence_zeros,
     cp_divisibility_scan,
@@ -29,8 +29,8 @@ from qsemimarkov import (
     sss_measure,
 )
 
-from qsemimarkov import numerics, semimarkov
-from qsemimarkov.measures import _excised_pieces
+from qsemimarkov import measures, numerics, semimarkov
+from qsemimarkov.measures import _excised_pieces, _steps_violate
 
 from golden_section import minimize_scalar
 
@@ -618,7 +618,86 @@ def test_boundary_bisection_requires_straddling_bracket():
         divisibility_boundary(1.0, p_bracket=(0.4, 0.1))
 
 
+def _bisection(violates, lo, hi, p_tol):
+    """The boundary bisection on one predicate, the oracle of the search."""
+    assert not violates(lo) and violates(hi)
+    while hi - lo > max(p_tol, np.spacing(hi)):
+        mid = 0.5 * (lo + hi)
+        if violates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("n_grid", [50, 1200])
+def test_closed_form_step_test_agrees_with_the_scan(n_grid):
+    # the step map from t1 to t2 is dephasing with factor q(t2)/q(t1)
+    rng = np.random.default_rng(16)
+    grid = np.linspace(0.0, 60.0, n_grid)
+    disagree = []
+    for s, ratio in zip(rng.uniform(0.5, 2.0, 300), rng.uniform(0.8, 1.3, 300)):
+        proc = DephasingSemiMarkov(s=s, p=ratio * s**2 / 8)
+        scan = cp_divisibility_scan(proc, grid).violation_count > 0
+        if _steps_violate(proc, grid) != scan:
+            disagree.append((s, ratio))
+    assert disagree == []
+
+
+def test_boundary_fine_tolerance_falls_back_to_the_scan(monkeypatch):
+    # at p_tol = 1e-8 the closed form and the scan resolve thresholds a few
+    # ulps apart, the certifying scans refuse, and the scan bisects instead
+    scan, calls = measures.cp_divisibility_scan, []
+
+    def counted(*args):
+        calls.append(None)
+        return scan(*args)
+
+    monkeypatch.setattr(measures, "cp_divisibility_scan", counted)
+    estimate = divisibility_boundary(1.0, p_tol=1e-8)
+    assert len(calls) > 2
+    grid = np.linspace(0.0, 60.0, 1200)
+    lo, hi = _bisection(lambda p: scan(DephasingSemiMarkov(s=1.0, p=p),
+                                       grid).violation_count > 0,
+                        0.05, 0.4, 1e-8)
+    assert (estimate.p_low, estimate.p_high) == (lo, hi)
+    assert estimate.p_estimate == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.2])
+def test_boundary_returns_the_scan_bracket_when_the_scan_disagrees(
+        monkeypatch, threshold):
+    closed_form = divisibility_boundary(1.0)
+    violates = lambda p: p > threshold
+    monkeypatch.setattr(
+        measures, "cp_divisibility_scan",
+        lambda proc, times: SimpleNamespace(violation_count=int(violates(proc.p))))
+    estimate = divisibility_boundary(1.0)
+    assert (estimate.p_low, estimate.p_high) == _bisection(violates, 0.05, 0.4,
+                                                           1e-4)
+    assert estimate.p_low != closed_form.p_low
+
+
 # --------------------------------------------------------------- holevo
+
+def binary_entropy(x):
+    """H2(x) = -x log2 x - (1-x) log2(1-x) in bits, the Holevo oracle."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy argument {x!r} outside [0, 1]")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+def test_binary_entropy():
+    assert binary_entropy(0.0) == 0.0
+    assert binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == pytest.approx(1.0)
+    assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-14)
+    assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7))
+    with pytest.raises(ValueError):
+        binary_entropy(1.2)
+
 
 def test_holevo_closed_form_for_dephasing():
     proc = DephasingSemiMarkov(s=1.0, p=2.0)

@@ -14,7 +14,6 @@ from qsemimarkov import (
     NumericalError,
     ToleranceNotMet,
     adaptive_quad,
-    binary_entropy,
     hermitian_eig,
     solve_volterra,
     trace_norm,
@@ -140,16 +139,6 @@ def test_von_neumann_entropy_checks_every_state_of_a_stack(bad):
     stack[3] = bad
     with pytest.raises(InvalidState):
         von_neumann_entropy(stack)
-
-
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(1.0)
-    assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-14)
-    assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7))
-    with pytest.raises(DomainError):
-        binary_entropy(1.2)
 
 
 # --------------------------------------------------------------- quadrature

@@ -24,7 +24,6 @@ from qsemimarkov import (
     adaptive_quad,
     apply_superop,
     coherence_zeros,
-    eta,
     gamma_dephasing,
     gamma_nonunital,
     jump_superop,
@@ -127,16 +126,7 @@ def test_delta_kernel_limit_is_a_semigroup():
         assert np.abs(S - expected).max() < 1e-12
 
 
-# ---------------------------------------------------------------- q(t), eta
-
-def test_eta_branches():
-    assert eta(1.0, 0.0) == 1.0
-    assert eta(1.0, 0.1) == pytest.approx(np.sqrt(0.2))
-    assert eta(1.0, 3.0) == pytest.approx(1j * np.sqrt(23.0))
-    assert eta(2.0, 0.5) == 0.0
-    with pytest.raises(DomainError):
-        eta(0.0, 1.0)
-
+# ---------------------------------------------------------------- q(t)
 
 def q_reference(s, p, t):
     """Direct complex-arithmetic evaluation of the defining formula."""
