@@ -270,9 +270,9 @@ def cmd_rate(r: _Resolved) -> tuple[dict, dict]:
     proc = DephasingSemiMarkov(*_dephasing(r))
     t_max, n = _time_grid(r)
     r.check_unread()
+    poles = coherence_zeros(proc, t_max)
     ts = np.linspace(0.0, t_max, n)
     vals = gamma_dephasing(proc, ts)  # NaN at poles, annotated below
-    poles = coherence_zeros(proc, t_max)
     return ({"t": ts, "gamma": vals},
             {"singular_times": [float(x) for x in poles]})
 

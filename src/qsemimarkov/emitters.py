@@ -161,7 +161,7 @@ def _segments(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     return [np.arange(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
-def to_svg(table: ResultTable, *, title: str | None = None) -> str:
+def to_svg(table: ResultTable) -> str:
     """Render the table as a standalone SVG line chart.
 
     The first column is the abscissa; every other column becomes one
@@ -189,11 +189,10 @@ def to_svg(table: ResultTable, *, title: str | None = None) -> str:
         f'viewBox="0 0 {_W} {_H}">'
     )
     out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-    heading = title if title is not None else table.command
     out.append(
         f'<text x="{_W / 2:g}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">'
-        f'{escape(heading, quote=False)}</text>'
+        f'{escape(table.command, quote=False)}</text>'
     )
     # axes
     out.append(

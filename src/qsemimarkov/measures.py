@@ -399,7 +399,7 @@ class BoundaryEstimate:
 def _steps_violate(proc: DephasingSemiMarkov, times: np.ndarray) -> bool:
     """Whether ``cp_divisibility_scan`` finds a violation, in closed form: the
     map has factor c = q(t2)/q(t1), Choi eigenvalues 1 +- c, 0, 0, cond 1/|q(t1)|."""
-    q = np.clip(q_of_t(proc, times), -1.0, 1.0)
+    q = q_of_t(proc, times)
     kept = np.abs(q[:-1]) >= 1.0 / _COND_MAX
     return bool(np.any(np.abs(q[1:][kept] / q[:-1][kept]) - 1.0 > _CP_TOL))
 

@@ -118,7 +118,7 @@ def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
         positive).
     """
     chi = np.asarray(choi, dtype=complex)
-    d = int(round(np.sqrt(chi.shape[0])))
+    d = int(round(np.sqrt(chi.shape[0]))) if chi.ndim == 2 else 0
     if chi.shape != (d * d, d * d):
         raise DimensionMismatch(f"Choi shape {chi.shape} is not d^2 x d^2")
     evals, evecs = hermitian_eig(chi)
@@ -159,7 +159,7 @@ def is_cptp(choi: np.ndarray) -> CPTPReport:
     _CP_TOL. The report's ``tol`` is that tolerance.
     """
     chi = np.asarray(choi, dtype=complex)
-    d = int(round(np.sqrt(chi.shape[0])))
+    d = int(round(np.sqrt(chi.shape[0]))) if chi.ndim == 2 else 0
     if chi.shape != (d * d, d * d):
         raise DimensionMismatch(f"Choi shape {chi.shape} is not d^2 x d^2")
     min_eig = float(hermitian_eig(chi, tol=1e-9).eigenvalues.min())

@@ -39,9 +39,7 @@ __all__ = [
     "ExponentialWTD",
     "ExpConvolutionWTD",
     "TanhSechWTD",
-    "DeltaKernel",
     "ExponentialKernel",
-    "kernel_closed_form",
     "REGIME_SEMIGROUP",
     "REGIME_DIVISIBLE",
     "REGIME_INDIVISIBLE",
@@ -112,11 +110,6 @@ class ExpConvolutionWTD:
         _require_positive("rate2", self.rate2)
 
     @property
-    def total_rate(self) -> float:
-        """s = rate1 + rate2."""
-        return self.rate1 + self.rate2
-
-    @property
     def rate_product(self) -> float:
         """p = rate1 * rate2."""
         return self.rate1 * self.rate2
@@ -173,13 +166,6 @@ class TanhSechWTD:
 
 
 @dataclass(frozen=True)
-class DeltaKernel:
-    """Marker for k(t) = rate * delta(t): the dynamics is a semigroup."""
-
-    rate: float
-
-
-@dataclass(frozen=True)
 class ExponentialKernel:
     """k(t) = amplitude * exp(-decay * t)."""
 
@@ -189,27 +175,6 @@ class ExponentialKernel:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return self.amplitude * np.exp(-self.decay * t)
-
-
-def kernel_closed_form(wtd):
-    """Memory kernel k(t) with Laplace transform u f~ / (1 - f~).
-
-    Exponential waits give the delta-correlated kernel (returned as a
-    ``DeltaKernel`` marker); the two-exponential convolution gives
-    k(t) = p exp(-s t) with s the rate sum and p the rate product.
-
-    :raises UnsupportedVariant: for the tanh-sech distribution, whose kernel
-        has no elementary inverse Laplace transform.
-    """
-    if isinstance(wtd, ExponentialWTD):
-        return DeltaKernel(rate=wtd.rate)
-    if isinstance(wtd, ExpConvolutionWTD):
-        return ExponentialKernel(amplitude=wtd.rate_product, decay=wtd.total_rate)
-    if isinstance(wtd, TanhSechWTD):
-        raise UnsupportedVariant(
-            "no closed-form memory kernel for the tanh-sech distribution"
-        )
-    raise UnsupportedVariant(f"unknown waiting-time distribution {type(wtd)!r}")
 
 
 REGIME_SEMIGROUP = "semigroup-limit"
@@ -255,18 +220,29 @@ class DephasingSemiMarkov:
 
 
 def q_of_t(proc: DephasingSemiMarkov, t):
-    """Coherence factor q(t); vectorized over t >= 0."""
+    """Coherence factor q(t); vectorized over t >= 0.
+
+    |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0, so it is
+    clipped to [-1, 1] here and nowhere else. q is 0 where the phase x
+    overflows, as e^{-st/2} is 0 there.
+    """
     t = np.asarray(t, dtype=float)
     s, p = proc.s, proc.p
     tag, w = _branch(s, p)
     if tag == "boundary":
-        return np.exp(-s * t / 2) * (1.0 + s * t / 2)
-    if tag == "real":
+        x = s * t / 2
+        with np.errstate(invalid="ignore"):  # inf * 0 where e^{-x} is 0
+            q = np.where(np.isfinite(x), np.exp(-x) * (1.0 + x), 0.0)
+    elif tag == "real":
         # partial fractions: no growing exponentials, safe for large t
-        return ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
-                + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
-    x = s * t * w / 2
-    return np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w)
+        q = ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
+             + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
+    else:
+        x = s * t * w / 2
+        with np.errstate(invalid="ignore"):  # cos(inf) where e^{-st/2} is 0
+            q = np.where(np.isfinite(x),
+                         np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w), 0.0)
+    return np.clip(q, -1.0, 1.0)
 
 
 def _log_abs_q(proc: DephasingSemiMarkov, t):
@@ -288,8 +264,8 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
         x = s * w * t / 2
         with np.errstate(divide="ignore"):  # -inf at an exact zero of q
             return -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
-    q = q_of_t(proc, t)
     if tag == "boundary":
+        q = q_of_t(proc, t)
         # the clips keep each log finite where np.where drops it
         return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
                         -s * t / 2 + np.log1p(s * t / 2))
@@ -353,11 +329,11 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     if tag != "imag":
         return np.array([])
     offset = np.arctan(w)
-    k_max = int(np.floor((proc.s * t_max * w / 2 + offset) / np.pi))
-    if k_max > _MAX_POLES:
-        raise GridError(f"{k_max} coherence zeros on (0, {t_max:g}] exceed "
-                        f"the cap of {_MAX_POLES}")
-    ks = np.arange(1, k_max + 1)
+    k_max = np.floor((proc.s * t_max * w / 2 + offset) / np.pi)
+    if not k_max <= _MAX_POLES:  # also refuses a NaN count
+        raise GridError(f"{k_max:.3g} coherence zeros on (0, {t_max:g}] "
+                        f"exceed the cap of {_MAX_POLES}")
+    ks = np.arange(1, int(k_max) + 1)
     return 2.0 * (ks * np.pi - offset) / (proc.s * w)
 
 
@@ -435,8 +411,7 @@ def map_at(proc, t: float) -> list[np.ndarray]:
     if t < 0.0:
         raise DomainError(f"t must be non-negative, got {t!r}")
     if isinstance(proc, DephasingSemiMarkov):
-        # |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0
-        q = min(1.0, max(-1.0, float(q_of_t(proc, t))))
+        q = float(q_of_t(proc, t))
         return [np.sqrt((1.0 + q) / 2.0) * np.eye(2),
                 np.sqrt((1.0 - q) / 2.0) * _PAULI_Z]
     return kraus_from_choi(choi_of_superop(superop_at(proc, t)))
@@ -459,16 +434,15 @@ def jump_superop(proc) -> np.ndarray:
 def superop_at(proc, t) -> np.ndarray:
     """Superoperators of Phi(t) = w id + (1 - w) J, shape np.shape(t) + (4, 4).
 
-    J is ``jump_superop(proc)``; w = (1 + q(t))/2 for dephasing, with q
-    clipped to [-1, 1], and w = sech(rate t) for the non-unital family.
+    J is ``jump_superop(proc)``; w = (1 + q(t))/2 for dephasing and
+    w = sech(rate t) for the non-unital family.
     """
     J = jump_superop(proc)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise DomainError(f"t must be non-negative, got min {t.min()!r}")
     if isinstance(proc, DephasingSemiMarkov):
-        # |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0
-        w = (1.0 + np.clip(q_of_t(proc, t), -1.0, 1.0)) / 2.0
+        w = (1.0 + q_of_t(proc, t)) / 2.0
     else:
         w = proc.survival(t)
     w = np.asarray(w)[..., None, None]

@@ -654,6 +654,35 @@ def test_module_entry_point_exit_codes():
             assert done.stdout.startswith("# command: rate\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["measure", "--p", "3", "--T", "1e308"], 3),
+    (["rate", "--p", "3", "--t-max", "1e308"], 3),
+    (["rate", "--p", "3", "--t-max", "1e300"], 3),
+    (["holevo", "--t-max", "1e308"], 0),
+    (["divisibility", "--p", "3", "--t-max", "1e308"], 0),
+    (["blp", "--p", "3", "--t-max", "1e308"], 0),
+    (["blp", "--s", "4", "--p", "2", "--t-max", "1e308"], 0),  # p = s^2/8
+], ids=["measure", "rate", "rate-1e300", "holevo", "divisibility", "blp",
+        "blp-boundary"])
+def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
+    """A horizon near the float limit is a numerical failure where it holds
+    more than 1e6 rate poles; elsewhere q is 0 where its phase overflows.
+    In a subprocess, so that overflow warnings stay warnings."""
+    done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli", *argv],
+                          env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == code, (argv, done.stderr)
+    assert "Traceback" not in done.stderr
+    if code:
+        assert done.stdout == ""
+        lines = [ln for ln in done.stderr.splitlines()
+                 if ln.startswith("qsm: ")]
+        assert lines == [lines[0]] and "numerical failure" in lines[0]
+        assert "coherence zeros" in lines[0] and len(lines[0]) < 120
+    elif argv[0] == "holevo":  # a singular divisibility step is NaN by design
+        rows = [ln for ln in done.stdout.splitlines() if not ln.startswith("#")]
+        assert len(rows) == 501 and "nan" not in "\n".join(rows[1:])
+
+
 def test_kernel_check_convergence(capsys):
     doc = _json_out(capsys, ["kernel-check", "--dt", "0.02", "--t-max", "1.5",
                              "--format", "json"])

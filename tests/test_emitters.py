@@ -143,9 +143,6 @@ def test_svg_splits_series_at_non_finite_samples():
 def test_svg_title_defaults_to_command():
     svg = to_svg(_table(columns={"t": np.arange(3.0), "y": np.arange(3.0)}))
     assert ">rate</text>" in svg
-    svg = to_svg(_table(columns={"t": np.arange(3.0), "y": np.arange(3.0)}),
-                 title="coherence decay")
-    assert ">coherence decay</text>" in svg
 
 
 def test_svg_degenerate_ranges_still_render():

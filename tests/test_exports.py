@@ -38,6 +38,8 @@ def test_package_exports_every_library_export():
 @pytest.mark.parametrize("module, name", [
     ("semimarkov", "eta"),                # duplicated the private _branch
     ("numerics", "binary_entropy"),       # now the Holevo oracle of the tests
+    ("semimarkov", "DeltaKernel"),        # only tests called these two
+    ("semimarkov", "kernel_closed_form"),
 ])
 def test_deleted_names_stay_out_of_the_exports(module, name):
     assert name not in qsemimarkov.__all__

@@ -98,6 +98,13 @@ def test_choi_reshuffle_equals_defining_sum():
             choi_of_superop(bad)
 
 
+@pytest.mark.parametrize("check", [is_cptp, kraus_from_choi])
+def test_choi_checks_refuse_anything_but_a_matrix(check):
+    for bad in (np.float64(1.0), np.ones(4), np.ones((2, 4, 4))):
+        with pytest.raises(DimensionMismatch):
+            check(bad)
+
+
 def test_choi_of_identity():
     chi = choi_of_kraus([np.eye(2)])
     evals = hermitian_eig(chi).eigenvalues
