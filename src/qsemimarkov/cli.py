@@ -425,7 +425,7 @@ def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
 
     def q_error(step: float) -> tuple[np.ndarray, np.ndarray, float]:
         sol = solve_volterra(kernel, bracket, t_max, step)
-        q_num = sol.maps[:, 1, 1].real
+        q_num = sol.maps[:, 1, 1].real.copy()  # frees the maps on return
         q_ref = np.asarray(q_of_t(proc, sol.times), dtype=float)
         return sol.times, q_num, float(np.abs(q_num - q_ref).max())
 

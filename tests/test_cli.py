@@ -172,7 +172,7 @@ def test_numerical_failures_exit_3(capsys):
         "0.4", "--t-max", "30", "--grid", "400",
     ])
     assert code == 3
-    # 5e6 Volterra steps exceed the cap: refused before the O(n^2) sum
+    # 5e6 Volterra steps exceed the cap: refused before the maps are allocated
     code, out, err = _run(capsys, ["kernel-check", "--dt", "1e-6"])
     assert code == 3 and "cap" in err
     # 7.6e11 rate poles exceed the cap: refused before they are listed
@@ -681,6 +681,24 @@ def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
     elif argv[0] == "holevo":  # a singular divisibility step is NaN by design
         rows = [ln for ln in done.stdout.splitlines() if not ln.startswith("#")]
         assert len(rows) == 501 and "nan" not in "\n".join(rows[1:])
+
+
+def test_kernel_check_past_the_old_step_cap(capsys):
+    # 2e5 steps: the recurrence is linear in the steps, so the solve fits
+    doc = _json_out(capsys, ["kernel-check", "--dt", "2.5e-5",
+                             "--format", "json"])
+    assert 3.5 <= doc["metadata"]["convergence_ratio"] <= 4.5
+
+
+def test_kernel_check_with_a_trajectory_that_overflows_fails_loudly():
+    """In a subprocess, so that an overflow warning would reach stderr."""
+    done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli",
+                           "kernel-check", "--p", "1e300", "--dt", "0.01",
+                           "--t-max", "1"],
+                          env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("qsm: numerical failure")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_kernel_check_convergence(capsys):

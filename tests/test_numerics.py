@@ -1,6 +1,7 @@
 """Linear algebra, quadrature, Volterra, and scalar-search building blocks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from scipy import integrate
 
 from qsemimarkov import (
     DomainError,
+    ExponentialKernel,
     GridError,
     InvalidState,
     NonHermitianInput,
+    NonUnitalSemiMarkov,
     NumericalError,
     ToleranceNotMet,
     adaptive_quad,
     hermitian_eig,
+    jump_superop,
     solve_volterra,
     trace_norm,
     von_neumann_entropy,
@@ -266,7 +270,7 @@ def test_solve_volterra_scalar_oracle():
         r = np.sqrt(3.0) / 2.0
         return np.exp(-t / 2) * (np.cos(r * t) + np.sin(r * t) / (2 * r))
 
-    kernel = lambda t: np.exp(-t)
+    kernel = ExponentialKernel(amplitude=1.0, decay=1.0)
     gen = np.array([[-1.0]])
     sol = solve_volterra(kernel, gen, 5.0, 1e-3)
     dev = np.abs(sol.maps[:, 0, 0] - phi_exact(sol.times)).max()
@@ -278,7 +282,8 @@ def test_solve_volterra_scalar_oracle():
 
 
 def _volterra_oracle(kernel, G, t_max, dt):
-    """The original O(n^2) solver: two einsum memory sums per step."""
+    """The original O(n^2) solver: two einsum memory sums per step, with
+    the kernel taken on the grid."""
     n = int(round(t_max / dt))
     dim = G.shape[0]
     kvals = kernel(dt * np.arange(n + 1))
@@ -303,12 +308,21 @@ def _volterra_oracle(kernel, G, t_max, dt):
     return maps
 
 
+_NONUNITAL_BRACKET = jump_superop(NonUnitalSemiMarkov(1.0)) - np.eye(4)
+
+
 @pytest.mark.parametrize("generator, kernel", [
-    (np.array([[-1.0]]), lambda t: np.exp(-t)),
+    (np.array([[-1.0]]), ExponentialKernel(1.0, 1.0)),
     # dephasing bracket Z.Z - 1 as a complex superoperator, k = p e^{-s t}
     (np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex)
-     - np.eye(4), lambda t: 3.0 * np.exp(-t)),
-])
+     - np.eye(4), ExponentialKernel(3.0, 1.0)),
+    # brackets that are not diagonal, so G.G is not elementwise: the
+    # non-unital jump, its complex multiple, and a non-normal 2x2 G
+    (_NONUNITAL_BRACKET, ExponentialKernel(2.0, 0.7)),
+    ((1.0 + 0.5j) * _NONUNITAL_BRACKET, ExponentialKernel(2.0, 0.7)),
+    (np.array([[-1.0, 2.0], [0.0, -0.5]]), ExponentialKernel(1.0, 0.0)),
+], ids=["scalar", "dephasing", "nonunital", "nonunital-complex",
+        "non-normal"])
 def test_solve_volterra_matches_einsum_oracle(generator, kernel):
     sol = solve_volterra(kernel, generator, 2.5, 0.01)  # 250 steps
     expected = _volterra_oracle(kernel, generator, 2.5, 0.01)
@@ -317,7 +331,8 @@ def test_solve_volterra_matches_einsum_oracle(generator, kernel):
 
 
 def test_solve_volterra_initial_condition_and_grid():
-    sol = solve_volterra(lambda t: np.exp(-t), np.array([[-1.0]]), 1.0, 0.25)
+    sol = solve_volterra(ExponentialKernel(1.0, 1.0), np.array([[-1.0]]),
+                         1.0, 0.25)
     assert sol.times[0] == 0.0
     assert sol.maps[0][0, 0] == 1.0
     assert sol.times.shape[0] == sol.maps.shape[0] == 5
@@ -325,21 +340,32 @@ def test_solve_volterra_initial_condition_and_grid():
 
 def test_solve_volterra_rejects_bad_steps():
     gen = np.array([[-1.0]])
+    kernel = ExponentialKernel(1.0, 1.0)
     with pytest.raises(GridError):
-        solve_volterra(lambda t: t, gen, 1.0, 0.0)
+        solve_volterra(kernel, gen, 1.0, 0.0)
     with pytest.raises(GridError):
-        solve_volterra(lambda t: t, gen, 0.1, 0.5)
+        solve_volterra(kernel, gen, 0.1, 0.5)
     with pytest.raises(NumericalError):
-        solve_volterra(lambda t: np.full_like(t, np.inf), gen, 1.0, 0.1)
+        solve_volterra(ExponentialKernel(np.inf, 1.0), gen, 1.0, 0.1)
+    # a finite step matrix whose powers overflow: e^{70} per step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_volterra(ExponentialKernel(1.0, -700.0), gen, 100.0, 0.1)
 
 
 def test_solve_volterra_refuses_steps_past_the_cap_before_allocating():
     calls = []
 
-    def kernel(t):
-        calls.append(t)
-        return np.ones_like(t)
+    class Kernel:
+        decay = 1.0
 
+        @property
+        def amplitude(self):
+            calls.append("amplitude")
+            return 1.0
+
+    kernel = Kernel()
     dt = 1e-3
     tracemalloc.start()
     try:
@@ -349,7 +375,7 @@ def test_solve_volterra_refuses_steps_past_the_cap_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the grid alone would be 0.8 MB and the maps 12.8 MB
+    # the grid alone would be 8 MB and the maps 128 MB
     assert calls == [] and peak < 100_000
 
 
