@@ -40,11 +40,11 @@ from .errors import (
 )
 from .measures import (
     SSSConfig,
+    _sweep,
     blp_measure,
     cp_divisibility_scan,
     divisibility_boundary,
     holevo_curve,
-    sss_measure,
 )
 from .numerics import solve_volterra
 from .semimarkov import (
@@ -53,8 +53,8 @@ from .semimarkov import (
     ExponentialKernel,
     ExponentialWTD,
     NonUnitalSemiMarkov,
-    REGIME_INDIVISIBLE,
     TanhSechWTD,
+    _DephasingRows,
     classical_jump_simulate,
     coherence_zeros,
     gamma_dephasing,
@@ -286,8 +286,8 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
                     mode="fixed" if mode == "paper" else "min",
                     excision=r.get("epsilon"), **ref)
     if kind == "nonunital":
-        procs = [NonUnitalSemiMarkov(rate=r.get("lambda"))]
-        columns = {"lambda": np.array([procs[0].rate])}
+        proc = NonUnitalSemiMarkov(rate=r.get("lambda"))
+        columns = {"lambda": np.array([proc.rate])}
     else:
         s, p = _dephasing(r, any(map(r.given, ("p", "lambda1", "lambda2"))))
         if p is None:
@@ -299,23 +299,26 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
         else:
             p_values = np.array([p])
         columns = {"p": p_values}
-        procs = [DephasingSemiMarkov(s=s, p=float(p)) for p in p_values]
+        # checks s and p; the largest p is finite only where every p is
+        DephasingSemiMarkov(s=s, p=float(p_values.max()))
+        proc = _DephasingRows.of(s, p_values)
     r.check_unread()
-    results = [sss_measure(pr, cfg) for pr in procs]
-    for name in ("xi", "zeta", "gamma_ref"):
-        columns[name] = np.array([getattr(res, name) for res in results])
+    res = _sweep(proc, cfg)
+    columns.update(xi=res.xi, zeta=res.xi / (1.0 + res.xi),
+                   gamma_ref=res.gamma_ref)
     meta: dict[str, object] = {}
     if kind == "dephasing":
-        columns["cp_indivisible"] = np.array(
-            [float(pr.regime() == REGIME_INDIVISIBLE) for pr in procs])
+        columns["cp_indivisible"] = (p_values > s**2 / 8.0).astype(float)
     if cfg.form == "choi":
-        columns["xi_raw"] = np.array([res.raw_average for res in results])
-        meta["family_constant"] = results[0].family_constant
+        columns["xi_raw"] = res.raw
+        meta["family_constant"] = res.constant
     if kind == "dephasing":
         meta["p_boundary"] = s**2 / 8.0
     # [lo, hi, p]: only the dephasing family has poles to excise
-    meta["excised_intervals"] = [[lo, hi, pr.p] for pr, res in
-                                 zip(procs, results) for lo, hi in res.excised]
+    lo, hi, row = res.holes
+    meta["excised_intervals"] = (
+        np.column_stack([lo, hi, p_values[row]]).tolist()
+        if kind == "dephasing" else [])
     return columns, meta
 
 

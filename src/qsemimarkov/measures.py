@@ -21,6 +21,8 @@ from the generator itself. Neither route searches: gamma rises between its
 poles, so each retained piece holds at most one kink, at a closed-form
 time, and the time-median is one interpolation. The rate poles are cut out
 here only, and both routes work on the same pieces, split at their kinks.
+A sweep over p is one batch of ragged (p, piece) arrays, and
+:func:`sss_measure` is that batch for one process.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a closed-form bisection for
@@ -59,11 +61,14 @@ from .quantum import (
     choi_of_superop,
 )
 from .semimarkov import (
+    _MAX_POLES,
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
+    _DephasingRows,
     _level_time,
     _log_abs_q,
-    coherence_zeros,
+    _zero_counts,
+    _zero_times,
     gamma_dephasing,
     gamma_nonunital,
     q_of_t,
@@ -163,9 +168,37 @@ class MeasureResult:
     kinks: int = 0
 
 
-def _median_rate(rate: Callable[[float], float], start: np.ndarray,
-                 length: np.ndarray, gamma_max: float | None) -> float:
-    """Time-median of gamma over the retained pieces, clipped to [0, gamma_max].
+def _equal_rows(counts: np.ndarray):
+    """For each distinct length m of the ragged rows (row i holds counts[i]
+    consecutive elements): the rows of that length and the (rows, m) index
+    of their elements. Stacked, each row is sorted, summed and cumulated as
+    it would be alone: numpy sums pairwise, so a sum's bits depend on its
+    length, and a padded or concatenated row would change them."""
+    m = int(counts[0])
+    if (counts == m).all():  # one length, as for one row: no regrouping
+        yield np.arange(counts.size), np.arange(counts.size * m).reshape(-1, m)
+        return
+    first = counts.cumsum() - counts
+    by_length = np.argsort(counts, kind="stable")
+    for rows in np.split(by_length,
+                         np.flatnonzero(np.diff(counts[by_length])) + 1):
+        yield rows, first[rows, None] + np.arange(counts[rows[0]])
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[i], xp[i], fp[i]) for each row i, as numpy forms it, for
+    xp[i, 0] <= x[i] < xp[i, -1]: from the last node j with
+    xp[i, j] <= x[i]."""
+    j = np.arange(x.size) * xp.shape[1] + (xp <= x[:, None]).sum(axis=1) - 1
+    xp, fp, k = xp.ravel(), fp.ravel(), j + 1
+    x0, y0 = xp[j], fp[j]
+    slope = (fp[k] - y0) / (xp[k] - x0)
+    return np.where(x0 == x, y0, slope * (x - x0) + y0)
+
+
+def _median_rate(proc, start: np.ndarray, length: np.ndarray,
+                 pieces: np.ndarray, gamma_max: float | None) -> np.ndarray:
+    """Time-median of gamma over each row's pieces, clipped to [0, gamma_max].
 
     The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
     where L is the retained length and below(r) the length of
@@ -174,67 +207,213 @@ def _median_rate(rate: Callable[[float], float], start: np.ndarray,
     [start, start + length], and there gamma is one increasing function of
     the phase. So below is sum clip(phi - start, 0, length) in the phase
     phi: piecewise linear, with slope the number of pieces that cover phi,
-    and one interpolation finds the phase where it is L/2. The median is
-    never negative: gamma >= 0 without poles, and with poles gamma < 0 only
-    just after each pole, for less time than the stretch before that pole
-    spends above 0.
+    and one interpolation per row finds the phase where it is L/2. The
+    median is never negative: gamma >= 0 without poles, and with poles
+    gamma < 0 only just after each pole, for less time than the stretch
+    before that pole spends above 0. Row i holds ``pieces[i]`` pieces.
+
+    :raises Singularity: if a median phase lands on a rate pole.
     """
-    ends = np.concatenate([start, start + length])
-    order = np.argsort(ends, kind="stable")
-    slope = np.cumsum(np.where(order < start.size, 1.0, -1.0))[:-1]
-    below = np.concatenate([[0.0], np.cumsum(slope * np.diff(ends[order]))])
-    phase = np.interp(0.5 * length.sum(), below, ends[order])
-    median = float(rate(max(phase, 0.0)))  # gamma(0) = 0 clips a phase < 0
-    return median if gamma_max is None else min(median, gamma_max)
+    phase = np.empty(pieces.size)
+    for rows, idx in _equal_rows(pieces):
+        start_i, length_i = start[idx], length[idx]
+        ends = np.concatenate([start_i, start_i + length_i], axis=1)
+        order = np.argsort(ends, axis=1, kind="stable")
+        ends.sort(axis=1, kind="stable")
+        slope = np.where(order < idx.shape[1], 1.0, -1.0).cumsum(axis=1)
+        below = np.zeros(ends.shape)
+        (slope[:, :-1] * (ends[:, 1:] - ends[:, :-1])).cumsum(
+            axis=1, out=below[:, 1:])
+        # below ends at the retained length, past its half
+        phase[rows] = _interp_rows(0.5 * length_i.sum(axis=1), below, ends)
+    phase = np.where(0.0 > phase, 0.0, phase)  # gamma(0) = 0 clips a phase < 0
+    if isinstance(proc, NonUnitalSemiMarkov):
+        median = gamma_nonunital(proc, phase)
+    else:
+        median = gamma_dephasing(proc, phase)
+        if np.isnan(median).any():
+            raise Singularity("rate pole at t = "
+                              f"{phase[np.isnan(median)][0]:g}")
+    return median if gamma_max is None else np.where(
+        gamma_max < median, gamma_max, median)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
     """ln cosh x without overflow, and to full relative precision near 0."""
     x = np.abs(np.asarray(x, dtype=float))
     small = np.log1p(2.0 * np.sinh(0.5 * np.minimum(x, 1.0)) ** 2)
-    return np.where(x < 1.0, small, x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
+    with np.errstate(over="ignore"):  # e^{-2x} is 0 where 2x overflows
+        return np.where(x < 1.0, small,
+                        x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
-def _excised_pieces(a: float, b: float, singular_points: Sequence[float],
-                    excision: float) -> tuple[list[tuple[float, float]],
-                                              list[tuple[float, float]]]:
-    """Split [a, b] into (pieces, holes): the intervals kept and those
-    removed, the ``excision``-neighborhoods of the poles clipped to [a, b]
-    and merged where they overlap. A plain loop: at the default horizon a
-    sweep point has at most one pole, where numpy would cost 20x more."""
-    holes: list[tuple[float, float]] = []
-    for x in sorted(singular_points):
-        lo, hi = max(a, x - excision), min(b, x + excision)
-        if hi <= a or lo >= b or hi <= lo:
-            continue
-        if holes and lo <= holes[-1][1]:
-            holes[-1] = (holes[-1][0], max(holes[-1][1], hi))
-        else:
-            holes.append((lo, hi))
-    pieces: list[tuple[float, float]] = []
-    cursor = a
-    for lo, hi in holes:
-        if lo > cursor:
-            pieces.append((cursor, lo))
-        cursor = hi
-    if cursor < b:
-        pieces.append((cursor, b))
-    return pieces, holes
+def _excised_pieces(T: float, poles: np.ndarray, excision: float,
+                    counts: Sequence[int]) -> tuple[tuple[np.ndarray, ...],
+                                                    tuple[np.ndarray, ...]]:
+    """Split [0, T] into (pieces, holes) for each row, each an array triple
+    (lo, hi, row): the intervals kept and those removed, the
+    ``excision``-neighborhoods of the poles clipped to [0, T] and merged
+    where they overlap. Row i has the next ``counts[i]`` poles, in order.
+
+    A neighborhood joins the hole before it where it starts at or before
+    that hole's end. Its end rises with the poles, so a hole ends where its
+    last neighborhood does, and the pieces are the gaps between consecutive
+    neighborhoods, and before the first and after the last of each row,
+    that are not empty.
+    """
+    counts = np.asarray(counts)
+    n = counts.size
+    lo = np.maximum(poles - excision, 0.0)
+    hi = np.minimum(poles + excision, T)
+    kept = (lo < T) & (hi > lo)  # hi > 0 holds: every pole is positive
+    lo, hi, row = lo[kept], hi[kept], np.arange(n).repeat(counts)[kept]
+    opens, closes = np.ones((2, lo.size), dtype=bool)
+    opens[1:] = closes[:-1] = (row[1:] != row[:-1]) | (lo[1:] > hi[:-1])
+    slot = np.arange(lo.size) + row  # of the gap before each neighborhood
+    start = np.zeros(lo.size + n)
+    start[slot + 1] = hi
+    end = np.full(lo.size + n, float(T))
+    end[slot] = lo
+    gap_row = np.arange(n).repeat(np.bincount(row, minlength=n) + 1)
+    gap = start < end
+    return ((start[gap], end[gap], gap_row[gap]),
+            (lo[opens], hi[closes], row[opens]))
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The measure of each process of a sweep, element i of every array for
+    row i: ``xi``, ``gamma_ref``, ``kinks`` and, from the Choi route, the
+    average ``raw`` (NaN on the rate route) and ``quadrature`` (None
+    there). ``holes`` is the (lo, hi, row) triple of the excised intervals;
+    ``constant`` the Choi route's family constant."""
+
+    xi: np.ndarray
+    gamma_ref: np.ndarray
+    kinks: np.ndarray
+    holes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    raw: np.ndarray
+    quadrature: list[QuadratureResult | None]
+    constant: float | None
+
+
+def _sweep_rows(proc, counts: np.ndarray, config: SSSConfig) -> _Sweep:
+    """``_sweep`` on rows holding ``counts`` rate poles each."""
+    T, n = config.horizon, counts.size
+    nonunital = isinstance(proc, NonUnitalSemiMarkov)
+    poles = np.empty(0) if nonunital else _zero_times(proc, counts)
+    (lo, hi, row), holes = _excised_pieces(T, poles, config.excision, counts)
+    pieces = np.bincount(row, minlength=n)
+    if not pieces.all():
+        raise GridError("singular-point excision removed the entire horizon")
+    level_time, period = _level_time(proc)
+    shift = np.zeros(lo.size)
+    if poles.size:
+        # poles of its row below each piece: (row, t) pairs compared as
+        # complex numbers are, by row and then by t
+        below = ((np.arange(n).repeat(counts) + 1j * poles).searchsorted(
+            row + 1j * lo) - (counts.cumsum() - counts)[row])
+        # the piece above j poles lies j periods after the first branch
+        shift[below > 0] = period[row[below > 0]] * below[below > 0]
+    ref = (np.full(n, float(config.gamma_ref)) if config.mode == "fixed"
+           else _median_rate(proc, lo - shift, hi - lo, pieces,
+                             config.gamma_max))
+    # gamma rises on each piece, so it crosses ref at most once there
+    cut = np.clip(level_time(ref)[row] + shift, lo, hi)
+    kinks = np.bincount(row[(lo < cut) & (cut < hi)], minlength=n)
+    edges = np.stack([lo, cut, hi], axis=1)
+    if config.form == "rate":
+        big_gamma = (_log_cosh(proc.rate * edges) if nonunital else
+                     -0.5 * _log_abs_q(proc.take(row[:, None]), edges))
+        if not np.isfinite(big_gamma).all():
+            raise Singularity("antiderivative of the rate is not finite at t = "
+                              f"{edges[~np.isfinite(big_gamma)][0]:g}")
+        width = edges[:, 1:] - edges[:, :-1]
+        jump = np.abs(big_gamma[:, 1:] - big_gamma[:, :-1]
+                      - ref[row, None] * width)
+        kept = width > 0.0
+        jump = jump[kept]
+        xi = np.empty(n)
+        for rows, idx in _equal_rows(np.bincount(row, kept.sum(axis=1),
+                                                 minlength=n).astype(int)):
+            xi[rows] = jump[idx].sum(axis=1) / T
+        return _Sweep(xi, ref, kinks, holes, np.full(n, np.nan), [None] * n,
+                      None)
+    generator = ProjectorGenerator if nonunital else DephasingGenerator
+    rate = gamma_nonunital if nonunital else gamma_dephasing
+    choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
+    constant = trace_norm(choi(1.0) - choi(0.0))
+    ends = pieces.cumsum()
+    quads = []
+    for i, (a, b) in enumerate(zip(ends - pieces, ends)):
+        one = proc if nonunital else DephasingSemiMarkov(proc.s, proc.p[i])
+        chi_ref = choi(float(ref[i]))
+
+        def integrand(t: np.ndarray) -> np.ndarray:
+            gamma = rate(one, t)
+            if not np.all(np.isfinite(gamma)):
+                raise Singularity("rate pole at t = "
+                                  f"{t[~np.isfinite(gamma)][0]:g}")
+            return trace_norm(choi(gamma) - chi_ref)
+
+        quads.append(adaptive_quad(integrand, edges[a:b, :-1].ravel(),
+                                   edges[a:b, 1:].ravel()))
+    raw = np.array([quad.value for quad in quads]) / T
+    return _Sweep(raw / constant, ref, kinks, holes, raw, quads, constant)
+
+
+def _sweep(proc, config: SSSConfig) -> _Sweep:
+    """Deviation measure of every process of a sweep, as one batch.
+
+    ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``_DephasingRows``
+    (a row per element of p). The pole counts of all rows come first, so a
+    horizon with too many poles is refused before any is listed. The rows
+    then go in consecutive groups of at most ``_MAX_POLES`` poles (a row
+    at the cap alone), each as one set of ragged (row, piece) arrays
+    through closed forms that pick the branch of eta per row.
+    ``_excised_pieces`` cuts the rate poles out of the horizon, and each
+    retained piece is split at its kink, in closed form from
+    ``semimarkov._level_time``, into the edges [lo, cut, hi]. The rate
+    route sums |Gamma(b) - Gamma(a) - ref (b - a)| over them per row, with
+    Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
+    non-unital family. The Choi route integrates,
+    one quadrature per row, the trace norm of the Choi difference over the
+    same intervals (one Choi stack per round of nodes), and divides by the
+    family constant measured from the generator at rates 1 and 0. Each row
+    does the arithmetic it does alone, so its bits do not depend on the
+    rest of the sweep.
+
+    :raises Singularity: if gamma at a median, at a quadrature node, or
+        Gamma at a piece end or kink is not finite, which happens only at a
+        rate pole inside a tiny excision.
+    :raises GridError: if a row's horizon holds more than ``_MAX_POLES``
+        rate poles, or the excision removes all of it.
+    """
+    if isinstance(proc, NonUnitalSemiMarkov):
+        return _sweep_rows(proc, np.zeros(1, dtype=np.int64), config)
+    counts = _zero_counts(proc, config.horizon)
+    ends, parts, start = counts.cumsum(), [], 0
+    while start < counts.size:
+        budget = ends[start] - counts[start] + _MAX_POLES
+        stop = max(start + 1, int(ends.searchsorted(budget, side="right")))
+        rows = slice(start, stop)
+        parts.append((start, _sweep_rows(proc.take(rows), counts[rows],
+                                         config)))
+        start = stop
+    if len(parts) == 1:
+        return parts[0][1]
+    join = lambda name: np.concatenate([getattr(x, name) for _, x in parts])
+    holes = [(*x.holes[:2], x.holes[2] + at) for at, x in parts]
+    return _Sweep(join("xi"), join("gamma_ref"), join("kinks"),
+                  tuple(map(np.concatenate, zip(*holes))), join("raw"),
+                  [q for _, x in parts for q in x.quadrature],
+                  parts[0][1].constant)
 
 
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     """Deviation measure of a process family, by the route the config names.
 
-    For the dephasing family ``_excised_pieces`` cuts the rate poles (zeros
-    of the coherence factor) out of the horizon, and each retained piece is
-    split at its kink, in closed form from ``semimarkov._level_time``, into
-    the edges [lo, cut, hi]. The rate route sums
-    |Gamma(b) - Gamma(a) - ref (b - a)| over them, with
-    Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
-    non-unital family. The Choi route integrates the trace norm of the Choi
-    difference over the same intervals (one Choi stack per round of nodes),
-    and divides by the family constant measured from the generator at
-    rates 1 and 0.
+    A sweep of one process: see ``_sweep`` for both routes.
 
     :raises Singularity: if gamma at the median, at a quadrature node, or
         Gamma at a piece end or kink is not finite, which happens only at a
@@ -243,61 +422,20 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         ``coherence_zeros`` allows, or the excision removes all of it.
     """
     config = config or SSSConfig()
-    T = config.horizon
     if isinstance(proc, DephasingSemiMarkov):
-        rate = lambda t: gamma_dephasing(proc, t)
-        antiderivative = lambda t: -0.5 * _log_abs_q(proc, t)
-        poles = coherence_zeros(proc, T).tolist()
-        generator = DephasingGenerator
+        sweep = _sweep(_DephasingRows.of(proc.s, [proc.p]), config)
     elif isinstance(proc, NonUnitalSemiMarkov):
-        rate = lambda t: gamma_nonunital(proc, t)
-        antiderivative = lambda t: _log_cosh(proc.rate * t)
-        poles = []
-        generator = ProjectorGenerator
+        sweep = _sweep(proc, config)
     else:
         raise DomainError(f"unknown process type {type(proc)!r}")
-    pieces, holes = _excised_pieces(0.0, T, poles, config.excision)
-    if not pieces:
-        raise GridError("singular-point excision removed the entire horizon")
-    lo, hi = np.array(pieces).T
-    level_time, period = _level_time(proc)
-    # the piece above j poles lies j periods after the first branch of gamma
-    shift = period * np.searchsorted(poles, lo) if poles else np.zeros_like(lo)
-    ref = (config.gamma_ref if config.mode == "fixed"
-           else _median_rate(rate, lo - shift, hi - lo, config.gamma_max))
-    # gamma rises on each piece, so it crosses ref at most once there
-    cut = np.clip(level_time(ref) + shift, lo, hi)
-    kinks = int(np.count_nonzero((lo < cut) & (cut < hi)))
-    edges = np.stack([lo, cut, hi], axis=1)
-    if config.form == "rate":
-        big_gamma = antiderivative(edges)
-        if not np.all(np.isfinite(big_gamma)):
-            raise Singularity("antiderivative of the rate is not finite at t = "
-                              f"{edges[~np.isfinite(big_gamma)][0]:g}")
-        jump = np.abs(np.diff(big_gamma) - ref * np.diff(edges))
-        xi = float(jump[np.diff(edges) > 0.0].sum() / T)
-        return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
-                             excised=tuple(holes), config=config,
-                             kinks=kinks)
-    choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
-    constant = trace_norm(choi(1.0) - choi(0.0))
-    chi_ref = choi(ref)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        gamma = rate(t)
-        if not np.all(np.isfinite(gamma)):
-            raise Singularity("rate pole at t = "
-                              f"{t[~np.isfinite(gamma)][0]:g}")
-        return trace_norm(choi(gamma) - chi_ref)
-
-    quad = adaptive_quad(integrand, edges[:, :-1].ravel(),
-                         edges[:, 1:].ravel())
-    raw = quad.value / T
-    xi = raw / constant
-    return MeasureResult(xi=xi, zeta=xi / (1.0 + xi), gamma_ref=ref,
-                         excised=tuple(holes), config=config,
-                         family_constant=constant, raw_average=raw,
-                         quadrature=quad, kinks=kinks)
+    xi = float(sweep.xi[0])
+    choi = config.form == "choi"
+    return MeasureResult(
+        xi=xi, zeta=xi / (1.0 + xi), gamma_ref=float(sweep.gamma_ref[0]),
+        excised=tuple(zip(sweep.holes[0].tolist(), sweep.holes[1].tolist())),
+        config=config, family_constant=sweep.constant,
+        raw_average=float(sweep.raw[0]) if choi else None,
+        quadrature=sweep.quadrature[0], kinks=int(sweep.kinks[0]))
 
 
 @dataclass(frozen=True)

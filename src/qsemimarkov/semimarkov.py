@@ -29,6 +29,7 @@ stay finite and accurate for large t in every branch of eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,14 +183,69 @@ REGIME_DIVISIBLE = "cp-divisible"
 REGIME_INDIVISIBLE = "cp-indivisible"
 
 
-def _branch(s: float, p: float) -> tuple[str, float]:
-    """Branch tag and the real magnitude of eta for stable evaluation."""
-    disc = 1.0 - 8.0 * p / s**2
-    if abs(disc) < _BRANCH_TOL:
-        return "boundary", 0.0
-    if disc > 0.0:
-        return "real", float(np.sqrt(disc))
-    return "imag", float(np.sqrt(-disc))
+_BOUNDARY, _REAL, _IMAG = range(3)  # branches of eta, numbered by _branch
+
+
+def _branch(s: float, p):
+    """Branch of each element of p and the real magnitude of eta there."""
+    disc = 1.0 - 8.0 * np.asarray(p, dtype=float) / s**2
+    size = np.abs(disc)
+    boundary = size < _BRANCH_TOL
+    return (np.where(boundary, _BOUNDARY, np.where(disc > 0.0, _REAL, _IMAG)),
+            np.where(boundary, 0.0, np.sqrt(size)))
+
+
+class _DephasingRows(NamedTuple):
+    """Dephasing processes sharing s, one per element of the array p, as the
+    closed forms read them (``proc.s``, ``proc.p``), with the branch and
+    |eta| of each element worked out once (see ``_branch``)."""
+
+    s: float
+    p: np.ndarray
+    branch: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, s: float, p) -> "_DephasingRows":
+        p = np.asarray(p, dtype=float)
+        return cls(s, p, *_branch(s, p))
+
+    def take(self, index) -> "_DephasingRows":
+        """The rows at a numpy ``index`` into p (one row broadcasts as is)."""
+        if self.p.size == 1:
+            return self
+        return _DephasingRows(self.s, self.p[index], self.branch[index],
+                              self.w[index])
+
+
+def _eta(proc):
+    """Branch and |eta| of each element of ``proc.p``."""
+    if isinstance(proc, _DephasingRows):
+        return proc.branch, proc.w
+    return _branch(proc.s, proc.p)
+
+
+def _by_branch(proc, t, forms):
+    """Each element's value from the form of its branch of eta.
+
+    ``forms`` holds f(p, w, t) for the boundary, real and imaginary
+    branches; ``proc.p`` is a scalar or an array broadcasting against t. A
+    form sees only the elements of its branch, so each element does the
+    arithmetic it would do alone. A p of one element is taken as a float
+    and t on whole, as the same value broadcast.
+    """
+    branch, w = _eta(proc)
+    t = np.asarray(t, dtype=float)
+    if branch.size == 1:
+        return forms[int(branch.flat[0])](np.asarray(proc.p).item(),
+                                          w.item(), t)
+    branch, p, w, t = np.broadcast_arrays(branch, proc.p, w, t)
+    out = np.empty(t.shape)
+    for which, form in enumerate(forms):
+        sel = branch == which
+        if sel.any():
+            out[sel] = form(p[sel], w[sel], t[sel])
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,26 +279,27 @@ def q_of_t(proc: DephasingSemiMarkov, t):
     """Coherence factor q(t); vectorized over t >= 0.
 
     |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0, so it is
-    clipped to [-1, 1] here and nowhere else. q is 0 where the phase x
-    overflows, as e^{-st/2} is 0 there.
+    clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
+    phase x overflows, as e^{-st/2} is 0 there.
     """
-    t = np.asarray(t, dtype=float)
-    s, p = proc.s, proc.p
-    tag, w = _branch(s, p)
-    if tag == "boundary":
+    s = proc.s
+
+    def boundary(p, w, t):
         x = s * t / 2
-        with np.errstate(invalid="ignore"):  # inf * 0 where e^{-x} is 0
-            q = np.where(np.isfinite(x), np.exp(-x) * (1.0 + x), 0.0)
-    elif tag == "real":
-        # partial fractions: no growing exponentials, safe for large t
-        q = ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
-             + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
-    else:
+        return np.where(np.isfinite(x), np.exp(-x) * (1.0 + x), 0.0)
+
+    def real(p, w, t):  # partial fractions: no growing exponentials
+        return ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
+                + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
+
+    def imag(p, w, t):
         x = s * t * w / 2
-        with np.errstate(invalid="ignore"):  # cos(inf) where e^{-st/2} is 0
-            q = np.where(np.isfinite(x),
-                         np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w), 0.0)
-    return np.clip(q, -1.0, 1.0)
+        return np.where(np.isfinite(x),
+                        np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w), 0.0)
+
+    # s t overflows to inf where q is 0; np.where drops inf * 0 and cos(inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.clip(_by_branch(proc, t, (boundary, real, imag)), -1.0, 1.0)
 
 
 def _log_abs_q(proc: DephasingSemiMarkov, t):
@@ -256,26 +313,35 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
     -s t/2 + log1p(s t/2) at p = s^2/8. Where q > 1/2 on the real branch it
     is log1p(q - 1), with
     q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
+    It is -inf where s t or x overflows.
     """
-    t = np.asarray(t, dtype=float)
-    s, p = proc.s, proc.p
-    tag, w = _branch(s, p)
-    if tag == "imag":
+    s = proc.s
+
+    def imag(p, w, t):
         x = s * w * t / 2
-        with np.errstate(divide="ignore"):  # -inf at an exact zero of q
-            return -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
-    if tag == "boundary":
-        q = q_of_t(proc, t)
+        log_q = -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
+        return np.where(np.isfinite(x), log_q, -np.inf)
+
+    def boundary(p, w, t):
+        q = q_of_t(_DephasingRows.of(s, p), t)
+        log_space = -s * t / 2 + np.log1p(s * t / 2)
         # the clips keep each log finite where np.where drops it
         return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
-                        -s * t / 2 + np.log1p(s * t / 2))
-    c = 8.0 * p / s**2 / (1.0 + w)
-    q_minus_1 = ((2.0 - c) * np.expm1(-s * c * t / 2)
-                 - c * np.expm1(-s * (2.0 - c) * t / 2)) / (2.0 * w)
-    log_space = -s * c * t / 2 + np.log(
-        ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t)) / (2.0 * w))
-    return np.where(q_minus_1 > -0.5, np.log1p(np.maximum(q_minus_1, -0.5)),
-                    log_space)
+                        np.where(np.isfinite(s * t), log_space, -np.inf))
+
+    def real(p, w, t):
+        c = 8.0 * p / s**2 / (1.0 + w)
+        q_minus_1 = ((2.0 - c) * np.expm1(-s * c * t / 2)
+                     - c * np.expm1(-s * (2.0 - c) * t / 2)) / (2.0 * w)
+        log_space = -s * c * t / 2 + np.log(
+            ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t)) / (2.0 * w))
+        return np.where(q_minus_1 > -0.5,
+                        np.log1p(np.maximum(q_minus_1, -0.5)), log_space)
+
+    # -inf at an exact zero of q; where s t overflows, np.where drops the
+    # inf - inf and cos(inf) for -inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _by_branch(proc, t, (boundary, real, imag))
 
 
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
@@ -284,34 +350,71 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     Formed from neither q nor q', so it stays finite where q underflows.
     For p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
     2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and
-    tends to s(1 - eta)/4; at p = s^2/8 it is s^2 t / (8 + 4 s t). Where q
-    oscillates (p > s^2/8) it is 2p sin x / (s (|eta| cos x + sin x)) with
-    x = s|eta|t/2, with a pole where |cos x + sin x/|eta|| < 1e-12: the
-    test ignores the decay e^{-st/2} of q, so only its zeros are poles. An
-    array t gives NaN at a pole; a 0-d t gives a float.
+    tends to s(1 - eta)/4; at p = s^2/8 it is s^2 t / (8 + 4 s t), s/4
+    where s t overflows. Where q oscillates (p > s^2/8) it is
+    2p sin x / (s (|eta| cos x + sin x)) with x = s|eta|t/2, with a pole
+    where |cos x + sin x/|eta|| < 1e-12: the test ignores the decay
+    e^{-st/2} of q, so only its zeros are poles. It has no limit there, so
+    it is NaN where x overflows. An array t gives NaN at a pole; a 0-d t
+    gives a float. ``proc.p`` may be an array broadcasting against t.
 
     :raises Singularity: for a 0-d t at a pole.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise DomainError(f"t must be non-negative, got min {t.min()!r}")
-    s, p = proc.s, proc.p
-    tag, w = _branch(s, p)
-    if tag == "boundary":
+    s = proc.s
+
+    def boundary(p, w, t):
         gamma = s**2 * t / (8.0 + 4.0 * s * t)
-    elif tag == "real":  # +0.0 at t = 0 and at p = 0
-        gamma = (2.0 * p * -np.expm1(-s * w * t)
-                 / (s * ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t))))
-    else:
+        return np.where(np.isfinite(gamma), gamma, s / 4.0)
+
+    def real(p, w, t):  # +0.0 at t = 0 and at p = 0
+        return (2.0 * p * -np.expm1(-s * w * t)
+                / (s * ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t))))
+
+    def imag(p, w, t):
         x = s * w * t / 2
         sin_x, cos_x = np.sin(x), np.cos(x)
         pole = np.abs(cos_x + sin_x / w) < _COHERENCE_FLOOR
         if pole.ndim == 0 and pole:
             raise Singularity(f"rate pole at t = {float(t):g}")
         # adding the pole mask keeps the quotient finite at poles
-        gamma = np.where(pole, np.nan,
-                         2.0 * p * sin_x / (s * (w * cos_x + sin_x) + pole))
+        return np.where(pole, np.nan,
+                        2.0 * p * sin_x / (s * (w * cos_x + sin_x) + pole))
+
+    # where s t overflows: inf / inf at p = s^2/8, sin(inf) past it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = _by_branch(proc, t, (boundary, real, imag))
     return float(gamma) if gamma.ndim == 0 else gamma
+
+
+def _zero_counts(proc, t_max: float) -> np.ndarray:
+    """Number of zeros of q on (0, t_max] for each element of ``proc.p``.
+
+    :raises GridError: if one exceeds ``_MAX_POLES``, so that none is
+        listed that could not be held.
+    """
+    branch, w = _eta(proc)
+    # an overflowing count is inf, refused; inf * 0 off the oscillating branch
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_max = np.where(branch == _IMAG, np.floor(
+            (proc.s * t_max * w / 2 + np.arctan(w)) / np.pi), 0.0)
+    over = ~(k_max <= _MAX_POLES)  # also refuses a NaN count
+    if over.any():
+        raise GridError(f"{k_max[over].flat[0]:.3g} coherence zeros on "
+                        f"(0, {t_max:g}] exceed the cap of {_MAX_POLES}")
+    return k_max.astype(np.int64)
+
+
+def _zero_times(proc, counts: np.ndarray) -> np.ndarray:
+    """The first ``counts[i]`` zeros of q for element i of ``proc.p``, in
+    order of i, then of time."""
+    row = np.arange(counts.size).repeat(counts)
+    first = counts.cumsum() - counts
+    ks = np.arange(1, row.size + 1) - first[row]
+    w = np.atleast_1d(_eta(proc)[1])[row]
+    return 2.0 * (ks * np.pi - np.arctan(w)) / (proc.s * w)
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -325,16 +428,7 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     """
     if t_max < 0.0:
         raise DomainError(f"t_max must be non-negative, got {t_max!r}")
-    tag, w = _branch(proc.s, proc.p)
-    if tag != "imag":
-        return np.array([])
-    offset = np.arctan(w)
-    k_max = np.floor((proc.s * t_max * w / 2 + offset) / np.pi)
-    if not k_max <= _MAX_POLES:  # also refuses a NaN count
-        raise GridError(f"{k_max:.3g} coherence zeros on (0, {t_max:g}] "
-                        f"exceed the cap of {_MAX_POLES}")
-    ks = np.arange(1, int(k_max) + 1)
-    return 2.0 * (ks * np.pi - offset) / (proc.s * w)
+    return _zero_times(proc, np.atleast_1d(_zero_counts(proc, t_max)))
 
 
 def _level_time(proc):
@@ -349,7 +443,8 @@ def _level_time(proc):
     period is inf, t(r) is inf where gamma stays below r, and it is
     negative where gamma exceeds r at every t >= 0.
 
-    :return: (t, period), with t vectorized over r.
+    :return: (t, period), with t vectorized over r, and the period of each
+        element of ``proc.p`` for dephasing.
     """
     if isinstance(proc, NonUnitalSemiMarkov):
         lam = proc.rate
@@ -358,24 +453,28 @@ def _level_time(proc):
             with np.errstate(divide="ignore"):
                 return np.arctanh(np.clip(np.asarray(r) / lam, -1.0, 1.0)) / lam
         return level_time, np.inf
-    s, p = proc.s, proc.p
-    tag, w = _branch(s, p)
-    if tag == "imag":
-        k = s * w
-        return (lambda r: 2.0 / k * (np.arctan((4.0 * np.asarray(r) - s) / k)
-                                     + np.arctan(s / k))), 2.0 * np.pi / k
-    top = s / 4.0 if tag == "boundary" else 2.0 * p / s / (1.0 + w)
+    s = proc.s
 
-    def level_time(r):  # gamma rises to top as t -> inf
-        r = np.asarray(r, dtype=float)
+    def imag(p, w, r):
+        k = s * w
+        return 2.0 / k * (np.arctan((4.0 * r - s) / k) + np.arctan(s / k))
+
+    # elsewhere gamma rises to a top rate as t -> inf
+    def boundary(p, w, r):
         with np.errstate(divide="ignore", invalid="ignore"):
-            if tag == "boundary":
-                t = 8.0 * r / (s * (s - 4.0 * r))
-            else:
-                t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
-                     - np.log1p(-r / top)) / (s * w)
+            return np.where(r < s / 4.0, 8.0 * r / (s * (s - 4.0 * r)), np.inf)
+
+    def real(p, w, r):
+        top = 2.0 * p / s / (1.0 + w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
+                 - np.log1p(-r / top)) / (s * w)
         return np.where(r < top, t, np.inf)
-    return level_time, np.inf
+
+    branch, w = _eta(proc)
+    with np.errstate(divide="ignore"):  # w = 0 off the oscillating branch
+        period = np.where(branch == _IMAG, 2.0 * np.pi / (s * w), np.inf)
+    return (lambda r: _by_branch(proc, r, (boundary, real, imag))), period
 
 
 @dataclass(frozen=True)
@@ -398,7 +497,8 @@ class NonUnitalSemiMarkov:
 def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
     """gamma(t) = rate * tanh(rate t) = -d ln g / dt; vectorized, no poles."""
     t = np.asarray(t, dtype=float)
-    return proc.rate * np.tanh(proc.rate * t)
+    with np.errstate(over="ignore"):  # tanh(inf) = 1
+        return proc.rate * np.tanh(proc.rate * t)
 
 
 def map_at(proc, t: float) -> list[np.ndarray]:

@@ -683,6 +683,39 @@ def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
         assert len(rows) == 501 and "nan" not in "\n".join(rows[1:])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["holevo", "--t-max", "1e308"], 0),
+    (["blp", "--p", "3", "--t-max", "1e308"], 0),
+    (["divisibility", "--p", "3", "--t-max", "1e308"], 0),
+    (["rate", "--p", "0.125", "--t-max", "1e308"], 0),
+    (["measure", "--T", "1e308", "--p-max", "0.12"], 0),
+    (["measure", "--family", "nonunital", "--T", "1e308"], 0),
+    (["measure", "--T", "1e308"], 3),
+], ids=["holevo", "blp", "divisibility", "rate-boundary", "measure-real",
+        "measure-nonunital", "measure-poles"])
+def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
+    """In process, where the test run turns warnings into errors: the
+    closed forms take their limits where s t overflows, and a sweep's pole
+    count is refused before any closed form is evaluated."""
+    got, out, err = _run(capsys, argv)
+    assert got == code, err
+    if code:
+        assert "coherence zeros" in err and out == ""
+
+
+def test_measure_sweep_with_a_row_that_loses_its_horizon_fails(capsys):
+    # 2 eps = 8 covers every period of p = 3 and its first pole: its
+    # excision removes [0, 30], though p = 1/4 keeps a piece
+    code, out, err = _run(capsys, ["measure", "--T", "30", "--epsilon", "4",
+                                   "--p-min", "0.25", "--p-max", "3",
+                                   "--p-points", "2"])
+    assert code == 3 and out == ""
+    assert "entire horizon" in err
+    code, out, err = _run(capsys, ["measure", "--T", "30", "--epsilon", "4",
+                                   "--p", "0.25"])
+    assert code == 0, err
+
+
 def test_kernel_check_past_the_old_step_cap(capsys):
     # 2e5 steps: the recurrence is linear in the steps, so the solve fits
     doc = _json_out(capsys, ["kernel-check", "--dt", "2.5e-5",

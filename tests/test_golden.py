@@ -38,6 +38,12 @@ exactly the settings the command read: each gained the lines
 ``# config.p-min``, ``# config.p-max`` and ``# config.p-points`` after
 ``# config.s``. No other line of any golden changed, and no data row was
 re-captured.
+
+The pole-sweep goldens (``measure_poles_paper.csv`` and
+``measure_poles_min.csv``: ``--T 60 --p-max 5 --p-points 11``, from p = 0
+across the boundary to 59 rate poles per row) were captured with the
+per-p ``sss_measure`` loop, before the sweep was evaluated as one batch.
+They pin the batch byte for byte, ``meta.excised_intervals`` included.
 """
 
 import json
@@ -172,6 +178,9 @@ _MEASURE_REL_TOL = {"measure_choi_sweep_min.csv": dict.fromkeys(
      ["--family", "nonunital", "--form", "choi", "--mode", "min"]),
     ("measure_choi_sweep_paper.csv", ["--form", "choi", "--mode", "paper"]),
     ("measure_choi_sweep_min.csv", ["--form", "choi", "--mode", "min"]),
+    *((f"measure_poles_{mode}.csv", ["--T", "60", "--p-max", "5",
+                                     "--p-points", "11", "--mode", mode])
+      for mode in ("paper", "min")),
 ])
 def test_measure_golden_bytes(capsys, name, argv):
     out = _output(capsys, ["measure", *argv, "--format", "csv"])

@@ -304,7 +304,8 @@ def _rate_and_pieces(proc, T, excision=1e-6):
                        coherence_zeros(proc, T))
     else:
         rate, poles = lambda t: gamma_nonunital(proc, t), np.empty(0)
-    return rate, poles, _excised_pieces(0.0, T, poles, excision)[0]
+    lo, hi, _ = _excised_pieces(T, poles, excision, [poles.size])[0]
+    return rate, poles, np.column_stack([lo, hi])
 
 
 def _closed_form_kinks(proc, T, ref):
@@ -437,6 +438,104 @@ def test_measure_result_provenance():
     assert choi.raw_average == choi.quadrature.value / choi.config.horizon
     fixed = sss_measure(DephasingSemiMarkov(s=1.0, p=0.1), SSSConfig())
     assert fixed.kinks == 0
+
+
+# ------------------------------------------------------ a sweep as one batch
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+# 0.004 past the 22nd rate pole of p = 3 at s = 1, inside its hole
+_T_IN_A_HOLE = (2.0 * (22 * np.pi - np.arctan(np.sqrt(23.0))) / np.sqrt(23.0)
+                + 0.004)
+
+
+@pytest.mark.parametrize("budget", [None, 25], ids=["one-group", "split"])
+@pytest.mark.parametrize("mode", ["fixed", "min"])
+@pytest.mark.parametrize("T, excision, ps, poles", [
+    # p = 0, p = s^2/8, the real branch, and 0, 1, 22 and 28 rate poles
+    (_T_IN_A_HOLE, 0.01, [0.0, 0.125, 0.05, 0.126, 0.14, 3.0, 5.0, 0.1],
+     [0, 0, 0, 0, 1, 22, 28, 0]),
+    # 2 eps = 8 exceeds the period 2 pi of p = 1/4, so its holes merge
+    (30.0, 4.0, [0.0, 0.125, 0.05, 0.126, 0.13, 0.25], [0, 0, 0, 0, 1, 5]),
+], ids=["T-in-a-hole", "merged-holes"])
+def test_sweep_rows_equal_single_measures(monkeypatch, T, excision, ps,
+                                          poles, mode, budget):
+    # a budget of 25 poles splits the rows of p = 3 and p = 5 apart, and
+    # the p list leaves and re-enters the branches of eta
+    if budget:
+        monkeypatch.setattr(measures, "_MAX_POLES", budget)
+    config = SSSConfig(horizon=T, excision=excision, mode=mode,
+                       gamma_ref=0.3)
+    sweep = measures._sweep(semimarkov._DephasingRows.of(1.0, ps), config)
+    lo, hi, row = sweep.holes
+    for i, p in enumerate(ps):
+        proc = DephasingSemiMarkov(s=1.0, p=p)
+        assert coherence_zeros(proc, T).size == poles[i]
+        one = sss_measure(proc, config)
+        xi = sweep.xi[i]
+        assert [_bits(x) for x in (xi, xi / (1.0 + xi), sweep.gamma_ref[i])] \
+            == [_bits(x) for x in (one.xi, one.zeta, one.gamma_ref)], p
+        assert sweep.kinks[i] == one.kinks
+        excised = tuple(zip(lo[row == i].tolist(), hi[row == i].tolist()))
+        assert [tuple(map(_bits, h)) for h in excised] \
+            == [tuple(map(_bits, h)) for h in one.excised]
+    if excision < 1.0:  # the horizon ends inside the last hole of p = 3
+        assert hi[row == ps.index(3.0)][-1] == T
+    else:  # the five holes of p = 1/4 merged into one
+        assert np.count_nonzero(row == ps.index(0.25)) == 1
+
+
+def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
+    config = SSSConfig(horizon=30.0, excision=4.0)
+    with pytest.raises(GridError, match="entire horizon"):
+        sss_measure(DephasingSemiMarkov(s=1.0, p=3.0), config)
+    with pytest.raises(GridError, match="entire horizon"):
+        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.25, 3.0, 0.1]),
+                        config)
+
+
+def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
+    # p = 3 has 7.6e6 rate poles on (0, 1e7]: refused for the whole sweep
+    # before any row, even p = 0.13 and its 3e5 poles, is evaluated
+    monkeypatch.setattr(measures, "_zero_times",
+                        lambda *args: pytest.fail("a pole was listed"))
+    with pytest.raises(GridError, match="cap"):
+        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.0, 0.13, 3.0]),
+                        SSSConfig(horizon=1e7))
+
+
+def test_interp_rows_is_np_interp_row_by_row():
+    rng = np.random.default_rng(5)
+    xp = np.sort(rng.integers(0, 6, (300, 7)) / 4.0, axis=1)  # with ties
+    xp[:, -1] += 1.0
+    fp = np.sort(rng.random((300, 7)), axis=1)
+    x = xp[:, 0] + rng.random(300) * (xp[:, -1] - xp[:, 0])
+    x[::3] = xp[::3, 2]  # on a node
+    got = measures._interp_rows(x, xp, fp)
+    want = [np.interp(x[i], xp[i], fp[i]) for i in range(x.size)]
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+def test_closed_forms_take_an_array_p_element_by_element():
+    ps = np.array([0.0, 0.05, 0.125, 0.125 * (1 + 1e-10), 0.126, 3.0, 0.1])
+    t = np.linspace(0.0, 7.0, 15)
+    rows = semimarkov._DephasingRows.of(1.0, ps[:, None])
+    for form in (q_of_t, semimarkov._log_abs_q, gamma_dephasing):
+        single = np.array([form(DephasingSemiMarkov(1.0, p), t) for p in ps])
+        assert form(rows, t).tobytes() == single.tobytes(), form
+    refs = np.linspace(-0.5, 1.5, ps.size)
+    level_time, period = semimarkov._level_time(
+        semimarkov._DephasingRows.of(1.0, ps))
+    for i, p in enumerate(ps):
+        one = semimarkov._level_time(DephasingSemiMarkov(1.0, p))
+        assert _bits(level_time(refs)[i]) == _bits(one[0](refs[i]))
+        assert _bits(period[i]) == _bits(one[1])
+    counts = semimarkov._zero_counts(semimarkov._DephasingRows.of(1.0, ps),
+                                     60.0)
+    assert counts.tolist() == [coherence_zeros(DephasingSemiMarkov(1.0, p),
+                                               60.0).size for p in ps]
 
 
 # ------------------------------------------------------------- choi form

@@ -158,24 +158,25 @@ def test_adaptive_quad_zero_width():
     assert adaptive_quad(np.sin, 2.0, 2.0).value == 0.0
 
 
-def _excised(a, b, poles, excision):
-    """Interval ends of [a, b] with the poles cut out, as sss_measure does."""
-    pieces, holes = _excised_pieces(a, b, poles, excision)
-    lo, hi = np.array(pieces).T
-    return lo, hi, holes
+def _excised(T, poles, excision):
+    """Interval ends of [0, T] with the poles cut out, as sss_measure does,
+    and the (lo, hi) holes."""
+    (lo, hi, _), holes = _excised_pieces(T, np.array(poles), excision,
+                                         [len(poles)])
+    return lo, hi, list(zip(*holes[:2]))
 
 
 def test_adaptive_quad_excises_singularities():
     # integral of 1/|t - 1/2| over [0,1] minus the (1/2 +- eps) hole
     eps = 1e-6
-    lo, hi, _ = _excised(0.0, 1.0, [0.5], eps)
+    lo, hi, _ = _excised(1.0, [0.5], eps)
     res = adaptive_quad(lambda t: 1.0 / abs(t - 0.5), lo, hi)
     assert res.value == pytest.approx(2.0 * np.log(0.5 / eps), rel=1e-8)
 
 
 def test_adaptive_quad_merges_overlapping_holes():
     # two poles closer than 2 eps: the holes merge into one interval
-    lo, hi, holes = _excised(0.0, 1.0, [0.5, 0.5 + 1e-3], 1e-3)
+    lo, hi, holes = _excised(1.0, [0.5, 0.5 + 1e-3], 1e-3)
     assert len(holes) == 1
     res = adaptive_quad(lambda t: 1.0, lo, hi)
     assert res.value == pytest.approx(1.0 - 3e-3, abs=1e-12)

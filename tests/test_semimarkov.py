@@ -32,6 +32,7 @@ from qsemimarkov import (
     solve_volterra,
     superop_at,
 )
+from qsemimarkov import semimarkov
 
 from choi_loop import superop_of_kraus
 
@@ -268,13 +269,36 @@ def test_coherence_zeros_refuses_an_uncountable_horizon(t_max):
 
 
 def test_q_is_zero_where_the_phase_overflows():
-    # x = s|eta|t/2, or st/2 at p = s^2/8, overflows (a warning out of
-    # scope here) where e^{-st/2} is already 0: q is 0, not NaN
-    with np.errstate(over="ignore"):
-        assert q_of_t(DephasingSemiMarkov(1, 3), 1e308) == 0
-        for proc in (DephasingSemiMarkov(1, 3), DephasingSemiMarkov(4, 2)):
-            q = q_of_t(proc, np.array([0.0, 1e308]))
-            assert np.array_equal(q, [1.0, 0.0])
+    # x = s|eta|t/2, or st/2 at p = s^2/8, overflows where e^{-st/2} is
+    # already 0: q is 0, not NaN, and no overflow warning is raised
+    assert q_of_t(DephasingSemiMarkov(1, 3), 1e308) == 0
+    for proc in (DephasingSemiMarkov(1, 3), DephasingSemiMarkov(4, 2),
+                 DephasingSemiMarkov(1, 0.1)):
+        q = q_of_t(proc, np.array([0.0, 1e308]))
+        assert np.array_equal(q, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("s, p", [(1.0, 0.1), (4.0, 0.1), (4.0, 2.0),
+                                  (1.0, 0.0)], ids=["real", "real-s4",
+                                                    "boundary", "semigroup"])
+def test_closed_forms_take_their_limits_where_s_t_overflows(s, p):
+    # no RuntimeWarning: the test run turns warnings into errors
+    proc = DephasingSemiMarkov(s=s, p=p)
+    t = np.array([1.0, 1e308])
+    gamma = gamma_dephasing(proc, t)
+    w = np.sqrt(abs(1.0 - 8.0 * p / s**2))
+    assert gamma[1] == pytest.approx(s * (1.0 - w) / 4.0, rel=1e-12)
+    log_q = semimarkov._log_abs_q(proc, t)
+    assert np.isfinite(log_q[0])
+    assert log_q[1] < -1e300 or p == 0.0  # -inf where s t overflows
+
+
+def test_oscillating_closed_forms_have_no_limit_where_the_phase_overflows():
+    proc = DephasingSemiMarkov(s=1.0, p=3.0)
+    assert np.isnan(gamma_dephasing(proc, np.array([1e308]))).all()
+    assert semimarkov._log_abs_q(proc, np.array([1e308]))[0] == -np.inf
+    with pytest.raises(GridError, match="cap"):
+        coherence_zeros(proc, 1e308)
 
 
 def test_regime_classification():
