@@ -21,8 +21,12 @@ from the generator itself. Neither route searches: gamma rises between its
 poles, so each retained piece holds at most one kink, at a closed-form
 time, and the time-median is one interpolation. The rate poles are cut out
 here only, and both routes work on the same pieces, split at their kinks.
-A sweep over p is one batch of ragged (p, piece) arrays, and
-:func:`sss_measure` is that batch for one process.
+The poles form a lattice of period P, and gamma has period P, so each p
+has three pieces whatever its horizon: the first, one full stretch between
+two poles, counted N - 1 times for N poles, and the last. A sweep over p is
+one batch of (p, piece) arrays of that fixed shape, and
+:func:`sss_measure` is that batch for one process. The excised intervals
+are listed for the output alone; their count over a sweep is capped.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a closed-form bisection for
@@ -68,6 +72,7 @@ from .semimarkov import (
     _level_time,
     _log_abs_q,
     _zero_counts,
+    _zero_time,
     _zero_times,
     gamma_dephasing,
     gamma_nonunital,
@@ -168,23 +173,6 @@ class MeasureResult:
     kinks: int = 0
 
 
-def _equal_rows(counts: np.ndarray):
-    """For each distinct length m of the ragged rows (row i holds counts[i]
-    consecutive elements): the rows of that length and the (rows, m) index
-    of their elements. Stacked, each row is sorted, summed and cumulated as
-    it would be alone: numpy sums pairwise, so a sum's bits depend on its
-    length, and a padded or concatenated row would change them."""
-    m = int(counts[0])
-    if (counts == m).all():  # one length, as for one row: no regrouping
-        yield np.arange(counts.size), np.arange(counts.size * m).reshape(-1, m)
-        return
-    first = counts.cumsum() - counts
-    by_length = np.argsort(counts, kind="stable")
-    for rows in np.split(by_length,
-                         np.flatnonzero(np.diff(counts[by_length])) + 1):
-        yield rows, first[rows, None] + np.arange(counts[rows[0]])
-
-
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """np.interp(x[i], xp[i], fp[i]) for each row i, as numpy forms it, for
     xp[i, 0] <= x[i] < xp[i, -1]: from the last node j with
@@ -197,35 +185,34 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 
 def _median_rate(proc, start: np.ndarray, length: np.ndarray,
-                 pieces: np.ndarray, gamma_max: float | None) -> np.ndarray:
+                 mult: np.ndarray, gamma_max: float | None) -> np.ndarray:
     """Time-median of gamma over each row's pieces, clipped to [0, gamma_max].
 
     The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
     where L is the retained length and below(r) the length of
     {t: gamma(t) < r}, so the clipped median is its exact minimizer. Moved
-    back onto the first branch of gamma, each piece covers the phases
-    [start, start + length], and there gamma is one increasing function of
-    the phase. So below is sum clip(phi - start, 0, length) in the phase
-    phi: piecewise linear, with slope the number of pieces that cover phi,
-    and one interpolation per row finds the phase where it is L/2. The
+    back onto the first branch of gamma, piece j of a row covers the phases
+    [start_j, start_j + length_j], ``mult_j`` times, and there gamma is one
+    increasing function of the phase. So below is
+    sum_j mult_j clip(phi - start_j, 0, length_j) in the phase phi:
+    piecewise linear, its slope stepping by +-mult_j at the ends of piece
+    j, and one interpolation per row finds the phase where it is L/2. The
     median is never negative: gamma >= 0 without poles, and with poles
     gamma < 0 only just after each pole, for less time than the stretch
-    before that pole spends above 0. Row i holds ``pieces[i]`` pieces.
+    before that pole spends above 0.
 
     :raises Singularity: if a median phase lands on a rate pole.
     """
-    phase = np.empty(pieces.size)
-    for rows, idx in _equal_rows(pieces):
-        start_i, length_i = start[idx], length[idx]
-        ends = np.concatenate([start_i, start_i + length_i], axis=1)
-        order = np.argsort(ends, axis=1, kind="stable")
-        ends.sort(axis=1, kind="stable")
-        slope = np.where(order < idx.shape[1], 1.0, -1.0).cumsum(axis=1)
-        below = np.zeros(ends.shape)
-        (slope[:, :-1] * (ends[:, 1:] - ends[:, :-1])).cumsum(
-            axis=1, out=below[:, 1:])
-        # below ends at the retained length, past its half
-        phase[rows] = _interp_rows(0.5 * length_i.sum(axis=1), below, ends)
+    ends = np.concatenate([start, start + length], axis=1)
+    order = np.argsort(ends, axis=1, kind="stable")
+    ends.sort(axis=1, kind="stable")
+    slope = np.concatenate([mult, -mult], axis=1)[
+        np.arange(len(ends))[:, None], order].cumsum(axis=1)
+    below = np.zeros(ends.shape)
+    (slope[:, :-1] * (ends[:, 1:] - ends[:, :-1])).cumsum(
+        axis=1, out=below[:, 1:])
+    # below ends at the retained length, past its half
+    phase = _interp_rows(0.5 * (mult * length).sum(axis=1), below, ends)
     phase = np.where(0.0 > phase, 0.0, phase)  # gamma(0) = 0 clips a phase < 0
     if isinstance(proc, NonUnitalSemiMarkov):
         median = gamma_nonunital(proc, phase)
@@ -247,39 +234,6 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
                         x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
-def _excised_pieces(T: float, poles: np.ndarray, excision: float,
-                    counts: Sequence[int]) -> tuple[tuple[np.ndarray, ...],
-                                                    tuple[np.ndarray, ...]]:
-    """Split [0, T] into (pieces, holes) for each row, each an array triple
-    (lo, hi, row): the intervals kept and those removed, the
-    ``excision``-neighborhoods of the poles clipped to [0, T] and merged
-    where they overlap. Row i has the next ``counts[i]`` poles, in order.
-
-    A neighborhood joins the hole before it where it starts at or before
-    that hole's end. Its end rises with the poles, so a hole ends where its
-    last neighborhood does, and the pieces are the gaps between consecutive
-    neighborhoods, and before the first and after the last of each row,
-    that are not empty.
-    """
-    counts = np.asarray(counts)
-    n = counts.size
-    lo = np.maximum(poles - excision, 0.0)
-    hi = np.minimum(poles + excision, T)
-    kept = (lo < T) & (hi > lo)  # hi > 0 holds: every pole is positive
-    lo, hi, row = lo[kept], hi[kept], np.arange(n).repeat(counts)[kept]
-    opens, closes = np.ones((2, lo.size), dtype=bool)
-    opens[1:] = closes[:-1] = (row[1:] != row[:-1]) | (lo[1:] > hi[:-1])
-    slot = np.arange(lo.size) + row  # of the gap before each neighborhood
-    start = np.zeros(lo.size + n)
-    start[slot + 1] = hi
-    end = np.full(lo.size + n, float(T))
-    end[slot] = lo
-    gap_row = np.arange(n).repeat(np.bincount(row, minlength=n) + 1)
-    gap = start < end
-    return ((start[gap], end[gap], gap_row[gap]),
-            (lo[opens], hi[closes], row[opens]))
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """The measure of each process of a sweep, element i of every array for
@@ -297,117 +251,141 @@ class _Sweep:
     constant: float | None
 
 
-def _sweep_rows(proc, counts: np.ndarray, config: SSSConfig) -> _Sweep:
-    """``_sweep`` on rows holding ``counts`` rate poles each."""
-    T, n = config.horizon, counts.size
+def _sweep(proc, config: SSSConfig) -> _Sweep:
+    """Deviation measure of every process of a sweep, as one batch.
+
+    ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``_DephasingRows``
+    (a row per element of p). Where p > s^2/8 the rate poles are a
+    lattice, t_k = t_1 + (k - 1) P with P = 2 pi/(s|eta|), and gamma has
+    period P, so every stretch between two excised poles is a translate of
+    the first. Each row thus has three pieces, as (n, 3) arrays: the first
+    [0, t_1 - eps], the full [t_1 + eps, t_2 - eps] and the last
+    [t_N + eps, T], with multiplicities 1, N - 1 and 1 and shifts 0, P and
+    N P onto the first branch of gamma. A row without poles keeps only its
+    first piece, [0, T]. A piece that is empty, or a full piece where the
+    holes merge (2 eps >= P), has multiplicity 0. N comes from
+    ``_zero_counts``, t_k from its closed form and P from ``_level_time``,
+    which also splits each piece at its kink, where gamma crosses the
+    reference, into the edges [lo, cut, hi].
+
+    The rate route sums mult |Gamma(b) - Gamma(a) - ref (b - a)| over the
+    (n, 3, 2) sub-pieces, with Gamma = -(1/2) ln|q(t)| for dephasing and
+    ln cosh(lambda t) for the non-unital family, taken on the first branch
+    (Gamma(t + P) = Gamma(t) + s P/4). At the excision edges t_k +- eps it
+    is s t/4 - (1/2) ln(A |sin delta|), with A = sqrt(1 + 1/|eta|^2) and
+    delta = +-s|eta| eps/2 exact, so a full piece gains s (P - 2 eps)/4.
+    The Choi route makes one quadrature per row over its pieces of nonzero
+    multiplicity, each node weighted by the multiplicity of its piece, of
+    the trace norm of the Choi difference (one Choi stack per round of
+    nodes), and divides by the family constant measured from the generator
+    at rates 1 and 0. Each row does the arithmetic it does alone, so its
+    bits do not depend on the rest of the sweep.
+
+    The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
+    (one per row where they merge), are listed for the output only, after
+    their count over the whole sweep is checked against ``_MAX_POLES``.
+
+    :raises Singularity: if gamma at a median, at a quadrature node, or
+        Gamma at a piece end or kink is not finite, which happens only at a
+        rate pole inside a tiny excision.
+    :raises GridError: if a row's horizon holds more than ``_MAX_POLES``
+        rate poles (``_zero_counts``), the rows more than ``_MAX_POLES``
+        holes together, or the excision removes all of a row's horizon.
+    """
+    T, eps = config.horizon, config.excision
     nonunital = isinstance(proc, NonUnitalSemiMarkov)
-    poles = np.empty(0) if nonunital else _zero_times(proc, counts)
-    (lo, hi, row), holes = _excised_pieces(T, poles, config.excision, counts)
-    pieces = np.bincount(row, minlength=n)
-    if not pieces.all():
-        raise GridError("singular-point excision removed the entire horizon")
+    n = 1 if nonunital else proc.p.size
+    counts = np.zeros(n, np.int64) if nonunital else _zero_counts(proc, T)
     level_time, period = _level_time(proc)
-    shift = np.zeros(lo.size)
-    if poles.size:
-        # poles of its row below each piece: (row, t) pairs compared as
-        # complex numbers are, by row and then by t
-        below = ((np.arange(n).repeat(counts) + 1j * poles).searchsorted(
-            row + 1j * lo) - (counts.cumsum() - counts)[row])
-        # the piece above j poles lies j periods after the first branch
-        shift[below > 0] = period[row[below > 0]] * below[below > 0]
+    has = counts > 0
+    edges = np.zeros((n, 3, 3))  # [lo, cut, hi] of the three pieces
+    edges[:, ::2, 2] = T  # ends the last piece, and the first without poles
+    shift, mult = np.zeros((2, n, 3))
+    mult[:, 0] = 1.0
+    merged = np.zeros(n, dtype=bool)
+    edge_gamma = np.zeros(n)  # Gamma - s t/4 at the excision edges
+    if has.any():
+        w, N, P = proc.take(has).w, counts[has], period[has]
+        k = np.multiply.outer(N, [0, 0, 1]) + [1, 2, 0]
+        t = _zero_time(proc.s, w[:, None], k)  # t_1, t_2, t_N
+        edges[has, 1:, 0] = t[:, ::2] + eps
+        edges[has, :2, 2] = t[:, :2] - eps
+        shift[has] = P[:, None] * (k - [1, 1, 0])
+        merged[has] = 2.0 * eps >= P
+        mult[has, 1] = (N - 1) * ~merged[has]
+        mult[has, 2] = 1.0
+        edge_gamma[has] = -0.5 * np.log(  # A |sin delta|
+            np.hypot(1.0, 1.0 / w) * np.abs(np.sin(0.5 * proc.s * eps * w)))
+    per_row = counts.copy()
+    per_row[merged] = 1
+    if per_row.sum() > _MAX_POLES:
+        raise GridError(f"{per_row.sum()} excised intervals over the sweep "
+                        f"exceed the cap of {_MAX_POLES}")
+    row = np.arange(n).repeat(per_row)
+    poles = _zero_times(proc, per_row) if row.size else np.empty(0)
+    holes = (np.maximum(poles - eps, 0.0), np.minimum(poles + eps, T), row)
+    if merged.any():  # a merged hole ends at t_N + eps
+        holes[1][merged[row]] = np.minimum(edges[merged, 2, 0], T)
+    mult *= edges[..., 0] < edges[..., 2]
+    keep = mult > 0.0
+    if not keep.any(axis=1).all():
+        raise GridError("singular-point excision removed the entire horizon")
+    edges = np.where(keep[..., None], edges, 0.0)
+    shift = np.where(keep, shift, 0.0)
+    lo, hi = edges[..., 0], edges[..., 2]
     ref = (np.full(n, float(config.gamma_ref)) if config.mode == "fixed"
-           else _median_rate(proc, lo - shift, hi - lo, pieces,
+           else _median_rate(proc, lo - shift, hi - lo, mult,
                              config.gamma_max))
     # gamma rises on each piece, so it crosses ref at most once there
-    cut = np.clip(level_time(ref)[row] + shift, lo, hi)
-    kinks = np.bincount(row[(lo < cut) & (cut < hi)], minlength=n)
-    edges = np.stack([lo, cut, hi], axis=1)
+    edges[..., 1] = cut = np.clip(level_time(ref)[:, None] + shift, lo, hi)
+    inside = (lo < cut) & (cut < hi)
+    kinks = np.where(inside, mult, 0.0).sum(axis=1).astype(int)
     if config.form == "rate":
-        big_gamma = (_log_cosh(proc.rate * edges) if nonunital else
-                     -0.5 * _log_abs_q(proc.take(row[:, None]), edges))
+        # Gamma on the first branch: 0 at phase 0, in phase form at the
+        # excision edges, from ln|q| or ln cosh elsewhere
+        phase = edges - shift[..., None]
+        big_gamma = np.zeros(phase.shape)
+        at_edge = np.zeros(phase.shape, dtype=bool)
+        if has.any():
+            at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
+            at_edge[..., 1] = ((at_edge[..., 0] & (cut == lo))
+                               | (at_edge[..., 2] & (cut == hi)))
+            big_gamma[at_edge] = (proc.s * phase[at_edge] / 4.0
+                                  + edge_gamma[np.nonzero(at_edge)[0]])
+        inner = ~at_edge & (phase != 0.0)
+        big_gamma[inner] = (
+            _log_cosh(proc.rate * phase[inner]) if nonunital else -0.5
+            * _log_abs_q(proc.take(np.nonzero(inner)[0]), phase[inner]))
         if not np.isfinite(big_gamma).all():
             raise Singularity("antiderivative of the rate is not finite at t = "
                               f"{edges[~np.isfinite(big_gamma)][0]:g}")
-        width = edges[:, 1:] - edges[:, :-1]
-        jump = np.abs(big_gamma[:, 1:] - big_gamma[:, :-1]
-                      - ref[row, None] * width)
-        kept = width > 0.0
-        jump = jump[kept]
-        xi = np.empty(n)
-        for rows, idx in _equal_rows(np.bincount(row, kept.sum(axis=1),
-                                                 minlength=n).astype(int)):
-            xi[rows] = jump[idx].sum(axis=1) / T
-        return _Sweep(xi, ref, kinks, holes, np.full(n, np.nan), [None] * n,
-                      None)
+        jump = big_gamma[..., 1:] - big_gamma[..., :-1]
+        jump -= ref[:, None, None] * (phase[..., 1:] - phase[..., :-1])
+        jump = mult[..., None] * np.abs(jump, out=jump)
+        return _Sweep(jump.reshape(n, -1).sum(axis=1) / T, ref, kinks, holes,
+                      np.full(n, np.nan), [None] * n, None)
     generator = ProjectorGenerator if nonunital else DephasingGenerator
     rate = gamma_nonunital if nonunital else gamma_dephasing
     choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
     constant = trace_norm(choi(1.0) - choi(0.0))
-    ends = pieces.cumsum()
     quads = []
-    for i, (a, b) in enumerate(zip(ends - pieces, ends)):
+    for i in range(n):
         one = proc if nonunital else DephasingSemiMarkov(proc.s, proc.p[i])
         chi_ref = choi(float(ref[i]))
+        starts, weights = lo[i, keep[i]], mult[i, keep[i]]
 
         def integrand(t: np.ndarray) -> np.ndarray:
             gamma = rate(one, t)
             if not np.all(np.isfinite(gamma)):
                 raise Singularity("rate pole at t = "
                                   f"{t[~np.isfinite(gamma)][0]:g}")
-            return trace_norm(choi(gamma) - chi_ref)
+            weight = weights[np.searchsorted(starts, t, side="right") - 1]
+            return weight * trace_norm(choi(gamma) - chi_ref)
 
-        quads.append(adaptive_quad(integrand, edges[a:b, :-1].ravel(),
-                                   edges[a:b, 1:].ravel()))
+        quads.append(adaptive_quad(integrand, edges[i, keep[i], :-1].ravel(),
+                                   edges[i, keep[i], 1:].ravel()))
     raw = np.array([quad.value for quad in quads]) / T
     return _Sweep(raw / constant, ref, kinks, holes, raw, quads, constant)
-
-
-def _sweep(proc, config: SSSConfig) -> _Sweep:
-    """Deviation measure of every process of a sweep, as one batch.
-
-    ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``_DephasingRows``
-    (a row per element of p). The pole counts of all rows come first, so a
-    horizon with too many poles is refused before any is listed. The rows
-    then go in consecutive groups of at most ``_MAX_POLES`` poles (a row
-    at the cap alone), each as one set of ragged (row, piece) arrays
-    through closed forms that pick the branch of eta per row.
-    ``_excised_pieces`` cuts the rate poles out of the horizon, and each
-    retained piece is split at its kink, in closed form from
-    ``semimarkov._level_time``, into the edges [lo, cut, hi]. The rate
-    route sums |Gamma(b) - Gamma(a) - ref (b - a)| over them per row, with
-    Gamma = -(1/2) ln|q(t)| for dephasing and ln cosh(lambda t) for the
-    non-unital family. The Choi route integrates,
-    one quadrature per row, the trace norm of the Choi difference over the
-    same intervals (one Choi stack per round of nodes), and divides by the
-    family constant measured from the generator at rates 1 and 0. Each row
-    does the arithmetic it does alone, so its bits do not depend on the
-    rest of the sweep.
-
-    :raises Singularity: if gamma at a median, at a quadrature node, or
-        Gamma at a piece end or kink is not finite, which happens only at a
-        rate pole inside a tiny excision.
-    :raises GridError: if a row's horizon holds more than ``_MAX_POLES``
-        rate poles, or the excision removes all of it.
-    """
-    if isinstance(proc, NonUnitalSemiMarkov):
-        return _sweep_rows(proc, np.zeros(1, dtype=np.int64), config)
-    counts = _zero_counts(proc, config.horizon)
-    ends, parts, start = counts.cumsum(), [], 0
-    while start < counts.size:
-        budget = ends[start] - counts[start] + _MAX_POLES
-        stop = max(start + 1, int(ends.searchsorted(budget, side="right")))
-        rows = slice(start, stop)
-        parts.append((start, _sweep_rows(proc.take(rows), counts[rows],
-                                         config)))
-        start = stop
-    if len(parts) == 1:
-        return parts[0][1]
-    join = lambda name: np.concatenate([getattr(x, name) for _, x in parts])
-    holes = [(*x.holes[:2], x.holes[2] + at) for at, x in parts]
-    return _Sweep(join("xi"), join("gamma_ref"), join("kinks"),
-                  tuple(map(np.concatenate, zip(*holes))), join("raw"),
-                  [q for _, x in parts for q in x.quadrature],
-                  parts[0][1].constant)
 
 
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:

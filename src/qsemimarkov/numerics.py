@@ -248,10 +248,12 @@ def solve_volterra(kernel, generator: np.ndarray, t_max: float,
     G = np.asarray(generator)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError(f"generator must be square, got shape {G.shape}")
-    n = int(round(t_max / dt))
-    if n > _VOLTERRA_MAX_STEPS:
-        raise GridError(f"{n} steps exceed the cap of {_VOLTERRA_MAX_STEPS}: "
-                        f"the maps take {n + 1} x {G.size} entries")
+    steps = t_max / dt  # compared as a float: it may overflow an int
+    if steps > _VOLTERRA_MAX_STEPS + 0.5:  # round(steps) > the cap
+        raise GridError(f"{steps:.3g} steps exceed the cap of "
+                        f"{_VOLTERRA_MAX_STEPS}: the maps take that many "
+                        f"x {G.size} entries")
+    n = int(round(steps))
     a, b = np.float64(kernel.amplitude), np.float64(kernel.decay)
     maps = np.empty((n + 1, *G.shape), dtype=np.result_type(G, float))
     maps[0] = eye = np.eye(len(G))

@@ -60,7 +60,7 @@ __all__ = [
 _PAULI_Z = np.diag([1.0, -1.0])
 _BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
 _COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
-_MAX_POLES = 10**6          # coherence_zeros refuses more zeros than this
+_MAX_POLES = 10**6          # zeros per coherence_zeros, holes per sweep
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -407,14 +407,19 @@ def _zero_counts(proc, t_max: float) -> np.ndarray:
     return k_max.astype(np.int64)
 
 
+def _zero_time(s: float, w, k):
+    """The k-th zero of q, t_k = 2 (k pi - arctan w) / (s w), where
+    eta = i w; w and k broadcast."""
+    return 2.0 * (k * np.pi - np.arctan(w)) / (s * w)
+
+
 def _zero_times(proc, counts: np.ndarray) -> np.ndarray:
     """The first ``counts[i]`` zeros of q for element i of ``proc.p``, in
     order of i, then of time."""
     row = np.arange(counts.size).repeat(counts)
     first = counts.cumsum() - counts
     ks = np.arange(1, row.size + 1) - first[row]
-    w = np.atleast_1d(_eta(proc)[1])[row]
-    return 2.0 * (ks * np.pi - np.arctan(w)) / (proc.s * w)
+    return _zero_time(proc.s, np.atleast_1d(_eta(proc)[1])[row], ks)
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from qsemimarkov import (
     measures,
     q_of_t,
 )
+from qsemimarkov import measures
 from qsemimarkov.cli import build_parser, run
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
@@ -662,12 +663,14 @@ def test_module_entry_point_exit_codes():
     (["divisibility", "--p", "3", "--t-max", "1e308"], 0),
     (["blp", "--p", "3", "--t-max", "1e308"], 0),
     (["blp", "--s", "4", "--p", "2", "--t-max", "1e308"], 0),  # p = s^2/8
+    (["kernel-check", "--t-max", "1e308"], 3),
 ], ids=["measure", "rate", "rate-1e300", "holevo", "divisibility", "blp",
-        "blp-boundary"])
+        "blp-boundary", "kernel-check"])
 def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
     """A horizon near the float limit is a numerical failure where it holds
-    more than 1e6 rate poles; elsewhere q is 0 where its phase overflows.
-    In a subprocess, so that overflow warnings stay warnings."""
+    more than 1e6 rate poles or Volterra steps; elsewhere q is 0 where its
+    phase overflows. In a subprocess, so that overflow warnings stay
+    warnings."""
     done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli", *argv],
                           env=_package_env(), capture_output=True, text=True)
     assert done.returncode == code, (argv, done.stderr)
@@ -677,7 +680,8 @@ def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
         lines = [ln for ln in done.stderr.splitlines()
                  if ln.startswith("qsm: ")]
         assert lines == [lines[0]] and "numerical failure" in lines[0]
-        assert "coherence zeros" in lines[0] and len(lines[0]) < 120
+        assert ("steps exceed the cap" if argv[0] == "kernel-check"
+                else "coherence zeros") in lines[0] and len(lines[0]) < 120
     elif argv[0] == "holevo":  # a singular divisibility step is NaN by design
         rows = [ln for ln in done.stdout.splitlines() if not ln.startswith("#")]
         assert len(rows) == 501 and "nan" not in "\n".join(rows[1:])
@@ -701,6 +705,16 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
     assert got == code, err
     if code:
         assert "coherence zeros" in err and out == ""
+
+
+def test_measure_sweep_past_the_hole_cap_fails(monkeypatch, capsys):
+    # 22 and 29 holes at p = 3 and 5: each row is within a cap of 40, the
+    # sweep is not
+    monkeypatch.setattr(measures, "_MAX_POLES", 40)
+    code, out, err = _run(capsys, ["measure", "--T", "28.9", "--p-min", "3",
+                                   "--p-max", "5", "--p-points", "2"])
+    assert code == 3 and out == ""
+    assert "51 excised intervals over the sweep exceed the cap of 40" in err
 
 
 def test_measure_sweep_with_a_row_that_loses_its_horizon_fails(capsys):

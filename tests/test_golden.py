@@ -44,6 +44,12 @@ The pole-sweep goldens (``measure_poles_paper.csv`` and
 across the boundary to 59 rate poles per row) were captured with the
 per-p ``sss_measure`` loop, before the sweep was evaluated as one batch.
 They pin the batch byte for byte, ``meta.excised_intervals`` included.
+Their xi and zeta cells (p = 0.5 to 5) were re-captured when the measure
+moved onto the pole lattice and took Gamma at the excision edges in phase
+form: the old cells were about 1e-10 relative off a 40-digit oracle. The
+fixed-mode xi now matches that oracle to 2.2e-16 relative, and the
+min-mode xi matches the Choi route to 2.2e-11. Their headers and gamma_ref
+cells are unchanged.
 """
 
 import json

@@ -30,7 +30,7 @@ from qsemimarkov import (
 )
 
 from qsemimarkov import measures, numerics, semimarkov
-from qsemimarkov.measures import _excised_pieces, _steps_violate
+from qsemimarkov.measures import _steps_violate
 
 from golden_section import minimize_scalar
 
@@ -293,19 +293,76 @@ def test_oscillating_antiderivative_matches_40_digit_oracle():
     assert big_gamma == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _atan(w):
+    """arctan w in the current decimal context: Newton's method on
+    sin(theta) - w cos(theta) = 0 from the float value."""
+    theta = decimal.Decimal(float(np.arctan(float(w))))
+    for _ in range(3):
+        sin_t, cos_t = _sin_cos(theta)
+        theta -= (sin_t - w * cos_t) / (cos_t + w * sin_t)
+    return theta
+
+
+@pytest.mark.parametrize("T, mpmath_xi", [(20.0, 9.730997090312804),
+                                          (60.0, 9.935794053530589),
+                                          (3000.0, 9.894679914158216)])
+def test_fixed_measure_matches_40_digit_oracle_on_the_pole_lattice(
+        T, mpmath_xi):
+    # xi T is the sum of |Gamma(b) - Gamma(a)| over the pieces of [0, T]
+    # between the holes t_k +- eps, split where gamma = 0 (x = j pi, where
+    # Gamma = s t/4), with every pole t_k = 2 (k pi - arctan w)/(s w) to 40
+    # digits; mpmath_xi is the same sum from a 40-digit mpmath oracle
+    s, p, eps = 1.0, 3.0, 1e-6
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        sd, pd, td, ed = (decimal.Decimal(x) for x in (s, p, T, eps))
+        w = (8 * pd / sd**2 - 1).sqrt()
+        theta, period = _atan(w), 2 * _PI_60 / (sd * w)
+
+        def big_gamma(t):
+            sin_x, cos_x = _sin_cos(sd * w * t / 2)
+            return sd * t / 4 - abs(cos_x + sin_x / w).ln() / 2
+
+        poles = [2 * (k * _PI_60 - theta) / (sd * w) for k in
+                 range(1, int((sd * w * td / 2 + theta) / _PI_60) + 1)]
+        ends = [decimal.Decimal(0)]
+        for pole in poles:
+            ends += [pole - ed, pole + ed]
+        ends.append(td)
+        total = decimal.Decimal(0)
+        for a, b in zip(ends[::2], ends[1::2]):
+            assert a < b
+            kinks = range(int(a / period) + 1, int(b / period) + 1)
+            values = [big_gamma(a), *(sd * j * period / 4 for j in kinks),
+                      big_gamma(b)]
+            total += sum(abs(y - x) for x, y in zip(values, values[1:]))
+        # a full piece gains s (P - 2 eps)/4
+        gain = big_gamma(poles[1] - ed) - big_gamma(poles[0] + ed)
+        assert abs(gain - sd * (period - 2 * ed) / 4) < decimal.Decimal(1e-30)
+        oracle = float(total / td)
+    assert oracle == pytest.approx(mpmath_xi, rel=1e-15, abs=0.0)
+    xi = sss_measure(DephasingSemiMarkov(s=s, p=p),
+                     SSSConfig(horizon=T, excision=eps)).xi
+    assert xi == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------- oracles for the closed forms
 
 _ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]
 
 
 def _rate_and_pieces(proc, T, excision=1e-6):
+    """gamma, its poles on (0, T] and the (lo, hi) rows of the pieces of
+    [0, T] between their excision-neighborhoods, which never overlap here."""
     if isinstance(proc, DephasingSemiMarkov):
         rate, poles = (lambda t: gamma_dephasing(proc, t),
                        coherence_zeros(proc, T))
     else:
         rate, poles = lambda t: gamma_nonunital(proc, t), np.empty(0)
-    lo, hi, _ = _excised_pieces(T, poles, excision, [poles.size])[0]
-    return rate, poles, np.column_stack([lo, hi])
+    ends = np.concatenate([[0.0], np.repeat(poles, 2)
+                           + np.tile([-excision, excision], poles.size), [T]])
+    pieces = ends.reshape(-1, 2)
+    return rate, poles, pieces[pieces[:, 0] < pieces[:, 1]]
 
 
 def _closed_form_kinks(proc, T, ref):
@@ -410,21 +467,27 @@ def test_closed_form_matches_quadrature_of_the_rate(p, T, mode):
 @pytest.mark.parametrize("mode, rows", [("fixed", 31), ("min", 32)])
 def test_choi_route_starts_on_the_pieces_split_at_their_kinks(monkeypatch,
                                                               mode, rows):
-    # the first quadrature round has one interval per retained piece plus
-    # one per kink: sss_measure excises the poles, adaptive_quad does not
+    # the first quadrature round has one interval per lattice piece plus
+    # one per kink: the first piece (in fixed mode its kink is at t = 0),
+    # the full piece (14 times over) and the last. Counted with their
+    # multiplicities, they are the retained pieces of the horizon plus
+    # their kinks.
     firsts = []
     gk21 = numerics._gk21
 
     def recorder(f, lo, hi):
-        firsts.append(lo.size)
+        firsts.append(lo)
         return gk21(f, lo, hi)
 
     monkeypatch.setattr(numerics, "_gk21", recorder)
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     result = sss_measure(proc, SSSConfig(horizon=20.0, form="choi",
                                          mode=mode))
-    pieces = len(coherence_zeros(proc, 20.0)) + 1
-    assert firsts[0] == pieces + result.kinks == rows
+    poles = coherence_zeros(proc, 20.0)
+    full = (poles[0] < firsts[0]) & (firsts[0] < poles[1])
+    assert firsts[0].size == (5 if mode == "fixed" else 6)
+    mults = np.where(full, poles.size - 1, 1)
+    assert mults.sum() == poles.size + 1 + result.kinks == rows
 
 
 def test_measure_result_provenance():
@@ -451,7 +514,6 @@ _T_IN_A_HOLE = (2.0 * (22 * np.pi - np.arctan(np.sqrt(23.0))) / np.sqrt(23.0)
                 + 0.004)
 
 
-@pytest.mark.parametrize("budget", [None, 25], ids=["one-group", "split"])
 @pytest.mark.parametrize("mode", ["fixed", "min"])
 @pytest.mark.parametrize("T, excision, ps, poles", [
     # p = 0, p = s^2/8, the real branch, and 0, 1, 22 and 28 rate poles
@@ -459,32 +521,40 @@ _T_IN_A_HOLE = (2.0 * (22 * np.pi - np.arctan(np.sqrt(23.0))) / np.sqrt(23.0)
      [0, 0, 0, 0, 1, 22, 28, 0]),
     # 2 eps = 8 exceeds the period 2 pi of p = 1/4, so its holes merge
     (30.0, 4.0, [0.0, 0.125, 0.05, 0.126, 0.13, 0.25], [0, 0, 0, 0, 1, 5]),
-], ids=["T-in-a-hole", "merged-holes"])
-def test_sweep_rows_equal_single_measures(monkeypatch, T, excision, ps,
-                                          poles, mode, budget):
-    # a budget of 25 poles splits the rows of p = 3 and p = 5 apart, and
-    # the p list leaves and re-enters the branches of eta
-    if budget:
-        monkeypatch.setattr(measures, "_MAX_POLES", budget)
+    # 0.004 past the first pole of p = 3, inside its hole
+    (_T_IN_A_HOLE - 21 * 2.0 * np.pi / np.sqrt(23.0), 0.01,
+     [3.0, 0.1, 5.0, 30.0], [1, 0, 1, 2]),
+    (2.0, 1e-6, [], []),  # the non-unital family, rate 1, has no poles
+], ids=["T-in-a-hole", "merged-holes", "T-in-the-first-hole", "non-unital"])
+def test_sweep_rows_equal_single_measures(T, excision, ps, poles, mode):
+    # the p list leaves and re-enters the branches of eta; each row keeps
+    # the bits it has alone
     config = SSSConfig(horizon=T, excision=excision, mode=mode,
                        gamma_ref=0.3)
-    sweep = measures._sweep(semimarkov._DephasingRows.of(1.0, ps), config)
+    if ps:
+        procs = [DephasingSemiMarkov(s=1.0, p=p) for p in ps]
+        sweep = measures._sweep(semimarkov._DephasingRows.of(1.0, ps), config)
+    else:
+        procs = [NonUnitalSemiMarkov(rate=1.0)]
+        sweep = measures._sweep(procs[0], config)
     lo, hi, row = sweep.holes
-    for i, p in enumerate(ps):
-        proc = DephasingSemiMarkov(s=1.0, p=p)
-        assert coherence_zeros(proc, T).size == poles[i]
+    for i, proc in enumerate(procs):
+        if ps:
+            assert coherence_zeros(proc, T).size == poles[i]
         one = sss_measure(proc, config)
         xi = sweep.xi[i]
         assert [_bits(x) for x in (xi, xi / (1.0 + xi), sweep.gamma_ref[i])] \
-            == [_bits(x) for x in (one.xi, one.zeta, one.gamma_ref)], p
+            == [_bits(x) for x in (one.xi, one.zeta, one.gamma_ref)], proc
         assert sweep.kinks[i] == one.kinks
         excised = tuple(zip(lo[row == i].tolist(), hi[row == i].tolist()))
         assert [tuple(map(_bits, h)) for h in excised] \
             == [tuple(map(_bits, h)) for h in one.excised]
-    if excision < 1.0:  # the horizon ends inside the last hole of p = 3
+    if 3.0 in ps:  # the horizon ends inside the last hole of p = 3
         assert hi[row == ps.index(3.0)][-1] == T
-    else:  # the five holes of p = 1/4 merged into one
+    if 0.25 in ps:  # the five holes of p = 1/4 merged into one
         assert np.count_nonzero(row == ps.index(0.25)) == 1
+    if not ps:
+        assert row.size == 0 and sweep.kinks[0] == 1
 
 
 def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
@@ -504,6 +574,25 @@ def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
     with pytest.raises(GridError, match="cap"):
         measures._sweep(semimarkov._DephasingRows.of(1.0, [0.0, 0.13, 3.0]),
                         SSSConfig(horizon=1e7))
+
+
+def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
+    # 22 holes for p = 3 and 28 for p = 5: each row is within a cap of 49,
+    # the sweep is not, and is refused before any hole is listed
+    config = SSSConfig(horizon=_T_IN_A_HOLE, excision=0.01)
+    rows = semimarkov._DephasingRows.of(1.0, [3.0, 0.1, 5.0])
+    monkeypatch.setattr(measures, "_MAX_POLES", 50)
+    assert measures._sweep(rows, config).holes[2].size == 50
+    monkeypatch.setattr(measures, "_MAX_POLES", 49)
+    monkeypatch.setattr(measures, "_zero_times",
+                        lambda *args: pytest.fail("a hole was listed"))
+    with pytest.raises(GridError, match="50 excised intervals .* cap of 49"):
+        measures._sweep(rows, config)
+    # merged holes count once: the five of p = 1/4 at eps = 4
+    monkeypatch.setattr(measures, "_MAX_POLES", 1)
+    with pytest.raises(GridError, match="2 excised intervals"):
+        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.25, 0.25]),
+                        SSSConfig(horizon=30.0, excision=4.0))
 
 
 def test_interp_rows_is_np_interp_row_by_row():

@@ -23,7 +23,6 @@ from qsemimarkov import (
     trace_norm,
     von_neumann_entropy,
 )
-from qsemimarkov.measures import _excised_pieces
 from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
@@ -158,28 +157,12 @@ def test_adaptive_quad_zero_width():
     assert adaptive_quad(np.sin, 2.0, 2.0).value == 0.0
 
 
-def _excised(T, poles, excision):
-    """Interval ends of [0, T] with the poles cut out, as sss_measure does,
-    and the (lo, hi) holes."""
-    (lo, hi, _), holes = _excised_pieces(T, np.array(poles), excision,
-                                         [len(poles)])
-    return lo, hi, list(zip(*holes[:2]))
-
-
 def test_adaptive_quad_excises_singularities():
     # integral of 1/|t - 1/2| over [0,1] minus the (1/2 +- eps) hole
     eps = 1e-6
-    lo, hi, _ = _excised(1.0, [0.5], eps)
-    res = adaptive_quad(lambda t: 1.0 / abs(t - 0.5), lo, hi)
+    res = adaptive_quad(lambda t: 1.0 / abs(t - 0.5), [0.0, 0.5 + eps],
+                        [0.5 - eps, 1.0])
     assert res.value == pytest.approx(2.0 * np.log(0.5 / eps), rel=1e-8)
-
-
-def test_adaptive_quad_merges_overlapping_holes():
-    # two poles closer than 2 eps: the holes merge into one interval
-    lo, hi, holes = _excised(1.0, [0.5, 0.5 + 1e-3], 1e-3)
-    assert len(holes) == 1
-    res = adaptive_quad(lambda t: 1.0, lo, hi)
-    assert res.value == pytest.approx(1.0 - 3e-3, abs=1e-12)
 
 
 def test_adaptive_quad_breakpoints_resolve_kinks():
