@@ -54,7 +54,6 @@ from .semimarkov import (
     ExponentialWTD,
     NonUnitalSemiMarkov,
     TanhSechWTD,
-    _DephasingRows,
     classical_jump_simulate,
     coherence_zeros,
     gamma_dephasing,
@@ -294,14 +293,13 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
             p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
             _require(1 <= n_p <= _MAX_GRID,
                      f"--p-points must be in [1, {_MAX_GRID}], got {n_p}")
-            _require(p_hi >= p_lo >= 0.0, "need 0 <= --p-min <= --p-max")
+            _require(0.0 <= p_lo <= p_hi < np.inf, "need 0 <= --p-min <= "
+                     f"--p-max < inf, got {p_lo!r} and {p_hi!r}")
             p_values = np.linspace(p_lo, p_hi, n_p)
         else:
             p_values = np.array([p])
         columns = {"p": p_values}
-        # checks s and p; the largest p is finite only where every p is
-        DephasingSemiMarkov(s=s, p=float(p_values.max()))
-        proc = _DephasingRows.of(s, p_values)
+        proc = DephasingSemiMarkov(s, p_values)
     r.check_unread()
     res = _sweep(proc, cfg)
     columns.update(xi=res.xi, zeta=res.xi / (1.0 + res.xi),
@@ -426,16 +424,16 @@ def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     kernel = ExponentialKernel(amplitude=p, decay=s)
     bracket = jump_superop(proc) - np.eye(4)
 
-    def q_error(step: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def q_error(step: float):
+        """(times, Volterra q, closed-form q, their largest gap) at a step."""
         sol = solve_volterra(kernel, bracket, t_max, step)
         q_num = sol.maps[:, 1, 1].real.copy()  # frees the maps on return
-        q_ref = np.asarray(q_of_t(proc, sol.times), dtype=float)
-        return sol.times, q_num, float(np.abs(q_num - q_ref).max())
+        q_ref = q_of_t(proc, sol.times)
+        return sol.times, q_num, q_ref, float(np.abs(q_num - q_ref).max())
 
-    times, q_num, dev = q_error(dt)
-    _, _, dev_coarse = q_error(2 * dt)
+    times, q_num, q_ref, dev = q_error(dt)
+    dev_coarse = q_error(2 * dt)[-1]
     ratio = dev_coarse / dev if dev > 0 else np.inf
-    q_ref = np.asarray(q_of_t(proc, times), dtype=float)
     stride = max(1, times.size // 500)
     sel = np.unique(np.r_[np.arange(0, times.size, stride), times.size - 1])
     return ({"t": times[sel], "q_closed": q_ref[sel], "q_volterra": q_num[sel],

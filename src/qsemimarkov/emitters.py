@@ -5,9 +5,10 @@ columns plus the resolved configuration and scalar metadata. The three
 emitters render the same numbers:
 
 - CSV leads with ``# command:``, ``# config.<key>:`` and ``# meta.<key>:``
-  comment lines, then a header row and data at 12 significant digits.
+  comment lines, then a header row and data at 12 significant digits
+  (scalars in comment lines too; a list there prints its floats by repr).
 - JSON mirrors the table as an object validating against ``JSON_SCHEMA``;
-  non-finite values are emitted as null.
+  floats print by repr, their shortest round-trip form; non-finite as null.
 - SVG draws one polyline per dependent column. The polylines live in a
   group whose affine transform maps data coordinates to pixels, so the
   numeric content of the ``points`` attributes is the same 12-digit data

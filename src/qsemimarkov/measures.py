@@ -68,7 +68,6 @@ from .semimarkov import (
     _MAX_POLES,
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
-    _DephasingRows,
     _level_time,
     _log_abs_q,
     _zero_counts,
@@ -254,8 +253,8 @@ class _Sweep:
 def _sweep(proc, config: SSSConfig) -> _Sweep:
     """Deviation measure of every process of a sweep, as one batch.
 
-    ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``_DephasingRows``
-    (a row per element of p). Where p > s^2/8 the rate poles are a
+    ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``DephasingSemiMarkov``
+    (a row per element of a float or 1-d p). Where p > s^2/8 the poles are a
     lattice, t_k = t_1 + (k - 1) P with P = 2 pi/(s|eta|), and gamma has
     period P, so every stretch between two excised poles is a translate of
     the first. Each row thus has three pieces, as (n, 3) arrays: the first
@@ -294,7 +293,7 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
     """
     T, eps = config.horizon, config.excision
     nonunital = isinstance(proc, NonUnitalSemiMarkov)
-    n = 1 if nonunital else proc.p.size
+    n = 1 if nonunital else proc.branch.size
     counts = np.zeros(n, np.int64) if nonunital else _zero_counts(proc, T)
     level_time, period = _level_time(proc)
     has = counts > 0
@@ -305,7 +304,7 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
     merged = np.zeros(n, dtype=bool)
     edge_gamma = np.zeros(n)  # Gamma - s t/4 at the excision edges
     if has.any():
-        w, N, P = proc.take(has).w, counts[has], period[has]
+        w, N, P = proc.w.reshape(n)[has], counts[has], period.reshape(n)[has]
         k = np.multiply.outer(N, [0, 0, 1]) + [1, 2, 0]
         t = _zero_time(proc.s, w[:, None], k)  # t_1, t_2, t_N
         edges[has, 1:, 0] = t[:, ::2] + eps
@@ -370,7 +369,7 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
     constant = trace_norm(choi(1.0) - choi(0.0))
     quads = []
     for i in range(n):
-        one = proc if nonunital else DephasingSemiMarkov(proc.s, proc.p[i])
+        one = proc if nonunital else proc.take(i)
         chi_ref = choi(float(ref[i]))
         starts, weights = lo[i, keep[i]], mult[i, keep[i]]
 
@@ -399,13 +398,12 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     :raises GridError: if the horizon holds more rate poles than
         ``coherence_zeros`` allows, or the excision removes all of it.
     """
-    config = config or SSSConfig()
-    if isinstance(proc, DephasingSemiMarkov):
-        sweep = _sweep(_DephasingRows.of(proc.s, [proc.p]), config)
-    elif isinstance(proc, NonUnitalSemiMarkov):
-        sweep = _sweep(proc, config)
-    else:
+    if isinstance(proc, DephasingSemiMarkov) and np.ndim(proc.p):
+        raise DomainError("sss_measure takes one process, not an array p")
+    if not isinstance(proc, (DephasingSemiMarkov, NonUnitalSemiMarkov)):
         raise DomainError(f"unknown process type {type(proc)!r}")
+    config = config or SSSConfig()
+    sweep = _sweep(proc, config)
     xi = float(sweep.xi[0])
     choi = config.form == "choi"
     return MeasureResult(

@@ -28,8 +28,8 @@ stay finite and accurate for large t in every branch of eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,46 +183,7 @@ REGIME_DIVISIBLE = "cp-divisible"
 REGIME_INDIVISIBLE = "cp-indivisible"
 
 
-_BOUNDARY, _REAL, _IMAG = range(3)  # branches of eta, numbered by _branch
-
-
-def _branch(s: float, p):
-    """Branch of each element of p and the real magnitude of eta there."""
-    disc = 1.0 - 8.0 * np.asarray(p, dtype=float) / s**2
-    size = np.abs(disc)
-    boundary = size < _BRANCH_TOL
-    return (np.where(boundary, _BOUNDARY, np.where(disc > 0.0, _REAL, _IMAG)),
-            np.where(boundary, 0.0, np.sqrt(size)))
-
-
-class _DephasingRows(NamedTuple):
-    """Dephasing processes sharing s, one per element of the array p, as the
-    closed forms read them (``proc.s``, ``proc.p``), with the branch and
-    |eta| of each element worked out once (see ``_branch``)."""
-
-    s: float
-    p: np.ndarray
-    branch: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def of(cls, s: float, p) -> "_DephasingRows":
-        p = np.asarray(p, dtype=float)
-        return cls(s, p, *_branch(s, p))
-
-    def take(self, index) -> "_DephasingRows":
-        """The rows at a numpy ``index`` into p (one row broadcasts as is)."""
-        if self.p.size == 1:
-            return self
-        return _DephasingRows(self.s, self.p[index], self.branch[index],
-                              self.w[index])
-
-
-def _eta(proc):
-    """Branch and |eta| of each element of ``proc.p``."""
-    if isinstance(proc, _DephasingRows):
-        return proc.branch, proc.w
-    return _branch(proc.s, proc.p)
+_BOUNDARY, _REAL, _IMAG = range(3)  # branches of eta, in proc.branch
 
 
 def _by_branch(proc, t, forms):
@@ -234,7 +195,7 @@ def _by_branch(proc, t, forms):
     arithmetic it would do alone. A p of one element is taken as a float
     and t on whole, as the same value broadcast.
     """
-    branch, w = _eta(proc)
+    branch, w = proc.branch, proc.w
     t = np.asarray(t, dtype=float)
     if branch.size == 1:
         return forms[int(branch.flat[0])](np.asarray(proc.p).item(),
@@ -250,21 +211,53 @@ def _by_branch(proc, t, forms):
 
 @dataclass(frozen=True)
 class DephasingSemiMarkov:
-    """Qubit dephasing renewal process with s = l1 + l2, p = l1 l2."""
+    """Qubit dephasing renewal process with s = l1 + l2, p = l1 l2.
+
+    p is a float, or an array of any shape holding one process per element,
+    all sharing s; the closed forms broadcast it against t. Its first bad
+    element is refused by value. Each element's branch of eta and w = |eta|
+    are worked out once, here: eta = 0 where |1 - 8p/s^2| < ``_BRANCH_TOL``.
+    """
 
     s: float
-    p: float
+    p: float | np.ndarray
+    branch: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_positive("s", self.s)
-        if not np.isfinite(self.p) or self.p < 0.0:
-            raise DomainError(f"p must be non-negative and finite, got {self.p!r}")
+        s = _require_positive("s", self.s)
+        if s * s == np.inf:  # so that s**2, here and in the forms, is finite
+            raise DomainError(f"s must have a finite square, got {s!r}")
+        p = np.array(self.p, dtype=float)  # a copy: branch and w stay true
+        ok = np.isfinite(p) & (p >= 0.0)
+        if not ok.all():
+            raise DomainError("p must be non-negative and finite, got "
+                              f"{float(p[~ok][0])!r}")
+        with np.errstate(over="ignore", divide="ignore"):  # 8p/s^2 -> inf
+            disc = 1.0 - 8.0 * p / self.s**2
+        size = np.abs(disc)
+        boundary = size < _BRANCH_TOL
+        self.__dict__.update(  # frozen: the fields are set this once
+            p=p if p.ndim else self.p,
+            branch=np.where(boundary, _BOUNDARY,
+                            np.where(disc > 0.0, _REAL, _IMAG)),
+            w=np.where(boundary, 0.0, np.sqrt(size)))
 
     @classmethod
     def from_rates(cls, rate1: float, rate2: float) -> "DephasingSemiMarkov":
         _require_positive("rate1", rate1)
         _require_positive("rate2", rate2)
         return cls(s=rate1 + rate2, p=rate1 * rate2)
+
+    def take(self, index) -> "DephasingSemiMarkov":
+        """The processes at a numpy ``index`` into p, with their branches
+        and |eta| taken along, not worked out again (one is returned as is)."""
+        if self.branch.size == 1:
+            return self
+        part = copy.copy(self)
+        part.__dict__.update(p=self.p[index], branch=self.branch[index],
+                             w=self.w[index])
+        return part
 
     def regime(self) -> str:
         """Exact classification against the boundary p = s^2 / 8."""
@@ -323,7 +316,7 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
         return np.where(np.isfinite(x), log_q, -np.inf)
 
     def boundary(p, w, t):
-        q = q_of_t(_DephasingRows.of(s, p), t)
+        q = q_of_t(DephasingSemiMarkov(s, p), t)
         log_space = -s * t / 2 + np.log1p(s * t / 2)
         # the clips keep each log finite where np.where drops it
         return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
@@ -390,21 +383,21 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
 
 
 def _zero_counts(proc, t_max: float) -> np.ndarray:
-    """Number of zeros of q on (0, t_max] for each element of ``proc.p``.
+    """Number of zeros of q on (0, t_max] for each element of ``proc.p``,
+    flattened.
 
     :raises GridError: if one exceeds ``_MAX_POLES``, so that none is
         listed that could not be held.
     """
-    branch, w = _eta(proc)
     # an overflowing count is inf, refused; inf * 0 off the oscillating branch
     with np.errstate(over="ignore", invalid="ignore"):
-        k_max = np.where(branch == _IMAG, np.floor(
-            (proc.s * t_max * w / 2 + np.arctan(w)) / np.pi), 0.0)
+        k_max = np.where(proc.branch == _IMAG, np.floor(
+            (proc.s * t_max * proc.w / 2 + np.arctan(proc.w)) / np.pi), 0.0)
     over = ~(k_max <= _MAX_POLES)  # also refuses a NaN count
     if over.any():
         raise GridError(f"{k_max[over].flat[0]:.3g} coherence zeros on "
                         f"(0, {t_max:g}] exceed the cap of {_MAX_POLES}")
-    return k_max.astype(np.int64)
+    return k_max.astype(np.int64).ravel()
 
 
 def _zero_time(s: float, w, k):
@@ -419,7 +412,7 @@ def _zero_times(proc, counts: np.ndarray) -> np.ndarray:
     row = np.arange(counts.size).repeat(counts)
     first = counts.cumsum() - counts
     ks = np.arange(1, row.size + 1) - first[row]
-    return _zero_time(proc.s, np.atleast_1d(_eta(proc)[1])[row], ks)
+    return _zero_time(proc.s, proc.w.ravel()[row], ks)
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -433,7 +426,7 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     """
     if t_max < 0.0:
         raise DomainError(f"t_max must be non-negative, got {t_max!r}")
-    return _zero_times(proc, np.atleast_1d(_zero_counts(proc, t_max)))
+    return _zero_times(proc, _zero_counts(proc, t_max))
 
 
 def _level_time(proc):
@@ -466,20 +459,23 @@ def _level_time(proc):
 
     # elsewhere gamma rises to a top rate as t -> inf
     def boundary(p, w, r):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r < s / 4.0, 8.0 * r / (s * (s - 4.0 * r)), np.inf)
+        return np.where(r < s / 4.0, 8.0 * r / (s * (s - 4.0 * r)), np.inf)
 
     def real(p, w, r):
         top = 2.0 * p / s / (1.0 + w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
-                 - np.log1p(-r / top)) / (s * w)
+        t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
+             - np.log1p(-r / top)) / (s * w)
         return np.where(r < top, t, np.inf)
 
-    branch, w = _eta(proc)
+    def level_time(r):
+        # np.where drops what a form makes past its top rate or float range
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _by_branch(proc, r, (boundary, real, imag))
+
     with np.errstate(divide="ignore"):  # w = 0 off the oscillating branch
-        period = np.where(branch == _IMAG, 2.0 * np.pi / (s * w), np.inf)
-    return (lambda r: _by_branch(proc, r, (boundary, real, imag))), period
+        period = np.where(proc.branch == _IMAG, 2.0 * np.pi / (s * proc.w),
+                          np.inf)
+    return level_time, period
 
 
 @dataclass(frozen=True)
@@ -540,13 +536,15 @@ def superop_at(proc, t) -> np.ndarray:
     """Superoperators of Phi(t) = w id + (1 - w) J, shape np.shape(t) + (4, 4).
 
     J is ``jump_superop(proc)``; w = (1 + q(t))/2 for dephasing and
-    w = sech(rate t) for the non-unital family.
+    w = sech(rate t) for the non-unital family; an array p is refused.
     """
     J = jump_superop(proc)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise DomainError(f"t must be non-negative, got min {t.min()!r}")
     if isinstance(proc, DephasingSemiMarkov):
+        if np.ndim(proc.p):
+            raise DomainError("superop_at takes one process, not an array p")
         w = (1.0 + q_of_t(proc, t)) / 2.0
     else:
         w = proc.survival(t)

@@ -707,6 +707,34 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
         assert "coherence zeros" in err and out == ""
 
 
+@pytest.mark.parametrize("argv, code, says", [
+    (["rate", "--s", "1e200"], 2, "s must have a finite square"),
+    (["holevo", "--s", "1e200"], 2, "s must have a finite square"),
+    (["kernel-check", "--s", "1e200"], 2, "s must have a finite square"),
+    (["divisibility", "--boundary-search", "--s", "1e200"], 2,
+     "s must have a finite square"),
+    (["blp", "--s", "1e300", "--p", "1e300"], 2, "s must have a finite square"),
+    (["measure", "--p-max", "inf"], 2, "--p-max < inf, got 0.0 and inf"),
+    (["measure", "--s", "1e-300", "--p", "3"], 3, "coherence zeros"),
+    (["rate", "--s", "1e-300"], 3, "coherence zeros"),
+    (["measure", "--p-max", "1e308"], 3, "coherence zeros"),
+    (["measure", "--gamma-ref", "1e308"], 0, ""),
+], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
+        "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
+        "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref"])
+def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
+    """In process, where the test run turns warnings into errors: an s whose
+    square overflows is refused where the process is built; where 8p/s^2
+    overflows, p is on the oscillating branch with |eta| = inf and its pole
+    count is refused; a huge reference rate is reached at a pole or never."""
+    got, out, err = _run(capsys, argv)
+    assert got == code, err
+    if code:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("qsm: ")
+        assert says in lines[0]
+
+
 def test_measure_sweep_past_the_hole_cap_fails(monkeypatch, capsys):
     # 22 and 29 holes at p = 3 and 5: each row is within a cap of 40, the
     # sweep is not

@@ -54,6 +54,16 @@ def test_config_validation():
         sss_measure(object(), SSSConfig())
 
 
+def test_one_process_measures_refuse_an_array_p():
+    proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
+    ts = np.linspace(0.0, 1.0, 5)
+    for measure in (lambda: sss_measure(proc), lambda: blp_measure(proc, 1.0),
+                    lambda: holevo_curve(proc, ts),
+                    lambda: cp_divisibility_scan(proc, ts)):
+        with pytest.raises(DomainError, match="one process"):
+            measure()
+
+
 # ------------------------------------------------------- rate form, fixed ref
 
 def test_fixed_reference_equals_log_coherence_decay():
@@ -533,7 +543,7 @@ def test_sweep_rows_equal_single_measures(T, excision, ps, poles, mode):
                        gamma_ref=0.3)
     if ps:
         procs = [DephasingSemiMarkov(s=1.0, p=p) for p in ps]
-        sweep = measures._sweep(semimarkov._DephasingRows.of(1.0, ps), config)
+        sweep = measures._sweep(DephasingSemiMarkov(1.0, ps), config)
     else:
         procs = [NonUnitalSemiMarkov(rate=1.0)]
         sweep = measures._sweep(procs[0], config)
@@ -562,8 +572,7 @@ def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
     with pytest.raises(GridError, match="entire horizon"):
         sss_measure(DephasingSemiMarkov(s=1.0, p=3.0), config)
     with pytest.raises(GridError, match="entire horizon"):
-        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.25, 3.0, 0.1]),
-                        config)
+        measures._sweep(DephasingSemiMarkov(1.0, [0.25, 3.0, 0.1]), config)
 
 
 def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
@@ -572,7 +581,7 @@ def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
     monkeypatch.setattr(measures, "_zero_times",
                         lambda *args: pytest.fail("a pole was listed"))
     with pytest.raises(GridError, match="cap"):
-        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.0, 0.13, 3.0]),
+        measures._sweep(DephasingSemiMarkov(1.0, [0.0, 0.13, 3.0]),
                         SSSConfig(horizon=1e7))
 
 
@@ -580,7 +589,7 @@ def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
     # 22 holes for p = 3 and 28 for p = 5: each row is within a cap of 49,
     # the sweep is not, and is refused before any hole is listed
     config = SSSConfig(horizon=_T_IN_A_HOLE, excision=0.01)
-    rows = semimarkov._DephasingRows.of(1.0, [3.0, 0.1, 5.0])
+    rows = DephasingSemiMarkov(1.0, [3.0, 0.1, 5.0])
     monkeypatch.setattr(measures, "_MAX_POLES", 50)
     assert measures._sweep(rows, config).holes[2].size == 50
     monkeypatch.setattr(measures, "_MAX_POLES", 49)
@@ -591,7 +600,7 @@ def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
     # merged holes count once: the five of p = 1/4 at eps = 4
     monkeypatch.setattr(measures, "_MAX_POLES", 1)
     with pytest.raises(GridError, match="2 excised intervals"):
-        measures._sweep(semimarkov._DephasingRows.of(1.0, [0.25, 0.25]),
+        measures._sweep(DephasingSemiMarkov(1.0, [0.25, 0.25]),
                         SSSConfig(horizon=30.0, excision=4.0))
 
 
@@ -610,19 +619,17 @@ def test_interp_rows_is_np_interp_row_by_row():
 def test_closed_forms_take_an_array_p_element_by_element():
     ps = np.array([0.0, 0.05, 0.125, 0.125 * (1 + 1e-10), 0.126, 3.0, 0.1])
     t = np.linspace(0.0, 7.0, 15)
-    rows = semimarkov._DephasingRows.of(1.0, ps[:, None])
+    rows = DephasingSemiMarkov(1.0, ps[:, None])
     for form in (q_of_t, semimarkov._log_abs_q, gamma_dephasing):
         single = np.array([form(DephasingSemiMarkov(1.0, p), t) for p in ps])
         assert form(rows, t).tobytes() == single.tobytes(), form
     refs = np.linspace(-0.5, 1.5, ps.size)
-    level_time, period = semimarkov._level_time(
-        semimarkov._DephasingRows.of(1.0, ps))
+    level_time, period = semimarkov._level_time(DephasingSemiMarkov(1.0, ps))
     for i, p in enumerate(ps):
         one = semimarkov._level_time(DephasingSemiMarkov(1.0, p))
         assert _bits(level_time(refs)[i]) == _bits(one[0](refs[i]))
         assert _bits(period[i]) == _bits(one[1])
-    counts = semimarkov._zero_counts(semimarkov._DephasingRows.of(1.0, ps),
-                                     60.0)
+    counts = semimarkov._zero_counts(DephasingSemiMarkov(1.0, ps), 60.0)
     assert counts.tolist() == [coherence_zeros(DephasingSemiMarkov(1.0, p),
                                                60.0).size for p in ps]
 

@@ -319,7 +319,46 @@ def test_from_rates():
         NonUnitalSemiMarkov(rate=-1.0)
 
 
+@pytest.mark.parametrize("p, bad", [
+    ([0.1, -2.5, 3.0, -7.0], "-2.5"),
+    ([[0.1, 3.0], [np.nan, -1.0]], "nan"),
+    (np.array([0.0, np.inf]), "inf"),
+    (-0.1, "-0.1"),
+])
+def test_array_p_refuses_its_first_bad_element_by_value(p, bad):
+    with pytest.raises(DomainError) as info:
+        DephasingSemiMarkov(s=1.0, p=p)
+    assert str(info.value) == f"p must be non-negative and finite, got {bad}"
+
+
+def test_array_p_holds_one_process_per_element():
+    ps = np.array([[0.0, 0.125], [3.0, 0.1]])
+    proc = DephasingSemiMarkov(s=1.0, p=ps.tolist())
+    assert proc.p.shape == proc.branch.shape == proc.w.shape == (2, 2)
+    for index in np.ndindex(ps.shape):
+        one = DephasingSemiMarkov(s=1.0, p=ps[index])
+        assert (proc.branch[index], proc.w[index]) == (one.branch, one.w)
+        taken = proc.take(index)
+        assert (taken.p, taken.branch, taken.w) == (one.p, one.branch, one.w)
+    assert DephasingSemiMarkov(s=1.0, p=3.0).p == 3.0  # a float stays one
+    assert repr(DephasingSemiMarkov(s=1.0, p=3.0)) == \
+        "DephasingSemiMarkov(s=1.0, p=3.0)"
+
+
+@pytest.mark.parametrize("s", [1e200, 1e300, np.float64(1.4e154)])
+def test_s_whose_square_overflows_is_refused(s):
+    with pytest.raises(DomainError, match="finite square"):
+        DephasingSemiMarkov(s=s, p=0.1)
+    assert DephasingSemiMarkov(s=1.3e154, p=0.1).s ** 2 < np.inf
+
+
 # ------------------------------------------------------------ maps, superops
+
+def test_superop_at_refuses_an_array_p():
+    proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
+    with pytest.raises(DomainError, match="one process, not an array p"):
+        superop_at(proc, [0.0, 1.0])
+
 
 def test_dephasing_map_and_superop():
     proc = DephasingSemiMarkov(s=1.0, p=0.3)
