@@ -137,7 +137,9 @@ def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
     return f"{line} (default {'; '.join(shown)})" if shown else line
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qsm parser: every command with its help line, and the flags of
+    ``command`` alone, or of every command when it is None."""
     parser = argparse.ArgumentParser(
         prog="qsm",
         description="Quantum semi-Markov dynamics: rates, maps, and "
@@ -148,11 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     # exact flag names only, so that a prefix such as --s cannot land on --seed
     sub = parser.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
-    for command, cmd in _DISPATCH.items():
-        p = sub.add_parser(command, help=cmd.__doc__)
+    for name, cmd in _DISPATCH.items():
+        chosen = command in (None, name)  # the others get no flags, not -h
+        p = sub.add_parser(name, help=cmd.__doc__, add_help=chosen)
+        if not chosen:
+            continue
         modes = {key.partition(" ")[2]: table for key, table in
-                 _DEFAULTS.items() if key.partition(" ")[0] == command}
-        for flag in _DEFAULTS[command]:
+                 _DEFAULTS.items() if key.partition(" ")[0] == name}
+        for flag in _DEFAULTS[name]:
             kind, _ = _FLAGS[flag]
             kw = ({"action": "store_true"} if kind is bool else
                   {"choices": kind} if isinstance(kind, tuple) else
@@ -460,7 +465,8 @@ _RENDERERS = {"csv": to_csv, "json": to_json, "svg": to_svg}
 def run(argv: Sequence[str] | None = None) -> int:
     """Entry point returning the process exit code (0, 2, or 3)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # no top-level option takes a value, so the first bare token is the command
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if args.config:  # file flags after the command, so given flags win

@@ -13,6 +13,10 @@ emitters render the same numbers:
   group whose affine transform maps data coordinates to pixels, so the
   numeric content of the ``points`` attributes is the same 12-digit data
   the CSV carries.
+
+CSV rows and SVG points are formatted ``_BLOCK`` rows at a time, one
+``%``-format call per block: no Python call per cell, and no list of every
+cell at once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from html import escape
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,7 +32,8 @@ from .errors import DomainError
 
 __all__ = ["ResultTable", "to_csv", "to_json", "to_svg", "JSON_SCHEMA"]
 
-_FMT = "{:.12g}"
+_FMT = "%.12g"
+_BLOCK = 10_000  # rows per formatting call
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,17 @@ def _num(x: object) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return _FMT.format(float(x))
+        return _FMT % float(x)
     return str(x)
+
+
+def _blocks(cols: list[np.ndarray], sep: str) -> Iterator[str]:
+    """The rows of equal-length columns, cells joined by "," and rows by
+    ``sep``, at 12 significant digits: one string per ``_BLOCK`` rows."""
+    row = ",".join([_FMT] * len(cols))
+    for start in range(0, cols[0].size, _BLOCK):
+        block = np.column_stack([c[start:start + _BLOCK] for c in cols])
+        yield sep.join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
 def to_csv(table: ResultTable) -> str:
@@ -80,9 +94,9 @@ def to_csv(table: ResultTable) -> str:
     names = list(table.columns)
     lines.append(",".join(names))
     cols = [np.asarray(table.columns[n], dtype=float) for n in names]
-    for row in zip(*cols):
-        lines.append(",".join(_FMT.format(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.extend(_blocks(cols, "\n"))
+    lines.append("")  # the closing newline
+    return "\n".join(lines)
 
 
 JSON_SCHEMA: dict = {
@@ -125,16 +139,23 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
+def _json_column(col: np.ndarray) -> list:
+    """A column as a list of floats, with null at non-finite values."""
+    arr = np.asarray(col, dtype=float)
+    values = arr.tolist()
+    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+        values[i] = None
+    return values
+
+
 def to_json(table: ResultTable) -> str:
     """Render the table as a JSON document matching ``JSON_SCHEMA``."""
     doc = {
         "command": table.command,
         "config": _jsonable(dict(table.config)),
         "metadata": _jsonable(dict(table.metadata)),
-        "columns": {
-            name: _jsonable(np.asarray(col, dtype=float))
-            for name, col in table.columns.items()
-        },
+        "columns": {name: _json_column(col)
+                    for name, col in table.columns.items()},
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -155,11 +176,11 @@ def _finite_range(arrs: list[np.ndarray]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _segments(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Split a series at non-finite samples; returns index arrays."""
+def _segments(x: np.ndarray, y: np.ndarray) -> list[slice]:
+    """Split a series at non-finite samples; returns the runs as slices."""
     ok = np.concatenate([[False], np.isfinite(x) & np.isfinite(y), [False]])
-    edges = np.flatnonzero(np.diff(ok))  # alternating run starts and ends
-    return [np.arange(a, b) for a, b in zip(edges[::2], edges[1::2])]
+    edges = np.flatnonzero(np.diff(ok)).tolist()  # alternating starts, ends
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def to_svg(table: ResultTable) -> str:
@@ -236,9 +257,7 @@ def to_svg(table: ResultTable) -> str:
     for k, (name, y) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
         for seg in _segments(x, y):
-            pts = " ".join(
-                f"{_FMT.format(x[i])},{_FMT.format(y[i])}" for i in seg
-            )
+            pts = " ".join(_blocks([x[seg], y[seg]], " "))
             out.append(
                 f'<polyline stroke="{color}" vector-effect="non-scaling-stroke" '
                 f'points="{pts}"/>'

@@ -70,6 +70,7 @@ from .semimarkov import (
     NonUnitalSemiMarkov,
     _level_time,
     _log_abs_q,
+    _require_one,
     _zero_counts,
     _zero_time,
     _zero_times,
@@ -398,8 +399,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     :raises GridError: if the horizon holds more rate poles than
         ``coherence_zeros`` allows, or the excision removes all of it.
     """
-    if isinstance(proc, DephasingSemiMarkov) and np.ndim(proc.p):
-        raise DomainError("sss_measure takes one process, not an array p")
+    _require_one(proc, "sss_measure")
     if not isinstance(proc, (DephasingSemiMarkov, NonUnitalSemiMarkov)):
         raise DomainError(f"unknown process type {type(proc)!r}")
     config = config or SSSConfig()

@@ -117,12 +117,14 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     """Sum of singular values; for Hermitian input this is sum |eigenvalues|.
 
     A stack (..., m, n) gives an array of shape (...), one matrix a float.
+    A sum past the float range is inf, for the caller's finiteness check.
     """
     m = np.asarray(matrix)
     if m.ndim < 2:
         raise DomainError(f"expected a matrix, got shape {m.shape}")
     try:
-        norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return float(norms) if m.ndim == 2 else norms

@@ -209,6 +209,20 @@ def _by_branch(proc, t, forms):
     return out
 
 
+def _eight_p_by_s2(p, s):
+    """8p/s^2: inf where it overflows, and 0 at p = 0, the semigroup for
+    every s, also where s^2 underflows to 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.divide(8.0 * p, s**2, out=np.zeros_like(p, dtype=float),
+                         where=p > 0.0)
+
+
+def _require_one(proc, caller: str) -> None:
+    """Refuse a dephasing process that holds an array p."""
+    if isinstance(proc, DephasingSemiMarkov) and np.ndim(proc.p):
+        raise DomainError(f"{caller} takes one process, not an array p")
+
+
 @dataclass(frozen=True)
 class DephasingSemiMarkov:
     """Qubit dephasing renewal process with s = l1 + l2, p = l1 l2.
@@ -233,8 +247,7 @@ class DephasingSemiMarkov:
         if not ok.all():
             raise DomainError("p must be non-negative and finite, got "
                               f"{float(p[~ok][0])!r}")
-        with np.errstate(over="ignore", divide="ignore"):  # 8p/s^2 -> inf
-            disc = 1.0 - 8.0 * p / self.s**2
+        disc = 1.0 - _eight_p_by_s2(p, self.s)
         size = np.abs(disc)
         boundary = size < _BRANCH_TOL
         self.__dict__.update(  # frozen: the fields are set this once
@@ -261,6 +274,7 @@ class DephasingSemiMarkov:
 
     def regime(self) -> str:
         """Exact classification against the boundary p = s^2 / 8."""
+        _require_one(self, "regime")
         if self.p == 0.0:
             return REGIME_SEMIGROUP
         if self.p > self.s**2 / 8.0:
@@ -323,7 +337,7 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
                         np.where(np.isfinite(s * t), log_space, -np.inf))
 
     def real(p, w, t):
-        c = 8.0 * p / s**2 / (1.0 + w)
+        c = _eight_p_by_s2(p, s) / (1.0 + w)  # 1 - w, to full precision
         q_minus_1 = ((2.0 - c) * np.expm1(-s * c * t / 2)
                      - c * np.expm1(-s * (2.0 - c) * t / 2)) / (2.0 * w)
         log_space = -s * c * t / 2 + np.log(
@@ -508,6 +522,7 @@ def map_at(proc, t: float) -> list[np.ndarray]:
     Dephasing: {sqrt((1+q)/2) I, sqrt((1-q)/2) Z}. Non-unital: the spectral
     decomposition of the Choi matrix of ``superop_at(proc, t)``.
     """
+    _require_one(proc, "map_at")
     t = float(t)
     if t < 0.0:
         raise DomainError(f"t must be non-negative, got {t!r}")
@@ -542,9 +557,8 @@ def superop_at(proc, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise DomainError(f"t must be non-negative, got min {t.min()!r}")
+    _require_one(proc, "superop_at")
     if isinstance(proc, DephasingSemiMarkov):
-        if np.ndim(proc.p):
-            raise DomainError("superop_at takes one process, not an array p")
         w = (1.0 + q_of_t(proc, t)) / 2.0
     else:
         w = proc.survival(t)

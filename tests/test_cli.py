@@ -231,7 +231,7 @@ def test_divisibility_help_shows_scan_and_boundary_search_defaults(
 
 
 def _registered_flags(command):
-    sub = next(a for a in build_parser()._actions
+    sub = next(a for a in build_parser(command)._actions
                if isinstance(a, argparse._SubParsersAction))
     return {opt[2:] for opt in sub.choices[command]._option_string_actions
             if opt.startswith("--") and opt != "--help"}
@@ -719,20 +719,29 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
     (["rate", "--s", "1e-300"], 3, "coherence zeros"),
     (["measure", "--p-max", "1e308"], 3, "coherence zeros"),
     (["measure", "--gamma-ref", "1e308"], 0, ""),
+    (["rate", "--s", "1e-300", "--p", "0", "--grid", "5"], 0, ""),
+    (["measure", "--s", "1e-300", "--p", "0"], 0, ""),
+    (["measure", "--gamma-ref", "1e308", "--form", "choi"], 3,
+     "integrand is not finite"),
 ], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
-        "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref"])
+        "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
+        "rate-tiny-s-p0", "measure-tiny-s-p0", "measure-huge-ref-choi"])
 def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     """In process, where the test run turns warnings into errors: an s whose
     square overflows is refused where the process is built; where 8p/s^2
     overflows, p is on the oscillating branch with |eta| = inf and its pole
-    count is refused; a huge reference rate is reached at a pole or never."""
+    count is refused; p = 0 is the semigroup also where s^2 underflows; a
+    huge reference rate is reached at a pole or never, and on the Choi
+    route its trace norms overflow to inf, which the quadrature refuses."""
     got, out, err = _run(capsys, argv)
     assert got == code, err
     if code:
         lines = err.splitlines()
         assert out == "" and len(lines) == 1 and lines[0].startswith("qsm: ")
         assert says in lines[0]
+    else:
+        assert err == ""
 
 
 def test_measure_sweep_past_the_hole_cap_fails(monkeypatch, capsys):

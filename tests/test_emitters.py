@@ -15,6 +15,7 @@ from qsemimarkov import (
     to_json,
     to_svg,
 )
+from qsemimarkov import emitters
 
 
 def _table(**overrides):
@@ -153,3 +154,79 @@ def test_svg_degenerate_ranges_still_render():
 def test_svg_needs_a_series():
     with pytest.raises(DomainError):
         to_svg(_table(columns={"t": np.arange(4.0)}))
+
+
+# --------------------------------------- block formatting against per cell
+
+# the 12-digit edge: each pair straddles a rounding of the 12th digit, a
+# carry into a new decade, or %g's switch to exponent form (exponent < -4
+# or >= 12)
+_EDGES = [0.1234567890125, 0.1234567890135, 9.999999999995, 9.99999999999499,
+          999999999999.5, 999999999999.4, 1e12, 999999999999.9999, 1e-4,
+          9.99999999999e-5, 9.999999999995e-5, 123456789012.5, 2.5e-7,
+          1.0000000000005, 0.99999999999949]
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1e308, -1e308,
+            1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _values(n, seed=0):
+    """n values: the special and edge values with their float neighbours,
+    then random magnitudes over the whole float range, with both signs."""
+    base = np.array(_SPECIAL + _EDGES + [-v for v in _EDGES])
+    with np.errstate(over="ignore"):  # past the largest float is inf
+        near = np.concatenate([base, np.nextafter(base, np.inf),
+                               np.nextafter(base, -np.inf)])
+    rng = np.random.default_rng(seed)
+    rand = (rng.choice([-1.0, 1.0], n) * rng.random(n)
+            * 10.0 ** rng.integers(-320, 308, n))
+    return np.concatenate([near, rand])[:n]
+
+
+def _csv_per_cell(table):
+    """The CSV as it was formatted one cell per call."""
+    lines = to_csv(table).splitlines()
+    head = lines[:next(i for i, line in enumerate(lines)
+                       if not line.startswith("#")) + 1]
+    cols = [np.asarray(c, dtype=float) for c in table.columns.values()]
+    rows = [",".join("{:.12g}".format(v) for v in row) for row in zip(*cols)]
+    return "\n".join(head + rows) + "\n"
+
+
+def _json_per_value(table):
+    """The JSON as it was built one value per call."""
+    doc = json.loads(to_json(table))
+    doc["columns"] = {name: [float(v) if np.isfinite(v) else None
+                             for v in np.asarray(col, dtype=float)]
+                      for name, col in table.columns.items()}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [
+    (0, 1), (0, 3), (1, 1), (7, 1), (100, 3),
+    (emitters._BLOCK, 2), (2 * emitters._BLOCK + 1, 2)])
+def test_blocks_print_the_per_cell_bytes(n_rows, n_cols):
+    """CSV rows, JSON columns and SVG points equal those of the per-value
+    formatting on every special, subnormal, huge and rounding-edge value,
+    for an empty table, one column, and tables of one and of several
+    blocks."""
+    vals = _values(n_rows * n_cols).reshape(n_cols, n_rows)
+    table = _table(columns={f"c{j}": vals[j] for j in range(n_cols)})
+    csv = to_csv(table)
+    assert csv == _csv_per_cell(table)
+    assert to_json(table) == _json_per_value(table)
+    if n_cols < 2:
+        return
+    # the chart's data range must be finite: values past 1e300 shrink
+    big = np.isfinite(vals) & (np.abs(vals) >= 1e300)
+    vals = np.where(big, vals * 1e-10, vals)
+    svg = to_svg(_table(columns={f"c{j}": vals[j] for j in range(n_cols)}))
+    fmt = "{:.12g}".format
+    want = []
+    x = vals[0]
+    for y in vals[1:]:
+        ok = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+        runs = np.split(ok, np.flatnonzero(np.diff(ok) > 1) + 1)
+        want += [" ".join(f"{fmt(x[i])},{fmt(y[i])}" for i in run)
+                 for run in runs if run.size]
+    assert [poly.get("points") for poly in _polylines(svg)] == want

@@ -50,6 +50,15 @@ form: the old cells were about 1e-10 relative off a 40-digit oracle. The
 fixed-mode xi now matches that oracle to 2.2e-16 relative, and the
 min-mode xi matches the Choi route to 2.2e-11. Their headers and gamma_ref
 cells are unchanged.
+
+The SVG recipe goldens (``fig1.svg`` from ``rate``, ``fig2.svg`` from
+``measure``) and the help transcript (``cli_help.txt``: the text of
+``qsm --help`` and of every ``qsm <command> --help`` at ``COLUMNS=200``,
+with stdout, stderr and exit code of usage errors: an unknown command, a
+missing command, an unknown flag and bad flag values) were captured while
+the emitters still formatted one cell per call and the CLI built every
+command's flags for each run, before either changed. They pin both
+changes byte for byte.
 """
 
 import json
@@ -153,6 +162,37 @@ def test_recipe_golden_bytes(tmp_path, capsys, name, command, tol):
     _output(capsys, [command, "--config", str(recipe), "--format", "csv",
                      "--out", str(out)])
     _assert_golden(out.read_text(), (GOLDEN / name).read_text(), tol)
+
+
+@pytest.mark.parametrize("name, command", [("fig1.svg", "rate"),
+                                           ("fig2.svg", "measure")])
+def test_recipe_svg_golden_bytes(tmp_path, capsys, name, command):
+    recipe = Path(__file__).parent.parent / "recipes" / name.replace(".svg",
+                                                                     ".cfg")
+    out = tmp_path / name
+    _output(capsys, [command, "--config", str(recipe), "--out", str(out)])
+    assert out.read_text() == (GOLDEN / name).read_text()
+
+
+_COMMANDS = ("rate", "measure", "holevo", "blp", "divisibility",
+             "classical-sim", "kernel-check")
+
+
+def test_help_and_usage_errors_golden(capsys, monkeypatch):
+    """Every help text and the usage errors, byte for byte: exit code,
+    stdout and stderr of each call, in the order of ``cli_help.txt``."""
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps to the terminal
+    calls = [["--help"], *([command, "--help"] for command in _COMMANDS),
+             ["no-such-command"], [], ["--version"], ["--help", "rate"],
+             ["rate", "--no-such-flag"], ["blp", "--grid", "x"],
+             ["measure", "--mode", "max"]]
+    text = ""
+    for argv in calls:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        text += (f"$ qsm {' '.join(argv)}\n[exit {code}]\n"
+                 f"[stdout]\n{out}[stderr]\n{err}")
+    assert text == (GOLDEN / "cli_help.txt").read_text()
 
 
 @pytest.mark.parametrize("name, argv, tol", [

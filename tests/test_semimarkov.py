@@ -345,6 +345,16 @@ def test_array_p_holds_one_process_per_element():
         "DephasingSemiMarkov(s=1.0, p=3.0)"
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-300, 5e-324])
+def test_p_zero_is_the_semigroup_for_every_s(s):
+    """Also where s^2 underflows to 0: no 0/0 in 8p/s^2."""
+    proc = DephasingSemiMarkov(s=s, p=0.0)
+    assert proc.regime() == REGIME_SEMIGROUP
+    assert proc.w == 1.0
+    assert np.all(q_of_t(proc, [0.0, 1.0, 1e300]) == 1.0)
+    assert np.all(gamma_dephasing(proc, [0.0, 1.0]) == 0.0)
+
+
 @pytest.mark.parametrize("s", [1e200, 1e300, np.float64(1.4e154)])
 def test_s_whose_square_overflows_is_refused(s):
     with pytest.raises(DomainError, match="finite square"):
@@ -358,6 +368,18 @@ def test_superop_at_refuses_an_array_p():
     proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
     with pytest.raises(DomainError, match="one process, not an array p"):
         superop_at(proc, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda proc: map_at(proc, 1.0), id="map_at"),
+    pytest.param(lambda proc: proc.regime(), id="regime"),
+])
+@pytest.mark.parametrize("p", [[0.1, 3.0], [3.0]])
+def test_map_at_and_regime_refuse_an_array_p(call, p):
+    """Also an array of one element, as superop_at: the caller gets one
+    type of error, not numpy's TypeError or truth-value ValueError."""
+    with pytest.raises(DomainError, match="takes one process, not an array p"):
+        call(DephasingSemiMarkov(s=1.0, p=p))
 
 
 def test_dephasing_map_and_superop():
