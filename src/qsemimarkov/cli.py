@@ -40,11 +40,11 @@ from .errors import (
 )
 from .measures import (
     SSSConfig,
-    _sweep,
     blp_measure,
     cp_divisibility_scan,
     divisibility_boundary,
     holevo_curve,
+    sss_measure,
 )
 from .numerics import solve_volterra
 from .semimarkov import (
@@ -291,7 +291,7 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
                     excision=r.get("epsilon"), **ref)
     if kind == "nonunital":
         proc = NonUnitalSemiMarkov(rate=r.get("lambda"))
-        columns = {"lambda": np.array([proc.rate])}
+        columns = {"lambda": proc.rate}
     else:
         s, p = _dephasing(r, any(map(r.given, ("p", "lambda1", "lambda2"))))
         if p is None:
@@ -306,23 +306,21 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
         columns = {"p": p_values}
         proc = DephasingSemiMarkov(s, p_values)
     r.check_unread()
-    res = _sweep(proc, cfg)
-    columns.update(xi=res.xi, zeta=res.xi / (1.0 + res.xi),
-                   gamma_ref=res.gamma_ref)
-    meta: dict[str, object] = {}
+    res = sss_measure(proc, cfg)
+    columns.update(xi=res.xi, zeta=res.zeta, gamma_ref=res.gamma_ref)
+    choi = cfg.form == "choi"
+    meta = {"family_constant": res.family_constant} if choi else {}
     if kind == "dephasing":
         columns["cp_indivisible"] = (p_values > s**2 / 8.0).astype(float)
-    if cfg.form == "choi":
-        columns["xi_raw"] = res.raw
-        meta["family_constant"] = res.constant
-    if kind == "dephasing":
         meta["p_boundary"] = s**2 / 8.0
+    if choi:
+        columns["xi_raw"] = res.raw_average
     # [lo, hi, p]: only the dephasing family has poles to excise
-    lo, hi, row = res.holes
     meta["excised_intervals"] = (
-        np.column_stack([lo, hi, p_values[row]]).tolist()
+        np.column_stack([*res.excised[:2], p_values[res.excised[2]]]).tolist()
         if kind == "dephasing" else [])
-    return columns, meta
+    # the non-unital family gives one process's numbers
+    return {name: np.atleast_1d(col) for name, col in columns.items()}, meta
 
 
 def cmd_holevo(r: _Resolved) -> tuple[dict, dict]:

@@ -9,8 +9,8 @@ reported together with its bounded companion zeta = xi / (1 + xi). Two
 reference policies are supported: ``mode="fixed"`` scores against a given
 constant (default 0, the semigroup with no decay), while ``mode="min"``
 minimizes over all constants, which for an L1 cost means the time-median of
-gamma. :func:`sss_measure` computes xi for a process family by either of
-two routes, which must agree. ``form="rate"`` is exact:
+gamma. :func:`sss_measure` computes xi for one process or a sweep over p by
+either of two routes, which must agree. ``form="rate"`` is exact:
 gamma is a log-derivative, so between the kinks where gamma crosses the
 reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
@@ -24,9 +24,9 @@ here only, and both routes work on the same pieces, split at their kinks.
 The poles form a lattice of period P, and gamma has period P, so each p
 has three pieces whatever its horizon: the first, one full stretch between
 two poles, counted N - 1 times for N poles, and the last. A sweep over p is
-one batch of (p, piece) arrays of that fixed shape, and
-:func:`sss_measure` is that batch for one process. The excised intervals
-are listed for the output alone; their count over a sweep is capped.
+one batch of (p, piece) arrays of that fixed shape; one process is a batch
+of one row. The excised intervals are listed for the output alone; their
+count over a sweep is capped.
 
 Also provided: the trace-distance-revival measure over an optimal qubit pair,
 a CP-divisibility scan over intermediate maps, a closed-form bisection for
@@ -70,7 +70,6 @@ from .semimarkov import (
     NonUnitalSemiMarkov,
     _level_time,
     _log_abs_q,
-    _require_one,
     _zero_counts,
     _zero_time,
     _zero_times,
@@ -160,17 +159,20 @@ class MeasureResult:
     (value, error estimate, evaluation count). The rate route is exact and
     leaves all three None. ``kinks`` counts the times where gamma crosses
     the reference, the edges of the pieces on which the integrand is smooth.
+    For a sweep (a 1-d p) every per-process field holds one element per p,
+    ``quadrature`` one result per p, and ``excised`` the (lo, hi, row)
+    arrays of the holes, ``row`` indexing p.
     """
 
-    xi: float
-    zeta: float
-    gamma_ref: float
-    excised: tuple[tuple[float, float], ...]
+    xi: float | np.ndarray
+    zeta: float | np.ndarray
+    gamma_ref: float | np.ndarray
+    excised: tuple
     config: SSSConfig
     family_constant: float | None = None
-    raw_average: float | None = None
-    quadrature: QuadratureResult | None = None
-    kinks: int = 0
+    raw_average: float | np.ndarray | None = None
+    quadrature: QuadratureResult | tuple[QuadratureResult, ...] | None = None
+    kinks: int | np.ndarray = 0
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -234,25 +236,9 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
                         x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """The measure of each process of a sweep, element i of every array for
-    row i: ``xi``, ``gamma_ref``, ``kinks`` and, from the Choi route, the
-    average ``raw`` (NaN on the rate route) and ``quadrature`` (None
-    there). ``holes`` is the (lo, hi, row) triple of the excised intervals;
-    ``constant`` the Choi route's family constant."""
-
-    xi: np.ndarray
-    gamma_ref: np.ndarray
-    kinks: np.ndarray
-    holes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    raw: np.ndarray
-    quadrature: list[QuadratureResult | None]
-    constant: float | None
-
-
-def _sweep(proc, config: SSSConfig) -> _Sweep:
-    """Deviation measure of every process of a sweep, as one batch.
+def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
+    """Deviation measure of one process, or of every process of a sweep as
+    one batch, by the route the config names.
 
     ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``DephasingSemiMarkov``
     (a row per element of a float or 1-d p). Where p > s^2/8 the poles are a
@@ -285,6 +271,11 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
     (one per row where they merge), are listed for the output only, after
     their count over the whole sweep is checked against ``_MAX_POLES``.
 
+    A float p, or the non-unital family, gives Python numbers, and a 1-d p
+    an array per field: see ``MeasureResult``.
+
+    :raises DomainError: for another process type, or a p of 2 or more
+        dimensions.
     :raises Singularity: if gamma at a median, at a quadrature node, or
         Gamma at a piece end or kink is not finite, which happens only at a
         rate pole inside a tiny excision.
@@ -292,8 +283,13 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
         rate poles (``_zero_counts``), the rows more than ``_MAX_POLES``
         holes together, or the excision removes all of a row's horizon.
     """
-    T, eps = config.horizon, config.excision
+    config = config or SSSConfig()
     nonunital = isinstance(proc, NonUnitalSemiMarkov)
+    if not (nonunital or isinstance(proc, DephasingSemiMarkov)):
+        raise DomainError(f"unknown process type {type(proc)!r}")
+    if not nonunital and np.ndim(proc.p) > 1:
+        raise DomainError(f"p must be a float or 1-d, got {np.ndim(proc.p)}-d")
+    T, eps = config.horizon, config.excision
     n = 1 if nonunital else proc.branch.size
     counts = np.zeros(n, np.int64) if nonunital else _zero_counts(proc, T)
     level_time, period = _level_time(proc)
@@ -362,56 +358,42 @@ def _sweep(proc, config: SSSConfig) -> _Sweep:
         jump = big_gamma[..., 1:] - big_gamma[..., :-1]
         jump -= ref[:, None, None] * (phase[..., 1:] - phase[..., :-1])
         jump = mult[..., None] * np.abs(jump, out=jump)
-        return _Sweep(jump.reshape(n, -1).sum(axis=1) / T, ref, kinks, holes,
-                      np.full(n, np.nan), [None] * n, None)
-    generator = ProjectorGenerator if nonunital else DephasingGenerator
-    rate = gamma_nonunital if nonunital else gamma_dephasing
-    choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
-    constant = trace_norm(choi(1.0) - choi(0.0))
-    quads = []
-    for i in range(n):
-        one = proc if nonunital else proc.take(i)
-        chi_ref = choi(float(ref[i]))
-        starts, weights = lo[i, keep[i]], mult[i, keep[i]]
+        xi, raw, quads, constant = (jump.reshape(n, -1).sum(axis=1) / T,
+                                    None, None, None)
+    else:
+        generator = ProjectorGenerator if nonunital else DephasingGenerator
+        rate = gamma_nonunital if nonunital else gamma_dephasing
+        choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
+        constant = trace_norm(choi(1.0) - choi(0.0))
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            gamma = rate(one, t)
-            if not np.all(np.isfinite(gamma)):
-                raise Singularity("rate pole at t = "
-                                  f"{t[~np.isfinite(gamma)][0]:g}")
-            weight = weights[np.searchsorted(starts, t, side="right") - 1]
-            return weight * trace_norm(choi(gamma) - chi_ref)
+        def quad(i: int) -> QuadratureResult:
+            one = proc if nonunital else proc.take(i)
+            chi_ref = choi(float(ref[i]))
+            starts, weights = lo[i, keep[i]], mult[i, keep[i]]
 
-        quads.append(adaptive_quad(integrand, edges[i, keep[i], :-1].ravel(),
-                                   edges[i, keep[i], 1:].ravel()))
-    raw = np.array([quad.value for quad in quads]) / T
-    return _Sweep(raw / constant, ref, kinks, holes, raw, quads, constant)
+            def integrand(t: np.ndarray) -> np.ndarray:
+                gamma = rate(one, t)
+                if not np.all(np.isfinite(gamma)):
+                    raise Singularity("rate pole at t = "
+                                      f"{t[~np.isfinite(gamma)][0]:g}")
+                weight = weights[np.searchsorted(starts, t, side="right") - 1]
+                return weight * trace_norm(choi(gamma) - chi_ref)
 
+            return adaptive_quad(integrand, edges[i, keep[i], :-1].ravel(),
+                                 edges[i, keep[i], 1:].ravel())
 
-def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
-    """Deviation measure of a process family, by the route the config names.
-
-    A sweep of one process: see ``_sweep`` for both routes.
-
-    :raises Singularity: if gamma at the median, at a quadrature node, or
-        Gamma at a piece end or kink is not finite, which happens only at a
-        rate pole inside a tiny excision.
-    :raises GridError: if the horizon holds more rate poles than
-        ``coherence_zeros`` allows, or the excision removes all of it.
-    """
-    _require_one(proc, "sss_measure")
-    if not isinstance(proc, (DephasingSemiMarkov, NonUnitalSemiMarkov)):
-        raise DomainError(f"unknown process type {type(proc)!r}")
-    config = config or SSSConfig()
-    sweep = _sweep(proc, config)
-    xi = float(sweep.xi[0])
-    choi = config.form == "choi"
-    return MeasureResult(
-        xi=xi, zeta=xi / (1.0 + xi), gamma_ref=float(sweep.gamma_ref[0]),
-        excised=tuple(zip(sweep.holes[0].tolist(), sweep.holes[1].tolist())),
-        config=config, family_constant=sweep.constant,
-        raw_average=float(sweep.raw[0]) if choi else None,
-        quadrature=sweep.quadrature[0], kinks=int(sweep.kinks[0]))
+        quads = tuple(map(quad, range(n)))
+        raw = np.array([result.value for result in quads]) / T
+        xi = raw / constant
+    zeta = xi / (1.0 + xi)
+    if nonunital or not np.ndim(proc.p):  # one process: Python numbers
+        return MeasureResult(
+            xi[0].item(), zeta[0].item(), ref[0].item(),
+            tuple(zip(holes[0].tolist(), holes[1].tolist())), config,
+            constant, None if raw is None else raw[0].item(),
+            None if quads is None else quads[0], kinks[0].item())
+    return MeasureResult(xi, zeta, ref, holes, config, constant, raw, quads,
+                         kinks)
 
 
 @dataclass(frozen=True)

@@ -288,8 +288,15 @@ def q_of_t(proc: DephasingSemiMarkov, t):
     |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0, so it is
     clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
     phase x overflows, as e^{-st/2} is 0 there.
+
+    :raises DomainError: for an element whose 8p/s^2 overflows: |eta| is
+        inf there, so every phase, even at t = 0, would be 0 * inf.
     """
     s = proc.s
+    huge = np.isinf(proc.w)
+    if huge.any():
+        raise DomainError(f"8p/s^2 overflows at s = {s!r}, p = "
+                          f"{float(np.asarray(proc.p)[huge].flat[0])!r}")
 
     def boundary(p, w, t):
         x = s * t / 2
@@ -580,6 +587,7 @@ class ClassicalSimResult:
 
 
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
+_MAX_RENEWALS = 10**8      # expected renewal steps of a run: about 15 s
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -648,12 +656,24 @@ def _philox_uniforms(seed: int, paths: np.ndarray, start_step: int,
     return words * 2.0**-53
 
 
+def _mean_wait(wtd) -> float:
+    """Mean wait: 1/rate, 1/rate1 + 1/rate2, or pi/(2 rate) for tanh-sech;
+    inf where a tiny rate's reciprocal overflows."""
+    if isinstance(wtd, ExpConvolutionWTD):  # Python floats: no warning
+        return 1.0 / float(wtd.rate1) + 1.0 / float(wtd.rate2)
+    return (np.pi / 2 if isinstance(wtd, TanhSechWTD) else 1.0) / float(wtd.rate)
+
+
 def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
-    """Map uniforms of shape (..., per_step) to waits via the inverse CDF."""
-    if isinstance(wtd, ExpConvolutionWTD):
-        return (-np.log1p(-u[..., 0]) / wtd.rate1
-                - np.log1p(-u[..., 1]) / wtd.rate2)
-    return wtd.inverse_cdf(u[..., 0])
+    """Map uniforms of shape (..., per_step) to waits via the inverse CDF.
+
+    A wait that overflows is inf: that path never jumps again.
+    """
+    with np.errstate(over="ignore"):
+        if isinstance(wtd, ExpConvolutionWTD):
+            return (-np.log1p(-u[..., 0]) / wtd.rate1
+                    - np.log1p(-u[..., 1]) / wtd.rate2)
+        return wtd.inverse_cdf(u[..., 0])
 
 
 def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
@@ -720,6 +740,8 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     :param seed: required 64-bit seed (0 <= seed < 2**64).
     :return: ``ClassicalSimResult`` on a uniform grid of ``n_times`` points
         spanning [0, t_max], with binomial standard errors.
+    :raises GridError: before any path is walked, if the expected renewal
+        steps, n_paths (t_max / (mean wait) + 1), exceed ``_MAX_RENEWALS``.
     """
     if not 0.0 <= jump_prob <= 1.0:
         raise DomainError(f"jump probability {jump_prob!r} outside [0, 1]")
@@ -733,6 +755,11 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
         raise DomainError("seed must fit in an unsigned 64-bit integer")
 
     n_paths = int(n_paths)
+    # waits a path draws: those before t_max, and the one that passes it
+    renewals = n_paths * (float(t_max) / _mean_wait(wtd) + 1.0)
+    if not renewals <= _MAX_RENEWALS:  # also where t_max / mean is inf
+        raise GridError(f"about {renewals:.3g} renewal steps over {n_paths} "
+                        f"paths exceed the cap of {_MAX_RENEWALS:.0e}")
     times = np.linspace(0.0, float(t_max), int(n_times))
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
     chunk = max(1, _CHUNK_UNIFORMS // (4 * per_step))

@@ -19,7 +19,7 @@ from qsemimarkov import (
     measures,
     q_of_t,
 )
-from qsemimarkov import measures
+from qsemimarkov import measures, semimarkov
 from qsemimarkov.cli import build_parser, run
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
@@ -723,17 +723,31 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
     (["measure", "--s", "1e-300", "--p", "0"], 0, ""),
     (["measure", "--gamma-ref", "1e308", "--form", "choi"], 3,
      "integrand is not finite"),
+    (["holevo", "--s", "1e-300", "--grid", "3"], 2, "8p/s^2 overflows"),
+    (["blp", "--p", "1e308"], 2, "8p/s^2 overflows at s = 1.0, p = 1e+308"),
+    (["divisibility", "--s", "1e-300", "--p", "2", "--grid", "3"], 2,
+     "8p/s^2 overflows at s = 1e-300, p = 2.0"),
+    (["kernel-check", "--s", "1e-300", "--p", "2"], 2, "8p/s^2 overflows"),
+    (["classical-sim", "--seed", "1", "--paths", "1000", "--lambda1",
+      "1e-320"], 0, ""),
+    (["classical-sim", "--seed", "1", "--paths", "1000", "--wtd",
+      "exponential", "--lambda", "1e-320"], 0, ""),
 ], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
         "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
-        "rate-tiny-s-p0", "measure-tiny-s-p0", "measure-huge-ref-choi"])
+        "rate-tiny-s-p0", "measure-tiny-s-p0", "measure-huge-ref-choi",
+        "holevo-tiny-s", "blp-huge-p", "divisibility-tiny-s",
+        "kernel-check-tiny-s", "classical-sim-tiny-rate",
+        "classical-sim-tiny-exponential-rate"])
 def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     """In process, where the test run turns warnings into errors: an s whose
     square overflows is refused where the process is built; where 8p/s^2
-    overflows, p is on the oscillating branch with |eta| = inf and its pole
-    count is refused; p = 0 is the semigroup also where s^2 underflows; a
-    huge reference rate is reached at a pole or never, and on the Choi
-    route its trace norms overflow to inf, which the quadrature refuses."""
+    overflows, p is on the oscillating branch with |eta| = inf, so its pole
+    count is refused, and so is any q(t) of it, as every phase would be
+    0 * inf; p = 0 is the semigroup also where s^2 underflows; a huge
+    reference rate is reached at a pole or never, and on the Choi route its
+    trace norms overflow to inf, which the quadrature refuses. A tiny jump
+    rate makes an infinite wait: the path never jumps again."""
     got, out, err = _run(capsys, argv)
     assert got == code, err
     if code:
@@ -742,6 +756,28 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
         assert says in lines[0]
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--wtd", "exponential", "--lambda", "1e308"],
+    ["--wtd", "exponential", "--lambda", "1e5", "--paths", "1000"],
+    ["--wtd", "tanhsech", "--lambda", "1e308"],
+    ["--lambda1", "1e308", "--lambda2", "1e308"],
+    ["--lambda1", "1e-320", "--paths", "100000001"],  # one wait per path
+], ids=["exponential-huge", "exponential-1e5", "tanhsech-huge",
+        "expconv-huge", "many-paths-that-never-jump"])
+def test_classical_sim_past_the_renewal_cap_fails_before_walking(
+        monkeypatch, capsys, argv):
+    # n_paths (t_max / (mean wait) + 1) renewal steps: 2e308 would never
+    # end, and 2e8 takes about 30 s; both are refused before any path is
+    # walked
+    monkeypatch.setattr(semimarkov, "_walk",
+                        lambda *args: pytest.fail("a path was walked"))
+    code, out, err = _run(capsys, ["classical-sim", "--seed", "1", *argv])
+    lines = err.splitlines()
+    assert code == 3 and out == "" and len(lines) == 1
+    assert lines[0].startswith("qsm: ") and "renewal steps" in lines[0]
+    assert f"cap of {semimarkov._MAX_RENEWALS:.0e}" in lines[0]
 
 
 def test_measure_sweep_past_the_hole_cap_fails(monkeypatch, capsys):

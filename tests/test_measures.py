@@ -1,6 +1,7 @@
 """Deviation-from-semigroup measure, revival measure, divisibility, Holevo."""
 
 import decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,11 +58,14 @@ def test_config_validation():
 def test_one_process_measures_refuse_an_array_p():
     proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
     ts = np.linspace(0.0, 1.0, 5)
-    for measure in (lambda: sss_measure(proc), lambda: blp_measure(proc, 1.0),
+    for measure in (lambda: blp_measure(proc, 1.0),
                     lambda: holevo_curve(proc, ts),
                     lambda: cp_divisibility_scan(proc, ts)):
         with pytest.raises(DomainError, match="one process"):
             measure()
+    # a 1-d p is a sweep; a 2-d p is neither one process nor a sweep
+    with pytest.raises(DomainError, match="float or 1-d, got 2-d"):
+        sss_measure(DephasingSemiMarkov(s=1.0, p=[[0.1, 3.0]]))
 
 
 # ------------------------------------------------------- rate form, fixed ref
@@ -356,6 +360,85 @@ def test_fixed_measure_matches_40_digit_oracle_on_the_pole_lattice(
     assert xi == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
+def _min_mode_oracle(s, p, T, eps):
+    """(xi_min, gamma_ref) of min mode on the pole lattice, in 40 digits.
+
+    The median phase solves sum_i m_i clip(phi - start_i, 0, len_i) = L/2
+    exactly, with the three pieces moved onto the first branch (the first,
+    the full one counted N - 1 times, the last); the median rate is the
+    closed-form gamma there. Above pole j, gamma equals it at the level
+    time 2/k (arctan((4r - s)/k) + arctan(s/k)) + j P, k = s|eta|, and
+    xi_min sums |Gamma(b) - Gamma(a) - r (b - a)| over every retained piece
+    of [0, T], split there.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        sd, pd, td, ed = (decimal.Decimal(x) for x in (s, p, T, eps))
+        w = (8 * pd / sd**2 - 1).sqrt()
+        k = sd * w
+        theta, period = _atan(w), 2 * _PI_60 / k
+
+        def big_gamma(t):
+            sin_x, cos_x = _sin_cos(k * t / 2)
+            return sd * t / 4 - abs(cos_x + sin_x / w).ln() / 2
+
+        n = int((k * td / 2 + theta) / _PI_60)
+        poles = [2 * (j * _PI_60 - theta) / k for j in range(1, n + 1)]
+        start = poles[0] - period + ed  # of a full piece and the last
+        pieces = [(start, size, m) for start, size, m in (
+            (decimal.Decimal(0), poles[0] - ed, 1),
+            (start, period - 2 * ed, n - 1),
+            (start, td - poles[-1] - ed, 1)) if size > 0 and m > 0]
+        half = sum(m * size for _, size, m in pieces) / 2
+
+        def below(phase):
+            return sum(m * min(max(phase - a, 0), size)
+                       for a, size, m in pieces)
+
+        nodes = sorted({x for a, size, _ in pieces for x in (a, a + size)})
+        lo, hi = next((lo, hi) for lo, hi in zip(nodes, nodes[1:])
+                      if below(hi) >= half)  # below is linear in between
+        phase = lo + (half - below(lo)) * (hi - lo) / (below(hi) - below(lo))
+        sin_x, cos_x = _sin_cos(k * phase / 2)
+        ref = max(2 * pd * sin_x / (sd * (w * cos_x + sin_x)), 0)
+        level = 2 / k * (_atan((4 * ref - sd) / k) + _atan(sd / k))
+        ends = [decimal.Decimal(0)]
+        for pole in poles:
+            ends += [pole - ed, pole + ed]
+        ends.append(td)
+        total = decimal.Decimal(0)
+        for j, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
+            if a < b:
+                cuts = [a, *[t for t in [level + j * period] if a < t < b], b]
+                values = [big_gamma(t) - ref * t for t in cuts]
+                total += sum(abs(y - x) for x, y in zip(values, values[1:]))
+        return float(total / td), float(ref)
+
+
+@pytest.mark.parametrize("T", [20.0, 60.0, 3000.0])
+def test_min_measure_matches_40_digit_oracle_on_the_pole_lattice(T):
+    # measured: both within 2e-15 relative (xi within 2e-16)
+    xi, ref = _min_mode_oracle(1.0, 3.0, T, 1e-6)
+    result = sss_measure(DephasingSemiMarkov(s=1.0, p=3.0),
+                         SSSConfig(horizon=T, mode="min", excision=1e-6))
+    assert result.xi == pytest.approx(xi, rel=1e-14, abs=0.0)
+    assert result.gamma_ref == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_min_sweep_golden_matches_40_digit_oracle():
+    # the cells print 12 digits, so each is within 5e-12 relative of the
+    # oracle; p = 0 has no pole and no memory
+    lines = (Path(__file__).parent / "golden" / "measure_poles_min.csv"
+             ).read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0][:4] == ["p", "xi", "zeta", "gamma_ref"]
+    for p, xi, _, ref, _ in rows[2:]:
+        oracle_xi, oracle_ref = _min_mode_oracle(1.0, float(p), 60.0, 1e-6)
+        assert float(xi) == pytest.approx(oracle_xi, rel=1e-11, abs=0.0), p
+        assert float(ref) == pytest.approx(oracle_ref, rel=1e-11, abs=0.0), p
+    assert rows[1] == ["0"] * 5 and len(rows) == 12
+
+
 # ---------------------------------------------- oracles for the closed forms
 
 _ORACLE_P = [0.1, 0.125, 0.5, 2.5, 3.0, 3.5]
@@ -525,46 +608,61 @@ _T_IN_A_HOLE = (2.0 * (22 * np.pi - np.arctan(np.sqrt(23.0))) / np.sqrt(23.0)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "min"])
-@pytest.mark.parametrize("T, excision, ps, poles", [
+@pytest.mark.parametrize("T, excision, ps, poles, form", [
     # p = 0, p = s^2/8, the real branch, and 0, 1, 22 and 28 rate poles
     (_T_IN_A_HOLE, 0.01, [0.0, 0.125, 0.05, 0.126, 0.14, 3.0, 5.0, 0.1],
-     [0, 0, 0, 0, 1, 22, 28, 0]),
+     [0, 0, 0, 0, 1, 22, 28, 0], "rate"),
     # 2 eps = 8 exceeds the period 2 pi of p = 1/4, so its holes merge
-    (30.0, 4.0, [0.0, 0.125, 0.05, 0.126, 0.13, 0.25], [0, 0, 0, 0, 1, 5]),
+    (30.0, 4.0, [0.0, 0.125, 0.05, 0.126, 0.13, 0.25], [0, 0, 0, 0, 1, 5],
+     "rate"),
     # 0.004 past the first pole of p = 3, inside its hole
     (_T_IN_A_HOLE - 21 * 2.0 * np.pi / np.sqrt(23.0), 0.01,
-     [3.0, 0.1, 5.0, 30.0], [1, 0, 1, 2]),
-    (2.0, 1e-6, [], []),  # the non-unital family, rate 1, has no poles
-], ids=["T-in-a-hole", "merged-holes", "T-in-the-first-hole", "non-unital"])
-def test_sweep_rows_equal_single_measures(T, excision, ps, poles, mode):
+     [3.0, 0.1, 5.0, 30.0], [1, 0, 1, 2], "rate"),
+    (2.0, 1e-6, [], [], "rate"),  # the non-unital family, rate 1, has no poles
+    # the Choi route: one quadrature per row
+    (3.0, 1e-3, [0.0, 0.125, 0.05, 0.126, 0.14, 5.0], [0, 0, 0, 0, 0, 3],
+     "choi"),
+    (_T_IN_A_HOLE - 21 * 2.0 * np.pi / np.sqrt(23.0), 0.01,
+     [3.0, 0.1, 5.0, 30.0], [1, 0, 1, 2], "choi"),
+], ids=["T-in-a-hole", "merged-holes", "T-in-the-first-hole", "non-unital",
+        "choi", "choi-T-in-the-first-hole"])
+def test_sweep_rows_equal_single_measures(T, excision, ps, poles, form, mode):
     # the p list leaves and re-enters the branches of eta; each row keeps
     # the bits it has alone
-    config = SSSConfig(horizon=T, excision=excision, mode=mode,
+    config = SSSConfig(horizon=T, excision=excision, mode=mode, form=form,
                        gamma_ref=0.3)
-    if ps:
-        procs = [DephasingSemiMarkov(s=1.0, p=p) for p in ps]
-        sweep = measures._sweep(DephasingSemiMarkov(1.0, ps), config)
-    else:
-        procs = [NonUnitalSemiMarkov(rate=1.0)]
-        sweep = measures._sweep(procs[0], config)
-    lo, hi, row = sweep.holes
-    for i, proc in enumerate(procs):
-        if ps:
-            assert coherence_zeros(proc, T).size == poles[i]
+    if not ps:  # one process: Python numbers, as for a float p
+        one = sss_measure(NonUnitalSemiMarkov(rate=1.0), config)
+        assert one.excised == () and one.kinks == 1
+        assert type(one.xi) is float and type(one.kinks) is int
+        return
+    sweep = sss_measure(DephasingSemiMarkov(1.0, ps), config)
+    lo, hi, row = sweep.excised
+    for i, p in enumerate(ps):
+        proc = DephasingSemiMarkov(s=1.0, p=p)
+        assert coherence_zeros(proc, T).size == poles[i]
         one = sss_measure(proc, config)
         xi = sweep.xi[i]
         assert [_bits(x) for x in (xi, xi / (1.0 + xi), sweep.gamma_ref[i])] \
             == [_bits(x) for x in (one.xi, one.zeta, one.gamma_ref)], proc
+        assert _bits(sweep.zeta[i]) == _bits(one.zeta)
         assert sweep.kinks[i] == one.kinks
         excised = tuple(zip(lo[row == i].tolist(), hi[row == i].tolist()))
         assert [tuple(map(_bits, h)) for h in excised] \
             == [tuple(map(_bits, h)) for h in one.excised]
+        if form == "choi":
+            assert [_bits(x) for x in sweep.quadrature[i][:2]] \
+                == [_bits(x) for x in one.quadrature[:2]]
+            assert sweep.quadrature[i].evaluations \
+                == one.quadrature.evaluations > 0
+            assert _bits(sweep.raw_average[i]) == _bits(one.raw_average)
+        else:
+            assert sweep.quadrature is one.quadrature is None
+    assert sweep.family_constant == one.family_constant
     if 3.0 in ps:  # the horizon ends inside the last hole of p = 3
         assert hi[row == ps.index(3.0)][-1] == T
     if 0.25 in ps:  # the five holes of p = 1/4 merged into one
         assert np.count_nonzero(row == ps.index(0.25)) == 1
-    if not ps:
-        assert row.size == 0 and sweep.kinks[0] == 1
 
 
 def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
@@ -572,7 +670,7 @@ def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
     with pytest.raises(GridError, match="entire horizon"):
         sss_measure(DephasingSemiMarkov(s=1.0, p=3.0), config)
     with pytest.raises(GridError, match="entire horizon"):
-        measures._sweep(DephasingSemiMarkov(1.0, [0.25, 3.0, 0.1]), config)
+        sss_measure(DephasingSemiMarkov(1.0, [0.25, 3.0, 0.1]), config)
 
 
 def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
@@ -581,7 +679,7 @@ def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
     monkeypatch.setattr(measures, "_zero_times",
                         lambda *args: pytest.fail("a pole was listed"))
     with pytest.raises(GridError, match="cap"):
-        measures._sweep(DephasingSemiMarkov(1.0, [0.0, 0.13, 3.0]),
+        sss_measure(DephasingSemiMarkov(1.0, [0.0, 0.13, 3.0]),
                         SSSConfig(horizon=1e7))
 
 
@@ -591,16 +689,16 @@ def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
     config = SSSConfig(horizon=_T_IN_A_HOLE, excision=0.01)
     rows = DephasingSemiMarkov(1.0, [3.0, 0.1, 5.0])
     monkeypatch.setattr(measures, "_MAX_POLES", 50)
-    assert measures._sweep(rows, config).holes[2].size == 50
+    assert sss_measure(rows, config).excised[2].size == 50
     monkeypatch.setattr(measures, "_MAX_POLES", 49)
     monkeypatch.setattr(measures, "_zero_times",
                         lambda *args: pytest.fail("a hole was listed"))
     with pytest.raises(GridError, match="50 excised intervals .* cap of 49"):
-        measures._sweep(rows, config)
+        sss_measure(rows, config)
     # merged holes count once: the five of p = 1/4 at eps = 4
     monkeypatch.setattr(measures, "_MAX_POLES", 1)
     with pytest.raises(GridError, match="2 excised intervals"):
-        measures._sweep(DephasingSemiMarkov(1.0, [0.25, 0.25]),
+        sss_measure(DephasingSemiMarkov(1.0, [0.25, 0.25]),
                         SSSConfig(horizon=30.0, excision=4.0))
 
 

@@ -1,6 +1,7 @@
 """Waiting-time distributions, coherence factors, rates, maps, kernels."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,18 @@ def test_p_zero_is_the_semigroup_for_every_s(s):
     assert proc.w == 1.0
     assert np.all(q_of_t(proc, [0.0, 1.0, 1e300]) == 1.0)
     assert np.all(gamma_dephasing(proc, [0.0, 1.0]) == 0.0)
+
+
+@pytest.mark.parametrize("s, p", [(1e-300, 2.0), (1.0, 1e308)])
+def test_q_refuses_a_p_whose_8p_by_s2_overflows(s, p):
+    """|eta| is inf there, so the phase at t = 0 would be 0 * inf: q(0)
+    came out 0, not 1. An array p is refused at its first such element."""
+    says = re.escape(f"8p/s^2 overflows at s = {s!r}, p = {p!r}")
+    with pytest.raises(DomainError, match=says):
+        q_of_t(DephasingSemiMarkov(s=s, p=p), 0.0)
+    with pytest.raises(DomainError, match=says):
+        q_of_t(DephasingSemiMarkov(s=s, p=[0.0, p, p / 2]), [0.0, 1.0])
+    assert q_of_t(DephasingSemiMarkov(s=s, p=0.0), 0.0) == 1.0
 
 
 @pytest.mark.parametrize("s", [1e200, 1e300, np.float64(1.4e154)])
