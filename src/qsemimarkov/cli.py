@@ -3,9 +3,10 @@
 Grammar: ``qsm <command> [flags]`` with commands rate, measure, holevo, blp,
 divisibility, classical-sim, kernel-check. ``_DEFAULTS`` names each command's
 flags and their defaults, ``_FLAGS`` each flag's type and help line; the
-subparsers, ``--help`` and every default a command uses come from them. The
-dephasing family takes ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2,
-p = l1 l2), the non-unital family ``--lambda``.
+subparsers, ``--help`` and every default a command uses come from them, for
+the chosen command alone, which registers only the flags some mode of it
+reads. Dephasing takes ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2,
+p = l1 l2); ``measure --family nonunital`` takes ``--lambda``.
 
 Commands read their settings through ``_Resolved.get``. Before computing, a
 command refuses every given flag it did not read, so each spelling and mode
@@ -98,29 +99,28 @@ _BOOL_FLAGS = {flag for flag, (kind, _) in _FLAGS.items() if kind is bool}
 
 # read by run() itself, so no command reads them
 _OUTPUT = {"format": "csv", "out": None, "config": None}
-_FAMILY = {"family": "dephasing", "s": 1.0, "p": 3.0, "lambda1": None,
-           "lambda2": None, "lambda": None}
+_RATES = {"s": 1.0, "p": 3.0, "lambda1": None, "lambda2": None}
 
 # command -> {flag: default}; "command --switch" overrides defaults in that
 # mode. None means no default: the flag is optional, or required. A result
 # echoes the flags it read in this order.
 _DEFAULTS: dict[str, dict[str, object]] = {
-    "rate": {**_FAMILY, "t-max": 6.0, "grid": 500, **_OUTPUT},
+    "rate": {**_RATES, "t-max": 6.0, "grid": 500, **_OUTPUT},
     "measure": {"family": "dephasing", "T": 1.0, "mode": "paper",
                 "form": "rate", "gamma-ref": 0.0, "epsilon": 1e-6,
-                "gamma-max": None, **_FAMILY, "p": None, "lambda": 1.0,
+                "gamma-max": None, **_RATES, "p": None, "lambda": 1.0,
                 "p-min": 0.0, "p-max": 0.5, "p-points": 51, **_OUTPUT},
-    "holevo": {**_FAMILY, "p": None, "p-list": "2,0.1,0.01", "t-max": 6.0,
-               "grid": 500, **_OUTPUT},
-    "blp": {**_FAMILY, "t-max": 10.0, "grid": 2001, **_OUTPUT},
-    "divisibility": {**_FAMILY, "t-max": 10.0, "grid": 1000, "p-tol": 1e-4,
+    "holevo": {"s": 1.0, "p-list": "2,0.1,0.01", "t-max": 6.0, "grid": 500,
+               **_OUTPUT},
+    "blp": {**_RATES, "t-max": 10.0, "grid": 2001, **_OUTPUT},
+    "divisibility": {**_RATES, "t-max": 10.0, "grid": 1000, "p-tol": 1e-4,
                      "boundary-search": False, "p-min": 0.05, "p-max": 0.4,
                      **_OUTPUT},
     "divisibility --boundary-search": {"t-max": 60.0, "grid": 1200},
     "classical-sim": {"wtd": "expconv", "lambda1": 1.0, "lambda2": 2.0,
                       "lambda": 1.0, "jump-prob": 1.0, "paths": 100_000,
                       "seed": None, "t-max": 2.0, "grid": 41, **_OUTPUT},
-    "kernel-check": {**_FAMILY, "p": 0.1, "dt": 1e-3, "t-max": 5.0,
+    "kernel-check": {**_RATES, "p": 0.1, "dt": 1e-3, "t-max": 5.0,
                      **_OUTPUT},
 }
 
@@ -139,7 +139,7 @@ def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The qsm parser: every command with its help line, and the flags of
-    ``command`` alone, or of every command when it is None."""
+    ``command`` alone (of none when it is None)."""
     parser = argparse.ArgumentParser(
         prog="qsm",
         description="Quantum semi-Markov dynamics: rates, maps, and "
@@ -151,7 +151,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
     for name, cmd in _DISPATCH.items():
-        chosen = command in (None, name)  # the others get no flags, not -h
+        chosen = name == command  # the others get no flags, not -h
         p = sub.add_parser(name, help=cmd.__doc__, add_help=chosen)
         if not chosen:
             continue
@@ -236,19 +236,17 @@ class _Resolved:
                              f"{', '.join(unread)} with the flags given")
 
 
-def _dephasing(r: _Resolved, rates: bool = True) -> tuple[float, float | None]:
+def _dephasing(r: _Resolved) -> tuple[float, float]:
     """(s, p) of a dephasing process: from --lambda1/--lambda2 when either
-    is given, else from --s and, when ``rates``, --p (else p is None)."""
-    _require(r.get("family") == "dephasing",
-             f"{r.args.command} is defined for the dephasing family")
-    if rates and (r.given("lambda1") or r.given("lambda2")):
+    is given, else from --s and --p."""
+    if r.given("lambda1") or r.given("lambda2"):
         _require(r.given("lambda1") and r.given("lambda2"),
                  "--lambda1 and --lambda2 must be given together")
         l1, l2 = r.get("lambda1"), r.get("lambda2")
         # echoed as s and p, so both spellings print the same bytes
         r.values.update(lambda1=None, lambda2=None, s=l1 + l2, p=l1 * l2)
         return r.values["s"], r.values["p"]
-    return r.get("s"), (r.get("p") if rates else None)
+    return r.get("s"), r.get("p")
 
 
 def _positive(name: str, value: float) -> float:
@@ -293,16 +291,17 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
         proc = NonUnitalSemiMarkov(rate=r.get("lambda"))
         columns = {"lambda": proc.rate}
     else:
-        s, p = _dephasing(r, any(map(r.given, ("p", "lambda1", "lambda2"))))
-        if p is None:
+        if any(map(r.given, ("p", "lambda1", "lambda2"))):
+            s, p = _dephasing(r)
+            p_values = np.array([p])
+        else:
+            s = r.get("s")
             p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
             _require(1 <= n_p <= _MAX_GRID,
                      f"--p-points must be in [1, {_MAX_GRID}], got {n_p}")
             _require(0.0 <= p_lo <= p_hi < np.inf, "need 0 <= --p-min <= "
                      f"--p-max < inf, got {p_lo!r} and {p_hi!r}")
             p_values = np.linspace(p_lo, p_hi, n_p)
-        else:
-            p_values = np.array([p])
         columns = {"p": p_values}
         proc = DephasingSemiMarkov(s, p_values)
     r.check_unread()
@@ -325,7 +324,7 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
 
 def cmd_holevo(r: _Resolved) -> tuple[dict, dict]:
     """Holevo information curves"""
-    s, _ = _dephasing(r, rates=False)
+    s = r.get("s")
     raw_list = r.get("p-list")
     try:
         p_values = [float(tok) for tok in raw_list.split(",") if tok.strip()]
@@ -358,12 +357,10 @@ def cmd_blp(r: _Resolved) -> tuple[dict, dict]:
 
 def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
     """CP-divisibility scan or boundary search"""
-    search = r.get("boundary-search")
-    if search:
+    if r.get("boundary-search"):
         r.defaults.update(_DEFAULTS["divisibility --boundary-search"])
-    s, p = _dephasing(r, rates=not search)
-    t_max, n = _time_grid(r)
-    if search:
+        s = r.get("s")
+        t_max, n = _time_grid(r)
         bracket = (r.get("p-min"), r.get("p-max"))
         p_tol = _positive("--p-tol", r.get("p-tol"))
         r.check_unread()
@@ -373,7 +370,8 @@ def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
                  "p_low": np.array([est.p_low]),
                  "p_high": np.array([est.p_high])},
                 {"p_boundary_estimate": est.p_estimate})
-    proc = DephasingSemiMarkov(s=s, p=p)
+    proc = DephasingSemiMarkov(*_dephasing(r))
+    t_max, n = _time_grid(r)
     r.check_unread()
     report = cp_divisibility_scan(proc, np.linspace(0.0, t_max, n))
     # NaN (singular) steps compare False: they never violate
@@ -407,10 +405,10 @@ def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
         columns[f"occupation{site}"] = sim.occupation[site]
         columns[f"occupation{site}_se"] = sim.occupation_se[site]
     # where every path agrees the empirical SE is 0; the binomial SE of the
-    # exact survival keeps the ratio meaningful there
+    # exact survival keeps the ratio meaningful there. A NaN gap stays NaN
     gap = np.abs(sim.survival - exact)
     se = np.maximum(sim.survival_se, np.sqrt(exact * (1.0 - exact) / n_paths))
-    err = np.divide(gap, se, out=np.zeros_like(gap), where=gap > 0.0)
+    err = np.divide(gap, se, out=np.zeros_like(gap), where=gap != 0.0)
     return columns, {"max_survival_error_se": float(np.max(err))}
 
 

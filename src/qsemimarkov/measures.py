@@ -299,7 +299,6 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     shift, mult = np.zeros((2, n, 3))
     mult[:, 0] = 1.0
     merged = np.zeros(n, dtype=bool)
-    edge_gamma = np.zeros(n)  # Gamma - s t/4 at the excision edges
     if has.any():
         w, N, P = proc.w.reshape(n)[has], counts[has], period.reshape(n)[has]
         k = np.multiply.outer(N, [0, 0, 1]) + [1, 2, 0]
@@ -310,8 +309,6 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         merged[has] = 2.0 * eps >= P
         mult[has, 1] = (N - 1) * ~merged[has]
         mult[has, 2] = 1.0
-        edge_gamma[has] = -0.5 * np.log(  # A |sin delta|
-            np.hypot(1.0, 1.0 / w) * np.abs(np.sin(0.5 * proc.s * eps * w)))
     per_row = counts.copy()
     per_row[merged] = 1
     if per_row.sum() > _MAX_POLES:
@@ -343,6 +340,12 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         big_gamma = np.zeros(phase.shape)
         at_edge = np.zeros(phase.shape, dtype=bool)
         if has.any():
+            # Gamma - s t/4 at the excision edges, -(1/2) ln(A |sin delta|):
+            # after the horizon check, so a huge eps never reaches sin
+            edge_gamma = np.zeros(n)
+            delta = 0.5 * proc.s * eps * w
+            edge_gamma[has] = -0.5 * np.log(np.hypot(1.0, 1.0 / w)
+                                            * np.abs(np.sin(delta)))
             at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
             at_edge[..., 1] = ((at_edge[..., 0] & (cut == lo))
                                | (at_edge[..., 2] & (cut == hi)))

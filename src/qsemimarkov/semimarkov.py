@@ -60,6 +60,12 @@ __all__ = [
 _PAULI_Z = np.diag([1.0, -1.0])
 _BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
 _COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
+# ln q is log1p of q's Taylor series where R |t| <= _SERIES_REACH, with
+# R = max(s, sqrt(2p)) >= |r| for both roots of r^2 + s r + 2p = 0. There
+# |c_k t^k| <= 2p t^2 (k - 1) (R|t|)^(k-2) / k! and |q - 1| >= 0.8 p t^2, so
+# the first term dropped, k = _SERIES_TERMS, is below 3e-28 of q - 1
+_SERIES_REACH = 0.25
+_SERIES_TERMS = 20
 _MAX_POLES = 10**6          # zeros per coherence_zeros, holes per sweep
 
 
@@ -100,7 +106,9 @@ class ExpConvolutionWTD:
 
     For rate1 == rate2 == r the density is the Erlang-2 limit r^2 t e^{-rt};
     otherwise the difference of exponentials is evaluated via expm1 so nearly
-    equal rates do not lose precision to cancellation.
+    equal rates do not lose precision to cancellation. Both forms are
+    symmetric in the rates; the smaller one, a, takes the prefactor
+    e^{-a t}, so the expm1 argument is never positive and cannot overflow.
     """
 
     rate1: float
@@ -117,20 +125,22 @@ class ExpConvolutionWTD:
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        diff = self.rate2 - self.rate1
+        slow, fast = sorted((self.rate1, self.rate2))
+        diff = fast - slow
         if diff == 0.0:
-            return self.rate1**2 * t * np.exp(-self.rate1 * t)
-        return (self.rate_product / diff) * np.exp(-self.rate1 * t) * (
+            return slow**2 * t * np.exp(-slow * t)
+        return (self.rate_product / diff) * np.exp(-slow * t) * (
             -np.expm1(-diff * t)
         )
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        diff = self.rate2 - self.rate1
+        slow, fast = sorted((self.rate1, self.rate2))
+        diff = fast - slow
         if diff == 0.0:
-            return (1.0 + self.rate1 * t) * np.exp(-self.rate1 * t)
-        return np.exp(-self.rate1 * t) * (
-            1.0 + (self.rate1 / diff) * (-np.expm1(-diff * t))
+            return (1.0 + slow * t) * np.exp(-slow * t)
+        return np.exp(-slow * t) * (
+            1.0 + (slow / diff) * (-np.expm1(-diff * t))
         )
 
     def inverse_cdf(self, u):
@@ -316,20 +326,35 @@ def q_of_t(proc: DephasingSemiMarkov, t):
         return np.clip(_by_branch(proc, t, (boundary, real, imag)), -1.0, 1.0)
 
 
+def _log_q_series(s: float, p, t):
+    """ln q(t) = log1p(sum_{k>=2} c_k t^k), from q'' + s q' + 2p q = 0 with
+    q(0) = 1 and q'(0) = 0: c_0 = 1, c_1 = 0 and
+    c_{k+2} = -(s (k+1) c_{k+1} + 2p c_k) / ((k+1) (k+2))."""
+    st, pt2 = s * t, 2.0 * p * t * t
+    prev, term, total = 1.0, 0.0, 0.0  # c_{k-1} t^{k-1}, c_k t^k, from k = 1
+    for k in range(1, _SERIES_TERMS - 1):
+        prev, term = term, -(k * st * term + pt2 * prev) / (k * (k + 1))
+        total = total + term
+    return np.log1p(total)
+
+
 def _log_abs_q(proc: DephasingSemiMarkov, t):
     """ln|q(t)|, vectorized, to full relative precision also where q ~ 1.
 
-    Where q oscillates (p > s^2/8) it is -s t/2 + ln|cos x + sin x/|eta||
-    with x = s|eta|t/2, so only the zeros of q make it -inf. On the other
-    branches ln q is formed in log space where q <= 1/2, so it stays finite
-    where q underflows: -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t})
-    / (2 eta)] with c = 1 - eta = (8p/s^2)/(1 + eta), and
-    -s t/2 + log1p(s t/2) at p = s^2/8. Where q > 1/2 on the real branch it
-    is log1p(q - 1), with
+    Where max(s, sqrt(2p)) |t| <= ``_SERIES_REACH`` it is the log1p of q's
+    Taylor series about t = 0, the same on every branch: the closed forms
+    below lose q - 1 ~ -p t^2 to the cancellation of their O(s t) terms.
+    Elsewhere, where q oscillates (p > s^2/8), it is
+    -s t/2 + ln|cos x + sin x/|eta|| with x = s|eta|t/2, so only the zeros
+    of q make it -inf. At p = s^2/8 it is -s t/2 + log1p(s t/2). On the
+    real branch ln q is formed in log space where q <= 1/2, so it stays
+    finite where q underflows:
+    -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t}) / (2 eta)] with
+    c = 1 - eta = (8p/s^2)/(1 + eta); where q > 1/2 it is log1p(q - 1), with
     q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
     It is -inf where s t or x overflows.
     """
-    s = proc.s
+    s, t = proc.s, np.asarray(t, dtype=float)
 
     def imag(p, w, t):
         x = s * w * t / 2
@@ -337,11 +362,8 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
         return np.where(np.isfinite(x), log_q, -np.inf)
 
     def boundary(p, w, t):
-        q = q_of_t(DephasingSemiMarkov(s, p), t)
-        log_space = -s * t / 2 + np.log1p(s * t / 2)
-        # the clips keep each log finite where np.where drops it
-        return np.where(q > 0.5, np.log(np.maximum(q, 0.5)),
-                        np.where(np.isfinite(s * t), log_space, -np.inf))
+        log_q = -s * t / 2 + np.log1p(s * t / 2)
+        return np.where(np.isfinite(s * t), log_q, -np.inf)
 
     def real(p, w, t):
         c = _eight_p_by_s2(p, s) / (1.0 + w)  # 1 - w, to full precision
@@ -355,7 +377,12 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
     # -inf at an exact zero of q; where s t overflows, np.where drops the
     # inf - inf and cos(inf) for -inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _by_branch(proc, t, (boundary, real, imag))
+        log_q = _by_branch(proc, t, (boundary, real, imag))
+        small = t * t * np.maximum(s * s, 2.0 * proc.p) <= _SERIES_REACH**2
+    if small.any():
+        t, p = np.broadcast_arrays(t, proc.p)
+        log_q[small] = _log_q_series(s, p[small], t[small])
+    return log_q
 
 
 def gamma_dephasing(proc: DephasingSemiMarkov, t):
@@ -474,9 +501,9 @@ def _level_time(proc):
         return level_time, np.inf
     s = proc.s
 
-    def imag(p, w, r):
+    def imag(p, w, r):  # 2/k [atan((4r - s)/k) + atan(s/k)], summed exactly
         k = s * w
-        return 2.0 / k * (np.arctan((4.0 * r - s) / k) + np.arctan(s / k))
+        return 2.0 / k * np.arctan2(r * k, 2.0 * p - r * s)
 
     # elsewhere gamma rises to a top rate as t -> inf
     def boundary(p, w, r):

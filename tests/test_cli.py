@@ -19,7 +19,7 @@ from qsemimarkov import (
     measures,
     q_of_t,
 )
-from qsemimarkov import measures, semimarkov
+from qsemimarkov import cli, measures, semimarkov
 from qsemimarkov.cli import build_parser, run
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
@@ -49,7 +49,7 @@ def test_rate_csv_layout_and_defaults(capsys):
     assert lines[0] == "# command: rate"
     assert "# config.s: 1" in lines          # default rate sum applied
     assert "# config.grid: 5" in lines
-    assert "# meta.defaults_applied: family,s" in lines
+    assert "# meta.defaults_applied: s" in lines
     header = next(l for l in lines if not l.startswith("#"))
     assert header == "t,gamma"
     rows = [l for l in lines if not l.startswith("#")][1:]
@@ -92,7 +92,7 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
 @pytest.mark.parametrize("argv", [
     ["rate", "--p", "-1"],
     ["rate", "--s", "1", "--p", "1", "--lambda1", "1", "--lambda2", "2"],
-    ["rate", "--p", "1", "--lambda", "2"],
+    ["rate", "--lambda2", "2"],
     ["rate", "--p", "1", "--t-max", "-1"],
     ["measure", "--lambda1", "1"],
     ["measure", "--family", "nonunital", "--p", "1"],
@@ -101,20 +101,20 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
     ["blp", "--p", "3", "--grid", "1"],
     ["holevo", "--p-list", "1,abc"],
     ["holevo", "--p-list", "1e-7,1.00000001e-7"],
-    ["holevo", "--p", "3"],
+    ["holevo", "--p-list", ","],
     ["classical-sim", "--paths", "10"],
     ["classical-sim", "--seed", "1", "--wtd", "exponential", "--lambda1", "1"],
     ["classical-sim", "--seed", "1", "--lambda", "1"],
-    ["kernel-check", "--lambda", "1"],
+    ["kernel-check", "--t-max", "0.001"],
     ["divisibility", "--boundary-search", "--p", "3"],
-    ["divisibility", "--boundary-search", "--family", "nonunital"],
+    ["divisibility", "--boundary-search", "--lambda1", "1", "--lambda2", "2"],
     ["measure", "--p", "0.2", "--p-min", "0.1", "--p-points", "7"],
     ["measure", "--family", "nonunital", "--p-points", "3"],
     ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
     ["measure", "--mode", "min", "--gamma-ref", "5"],
     ["measure", "--p", "0.1", "--gamma-max", "0.01"],
     ["measure", "--family", "nonunital", "--mode", "min", "--gamma-ref", "1"],
-    ["holevo", "--lambda1", "1", "--lambda2", "2"],
+    ["measure", "--family", "nonunital", "--s", "2"],
     ["classical-sim", "--seed", "1", "--wtd", "tanhsech", "--lambda2", "1"],
     ["kernel-check", "--lambda1", "1"],
 ])
@@ -149,10 +149,17 @@ def test_grids_past_the_cap_exit_2(capsys, argv):
     ["classical-sim", "--seed", "1", "--family", "nonunital"],
     ["classical-sim", "--seed", "1", "--s", "5"],
     ["classical-sim", "--seed", "1", "--p", "2"],
+    # flags that no mode of the command reads are not registered
+    ["rate", "--p", "1", "--lambda", "2"],
+    ["holevo", "--p", "3"],
+    ["kernel-check", "--lambda", "1"],
+    ["divisibility", "--boundary-search", "--family", "nonunital"],
+    ["holevo", "--lambda1", "1", "--lambda2", "2"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    code, _, _ = _run(capsys, argv)
+    code, _, err = _run(capsys, argv)
     assert code == 2
+    assert "error:" in err and "configuration error" not in err
 
 
 def test_holevo_refuses_p_values_that_print_as_one_column(capsys):
@@ -269,6 +276,48 @@ def test_defaults_applied_lists_every_default_read(capsys, argv):
         if key in flags and key not in given and key != "boundary-search":
             assert key in applied, key
     assert given - {"format", "out", "config"} <= set(doc["config"])
+
+
+class _Stop(Exception):
+    pass
+
+
+# each command's modes and spellings, stopped before computing
+_MODES = {
+    "rate": [[], ["--lambda1", "1", "--lambda2", "2"]],
+    "measure": [[], ["--p", "1"], ["--lambda1", "1", "--lambda2", "2"],
+                ["--mode", "min"], ["--family", "nonunital"]],
+    "holevo": [[]],
+    "blp": [[], ["--lambda1", "1", "--lambda2", "2"]],
+    "divisibility": [[], ["--lambda1", "1", "--lambda2", "2"],
+                     ["--boundary-search"]],
+    "classical-sim": [["--seed", "1"],
+                      ["--seed", "1", "--wtd", "exponential"]],
+    "kernel-check": [[], ["--lambda1", "1", "--lambda2", "2"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MODES))
+def test_every_registered_flag_is_read_by_some_mode(monkeypatch, command):
+    """A command registers exactly the flags that its modes read."""
+    read = set()
+
+    def record(self):
+        read.update(self.read)
+        raise _Stop
+
+    monkeypatch.setattr(cli._Resolved, "check_unread", record)
+    for argv in _MODES[command]:
+        with pytest.raises(_Stop):
+            run([command, *argv])
+    assert read == _registered_flags(command)
+
+
+def test_parser_without_a_command_builds_no_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_MODES)
+    assert not any(parser._actions for parser in sub.choices.values())
 
 
 # ---------------------------------------------------------------- measure
@@ -600,6 +649,23 @@ def test_classical_sim_error_in_se_where_every_path_agrees(capsys):
     assert np.isfinite(err) and err < 5.0
 
 
+def test_classical_sim_with_one_huge_stage_rate_stays_finite(capsys):
+    doc = _json_out(capsys, ["classical-sim", "--seed", "1", "--lambda1",
+                             "1e5", "--paths", "10", "--grid", "3",
+                             "--format", "json"])
+    assert np.isfinite(doc["columns"]["survival_exact"]).all()
+    assert 0.0 < doc["metadata"]["max_survival_error_se"] < np.inf
+
+
+def test_classical_sim_error_metric_keeps_a_nan_gap(capsys, monkeypatch):
+    monkeypatch.setattr(semimarkov.ExpConvolutionWTD, "survival",
+                        lambda self, t: np.full(np.shape(t), np.nan))
+    code, out, err = _run(capsys, ["classical-sim", "--seed", "1",
+                                   "--paths", "10", "--grid", "3"])
+    assert code == 0, err
+    assert "# meta.max_survival_error_se: nan" in out.splitlines()
+
+
 def _package_env():
     """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -732,13 +798,18 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
       "1e-320"], 0, ""),
     (["classical-sim", "--seed", "1", "--paths", "1000", "--wtd",
       "exponential", "--lambda", "1e-320"], 0, ""),
+    (["classical-sim", "--seed", "1", "--lambda1", "1e5", "--paths", "10",
+      "--grid", "3"], 0, ""),
+    (["measure", "--p", "3", "--epsilon", "1e308"], 3, "entire horizon"),
+    (["measure", "--epsilon", "1e300"], 0, ""),
 ], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
         "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
         "rate-tiny-s-p0", "measure-tiny-s-p0", "measure-huge-ref-choi",
         "holevo-tiny-s", "blp-huge-p", "divisibility-tiny-s",
         "kernel-check-tiny-s", "classical-sim-tiny-rate",
-        "classical-sim-tiny-exponential-rate"])
+        "classical-sim-tiny-exponential-rate", "classical-sim-huge-stage-rate",
+        "measure-huge-epsilon", "measure-huge-epsilon-without-poles"])
 def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     """In process, where the test run turns warnings into errors: an s whose
     square overflows is refused where the process is built; where 8p/s^2
@@ -747,7 +818,9 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     0 * inf; p = 0 is the semigroup also where s^2 underflows; a huge
     reference rate is reached at a pole or never, and on the Choi route its
     trace norms overflow to inf, which the quadrature refuses. A tiny jump
-    rate makes an infinite wait: the path never jumps again."""
+    rate makes an infinite wait: the path never jumps again. A huge stage
+    rate leaves the exact survival finite. An excision that overflows its
+    phase removes the horizon before the phase is taken."""
     got, out, err = _run(capsys, argv)
     assert got == code, err
     if code:

@@ -59,6 +59,16 @@ missing command, an unknown flag and bad flag values) were captured while
 the emitters still formatted one cell per call and the CLI built every
 command's flags for each run, before either changed. They pin both
 changes byte for byte.
+
+The headers of ``fig1.csv``, ``fig3.csv``, ``blp_p3.csv``,
+``divisibility_p3.csv``, ``divisibility_boundary.csv``,
+``divisibility_boundary_s0.9.csv`` and ``kernel_check_p3.json`` were
+re-captured when ``--family`` became a ``measure`` flag alone: each lost its
+``config.family`` line and ``family`` from ``meta.defaults_applied``. The
+help of ``rate``, ``holevo``, ``blp``, ``divisibility`` and ``kernel-check``
+in ``cli_help.txt`` was re-captured then too, and lost exactly the flags those
+commands stopped registering (``--family``, ``--lambda``, and on ``holevo``
+also ``--p``, ``--lambda1`` and ``--lambda2``). No data row changed.
 """
 
 import json

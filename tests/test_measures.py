@@ -307,6 +307,46 @@ def test_oscillating_antiderivative_matches_40_digit_oracle():
     assert big_gamma == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _log_q_decimal(s, p, t):
+    """ln q(t) in 80-digit decimal arithmetic on each branch of eta, for t
+    before the first zero of q; 80 digits keep q - 1 ~ -p t^2 at t = 1e-12."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        s, p, t = (decimal.Decimal(x) for x in (s, p, t))
+        disc = 1 - 8 * p / s**2
+        x, decay = abs(disc).sqrt() * s * t / 2, (-s * t / 2).exp()
+        if disc == 0:
+            return (decay * (1 + s * t / 2)).ln()
+        if disc > 0:
+            sinh, cosh = (x.exp() - (-x).exp()) / 2, (x.exp() + (-x).exp()) / 2
+        else:
+            sinh, cosh = _sin_cos(x)
+        return (decay * (cosh + sinh / abs(disc).sqrt())).ln()
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e-6, 1e-8, 1e-12])
+@pytest.mark.parametrize("p", [0.1, 0.125, 0.2, 3.0])
+def test_short_horizon_measure_matches_decimal_oracle(p, T):
+    # gamma >= 0 before the first pole, so against 0, xi = -ln q(T)/(2T);
+    # the closed forms' O(s t) terms cancel to -p t^2 there, the series not
+    xi = -_log_q_decimal(1.0, p, T) / (2 * decimal.Decimal(T))
+    result = sss_measure(DephasingSemiMarkov(s=1.0, p=p), SSSConfig(horizon=T))
+    assert result.xi == pytest.approx(float(xi), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.125, 0.2, 3.0])
+def test_tiny_horizon_measure_is_its_leading_order(p):
+    # gamma = p t + O(s p t^2): xi = p T/2 against 0, and p T/4 against the
+    # median p T/2; the next order is 1e-100 relative
+    T = 1e-100
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    fixed = sss_measure(proc, SSSConfig(horizon=T))
+    lowest = sss_measure(proc, SSSConfig(horizon=T, mode="min"))
+    assert fixed.xi == pytest.approx(p * T / 2, rel=1e-14, abs=0.0)
+    assert lowest.xi == pytest.approx(p * T / 4, rel=1e-14, abs=0.0)
+    assert lowest.gamma_ref == pytest.approx(p * T / 2, rel=1e-14, abs=0.0)
+
+
 def _atan(w):
     """arctan w in the current decimal context: Newton's method on
     sin(theta) - w cos(theta) = 0 from the float value."""
@@ -935,6 +975,19 @@ def test_closed_form_step_test_agrees_with_the_scan(n_grid):
         if _steps_violate(proc, grid) != scan:
             disagree.append((s, ratio))
     assert disagree == []
+
+
+@pytest.mark.parametrize("step, violates", [(1e-6, True), (1e-10, False)])
+def test_step_test_and_scan_share_the_cp_tolerance(step, violates):
+    # at s = 1, p = 3 the step after t = 0.8 grows |q| by 16.3 times its
+    # length: past the tolerance of 1e-8 at 1e-6, within it at 1e-10
+    proc = DephasingSemiMarkov(s=1.0, p=3.0)
+    grid = np.array([0.0, 0.8, 0.8 + step])
+    report = cp_divisibility_scan(proc, grid)
+    assert _steps_violate(proc, grid) is violates
+    assert (report.violation_count == 1) is violates
+    assert report.min_eigenvalues[1] == pytest.approx(-16.277 * step,
+                                                      rel=1e-4)
 
 
 def test_boundary_fine_tolerance_falls_back_to_the_scan(monkeypatch):

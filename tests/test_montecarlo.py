@@ -30,6 +30,18 @@ def test_survival_matches_waiting_time_distribution(wtd):
     assert _z_scores(result.survival, result.survival_se, exact).max() < 4.0
 
 
+@pytest.mark.parametrize("rates", [(1.0, 2.0), (1e5, 2.0), (1e300, 1e-300),
+                                   (1.5, 1.5)])
+def test_two_stage_forms_are_symmetric_and_finite(rates):
+    # the smaller rate takes the prefactor, so expm1 cannot overflow
+    t = np.array([0.0, 1e-6, 1.0, 2.0, 1e3])
+    one, swapped = ExpConvolutionWTD(*rates), ExpConvolutionWTD(*rates[::-1])
+    for form in ("survival", "density"):
+        values = getattr(one, form)(t)
+        assert np.array_equal(values, getattr(swapped, form)(t))
+        assert np.isfinite(values).all()
+
+
 def test_occupation_without_hops_stays_put():
     result = classical_jump_simulate(
         ExponentialWTD(rate=1.0), 0.0, 2.0, 5_000, seed=3, n_times=5
