@@ -8,14 +8,14 @@ their departure from semigroup dynamics:
   qubit families, coherence factors q(t) and canonical rates gamma(t),
   dynamical maps as superoperators and Kraus sets, memory kernels, and a
   classical Monte Carlo renewal simulator.
-- ``quantum``: states, superoperator-to-Choi and Choi-to-Kraus conversions,
-  CPTP checks, intermediate maps, and generator snapshots.
+- ``quantum``: states, superoperator-to-Choi conversions, CPTP checks,
+  intermediate maps, and generator snapshots.
 - ``measures``: the deviation-from-semigroup measure xi from one function,
   ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
   minimized references), zeta = xi/(1+xi), trace-distance revivals,
   CP-divisibility scans with a boundary bisection, and Holevo information
   curves.
-- ``numerics``: Hermitian eigensolves, trace norms, entropies, adaptive
+- ``numerics``: Hermitian eigenvalues, trace norms, entropies, adaptive
   quadrature over given intervals, and a Volterra integro-differential
   solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``

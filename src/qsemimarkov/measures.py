@@ -342,19 +342,24 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         if has.any():
             # Gamma - s t/4 at the excision edges, -(1/2) ln(A |sin delta|):
             # after the horizon check, so a huge eps never reaches sin
+            amp, delta = np.hypot(1.0, 1.0 / w), 0.5 * proc.s * eps * w
+            sin = np.abs(np.sin(delta))
+            # where sin delta rounds to delta, which may be subnormal or 0:
+            # ln(A delta) = ln(A s|eta|/2) + ln eps
+            log_edge = np.log(amp * 0.5 * proc.s * w) + np.log(eps)
+            np.log(amp * sin, out=log_edge, where=sin != delta)
             edge_gamma = np.zeros(n)
-            delta = 0.5 * proc.s * eps * w
-            edge_gamma[has] = -0.5 * np.log(np.hypot(1.0, 1.0 / w)
-                                            * np.abs(np.sin(delta)))
+            edge_gamma[has] = -0.5 * log_edge
             at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
             at_edge[..., 1] = ((at_edge[..., 0] & (cut == lo))
                                | (at_edge[..., 2] & (cut == hi)))
             big_gamma[at_edge] = (proc.s * phase[at_edge] / 4.0
                                   + edge_gamma[np.nonzero(at_edge)[0]])
         inner = ~at_edge & (phase != 0.0)
-        big_gamma[inner] = (
-            _log_cosh(proc.rate * phase[inner]) if nonunital else -0.5
-            * _log_abs_q(proc.take(np.nonzero(inner)[0]), phase[inner]))
+        with np.errstate(over="ignore"):  # an overflowing lambda t: see below
+            big_gamma[inner] = (
+                _log_cosh(proc.rate * phase[inner]) if nonunital else -0.5
+                * _log_abs_q(proc.take(np.nonzero(inner)[0]), phase[inner]))
         if not np.isfinite(big_gamma).all():
             raise Singularity("antiderivative of the rate is not finite at t = "
                               f"{edges[~np.isfinite(big_gamma)][0]:g}")

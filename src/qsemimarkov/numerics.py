@@ -27,10 +27,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Spectrum",
     "QuadratureResult",
     "VolterraSolution",
-    "hermitian_eig",
+    "hermitian_eigvals",
     "trace_norm",
     "von_neumann_entropy",
     "adaptive_quad",
@@ -64,13 +63,6 @@ _GK_X, _GK_W, _G_W = np.concatenate([_QK21[:-1] * (-1.0, 1.0, 1.0),
                                      _QK21[::-1]]).T
 
 
-class Spectrum(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted in descending order."""
-
-    eigenvalues: np.ndarray   # real, shape (d,)
-    eigenvectors: np.ndarray  # columns match eigenvalues, shape (d, d)
-
-
 class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
@@ -82,16 +74,15 @@ class VolterraSolution(NamedTuple):
     maps: np.ndarray   # shape (n+1, D, D) superoperator trajectory
 
 
-def hermitian_eig(matrix: np.ndarray, *, tol: float = 1e-12) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def hermitian_eigvals(matrix: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of each of a stack, ascending.
 
     :param matrix: square complex matrix, or a stack (..., d, d) of them, each
         Hermitian within ``tol`` relative to its largest-magnitude entry.
     :param tol: relative Hermiticity tolerance.
     :raises NonHermitianInput: if the Hermiticity check fails for any matrix.
     :raises NoConvergence: if the underlying LAPACK driver does not converge.
-    :return: ``Spectrum(eigenvalues, eigenvectors)`` with real eigenvalues in
-        descending order along the last axis and matching eigenvector columns.
+    :return: real eigenvalues in ascending order along the last axis.
     """
     m = np.asarray(matrix)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -105,12 +96,9 @@ def hermitian_eig(matrix: np.ndarray, *, tol: float = 1e-12) -> Spectrum:
             f"(allowed {tol * scale[i]:.3e})"
         )
     try:
-        evals, evecs = np.linalg.eigh(m)
+        return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    order = np.argsort(evals, axis=-1)[..., ::-1]
-    return Spectrum(np.take_along_axis(evals, order, -1),
-                    np.take_along_axis(evecs, order[..., None, :], -1))
 
 
 def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
@@ -140,7 +128,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
         ``-_STATE_TOL``.
     """
     try:
-        evals = hermitian_eig(np.asarray(rho, dtype=complex)).eigenvalues
+        evals = hermitian_eigvals(np.asarray(rho, dtype=complex))
     except NonHermitianInput as exc:
         raise InvalidState(str(exc)) from exc
     trace_defect = np.abs(evals.sum(axis=-1) - 1.0)
@@ -162,15 +150,16 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     if not np.all(np.isfinite(fx)):
         raise NumericalError(
             f"integrand is not finite at t = {x[~np.isfinite(fx)][0]:g}")
-    resk = fx @ _GK_W
-    resabs, resasc = (np.abs(v) @ _GK_W * np.abs(half)
-                      for v in (fx, fx - 0.5 * resk[:, None]))
-    err = np.abs((resk - fx @ _G_W) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a sum past the float range is inf or nan, which adaptive_quad refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        resk = fx @ _GK_W
+        resabs, resasc = (np.abs(v) @ _GK_W * np.abs(half)
+                          for v in (fx, fx - 0.5 * resk[:, None]))
+        err = np.abs((resk - fx @ _G_W) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.maximum(50.0 * np.finfo(float).eps * resabs, err)
-    return np.array([lo, hi, resk * half, err])
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        err = np.maximum(50.0 * np.finfo(float).eps * resabs, err)
+        return np.array([lo, hi, resk * half, err])
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray],
@@ -192,7 +181,8 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray],
         interval is reversed.
     :raises ToleranceNotMet: if the intervals outnumber ``limit`` per
         starting interval.
-    :raises NumericalError: if f returns a value that is not finite.
+    :raises NumericalError: if f returns a value that is not finite, or the
+        summed value or error estimate is not.
     :return: ``QuadratureResult(value, error_estimate, evaluations)`` summed
         over the intervals; 21 evaluations per interval.
     """
@@ -206,7 +196,12 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray],
     iv = _gk21(f, lo[wide], hi[wide])
     evaluated = starts = iv.shape[1]
     while True:
-        value, err = iv[2].sum(), iv[3].sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, err = iv[2].sum(), iv[3].sum()
+        if not (np.isfinite(value) and np.isfinite(err)):
+            raise NumericalError(
+                f"quadrature on [{lo.min():g}, {hi.max():g}]: value {value:g} "
+                f"or error {err:g} is not finite")
         tol = max(abs_tol, rel_tol * abs(value))
         if err <= tol:
             return QuadratureResult(float(value), float(err),

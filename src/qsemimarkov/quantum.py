@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidState, SingularMap
-from .numerics import _STATE_TOL, hermitian_eig
+from .numerics import _STATE_TOL, hermitian_eigvals
 
 __all__ = [
     "weyl_z",
     "check_density_matrix",
     "apply_superop",
     "choi_of_superop",
-    "kraus_from_choi",
     "CPTPReport",
     "is_cptp",
     "intermediate_map",
@@ -39,7 +38,6 @@ __all__ = [
 
 _COND_MAX = 1e12      # a map with a larger condition number has no inverse
 _CP_TOL = 1e-8        # a Choi eigenvalue above -_CP_TOL counts as CP
-_KRAUS_CUTOFF = 1e-12  # Kraus weights up to this (relative) are dropped
 
 
 def weyl_z(d: int) -> np.ndarray:
@@ -105,39 +103,6 @@ def choi_of_superop(superop: np.ndarray) -> np.ndarray:
     return S.reshape(*lead, d, d, d, d).transpose(axes).reshape(S.shape)
 
 
-def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators from the spectral decomposition of a Choi matrix.
-
-    Eigenvalues up to ``_KRAUS_CUTOFF`` (relative to the largest) are
-    dropped; each
-    retained operator's global phase is fixed so its largest-magnitude entry
-    is real and positive.
-
-    :raises InvalidState: if the Choi matrix has an eigenvalue below
-        ``-_CP_TOL`` relative to the largest (the map is not completely
-        positive).
-    """
-    chi = np.asarray(choi, dtype=complex)
-    d = int(round(np.sqrt(chi.shape[0]))) if chi.ndim == 2 else 0
-    if chi.shape != (d * d, d * d):
-        raise DimensionMismatch(f"Choi shape {chi.shape} is not d^2 x d^2")
-    evals, evecs = hermitian_eig(chi)
-    scale = max(float(evals.max()), 0.0) or 1.0
-    if float(evals.min()) < -_CP_TOL * scale:
-        raise InvalidState(
-            f"Choi matrix is not positive semidefinite (min eig {evals.min():.3e})"
-        )
-    ops: list[np.ndarray] = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam <= _KRAUS_CUTOFF * scale:
-            continue
-        K = np.sqrt(lam) * vec.reshape(d, d)  # row-major, per the Choi convention
-        idx = np.unravel_index(np.argmax(np.abs(K)), K.shape)
-        phase = K[idx] / abs(K[idx])
-        ops.append(K / phase)
-    return ops
-
-
 @dataclass(frozen=True)
 class CPTPReport:
     """Outcome of a complete-positivity / trace-preservation check."""
@@ -162,7 +127,7 @@ def is_cptp(choi: np.ndarray) -> CPTPReport:
     d = int(round(np.sqrt(chi.shape[0]))) if chi.ndim == 2 else 0
     if chi.shape != (d * d, d * d):
         raise DimensionMismatch(f"Choi shape {chi.shape} is not d^2 x d^2")
-    min_eig = float(hermitian_eig(chi, tol=1e-9).eigenvalues.min())
+    min_eig = float(hermitian_eigvals(chi, tol=1e-9)[0])
     reduced = np.einsum("abae->be", chi.reshape(d, d, d, d))
     trace_defect = float(np.abs(reduced - np.eye(d)).max())
     return CPTPReport(

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError, Singularity, UnsupportedVariant
-from .quantum import choi_of_superop, kraus_from_choi
 
 __all__ = [
     "ExponentialWTD",
@@ -166,7 +165,8 @@ class TanhSechWTD:
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        return 1.0 / np.cosh(self.rate * t)
+        with np.errstate(over="ignore"):  # sech is 0 where cosh overflows
+            return 1.0 / np.cosh(self.rate * t)
 
     def inverse_cdf(self, u):
         # g = sech(rate t) = 1 - u  =>  t = asech(1 - u) / rate
@@ -551,10 +551,11 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
 
 
 def map_at(proc, t: float) -> list[np.ndarray]:
-    """Kraus operators of the dynamical map Phi(t).
+    """Kraus operators of the dynamical map Phi(t) = w id + (1 - w) J.
 
-    Dephasing: {sqrt((1+q)/2) I, sqrt((1-q)/2) Z}. Non-unital: the spectral
-    decomposition of the Choi matrix of ``superop_at(proc, t)``.
+    Dephasing: {sqrt(w) I, sqrt(1 - w) Z} with w = (1 + q)/2. Non-unital:
+    {sqrt(g) I, sqrt(1 - g) |0><0|, sqrt(1 - g) |0><1|} with g = sech(rate t).
+    Every operator is kept, also where its weight is 0.
     """
     _require_one(proc, "map_at")
     t = float(t)
@@ -564,7 +565,12 @@ def map_at(proc, t: float) -> list[np.ndarray]:
         q = float(q_of_t(proc, t))
         return [np.sqrt((1.0 + q) / 2.0) * np.eye(2),
                 np.sqrt((1.0 - q) / 2.0) * _PAULI_Z]
-    return kraus_from_choi(choi_of_superop(superop_at(proc, t)))
+    if isinstance(proc, NonUnitalSemiMarkov):
+        g = float(proc.survival(t))
+        jump = np.sqrt(1.0 - g)
+        return [np.sqrt(g) * np.eye(2), jump * np.diag([1.0, 0.0]),
+                jump * np.eye(2, k=1)]
+    raise DomainError(f"unknown process type {type(proc)!r}")
 
 
 def jump_superop(proc) -> np.ndarray:

@@ -802,6 +802,13 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
       "--grid", "3"], 0, ""),
     (["measure", "--p", "3", "--epsilon", "1e308"], 3, "entire horizon"),
     (["measure", "--epsilon", "1e300"], 0, ""),
+    (["measure", "--p", "3", "--epsilon", "5e-324"], 0, ""),
+    (["classical-sim", "--wtd", "tanhsech", "--t-max", "1000", "--paths",
+      "10", "--seed", "1"], 0, ""),
+    (["measure", "--family", "nonunital", "--lambda", "1e300", "--T", "1e10"],
+     3, "antiderivative of the rate is not finite"),
+    (["measure", "--family", "nonunital", "--lambda", "1e300", "--T", "1e10",
+      "--form", "choi"], 3, "is not finite"),
 ], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
         "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
@@ -809,7 +816,9 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
         "holevo-tiny-s", "blp-huge-p", "divisibility-tiny-s",
         "kernel-check-tiny-s", "classical-sim-tiny-rate",
         "classical-sim-tiny-exponential-rate", "classical-sim-huge-stage-rate",
-        "measure-huge-epsilon", "measure-huge-epsilon-without-poles"])
+        "measure-huge-epsilon", "measure-huge-epsilon-without-poles",
+        "measure-subnormal-epsilon", "classical-sim-tanhsech-long",
+        "measure-nonunital-huge-rate", "measure-nonunital-huge-rate-choi"])
 def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     """In process, where the test run turns warnings into errors: an s whose
     square overflows is refused where the process is built; where 8p/s^2
@@ -820,7 +829,10 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     trace norms overflow to inf, which the quadrature refuses. A tiny jump
     rate makes an infinite wait: the path never jumps again. A huge stage
     rate leaves the exact survival finite. An excision that overflows its
-    phase removes the horizon before the phase is taken."""
+    phase removes the horizon before the phase is taken, and one whose
+    phase is subnormal or 0 takes ln|sin| as ln of the phase. Where lambda t
+    overflows, sech is 0, and the antiderivative of the rate and the Choi
+    route's integral are inf, which are refused."""
     got, out, err = _run(capsys, argv)
     assert got == code, err
     if code:

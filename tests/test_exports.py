@@ -40,6 +40,9 @@ def test_package_exports_every_library_export():
     ("numerics", "binary_entropy"),       # now the Holevo oracle of the tests
     ("semimarkov", "DeltaKernel"),        # only tests called these two
     ("semimarkov", "kernel_closed_form"),
+    ("quantum", "kraus_from_choi"),       # map_at has closed-form Kraus sets
+    ("numerics", "Spectrum"),             # eigenvectors went with it
+    ("numerics", "hermitian_eig"),        # now hermitian_eigvals
 ])
 def test_deleted_names_stay_out_of_the_exports(module, name):
     assert name not in qsemimarkov.__all__

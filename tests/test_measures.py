@@ -1,6 +1,7 @@
 """Deviation-from-semigroup measure, revival measure, divisibility, Holevo."""
 
 import decimal
+import functools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -266,17 +267,34 @@ def test_divisible_rate_past_the_underflow_of_q(p):
                                                           rel=1e-12, abs=0.0)
 
 
-_PI_60 = decimal.Decimal(
-    "3.14159265358979323846264338327950288419716939937510582097494")
+@functools.lru_cache(maxsize=None)
+def _pi_digits(prec):
+    """pi to prec digits, by the recipe of the ``decimal`` documentation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec + 2
+        lasts, t, total, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while total != lasts:
+            lasts = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            total += t
+    return total
+
+
+def _pi():
+    """pi to 20 digits more than the current decimal context."""
+    return _pi_digits(decimal.getcontext().prec + 20)
 
 
 def _sin_cos(x):
     """sin x and cos x in the current decimal context.
 
-    x is first reduced mod 2 pi with a 60-digit pi; then each is summed as
-    its Taylor series, as in the recipes of the ``decimal`` documentation.
+    x is first reduced mod 2 pi with ``_pi()``; then each is summed as its
+    Taylor series, as in the recipes of the ``decimal`` documentation.
     """
-    x -= 2 * _PI_60 * (x / (2 * _PI_60)).to_integral_value()
+    two_pi = 2 * _pi()
+    x -= two_pi * (x / two_pi).to_integral_value()
     sums = []
     for k, term in ((1, x), (0, decimal.Decimal(1))):
         total, last = term, None
@@ -349,36 +367,36 @@ def test_tiny_horizon_measure_is_its_leading_order(p):
 
 def _atan(w):
     """arctan w in the current decimal context: Newton's method on
-    sin(theta) - w cos(theta) = 0 from the float value."""
+    sin(theta) - w cos(theta) = 0 from the float value, whose 16 digits
+    each step doubles."""
     theta = decimal.Decimal(float(np.arctan(float(w))))
-    for _ in range(3):
+    for _ in range(max(3, (decimal.getcontext().prec // 16).bit_length() + 1)):
         sin_t, cos_t = _sin_cos(theta)
         theta -= (sin_t - w * cos_t) / (cos_t + w * sin_t)
     return theta
 
 
-@pytest.mark.parametrize("T, mpmath_xi", [(20.0, 9.730997090312804),
-                                          (60.0, 9.935794053530589),
-                                          (3000.0, 9.894679914158216)])
-def test_fixed_measure_matches_40_digit_oracle_on_the_pole_lattice(
-        T, mpmath_xi):
-    # xi T is the sum of |Gamma(b) - Gamma(a)| over the pieces of [0, T]
-    # between the holes t_k +- eps, split where gamma = 0 (x = j pi, where
-    # Gamma = s t/4), with every pole t_k = 2 (k pi - arctan w)/(s w) to 40
-    # digits; mpmath_xi is the same sum from a 40-digit mpmath oracle
-    s, p, eps = 1.0, 3.0, 1e-6
+def _fixed_mode_oracle(s, p, T, eps):
+    """xi of fixed mode against 0 on the pole lattice, to 40 digits.
+
+    xi T is the sum of |Gamma(b) - Gamma(a)| over the pieces of [0, T]
+    between the holes t_k +- eps, split where gamma = 0 (x = j pi, where
+    Gamma = s t/4), with every pole t_k = 2 (k pi - arctan w)/(s w). The
+    context keeps 40 digits below eps, so Gamma at a hole edge, where
+    |cos x + sin x/w| ~ eps, is itself good to 40 digits.
+    """
     with decimal.localcontext() as ctx:
-        ctx.prec = 40
+        ctx.prec = 40 - min(0, decimal.Decimal(eps).adjusted())
         sd, pd, td, ed = (decimal.Decimal(x) for x in (s, p, T, eps))
-        w = (8 * pd / sd**2 - 1).sqrt()
-        theta, period = _atan(w), 2 * _PI_60 / (sd * w)
+        w, pi = (8 * pd / sd**2 - 1).sqrt(), _pi()
+        theta, period = _atan(w), 2 * pi / (sd * w)
 
         def big_gamma(t):
             sin_x, cos_x = _sin_cos(sd * w * t / 2)
             return sd * t / 4 - abs(cos_x + sin_x / w).ln() / 2
 
-        poles = [2 * (k * _PI_60 - theta) / (sd * w) for k in
-                 range(1, int((sd * w * td / 2 + theta) / _PI_60) + 1)]
+        poles = [2 * (k * pi - theta) / (sd * w) for k in
+                 range(1, int((sd * w * td / 2 + theta) / pi) + 1)]
         ends = [decimal.Decimal(0)]
         for pole in poles:
             ends += [pole - ed, pole + ed]
@@ -393,10 +411,34 @@ def test_fixed_measure_matches_40_digit_oracle_on_the_pole_lattice(
         # a full piece gains s (P - 2 eps)/4
         gain = big_gamma(poles[1] - ed) - big_gamma(poles[0] + ed)
         assert abs(gain - sd * (period - 2 * ed) / 4) < decimal.Decimal(1e-30)
-        oracle = float(total / td)
+        return float(total / td)
+
+
+@pytest.mark.parametrize("T, mpmath_xi", [(20.0, 9.730997090312804),
+                                          (60.0, 9.935794053530589),
+                                          (3000.0, 9.894679914158216)])
+def test_fixed_measure_matches_40_digit_oracle_on_the_pole_lattice(
+        T, mpmath_xi):
+    # mpmath_xi is the same sum from a 40-digit mpmath oracle
+    oracle = _fixed_mode_oracle(1.0, 3.0, T, 1e-6)
     assert oracle == pytest.approx(mpmath_xi, rel=1e-15, abs=0.0)
-    xi = sss_measure(DephasingSemiMarkov(s=s, p=p),
-                     SSSConfig(horizon=T, excision=eps)).xi
+    xi = sss_measure(DephasingSemiMarkov(s=1.0, p=3.0),
+                     SSSConfig(horizon=T, excision=1e-6)).xi
+    assert xi == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("eps, mpmath_xi", [(1e-300, 528.9384740143878),
+                                            (1e-320, 564.2447873088372),
+                                            (5e-324, 570.0812910988162)])
+def test_fixed_measure_matches_40_digit_oracle_at_a_subnormal_excision(
+        eps, mpmath_xi):
+    # the excision phase delta = s|eta| eps/2 is subnormal or 0 in floats,
+    # so ln|sin delta| is taken as ln(s|eta|/2) + ln eps; mpmath_xi is the
+    # same sum from a 420-digit mpmath oracle
+    oracle = _fixed_mode_oracle(1.0, 3.0, 60.0, eps)
+    assert oracle == pytest.approx(mpmath_xi, rel=1e-15, abs=0.0)
+    xi = sss_measure(DephasingSemiMarkov(s=1.0, p=3.0),
+                     SSSConfig(horizon=60.0, excision=eps)).xi
     assert xi == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
@@ -416,14 +458,15 @@ def _min_mode_oracle(s, p, T, eps):
         sd, pd, td, ed = (decimal.Decimal(x) for x in (s, p, T, eps))
         w = (8 * pd / sd**2 - 1).sqrt()
         k = sd * w
-        theta, period = _atan(w), 2 * _PI_60 / k
+        pi = _pi()
+        theta, period = _atan(w), 2 * pi / k
 
         def big_gamma(t):
             sin_x, cos_x = _sin_cos(k * t / 2)
             return sd * t / 4 - abs(cos_x + sin_x / w).ln() / 2
 
-        n = int((k * td / 2 + theta) / _PI_60)
-        poles = [2 * (j * _PI_60 - theta) / k for j in range(1, n + 1)]
+        n = int((k * td / 2 + theta) / pi)
+        poles = [2 * (j * pi - theta) / k for j in range(1, n + 1)]
         start = poles[0] - period + ed  # of a full piece and the last
         pieces = [(start, size, m) for start, size, m in (
             (decimal.Decimal(0), poles[0] - ed, 1),

@@ -27,7 +27,6 @@ from qsemimarkov import (
     gamma_dephasing,
     gamma_nonunital,
     jump_superop,
-    kraus_from_choi,
     map_at,
     q_of_t,
     solve_volterra,
@@ -455,24 +454,21 @@ def test_superop_at_rejects_unknown_family():
         map_at(object(), 1.0)
 
 
-def _hand_built_nonunital_kraus(proc, t):
-    """Kraus set of g id + (1-g) P from its Choi matrix written out by hand:
-    g |Psi><Psi| + (1-g) |0><0| (x) I."""
-    g = float(proc.survival(t))
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0
-    chi = g * np.outer(psi, psi.conj())
-    chi[0, 0] += 1.0 - g
-    chi[1, 1] += 1.0 - g
-    return kraus_from_choi(chi)
-
-
-def test_nonunital_map_at_equals_hand_built_choi_route():
+def test_nonunital_map_at_reproduces_superop_at():
     proc = NonUnitalSemiMarkov(rate=1.0)
-    for t in np.linspace(0.0, 8.0, 801):
-        got, want = map_at(proc, t), _hand_built_nonunital_kraus(proc, t)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    ts = np.linspace(0.0, 8.0, 801)
+    for t, S in zip(ts, superop_at(proc, ts)):
+        kraus = map_at(proc, t)
+        assert len(kraus) == 3
+        assert np.abs(superop_of_kraus(kraus) - S).max() <= 2e-15
+
+
+def test_nonunital_map_at_is_its_closed_form_at_t0():
+    # g = sech 0 = 1: the identity, and both jump operators 0
+    ident, to_ground, lower = map_at(NonUnitalSemiMarkov(rate=1.0), 0.0)
+    assert np.array_equal(ident, np.eye(2))
+    assert np.array_equal(to_ground, np.zeros((2, 2)))
+    assert np.array_equal(lower, np.zeros((2, 2)))
 
 
 def _jump_closure(proc):
