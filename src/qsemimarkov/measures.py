@@ -28,46 +28,40 @@ one batch of (p, piece) arrays of that fixed shape; one process is a batch
 of one row. The excised intervals are listed for the output alone; their
 count over a sweep is capped.
 
-Also provided: the trace-distance-revival measure over an optimal qubit pair,
-a CP-divisibility scan over intermediate maps, a closed-form bisection for
-the divisibility boundary of the dephasing family, certified by the scan,
-and Holevo information curves for a fixed input ensemble.
+Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
+vectors: the trace-distance-revival measure over an optimal qubit pair, a
+CP-divisibility scan over intermediate maps, a bisection on that scan for
+the dephasing divisibility boundary, and Holevo information curves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
     GridError,
     NoSignChange,
     Singularity,
 )
-from .numerics import (
-    QuadratureResult,
-    adaptive_quad,
-    trace_norm,
-    von_neumann_entropy,
-)
+from .numerics import QuadratureResult, adaptive_quad, trace_norm
 from .quantum import (
     _COND_MAX,
     _CP_TOL,
     DephasingGenerator,
     ProjectorGenerator,
-    _propagator,
-    apply_superop,
     check_density_matrix,
     choi_of_generator,
-    choi_of_superop,
 )
 from .semimarkov import (
     _MAX_POLES,
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
+    _bloch_factors,
     _level_time,
     _log_abs_q,
     _zero_counts,
@@ -75,8 +69,6 @@ from .semimarkov import (
     _zero_times,
     gamma_dephasing,
     gamma_nonunital,
-    q_of_t,
-    superop_at,
 )
 
 __all__ = [
@@ -105,6 +97,8 @@ MINUS_STATE = _readonly(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
 _REVIVAL_FLOOR = 1e-12  # trace-distance increments up to this are rounding
+# 1/(k (2k - 1)) for k = 24..1: the first term left out is below 3e-18 r^2
+_CHI_SERIES = [1.0 / (k * (2 * k - 1)) for k in range(24, 0, -1)]
 
 
 @dataclass(frozen=True)
@@ -413,27 +407,34 @@ class BLPResult:
     trace_distance: np.ndarray
 
 
+def _bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """(x, y, z) of a checked qubit state rho = (1 + x X + y Y + z Z)/2."""
+    m = check_density_matrix(rho)
+    if m.shape != (2, 2):
+        raise DimensionMismatch(f"state shape {m.shape} is not a qubit's")
+    return np.array([(m[0, 1] + m[1, 0]).real, (m[1, 0] - m[0, 1]).imag,
+                     (m[0, 0] - m[1, 1]).real])
+
+
 def blp_measure(proc, t_max: float, *,
                 pair: tuple[np.ndarray, np.ndarray] | None = None,
                 n_grid: int = 2001) -> BLPResult:
     """Sum of trace-distance revivals over a uniform grid.
 
-    D(t) = (1/2) || Phi(t)[rho_1 - rho_2] ||_1 is sampled on ``n_grid``
-    points; increments exceeding ``_REVIVAL_FLOOR`` are accumulated. The
-    default pair is |+><+|, |-><-|, which maximizes revivals for the
-    dephasing family (D(t) = |q(t)|).
+    D(t) = (1/2) || Phi(t)[rho_1 - rho_2] ||_1, half the length of the
+    mapped Bloch difference, is sampled on ``n_grid`` points; increments
+    above ``_REVIVAL_FLOOR`` are accumulated. The default pair |+>, |->
+    maximizes revivals for the dephasing family (D(t) = |q(t)|).
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
     if n_grid < 2:
         raise DomainError(f"n_grid must be >= 2, got {n_grid!r}")
-    if pair is None:
-        rho1, rho2 = PLUS_STATE, MINUS_STATE
-    else:
-        rho1, rho2 = (check_density_matrix(r) for r in pair)
-    delta = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    rho1, rho2 = (PLUS_STATE, MINUS_STATE) if pair is None else pair
+    dx, dy, dz = _bloch_vector(rho1) - _bloch_vector(rho2)
     times = np.linspace(0.0, float(t_max), int(n_grid))
-    dist = 0.5 * trace_norm(apply_superop(superop_at(proc, times), delta))
+    a, a_z, _ = _bloch_factors(proc, times, "blp_measure")
+    dist = 0.5 * np.hypot(a * np.hypot(dx, dy), a_z * dz)
     inc = np.diff(dist)
     measure = float(inc[inc > _REVIVAL_FLOOR].sum())
     return BLPResult(measure=measure, times=times, trace_distance=dist)
@@ -464,22 +465,29 @@ class DivisibilityReport:
 def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
     """Check complete positivity of every consecutive intermediate map.
 
-    Steps whose early map has condition number above ``_COND_MAX`` are
-    recorded as singular and skipped rather than treated as violations.
+    The map from t1 to t2 is its family's with factor c = q(t2)/q(t1) or
+    g(t2)/g(t1). Dephasing: Choi eigenvalues 1 +- c, 0, 0, condition number
+    1/|q(t1)|. Non-unital: c is in (0, 1], the smallest is 0, and the
+    condition number is that of [[1, 0], [1 - g, g]], (S + sqrt(S^2 - 4 g^2))
+    / (2 g) with S = 2 (1 - g + g^2). Steps above ``_COND_MAX`` are recorded
+    as singular and skipped rather than treated as violations.
     """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
         raise GridError("times must be a 1-D increasing grid of length >= 2")
-    superops = superop_at(proc, ts)
-    early, late = superops[:-1], superops[1:]
-    cond = np.linalg.cond(early)
-    regular = np.isfinite(cond) & (cond <= _COND_MAX)
-    # intermediate_map less its second conditioning test
-    V = _propagator(late[regular], early[regular])
-    chi = choi_of_superop(V)
-    chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))  # drop roundoff skew part
-    min_eigs = np.full(ts.size - 1, np.nan)
-    min_eigs[regular] = np.linalg.eigvalsh(chi)[:, 0]
+    a = _bloch_factors(proc, ts, "cp_divisibility_scan")[0]
+    early = a[:-1]
+    if isinstance(proc, NonUnitalSemiMarkov):
+        # cond <= _COND_MAX with S^2 - 4 g^2 = 2 (1 - g)^2 (S + 2 g), no 1/g
+        big_s = 2.0 * (1.0 - early + early * early)
+        regular = (big_s + (1.0 - early) * np.sqrt(2.0 * (big_s + 2.0 * early))
+                   <= 2.0 * _COND_MAX * early)
+        min_eigs = np.where(regular, 0.0, np.nan)
+    else:
+        regular = np.abs(early) >= 1.0 / _COND_MAX
+        ratio = np.divide(a[1:], early, out=np.full(early.shape, np.nan),
+                          where=regular)
+        min_eigs = np.minimum(0.0, 1.0 - np.abs(ratio))
     violating = min_eigs < -_CP_TOL  # NaN (singular) steps never violate
     return DivisibilityReport(
         times=ts, min_eigenvalues=min_eigs, violation_count=int(violating.sum()),
@@ -500,39 +508,16 @@ class BoundaryEstimate:
     p_tol: float
 
 
-def _steps_violate(proc: DephasingSemiMarkov, times: np.ndarray) -> bool:
-    """Whether ``cp_divisibility_scan`` finds a violation, in closed form: the
-    map has factor c = q(t2)/q(t1), Choi eigenvalues 1 +- c, 0, 0, cond 1/|q(t1)|."""
-    q = q_of_t(proc, times)
-    kept = np.abs(q[:-1]) >= 1.0 / _COND_MAX
-    return bool(np.any(np.abs(q[1:][kept] / q[:-1][kept]) - 1.0 > _CP_TOL))
-
-
-def _bisect(violates: Callable[[float], bool], lo: float, hi: float,
-            p_tol: float) -> tuple[float, float]:
-    """Halve [lo, hi] across the onset of ``violates`` to p_tol or one ulp."""
-    if violates(lo):
-        raise NoSignChange(f"divisibility already broken at p = {lo:g}")
-    if not violates(hi):
-        raise NoSignChange(f"no violation found up to p = {hi:g}")
-    while hi - lo > max(p_tol, np.spacing(hi)):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if violates(mid) else (mid, hi)
-    return lo, hi
-
-
 def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0.4),
                           t_max: float = 60.0, n_grid: int = 1200,
                           p_tol: float = 1e-4) -> BoundaryEstimate:
     """Bisect in p for the smallest jump-rate product breaking divisibility.
 
-    Each probe is ``_steps_violate`` for the dephasing process (s, p) on a
-    uniform grid over [0, t_max]. The bracket must straddle the boundary: no
-    violation at ``p_bracket[0]``, violation at ``p_bracket[1]``. It is
-    halved until it is ``p_tol`` wide, or one float wide where ``p_tol`` is
-    finer. :func:`cp_divisibility_scan` must then find no violation at
-    ``p_low`` and one at ``p_high``. Where it does not, or the closed form
-    refuses the bracket, the bisection reruns with the scan as its probe.
+    Each probe is :func:`cp_divisibility_scan` of the dephasing process
+    (s, p) on a uniform grid over [0, t_max]. The bracket must straddle the
+    boundary: no violation at ``p_bracket[0]``, violation at
+    ``p_bracket[1]``. It is halved until it is ``p_tol`` wide, or one float
+    wide where ``p_tol`` is finer.
 
     |q| rises only after a zero of q, so a probe violates only where the
     first zero comes while |q(t1)| >= 1/``_COND_MAX``: the defaults at s = 1
@@ -540,24 +525,38 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
 
     :raises NoSignChange: if the bracket does not straddle the boundary.
     """
-    p_lo, p_hi = float(p_bracket[0]), float(p_bracket[1])
-    if not 0.0 < p_lo < p_hi:
+    lo, hi = float(p_bracket[0]), float(p_bracket[1])
+    if not 0.0 < lo < hi:
         raise DomainError(f"bad p bracket {p_bracket!r}")
     if p_tol <= 0.0:
         raise DomainError(f"p_tol must be positive, got {p_tol!r}")
     grid = np.linspace(0.0, float(t_max), int(n_grid))
-    process = lambda p: DephasingSemiMarkov(s=float(s), p=p)
-    scan = lambda p: cp_divisibility_scan(process(p), grid).violation_count > 0
-    try:
-        lo, hi = _bisect(lambda p: _steps_violate(process(p), grid), p_lo, p_hi, p_tol)
-        certified = not scan(lo) and scan(hi)
-    except NoSignChange:
-        certified = False
-    if not certified:
-        lo, hi = _bisect(scan, p_lo, p_hi, p_tol)
+    violates = lambda p: not cp_divisibility_scan(
+        DephasingSemiMarkov(s=float(s), p=p), grid).cp_divisible
+    if violates(lo):
+        raise NoSignChange(f"divisibility already broken at p = {lo:g}")
+    if not violates(hi):
+        raise NoSignChange(f"no violation found up to p = {hi:g}")
+    while hi - lo > max(p_tol, np.spacing(hi)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if violates(mid) else (mid, hi)
     return BoundaryEstimate(p_estimate=0.5 * (lo + hi), p_low=lo,
                             p_high=hi, s=float(s), t_max=float(t_max),
                             n_grid=int(n_grid), p_tol=float(p_tol))
+
+
+def _one_minus_entropy(r: np.ndarray) -> np.ndarray:
+    """1 - S in bits of a qubit state of Bloch length r, from its spectrum
+    lam = (1 + r)/2, mu = 1 - lam; below r = 0.5, where that form
+    cancels, from its series sum_k r^2k / (k (2k - 1)) / (2 ln 2)."""
+    out, big, small = np.zeros_like(r), r >= 0.5, (0.0 < r) & (r < 0.5)
+    lam = 0.5 + 0.5 * np.minimum(r[big], 1.0)  # a pure state's r may round past 1
+    mu = 1.0 - lam
+    out[big] = 1.0 + (lam * np.log1p(-mu) + mu * np.log(
+        mu, out=np.zeros_like(mu), where=mu > 0.0)) / np.log(2.0)
+    x = r[small] ** 2
+    out[small] = x * np.polyval(_CHI_SERIES, x) / (2.0 * np.log(2.0))
+    return out
 
 
 def holevo_curve(proc, times: Sequence[float], *,
@@ -565,7 +564,8 @@ def holevo_curve(proc, times: Sequence[float], *,
                  ) -> np.ndarray:
     """Holevo information of the evolved ensemble at each time, in bits.
 
-    chi(t) = S(sum_i p_i Phi(t)[rho_i]) - sum_i p_i S(Phi(t)[rho_i]).
+    chi(t) = S(sum_i p_i Phi(t)[rho_i]) - sum_i p_i S(Phi(t)[rho_i]), taken
+    as sum_i p_i (1 - S)(r_i) - (1 - S)(r) from Bloch lengths r_i and r.
 
     :param ensemble: pairs (probability, state); default is the equal-weight
         |+><+| / |-><-| pair, for which dephasing gives
@@ -579,7 +579,10 @@ def holevo_curve(proc, times: Sequence[float], *,
     probs = np.array([float(p) for p, _ in ensemble])
     if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-10:
         raise DomainError("ensemble probabilities must be positive and sum to 1")
-    states = np.array([check_density_matrix(r) for _, r in ensemble])
-    outs = apply_superop(superop_at(proc, ts)[:, None], states)  # (time, state)
-    avg = (probs[:, None, None] * outs).sum(axis=1)
-    return von_neumann_entropy(avg) - (probs * von_neumann_entropy(outs)).sum(axis=1)
+    vectors = np.array([_bloch_vector(r) for _, r in ensemble])
+    a, a_z, b = _bloch_factors(proc, ts, "holevo_curve")
+    # the mapped length depends on |(x, y)| and z alone: once per such pair
+    rows = [(np.hypot(x, y), z) for x, y, z in (probs @ vectors, *vectors)]
+    info = {row: _one_minus_entropy(np.hypot(a * row[0], a_z * row[1] + b))
+            for row in set(rows)}
+    return sum(p * info[row] for p, row in zip(probs, rows[1:])) - info[rows[0]]

@@ -156,14 +156,8 @@ def intermediate_map(superop_late: np.ndarray,
     if np.any(bad):
         raise SingularMap(f"early map condition number {np.max(cond[bad]):.3e} "
                           f"> {_COND_MAX:.0e}")
-    return _propagator(S2, S1)
-
-
-def _propagator(superop_late: np.ndarray,
-                superop_early: np.ndarray) -> np.ndarray:
-    """late @ inv(early), by a solve on the transpose pair; no cond test."""
-    return np.linalg.solve(superop_early.swapaxes(-1, -2),
-                           superop_late.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.linalg.solve(S1.swapaxes(-1, -2),
+                           S2.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,7 @@ class TanhSechWTD:
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        x = self.rate * t
-        return self.rate * np.tanh(x) / np.cosh(x)
+        return self.rate * np.tanh(self.rate * t) * self.survival(t)
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -550,6 +549,22 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
         return proc.rate * np.tanh(proc.rate * t)
 
 
+def _bloch_factors(proc, t, caller: str):
+    """(a, a_z, b) with Phi(t): (x, y, z) -> (a x, a y, a_z z + b) on Bloch
+    vectors: (q, 1, 0) for dephasing, (g, g, 1 - g) for the non-unital
+    family. :raises DomainError: for a t < 0, another process type, or an
+    array p."""
+    if np.any(np.asarray(t) < 0.0):
+        raise DomainError(f"t must be non-negative, got min {np.min(t)!r}")
+    _require_one(proc, caller)
+    if isinstance(proc, DephasingSemiMarkov):
+        return q_of_t(proc, t), 1.0, 0.0
+    if not isinstance(proc, NonUnitalSemiMarkov):
+        raise DomainError(f"unknown process type {type(proc)!r}")
+    g = proc.survival(t)
+    return g, g, 1.0 - g
+
+
 def map_at(proc, t: float) -> list[np.ndarray]:
     """Kraus operators of the dynamical map Phi(t) = w id + (1 - w) J.
 
@@ -557,20 +572,13 @@ def map_at(proc, t: float) -> list[np.ndarray]:
     {sqrt(g) I, sqrt(1 - g) |0><0|, sqrt(1 - g) |0><1|} with g = sech(rate t).
     Every operator is kept, also where its weight is 0.
     """
-    _require_one(proc, "map_at")
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t!r}")
+    a = float(_bloch_factors(proc, float(t), "map_at")[0])
     if isinstance(proc, DephasingSemiMarkov):
-        q = float(q_of_t(proc, t))
-        return [np.sqrt((1.0 + q) / 2.0) * np.eye(2),
-                np.sqrt((1.0 - q) / 2.0) * _PAULI_Z]
-    if isinstance(proc, NonUnitalSemiMarkov):
-        g = float(proc.survival(t))
-        jump = np.sqrt(1.0 - g)
-        return [np.sqrt(g) * np.eye(2), jump * np.diag([1.0, 0.0]),
-                jump * np.eye(2, k=1)]
-    raise DomainError(f"unknown process type {type(proc)!r}")
+        return [np.sqrt((1.0 + a) / 2.0) * np.eye(2),
+                np.sqrt((1.0 - a) / 2.0) * _PAULI_Z]
+    jump = np.sqrt(1.0 - a)
+    return [np.sqrt(a) * np.eye(2), jump * np.diag([1.0, 0.0]),
+            jump * np.eye(2, k=1)]
 
 
 def jump_superop(proc) -> np.ndarray:
@@ -594,15 +602,9 @@ def superop_at(proc, t) -> np.ndarray:
     w = sech(rate t) for the non-unital family; an array p is refused.
     """
     J = jump_superop(proc)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError(f"t must be non-negative, got min {t.min()!r}")
-    _require_one(proc, "superop_at")
-    if isinstance(proc, DephasingSemiMarkov):
-        w = (1.0 + q_of_t(proc, t)) / 2.0
-    else:
-        w = proc.survival(t)
-    w = np.asarray(w)[..., None, None]
+    a = _bloch_factors(proc, np.asarray(t, dtype=float), "superop_at")[0]
+    w = np.asarray((1.0 + a) / 2.0 if isinstance(proc, DephasingSemiMarkov)
+                   else a)[..., None, None]
     return w * np.eye(4) + (1.0 - w) * J
 
 

@@ -1,0 +1,53 @@
+"""The 4x4 superoperator route, kept as the test oracle of the Bloch forms.
+
+The package takes the trace distance, the divisibility scan and the Holevo
+information from the Bloch form of the qubit maps. These functions take them
+the way the package once did: build the column-stacking superoperator of
+Phi(t) at every time with ``superop_at``, apply it to the states with
+``apply_superop``, and take trace norms, the smallest eigenvalue of each step
+map's Choi matrix (the step map by a linear solve), and the eigenvalues of
+the evolved states.
+"""
+
+import numpy as np
+
+from qsemimarkov import apply_superop, choi_of_superop, superop_at, trace_norm
+from qsemimarkov.quantum import _COND_MAX
+
+
+def trace_distance(proc, times, rho1, rho2) -> np.ndarray:
+    """(1/2) || Phi(t)[rho1 - rho2] ||_1 at each time."""
+    delta = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    return 0.5 * trace_norm(apply_superop(superop_at(proc, times), delta))
+
+
+def divisibility_scan(proc, times) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest Choi eigenvalue of each step map, NaN where the early map's
+    condition number exceeds ``_COND_MAX``; that condition number)."""
+    superops = superop_at(proc, np.asarray(times, dtype=float))
+    early, late = superops[:-1], superops[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # cond is inf at g = 0
+        cond = np.linalg.cond(early)
+    regular = np.isfinite(cond) & (cond <= _COND_MAX)
+    step = np.linalg.solve(early[regular].swapaxes(-1, -2),
+                           late[regular].swapaxes(-1, -2)).swapaxes(-1, -2)
+    chi = choi_of_superop(step)
+    chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))
+    min_eigs = np.full(len(early), np.nan)
+    min_eigs[regular] = np.linalg.eigvalsh(chi)[:, 0]
+    return min_eigs, cond
+
+
+def entropy(rho) -> np.ndarray:
+    """Von Neumann entropy in bits of each state of a stack."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    return -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+
+
+def holevo(proc, times, ensemble) -> np.ndarray:
+    """S(sum_i p_i Phi(t)[rho_i]) - sum_i p_i S(Phi(t)[rho_i]) at each time."""
+    probs = np.array([p for p, _ in ensemble])
+    states = np.array([rho for _, rho in ensemble], dtype=complex)
+    outs = apply_superop(superop_at(proc, times)[:, None], states)
+    mean = (probs[:, None, None] * outs).sum(axis=1)
+    return entropy(mean) - (probs * entropy(outs)).sum(axis=1)

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from qsemimarkov import (
 )
 from qsemimarkov import cli, measures, semimarkov
 from qsemimarkov.cli import build_parser, run
+from qsemimarkov.quantum import _COND_MAX, _CP_TOL
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
 
@@ -587,6 +589,18 @@ def test_divisibility_scan_output(capsys):
     assert doc["metadata"]["violation_count"] == 0
 
 
+def _violates_exactly(p: float, grid: np.ndarray) -> bool:
+    """The scan's predicate in 60-digit arithmetic, at s = 1 and p > 1/8:
+    some step with |q(t1)| >= 1/_COND_MAX has |q(t2)/q(t1)| - 1 > _CP_TOL."""
+    with mpmath.workdps(60):
+        w = mpmath.sqrt(8 * mpmath.mpf(p) - 1)
+        q = [mpmath.exp(-t / 2) * (mpmath.cos(w * t / 2) + mpmath.sin(w * t / 2) / w)
+             for t in map(mpmath.mpf, grid)]
+        floor, tol = mpmath.mpf(1.0 / _COND_MAX), mpmath.mpf(_CP_TOL)
+        return any(abs(q1) >= floor and abs(q2 / q1) - 1 > tol
+                   for q1, q2 in zip(q[:-1], q[1:]))
+
+
 def test_boundary_search_stops_at_one_float(capsys, monkeypatch):
     # with p_tol below the float spacing the midpoint rounds onto an end;
     # the search must stop there, after about 55 scans, not loop forever
@@ -602,8 +616,11 @@ def test_boundary_search_stops_at_one_float(capsys, monkeypatch):
                              "1e-300", "--grid", "50", "--format", "json"])
     (lo,), (hi,) = doc["columns"]["p_low"], doc["columns"]["p_high"]
     assert lo < hi == np.nextafter(lo, 1.0)
-    assert doc["metadata"]["p_boundary_estimate"] == pytest.approx(
-        0.126638839029, abs=1e-12)
+    assert (lo, hi) == (0.12663884364765535, 0.12663884364765537)
+    assert 50 <= len(calls) <= 60
+    # the onset of the predicate itself lies between the two floats
+    grid = np.linspace(0.0, 60.0, 50)
+    assert not _violates_exactly(lo, grid) and _violates_exactly(hi, grid)
 
 
 @pytest.mark.parametrize("s", [0.9, 0.95, 1.1])

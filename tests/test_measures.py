@@ -3,8 +3,8 @@
 import decimal
 import functools
 from pathlib import Path
-from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -32,8 +32,9 @@ from qsemimarkov import (
 )
 
 from qsemimarkov import measures, numerics, semimarkov
-from qsemimarkov.measures import _steps_violate
+from qsemimarkov.quantum import _CP_TOL
 
+import superop_route as oracle
 from golden_section import minimize_scalar
 
 
@@ -994,28 +995,22 @@ def test_boundary_bisection_requires_straddling_bracket():
         divisibility_boundary(1.0, p_bracket=(0.4, 0.1))
 
 
-def _bisection(violates, lo, hi, p_tol):
-    """The boundary bisection on one predicate, the oracle of the search."""
-    assert not violates(lo) and violates(hi)
-    while hi - lo > max(p_tol, np.spacing(hi)):
-        mid = 0.5 * (lo + hi)
-        if violates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+def _superop_violates(proc, grid) -> bool:
+    """Whether the 4x4 route finds a step map that is not CP."""
+    return bool((oracle.divisibility_scan(proc, grid)[0] < -_CP_TOL).any())
 
 
 @pytest.mark.parametrize("n_grid", [50, 1200])
 def test_closed_form_step_test_agrees_with_the_scan(n_grid):
-    # the step map from t1 to t2 is dephasing with factor q(t2)/q(t1)
+    # the step map from t1 to t2 is dephasing with factor q(t2)/q(t1): the
+    # closed-form scan flags the same processes as the 4x4 route
     rng = np.random.default_rng(16)
     grid = np.linspace(0.0, 60.0, n_grid)
     disagree = []
     for s, ratio in zip(rng.uniform(0.5, 2.0, 300), rng.uniform(0.8, 1.3, 300)):
         proc = DephasingSemiMarkov(s=s, p=ratio * s**2 / 8)
         scan = cp_divisibility_scan(proc, grid).violation_count > 0
-        if _steps_violate(proc, grid) != scan:
+        if _superop_violates(proc, grid) != scan:
             disagree.append((s, ratio))
     assert disagree == []
 
@@ -1027,44 +1022,71 @@ def test_step_test_and_scan_share_the_cp_tolerance(step, violates):
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     grid = np.array([0.0, 0.8, 0.8 + step])
     report = cp_divisibility_scan(proc, grid)
-    assert _steps_violate(proc, grid) is violates
+    assert _superop_violates(proc, grid) is violates
     assert (report.violation_count == 1) is violates
     assert report.min_eigenvalues[1] == pytest.approx(-16.277 * step,
                                                       rel=1e-4)
 
 
-def test_boundary_fine_tolerance_falls_back_to_the_scan(monkeypatch):
-    # at p_tol = 1e-8 the closed form and the scan resolve thresholds a few
-    # ulps apart, the certifying scans refuse, and the scan bisects instead
-    scan, calls = measures.cp_divisibility_scan, []
-
-    def counted(*args):
-        calls.append(None)
-        return scan(*args)
-
-    monkeypatch.setattr(measures, "cp_divisibility_scan", counted)
-    estimate = divisibility_boundary(1.0, p_tol=1e-8)
-    assert len(calls) > 2
+@pytest.mark.parametrize("s", [1.0, 0.9])
+def test_boundary_bracket_straddles_the_superop_onset(s):
+    # the bisection probes the closed-form scan; on the 4x4 route too every
+    # step is CP at p_low and some step is not at p_high
+    estimate = divisibility_boundary(s)
     grid = np.linspace(0.0, 60.0, 1200)
-    lo, hi = _bisection(lambda p: scan(DephasingSemiMarkov(s=1.0, p=p),
-                                       grid).violation_count > 0,
-                        0.05, 0.4, 1e-8)
-    assert (estimate.p_low, estimate.p_high) == (lo, hi)
-    assert estimate.p_estimate == 0.5 * (lo + hi)
+    assert not _superop_violates(DephasingSemiMarkov(s=s, p=estimate.p_low),
+                                 grid)
+    assert _superop_violates(DephasingSemiMarkov(s=s, p=estimate.p_high), grid)
 
 
-@pytest.mark.parametrize("threshold", [0.1, 0.2])
-def test_boundary_returns_the_scan_bracket_when_the_scan_disagrees(
-        monkeypatch, threshold):
-    closed_form = divisibility_boundary(1.0)
-    violates = lambda p: p > threshold
-    monkeypatch.setattr(
-        measures, "cp_divisibility_scan",
-        lambda proc, times: SimpleNamespace(violation_count=int(violates(proc.p))))
-    estimate = divisibility_boundary(1.0)
-    assert (estimate.p_low, estimate.p_high) == _bisection(violates, 0.05, 0.4,
-                                                           1e-4)
-    assert estimate.p_low != closed_form.p_low
+# ------------------------------------------- Bloch forms against 4x4 route
+
+_MIXED = (np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
+          np.array([[0.25, -0.1 + 0.3j], [-0.1 - 0.3j, 0.75]]))
+_FAMILIES = [DephasingSemiMarkov(s=1.0, p=3.0), DephasingSemiMarkov(s=1.0, p=0.1),
+             NonUnitalSemiMarkov(rate=1.05)]
+
+
+@pytest.mark.parametrize("proc", _FAMILIES)
+@pytest.mark.parametrize("pair", [(PLUS_STATE, MINUS_STATE), _MIXED,
+                                  (_MIXED[0], np.diag([0.0, 1.0]))])
+def test_trace_distance_matches_the_superop_route(proc, pair):
+    result = blp_measure(proc, 10.0, pair=pair, n_grid=2001)
+    want = oracle.trace_distance(proc, result.times, *pair)
+    assert np.abs(result.trace_distance - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("proc", _FAMILIES)
+@pytest.mark.parametrize("ensemble", [
+    None,
+    ((0.2, _MIXED[0]), (0.5, _MIXED[1]), (0.3, PLUS_STATE)),
+    ((0.9, np.diag([1.0, 0.0])), (0.1, MINUS_STATE)),
+])
+def test_holevo_matches_the_superop_route(proc, ensemble):
+    ts = np.linspace(0.0, 10.0, 2001)
+    want = oracle.holevo(proc, ts, ensemble or ((0.5, PLUS_STATE),
+                                                (0.5, MINUS_STATE)))
+    assert np.abs(holevo_curve(proc, ts, ensemble=ensemble)
+                  - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("proc, grid, cut", [
+    *((proc, np.linspace(0.0, 10.0, 2001), False) for proc in _FAMILIES),
+    # g = sech(t) takes the condition number past _COND_MAX at t = 27.6
+    (NonUnitalSemiMarkov(rate=1.0), np.linspace(26.0, 30.0, 2001), True),
+    (NonUnitalSemiMarkov(rate=1.0), np.linspace(0.0, 800.0, 2001), True),
+], ids=["dephasing-p3", "dephasing-p0.1", "nonunital", "nonunital-cut",
+        "nonunital-overflow"])
+def test_scan_matches_the_superop_route(proc, grid, cut):
+    report = cp_divisibility_scan(proc, grid)
+    want, cond = oracle.divisibility_scan(proc, grid)
+    singular = np.isnan(want)
+    assert np.array_equal(np.isnan(report.min_eigenvalues), singular)
+    assert report.singular_steps == singular.sum()
+    assert (0 < singular.sum() < singular.size) == cut
+    # the solve in the 4x4 route carries an error of about eps cond
+    err = np.abs(report.min_eigenvalues - want)[~singular]
+    assert np.all(err <= 1e-15 * cond[~singular])
 
 
 # --------------------------------------------------------------- holevo
@@ -1105,6 +1127,22 @@ def test_holevo_matches_closed_form_on_fig3_grid(p):
     qs = np.abs(np.asarray(q_of_t(proc, ts)))
     expected = 1.0 - np.array([binary_entropy((1 + q) / 2) for q in qs])
     assert np.abs(holevo_curve(proc, ts) - expected).max() <= 1e-15
+
+
+def test_holevo_matches_an_mpmath_oracle_where_chi_is_small():
+    # near the zeros of q (p = 2, fig3's grid) chi = 1 - H2 is below 1e-3,
+    # where the two halves of 1 - H2 cancel: the series takes chi there
+    proc = DephasingSemiMarkov(s=1.0, p=2.0)
+    ts = np.linspace(0.0, 6.0, 500)
+    chi = holevo_curve(proc, ts)
+    small = chi < 1e-3
+    assert small.sum() >= 10 and chi[small].min() < 1e-8
+    with mpmath.workdps(50):
+        for q, got in zip(np.abs(q_of_t(proc, ts[small])), chi[small]):
+            r = mpmath.mpf(q)
+            want = ((1 + r) * mpmath.log1p(r) + (1 - r) * mpmath.log1p(-r)) / (
+                2 * mpmath.log(2))
+            assert abs(got - want) <= 1e-15 * want
 
 
 def test_holevo_vanishes_at_coherence_zero():

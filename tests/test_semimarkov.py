@@ -64,6 +64,13 @@ def test_wtd_is_normalized():
         assert float(wtd.survival(60.0)) < 1e-20  # proper distribution
 
 
+def test_tanhsech_density_is_zero_where_cosh_overflows():
+    # the run turns warnings into errors: cosh(1000) overflows, sech is 0
+    wtd = TanhSechWTD(rate=1.0)
+    assert wtd.density(1000.0) == 0.0
+    assert np.array_equal(wtd.density(np.array([750.0, 1e308])), [0.0, 0.0])
+
+
 @pytest.mark.parametrize("wtd", [ExponentialWTD(rate=2.0), TanhSechWTD(rate=0.7)])
 def test_inverse_cdf_round_trip(wtd):
     u = np.linspace(0.0, 0.999, 64)
