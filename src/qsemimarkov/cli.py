@@ -2,11 +2,14 @@
 
 Grammar: ``qsm <command> [flags]`` with commands rate, measure, holevo, blp,
 divisibility, classical-sim, kernel-check. ``_DEFAULTS`` names each command's
-flags and their defaults, ``_FLAGS`` each flag's type and help line; the
-subparsers, ``--help`` and every default a command uses come from them, for
-the chosen command alone, which registers only the flags some mode of it
-reads. Dephasing takes ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2,
-p = l1 l2); ``measure --family nonunital`` takes ``--lambda``.
+flags and their defaults, ``_FLAGS`` each flag's type and help line; a
+command's parser, its ``--help`` and every default it uses come from them,
+and it registers only the flags some mode of it reads. A run whose first
+token is a command builds and parses with that command's parser alone; the
+qsm parser, which lists the commands with no flags, is built only to print
+its help or the version, or a usage error: no command, an unknown one, or
+an unrecognized flag. Dephasing takes ``--s/--p`` or ``--lambda1/--lambda2``
+(s = l1 + l2, p = l1 l2); ``measure --family nonunital`` takes ``--lambda``.
 
 Commands read their settings through ``_Resolved.get``. Before computing, a
 command refuses every given flag it did not read, so each spelling and mode
@@ -138,33 +141,50 @@ def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qsm parser: every command with its help line, and the flags of
-    ``command`` alone (of none when it is None)."""
-    parser = argparse.ArgumentParser(
-        prog="qsm",
-        description="Quantum semi-Markov dynamics: rates, maps, and "
-                    "non-Markovianity measures.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"qsm {__version__}")
-    # exact flag names only, so that a prefix such as --s cannot land on --seed
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
-    for name, cmd in _DISPATCH.items():
-        chosen = name == command  # the others get no flags, not -h
-        p = sub.add_parser(name, help=cmd.__doc__, add_help=chosen)
-        if not chosen:
-            continue
+    """The qsm parser, every command with its help line and none with flags;
+    or, given ``command``, that command's parser alone, with its flags."""
+    import shutil
+    # the width argparse works out itself, once here, not once per flag
+    width = shutil.get_terminal_size().columns - 2
+    formatter = lambda prog: argparse.HelpFormatter(prog, width=width)
+    if command is not None:
+        # exact flag names only, so that a prefix such as --s cannot land on
+        # --seed
+        parser = argparse.ArgumentParser(prog=f"qsm {command}",
+                                         allow_abbrev=False,
+                                         formatter_class=formatter)
         modes = {key.partition(" ")[2]: table for key, table in
-                 _DEFAULTS.items() if key.partition(" ")[0] == name}
-        for flag in _DEFAULTS[name]:
+                 _DEFAULTS.items() if key.partition(" ")[0] == command}
+        for flag in _DEFAULTS[command]:
             kind, _ = _FLAGS[flag]
             kw = ({"action": "store_true"} if kind is bool else
                   {"choices": kind} if isinstance(kind, tuple) else
                   {"type": kind})
-            p.add_argument(f"--{flag}", default=_OUTPUT.get(flag),
-                           help=_help(flag, modes), **kw)
+            parser.add_argument(f"--{flag}", default=_OUTPUT.get(flag),
+                                help=_help(flag, modes), **kw)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="qsm",
+        description="Quantum semi-Markov dynamics: rates, maps, and "
+                    "non-Markovianity measures.",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"qsm {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _DISPATCH.items():
+        sub.add_parser(name, help=cmd.__doc__, add_help=False)
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser,
+           argv: list[str]) -> argparse.Namespace:
+    """A command's flags; an unknown one is reported in the qsm parser's
+    usage, as argparse reports it for a subcommand."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _load_config_flags(path: str) -> list[str]:
@@ -463,13 +483,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Entry point returning the process exit code (0, 2, or 3)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # no top-level option takes a value, so the first bare token is the command
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")),
+              len(argv))
+    command = argv[at] if at < len(argv) else None
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # file flags after the command, so given flags win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(
-                argv[:at] + _load_config_flags(args.config) + argv[at:])
+        # the tokens up to a command that is not first are the qsm parser's:
+        # it prints help, the version or a usage error
+        if at or command not in _DISPATCH:
+            build_parser().parse_args(argv[:at + 1])
+        parser = build_parser(command)
+        args = _parse(parser, argv[at + 1:])
+        if args.config:  # file flags first, so given flags win
+            args = _parse(parser, _load_config_flags(args.config)
+                          + argv[at + 1:])
+        args.command = command
         suffix = Path(args.out or "").suffix.lower()[1:]
         _require(suffix not in _RENDERERS or suffix == args.format,
                  f"--format {args.format} does not match --out {args.out!r}")

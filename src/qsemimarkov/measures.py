@@ -15,11 +15,12 @@ gamma is a log-derivative, so between the kinks where gamma crosses the
 reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
 integrates the trace norm of the difference of generator Choi matrices by
-adaptive quadrature, batched over the nodes of each round, and divides by
-the family constant (the trace norm per unit rate), computed at runtime
-from the generator itself. Neither route searches: gamma rises between its
-poles, so each retained piece holds at most one kink, at a closed-form
-time, and the time-median is one interpolation. The rate poles are cut out
+one adaptive quadrature for the whole sweep, batched over the nodes of
+every p in each round, and divides by the family constant (the trace norm
+per unit rate), computed at runtime from the generator itself. Neither
+route searches: gamma rises between its poles, so each retained piece
+holds at most one kink, at a closed-form time, and the time-median is one
+interpolation. The rate poles are cut out
 here only, and both routes work on the same pieces, split at their kinks.
 The poles form a lattice of period P, and gamma has period P, so each p
 has three pieces whatever its horizon: the first, one full stretch between
@@ -48,7 +49,12 @@ from .errors import (
     NoSignChange,
     Singularity,
 )
-from .numerics import QuadratureResult, adaptive_quad, trace_norm
+from .numerics import (
+    QuadratureResult,
+    QuadratureRows,
+    adaptive_quad,
+    trace_norm,
+)
 from .quantum import (
     _COND_MAX,
     _CP_TOL,
@@ -154,8 +160,9 @@ class MeasureResult:
     leaves all three None. ``kinks`` counts the times where gamma crosses
     the reference, the edges of the pieces on which the integrand is smooth.
     For a sweep (a 1-d p) every per-process field holds one element per p,
-    ``quadrature`` one result per p, and ``excised`` the (lo, hi, row)
-    arrays of the holes, ``row`` indexing p.
+    ``quadrature`` is the ``QuadratureRows`` of the one batched quadrature,
+    a result per p with the bits of that p alone, and ``excised`` the
+    (lo, hi, row) arrays of the holes, ``row`` indexing p.
     """
 
     xi: float | np.ndarray
@@ -165,7 +172,7 @@ class MeasureResult:
     config: SSSConfig
     family_constant: float | None = None
     raw_average: float | np.ndarray | None = None
-    quadrature: QuadratureResult | tuple[QuadratureResult, ...] | None = None
+    quadrature: QuadratureResult | QuadratureRows | None = None
     kinks: int | np.ndarray = 0
 
 
@@ -254,12 +261,16 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     (Gamma(t + P) = Gamma(t) + s P/4). At the excision edges t_k +- eps it
     is s t/4 - (1/2) ln(A |sin delta|), with A = sqrt(1 + 1/|eta|^2) and
     delta = +-s|eta| eps/2 exact, so a full piece gains s (P - 2 eps)/4.
-    The Choi route makes one quadrature per row over its pieces of nonzero
-    multiplicity, each node weighted by the multiplicity of its piece, of
-    the trace norm of the Choi difference (one Choi stack per round of
-    nodes), and divides by the family constant measured from the generator
-    at rates 1 and 0. Each row does the arithmetic it does alone, so its
-    bits do not depend on the rest of the sweep.
+    The Choi route is one quadrature over the sub-pieces of nonzero
+    multiplicity of every row, labelled by row, so each row keeps its own
+    tolerance, budget and ``QuadratureResult``. Its integrand is the trace
+    norm of the Choi difference, each node weighted by the multiplicity of
+    its piece; a round takes the new intervals of every row not yet
+    converged in one call, so one Choi stack and one trace-norm batch
+    (chunked by ``adaptive_quad``). The result is divided by the family
+    constant measured from the generator at rates 1 and 0. Each row does
+    the arithmetic it does alone, so its bits do not depend on the rest of
+    the sweep.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -368,24 +379,28 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
         constant = trace_norm(choi(1.0) - choi(0.0))
 
-        def quad(i: int) -> QuadratureResult:
-            one = proc if nonunital else proc.take(i)
-            chi_ref = choi(float(ref[i]))
-            starts, weights = lo[i, keep[i]], mult[i, keep[i]]
+        # a node's weight is the multiplicity of its piece, the last kept
+        # one that starts at or before it; a piece not kept is given the
+        # start of the next kept one, so it is never that last one
+        starts = np.minimum.accumulate(np.where(keep, lo, np.inf)[:, ::-1],
+                                       axis=1)[:, ::-1]
 
-            def integrand(t: np.ndarray) -> np.ndarray:
-                gamma = rate(one, t)
-                if not np.all(np.isfinite(gamma)):
-                    raise Singularity("rate pole at t = "
-                                      f"{t[~np.isfinite(gamma)][0]:g}")
-                weight = weights[np.searchsorted(starts, t, side="right") - 1]
-                return weight * trace_norm(choi(gamma) - chi_ref)
+        def integrand(t: np.ndarray, i: np.ndarray) -> np.ndarray:
+            gamma = rate(proc if nonunital else proc.take(i[:, None]), t)
+            if not np.all(np.isfinite(gamma)):
+                raise Singularity("rate pole at t = "
+                                  f"{t[~np.isfinite(gamma)][0]:g}")
+            piece = (starts[i, None] <= t[..., None]).sum(axis=-1) - 1
+            # the reference rate as one more node of each interval; both
+            # families' Choi matrices are real
+            chi = choi(np.concatenate([gamma, ref[i, None]], axis=1)).real
+            return mult[i[:, None], piece] * trace_norm(chi[:, :-1]
+                                                        - chi[:, -1:])
 
-            return adaptive_quad(integrand, edges[i, keep[i], :-1].ravel(),
-                                 edges[i, keep[i], 1:].ravel())
-
-        quads = tuple(map(quad, range(n)))
-        raw = np.array([result.value for result in quads]) / T
+        quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
+                              edges[keep][:, 1:].ravel(),
+                              rows=np.nonzero(keep)[0].repeat(2))
+        raw = quads.value / T
         xi = raw / constant
     zeta = xi / (1.0 + xi)
     if nonunital or not np.ndim(proc.p):  # one process: Python numbers

@@ -5,13 +5,17 @@ routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
 quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate in
 numpy over intervals the caller gives, bisecting many intervals per round
 and taking the integrand on all their nodes in one call; callers cut out
-poles and split at kinks by the intervals they pass. The Volterra solver
+poles and split at kinks by the intervals they pass. Labelled rows of
+intervals make many integrals at once, each with its own tolerance, budget
+and result, and bits that do not depend on the other rows: a round takes
+the new intervals of every row in one call. The Volterra solver
 takes an exponential kernel, whose memory sum is then a recurrence: O(dt^2)
 error, time and memory linear in the steps, and the steps capped.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "QuadratureResult",
+    "QuadratureRows",
     "VolterraSolution",
     "hermitian_eigvals",
     "trace_norm",
@@ -40,6 +45,10 @@ __all__ = [
 # 1e6 steps of 4x4 real maps are 128 MB, like the cap of --grid's time grid
 _VOLTERRA_MAX_STEPS = 1_000_000
 _VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 256 for 4x4 maps
+
+# intervals per integrand call: caps the memory of the integrand's work on
+# their nodes (21 per interval)
+_QUAD_BLOCK = 1 << 9
 
 _STATE_TOL = 1e-10  # rounding allowed in a state's entries, trace, eigenvalues
 _TRACE_TOL = 1e-8   # rounding allowed in the trace of an entropy's argument
@@ -143,7 +152,11 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
           hi: np.ndarray) -> np.ndarray:
-    """Rows lo, hi, value and QUADPACK's qk21 error; f is called once."""
+    """Rows lo, hi, value and QUADPACK's qk21 error; f is called once.
+
+    Each interval's sums are over its own 21 nodes, in an order that does
+    not depend on the other intervals (a matrix product's does).
+    """
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
     fx = np.broadcast_to(f(x), x.shape)
@@ -152,71 +165,154 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
             f"integrand is not finite at t = {x[~np.isfinite(fx)][0]:g}")
     # a sum past the float range is inf or nan, which adaptive_quad refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        resk = fx @ _GK_W
-        resabs, resasc = (np.abs(v) @ _GK_W * np.abs(half)
+        resk = (fx * _GK_W).sum(axis=1)
+        resabs, resasc = ((np.abs(v) * _GK_W).sum(axis=1) * np.abs(half)
                           for v in (fx, fx - 0.5 * resk[:, None]))
-        err = np.abs((resk - fx @ _G_W) * half)
+        err = np.abs((resk - (fx * _G_W).sum(axis=1)) * half)
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
         err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
         err = np.maximum(50.0 * np.finfo(float).eps * resabs, err)
         return np.array([lo, hi, resk * half, err])
 
 
-def adaptive_quad(f: Callable[[np.ndarray], np.ndarray],
+class QuadratureRows(Sequence):
+    """One ``QuadratureResult`` per row label, in label order, held as
+    arrays: ``rows[i]`` builds row i's, ``value`` and ``error_estimate``
+    are every row's, and ``evaluations`` is the total over the rows."""
+
+    def __init__(self, value: np.ndarray, error_estimate: np.ndarray,
+                 counts: np.ndarray) -> None:
+        self.value, self.error_estimate, self._counts = (
+            value, error_estimate, counts)
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> QuadratureResult:
+        return QuadratureResult(float(self.value[i]),
+                                float(self.error_estimate[i]),
+                                int(self._counts[i]))
+
+    @property
+    def evaluations(self) -> int:
+        return int(self._counts.sum())
+
+
+def adaptive_quad(f: Callable[..., np.ndarray],
                   a: float | np.ndarray, b: float | np.ndarray, *,
-                  abs_tol: float = 1e-10, rel_tol: float = 1e-8,
-                  limit: int = 200) -> QuadratureResult:
+                  rows: np.ndarray | None = None, abs_tol: float = 1e-10,
+                  rel_tol: float = 1e-8,
+                  limit: int = 200) -> QuadratureResult | QuadratureRows:
     """Adaptive 21-point Gauss-Kronrod quadrature over given intervals.
 
     ``a`` and ``b`` are the ends of one interval, or equal-length 1-D arrays
     of the ends of several, summed over; zero-width intervals are skipped.
-    Each round calls f once, on the nodes of every new interval, then
-    bisects the largest-error intervals until the rest sum to at most half
-    the tolerance max(abs_tol, rel_tol |value|), which ends the rounds.
+    ``rows`` labels each interval with the integral it belongs to, 0, 1, ...:
+    each row is summed, tolerated, bisected and budgeted on its own, as if
+    alone, so its bits do not depend on the other rows. Each round calls f
+    on the nodes of the new intervals of every row not yet converged, at
+    most ``_QUAD_BLOCK`` intervals per call, then bisects each row's
+    largest-error intervals until the rest sum to at most half its
+    tolerance max(abs_tol, rel_tol |value|); a row within it is done.
 
-    :param f: vectorized integrand, nodes array in, same shape out, finite
-        on every given interval.
-    :param limit: subdivision budget per nonzero-width starting interval.
+    :param f: vectorized integrand, finite on every given interval: f(x)
+        with x the (k, 21) nodes of k intervals, or, with ``rows``,
+        f(x, row) with row the (k,) labels of the intervals.
+    :param rows: one non-negative integer label per interval, or None for
+        one row.
+    :param limit: subdivision budget per nonzero-width starting interval of
+        a row.
     :raises DomainError: if the ends are not finite, do not pair up, or an
-        interval is reversed.
-    :raises ToleranceNotMet: if the intervals outnumber ``limit`` per
+        interval is reversed, or a label is not a non-negative integer.
+    :raises ToleranceNotMet: if a row's intervals outnumber ``limit`` per
         starting interval.
-    :raises NumericalError: if f returns a value that is not finite, or the
-        summed value or error estimate is not.
+    :raises NumericalError: if f returns a value that is not finite, or a
+        row's summed value or error estimate is not.
     :return: ``QuadratureResult(value, error_estimate, evaluations)`` summed
-        over the intervals; 21 evaluations per interval.
+        over the intervals, or with ``rows`` a ``QuadratureRows`` of one per
+        label up to the largest; 21 evaluations per interval.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
-    if (lo.ndim != 1 or lo.shape != hi.shape
+    label = np.zeros(lo.shape, np.int64) if rows is None else np.asarray(rows)
+    if (lo.ndim != 1 or lo.shape != hi.shape or label.shape != lo.shape
             or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))):
         raise DomainError(f"bad integration range [{a}, {b}]")
+    if label.dtype.kind not in "iu" or (label < 0).any():
+        raise DomainError("row labels must be non-negative integers")
+    g = f if rows is not None else lambda x, _: f(x)
+    n = 1 if rows is None else int(label.max(initial=-1)) + 1
+
+    def span(r: int) -> str:
+        return f"[{lo[label == r].min():g}, {hi[label == r].max():g}]"
+
+    def evaluate(lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
+        if lo.size <= _QUAD_BLOCK:
+            return _gk21(lambda x: g(x, row), lo, hi)
+        return np.concatenate([evaluate(lo[i: i + _QUAD_BLOCK],
+                                        hi[i: i + _QUAD_BLOCK],
+                                        row[i: i + _QUAD_BLOCK])
+                               for i in range(0, lo.size, _QUAD_BLOCK)], 1)
+
     wide = lo < hi
-    if not wide.any():
-        return QuadratureResult(0.0, 0.0, 0)
-    iv = _gk21(f, lo[wide], hi[wide])
-    evaluated = starts = iv.shape[1]
-    while True:
+    row = label[wide]
+    iv = evaluate(lo[wide], hi[wide], row) if row.size else None
+    evaluated = np.bincount(row, minlength=n)
+    budget = limit * evaluated
+    value, error = np.zeros((2, n))
+    while row.size:
+        # each row's intervals together, by decreasing error, ties in order:
+        # the sums and the choice to bisect see no other row
+        order = np.lexsort((-iv[3], row))
+        iv, row = iv[:, order], row[order]
+        head = np.ones(row.size, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=head[1:])
+        first = np.flatnonzero(head)
+        ids = row[first]
         with np.errstate(over="ignore", invalid="ignore"):
-            value, err = iv[2].sum(), iv[3].sum()
-        if not (np.isfinite(value) and np.isfinite(err)):
+            total, err = np.add.reduceat(iv[2:], first, axis=1)
+        if not (np.isfinite(total).all() and np.isfinite(err).all()):
+            i = np.flatnonzero(~(np.isfinite(total) & np.isfinite(err)))[0]
             raise NumericalError(
-                f"quadrature on [{lo.min():g}, {hi.max():g}]: value {value:g} "
-                f"or error {err:g} is not finite")
-        tol = max(abs_tol, rel_tol * abs(value))
-        if err <= tol:
-            return QuadratureResult(float(value), float(err),
-                                    _GK_X.size * evaluated)
-        iv = iv[:, np.argsort(-iv[3], kind="stable")]
-        k = 1 + int(np.count_nonzero(err - np.cumsum(iv[3])[:-1] > 0.5 * tol))
-        if iv.shape[1] + k > limit * starts:
+                f"quadrature on {span(ids[i])}: value {total[i]:g} or error "
+                f"{err[i]:g} is not finite")
+        value[ids], error[ids] = total, err
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        live = err > tol
+        if not live.any():
+            break
+        seg = np.cumsum(head) - 1  # each interval's index into ids
+        if not live.all():  # the rows within their tolerance are done
+            keep = live[seg]
+            iv, row = iv[:, keep], row[keep]
+            seg = (np.cumsum(live) - 1)[seg[keep]]
+            ids, err, tol = ids[live], err[live], tol[live]
+        count = np.bincount(seg)
+        pos = np.arange(row.size) - (np.cumsum(count) - count)[seg]
+        # bisect each row's largest errors until the rest sum to at most
+        # half its tolerance; the running sums are taken row by row, in a
+        # zero-padded matrix, so that no row's sum takes in another's
+        cum = np.zeros((ids.size, count.max()))
+        cum[seg, pos] = iv[3]
+        np.cumsum(cum, axis=1, out=cum)
+        k = 1 + ((err[:, None] - cum > 0.5 * tol[:, None])
+                 & (np.arange(cum.shape[1]) < count[:, None] - 1)).sum(axis=1)
+        if (count + k > budget[ids]).any():
+            i = np.flatnonzero(count + k > budget[ids])[0]
             raise ToleranceNotMet(
-                f"quadrature on [{lo.min():g}, {hi.max():g}]: error "
-                f"{err:.3e} > {tol:.3e} at the limit")
-        lo_k, hi_k = iv[:2, :k]
+                f"quadrature on {span(ids[i])}: error {err[i]:.3e} > "
+                f"{tol[i]:.3e} at the limit")
+        top = pos < k[seg]
+        lo_k, hi_k = iv[:2, top]
         mid = 0.5 * (lo_k + hi_k)
-        iv = np.concatenate([_gk21(f, np.concatenate([lo_k, mid]),
-                                   np.concatenate([mid, hi_k])), iv[:, k:]], 1)
-        evaluated += 2 * k
+        row_k = row[top]
+        row = np.concatenate([row_k, row_k, row[~top]])
+        iv = np.concatenate([evaluate(np.concatenate([lo_k, mid]),
+                                      np.concatenate([mid, hi_k]),
+                                      row[:2 * row_k.size]),
+                             iv[:, ~top]], axis=1)
+        evaluated[ids] += 2 * k
+    results = QuadratureRows(value, error, _GK_X.size * evaluated)
+    return results if rows is not None else results[0]
 
 
 def solve_volterra(kernel, generator: np.ndarray, t_max: float,

@@ -312,8 +312,9 @@ def q_of_t(proc: DephasingSemiMarkov, t):
         return np.where(np.isfinite(x), np.exp(-x) * (1.0 + x), 0.0)
 
     def real(p, w, t):  # partial fractions: no growing exponentials
-        return ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
-                + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
+        q = ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
+             + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
+        return np.where(t == 0.0, 1.0, q)  # where the fractions round
 
     def imag(p, w, t):
         x = s * t * w / 2

@@ -240,9 +240,8 @@ def test_divisibility_help_shows_scan_and_boundary_search_defaults(
 
 
 def _registered_flags(command):
-    sub = next(a for a in build_parser(command)._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {opt[2:] for opt in sub.choices[command]._option_string_actions
+    """The flags of the parser that ``run`` parses ``command``'s flags with."""
+    return {opt[2:] for opt in build_parser(command)._option_string_actions
             if opt.startswith("--") and opt != "--help"}
 
 
@@ -313,6 +312,27 @@ def test_every_registered_flag_is_read_by_some_mode(monkeypatch, command):
         with pytest.raises(_Stop):
             run([command, *argv])
     assert read == _registered_flags(command)
+
+
+@pytest.mark.parametrize("argv", [["rate", "--grid", "3"],
+                                  ["measure", "--p-points", "2"],
+                                  ["measure", "--config", "CFG"]])
+def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
+    """A run whose first token is a command builds that command's parser
+    alone, and its --config re-parse reuses it."""
+    cfg = tmp_path / "measure.cfg"
+    cfg.write_text("p-points = 2\nmode = min\n")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _, err = _run(capsys, [str(cfg) if a == "CFG" else a for a in argv])
+    assert code == 0, err
+    assert built == [f"qsm {argv[0]}"]
 
 
 def test_parser_without_a_command_builds_no_flags():

@@ -667,6 +667,45 @@ def test_choi_route_starts_on_the_pieces_split_at_their_kinks(monkeypatch,
     assert mults.sum() == poles.size + 1 + result.kinks == rows
 
 
+def _counting_integrand_calls(monkeypatch):
+    """The (k, 21) node arrays of each call of the Choi integrand."""
+    calls = []
+    quad = measures.adaptive_quad
+
+    def counting(f, a, b, **kw):
+        def g(t, *rows):
+            calls.append(t.shape)
+            return f(t, *rows)
+        return quad(g, a, b, **kw)
+
+    monkeypatch.setattr(measures, "adaptive_quad", counting)
+    return calls
+
+
+@pytest.mark.parametrize("ps", [np.linspace(0.0, 0.5, 5), [0.1, 3.0, 0.3]],
+                         ids=["no-poles", "a-pole-row"])
+def test_a_choi_sweep_takes_one_integrand_call_per_round(monkeypatch, ps):
+    # a round evaluates the new intervals of every row not yet converged:
+    # the sweep takes as many calls as its slowest row alone, not their sum
+    calls = _counting_integrand_calls(monkeypatch)
+    config = SSSConfig(mode="min", form="choi")
+    sweep = sss_measure(DephasingSemiMarkov(1.0, ps), config)
+    rounds = len(calls)
+    alone = []
+    for p in ps:
+        calls.clear()
+        one = sss_measure(DephasingSemiMarkov(1.0, p), config)
+        alone.append(len(calls))
+        assert one.quadrature.evaluations == sum(21 * k for k, _ in calls)
+    assert rounds == max(alone)
+    assert sweep.quadrature.evaluations == sum(
+        result.evaluations for result in sweep.quadrature)
+    if 3.0 in ps:  # the pole row bisects for many rounds, the others not
+        assert sorted(alone) == [1, 1, rounds] and rounds > 5
+    else:
+        assert alone == [1] * 5 and rounds == 1
+
+
 def test_measure_result_provenance():
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     rate = sss_measure(proc, SSSConfig(mode="min"))

@@ -192,6 +192,42 @@ def test_adaptive_quad_takes_every_node_of_a_round_in_one_call():
     assert len(calls) < res.evaluations // 21
 
 
+def test_adaptive_quad_rows_are_each_the_quadrature_they_are_alone():
+    # a pole needing many rounds, a smooth row and a row of zero width, the
+    # intervals of rows 0 and 1 interleaved: each row keeps its own order,
+    # tolerance and budget, and every bit it has alone
+    eps = 1e-6
+    forms = [lambda t: 1.0 / np.abs(t - 0.5), np.sin, np.exp]
+    lo = np.array([0.0, 0.0, 0.5 + eps, 1.0, 2.0])
+    hi = np.array([0.5 - eps, 1.0, 1.0, 3.0, 2.0])
+    rows = np.array([0, 1, 0, 1, 3])
+    calls = []
+
+    def f(t, row):
+        calls.append(row)
+        out = np.empty_like(t)
+        for r, form in enumerate(forms):
+            out[row == r] = form(t[row == r])
+        return out
+
+    batch = adaptive_quad(f, lo, hi, rows=rows)
+    alone = [adaptive_quad(form, lo[rows == r], hi[rows == r])
+             for r, form in enumerate(forms)]
+    assert len(batch) == 4 and batch[-1] == batch[3]
+    assert [tuple(map(float.hex, batch[r][:2])) + batch[r][2:]
+            for r in range(3)] == [tuple(map(float.hex, r[:2])) + r[2:]
+                                   for r in alone]
+    assert batch[2] == batch[3] == (0.0, 0.0, 0)
+    assert batch.evaluations == sum(r.evaluations for r in alone)
+    # one call per round, as many rounds as the slowest row takes alone
+    assert len(calls) == len([t for t in calls if 0 in t]) > 5
+    with pytest.raises(ToleranceNotMet, match=r"quadrature on \[0, 1\]"):
+        adaptive_quad(f, lo, hi, rows=rows, limit=2)
+    for bad in ([0, 1, 0, -1, 3], [0.0, 1.0, 0.0, 1.0, 3.0], [0, 1]):
+        with pytest.raises(DomainError):
+            adaptive_quad(f, lo, hi, rows=np.array(bad))
+
+
 def test_gk21_matches_quadpack_qk21():
     # scipy's quad with limit=1 returns QUADPACK's single qk21 result and its
     # scaled error estimate (the rough integrands keep that scaling active)

@@ -362,6 +362,18 @@ def test_p_zero_is_the_semigroup_for_every_s(s):
     assert np.all(gamma_dephasing(proc, [0.0, 1.0]) == 0.0)
 
 
+# the real branch twice, p = s^2/8 and the oscillating branch
+@pytest.mark.parametrize("p", [0.01, 0.124, 0.125, 3.0])
+def test_q_is_exactly_one_at_time_zero(p):
+    """The real branch's partial fractions rounded to 1 - 1.1e-16 at
+    p = 0.01 and 1 - 7.8e-16 at p = 0.124 (s = 1)."""
+    assert q_of_t(DephasingSemiMarkov(s=1.0, p=p), 0.0) == 1.0
+    ps = [p, 0.01, 0.124, 0.125, 3.0]  # every branch in one array
+    q = q_of_t(DephasingSemiMarkov(s=1.0, p=ps), np.zeros(len(ps)))
+    assert np.all(q == 1.0)
+    assert np.all(q_of_t(DephasingSemiMarkov(s=1.0, p=p), [0.0, 1e-9]) <= 1.0)
+
+
 @pytest.mark.parametrize("s, p", [(1e-300, 2.0), (1.0, 1e308)])
 def test_q_refuses_a_p_whose_8p_by_s2_overflows(s, p):
     """|eta| is inf there, so the phase at t = 0 would be 0 * inf: q(0)
