@@ -6,18 +6,17 @@ their departure from semigroup dynamics:
 
 - ``semimarkov``: waiting-time distributions, the dephasing and non-unital
   qubit families, coherence factors q(t) and canonical rates gamma(t),
-  dynamical maps as superoperators and Kraus sets, memory kernels, and a
+  the per-jump channels as superoperators, memory kernels, and a
   classical Monte Carlo renewal simulator.
-- ``quantum``: states, superoperator-to-Choi conversions, CPTP checks,
-  intermediate maps, and generator snapshots.
+- ``quantum``: state checks, superoperator-to-Choi conversions, and
+  generator snapshots.
 - ``measures``: the deviation-from-semigroup measure xi from one function,
   ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
   minimized references), zeta = xi/(1+xi), trace-distance revivals,
   CP-divisibility scans with a boundary bisection, and Holevo information
   curves.
-- ``numerics``: Hermitian eigenvalues, trace norms, entropies, adaptive
-  quadrature over given intervals, and a Volterra integro-differential
-  solver.
+- ``numerics``: trace norms, adaptive quadrature over given intervals,
+  and a Volterra integro-differential solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.
 

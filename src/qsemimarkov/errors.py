@@ -6,9 +6,8 @@ user input (exit code 2).
 """
 
 __all__ = ["QsmError", "ConfigError", "UnsupportedVariant", "NumericalError",
-           "NonHermitianInput", "NoConvergence", "InvalidState", "DomainError",
-           "ToleranceNotMet", "GridError", "NoSignChange", "DimensionMismatch",
-           "SingularMap", "Singularity"]
+           "NoConvergence", "InvalidState", "DomainError", "ToleranceNotMet",
+           "GridError", "NoSignChange", "DimensionMismatch", "Singularity"]
 
 
 class QsmError(Exception):
@@ -21,10 +20,6 @@ class ConfigError(QsmError):
 
 class NumericalError(QsmError):
     """A numerical routine failed or produced an invalid value."""
-
-
-class NonHermitianInput(NumericalError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
 class NoConvergence(NumericalError):
@@ -53,10 +48,6 @@ class NoSignChange(NumericalError):
 
 class DimensionMismatch(NumericalError):
     """Operator dimensions are incompatible."""
-
-
-class SingularMap(NumericalError):
-    """A dynamical map is too ill-conditioned to invert."""
 
 
 class Singularity(NumericalError):

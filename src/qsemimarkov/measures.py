@@ -56,8 +56,6 @@ from .numerics import (
     trace_norm,
 )
 from .quantum import (
-    _COND_MAX,
-    _CP_TOL,
     DephasingGenerator,
     ProjectorGenerator,
     check_density_matrix,
@@ -103,6 +101,8 @@ MINUS_STATE = _readonly(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
 _REVIVAL_FLOOR = 1e-12  # trace-distance increments up to this are rounding
+_COND_MAX = 1e12  # a map with a larger condition number has no inverse
+_CP_TOL = 1e-8    # a Choi eigenvalue above -_CP_TOL counts as CP
 # 1/(k (2k - 1)) for k = 24..1: the first term left out is below 3e-18 r^2
 _CHI_SERIES = [1.0 / (k * (2 * k - 1)) for k in range(24, 0, -1)]
 
@@ -462,7 +462,7 @@ class DivisibilityReport:
     ``min_eigenvalues[i]`` is the smallest Choi eigenvalue of the propagator
     from times[i] to times[i+1] (NaN where the early map was numerically
     singular). A step counts as a violation when that eigenvalue drops below
-    ``-tol``, the CP tolerance ``quantum._CP_TOL``.
+    ``-tol``, the CP tolerance ``_CP_TOL``.
     """
 
     times: np.ndarray

@@ -1,8 +1,8 @@
-"""Dense small-matrix linear algebra, quadrature, and a Volterra solver.
+"""Trace norms, adaptive quadrature, and a Volterra solver.
 
-Everything here operates on plain numpy arrays and Python callables. Matrix
-routines are thin, contract-enforcing wrappers over LAPACK (via numpy);
-quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate in
+Everything here operates on plain numpy arrays and Python callables. The
+trace norm is a thin, contract-enforcing wrapper over LAPACK's SVD (via
+numpy); quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate in
 numpy over intervals the caller gives, bisecting many intervals per round
 and taking the integrand on all their nodes in one call; callers cut out
 poles and split at kinks by the intervals they pass. Labelled rows of
@@ -23,9 +23,7 @@ import numpy as np
 from .errors import (
     DomainError,
     GridError,
-    InvalidState,
     NoConvergence,
-    NonHermitianInput,
     NumericalError,
     ToleranceNotMet,
 )
@@ -34,9 +32,7 @@ __all__ = [
     "QuadratureResult",
     "QuadratureRows",
     "VolterraSolution",
-    "hermitian_eigvals",
     "trace_norm",
-    "von_neumann_entropy",
     "adaptive_quad",
     "solve_volterra",
 ]
@@ -49,9 +45,6 @@ _VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 256 for 4x4 maps
 # intervals per integrand call: caps the memory of the integrand's work on
 # their nodes (21 per interval)
 _QUAD_BLOCK = 1 << 9
-
-_STATE_TOL = 1e-10  # rounding allowed in a state's entries, trace, eigenvalues
-_TRACE_TOL = 1e-8   # rounding allowed in the trace of an entropy's argument
 
 # QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae on
 # [0, 1], their weights, and those of the embedded 10-point Gauss rule
@@ -83,33 +76,6 @@ class VolterraSolution(NamedTuple):
     maps: np.ndarray   # shape (n+1, D, D) superoperator trajectory
 
 
-def hermitian_eigvals(matrix: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of each of a stack, ascending.
-
-    :param matrix: square complex matrix, or a stack (..., d, d) of them, each
-        Hermitian within ``tol`` relative to its largest-magnitude entry.
-    :param tol: relative Hermiticity tolerance.
-    :raises NonHermitianInput: if the Hermiticity check fails for any matrix.
-    :raises NoConvergence: if the underlying LAPACK driver does not converge.
-    :return: real eigenvalues in ascending order along the last axis.
-    """
-    m = np.asarray(matrix)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(defect > tol * scale):
-        i = np.unravel_index(np.argmax(defect / scale), defect.shape)
-        raise NonHermitianInput(
-            f"matrix deviates from Hermiticity by {defect[i]:.3e} "
-            f"(allowed {tol * scale[i]:.3e})"
-        )
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-
-
 def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     """Sum of singular values; for Hermitian input this is sum |eigenvalues|.
 
@@ -125,29 +91,6 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return float(norms) if m.ndim == 2 else norms
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
-    """Von Neumann entropy in bits, -sum(lambda log2 lambda).
-
-    A stack of states (..., d, d) gives an array of shape (...), one a float.
-
-    :raises InvalidState: if any state is non-Hermitian, its trace deviates
-        from 1 by more than ``_TRACE_TOL``, or an eigenvalue is below
-        ``-_STATE_TOL``.
-    """
-    try:
-        evals = hermitian_eigvals(np.asarray(rho, dtype=complex))
-    except NonHermitianInput as exc:
-        raise InvalidState(str(exc)) from exc
-    trace_defect = np.abs(evals.sum(axis=-1) - 1.0)
-    if np.any(trace_defect > _TRACE_TOL):
-        raise InvalidState(f"trace deviates from 1 by {trace_defect.max():.3e}")
-    if np.any(evals < -_STATE_TOL):
-        raise InvalidState(f"negative eigenvalue {evals.min():.3e}")
-    lam = np.clip(evals, 0.0, None)
-    ent = -(lam * np.log2(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
-    return float(ent) if evals.ndim == 1 else ent
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,

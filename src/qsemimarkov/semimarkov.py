@@ -49,8 +49,6 @@ __all__ = [
     "gamma_dephasing",
     "gamma_nonunital",
     "coherence_zeros",
-    "map_at",
-    "superop_at",
     "jump_superop",
     "ClassicalSimResult",
     "classical_jump_simulate",
@@ -553,10 +551,7 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
 def _bloch_factors(proc, t, caller: str):
     """(a, a_z, b) with Phi(t): (x, y, z) -> (a x, a y, a_z z + b) on Bloch
     vectors: (q, 1, 0) for dephasing, (g, g, 1 - g) for the non-unital
-    family. :raises DomainError: for a t < 0, another process type, or an
-    array p."""
-    if np.any(np.asarray(t) < 0.0):
-        raise DomainError(f"t must be non-negative, got min {np.min(t)!r}")
+    family. :raises DomainError: for another process type or an array p."""
     _require_one(proc, caller)
     if isinstance(proc, DephasingSemiMarkov):
         return q_of_t(proc, t), 1.0, 0.0
@@ -564,22 +559,6 @@ def _bloch_factors(proc, t, caller: str):
         raise DomainError(f"unknown process type {type(proc)!r}")
     g = proc.survival(t)
     return g, g, 1.0 - g
-
-
-def map_at(proc, t: float) -> list[np.ndarray]:
-    """Kraus operators of the dynamical map Phi(t) = w id + (1 - w) J.
-
-    Dephasing: {sqrt(w) I, sqrt(1 - w) Z} with w = (1 + q)/2. Non-unital:
-    {sqrt(g) I, sqrt(1 - g) |0><0|, sqrt(1 - g) |0><1|} with g = sech(rate t).
-    Every operator is kept, also where its weight is 0.
-    """
-    a = float(_bloch_factors(proc, float(t), "map_at")[0])
-    if isinstance(proc, DephasingSemiMarkov):
-        return [np.sqrt((1.0 + a) / 2.0) * np.eye(2),
-                np.sqrt((1.0 - a) / 2.0) * _PAULI_Z]
-    jump = np.sqrt(1.0 - a)
-    return [np.sqrt(a) * np.eye(2), jump * np.diag([1.0, 0.0]),
-            jump * np.eye(2, k=1)]
 
 
 def jump_superop(proc) -> np.ndarray:
@@ -594,19 +573,6 @@ def jump_superop(proc) -> np.ndarray:
         S[0, 0] = S[0, 3] = 1.0  # vec(E00) and vec(E11) both map to vec(E00)
         return S
     raise DomainError(f"unknown process type {type(proc)!r}")
-
-
-def superop_at(proc, t) -> np.ndarray:
-    """Superoperators of Phi(t) = w id + (1 - w) J, shape np.shape(t) + (4, 4).
-
-    J is ``jump_superop(proc)``; w = (1 + q(t))/2 for dephasing and
-    w = sech(rate t) for the non-unital family; an array p is refused.
-    """
-    J = jump_superop(proc)
-    a = _bloch_factors(proc, np.asarray(t, dtype=float), "superop_at")[0]
-    w = np.asarray((1.0 + a) / 2.0 if isinstance(proc, DephasingSemiMarkov)
-                   else a)[..., None, None]
-    return w * np.eye(4) + (1.0 - w) * J
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,30 @@ the evolved states.
 
 import numpy as np
 
-from qsemimarkov import apply_superop, choi_of_superop, superop_at, trace_norm
-from qsemimarkov.quantum import _COND_MAX
+from qsemimarkov import (DephasingSemiMarkov, choi_of_superop, jump_superop,
+                         q_of_t, trace_norm)
+from qsemimarkov.measures import _COND_MAX
+
+
+def superop_at(proc, t) -> np.ndarray:
+    """Superoperators of Phi(t) = w 1 + (1 - w) J, shape np.shape(t) + (4, 4),
+    with J = ``jump_superop(proc)``, w = (1 + q(t))/2 for dephasing and
+    w = sech(rate t) for the non-unital family."""
+    J = jump_superop(proc)
+    t = np.asarray(t, dtype=float)
+    w = ((1.0 + q_of_t(proc, t)) / 2.0 if isinstance(proc, DephasingSemiMarkov)
+         else proc.survival(t))
+    w = np.asarray(w)[..., None, None]
+    return w * np.eye(4) + (1.0 - w) * J
+
+
+def apply_superop(superop, rho) -> np.ndarray:
+    """Column-stacking superoperators applied to states, broadcasting stacks."""
+    r = np.asarray(rho, dtype=complex)
+    d = r.shape[-1]
+    out = np.asarray(superop) @ r.swapaxes(-1, -2).reshape(
+        *r.shape[:-2], d * d, 1)  # vec(rho)
+    return out.reshape(*out.shape[:-2], d, d).swapaxes(-1, -2)
 
 
 def trace_distance(proc, times, rho1, rho2) -> np.ndarray:

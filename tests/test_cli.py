@@ -22,7 +22,7 @@ from qsemimarkov import (
 )
 from qsemimarkov import cli, measures, semimarkov
 from qsemimarkov.cli import build_parser, run
-from qsemimarkov.quantum import _COND_MAX, _CP_TOL
+from qsemimarkov.measures import _COND_MAX, _CP_TOL
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
 

@@ -40,9 +40,21 @@ def test_package_exports_every_library_export():
     ("numerics", "binary_entropy"),       # now the Holevo oracle of the tests
     ("semimarkov", "DeltaKernel"),        # only tests called these two
     ("semimarkov", "kernel_closed_form"),
-    ("quantum", "kraus_from_choi"),       # map_at has closed-form Kraus sets
+    ("quantum", "kraus_from_choi"),       # map_at had closed-form Kraus sets
     ("numerics", "Spectrum"),             # eigenvectors went with it
-    ("numerics", "hermitian_eig"),        # now hermitian_eigvals
+    ("numerics", "hermitian_eig"),        # then hermitian_eigvals
+    # the 4x4 channel layer: the measures take Bloch forms in q or g, and
+    # the superoperator route is the test oracle in superop_route.py
+    ("quantum", "apply_superop"),
+    ("quantum", "CPTPReport"),
+    ("quantum", "is_cptp"),
+    ("quantum", "intermediate_map"),
+    ("semimarkov", "map_at"),
+    ("semimarkov", "superop_at"),
+    ("numerics", "hermitian_eigvals"),
+    ("numerics", "von_neumann_entropy"),
+    ("errors", "SingularMap"),            # only intermediate_map raised it
+    ("errors", "NonHermitianInput"),      # only hermitian_eigvals raised it
 ])
 def test_deleted_names_stay_out_of_the_exports(module, name):
     assert name not in qsemimarkov.__all__

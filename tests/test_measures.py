@@ -32,7 +32,7 @@ from qsemimarkov import (
 )
 
 from qsemimarkov import measures, numerics, semimarkov
-from qsemimarkov.quantum import _CP_TOL
+from qsemimarkov.measures import _CP_TOL
 
 import superop_route as oracle
 from golden_section import minimize_scalar
@@ -58,13 +58,14 @@ def test_config_validation():
 
 
 def test_one_process_measures_refuse_an_array_p():
-    proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
     ts = np.linspace(0.0, 1.0, 5)
-    for measure in (lambda: blp_measure(proc, 1.0),
-                    lambda: holevo_curve(proc, ts),
-                    lambda: cp_divisibility_scan(proc, ts)):
-        with pytest.raises(DomainError, match="one process"):
-            measure()
+    for proc, says in ((DephasingSemiMarkov(s=1.0, p=[0.1, 3.0]), "one process"),
+                       (object(), "unknown process type")):
+        for measure in (lambda: blp_measure(proc, 1.0),
+                        lambda: holevo_curve(proc, ts),
+                        lambda: cp_divisibility_scan(proc, ts)):
+            with pytest.raises(DomainError, match=says):
+                measure()
     # a 1-d p is a sweep; a 2-d p is neither one process nor a sweep
     with pytest.raises(DomainError, match="float or 1-d, got 2-d"):
         sss_measure(DephasingSemiMarkov(s=1.0, p=[[0.1, 3.0]]))

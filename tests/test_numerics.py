@@ -1,4 +1,4 @@
-"""Linear algebra, quadrature, Volterra, and scalar-search building blocks."""
+"""Trace norms, quadrature, Volterra, and scalar-search building blocks."""
 
 import tracemalloc
 import warnings
@@ -11,17 +11,13 @@ from qsemimarkov import (
     DomainError,
     ExponentialKernel,
     GridError,
-    InvalidState,
-    NonHermitianInput,
     NonUnitalSemiMarkov,
     NumericalError,
     ToleranceNotMet,
     adaptive_quad,
-    hermitian_eigvals,
     jump_superop,
     solve_volterra,
     trace_norm,
-    von_neumann_entropy,
 )
 from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS, _gk21
 
@@ -33,41 +29,7 @@ def random_hermitian(rng, d):
     return a + a.conj().T
 
 
-# ---------------------------------------------------------------- eigensolve
-
-def test_hermitian_eigvals_ascending_and_consistent():
-    rng = np.random.default_rng(11)
-    for d in (2, 3, 4, 6):
-        m = random_hermitian(rng, d)
-        evals = hermitian_eigvals(m)
-        assert np.all(np.diff(evals) >= 0)
-        for lam in evals:  # each makes m - lam 1 singular
-            assert np.linalg.svd(m - lam * np.eye(d))[1].min() < 1e-10
-        assert evals.sum() == pytest.approx(m.trace().real, abs=1e-12)
-
-
-def test_hermitian_eig_of_a_stack_equals_per_matrix_spectra():
-    rng = np.random.default_rng(16)
-    stack = np.array([random_hermitian(rng, 3) for _ in range(6)]).reshape(
-        2, 3, 3, 3)
-    evals = hermitian_eigvals(stack)
-    for idx in np.ndindex(2, 3):
-        assert np.array_equal(evals[idx], hermitian_eigvals(stack[idx]))
-    stack[1, 2, 0, 1] += 1.0
-    with pytest.raises(NonHermitianInput):
-        hermitian_eigvals(stack)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NonHermitianInput):
-        hermitian_eigvals(m)
-
-
-def test_hermitian_eig_rejects_non_square():
-    with pytest.raises(DomainError):
-        hermitian_eigvals(np.zeros((2, 3)))
-
+# ---------------------------------------------------------------- trace norm
 
 def test_trace_norm_matches_abs_eigenvalues():
     rng = np.random.default_rng(12)
@@ -91,56 +53,6 @@ def test_trace_norm_of_a_stack_equals_per_matrix_norms():
     assert isinstance(trace_norm(stack[0, 0]), float)
     with pytest.raises(DomainError):
         trace_norm(np.ones(3))
-
-
-# ------------------------------------------------------------------ entropy
-
-def test_von_neumann_entropy_values():
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
-    assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
-    assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0)
-    # frozen reference value for the (3/4, 1/4) mixture
-    assert von_neumann_entropy(np.diag([0.75, 0.25])) == pytest.approx(
-        0.8112781244591328, abs=1e-14
-    )
-
-
-def test_von_neumann_entropy_rejects_bad_states():
-    with pytest.raises(InvalidState):
-        von_neumann_entropy(np.diag([0.9, 0.3]))  # trace 1.2
-    with pytest.raises(InvalidState):
-        von_neumann_entropy(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(InvalidState):
-        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
-
-
-def random_state(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
-
-
-def test_von_neumann_entropy_of_a_stack():
-    rng = np.random.default_rng(14)
-    stack = np.array([random_state(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
-    ent = von_neumann_entropy(stack)
-    assert ent.shape == (2, 3)
-    for idx in np.ndindex(2, 3):
-        assert ent[idx] == von_neumann_entropy(stack[idx])
-    assert isinstance(von_neumann_entropy(stack[0, 0]), float)
-
-
-@pytest.mark.parametrize("bad", [
-    np.array([[0.5, 1.0], [0.0, 0.5]]),  # non-Hermitian
-    np.diag([1.2, 0.8]),                 # trace 2
-    np.diag([1.5, -0.5]),                # negative eigenvalue
-])
-def test_von_neumann_entropy_checks_every_state_of_a_stack(bad):
-    rng = np.random.default_rng(15)
-    stack = np.array([random_state(rng, 2) for _ in range(5)])
-    stack[3] = bad
-    with pytest.raises(InvalidState):
-        von_neumann_entropy(stack)
 
 
 # --------------------------------------------------------------- quadrature

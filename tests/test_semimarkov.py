@@ -22,19 +22,16 @@ from qsemimarkov import (
     TanhSechWTD,
     UnsupportedVariant,
     adaptive_quad,
-    apply_superop,
     coherence_zeros,
     gamma_dephasing,
     gamma_nonunital,
     jump_superop,
-    map_at,
     q_of_t,
     solve_volterra,
-    superop_at,
 )
 from qsemimarkov import semimarkov
 
-from choi_loop import superop_of_kraus
+from superop_route import apply_superop, superop_at
 
 Z = np.diag([1.0, -1.0])
 
@@ -395,22 +392,12 @@ def test_s_whose_square_overflows_is_refused(s):
 
 # ------------------------------------------------------------ maps, superops
 
-def test_superop_at_refuses_an_array_p():
-    proc = DephasingSemiMarkov(s=1.0, p=[0.1, 3.0])
-    with pytest.raises(DomainError, match="one process, not an array p"):
-        superop_at(proc, [0.0, 1.0])
-
-
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda proc: map_at(proc, 1.0), id="map_at"),
-    pytest.param(lambda proc: proc.regime(), id="regime"),
-])
 @pytest.mark.parametrize("p", [[0.1, 3.0], [3.0]])
-def test_map_at_and_regime_refuse_an_array_p(call, p):
-    """Also an array of one element, as superop_at: the caller gets one
-    type of error, not numpy's TypeError or truth-value ValueError."""
+def test_regime_refuses_an_array_p(p):
+    """Also an array of one element: the caller gets one type of error, not
+    numpy's TypeError or truth-value ValueError."""
     with pytest.raises(DomainError, match="takes one process, not an array p"):
-        call(DephasingSemiMarkov(s=1.0, p=p))
+        DephasingSemiMarkov(s=1.0, p=p).regime()
 
 
 def test_dephasing_map_and_superop():
@@ -435,59 +422,6 @@ def test_jump_superops():
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 0] = rho.trace()
     assert np.abs(out - expected).max() < 1e-14
-
-
-def test_map_at_clips_coherence_rounded_above_one():
-    # q(0) would round to 1 + 2e-16 here; the Kraus weights must stay finite
-    proc = DephasingSemiMarkov(s=0.9, p=0.1)
-    assert float(q_of_t(proc, 0.0)) == 1.0
-    ident, flip = map_at(proc, 0.0)
-    assert np.array_equal(ident, np.eye(2))
-    assert np.array_equal(flip, np.zeros((2, 2)))
-
-
-def test_map_at_rejects_negative_time():
-    with pytest.raises(DomainError):
-        map_at(DephasingSemiMarkov(s=1.0, p=0.3), -0.5)
-
-
-@pytest.mark.parametrize("proc", [DephasingSemiMarkov(s=1.0, p=3.0),
-                                  DephasingSemiMarkov(s=0.9, p=0.1),
-                                  NonUnitalSemiMarkov(rate=1.05)])
-def test_superop_stack_matches_kraus_route(proc):
-    ts = np.linspace(0.0, 8.0, 401)
-    stack = superop_at(proc, ts)
-    assert stack.shape == (401, 4, 4)
-    for t, S in zip(ts, stack):
-        assert np.abs(S - superop_of_kraus(map_at(proc, t))).max() <= 2e-15
-    assert superop_at(proc, 0.7).shape == (4, 4)
-    assert superop_at(proc, ts.reshape(1, 401, 1)).shape == (1, 401, 1, 4, 4)
-    with pytest.raises(DomainError):
-        superop_at(proc, np.r_[ts[:200], -1e-9, ts[200:]])
-
-
-def test_superop_at_rejects_unknown_family():
-    with pytest.raises(DomainError):
-        superop_at(object(), 1.0)
-    with pytest.raises(DomainError):
-        map_at(object(), 1.0)
-
-
-def test_nonunital_map_at_reproduces_superop_at():
-    proc = NonUnitalSemiMarkov(rate=1.0)
-    ts = np.linspace(0.0, 8.0, 801)
-    for t, S in zip(ts, superop_at(proc, ts)):
-        kraus = map_at(proc, t)
-        assert len(kraus) == 3
-        assert np.abs(superop_of_kraus(kraus) - S).max() <= 2e-15
-
-
-def test_nonunital_map_at_is_its_closed_form_at_t0():
-    # g = sech 0 = 1: the identity, and both jump operators 0
-    ident, to_ground, lower = map_at(NonUnitalSemiMarkov(rate=1.0), 0.0)
-    assert np.array_equal(ident, np.eye(2))
-    assert np.array_equal(to_ground, np.zeros((2, 2)))
-    assert np.array_equal(lower, np.zeros((2, 2)))
 
 
 def _jump_closure(proc):
