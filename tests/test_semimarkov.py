@@ -424,6 +424,15 @@ def test_jump_superops():
     assert np.abs(out - expected).max() < 1e-14
 
 
+def test_superop_at_rejects_unknown_family():
+    # the oracle's superop_at builds on jump_superop, which must refuse
+    # a process of neither family rather than return a wrong channel
+    with pytest.raises(DomainError, match="unknown process type"):
+        superop_at(object(), 1.0)
+    with pytest.raises(DomainError, match="unknown process type"):
+        jump_superop(object())
+
+
 def _jump_closure(proc):
     """The per-jump channel written as a function of the state."""
     if isinstance(proc, DephasingSemiMarkov):
