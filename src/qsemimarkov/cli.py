@@ -36,12 +36,7 @@ import numpy as np
 
 from . import __version__
 from .emitters import ResultTable, to_csv, to_json, to_svg
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericalError,
-    UnsupportedVariant,
-)
+from .errors import ConfigError, DomainError, NumericalError
 from .measures import (
     SSSConfig,
     blp_measure,
@@ -517,7 +512,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0
     except SystemExit as exc:  # argparse --help / usage errors
         return int(exc.code or 0)
-    except (ConfigError, UnsupportedVariant, DomainError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"qsm: configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

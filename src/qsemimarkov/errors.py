@@ -5,9 +5,9 @@ computation (the CLI maps it to exit code 3); ``ConfigError`` covers bad
 user input (exit code 2).
 """
 
-__all__ = ["QsmError", "ConfigError", "UnsupportedVariant", "NumericalError",
-           "NoConvergence", "InvalidState", "DomainError", "ToleranceNotMet",
-           "GridError", "NoSignChange", "DimensionMismatch", "Singularity"]
+__all__ = ["QsmError", "ConfigError", "NumericalError", "NoConvergence",
+           "InvalidState", "DomainError", "ToleranceNotMet", "GridError",
+           "NoSignChange", "DimensionMismatch", "Singularity"]
 
 
 class QsmError(Exception):
@@ -52,7 +52,3 @@ class DimensionMismatch(NumericalError):
 
 class Singularity(NumericalError):
     """Evaluation requested at (or too close to) a pole of the rate."""
-
-
-class UnsupportedVariant(QsmError):
-    """The requested operation is not defined for this distribution variant."""

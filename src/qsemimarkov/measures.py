@@ -263,14 +263,16 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     delta = +-s|eta| eps/2 exact, so a full piece gains s (P - 2 eps)/4.
     The Choi route is one quadrature over the sub-pieces of nonzero
     multiplicity of every row, labelled by row, so each row keeps its own
-    tolerance, budget and ``QuadratureResult``. Its integrand is the trace
-    norm of the Choi difference, each node weighted by the multiplicity of
-    its piece; a round takes the new intervals of every row not yet
-    converged in one call, so one Choi stack and one trace-norm batch
-    (chunked by ``adaptive_quad``). The result is divided by the family
-    constant measured from the generator at rates 1 and 0. Each row does
-    the arithmetic it does alone, so its bits do not depend on the rest of
-    the sweep.
+    tolerance, budget and ``QuadratureResult``. Both families' generator
+    Choi matrices are the rate times one real unit-rate matrix, built once
+    per call, so the integrand is the trace norm of (gamma - ref) times it,
+    formed as the difference of the two scaled matrices; a node counts
+    N - 1 times inside the full piece and once elsewhere. A round takes the
+    new intervals of every row not yet converged in one call, so one
+    trace-norm batch (chunked by ``adaptive_quad``). The result is divided
+    by the family constant, the trace norm of the unit-rate matrix. Each
+    row does the arithmetic it does alone, so its bits do not depend on the
+    rest of the sweep.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -376,26 +378,21 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     else:
         generator = ProjectorGenerator if nonunital else DephasingGenerator
         rate = gamma_nonunital if nonunital else gamma_dephasing
-        choi = lambda r: choi_of_generator(generator(rate=r, dim=2))
-        constant = trace_norm(choi(1.0) - choi(0.0))
-
-        # a node's weight is the multiplicity of its piece, the last kept
-        # one that starts at or before it; a piece not kept is given the
-        # start of the next kept one, so it is never that last one
-        starts = np.minimum.accumulate(np.where(keep, lo, np.inf)[:, ::-1],
-                                       axis=1)[:, ::-1]
+        # both families' generators are the rate times one real Choi matrix
+        unit = choi_of_generator(generator(rate=1.0, dim=2)).real
+        constant = trace_norm(unit)
 
         def integrand(t: np.ndarray, i: np.ndarray) -> np.ndarray:
             gamma = rate(proc if nonunital else proc.take(i[:, None]), t)
             if not np.all(np.isfinite(gamma)):
                 raise Singularity("rate pole at t = "
                                   f"{t[~np.isfinite(gamma)][0]:g}")
-            piece = (starts[i, None] <= t[..., None]).sum(axis=-1) - 1
-            # the reference rate as one more node of each interval; both
-            # families' Choi matrices are real
-            chi = choi(np.concatenate([gamma, ref[i, None]], axis=1)).real
-            return mult[i[:, None], piece] * trace_norm(chi[:, :-1]
-                                                        - chi[:, -1:])
+            # only the full piece counts other than once, and a piece not
+            # kept holds no node
+            full = (lo[i, 1, None] <= t) & (t <= hi[i, 1, None])
+            return np.where(full, mult[i, 1, None], 1.0) * trace_norm(
+                np.multiply.outer(gamma, unit)
+                - np.multiply.outer(ref[i], unit)[:, None])
 
         quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
                               edges[keep][:, 1:].ravel(),
@@ -488,8 +485,10 @@ def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
     as singular and skipped rather than treated as violations.
     """
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0:
-        raise GridError("times must be a 1-D increasing grid of length >= 2")
+    if (ts.ndim != 1 or ts.size < 2 or not np.isfinite(ts).all()
+            or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0):
+        raise GridError("times must be a 1-D increasing finite grid of "
+                        "length >= 2")
     a = _bloch_factors(proc, ts, "cp_divisibility_scan")[0]
     early = a[:-1]
     if isinstance(proc, NonUnitalSemiMarkov):
@@ -587,8 +586,10 @@ def holevo_curve(proc, times: Sequence[float], *,
         chi(t) = 1 - H2((1 + |q(t)|) / 2).
     """
     ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or np.any(ts < 0.0):
-        raise GridError("times must be a 1-D array of non-negative values")
+    if (ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all()
+            or np.any(ts < 0.0)):
+        raise GridError("times must be a 1-D array of finite non-negative "
+                        "values")
     if ensemble is None:
         ensemble = ((0.5, PLUS_STATE), (0.5, MINUS_STATE))
     probs = np.array([float(p) for p, _ in ensemble])

@@ -81,10 +81,15 @@ def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
 
     A stack (..., m, n) gives an array of shape (...), one matrix a float.
     A sum past the float range is inf, for the caller's finiteness check.
+
+    :raises DomainError: for fewer than 2 axes, or an entry that is not
+        finite, which LAPACK would not take.
     """
     m = np.asarray(matrix)
     if m.ndim < 2:
         raise DomainError(f"expected a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
     try:
         with np.errstate(over="ignore"):
             norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)

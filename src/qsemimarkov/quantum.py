@@ -16,7 +16,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +96,7 @@ class _GeneratorSnapshot:
     @property
     def superop(self) -> np.ndarray:
         """Column-stacking superoperator, shape rate.shape + (d^2, d^2)."""
-        return np.multiply.outer(self.rate, self._unit(self.dim))
-
-    @classmethod
-    @functools.cache
-    def _unit(cls, dim: int) -> np.ndarray:
-        """The superoperator at unit rate, built once per family and dim."""
-        unit = cls._unit_rate(dim)
-        unit.setflags(write=False)
-        return unit
+        return np.multiply.outer(self.rate, self._unit_rate(self.dim))
 
 
 class DephasingGenerator(_GeneratorSnapshot):

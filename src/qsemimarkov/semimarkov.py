@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridError, Singularity, UnsupportedVariant
+from .errors import DomainError, GridError, Singularity
 
 __all__ = [
     "ExponentialWTD",
@@ -138,12 +138,6 @@ class ExpConvolutionWTD:
             return (1.0 + slow * t) * np.exp(-slow * t)
         return np.exp(-slow * t) * (
             1.0 + (slow / diff) * (-np.expm1(-diff * t))
-        )
-
-    def inverse_cdf(self, u):
-        raise UnsupportedVariant(
-            "the two-exponential convolution has no single-argument closed-form "
-            "inverse CDF; a wait is the sum of one inverse-CDF draw per stage"
         )
 
 
@@ -294,7 +288,7 @@ def q_of_t(proc: DephasingSemiMarkov, t):
 
     |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0, so it is
     clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
-    phase x overflows, as e^{-st/2} is 0 there.
+    phase x overflows, as e^{-st/2} is 0 there, and NaN at a NaN t.
 
     :raises DomainError: for an element whose 8p/s^2 overflows: |eta| is
         inf there, so every phase, even at t = 0, would be 0 * inf.
@@ -307,7 +301,7 @@ def q_of_t(proc: DephasingSemiMarkov, t):
 
     def boundary(p, w, t):
         x = s * t / 2
-        return np.where(np.isfinite(x), np.exp(-x) * (1.0 + x), 0.0)
+        return np.where(np.isinf(x), 0.0, np.exp(-x) * (1.0 + x))
 
     def real(p, w, t):  # partial fractions: no growing exponentials
         q = ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
@@ -316,8 +310,8 @@ def q_of_t(proc: DephasingSemiMarkov, t):
 
     def imag(p, w, t):
         x = s * t * w / 2
-        return np.where(np.isfinite(x),
-                        np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w), 0.0)
+        return np.where(np.isinf(x), 0.0,
+                        np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w))
 
     # s t overflows to inf where q is 0; np.where drops inf * 0 and cos(inf)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -350,18 +344,18 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
     -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t}) / (2 eta)] with
     c = 1 - eta = (8p/s^2)/(1 + eta); where q > 1/2 it is log1p(q - 1), with
     q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
-    It is -inf where s t or x overflows.
+    It is -inf where s t or x overflows, and NaN at a NaN t.
     """
     s, t = proc.s, np.asarray(t, dtype=float)
 
     def imag(p, w, t):
         x = s * w * t / 2
         log_q = -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
-        return np.where(np.isfinite(x), log_q, -np.inf)
+        return np.where(np.isinf(x), -np.inf, log_q)
 
     def boundary(p, w, t):
         log_q = -s * t / 2 + np.log1p(s * t / 2)
-        return np.where(np.isfinite(s * t), log_q, -np.inf)
+        return np.where(np.isinf(s * t), -np.inf, log_q)
 
     def real(p, w, t):
         c = _eight_p_by_s2(p, s) / (1.0 + w)  # 1 - w, to full precision
@@ -390,12 +384,13 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     For p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
     2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and
     tends to s(1 - eta)/4; at p = s^2/8 it is s^2 t / (8 + 4 s t), s/4
-    where s t overflows. Where q oscillates (p > s^2/8) it is
-    2p sin x / (s (|eta| cos x + sin x)) with x = s|eta|t/2, with a pole
-    where |cos x + sin x/|eta|| < 1e-12: the test ignores the decay
-    e^{-st/2} of q, so only its zeros are poles. It has no limit there, so
-    it is NaN where x overflows. An array t gives NaN at a pole; a 0-d t
-    gives a float. ``proc.p`` may be an array broadcasting against t.
+    where the quotient or 4 s t overflows. Where q oscillates
+    (p > s^2/8) it is 2p sin x / (s (|eta| cos x + sin x)) with
+    x = s|eta|t/2, with a pole where |cos x + sin x/|eta|| < 1e-12: the
+    test ignores the decay e^{-st/2} of q, so only its zeros are poles. It
+    has no limit there, so it is NaN where x overflows. Every branch gives
+    NaN at a NaN t. An array t gives NaN at a pole; a 0-d t gives a float.
+    ``proc.p`` may be an array broadcasting against t.
 
     :raises Singularity: for a 0-d t at a pole.
     """
@@ -406,7 +401,8 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
 
     def boundary(p, w, t):
         gamma = s**2 * t / (8.0 + 4.0 * s * t)
-        return np.where(np.isfinite(gamma), gamma, s / 4.0)
+        return np.where(np.isinf(gamma) | np.isinf(4.0 * s * t), s / 4.0,
+                        gamma)
 
     def real(p, w, t):  # +0.0 at t = 0 and at p = 0
         return (2.0 * p * -np.expm1(-s * w * t)

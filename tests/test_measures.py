@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from qsemimarkov import (
     DephasingSemiMarkov,
+    DimensionMismatch,
     DomainError,
     GridError,
     InvalidState,
@@ -907,6 +908,24 @@ def test_choi_form_nonunital_constant():
     assert result.xi == pytest.approx(np.log(np.cosh(1.0)), rel=1e-8)
 
 
+def test_a_choi_route_call_builds_one_unit_rate_choi_matrix(monkeypatch):
+    # the integrand scales that matrix by each rate, however many rounds
+    # the quadrature takes; its trace norm is the family constant
+    built, norms = [], []
+    choi, trace_norm = measures.choi_of_generator, measures.trace_norm
+    monkeypatch.setattr(measures, "choi_of_generator",
+                        lambda g: built.append(g.rate) or choi(g))
+    monkeypatch.setattr(measures, "trace_norm",
+                        lambda m: norms.append(m.shape) or trace_norm(m))
+    for proc, constant in ((DephasingSemiMarkov(1.0, [0.1, 3.0, 5.0]), 2.0),
+                           (NonUnitalSemiMarkov(rate=1.0), 3.23606797749979)):
+        built.clear(), norms.clear()
+        result = sss_measure(proc, SSSConfig(horizon=20.0, mode="min",
+                                             form="choi"))
+        assert built == [1.0] and len(norms) > 3  # the constant and 3+ rounds
+        assert result.family_constant == constant
+
+
 # ------------------------------------------------------------ revival measure
 
 def test_blp_zero_in_divisible_regime():
@@ -957,6 +976,8 @@ def test_blp_validation():
         blp_measure(proc, 1.0, n_grid=1)
     with pytest.raises(InvalidState):
         blp_measure(proc, 1.0, pair=(np.diag([0.9, 0.0]), PLUS_STATE))
+    with pytest.raises(DimensionMismatch, match="qubit"):
+        blp_measure(proc, 1.0, pair=(np.eye(3) / 3, np.eye(3) / 3))
 
 
 # --------------------------------------------------------- divisibility scan
@@ -1013,6 +1034,12 @@ def test_scan_grid_validation():
         cp_divisibility_scan(proc, [0.0])
     with pytest.raises(GridError):
         cp_divisibility_scan(proc, [0.0, 2.0, 1.0])
+    # comparisons with NaN are false, so a NaN passed the ordering checks
+    for proc in (DephasingSemiMarkov(s=1.0, p=3.0),
+                 NonUnitalSemiMarkov(rate=1.0)):
+        for ts in ([0.0, np.nan], [0.0, 1.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(GridError, match="finite"):
+                cp_divisibility_scan(proc, ts)
 
 
 # ------------------------------------------------------- boundary bisection
@@ -1033,6 +1060,8 @@ def test_boundary_bisection_requires_straddling_bracket():
                               n_grid=1200)
     with pytest.raises(DomainError):
         divisibility_boundary(1.0, p_bracket=(0.4, 0.1))
+    with pytest.raises(DomainError, match="p_tol"):
+        divisibility_boundary(1.0, p_tol=0.0)
 
 
 def _superop_violates(proc, grid) -> bool:
@@ -1218,3 +1247,6 @@ def test_holevo_ensemble_handling():
         holevo_curve(proc, [0.0], ensemble=((1.0, np.diag([2.0, -1.0])),))
     with pytest.raises(GridError):
         holevo_curve(proc, [-1.0])
+    for ts in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf]):
+        with pytest.raises(GridError, match="finite"):
+            holevo_curve(DephasingSemiMarkov(s=1.0, p=3.0), ts)

@@ -19,7 +19,7 @@ from qsemimarkov import (
     solve_volterra,
     trace_norm,
 )
-from qsemimarkov.numerics import _VOLTERRA_MAX_STEPS, _gk21
+from qsemimarkov.numerics import _QUAD_BLOCK, _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
 
@@ -42,7 +42,7 @@ def test_trace_norm_diagonal():
     assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
 
 
-def test_trace_norm_of_a_stack_equals_per_matrix_norms():
+def test_trace_norm_of_a_stack_equals_per_matrix_norms(capfd):
     rng = np.random.default_rng(13)
     stack = np.array([[random_hermitian(rng, 3) for _ in range(4)]
                       for _ in range(2)])
@@ -53,6 +53,16 @@ def test_trace_norm_of_a_stack_equals_per_matrix_norms():
     assert isinstance(trace_norm(stack[0, 0]), float)
     with pytest.raises(DomainError):
         trace_norm(np.ones(3))
+    # a non-finite entry is refused before LAPACK, which would print a
+    # DLASCL complaint on stdout for inf and fail to converge for NaN
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, 0.0)):
+        broken = stack.copy()
+        broken[1, 2, 0, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            trace_norm(broken)
+    assert capfd.readouterr().out == ""
+    # finite entries whose singular values sum past the float range
+    assert trace_norm(np.diag([1e308, 1e308])) == np.inf
 
 
 # --------------------------------------------------------------- quadrature
@@ -138,6 +148,27 @@ def test_adaptive_quad_rows_are_each_the_quadrature_they_are_alone():
     for bad in ([0, 1, 0, -1, 3], [0.0, 1.0, 0.0, 1.0, 3.0], [0, 1]):
         with pytest.raises(DomainError):
             adaptive_quad(f, lo, hi, rows=np.array(bad))
+
+
+def test_a_round_of_more_than_a_block_of_intervals_is_split_into_calls():
+    # 600 one-interval rows: the first round is one call of _QUAD_BLOCK
+    # intervals and one of the other 88, and no row sees the split
+    n = 600
+    assert n > _QUAD_BLOCK == 512
+    sizes = []
+
+    def f(t, row):
+        sizes.append(row.size)
+        return np.sqrt(t) * (1.0 + row[:, None])
+
+    lo, hi = np.zeros(n), np.linspace(0.5, 2.0, n)
+    batch = adaptive_quad(f, lo, hi, rows=np.arange(n))
+    assert sizes[:2] == [512, 88]
+    assert max(sizes) <= 512 and len(sizes) > 2
+    for r in (0, 1, 255, 511, 512, 513, 599):
+        alone = adaptive_quad(lambda t: f(t, np.full(len(t), r)), lo[r], hi[r])
+        assert float.hex(batch[r].value) == float.hex(alone.value)
+        assert batch[r][1:] == alone[1:]
 
 
 def test_gk21_matches_quadpack_qk21():
@@ -282,6 +313,8 @@ def test_solve_volterra_rejects_bad_steps():
         solve_volterra(kernel, gen, 1.0, 0.0)
     with pytest.raises(GridError):
         solve_volterra(kernel, gen, 0.1, 0.5)
+    with pytest.raises(DomainError, match="square"):
+        solve_volterra(kernel, np.zeros((2, 3)), 1.0, 0.1)
     with pytest.raises(NumericalError):
         solve_volterra(ExponentialKernel(np.inf, 1.0), gen, 1.0, 0.1)
     # a finite step matrix whose powers overflow: e^{70} per step

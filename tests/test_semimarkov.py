@@ -20,7 +20,6 @@ from qsemimarkov import (
     REGIME_SEMIGROUP,
     Singularity,
     TanhSechWTD,
-    UnsupportedVariant,
     adaptive_quad,
     coherence_zeros,
     gamma_dephasing,
@@ -75,11 +74,6 @@ def test_inverse_cdf_round_trip(wtd):
     assert np.abs((1.0 - np.asarray(wtd.survival(t))) - u).max() < 1e-12
     with pytest.raises(DomainError):
         wtd.inverse_cdf(1.0)
-
-
-def test_expconv_has_no_single_argument_inverse_cdf():
-    with pytest.raises(UnsupportedVariant):
-        ExpConvolutionWTD(1.0, 2.0).inverse_cdf(0.5)
 
 
 def test_expconv_stable_near_equal_rates():
@@ -263,6 +257,8 @@ def test_coherence_zeros():
     # 7.6e11 zeros are refused before any is allocated
     with pytest.raises(GridError, match="cap"):
         coherence_zeros(proc, 1e12)
+    with pytest.raises(DomainError, match="non-negative"):
+        coherence_zeros(proc, -1.0)
 
 
 @pytest.mark.parametrize("t_max", [np.inf, np.nan])
@@ -303,6 +299,24 @@ def test_oscillating_closed_forms_have_no_limit_where_the_phase_overflows():
     assert semimarkov._log_abs_q(proc, np.array([1e308]))[0] == -np.inf
     with pytest.raises(GridError, match="cap"):
         coherence_zeros(proc, 1e308)
+
+
+@pytest.mark.parametrize("p", [0.125, 0.1, 3.0, [0.125, 0.1, 3.0]],
+                         ids=["boundary", "real", "imag", "all-branches"])
+def test_a_nan_time_gives_nan_on_every_branch(p):
+    # only an overflowing phase is taken as the limit: NaN is no phase
+    proc = DephasingSemiMarkov(s=1.0, p=p)
+    t = np.full(np.shape(p), np.nan)
+    for f in (q_of_t, semimarkov._log_abs_q, gamma_dephasing):
+        assert np.isnan(f(proc, t)).all()
+        assert np.isnan(f(proc, np.nan)).all()
+    # the limits at an infinite time stay: q = 0, ln|q| = -inf, and
+    # gamma = s/4 at p = s^2/8, also where only 4 s t overflows
+    for t in (np.inf, 1e308):
+        assert np.array_equal(q_of_t(proc, t), np.zeros(np.shape(p)))
+    boundary = DephasingSemiMarkov(s=1.0, p=0.125)
+    assert gamma_dephasing(boundary, np.array([1e308, np.inf]))[0] == 0.25
+    assert gamma_dephasing(boundary, np.inf) == 0.25
 
 
 def test_regime_classification():
