@@ -5,11 +5,12 @@ divisibility, classical-sim, kernel-check. ``_DEFAULTS`` names each command's
 flags and their defaults, ``_FLAGS`` each flag's type and help line; a
 command's parser, its ``--help`` and every default it uses come from them,
 and it registers only the flags some mode of it reads. A run whose first
-token is a command builds and parses with that command's parser alone; the
-qsm parser, which lists the commands with no flags, is built only to print
-its help or the version, or a usage error: no command, an unknown one, or
-an unrecognized flag. Dephasing takes ``--s/--p`` or ``--lambda1/--lambda2``
-(s = l1 + l2, p = l1 l2); ``measure --family nonunital`` takes ``--lambda``.
+token is a command builds and parses with that command's parser alone,
+which reports an unknown flag or a bad value in its own usage; the qsm
+parser, which lists the commands with no flags, is built only for its
+help, the version, or a missing or unknown command. Dephasing takes
+``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2, p = l1 l2);
+``measure --family nonunital`` takes ``--lambda``.
 
 Commands read their settings through ``_Resolved.get``. Before computing, a
 command refuses every given flag it did not read, so each spelling and mode
@@ -170,16 +171,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, cmd in _DISPATCH.items():
         sub.add_parser(name, help=cmd.__doc__, add_help=False)
     return parser
-
-
-def _parse(parser: argparse.ArgumentParser,
-           argv: list[str]) -> argparse.Namespace:
-    """A command's flags; an unknown one is reported in the qsm parser's
-    usage, as argparse reports it for a subcommand."""
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
 
 
 def _load_config_flags(path: str) -> list[str]:
@@ -487,10 +478,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         if at or command not in _DISPATCH:
             build_parser().parse_args(argv[:at + 1])
         parser = build_parser(command)
-        args = _parse(parser, argv[at + 1:])
+        args = parser.parse_args(argv[at + 1:])
         if args.config:  # file flags first, so given flags win
-            args = _parse(parser, _load_config_flags(args.config)
-                          + argv[at + 1:])
+            args = parser.parse_args(_load_config_flags(args.config)
+                                     + argv[at + 1:])
         args.command = command
         suffix = Path(args.out or "").suffix.lower()[1:]
         _require(suffix not in _RENDERERS or suffix == args.format,

@@ -20,14 +20,14 @@ every p in each round, and divides by the family constant (the trace norm
 per unit rate), computed at runtime from the generator itself. Neither
 route searches: gamma rises between its poles, so each retained piece
 holds at most one kink, at a closed-form time, and the time-median is one
-interpolation. The rate poles are cut out
-here only, and both routes work on the same pieces, split at their kinks.
-The poles form a lattice of period P, and gamma has period P, so each p
-has three pieces whatever its horizon: the first, one full stretch between
-two poles, counted N - 1 times for N poles, and the last. A sweep over p is
-one batch of (p, piece) arrays of that fixed shape; one process is a batch
-of one row. The excised intervals are listed for the output alone; their
-count over a sweep is capped.
+division per p. The rate poles are cut out here only, and both routes work
+on the same pieces, split at their kinks. The poles form a lattice of
+period P, and gamma has period P, so each p has three pieces whatever its
+horizon: the first, one full stretch between two poles, counted N - 1
+times for N poles, and the last. A sweep over p is one batch of (p, piece)
+arrays of that fixed shape; one process is a batch of one row. The excised
+intervals are listed for the output alone; their count over a sweep is
+capped.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
 vectors: the trace-distance-revival measure over an optimal qubit pair, a
@@ -176,17 +176,6 @@ class MeasureResult:
     kinks: int | np.ndarray = 0
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x[i], xp[i], fp[i]) for each row i, as numpy forms it, for
-    xp[i, 0] <= x[i] < xp[i, -1]: from the last node j with
-    xp[i, j] <= x[i]."""
-    j = np.arange(x.size) * xp.shape[1] + (xp <= x[:, None]).sum(axis=1) - 1
-    xp, fp, k = xp.ravel(), fp.ravel(), j + 1
-    x0, y0 = xp[j], fp[j]
-    slope = (fp[k] - y0) / (xp[k] - x0)
-    return np.where(x0 == x, y0, slope * (x - x0) + y0)
-
-
 def _median_rate(proc, start: np.ndarray, length: np.ndarray,
                  mult: np.ndarray, gamma_max: float | None) -> np.ndarray:
     """Time-median of gamma over each row's pieces, clipped to [0, gamma_max].
@@ -199,7 +188,7 @@ def _median_rate(proc, start: np.ndarray, length: np.ndarray,
     increasing function of the phase. So below is
     sum_j mult_j clip(phi - start_j, 0, length_j) in the phase phi:
     piecewise linear, its slope stepping by +-mult_j at the ends of piece
-    j, and one interpolation per row finds the phase where it is L/2. The
+    j, and one division per row finds the phase where it is L/2. The
     median is never negative: gamma >= 0 without poles, and with poles
     gamma < 0 only just after each pole, for less time than the stretch
     before that pole spends above 0.
@@ -209,13 +198,16 @@ def _median_rate(proc, start: np.ndarray, length: np.ndarray,
     ends = np.concatenate([start, start + length], axis=1)
     order = np.argsort(ends, axis=1, kind="stable")
     ends.sort(axis=1, kind="stable")
-    slope = np.concatenate([mult, -mult], axis=1)[
-        np.arange(len(ends))[:, None], order].cumsum(axis=1)
+    r = np.arange(len(ends))
+    slope = np.concatenate([mult, -mult], axis=1)[r[:, None], order].cumsum(
+        axis=1)
     below = np.zeros(ends.shape)
     (slope[:, :-1] * (ends[:, 1:] - ends[:, :-1])).cumsum(
         axis=1, out=below[:, 1:])
-    # below ends at the retained length, past its half
-    phase = _interp_rows(0.5 * (mult * length).sum(axis=1), below, ends)
+    # from the last end where below <= L/2: on a gap, its right end
+    half = 0.5 * (mult * length).sum(axis=1)
+    j = (below <= half[:, None]).sum(axis=1) - 1
+    phase = ends[r, j] + (half - below[r, j]) / slope[r, j]
     phase = np.where(0.0 > phase, 0.0, phase)  # gamma(0) = 0 clips a phase < 0
     if isinstance(proc, NonUnitalSemiMarkov):
         median = gamma_nonunital(proc, phase)
@@ -266,13 +258,13 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     tolerance, budget and ``QuadratureResult``. Both families' generator
     Choi matrices are the rate times one real unit-rate matrix, built once
     per call, so the integrand is the trace norm of (gamma - ref) times it,
-    formed as the difference of the two scaled matrices; a node counts
-    N - 1 times inside the full piece and once elsewhere. A round takes the
-    new intervals of every row not yet converged in one call, so one
-    trace-norm batch (chunked by ``adaptive_quad``). The result is divided
-    by the family constant, the trace norm of the unit-rate matrix. Each
-    row does the arithmetic it does alone, so its bits do not depend on the
-    rest of the sweep.
+    Choi(L_gamma - L_ref) by linearity; a node counts N - 1 times inside
+    the full piece and once elsewhere. A round takes the new intervals of
+    every row not yet converged in one call, so one trace-norm batch
+    (chunked by ``adaptive_quad``). The result is divided by the family
+    constant, the trace norm of the unit-rate matrix. Each row does the
+    arithmetic it does alone, so its bits do not depend on the rest of the
+    sweep.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -391,8 +383,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
             # kept holds no node
             full = (lo[i, 1, None] <= t) & (t <= hi[i, 1, None])
             return np.where(full, mult[i, 1, None], 1.0) * trace_norm(
-                np.multiply.outer(gamma, unit)
-                - np.multiply.outer(ref[i], unit)[:, None])
+                np.multiply.outer(gamma - ref[i, None], unit))
 
         quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
                               edges[keep][:, 1:].ravel(),

@@ -45,6 +45,11 @@ _VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 256 for 4x4 maps
 # intervals per integrand call: caps the memory of the integrand's work on
 # their nodes (21 per interval)
 _QUAD_BLOCK = 1 << 9
+# a row of adaptive_quad is done within max(_QUAD_ABS_TOL, _QUAD_REL_TOL
+# |value|), and may hold _QUAD_LIMIT intervals per starting interval
+_QUAD_ABS_TOL = 1e-10
+_QUAD_REL_TOL = 1e-8
+_QUAD_LIMIT = 200
 
 # QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae on
 # [0, 1], their weights, and those of the embedded 10-point Gauss rule
@@ -148,9 +153,8 @@ class QuadratureRows(Sequence):
 
 def adaptive_quad(f: Callable[..., np.ndarray],
                   a: float | np.ndarray, b: float | np.ndarray, *,
-                  rows: np.ndarray | None = None, abs_tol: float = 1e-10,
-                  rel_tol: float = 1e-8,
-                  limit: int = 200) -> QuadratureResult | QuadratureRows:
+                  rows: np.ndarray | None = None
+                  ) -> QuadratureResult | QuadratureRows:
     """Adaptive 21-point Gauss-Kronrod quadrature over given intervals.
 
     ``a`` and ``b`` are the ends of one interval, or equal-length 1-D arrays
@@ -161,19 +165,18 @@ def adaptive_quad(f: Callable[..., np.ndarray],
     on the nodes of the new intervals of every row not yet converged, at
     most ``_QUAD_BLOCK`` intervals per call, then bisects each row's
     largest-error intervals until the rest sum to at most half its
-    tolerance max(abs_tol, rel_tol |value|); a row within it is done.
+    tolerance max(``_QUAD_ABS_TOL``, ``_QUAD_REL_TOL`` |value|); a row
+    within it is done.
 
     :param f: vectorized integrand, finite on every given interval: f(x)
         with x the (k, 21) nodes of k intervals, or, with ``rows``,
         f(x, row) with row the (k,) labels of the intervals.
     :param rows: one non-negative integer label per interval, or None for
         one row.
-    :param limit: subdivision budget per nonzero-width starting interval of
-        a row.
     :raises DomainError: if the ends are not finite, do not pair up, or an
         interval is reversed, or a label is not a non-negative integer.
-    :raises ToleranceNotMet: if a row's intervals outnumber ``limit`` per
-        starting interval.
+    :raises ToleranceNotMet: if a row's intervals outnumber
+        ``_QUAD_LIMIT`` per starting interval.
     :raises NumericalError: if f returns a value that is not finite, or a
         row's summed value or error estimate is not.
     :return: ``QuadratureResult(value, error_estimate, evaluations)`` summed
@@ -205,7 +208,7 @@ def adaptive_quad(f: Callable[..., np.ndarray],
     row = label[wide]
     iv = evaluate(lo[wide], hi[wide], row) if row.size else None
     evaluated = np.bincount(row, minlength=n)
-    budget = limit * evaluated
+    budget = _QUAD_LIMIT * evaluated
     value, error = np.zeros((2, n))
     while row.size:
         # each row's intervals together, by decreasing error, ties in order:
@@ -224,7 +227,7 @@ def adaptive_quad(f: Callable[..., np.ndarray],
                 f"quadrature on {span(ids[i])}: value {total[i]:g} or error "
                 f"{err[i]:g} is not finite")
         value[ids], error[ids] = total, err
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        tol = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(total))
         live = err > tol
         if not live.any():
             break

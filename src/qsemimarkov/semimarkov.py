@@ -218,6 +218,14 @@ def _eight_p_by_s2(p, s):
                          where=p > 0.0)
 
 
+def _times(t) -> np.ndarray:
+    """t as a float array, refused if an element is negative (NaN is not)."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise DomainError(f"t must be non-negative, got {t[t < 0.0].min():g}")
+    return t
+
+
 def _require_one(proc, caller: str) -> None:
     """Refuse a dephasing process that holds an array p."""
     if isinstance(proc, DephasingSemiMarkov) and np.ndim(proc.p):
@@ -290,10 +298,10 @@ def q_of_t(proc: DephasingSemiMarkov, t):
     clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
     phase x overflows, as e^{-st/2} is 0 there, and NaN at a NaN t.
 
-    :raises DomainError: for an element whose 8p/s^2 overflows: |eta| is
-        inf there, so every phase, even at t = 0, would be 0 * inf.
+    :raises DomainError: for a t < 0, or an element whose 8p/s^2
+        overflows: |eta| is inf there, so every phase would be 0 * inf.
     """
-    s = proc.s
+    t, s = _times(t), proc.s
     huge = np.isinf(proc.w)
     if huge.any():
         raise DomainError(f"8p/s^2 overflows at s = {s!r}, p = "
@@ -392,12 +400,10 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     NaN at a NaN t. An array t gives NaN at a pole; a 0-d t gives a float.
     ``proc.p`` may be an array broadcasting against t.
 
+    :raises DomainError: for a negative t.
     :raises Singularity: for a 0-d t at a pole.
     """
-    t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise DomainError(f"t must be non-negative, got min {t.min()!r}")
-    s = proc.s
+    t, s = _times(t), proc.s
 
     def boundary(p, w, t):
         gamma = s**2 * t / (8.0 + 4.0 * s * t)
@@ -463,10 +469,11 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     In the oscillatory branch the zeros solve tan(w s t / 2) = -w with
     w = |eta|, i.e. t_k = 2 (k pi - arctan w) / (s w), k = 1, 2, ...
 
+    :raises DomainError: if ``t_max`` is negative or NaN.
     :raises GridError: if there are more than ``_MAX_POLES`` zeros, before
         any is allocated.
     """
-    if t_max < 0.0:
+    if not t_max >= 0.0:
         raise DomainError(f"t_max must be non-negative, got {t_max!r}")
     return _zero_times(proc, _zero_counts(proc, t_max))
 
@@ -538,8 +545,9 @@ class NonUnitalSemiMarkov:
 
 
 def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
-    """gamma(t) = rate * tanh(rate t) = -d ln g / dt; vectorized, no poles."""
-    t = np.asarray(t, dtype=float)
+    """gamma(t) = rate * tanh(rate t) = -d ln g / dt; vectorized, no poles.
+    :raises DomainError: for a negative t."""
+    t = _times(t)
     with np.errstate(over="ignore"):  # tanh(inf) = 1
         return proc.rate * np.tanh(proc.rate * t)
 

@@ -164,6 +164,19 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in err and "configuration error" not in err
 
 
+def test_an_unknown_flag_or_config_key_is_reported_in_the_command_usage(
+        capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("no-such-key = 3\n")
+    for argv, flag in ((["rate", "--no-such-flag"], "--no-such-flag"),
+                       (["rate", "--config", str(cfg)], "--no-such-key 3")):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: qsm rate [-h]")
+        assert err.endswith(
+            f"qsm rate: error: unrecognized arguments: {flag}\n")
+
+
 def test_holevo_refuses_p_values_that_print_as_one_column(capsys):
     code, out, err = _run(capsys, ["holevo", "--p-list", "1e-7,1.00000001e-7"])
     assert code == 2 and out == ""

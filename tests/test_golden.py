@@ -78,6 +78,12 @@ help of ``rate``, ``holevo``, ``blp``, ``divisibility`` and ``kernel-check``
 in ``cli_help.txt`` was re-captured then too, and lost exactly the flags those
 commands stopped registering (``--family``, ``--lambda``, and on ``holevo``
 also ``--p``, ``--lambda1`` and ``--lambda2``). No data row changed.
+
+The ``qsm rate --no-such-flag`` entry of ``cli_help.txt`` was re-captured
+when a command's own parser began to report an unrecognized flag, as it
+already reported a bad value: its two stderr lines are now the ``qsm rate``
+usage and ``qsm rate: error: ...`` in place of the ``qsm`` usage and
+``qsm: error: ...``. Its exit code, 2, and every other entry are unchanged.
 """
 
 import json

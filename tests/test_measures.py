@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.optimize import brentq
 
 from qsemimarkov import (
@@ -20,7 +21,6 @@ from qsemimarkov import (
     PLUS_STATE,
     MINUS_STATE,
     SSSConfig,
-    adaptive_quad,
     blp_measure,
     coherence_zeros,
     cp_divisibility_scan,
@@ -636,11 +636,11 @@ def test_closed_form_matches_quadrature_of_the_rate(p, T, mode):
     # each retained piece, split at the kink inside it
     ends = [np.array([lo, *kinks[(lo < kinks) & (kinks < hi)], hi])
             for lo, hi in _rate_and_pieces(proc, T)[2]]
-    quad = adaptive_quad(lambda t: abs(gamma_dephasing(proc, t) - ref),
-                         np.concatenate([e[:-1] for e in ends]),
-                         np.concatenate([e[1:] for e in ends]),
-                         abs_tol=0.0, rel_tol=1e-12)
-    assert result.xi == pytest.approx(quad.value / T, rel=1e-10, abs=0.0)
+    # scipy's QUADPACK, to 1e-12 on each sub-piece
+    total = sum(integrate.quad(lambda t: abs(gamma_dephasing(proc, t) - ref),
+                               a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for e in ends for a, b in zip(e[:-1], e[1:]))
+    assert result.xi == pytest.approx(total / T, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("mode, rows", [("fixed", 31), ("min", 32)])
@@ -827,16 +827,13 @@ def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
                         SSSConfig(horizon=30.0, excision=4.0))
 
 
-def test_interp_rows_is_np_interp_row_by_row():
-    rng = np.random.default_rng(5)
-    xp = np.sort(rng.integers(0, 6, (300, 7)) / 4.0, axis=1)  # with ties
-    xp[:, -1] += 1.0
-    fp = np.sort(rng.random((300, 7)), axis=1)
-    x = xp[:, 0] + rng.random(300) * (xp[:, -1] - xp[:, 0])
-    x[::3] = xp[::3, 2]  # on a node
-    got = measures._interp_rows(x, xp, fp)
-    want = [np.interp(x[i], xp[i], fp[i]) for i in range(x.size)]
-    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+def test_a_median_on_a_gap_between_pieces_is_the_gap_s_right_end():
+    # below(phi) reaches half the retained length, 1, at phi = 1 and keeps
+    # it over the gap to the next piece, at phi = 5: the median phase is 5
+    median = measures._median_rate(
+        NonUnitalSemiMarkov(1.0), np.array([[0.0, 5.0, 10.0]]),
+        np.array([[1.0, 1.0, 0.0]]), np.array([[1.0, 1.0, 0.0]]), None)
+    assert median.tolist() == [np.tanh(5.0)]
 
 
 def test_closed_forms_take_an_array_p_element_by_element():
@@ -1094,6 +1091,19 @@ def test_step_test_and_scan_share_the_cp_tolerance(step, violates):
     assert _superop_violates(proc, grid) is violates
     assert (report.violation_count == 1) is violates
     assert report.min_eigenvalues[1] == pytest.approx(-16.277 * step,
+                                                      rel=1e-4)
+
+
+@pytest.mark.parametrize("step, violations", [(3.5114e-6, 1),
+                                              (3.5114e-10, 0)])
+def test_a_scan_step_violates_past_the_cp_tolerance_alone(step, violations):
+    # at s = 1, p = 3 the step after t = 1 has its smallest Choi eigenvalue
+    # at -2.848 times its length: -1e-5 is past the tolerance of 1e-8,
+    # -1e-9 within it
+    report = cp_divisibility_scan(DephasingSemiMarkov(s=1.0, p=3.0),
+                                  [1.0, 1.0 + step])
+    assert report.violation_count == violations and report.tol == 1e-8
+    assert report.min_eigenvalues[0] == pytest.approx(-2.848 * step,
                                                       rel=1e-4)
 
 

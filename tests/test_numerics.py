@@ -19,6 +19,7 @@ from qsemimarkov import (
     solve_volterra,
     trace_norm,
 )
+from qsemimarkov import numerics
 from qsemimarkov.numerics import _QUAD_BLOCK, _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
@@ -114,7 +115,8 @@ def test_adaptive_quad_takes_every_node_of_a_round_in_one_call():
     assert len(calls) < res.evaluations // 21
 
 
-def test_adaptive_quad_rows_are_each_the_quadrature_they_are_alone():
+def test_adaptive_quad_rows_are_each_the_quadrature_they_are_alone(
+        monkeypatch):
     # a pole needing many rounds, a smooth row and a row of zero width, the
     # intervals of rows 0 and 1 interleaved: each row keeps its own order,
     # tolerance and budget, and every bit it has alone
@@ -143,8 +145,9 @@ def test_adaptive_quad_rows_are_each_the_quadrature_they_are_alone():
     assert batch.evaluations == sum(r.evaluations for r in alone)
     # one call per round, as many rounds as the slowest row takes alone
     assert len(calls) == len([t for t in calls if 0 in t]) > 5
+    monkeypatch.setattr(numerics, "_QUAD_LIMIT", 2)
     with pytest.raises(ToleranceNotMet, match=r"quadrature on \[0, 1\]"):
-        adaptive_quad(f, lo, hi, rows=rows, limit=2)
+        adaptive_quad(f, lo, hi, rows=rows)
     for bad in ([0, 1, 0, -1, 3], [0.0, 1.0, 0.0, 1.0, 3.0], [0, 1]):
         with pytest.raises(DomainError):
             adaptive_quad(f, lo, hi, rows=np.array(bad))
@@ -182,20 +185,28 @@ def test_gk21_matches_quadpack_qk21():
         assert mine_err[0] == pytest.approx(err, rel=1e-9)
 
 
-def test_adaptive_quad_matches_quadpack():
+def test_adaptive_quad_matches_quadpack(monkeypatch):
     f = lambda t: np.exp(-t) * np.sin(10.0 * t)
-    res = adaptive_quad(f, 0.0, 5.0, abs_tol=0.0, rel_tol=1e-12)
     exact = (10.0 - np.exp(-5.0) * (np.sin(50.0) + 10.0 * np.cos(50.0))) / 101.0
-    assert res.value == pytest.approx(exact, rel=1e-12)
-    assert res.value == pytest.approx(
-        integrate.quad(f, 0.0, 5.0, epsabs=0.0, epsrel=1e-12)[0], rel=1e-12)
+    quadpack = integrate.quad(f, 0.0, 5.0, epsabs=0.0, epsrel=1e-12)[0]
+    assert quadpack == pytest.approx(exact, rel=1e-12)
+    res = adaptive_quad(f, 0.0, 5.0)
+    assert res.error_estimate <= numerics._QUAD_REL_TOL * abs(res.value)
+    assert abs(res.value - quadpack) <= res.error_estimate
+    # at QUADPACK's tolerance, QUADPACK's value
+    monkeypatch.setattr(numerics, "_QUAD_ABS_TOL", 0.0)
+    monkeypatch.setattr(numerics, "_QUAD_REL_TOL", 1e-12)
+    res = adaptive_quad(f, 0.0, 5.0)
+    assert res.value == pytest.approx(quadpack, rel=1e-12)
     assert res.error_estimate <= 1e-12 * abs(res.value)
 
 
-def test_adaptive_quad_raises_when_the_budget_runs_out():
+def test_adaptive_quad_raises_when_the_budget_runs_out(monkeypatch):
     f = lambda t: np.sin(40.0 * t)
+    monkeypatch.setattr(numerics, "_QUAD_LIMIT", 1)
     with pytest.raises(ToleranceNotMet):
-        adaptive_quad(f, 0.0, 10.0, limit=1)
+        adaptive_quad(f, 0.0, 10.0)
+    monkeypatch.undo()
     assert adaptive_quad(f, 0.0, 10.0).value == pytest.approx(
         (1.0 - np.cos(400.0)) / 40.0, abs=1e-10)
 

@@ -192,10 +192,13 @@ def test_gamma_limits():
     assert gamma_dephasing(proc, 60.0) == pytest.approx(
         0.2 / (1.0 + e), rel=1e-10
     )
-    with pytest.raises(DomainError):
-        gamma_dephasing(proc, -1.0)
-    with pytest.raises(DomainError):
-        gamma_dephasing(proc, np.array([0.5, -1.0]))
+    # a negative time is refused by each closed form, a NaN one is not
+    for f, one in ((gamma_dephasing, proc), (q_of_t, proc),
+                   (gamma_nonunital, NonUnitalSemiMarkov(1.0))):
+        for t in (-1.0, np.array([0.5, -1.0, np.nan])):
+            with pytest.raises(DomainError, match="got -1$"):
+                f(one, t)
+        assert np.isnan(f(one, np.nan))
 
 
 def test_gamma_raises_at_poles():
@@ -259,12 +262,19 @@ def test_coherence_zeros():
         coherence_zeros(proc, 1e12)
     with pytest.raises(DomainError, match="non-negative"):
         coherence_zeros(proc, -1.0)
+    # also where q has no zeros to count
+    with pytest.raises(DomainError, match="got nan"):
+        coherence_zeros(DephasingSemiMarkov(s=1.0, p=0.1), np.nan)
 
 
-@pytest.mark.parametrize("t_max", [np.inf, np.nan])
-def test_coherence_zeros_refuses_an_uncountable_horizon(t_max):
-    # the pole count is compared as a float, so it is never cast to int
-    with pytest.raises(GridError, match="cap"):
+@pytest.mark.parametrize("t_max, error, match",
+                         [(np.inf, GridError, "cap"),
+                          (np.nan, DomainError, "got nan")],
+                         ids=["inf", "nan"])
+def test_coherence_zeros_refuses_an_uncountable_horizon(t_max, error, match):
+    # the pole count is compared as a float, so it is never cast to int; a
+    # NaN horizon is refused by name before it is counted
+    with pytest.raises(error, match=match):
         coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), t_max)
 
 
