@@ -6,8 +6,7 @@ their departure from semigroup dynamics:
 
 - ``semimarkov``: waiting-time distributions, the dephasing and non-unital
   qubit families, coherence factors q(t) and canonical rates gamma(t),
-  the per-jump channels as superoperators, memory kernels, and a
-  classical Monte Carlo renewal simulator.
+  memory kernels, and a classical Monte Carlo renewal simulator.
 - ``quantum``: state checks, superoperator-to-Choi conversions, and
   generator snapshots.
 - ``measures``: the deviation-from-semigroup measure xi from one function,

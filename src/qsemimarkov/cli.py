@@ -57,7 +57,6 @@ from .semimarkov import (
     classical_jump_simulate,
     coherence_zeros,
     gamma_dephasing,
-    jump_superop,
     q_of_t,
 )
 
@@ -430,12 +429,12 @@ def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     # k(t) = p exp(-s t); valid for every p >= 0 even where no real rate
     # pair (lambda1, lambda2) exists
     kernel = ExponentialKernel(amplitude=p, decay=s)
-    bracket = jump_superop(proc) - np.eye(4)
 
     def q_error(step: float):
         """(times, Volterra q, closed-form q, their largest gap) at a step."""
-        sol = solve_volterra(kernel, bracket, t_max, step)
-        q_num = sol.maps[:, 1, 1].real.copy()  # frees the maps on return
+        # conjugation by Z flips the coherence's sign: J - 1 acts on it as -2
+        sol = solve_volterra(kernel, np.array([[-2.0]]), t_max, step)
+        q_num = sol.maps[:, 0, 0]
         q_ref = q_of_t(proc, sol.times)
         return sol.times, q_num, q_ref, float(np.abs(q_num - q_ref).max())
 

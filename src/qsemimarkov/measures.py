@@ -17,17 +17,19 @@ Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
 integrates the trace norm of the difference of generator Choi matrices by
 one adaptive quadrature for the whole sweep, batched over the nodes of
 every p in each round, and divides by the family constant (the trace norm
-per unit rate), computed at runtime from the generator itself. Neither
-route searches: gamma rises between its poles, so each retained piece
-holds at most one kink, at a closed-form time, and the time-median is one
-division per p. The rate poles are cut out here only, and both routes work
-on the same pieces, split at their kinks. The poles form a lattice of
-period P, and gamma has period P, so each p has three pieces whatever its
-horizon: the first, one full stretch between two poles, counted N - 1
-times for N poles, and the last. A sweep over p is one batch of (p, piece)
-arrays of that fixed shape; one process is a batch of one row. The excised
-intervals are listed for the output alone; their count over a sweep is
-capped.
+per unit rate), computed at runtime from the generator itself. Both
+families' generators are the rate times one unit-rate Choi matrix, so that
+trace norm is |gamma - gamma_ref| times the constant, taken as that product
+at each node. Neither route searches: gamma rises between its poles, so
+each retained piece holds at most one kink, at a closed-form time, and the
+time-median is one division per p. The rate poles are cut out here only,
+and both routes work on the same pieces, split at their kinks. The poles
+form a lattice of period P, and gamma has period P, so each p has three
+pieces whatever its horizon: the first, one full stretch between two
+poles, counted N - 1 times for N poles, and the last. A sweep over p is
+one batch of (p, piece) arrays of that fixed shape; one process is a batch
+of one row. The excised intervals are listed for the output alone; their
+count over a sweep is capped.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
 vectors: the trace-distance-revival measure over an optimal qubit pair, a
@@ -115,8 +117,9 @@ class SSSConfig:
     :param mode: ``"fixed"`` scores against ``gamma_ref``; ``"min"``
         minimizes over constant references.
     :param form: ``"rate"`` sums the rate deviation in closed form from
-        the antiderivative of gamma; ``"choi"`` integrates trace norms of
-        generator Choi differences and normalizes by the family constant.
+        the antiderivative of gamma; ``"choi"`` integrates the trace norm
+        of the generator Choi difference, |gamma - gamma_ref| times the
+        family constant, by quadrature and normalizes by that constant.
     :param gamma_ref: the reference rate used by ``mode="fixed"``.
     :param gamma_max: upper clip of the minimizing reference for
         ``mode="min"``, which is the time-median of gamma clipped to
@@ -257,14 +260,14 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     multiplicity of every row, labelled by row, so each row keeps its own
     tolerance, budget and ``QuadratureResult``. Both families' generator
     Choi matrices are the rate times one real unit-rate matrix, built once
-    per call, so the integrand is the trace norm of (gamma - ref) times it,
-    Choi(L_gamma - L_ref) by linearity; a node counts N - 1 times inside
-    the full piece and once elsewhere. A round takes the new intervals of
-    every row not yet converged in one call, so one trace-norm batch
-    (chunked by ``adaptive_quad``). The result is divided by the family
-    constant, the trace norm of the unit-rate matrix. Each row does the
-    arithmetic it does alone, so its bits do not depend on the rest of the
-    sweep.
+    per call, whose trace norm is the family constant. The trace norm is
+    absolutely homogeneous, so the integrand, the trace norm of
+    Choi(L_gamma - L_ref) = (gamma - ref) times that matrix, is
+    |gamma - ref| times the constant; a node counts N - 1 times inside the
+    full piece and once elsewhere. A round takes the new intervals of every
+    row not yet converged in one call (chunked by ``adaptive_quad``). The
+    result is divided by the family constant. Each row does the arithmetic
+    it does alone, so its bits do not depend on the rest of the sweep.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -371,8 +374,8 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         generator = ProjectorGenerator if nonunital else DephasingGenerator
         rate = gamma_nonunital if nonunital else gamma_dephasing
         # both families' generators are the rate times one real Choi matrix
-        unit = choi_of_generator(generator(rate=1.0, dim=2)).real
-        constant = trace_norm(unit)
+        constant = trace_norm(
+            choi_of_generator(generator(rate=1.0, dim=2)).real)
 
         def integrand(t: np.ndarray, i: np.ndarray) -> np.ndarray:
             gamma = rate(proc if nonunital else proc.take(i[:, None]), t)
@@ -380,10 +383,12 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
                 raise Singularity("rate pole at t = "
                                   f"{t[~np.isfinite(gamma)][0]:g}")
             # only the full piece counts other than once, and a piece not
-            # kept holds no node
+            # kept holds no node; a product that overflows is inf, which
+            # the quadrature refuses
             full = (lo[i, 1, None] <= t) & (t <= hi[i, 1, None])
-            return np.where(full, mult[i, 1, None], 1.0) * trace_norm(
-                np.multiply.outer(gamma - ref[i, None], unit))
+            with np.errstate(over="ignore"):
+                return np.where(full, mult[i, 1, None], 1.0) * (
+                    constant * np.abs(gamma - ref[i, None]))
 
         quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
                               edges[keep][:, 1:].ravel(),

@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 
-# 1e6 steps of 4x4 real maps are 128 MB, like the cap of --grid's time grid
+# 1e6 steps, like the cap of --grid's time grid: 8 D^2 MB of D x D real
+# maps, so 8 MB for kernel-check's scalar coherence
 _VOLTERRA_MAX_STEPS = 1_000_000
-_VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 256 for 4x4 maps
+_VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 4096 1x1, 256 4x4
 
 # intervals per integrand call: caps the memory of the integrand's work on
 # their nodes (21 per interval)
@@ -278,8 +279,9 @@ def solve_volterra(kernel, generator: np.ndarray, t_max: float,
 
     :param kernel: exponential memory kernel, read as ``kernel.amplitude``
         (a) and ``kernel.decay`` (b), e.g. an ``ExponentialKernel``.
-    :param generator: constant superoperator G multiplying the memory
-        integral (for a jump channel J this is the bracket J - 1).
+    :param generator: constant square matrix G multiplying the memory
+        integral: the bracket J - 1 of a jump channel J, or its action on
+        an entry it keeps, as [[-2]] on a qubit's coherence for sigma_z.
     :param t_max: final time; the grid is uniform on [0, t_max].
     :param dt: step size; t_max is rounded to an integer number of steps.
     :raises GridError: if dt or t_max is non-positive, t_max < dt, or the

@@ -49,12 +49,10 @@ __all__ = [
     "gamma_dephasing",
     "gamma_nonunital",
     "coherence_zeros",
-    "jump_superop",
     "ClassicalSimResult",
     "classical_jump_simulate",
 ]
 
-_PAULI_Z = np.diag([1.0, -1.0])
 _BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
 _COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
 # ln q is log1p of q's Taylor series where R |t| <= _SERIES_REACH, with
@@ -82,10 +80,6 @@ class ExponentialWTD:
     def __post_init__(self) -> None:
         _require_positive("rate", self.rate)
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.rate * np.exp(-self.rate * t)
-
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-self.rate * t)
@@ -101,9 +95,10 @@ class ExponentialWTD:
 class ExpConvolutionWTD:
     """Convolution of two exponentials, f = f_1 * f_2 (a two-stage wait).
 
-    For rate1 == rate2 == r the density is the Erlang-2 limit r^2 t e^{-rt};
-    otherwise the difference of exponentials is evaluated via expm1 so nearly
-    equal rates do not lose precision to cancellation. Both forms are
+    The survival is (b e^{-a t} - a e^{-b t}) / (b - a) for rates a < b,
+    taken as e^{-a t} (1 + a (1 - e^{-(b - a) t}) / (b - a)) via expm1 so
+    nearly equal rates do not lose precision to cancellation, and the
+    Erlang-2 limit (1 + r t) e^{-rt} for rate1 == rate2 == r. Both forms are
     symmetric in the rates; the smaller one, a, takes the prefactor
     e^{-a t}, so the expm1 argument is never positive and cannot overflow.
     """
@@ -114,21 +109,6 @@ class ExpConvolutionWTD:
     def __post_init__(self) -> None:
         _require_positive("rate1", self.rate1)
         _require_positive("rate2", self.rate2)
-
-    @property
-    def rate_product(self) -> float:
-        """p = rate1 * rate2."""
-        return self.rate1 * self.rate2
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        slow, fast = sorted((self.rate1, self.rate2))
-        diff = fast - slow
-        if diff == 0.0:
-            return slow**2 * t * np.exp(-slow * t)
-        return (self.rate_product / diff) * np.exp(-slow * t) * (
-            -np.expm1(-diff * t)
-        )
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -149,10 +129,6 @@ class TanhSechWTD:
 
     def __post_init__(self) -> None:
         _require_positive("rate", self.rate)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.rate * np.tanh(self.rate * t) * self.survival(t)
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -563,20 +539,6 @@ def _bloch_factors(proc, t, caller: str):
         raise DomainError(f"unknown process type {type(proc)!r}")
     g = proc.survival(t)
     return g, g, 1.0 - g
-
-
-def jump_superop(proc) -> np.ndarray:
-    """Column-stacking superoperator of the per-jump channel.
-
-    Dephasing: conjugation by sigma_z. Non-unital: rho -> |0><0| tr(rho).
-    """
-    if isinstance(proc, DephasingSemiMarkov):
-        return np.kron(_PAULI_Z, _PAULI_Z).astype(float)
-    if isinstance(proc, NonUnitalSemiMarkov):
-        S = np.zeros((4, 4))
-        S[0, 0] = S[0, 3] = 1.0  # vec(E00) and vec(E11) both map to vec(E00)
-        return S
-    raise DomainError(f"unknown process type {type(proc)!r}")
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,31 @@
 The package takes the trace distance, the divisibility scan and the Holevo
 information from the Bloch form of the qubit maps. These functions take them
 the way the package once did: build the column-stacking superoperator of
-Phi(t) at every time with ``superop_at``, apply it to the states with
-``apply_superop``, and take trace norms, the smallest eigenvalue of each step
-map's Choi matrix (the step map by a linear solve), and the eigenvalues of
-the evolved states.
+Phi(t) = w 1 + (1 - w) J at every time with ``superop_at``, J the jump
+channel's ``jump_superop``, apply it to the states with ``apply_superop``,
+and take trace norms, the smallest eigenvalue of each step map's Choi matrix
+(the step map by a linear solve), and the eigenvalues of the evolved states.
 """
 
 import numpy as np
 
-from qsemimarkov import (DephasingSemiMarkov, choi_of_superop, jump_superop,
-                         q_of_t, trace_norm)
+from qsemimarkov import (DephasingSemiMarkov, DomainError, NonUnitalSemiMarkov,
+                         choi_of_superop, q_of_t, trace_norm)
 from qsemimarkov.measures import _COND_MAX
+
+
+def jump_superop(proc) -> np.ndarray:
+    """Column-stacking superoperator of the per-jump channel.
+
+    Dephasing: conjugation by sigma_z. Non-unital: rho -> |0><0| tr(rho).
+    """
+    if isinstance(proc, DephasingSemiMarkov):
+        return np.diag([1.0, -1.0, -1.0, 1.0])  # kron(Z, Z)
+    if isinstance(proc, NonUnitalSemiMarkov):
+        S = np.zeros((4, 4))
+        S[0, 0] = S[0, 3] = 1.0  # vec(E00) and vec(E11) both map to vec(E00)
+        return S
+    raise DomainError(f"unknown process type {type(proc)!r}")
 
 
 def superop_at(proc, t) -> np.ndarray:

@@ -945,6 +945,27 @@ def test_kernel_check_past_the_old_step_cap(capsys):
     assert 3.5 <= doc["metadata"]["convergence_ratio"] <= 4.5
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_kernel_check_memory_grows_below_100_bytes_per_step():
+    """Peak RSS of --dt 1e-4 and 1e-5 (5e4 and 5e5 steps over the default
+    --t-max 5), each in a fresh interpreter: the solve keeps one float per
+    step of the coherence, not a 4x4 map."""
+    script = ("import contextlib, io, resource, sys\n"
+              "from qsemimarkov.cli import run\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert run(['kernel-check', '--dt', sys.argv[1]]) == 0\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    peak = []
+    for dt in ("1e-4", "1e-5"):
+        done = subprocess.run([sys.executable, "-c", script, dt],
+                              env=_package_env(), capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        peak.append(1024 * int(done.stdout))
+    assert (peak[1] - peak[0]) / (5e5 - 5e4) < 100.0, peak
+
+
 def test_kernel_check_with_a_trajectory_that_overflows_fails_loudly():
     """In a subprocess, so that an overflow warning would reach stderr."""
     done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli",

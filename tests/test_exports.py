@@ -51,6 +51,7 @@ def test_package_exports_every_library_export():
     ("quantum", "intermediate_map"),
     ("semimarkov", "map_at"),
     ("semimarkov", "superop_at"),
+    ("semimarkov", "jump_superop"),
     ("numerics", "hermitian_eigvals"),
     ("numerics", "von_neumann_entropy"),
     ("errors", "SingularMap"),            # only intermediate_map raised it

@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 from qsemimarkov import (
+    DephasingGenerator,
     DephasingSemiMarkov,
     DimensionMismatch,
     DomainError,
@@ -20,8 +21,10 @@ from qsemimarkov import (
     NonUnitalSemiMarkov,
     PLUS_STATE,
     MINUS_STATE,
+    ProjectorGenerator,
     SSSConfig,
     blp_measure,
+    choi_of_generator,
     coherence_zeros,
     cp_divisibility_scan,
     divisibility_boundary,
@@ -30,6 +33,7 @@ from qsemimarkov import (
     holevo_curve,
     q_of_t,
     sss_measure,
+    trace_norm,
 )
 
 from qsemimarkov import measures, numerics, semimarkov
@@ -905,9 +909,21 @@ def test_choi_form_nonunital_constant():
     assert result.xi == pytest.approx(np.log(np.cosh(1.0)), rel=1e-8)
 
 
+@pytest.mark.parametrize("generator", [DephasingGenerator,
+                                       ProjectorGenerator])
+def test_trace_norm_of_a_rate_times_the_unit_choi_matrix(generator):
+    # the Choi route's integrand takes ||x U||_1 as |x| ||U||_1, for rates
+    # x of either sign and any magnitude from 1e-300 to 1e300
+    unit = choi_of_generator(generator(rate=1.0, dim=2)).real
+    rng = np.random.default_rng(41)
+    x = rng.choice([-1.0, 1.0], 10**4) * 10.0 ** rng.uniform(-300, 300, 10**4)
+    norms = trace_norm(np.multiply.outer(x, unit))
+    assert np.abs(norms / (np.abs(x) * trace_norm(unit)) - 1.0).max() <= 1e-15
+
+
 def test_a_choi_route_call_builds_one_unit_rate_choi_matrix(monkeypatch):
-    # the integrand scales that matrix by each rate, however many rounds
-    # the quadrature takes; its trace norm is the family constant
+    # the integrand scales that matrix's trace norm, the family constant,
+    # by each |gamma - ref|, however many rounds the quadrature takes
     built, norms = [], []
     choi, trace_norm = measures.choi_of_generator, measures.trace_norm
     monkeypatch.setattr(measures, "choi_of_generator",
@@ -919,7 +935,7 @@ def test_a_choi_route_call_builds_one_unit_rate_choi_matrix(monkeypatch):
         built.clear(), norms.clear()
         result = sss_measure(proc, SSSConfig(horizon=20.0, mode="min",
                                              form="choi"))
-        assert built == [1.0] and len(norms) > 3  # the constant and 3+ rounds
+        assert built == [1.0] and norms == [(4, 4)]
         assert result.family_constant == constant
 
 

@@ -15,7 +15,6 @@ from qsemimarkov import (
     NumericalError,
     ToleranceNotMet,
     adaptive_quad,
-    jump_superop,
     solve_volterra,
     trace_norm,
 )
@@ -23,6 +22,7 @@ from qsemimarkov import numerics
 from qsemimarkov.numerics import _QUAD_BLOCK, _VOLTERRA_MAX_STEPS, _gk21
 
 from golden_section import minimize_scalar
+from superop_route import jump_superop
 
 
 def random_hermitian(rng, d):
