@@ -14,7 +14,6 @@ import numpy as np
 
 from qsemimarkov import (
     DephasingSemiMarkov,
-    ExponentialKernel,
     q_of_t,
     solve_volterra,
 )
@@ -23,11 +22,10 @@ from qsemimarkov import (
 def main() -> None:
     for s, p in ((1.0, 0.1), (1.0, 3.0)):
         proc = DephasingSemiMarkov(s=s, p=p)
-        kernel = ExponentialKernel(amplitude=p, decay=s)
         print(f"s={s:g}, p={p:g}")
         prev = None
         for dt in (8e-3, 4e-3, 2e-3):
-            sol = solve_volterra(kernel, np.array([[-2.0]]), 5.0, dt)
+            sol = solve_volterra(p, s, np.array([[-2.0]]), 5.0, dt)
             q_num = sol.maps[:, 0, 0]
             q_ref = np.asarray(q_of_t(proc, sol.times))
             dev = float(np.abs(q_num - q_ref).max())

@@ -5,10 +5,10 @@ distributions, build their dynamical maps in closed form, and quantify
 their departure from semigroup dynamics:
 
 - ``semimarkov``: waiting-time distributions, the dephasing and non-unital
-  qubit families, coherence factors q(t) and canonical rates gamma(t),
-  memory kernels, and a classical Monte Carlo renewal simulator.
-- ``quantum``: state checks, superoperator-to-Choi conversions, and
-  generator snapshots.
+  qubit families, coherence factors q(t) and canonical rates gamma(t), and
+  a classical Monte Carlo renewal simulator.
+- ``quantum``: state checks and generator snapshots with their Choi
+  matrices.
 - ``measures``: the deviation-from-semigroup measure xi from one function,
   ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
   minimized references), zeta = xi/(1+xi), trace-distance revivals,

@@ -50,7 +50,6 @@ from .numerics import solve_volterra
 from .semimarkov import (
     DephasingSemiMarkov,
     ExpConvolutionWTD,
-    ExponentialKernel,
     ExponentialWTD,
     NonUnitalSemiMarkov,
     TanhSechWTD,
@@ -426,14 +425,13 @@ def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     _require(t_max >= 4 * dt, "--t-max must cover at least a few steps")
     proc = DephasingSemiMarkov(s=s, p=p)
     r.check_unread()
-    # k(t) = p exp(-s t); valid for every p >= 0 even where no real rate
-    # pair (lambda1, lambda2) exists
-    kernel = ExponentialKernel(amplitude=p, decay=s)
 
     def q_error(step: float):
         """(times, Volterra q, closed-form q, their largest gap) at a step."""
-        # conjugation by Z flips the coherence's sign: J - 1 acts on it as -2
-        sol = solve_volterra(kernel, np.array([[-2.0]]), t_max, step)
+        # k(t) = p exp(-s t), valid for every p >= 0 even where no real rate
+        # pair (lambda1, lambda2) exists; conjugation by Z flips the
+        # coherence's sign, so J - 1 acts on it as -2
+        sol = solve_volterra(p, s, np.array([[-2.0]]), t_max, step)
         q_num = sol.maps[:, 0, 0]
         q_ref = q_of_t(proc, sol.times)
         return sol.times, q_num, q_ref, float(np.abs(q_num - q_ref).max())

@@ -14,22 +14,22 @@ either of two routes, which must agree. ``form="rate"`` is exact:
 gamma is a log-derivative, so between the kinks where gamma crosses the
 reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
 Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
-integrates the trace norm of the difference of generator Choi matrices by
-one adaptive quadrature for the whole sweep, batched over the nodes of
-every p in each round, and divides by the family constant (the trace norm
-per unit rate), computed at runtime from the generator itself. Both
-families' generators are the rate times one unit-rate Choi matrix, so that
-trace norm is |gamma - gamma_ref| times the constant, taken as that product
-at each node. Neither route searches: gamma rises between its poles, so
-each retained piece holds at most one kink, at a closed-form time, and the
-time-median is one division per p. The rate poles are cut out here only,
-and both routes work on the same pieces, split at their kinks. The poles
-form a lattice of period P, and gamma has period P, so each p has three
-pieces whatever its horizon: the first, one full stretch between two
-poles, counted N - 1 times for N poles, and the last. A sweep over p is
-one batch of (p, piece) arrays of that fixed shape; one process is a batch
-of one row. The excised intervals are listed for the output alone; their
-count over a sweep is capped.
+takes the trace norm of the difference of generator Choi matrices over the
+family constant (the trace norm per unit rate), computed at runtime from
+the generator itself. Both families' generators are the rate times one
+unit-rate Choi matrix, so that trace norm is |gamma - gamma_ref| times the
+constant; the route integrates |gamma - gamma_ref| by one adaptive
+quadrature for the whole sweep, batched over the nodes of every p in each
+round, and reports the constant times xi as the raw average. Neither route
+searches: gamma rises between its poles, so each retained piece holds at
+most one kink, at a closed-form time, and the time-median is one division
+per p. The rate poles are cut out here only, and both routes work on the
+same pieces, split at their kinks. The poles form a lattice of period P,
+and gamma has period P, so each p has three pieces whatever its horizon:
+the first, one full stretch between two poles, counted N - 1 times for N
+poles, and the last. A sweep over p is one batch of (p, piece) arrays of
+that fixed shape; one process is a batch of one row. The excised intervals
+are listed for the output alone; their count over a sweep is capped.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
 vectors: the trace-distance-revival measure over an optimal qubit pair, a
@@ -118,8 +118,8 @@ class SSSConfig:
         minimizes over constant references.
     :param form: ``"rate"`` sums the rate deviation in closed form from
         the antiderivative of gamma; ``"choi"`` integrates the trace norm
-        of the generator Choi difference, |gamma - gamma_ref| times the
-        family constant, by quadrature and normalizes by that constant.
+        of the generator Choi difference over the family constant,
+        |gamma - gamma_ref|, by quadrature.
     :param gamma_ref: the reference rate used by ``mode="fixed"``.
     :param gamma_max: upper clip of the minimizing reference for
         ``mode="min"``, which is the time-median of gamma clipped to
@@ -157,11 +157,11 @@ class MeasureResult:
     """Deviation-from-semigroup score and how it was obtained.
 
     ``raw_average`` and ``family_constant`` are populated by the Choi route:
-    the former is the time-averaged trace-norm integral before dividing by
-    the latter. ``quadrature`` is the Choi route's ``QuadratureResult``
-    (value, error estimate, evaluation count). The rate route is exact and
-    leaves all three None. ``kinks`` counts the times where gamma crosses
-    the reference, the edges of the pieces on which the integrand is smooth.
+    the former is the time-averaged trace norm, the latter times xi.
+    ``quadrature`` is the Choi route's ``QuadratureResult`` (value, error
+    estimate, evaluation count). The rate route is exact and leaves all
+    three None. ``kinks`` counts the times where gamma crosses the
+    reference, the edges of the pieces on which the integrand is smooth.
     For a sweep (a 1-d p) every per-process field holds one element per p,
     ``quadrature`` is the ``QuadratureRows`` of the one batched quadrature,
     a result per p with the bits of that p alone, and ``excised`` the
@@ -261,13 +261,13 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     tolerance, budget and ``QuadratureResult``. Both families' generator
     Choi matrices are the rate times one real unit-rate matrix, built once
     per call, whose trace norm is the family constant. The trace norm is
-    absolutely homogeneous, so the integrand, the trace norm of
-    Choi(L_gamma - L_ref) = (gamma - ref) times that matrix, is
-    |gamma - ref| times the constant; a node counts N - 1 times inside the
-    full piece and once elsewhere. A round takes the new intervals of every
-    row not yet converged in one call (chunked by ``adaptive_quad``). The
-    result is divided by the family constant. Each row does the arithmetic
-    it does alone, so its bits do not depend on the rest of the sweep.
+    absolutely homogeneous, so the trace norm of Choi(L_gamma - L_ref) =
+    (gamma - ref) times that matrix is |gamma - ref| times the constant.
+    The integrand is |gamma - ref|, and the raw average the constant times
+    xi; a node counts N - 1 times inside the full piece and once elsewhere.
+    A round takes the new intervals of every row not yet converged in one
+    call (chunked by ``adaptive_quad``). Each row does the arithmetic it
+    does alone, so its bits do not depend on the rest of the sweep.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -383,18 +383,17 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
                 raise Singularity("rate pole at t = "
                                   f"{t[~np.isfinite(gamma)][0]:g}")
             # only the full piece counts other than once, and a piece not
-            # kept holds no node; a product that overflows is inf, which
-            # the quadrature refuses
+            # kept holds no node
             full = (lo[i, 1, None] <= t) & (t <= hi[i, 1, None])
-            with np.errstate(over="ignore"):
-                return np.where(full, mult[i, 1, None], 1.0) * (
-                    constant * np.abs(gamma - ref[i, None]))
+            return np.where(full, mult[i, 1, None], 1.0) * np.abs(
+                gamma - ref[i, None])
 
         quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
                               edges[keep][:, 1:].ravel(),
                               rows=np.nonzero(keep)[0].repeat(2))
-        raw = quads.value / T
-        xi = raw / constant
+        xi = quads.value / T
+        with np.errstate(over="ignore"):  # xi_raw past the float range is inf
+            raw = constant * xi
     zeta = xi / (1.0 + xi)
     if nonunital or not np.ndim(proc.p):  # one process: Python numbers
         return MeasureResult(

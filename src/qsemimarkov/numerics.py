@@ -79,7 +79,7 @@ class QuadratureResult(NamedTuple):
 
 class VolterraSolution(NamedTuple):
     times: np.ndarray  # shape (n+1,), uniform grid from 0
-    maps: np.ndarray   # shape (n+1, D, D) superoperator trajectory
+    maps: np.ndarray   # shape (n+1, D, D) trajectory of the maps Phi(t)
 
 
 def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
@@ -267,8 +267,8 @@ def adaptive_quad(f: Callable[..., np.ndarray],
     return results if rows is not None else results[0]
 
 
-def solve_volterra(kernel, generator: np.ndarray, t_max: float,
-                   dt: float) -> VolterraSolution:
+def solve_volterra(amplitude: float, decay: float, generator: np.ndarray,
+                   t_max: float, dt: float) -> VolterraSolution:
     """Integrate dPhi/dt = G . int_0^t k(t-tau) Phi(tau) dtau, Phi(0) = 1.
 
     Fixed-step predictor-corrector (Heun) with a trapezoidal memory sum;
@@ -277,8 +277,8 @@ def solve_volterra(kernel, generator: np.ndarray, t_max: float,
     one linear map X -> X + P_1 X of X = (Phi, A); its powers P_j, built by
     doubling, take a block X_{cB+j} = X_cB + P_j X_cB in one batched matmul.
 
-    :param kernel: exponential memory kernel, read as ``kernel.amplitude``
-        (a) and ``kernel.decay`` (b), e.g. an ``ExponentialKernel``.
+    :param amplitude: the memory kernel's amplitude a.
+    :param decay: the memory kernel's decay rate b.
     :param generator: constant square matrix G multiplying the memory
         integral: the bracket J - 1 of a jump channel J, or its action on
         an entry it keeps, as [[-2]] on a qubit's coherence for sigma_z.
@@ -300,7 +300,7 @@ def solve_volterra(kernel, generator: np.ndarray, t_max: float,
                         f"{_VOLTERRA_MAX_STEPS}: the maps take that many "
                         f"x {G.size} entries")
     n = int(round(steps))
-    a, b = np.float64(kernel.amplitude), np.float64(kernel.decay)
+    a, b = np.float64(amplitude), np.float64(decay)
     maps = np.empty((n + 1, *G.shape), dtype=np.result_type(G, float))
     maps[0] = eye = np.eye(len(G))
     with np.errstate(all="ignore"):

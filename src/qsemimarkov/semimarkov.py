@@ -39,7 +39,6 @@ __all__ = [
     "ExponentialWTD",
     "ExpConvolutionWTD",
     "TanhSechWTD",
-    "ExponentialKernel",
     "REGIME_SEMIGROUP",
     "REGIME_DIVISIBLE",
     "REGIME_INDIVISIBLE",
@@ -141,18 +140,6 @@ class TanhSechWTD:
         if np.any(u < 0.0) or np.any(u >= 1.0):
             raise DomainError("inverse CDF argument must lie in [0, 1)")
         return np.arccosh(1.0 / (1.0 - u)) / self.rate
-
-
-@dataclass(frozen=True)
-class ExponentialKernel:
-    """k(t) = amplitude * exp(-decay * t)."""
-
-    amplitude: float
-    decay: float
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * np.exp(-self.decay * t)
 
 
 REGIME_SEMIGROUP = "semigroup-limit"

@@ -1,31 +1,15 @@
 """Channel representations by their defining sums, kept as test oracles.
 
-The package takes the Choi matrix as a reshuffle of the superoperator's
-entries; the tests check that against this loop over the matrix units,
-chi = sum_ij Phi(|i><j|) (x) |i><j|, for a superoperator and for a
+The package takes a generator's Choi matrix as the rate times a unit-rate
+matrix written from the Kraus form of its jump; the tests check that against
+this loop over the matrix units, chi = sum_ij L(|i><j|) (x) |i><j|, with the
 generator snapshot acting by its defining formula. The Kraus-set sums below
 give the superoperator and Choi matrix of a channel written as {K_m}.
 """
 
 import numpy as np
 
-from qsemimarkov import DephasingGenerator, DimensionMismatch, weyl_z
-
-
-def choi_of_superop(superop: np.ndarray) -> np.ndarray:
-    """Choi matrix of one column-stacking superoperator, built term by term."""
-    S = np.asarray(superop, dtype=complex)
-    d = int(round(np.sqrt(S.shape[0])))
-    if S.shape != (d * d, d * d):
-        raise DimensionMismatch(f"superoperator shape {S.shape} is not d^2 x d^2")
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    basis = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            E = np.outer(basis[:, i], basis[:, j])
-            out = (S @ E.flatten(order="F")).reshape((d, d), order="F")
-            chi += np.kron(out, E)
-    return chi
+from qsemimarkov import DephasingGenerator, weyl_z
 
 
 def generator_action(gen, rho: np.ndarray) -> np.ndarray:

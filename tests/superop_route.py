@@ -12,7 +12,7 @@ and take trace norms, the smallest eigenvalue of each step map's Choi matrix
 import numpy as np
 
 from qsemimarkov import (DephasingSemiMarkov, DomainError, NonUnitalSemiMarkov,
-                         choi_of_superop, q_of_t, trace_norm)
+                         q_of_t, trace_norm)
 from qsemimarkov.measures import _COND_MAX
 
 
@@ -67,7 +67,10 @@ def divisibility_scan(proc, times) -> tuple[np.ndarray, np.ndarray]:
     regular = np.isfinite(cond) & (cond <= _COND_MAX)
     step = np.linalg.solve(early[regular].swapaxes(-1, -2),
                            late[regular].swapaxes(-1, -2)).swapaxes(-1, -2)
-    chi = choi_of_superop(step)
+    # the Choi matrices by reshuffling the entries (Wood, Biamonte & Cory,
+    # arXiv:1111.6950): chi[(i, k), (j, l)] = S[(j, i), (l, k)]
+    chi = step.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3)
+    chi = chi.reshape(-1, 4, 4)
     chi = 0.5 * (chi + chi.conj().swapaxes(-1, -2))
     min_eigs = np.full(len(early), np.nan)
     min_eigs[regular] = np.linalg.eigvalsh(chi)[:, 0]

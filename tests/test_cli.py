@@ -727,14 +727,20 @@ def test_commands_without_quadrature_do_not_import_scipy():
     # no command loads scipy, the Choi route's quadrature included: the
     # rate route of measure is exact, and the Gauss-Kronrod rule is numpy.
     # The SVG writer escapes text without xml.sax, which would pull in
-    # urllib.request, http, ssl and email (numpy itself loads urllib.parse)
+    # urllib.request, http, ssl and email (numpy itself loads urllib.parse).
+    # The package depends on numpy alone, so every command also runs with
+    # the test extra's other modules (and sympy, which brings mpmath) made
+    # unimportable, as after a clean install without that extra
     script = (
         "import contextlib, io, sys\n"
+        "for name in ('mpmath', 'jsonschema', 'pytest', 'sympy'):\n"
+        "    sys.modules[name] = None\n"
         "from qsemimarkov.cli import run\n"
         "for argv in (['rate'], ['holevo'], ['blp'], ['divisibility'],\n"
         "             ['divisibility', '--boundary-search'],\n"
         "             ['classical-sim', '--seed', '1'], ['kernel-check'],\n"
         "             ['measure'], ['measure', '--mode', 'min'],\n"
+        "             ['measure', '--family', 'nonunital'],\n"
         "             ['measure', '--form', 'choi'],\n"
         "             ['measure', '--form', 'choi', '--mode', 'min'],\n"
         "             ['measure', '--form', 'choi', '--family', 'nonunital'],\n"
@@ -837,8 +843,8 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
     (["measure", "--gamma-ref", "1e308"], 0, ""),
     (["rate", "--s", "1e-300", "--p", "0", "--grid", "5"], 0, ""),
     (["measure", "--s", "1e-300", "--p", "0"], 0, ""),
-    (["measure", "--gamma-ref", "1e308", "--form", "choi"], 3,
-     "integrand is not finite"),
+    (["measure", "--gamma-ref", "1e308", "--form", "choi"], 3, "value inf"),
+    (["measure", "--gamma-ref", "8e307", "--form", "choi"], 0, ""),
     (["holevo", "--s", "1e-300", "--grid", "3"], 2, "8p/s^2 overflows"),
     (["blp", "--p", "1e308"], 2, "8p/s^2 overflows at s = 1.0, p = 1e+308"),
     (["divisibility", "--s", "1e-300", "--p", "2", "--grid", "3"], 2,
@@ -863,6 +869,7 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
         "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
         "rate-tiny-s-p0", "measure-tiny-s-p0", "measure-huge-ref-choi",
+        "measure-large-ref-choi",
         "holevo-tiny-s", "blp-huge-p", "divisibility-tiny-s",
         "kernel-check-tiny-s", "classical-sim-tiny-rate",
         "classical-sim-tiny-exponential-rate", "classical-sim-huge-stage-rate",
@@ -875,8 +882,11 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     overflows, p is on the oscillating branch with |eta| = inf, so its pole
     count is refused, and so is any q(t) of it, as every phase would be
     0 * inf; p = 0 is the semigroup also where s^2 underflows; a huge
-    reference rate is reached at a pole or never, and on the Choi route its
-    trace norms overflow to inf, which the quadrature refuses. A tiny jump
+    reference rate is reached at a pole or never. The Choi route integrates
+    |gamma - ref| as the rate route does, and its xi_raw, the family constant
+    times xi, is inf past the float range; at 1e308 the quadrature's
+    Kronrod weights, which sum to 2, overflow its sum to inf, which it
+    refuses. A tiny jump
     rate makes an infinite wait: the path never jumps again. A huge stage
     rate leaves the exact survival finite. An excision that overflows its
     phase removes the horizon before the phase is taken, and one whose

@@ -52,6 +52,8 @@ def test_package_exports_every_library_export():
     ("semimarkov", "map_at"),
     ("semimarkov", "superop_at"),
     ("semimarkov", "jump_superop"),
+    ("semimarkov", "ExponentialKernel"),  # solve_volterra takes a and b
+    ("quantum", "choi_of_superop"),       # Choi matrices from Kraus forms
     ("numerics", "hermitian_eigvals"),
     ("numerics", "von_neumann_entropy"),
     ("errors", "SingularMap"),            # only intermediate_map raised it

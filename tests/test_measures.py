@@ -720,7 +720,7 @@ def test_measure_result_provenance():
     assert choi.kinks == rate.kinks
     assert choi.quadrature.evaluations > 0
     assert 0.0 < choi.quadrature.error_estimate < 1e-6
-    assert choi.raw_average == choi.quadrature.value / choi.config.horizon
+    assert choi.xi == choi.quadrature.value / choi.config.horizon
     fixed = sss_measure(DephasingSemiMarkov(s=1.0, p=0.1), SSSConfig())
     assert fixed.kinks == 0
 

@@ -1,17 +1,16 @@
-"""Superoperator / Choi conversions and generator snapshots."""
+"""State checks, Choi matrices and generator snapshots, against the
+defining sums of the test oracles."""
 
 import numpy as np
 import pytest
 
 from qsemimarkov import (
     DephasingGenerator,
-    DimensionMismatch,
     DomainError,
     InvalidState,
     ProjectorGenerator,
     check_density_matrix,
     choi_of_generator,
-    choi_of_superop,
     trace_norm,
     weyl_z,
 )
@@ -79,23 +78,6 @@ def test_superop_matches_kraus_action():
         assert np.abs(apply_superop(S, rho) - direct).max() < 1e-12
 
 
-def test_choi_reshuffle_equals_defining_sum():
-    rng = np.random.default_rng(26)
-    for d in (2, 3):
-        S = (rng.standard_normal((d * d, d * d))
-             + 1j * rng.standard_normal((d * d, d * d)))
-        assert np.array_equal(choi_of_superop(S), choi_loop.choi_of_superop(S))
-    stack = (rng.standard_normal((2, 3, 9, 9))
-             + 1j * rng.standard_normal((2, 3, 9, 9)))
-    chi = choi_of_superop(stack)
-    assert chi.shape == stack.shape
-    for idx in np.ndindex(2, 3):
-        assert np.array_equal(chi[idx], choi_loop.choi_of_superop(stack[idx]))
-    for bad in (np.eye(5), np.ones(4), np.ones((2, 4, 9))):
-        with pytest.raises(DimensionMismatch):
-            choi_of_superop(bad)
-
-
 def test_choi_of_identity():
     chi = choi_of_kraus([np.eye(2)])
     evals = np.linalg.eigvalsh(chi)
@@ -118,31 +100,6 @@ def test_stacked_superop_action():
 
 # --------------------------------------------------------------- generators
 
-def test_dephasing_generator_action():
-    gen = DephasingGenerator(rate=0.7, dim=2)
-    rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-    expected = 0.35 * (Z @ rho @ Z - rho)
-    out = apply_superop(gen.superop, rho)
-    assert np.abs(out - expected).max() < 1e-14
-    assert abs(out.trace()) < 1e-14  # trace-annihilating
-
-
-def test_dephasing_generator_is_trace_annihilating_for_qutrits():
-    gen = DephasingGenerator(rate=1.0, dim=3)
-    rng = np.random.default_rng(26)
-    rho = random_state(rng, 3)
-    assert abs(apply_superop(gen.superop, rho).trace()) < 1e-12
-
-
-def test_projector_generator_action():
-    gen = ProjectorGenerator(rate=2.0)
-    rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-    projected = np.zeros((2, 2), dtype=complex)
-    projected[0, 0] = rho.trace()
-    out = apply_superop(gen.superop, rho)
-    assert np.abs(out - 2.0 * (projected - rho)).max() < 1e-14
-
-
 @pytest.mark.parametrize("family", [DephasingGenerator, ProjectorGenerator])
 def test_generator_choi_reshuffle_equals_defining_loop(family):
     rates = (0.0, 1.0, 0.3717, -2.5)
@@ -159,6 +116,17 @@ def test_generator_choi_reshuffle_equals_defining_loop(family):
     for idx in np.ndindex(2, 4):
         single = family(rate=np.array([rates, rates[::-1]])[idx])
         assert np.array_equal(stack[idx], choi_of_generator(single))
+
+
+@pytest.mark.parametrize("family", [DephasingGenerator, ProjectorGenerator])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_generator_choi_is_trace_annihilating(family, dim):
+    # tracing out the output factor leaves 0: L[rho] is traceless for every
+    # input rho, which is stronger than a traceless Choi matrix
+    for rate in (0.0, 0.3717, 1.0, -2.5):
+        choi = choi_of_generator(family(rate=rate, dim=dim))
+        partial = choi.reshape(dim, dim, dim, dim).trace(axis1=0, axis2=2)
+        assert np.abs(partial).max() <= 1e-15
 
 
 def test_generator_choi_is_hermitian_traceless():

@@ -12,7 +12,6 @@ from qsemimarkov import (
     DephasingSemiMarkov,
     DomainError,
     ExpConvolutionWTD,
-    ExponentialKernel,
     ExponentialWTD,
     GridError,
     NonUnitalSemiMarkov,
@@ -530,7 +529,7 @@ def test_volterra_reproduces_q():
     # conjugation bracket must reproduce the closed-form coherence factor
     proc = DephasingSemiMarkov(s=1.0, p=0.1)
     G = jump_superop(proc) - np.eye(4)
-    sol = solve_volterra(ExponentialKernel(amplitude=0.1, decay=1.0), G, 3.0, 2e-3)
+    sol = solve_volterra(0.1, 1.0, G, 3.0, 2e-3)
     dev = np.abs(sol.maps[:, 1, 1].real
                  - np.asarray(q_of_t(proc, sol.times))).max()
     assert dev < 1e-6
