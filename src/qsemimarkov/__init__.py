@@ -7,13 +7,12 @@ their departure from semigroup dynamics:
 - ``semimarkov``: waiting-time distributions, the dephasing and non-unital
   qubit families, coherence factors q(t) and canonical rates gamma(t), and
   a classical Monte Carlo renewal simulator.
-- ``quantum``: state checks and generator snapshots with their Choi
-  matrices.
+- ``quantum``: generator snapshots with their Choi matrices.
 - ``measures``: the deviation-from-semigroup measure xi from one function,
   ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
-  minimized references), zeta = xi/(1+xi), trace-distance revivals,
-  CP-divisibility scans with a boundary bisection, and Holevo information
-  curves.
+  minimized references), zeta = xi/(1+xi), trace-distance revivals and
+  Holevo information curves of the |+>, |-> pair, and CP-divisibility
+  scans with a boundary bisection.
 - ``numerics``: trace norms, adaptive quadrature over given intervals,
   and a Volterra integro-differential solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``

@@ -6,8 +6,8 @@ user input (exit code 2).
 """
 
 __all__ = ["QsmError", "ConfigError", "NumericalError", "NoConvergence",
-           "InvalidState", "DomainError", "ToleranceNotMet", "GridError",
-           "NoSignChange", "DimensionMismatch", "Singularity"]
+           "DomainError", "ToleranceNotMet", "GridError", "NoSignChange",
+           "Singularity"]
 
 
 class QsmError(Exception):
@@ -26,10 +26,6 @@ class NoConvergence(NumericalError):
     """An iterative linear-algebra routine failed to converge."""
 
 
-class InvalidState(NumericalError):
-    """A density matrix violates Hermiticity, unit trace, or positivity."""
-
-
 class DomainError(NumericalError):
     """An argument lies outside the mathematical domain of the routine."""
 
@@ -44,10 +40,6 @@ class GridError(NumericalError):
 
 class NoSignChange(NumericalError):
     """Root bracketing failed: f has the same sign at both endpoints."""
-
-
-class DimensionMismatch(NumericalError):
-    """Operator dimensions are incompatible."""
 
 
 class Singularity(NumericalError):

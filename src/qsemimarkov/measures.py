@@ -32,9 +32,9 @@ that fixed shape; one process is a batch of one row. The excised intervals
 are listed for the output alone; their count over a sweep is capped.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
-vectors: the trace-distance-revival measure over an optimal qubit pair, a
-CP-divisibility scan over intermediate maps, a bisection on that scan for
-the dephasing divisibility boundary, and Holevo information curves.
+vectors: the trace-distance-revival measure and the Holevo information
+curve of the |+>, |-> pair, a CP-divisibility scan over intermediate maps,
+and a bisection on that scan for the dephasing divisibility boundary.
 """
 
 from __future__ import annotations
@@ -44,25 +44,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    GridError,
-    NoSignChange,
-    Singularity,
-)
+from .errors import DomainError, GridError, NoSignChange, Singularity
 from .numerics import (
     QuadratureResult,
     QuadratureRows,
     adaptive_quad,
     trace_norm,
 )
-from .quantum import (
-    DephasingGenerator,
-    ProjectorGenerator,
-    check_density_matrix,
-    choi_of_generator,
-)
+from .quantum import DephasingGenerator, ProjectorGenerator, choi_of_generator
 from .semimarkov import (
     _MAX_POLES,
     DephasingSemiMarkov,
@@ -78,8 +67,6 @@ from .semimarkov import (
 )
 
 __all__ = [
-    "PLUS_STATE",
-    "MINUS_STATE",
     "SSSConfig",
     "MeasureResult",
     "sss_measure",
@@ -92,13 +79,6 @@ __all__ = [
     "holevo_curve",
 ]
 
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-PLUS_STATE = _readonly(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-MINUS_STATE = _readonly(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
 
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
@@ -414,34 +394,22 @@ class BLPResult:
     trace_distance: np.ndarray
 
 
-def _bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(x, y, z) of a checked qubit state rho = (1 + x X + y Y + z Z)/2."""
-    m = check_density_matrix(rho)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"state shape {m.shape} is not a qubit's")
-    return np.array([(m[0, 1] + m[1, 0]).real, (m[1, 0] - m[0, 1]).imag,
-                     (m[0, 0] - m[1, 1]).real])
+def blp_measure(proc, t_max: float, *, n_grid: int = 2001) -> BLPResult:
+    """Sum of trace-distance revivals of the pair |+>, |-> over a uniform grid.
 
-
-def blp_measure(proc, t_max: float, *,
-                pair: tuple[np.ndarray, np.ndarray] | None = None,
-                n_grid: int = 2001) -> BLPResult:
-    """Sum of trace-distance revivals over a uniform grid.
-
-    D(t) = (1/2) || Phi(t)[rho_1 - rho_2] ||_1, half the length of the
-    mapped Bloch difference, is sampled on ``n_grid`` points; increments
-    above ``_REVIVAL_FLOOR`` are accumulated. The default pair |+>, |->
-    maximizes revivals for the dephasing family (D(t) = |q(t)|).
+    D(t) = (1/2) || Phi(t)[|+><+| - |-><-|] ||_1 = |a(t)|, a = q or g, is
+    sampled on ``n_grid`` points; increments above ``_REVIVAL_FLOOR`` are
+    accumulated. No pair revives more. Under dephasing a pair whose Bloch
+    difference has x, y length r <= 2 and z part dz has D = (1/2)
+    hypot(|q| r, dz), which rises by at most |q|'s rise; in the non-unital
+    family every pair has D = g |Delta| / 2, which only decays.
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
-    if n_grid < 2:
+    if not n_grid >= 2:
         raise DomainError(f"n_grid must be >= 2, got {n_grid!r}")
-    rho1, rho2 = (PLUS_STATE, MINUS_STATE) if pair is None else pair
-    dx, dy, dz = _bloch_vector(rho1) - _bloch_vector(rho2)
     times = np.linspace(0.0, float(t_max), int(n_grid))
-    a, a_z, _ = _bloch_factors(proc, times, "blp_measure")
-    dist = 0.5 * np.hypot(a * np.hypot(dx, dy), a_z * dz)
+    dist = np.abs(_bloch_factors(proc, times, "blp_measure")[0])
     inc = np.diff(dist)
     measure = float(inc[inc > _REVIVAL_FLOOR].sum())
     return BLPResult(measure=measure, times=times, trace_distance=dist)
@@ -532,13 +500,20 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
     first zero comes while |q(t1)| >= 1/``_COND_MAX``: the defaults at s = 1
     find the onset 1.3% above s^2/8.
 
+    :raises DomainError: before any scan, for a bad bracket, a ``p_tol``
+        that is not positive, a ``t_max`` that is not finite, or an
+        ``n_grid`` below 2 or NaN.
     :raises NoSignChange: if the bracket does not straddle the boundary.
     """
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
     if not 0.0 < lo < hi:
         raise DomainError(f"bad p bracket {p_bracket!r}")
-    if p_tol <= 0.0:
+    if not p_tol > 0.0:
         raise DomainError(f"p_tol must be positive, got {p_tol!r}")
+    if not np.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max!r}")
+    if not n_grid >= 2:
+        raise DomainError(f"n_grid must be >= 2, got {n_grid!r}")
     grid = np.linspace(0.0, float(t_max), int(n_grid))
     violates = lambda p: not cp_divisibility_scan(
         DephasingSemiMarkov(s=float(s), p=p), grid).cp_divisible
@@ -568,32 +543,18 @@ def _one_minus_entropy(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def holevo_curve(proc, times: Sequence[float], *,
-                 ensemble: Sequence[tuple[float, np.ndarray]] | None = None
-                 ) -> np.ndarray:
-    """Holevo information of the evolved ensemble at each time, in bits.
+def holevo_curve(proc, times: Sequence[float]) -> np.ndarray:
+    """Holevo information of the evolved equal-weight |+>, |-> ensemble at
+    each time, in bits.
 
-    chi(t) = S(sum_i p_i Phi(t)[rho_i]) - sum_i p_i S(Phi(t)[rho_i]), taken
-    as sum_i p_i (1 - S)(r_i) - (1 - S)(r) from Bloch lengths r_i and r.
-
-    :param ensemble: pairs (probability, state); default is the equal-weight
-        |+><+| / |-><-| pair, for which dephasing gives
-        chi(t) = 1 - H2((1 + |q(t)|) / 2).
+    chi(t) = S(Phi(t)[I/2]) - S(Phi(t)[|+><+|]), the states mapped to the
+    Bloch vectors (0, 0, b) and (+-a, 0, b), taken as (1 - S)(hypot(a, b))
+    - (1 - S)(|b|). Dephasing gives chi(t) = 1 - H2((1 + |q(t)|) / 2).
     """
     ts = np.asarray(times, dtype=float)
     if (ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all()
             or np.any(ts < 0.0)):
         raise GridError("times must be a 1-D array of finite non-negative "
                         "values")
-    if ensemble is None:
-        ensemble = ((0.5, PLUS_STATE), (0.5, MINUS_STATE))
-    probs = np.array([float(p) for p, _ in ensemble])
-    if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-10:
-        raise DomainError("ensemble probabilities must be positive and sum to 1")
-    vectors = np.array([_bloch_vector(r) for _, r in ensemble])
-    a, a_z, b = _bloch_factors(proc, ts, "holevo_curve")
-    # the mapped length depends on |(x, y)| and z alone: once per such pair
-    rows = [(np.hypot(x, y), z) for x, y, z in (probs @ vectors, *vectors)]
-    info = {row: _one_minus_entropy(np.hypot(a * row[0], a_z * row[1] + b))
-            for row in set(rows)}
-    return sum(p * info[row] for p, row in zip(probs, rows[1:])) - info[rows[0]]
+    a, b = _bloch_factors(proc, ts, "holevo_curve")
+    return _one_minus_entropy(np.hypot(a, b)) - _one_minus_entropy(np.abs(b))

@@ -1,4 +1,4 @@
-"""States, Choi matrices, and the generator snapshots of both families.
+"""Choi matrices and the generator snapshots of both families.
 
 The Choi matrix of a map Phi is (Phi (x) 1)|Psi><Psi| with the unnormalized
 maximally entangled vector |Psi> = sum_j |j,j>; the FIRST tensor factor
@@ -14,17 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidState
+from .errors import DomainError
 
 __all__ = [
     "weyl_z",
-    "check_density_matrix",
     "DephasingGenerator",
     "ProjectorGenerator",
     "choi_of_generator",
 ]
-
-_STATE_TOL = 1e-10  # rounding allowed in a state's entries, trace, eigenvalues
 
 
 def weyl_z(d: int) -> np.ndarray:
@@ -33,27 +30,6 @@ def weyl_z(d: int) -> np.ndarray:
         raise DomainError(f"dimension must be >= 2, got {d}")
     omega = np.exp(2j * np.pi / d)
     return np.diag(omega ** np.arange(d))
-
-
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity of a state.
-
-    :raises InvalidState: on any violation beyond ``_STATE_TOL``.
-    :return: the input as a complex array.
-    """
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidState(f"state must be a square matrix, got {m.shape}")
-    herm = np.abs(m - m.conj().T).max()
-    if herm > _STATE_TOL:
-        raise InvalidState(f"state deviates from Hermiticity by {herm:.3e}")
-    tr = abs(m.trace() - 1.0)
-    if tr > _STATE_TOL:
-        raise InvalidState(f"state trace deviates from 1 by {tr:.3e}")
-    min_eig = float(np.linalg.eigvalsh(m).min())
-    if min_eig < -_STATE_TOL:
-        raise InvalidState(f"state has negative eigenvalue {min_eig:.3e}")
-    return m
 
 
 @dataclass(frozen=True)

@@ -516,16 +516,17 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
 
 
 def _bloch_factors(proc, t, caller: str):
-    """(a, a_z, b) with Phi(t): (x, y, z) -> (a x, a y, a_z z + b) on Bloch
-    vectors: (q, 1, 0) for dephasing, (g, g, 1 - g) for the non-unital
-    family. :raises DomainError: for another process type or an array p."""
+    """(a, b) with Phi(t) taking the Bloch vectors (+-1, 0, 0) of |+>, |->
+    to (+-a, 0, b), and the x, y coordinates of any state to a x, a y: (q, 0)
+    for dephasing, (g, 1 - g) for the non-unital family.
+    :raises DomainError: for another process type or an array p."""
     _require_one(proc, caller)
     if isinstance(proc, DephasingSemiMarkov):
-        return q_of_t(proc, t), 1.0, 0.0
+        return q_of_t(proc, t), 0.0
     if not isinstance(proc, NonUnitalSemiMarkov):
         raise DomainError(f"unknown process type {type(proc)!r}")
     g = proc.survival(t)
-    return g, g, 1.0 - g
+    return g, 1.0 - g
 
 
 @dataclass(frozen=True)
@@ -701,9 +702,9 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     if not 0.0 <= jump_prob <= 1.0:
         raise DomainError(f"jump probability {jump_prob!r} outside [0, 1]")
     _require_positive("t_max", t_max)
-    if n_paths < 1:
+    if not n_paths >= 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
-    if n_times < 2:
+    if not n_times >= 2:
         raise DomainError(f"n_times must be >= 2, got {n_times!r}")
     seed = int(seed)
     if not 0 <= seed < 2**64:

@@ -60,6 +60,12 @@ def test_package_exports_every_library_export():
     ("errors", "NonHermitianInput"),      # only hermitian_eigvals raised it
     # only the two-stage wait's inverse_cdf raised it, which could only fail
     ("errors", "UnsupportedVariant"),
+    # the state inputs: BLP and Holevo take the |+>, |-> pair in closed form
+    ("measures", "PLUS_STATE"),
+    ("measures", "MINUS_STATE"),
+    ("quantum", "check_density_matrix"),
+    ("errors", "InvalidState"),
+    ("errors", "DimensionMismatch"),
 ])
 def test_deleted_names_stay_out_of_the_exports(module, name):
     assert name not in qsemimarkov.__all__

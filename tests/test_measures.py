@@ -13,18 +13,16 @@ from scipy.optimize import brentq
 from qsemimarkov import (
     DephasingGenerator,
     DephasingSemiMarkov,
-    DimensionMismatch,
     DomainError,
+    ExponentialWTD,
     GridError,
-    InvalidState,
     NoSignChange,
     NonUnitalSemiMarkov,
-    PLUS_STATE,
-    MINUS_STATE,
     ProjectorGenerator,
     SSSConfig,
     blp_measure,
     choi_of_generator,
+    classical_jump_simulate,
     coherence_zeros,
     cp_divisibility_scan,
     divisibility_boundary,
@@ -970,27 +968,28 @@ def test_blp_distance_matches_closed_form_to_rounding(proc):
     assert np.abs(result.trace_distance - expected).max() <= 2.5e-16
 
 
-def test_blp_insensitive_pairs():
-    proc = DephasingSemiMarkov(s=1.0, p=3.0)
-    same = blp_measure(proc, 5.0, pair=(PLUS_STATE, PLUS_STATE), n_grid=201)
-    assert same.measure == 0.0
-    # populations are untouched by pure dephasing
-    diag = blp_measure(proc, 5.0, n_grid=201,
-                       pair=(np.diag([1.0, 0.0]).astype(complex),
-                             np.diag([0.0, 1.0]).astype(complex)))
-    assert diag.measure <= 1e-12
-
-
 def test_blp_validation():
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     with pytest.raises(DomainError):
         blp_measure(proc, -1.0)
     with pytest.raises(DomainError):
         blp_measure(proc, 1.0, n_grid=1)
-    with pytest.raises(InvalidState):
-        blp_measure(proc, 1.0, pair=(np.diag([0.9, 0.0]), PLUS_STATE))
-    with pytest.raises(DimensionMismatch, match="qubit"):
-        blp_measure(proc, 1.0, pair=(np.eye(3) / 3, np.eye(3) / 3))
+
+
+# NaN fails every comparison, so a count checked as n < k reaches int()
+@pytest.mark.parametrize("call", [
+    lambda: blp_measure(DephasingSemiMarkov(s=1.0, p=3.0), 1.0,
+                        n_grid=np.nan),
+    lambda: divisibility_boundary(1.0, n_grid=np.nan),
+    lambda: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0,
+                                    np.nan, seed=1),
+    lambda: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, 10,
+                                    seed=1, n_times=np.nan),
+], ids=["blp-n_grid", "boundary-n_grid", "classical-n_paths",
+        "classical-n_times"])
+def test_nan_counts_are_domain_errors(call):
+    with pytest.raises(DomainError, match="must be >= "):
+        call()
 
 
 # --------------------------------------------------------- divisibility scan
@@ -1077,6 +1076,22 @@ def test_boundary_bisection_requires_straddling_bracket():
         divisibility_boundary(1.0, p_tol=0.0)
 
 
+@pytest.mark.parametrize("kwargs, says", [
+    # with p_tol NaN the bisection stops at once, on the unrefined bracket
+    ({"p_tol": np.nan}, "p_tol"),
+    # linspace warns on a non-finite end before a scan could refuse it
+    ({"t_max": np.inf}, "t_max"),
+    ({"t_max": np.nan}, "t_max"),
+], ids=["p_tol-nan", "t_max-inf", "t_max-nan"])
+def test_boundary_refuses_nan_tolerance_and_infinite_horizon(
+        monkeypatch, kwargs, says):
+    def scan(*args):
+        raise AssertionError("scanned before refusing the input")
+    monkeypatch.setattr(measures, "cp_divisibility_scan", scan)
+    with pytest.raises(DomainError, match=says):
+        divisibility_boundary(1.0, **kwargs)
+
+
 def _superop_violates(proc, grid) -> bool:
     """Whether the 4x4 route finds a step map that is not CP."""
     return bool((oracle.divisibility_scan(proc, grid)[0] < -_CP_TOL).any())
@@ -1136,33 +1151,52 @@ def test_boundary_bracket_straddles_the_superop_onset(s):
 
 # ------------------------------------------- Bloch forms against 4x4 route
 
-_MIXED = (np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]),
-          np.array([[0.25, -0.1 + 0.3j], [-0.1 - 0.3j, 0.75]]))
+_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
+_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]])
 _FAMILIES = [DephasingSemiMarkov(s=1.0, p=3.0), DephasingSemiMarkov(s=1.0, p=0.1),
              NonUnitalSemiMarkov(rate=1.05)]
 
 
 @pytest.mark.parametrize("proc", _FAMILIES)
-@pytest.mark.parametrize("pair", [(PLUS_STATE, MINUS_STATE), _MIXED,
-                                  (_MIXED[0], np.diag([0.0, 1.0]))])
-def test_trace_distance_matches_the_superop_route(proc, pair):
-    result = blp_measure(proc, 10.0, pair=pair, n_grid=2001)
-    want = oracle.trace_distance(proc, result.times, *pair)
+def test_trace_distance_matches_the_superop_route(proc):
+    result = blp_measure(proc, 10.0, n_grid=2001)
+    want = oracle.trace_distance(proc, result.times, _PLUS, _MINUS)
     assert np.abs(result.trace_distance - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("proc", _FAMILIES)
-@pytest.mark.parametrize("ensemble", [
-    None,
-    ((0.2, _MIXED[0]), (0.5, _MIXED[1]), (0.3, PLUS_STATE)),
-    ((0.9, np.diag([1.0, 0.0])), (0.1, MINUS_STATE)),
-])
-def test_holevo_matches_the_superop_route(proc, ensemble):
+def test_holevo_matches_the_superop_route(proc):
     ts = np.linspace(0.0, 10.0, 2001)
-    want = oracle.holevo(proc, ts, ensemble or ((0.5, PLUS_STATE),
-                                                (0.5, MINUS_STATE)))
-    assert np.abs(holevo_curve(proc, ts, ensemble=ensemble)
-                  - want).max() <= 1e-14
+    want = oracle.holevo(proc, ts, ((0.5, _PLUS), (0.5, _MINUS)))
+    assert np.abs(holevo_curve(proc, ts) - want).max() <= 1e-14
+
+
+def _random_qubit_state(rng, pure: bool) -> np.ndarray:
+    r = rng.standard_normal(3)
+    r /= np.linalg.norm(r)
+    if not pure:
+        r *= rng.uniform()
+    return 0.5 * np.array([[1.0 + r[2], r[0] - 1j * r[1]],
+                           [r[0] + 1j * r[1], 1.0 - r[2]]])
+
+
+@pytest.mark.parametrize("proc", _FAMILIES)
+def test_plus_minus_pair_attains_the_largest_revivals(proc):
+    # BLP is a maximum over pairs; |+>, |-> stands for it: no other pair's
+    # trace distance rises by more on any step, and none revives at all in
+    # the non-unital family
+    result = blp_measure(proc, 10.0, n_grid=2001)
+    rises = np.maximum(np.diff(result.trace_distance), 0.0)
+    rng = np.random.default_rng(33)
+    for k in range(50):
+        rho = _random_qubit_state(rng, pure=k % 2 == 0)
+        # a pure state with its orthogonal one, or two mixed states
+        pair = (rho, np.eye(2) - rho if k % 2 == 0
+                else _random_qubit_state(rng, pure=False))
+        steps = np.diff(oracle.trace_distance(proc, result.times, *pair))
+        assert np.all(steps <= rises + 1e-15)
+        if isinstance(proc, NonUnitalSemiMarkov):
+            assert steps[steps > 1e-12].sum() <= 1e-12
 
 
 @pytest.mark.parametrize("proc, grid, cut", [
@@ -1264,13 +1298,6 @@ def test_holevo_nonunital_decays():
 
 def test_holevo_ensemble_handling():
     proc = DephasingSemiMarkov(s=1.0, p=0.1)
-    single = holevo_curve(proc, [0.0, 1.0], ensemble=((1.0, PLUS_STATE),))
-    assert np.abs(single).max() < 1e-12
-    with pytest.raises(DomainError):
-        holevo_curve(proc, [0.0], ensemble=((0.4, PLUS_STATE),
-                                            (0.4, MINUS_STATE)))
-    with pytest.raises(InvalidState):
-        holevo_curve(proc, [0.0], ensemble=((1.0, np.diag([2.0, -1.0])),))
     with pytest.raises(GridError):
         holevo_curve(proc, [-1.0])
     for ts in ([0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf]):

@@ -1,5 +1,5 @@
-"""State checks, Choi matrices and generator snapshots, against the
-defining sums of the test oracles."""
+"""Choi matrices and generator snapshots, against the defining sums of
+the test oracles."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ import pytest
 from qsemimarkov import (
     DephasingGenerator,
     DomainError,
-    InvalidState,
     ProjectorGenerator,
-    check_density_matrix,
     choi_of_generator,
     trace_norm,
     weyl_z,
@@ -51,19 +49,6 @@ def test_weyl_z():
                    lambda d: ProjectorGenerator(rate=1.0, dim=d)):
         with pytest.raises(DomainError, match="dimension must be >= 2"):
             refuse(1)
-
-
-def test_check_density_matrix():
-    rho = check_density_matrix(np.eye(2) / 2)
-    assert rho.dtype == complex
-    with pytest.raises(InvalidState):
-        check_density_matrix(np.diag([0.7, 0.7]))
-    with pytest.raises(InvalidState):
-        check_density_matrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
-    with pytest.raises(InvalidState):
-        check_density_matrix(np.diag([1.2, -0.2]))
-    with pytest.raises(InvalidState):
-        check_density_matrix(np.zeros((2, 3)))
 
 
 # ------------------------------------------------- representation coherence
