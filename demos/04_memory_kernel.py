@@ -2,8 +2,8 @@
 
 The renewal process with two-exponential waits obeys
 d Phi / dt = int_0^t k(t - tau) [Z . Z - 1] Phi(tau) d tau with the scalar
-kernel k(t) = p exp(-s t). Conjugation by Z flips the sign of the coherence,
-so on it the bracket acts as -2 and dq/dt = -2 int_0^t k(t - tau) q(tau) d tau.
+kernel k(t) = p exp(-s t). On the coherence the bracket acts as -2 (see
+``solve_volterra``), so dq/dt = -2 int_0^t k(t - tau) q(tau) d tau.
 The Volterra integration of that scalar equation must reproduce the
 closed-form coherence factor, with second-order convergence in the step --
 including for p > s^2/4, where no real rate pair (l1, l2) exists but the
@@ -25,8 +25,8 @@ def main() -> None:
         print(f"s={s:g}, p={p:g}")
         prev = None
         for dt in (8e-3, 4e-3, 2e-3):
-            sol = solve_volterra(p, s, np.array([[-2.0]]), 5.0, dt)
-            q_num = sol.maps[:, 0, 0]
+            sol = solve_volterra(p, s, 5.0, dt)
+            q_num = sol.coherence
             q_ref = np.asarray(q_of_t(proc, sol.times))
             dev = float(np.abs(q_num - q_ref).max())
             note = "" if prev is None else f"  ratio {prev / dev:.3f}"

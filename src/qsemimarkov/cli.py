@@ -240,17 +240,18 @@ class _Resolved:
                              f"{', '.join(unread)} with the flags given")
 
 
-def _dephasing(r: _Resolved) -> tuple[float, float]:
-    """(s, p) of a dephasing process: from --lambda1/--lambda2 when either
-    is given, else from --s and --p."""
+def _dephasing(r: _Resolved) -> DephasingSemiMarkov:
+    """The dephasing process of --lambda1/--lambda2 when either is given,
+    else of --s and --p."""
     if r.given("lambda1") or r.given("lambda2"):
         _require(r.given("lambda1") and r.given("lambda2"),
                  "--lambda1 and --lambda2 must be given together")
-        l1, l2 = r.get("lambda1"), r.get("lambda2")
+        proc = DephasingSemiMarkov.from_rates(r.get("lambda1"),
+                                              r.get("lambda2"))
         # echoed as s and p, so both spellings print the same bytes
-        r.values.update(lambda1=None, lambda2=None, s=l1 + l2, p=l1 * l2)
-        return r.values["s"], r.values["p"]
-    return r.get("s"), r.get("p")
+        r.values.update(lambda1=None, lambda2=None, s=proc.s, p=proc.p)
+        return proc
+    return DephasingSemiMarkov(r.get("s"), r.get("p"))
 
 
 def _positive(name: str, value: float) -> float:
@@ -274,7 +275,7 @@ def _time_grid(r: _Resolved) -> tuple[float, int]:
 
 def cmd_rate(r: _Resolved) -> tuple[dict, dict]:
     """time-local decay rate curve"""
-    proc = DephasingSemiMarkov(*_dephasing(r))
+    proc = _dephasing(r)
     t_max, n = _time_grid(r)
     r.check_unread()
     poles = coherence_zeros(proc, t_max)
@@ -297,8 +298,8 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
         columns = {"lambda": proc.rate}
     else:
         if any(map(r.given, ("p", "lambda1", "lambda2"))):
-            s, p = _dephasing(r)
-            p_values = np.array([p])
+            one = _dephasing(r)
+            s, p_values = one.s, np.array([one.p])
         else:
             s = r.get("s")
             p_lo, p_hi, n_p = r.get("p-min"), r.get("p-max"), r.get("p-points")
@@ -352,7 +353,7 @@ def cmd_holevo(r: _Resolved) -> tuple[dict, dict]:
 
 def cmd_blp(r: _Resolved) -> tuple[dict, dict]:
     """trace-distance revival measure"""
-    proc = DephasingSemiMarkov(*_dephasing(r))
+    proc = _dephasing(r)
     t_max, n = _time_grid(r)
     r.check_unread()
     res = blp_measure(proc, t_max, n_grid=n)
@@ -375,7 +376,7 @@ def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
                  "p_low": np.array([est.p_low]),
                  "p_high": np.array([est.p_high])},
                 {"p_boundary_estimate": est.p_estimate})
-    proc = DephasingSemiMarkov(*_dephasing(r))
+    proc = _dephasing(r)
     t_max, n = _time_grid(r)
     r.check_unread()
     report = cp_divisibility_scan(proc, np.linspace(0.0, t_max, n))
@@ -419,20 +420,18 @@ def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
 
 def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     """memory-kernel integration vs closed form"""
-    s, p = _dephasing(r)
+    proc = _dephasing(r)
     dt = _positive("--dt", r.get("dt"))
     t_max = _positive("--t-max", r.get("t-max"))
     _require(t_max >= 4 * dt, "--t-max must cover at least a few steps")
-    proc = DephasingSemiMarkov(s=s, p=p)
     r.check_unread()
 
     def q_error(step: float):
         """(times, Volterra q, closed-form q, their largest gap) at a step."""
         # k(t) = p exp(-s t), valid for every p >= 0 even where no real rate
-        # pair (lambda1, lambda2) exists; conjugation by Z flips the
-        # coherence's sign, so J - 1 acts on it as -2
-        sol = solve_volterra(p, s, np.array([[-2.0]]), t_max, step)
-        q_num = sol.maps[:, 0, 0]
+        # pair (lambda1, lambda2) exists; solve_volterra says why J - 1 is -2
+        sol = solve_volterra(proc.p, proc.s, t_max, step)
+        q_num = sol.coherence
         q_ref = q_of_t(proc, sol.times)
         return sol.times, q_num, q_ref, float(np.abs(q_num - q_ref).max())
 

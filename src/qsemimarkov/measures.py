@@ -59,6 +59,7 @@ from .semimarkov import (
     _bloch_factors,
     _level_time,
     _log_abs_q,
+    _require_count,
     _zero_counts,
     _zero_time,
     _zero_times,
@@ -406,9 +407,7 @@ def blp_measure(proc, t_max: float, *, n_grid: int = 2001) -> BLPResult:
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
-    if not n_grid >= 2:
-        raise DomainError(f"n_grid must be >= 2, got {n_grid!r}")
-    times = np.linspace(0.0, float(t_max), int(n_grid))
+    times = np.linspace(0.0, float(t_max), _require_count("n_grid", n_grid, 2))
     dist = np.abs(_bloch_factors(proc, times, "blp_measure")[0])
     inc = np.diff(dist)
     measure = float(inc[inc > _REVIVAL_FLOOR].sum())
@@ -502,7 +501,7 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
 
     :raises DomainError: before any scan, for a bad bracket, a ``p_tol``
         that is not positive, a ``t_max`` that is not finite, or an
-        ``n_grid`` below 2 or NaN.
+        ``n_grid`` that is not a whole number >= 2.
     :raises NoSignChange: if the bracket does not straddle the boundary.
     """
     lo, hi = float(p_bracket[0]), float(p_bracket[1])
@@ -512,9 +511,8 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
         raise DomainError(f"p_tol must be positive, got {p_tol!r}")
     if not np.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max!r}")
-    if not n_grid >= 2:
-        raise DomainError(f"n_grid must be >= 2, got {n_grid!r}")
-    grid = np.linspace(0.0, float(t_max), int(n_grid))
+    n_grid = _require_count("n_grid", n_grid, 2)
+    grid = np.linspace(0.0, float(t_max), n_grid)
     violates = lambda p: not cp_divisibility_scan(
         DephasingSemiMarkov(s=float(s), p=p), grid).cp_divisible
     if violates(lo):
@@ -526,7 +524,7 @@ def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0
         lo, hi = (lo, mid) if violates(mid) else (mid, hi)
     return BoundaryEstimate(p_estimate=0.5 * (lo + hi), p_low=lo,
                             p_high=hi, s=float(s), t_max=float(t_max),
-                            n_grid=int(n_grid), p_tol=float(p_tol))
+                            n_grid=n_grid, p_tol=float(p_tol))
 
 
 def _one_minus_entropy(r: np.ndarray) -> np.ndarray:

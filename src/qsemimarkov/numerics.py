@@ -8,9 +8,9 @@ and taking the integrand on all their nodes in one call; callers cut out
 poles and split at kinks by the intervals they pass. Labelled rows of
 intervals make many integrals at once, each with its own tolerance, budget
 and result, and bits that do not depend on the other rows: a round takes
-the new intervals of every row in one call. The Volterra solver
-takes an exponential kernel, whose memory sum is then a recurrence: O(dt^2)
-error, time and memory linear in the steps, and the steps capped.
+the new intervals of every row in one call. The Volterra solver takes the
+coherence's memory equation, whose exponential kernel makes the memory sum
+a recurrence: O(dt^2) error, time and memory linear in the steps, capped.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ __all__ = [
 ]
 
 
-# 1e6 steps, like the cap of --grid's time grid: 8 D^2 MB of D x D real
-# maps, so 8 MB for kernel-check's scalar coherence
+# 1e6 steps, like the cap of --grid's time grid: 8 MB of coherence
 _VOLTERRA_MAX_STEPS = 1_000_000
-_VOLTERRA_BLOCK_ELEMENTS = 1 << 14  # of the step powers: 4096 1x1, 256 4x4
+_VOLTERRA_BLOCK = 1 << 12  # steps taken by one batched matmul
 
 # intervals per integrand call: caps the memory of the integrand's work on
 # their nodes (21 per interval)
@@ -78,8 +77,8 @@ class QuadratureResult(NamedTuple):
 
 
 class VolterraSolution(NamedTuple):
-    times: np.ndarray  # shape (n+1,), uniform grid from 0
-    maps: np.ndarray   # shape (n+1, D, D) trajectory of the maps Phi(t)
+    times: np.ndarray      # shape (n+1,), uniform grid from 0
+    coherence: np.ndarray  # shape (n+1,), q at each time, q(0) = 1
 
 
 def trace_norm(matrix: np.ndarray) -> float | np.ndarray:
@@ -152,54 +151,49 @@ class QuadratureRows(Sequence):
         return int(self._counts.sum())
 
 
-def adaptive_quad(f: Callable[..., np.ndarray],
-                  a: float | np.ndarray, b: float | np.ndarray, *,
-                  rows: np.ndarray | None = None
-                  ) -> QuadratureResult | QuadratureRows:
-    """Adaptive 21-point Gauss-Kronrod quadrature over given intervals.
+def adaptive_quad(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  a: np.ndarray, b: np.ndarray,
+                  rows: np.ndarray) -> QuadratureRows:
+    """Adaptive 21-point Gauss-Kronrod quadrature over labelled intervals.
 
-    ``a`` and ``b`` are the ends of one interval, or equal-length 1-D arrays
-    of the ends of several, summed over; zero-width intervals are skipped.
-    ``rows`` labels each interval with the integral it belongs to, 0, 1, ...:
-    each row is summed, tolerated, bisected and budgeted on its own, as if
-    alone, so its bits do not depend on the other rows. Each round calls f
-    on the nodes of the new intervals of every row not yet converged, at
-    most ``_QUAD_BLOCK`` intervals per call, then bisects each row's
-    largest-error intervals until the rest sum to at most half its
-    tolerance max(``_QUAD_ABS_TOL``, ``_QUAD_REL_TOL`` |value|); a row
-    within it is done.
+    ``a`` and ``b`` are equal-length 1-D arrays of the intervals' ends, and
+    ``rows`` labels each interval with the integral it belongs to, 0, 1, ...;
+    zero-width intervals are skipped. Each row is summed, tolerated,
+    bisected and budgeted on its own, as if alone, so its bits do not depend
+    on the other rows. Each round calls f on the nodes of the new intervals
+    of every row not yet converged, at most ``_QUAD_BLOCK`` intervals per
+    call, then bisects each row's largest-error intervals until the rest sum
+    to at most half its tolerance max(``_QUAD_ABS_TOL``, ``_QUAD_REL_TOL``
+    |value|); a row within it is done.
 
-    :param f: vectorized integrand, finite on every given interval: f(x)
-        with x the (k, 21) nodes of k intervals, or, with ``rows``,
-        f(x, row) with row the (k,) labels of the intervals.
-    :param rows: one non-negative integer label per interval, or None for
-        one row.
+    :param f: vectorized integrand, finite on every given interval: f(x, row)
+        with x the (k, 21) nodes of k intervals and row their (k,) labels.
+    :param rows: one non-negative integer label per interval.
     :raises DomainError: if the ends are not finite, do not pair up, or an
         interval is reversed, or a label is not a non-negative integer.
     :raises ToleranceNotMet: if a row's intervals outnumber
         ``_QUAD_LIMIT`` per starting interval.
     :raises NumericalError: if f returns a value that is not finite, or a
         row's summed value or error estimate is not.
-    :return: ``QuadratureResult(value, error_estimate, evaluations)`` summed
-        over the intervals, or with ``rows`` a ``QuadratureRows`` of one per
-        label up to the largest; 21 evaluations per interval.
+    :return: a ``QuadratureRows`` of one ``QuadratureResult(value,
+        error_estimate, evaluations)`` per label up to the largest; 21
+        evaluations per interval.
     """
-    lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (a, b))
-    label = np.zeros(lo.shape, np.int64) if rows is None else np.asarray(rows)
+    lo, hi = (np.asarray(x, dtype=float) for x in (a, b))
+    label = np.asarray(rows)
     if (lo.ndim != 1 or lo.shape != hi.shape or label.shape != lo.shape
             or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))):
         raise DomainError(f"bad integration range [{a}, {b}]")
     if label.dtype.kind not in "iu" or (label < 0).any():
         raise DomainError("row labels must be non-negative integers")
-    g = f if rows is not None else lambda x, _: f(x)
-    n = 1 if rows is None else int(label.max(initial=-1)) + 1
+    n = int(label.max(initial=-1)) + 1
 
     def span(r: int) -> str:
         return f"[{lo[label == r].min():g}, {hi[label == r].max():g}]"
 
     def evaluate(lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
         if lo.size <= _QUAD_BLOCK:
-            return _gk21(lambda x: g(x, row), lo, hi)
+            return _gk21(lambda x: f(x, row), lo, hi)
         return np.concatenate([evaluate(lo[i: i + _QUAD_BLOCK],
                                         hi[i: i + _QUAD_BLOCK],
                                         row[i: i + _QUAD_BLOCK])
@@ -263,61 +257,56 @@ def adaptive_quad(f: Callable[..., np.ndarray],
                                       row[:2 * row_k.size]),
                              iv[:, ~top]], axis=1)
         evaluated[ids] += 2 * k
-    results = QuadratureRows(value, error, _GK_X.size * evaluated)
-    return results if rows is not None else results[0]
+    return QuadratureRows(value, error, _GK_X.size * evaluated)
 
 
-def solve_volterra(amplitude: float, decay: float, generator: np.ndarray,
-                   t_max: float, dt: float) -> VolterraSolution:
-    """Integrate dPhi/dt = G . int_0^t k(t-tau) Phi(tau) dtau, Phi(0) = 1.
+def solve_volterra(amplitude: float, decay: float, t_max: float,
+                   dt: float) -> VolterraSolution:
+    """Integrate dq/dt = -2 int_0^t k(t-tau) q(tau) dtau, q(0) = 1, with
+    k(t) = a e^{-bt}: the coherence under dPhi/dt = int_0^t k(t-tau)
+    (J - 1) Phi(tau) dtau. Conjugation by sigma_z, the dephasing jump J,
+    flips the coherence's sign, so J - 1 acts on it as -2.
 
     Fixed-step predictor-corrector (Heun) with a trapezoidal memory sum;
-    global error is O(dt^2). For k(t) = a e^{-bt} that sum is A_m - a dt
-    Phi_m / 2 with A_{m+1} = e^{-b dt} A_m + a dt Phi_{m+1}, so a step is
-    one linear map X -> X + P_1 X of X = (Phi, A); its powers P_j, built by
-    doubling, take a block X_{cB+j} = X_cB + P_j X_cB in one batched matmul.
+    global error is O(dt^2). That sum is A_m - a dt q_m / 2 with
+    A_{m+1} = e^{-b dt} A_m + a dt q_{m+1}, so a step is one linear map
+    X -> X + P_1 X of X = (q, A); its powers P_j, built by doubling, take a
+    block X_{cB+j} = X_cB + P_j X_cB in one batched matmul.
 
     :param amplitude: the memory kernel's amplitude a.
     :param decay: the memory kernel's decay rate b.
-    :param generator: constant square matrix G multiplying the memory
-        integral: the bracket J - 1 of a jump channel J, or its action on
-        an entry it keeps, as [[-2]] on a qubit's coherence for sigma_z.
     :param t_max: final time; the grid is uniform on [0, t_max].
     :param dt: step size; t_max is rounded to an integer number of steps.
     :raises GridError: if dt or t_max is non-positive, t_max < dt, or the
         step count t_max / dt exceeds ``_VOLTERRA_MAX_STEPS``.
-    :raises NumericalError: if the step matrix or a map is not finite.
-    :return: ``VolterraSolution(times, maps)`` with maps[0] the identity.
+    :raises NumericalError: if the step matrix or coherence is not finite.
+    :return: ``VolterraSolution(times, coherence)``, coherence[0] = 1.
     """
     if not 0.0 < dt <= t_max < np.inf:
         raise GridError(f"bad step dt={dt!r} for t_max={t_max!r}")
-    G = np.asarray(generator)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DomainError(f"generator must be square, got shape {G.shape}")
     steps = t_max / dt  # compared as a float: it may overflow an int
     if steps > _VOLTERRA_MAX_STEPS + 0.5:  # round(steps) > the cap
         raise GridError(f"{steps:.3g} steps exceed the cap of "
-                        f"{_VOLTERRA_MAX_STEPS}: the maps take that many "
-                        f"x {G.size} entries")
+                        f"{_VOLTERRA_MAX_STEPS}")
     n = int(round(steps))
-    a, b = np.float64(amplitude), np.float64(decay)
-    maps = np.empty((n + 1, *G.shape), dtype=np.result_type(G, float))
-    maps[0] = eye = np.eye(len(G))
+    a, b, g = np.float64(amplitude), np.float64(decay), -2.0
+    q = np.empty(n + 1)
+    q[0] = 1.0
     with np.errstate(all="ignore"):
         half = 0.5 * a * dt  # trapezoid weight of the newest point
-        c, G2 = np.expm1(-b * dt), G @ G
-        e_pp = -0.5 * (dt * half) ** 2 * G2
-        e_pa = 0.5 * dt * ((2.0 + c) * G + half * dt * G2)
-        step = np.block([[e_pp, e_pa],
-                         [a * dt * (eye + e_pp), c * eye + a * dt * e_pa]])
+        c = np.expm1(-b * dt)
+        e_pp = -0.5 * (dt * half * g) ** 2
+        e_pa = 0.5 * dt * ((2.0 + c) * g + half * dt * g * g)
+        step = np.array([[e_pp, e_pa],
+                         [a * dt * (1.0 + e_pp), c + a * dt * e_pa]])
         incr = step[None]  # P_{m+j} = P_m + P_j + P_m P_j
-        while len(incr) < min(n, _VOLTERRA_BLOCK_ELEMENTS // step.size):
+        while len(incr) < min(n, _VOLTERRA_BLOCK):
             incr = np.concatenate([incr, incr[-1] + incr + incr[-1] @ incr])
-        x = np.concatenate([eye, half * eye]).astype(maps.dtype)
+        x = np.array([[1.0], [half]])
         for start in range(0, n, len(incr)):
             y = incr[: n - start] @ x
-            maps[start + 1: start + 1 + len(y)] = x[:len(G)] + y[:, :len(G)]
+            q[start + 1: start + 1 + len(y)] = x[0, 0] + y[:, 0, 0]
             x = x + y[-1]
-    if not (np.all(np.isfinite(step)) and np.all(np.isfinite(maps))):
-        raise NumericalError(f"Volterra maps are not finite at dt={dt:g}")
-    return VolterraSolution(dt * np.arange(n + 1), maps)
+    if not (np.all(np.isfinite(step)) and np.all(np.isfinite(q))):
+        raise NumericalError(f"Volterra coherence is not finite at dt={dt:g}")
+    return VolterraSolution(dt * np.arange(n + 1), q)

@@ -70,6 +70,13 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_count(name: str, value, least: int) -> int:
+    """A whole number >= least as an int; NaN, inf and 2.5 are refused."""
+    if not (least <= value < np.inf and value % 1 == 0):
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExponentialWTD:
     """f(t) = rate * exp(-rate t); the memoryless (semigroup) case."""
@@ -219,7 +226,11 @@ class DephasingSemiMarkov:
         if not ok.all():
             raise DomainError("p must be non-negative and finite, got "
                               f"{float(p[~ok][0])!r}")
-        disc = 1.0 - _eight_p_by_s2(p, self.s)
+        ratio = _eight_p_by_s2(p, s)
+        if np.isinf(ratio).any():  # |eta| would be inf: every phase 0 * inf
+            raise DomainError(f"8p/s^2 overflows at s = {self.s!r}, p = "
+                              f"{float(p[np.isinf(ratio)].flat[0])!r}")
+        disc = 1.0 - ratio
         size = np.abs(disc)
         boundary = size < _BRANCH_TOL
         self.__dict__.update(  # frozen: the fields are set this once
@@ -261,14 +272,9 @@ def q_of_t(proc: DephasingSemiMarkov, t):
     clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
     phase x overflows, as e^{-st/2} is 0 there, and NaN at a NaN t.
 
-    :raises DomainError: for a t < 0, or an element whose 8p/s^2
-        overflows: |eta| is inf there, so every phase would be 0 * inf.
+    :raises DomainError: for a t < 0.
     """
     t, s = _times(t), proc.s
-    huge = np.isinf(proc.w)
-    if huge.any():
-        raise DomainError(f"8p/s^2 overflows at s = {s!r}, p = "
-                          f"{float(np.asarray(proc.p)[huge].flat[0])!r}")
 
     def boundary(p, w, t):
         x = s * t / 2
@@ -702,21 +708,19 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     if not 0.0 <= jump_prob <= 1.0:
         raise DomainError(f"jump probability {jump_prob!r} outside [0, 1]")
     _require_positive("t_max", t_max)
-    if not n_paths >= 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths!r}")
-    if not n_times >= 2:
-        raise DomainError(f"n_times must be >= 2, got {n_times!r}")
+    n_paths = _require_count("n_paths", n_paths, 1)
+    n_times = _require_count("n_times", n_times, 2)
+    if not (0 <= seed < 2**64 and seed % 1 == 0):
+        raise DomainError(f"seed must be a whole number in [0, 2**64), got "
+                          f"{seed!r}")
     seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
 
-    n_paths = int(n_paths)
     # waits a path draws: those before t_max, and the one that passes it
     renewals = n_paths * (float(t_max) / _mean_wait(wtd) + 1.0)
     if not renewals <= _MAX_RENEWALS:  # also where t_max / mean is inf
         raise GridError(f"about {renewals:.3g} renewal steps over {n_paths} "
                         f"paths exceed the cap of {_MAX_RENEWALS:.0e}")
-    times = np.linspace(0.0, float(t_max), int(n_times))
+    times = np.linspace(0.0, float(t_max), n_times)
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
     chunk = max(1, _CHUNK_UNIFORMS // (4 * per_step))
     first = np.zeros(times.size + 1, dtype=np.int64)

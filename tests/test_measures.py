@@ -976,20 +976,21 @@ def test_blp_validation():
         blp_measure(proc, 1.0, n_grid=1)
 
 
-# NaN fails every comparison, so a count checked as n < k reaches int()
+# NaN fails every comparison, so a count checked as n < k reaches int(),
+# which raises OverflowError at inf and truncates 2.5 to 2
 @pytest.mark.parametrize("call", [
-    lambda: blp_measure(DephasingSemiMarkov(s=1.0, p=3.0), 1.0,
-                        n_grid=np.nan),
-    lambda: divisibility_boundary(1.0, n_grid=np.nan),
-    lambda: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0,
-                                    np.nan, seed=1),
-    lambda: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, 10,
-                                    seed=1, n_times=np.nan),
+    lambda n: blp_measure(DephasingSemiMarkov(s=1.0, p=3.0), 1.0, n_grid=n),
+    lambda n: divisibility_boundary(1.0, n_grid=n),
+    lambda n: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, n,
+                                      seed=1),
+    lambda n: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, 10,
+                                      seed=1, n_times=n),
 ], ids=["blp-n_grid", "boundary-n_grid", "classical-n_paths",
         "classical-n_times"])
 def test_nan_counts_are_domain_errors(call):
-    with pytest.raises(DomainError, match="must be >= "):
-        call()
+    for bad in (np.nan, np.inf, 2.5):
+        with pytest.raises(DomainError, match=f"must be >= ., got {bad!r}$"):
+            call(bad)
 
 
 # --------------------------------------------------------- divisibility scan

@@ -139,6 +139,14 @@ def test_argument_validation():
         classical_jump_simulate(wtd, 1.0, 2.0, 0, seed=1)
     with pytest.raises(DomainError):
         classical_jump_simulate(wtd, 1.0, 2.0, 10, seed=-1)
+    for seed in (1.5, np.nan, np.inf, 2**64):  # 1.5 would run seed 1
+        with pytest.raises(DomainError, match="seed must be a whole number"):
+            classical_jump_simulate(wtd, 1.0, 2.0, 10, seed=seed)
+    # a whole float is a count: 1e2 paths walk as 100 do
+    floats = classical_jump_simulate(wtd, 1.0, 2.0, 1e2, seed=1.0)
+    ints = classical_jump_simulate(wtd, 1.0, 2.0, 100, seed=1)
+    assert (floats.n_paths, floats.seed) == (100, 1)
+    assert np.array_equal(floats.survival, ints.survival)
     with pytest.raises(DomainError):
         classical_jump_simulate(wtd, 1.5, 2.0, 10, seed=1)
     with pytest.raises(DomainError):

@@ -398,15 +398,22 @@ def test_q_is_exactly_one_at_time_zero(p):
     assert np.all(q_of_t(DephasingSemiMarkov(s=1.0, p=p), [0.0, 1e-9]) <= 1.0)
 
 
-@pytest.mark.parametrize("s, p", [(1e-300, 2.0), (1.0, 1e308)])
-def test_q_refuses_a_p_whose_8p_by_s2_overflows(s, p):
+@pytest.mark.parametrize("s, p", [(1e-300, 2.0), (1.0, 1e308), (1e-200, 1.0)])
+def test_q_refuses_a_p_whose_8p_by_s2_overflows(monkeypatch, s, p):
     """|eta| is inf there, so the phase at t = 0 would be 0 * inf: q(0)
-    came out 0, not 1. An array p is refused at its first such element."""
+    came out 0, not 1, and the rate NaN without an error. The process is
+    refused where it is built, an array p at its first such element."""
+    reached = []
+    monkeypatch.setattr(semimarkov, "gamma_dephasing",
+                        lambda *args: reached.append(args))
     says = re.escape(f"8p/s^2 overflows at s = {s!r}, p = {p!r}")
     with pytest.raises(DomainError, match=says):
         q_of_t(DephasingSemiMarkov(s=s, p=p), 0.0)
     with pytest.raises(DomainError, match=says):
         q_of_t(DephasingSemiMarkov(s=s, p=[0.0, p, p / 2]), [0.0, 1.0])
+    with pytest.raises(DomainError, match=says):
+        semimarkov.gamma_dephasing(DephasingSemiMarkov(s=s, p=p), 1.0)
+    assert reached == []
     assert q_of_t(DephasingSemiMarkov(s=s, p=0.0), 0.0) == 1.0
 
 
@@ -526,12 +533,11 @@ def test_evolve_timelocal_nonunital_matches_affine_form():
 
 def test_volterra_reproduces_q():
     # the time-nonlocal equation with k(t) = p e^{-st} and the sigma_z
-    # conjugation bracket must reproduce the closed-form coherence factor
+    # conjugation bracket must reproduce the closed-form coherence factor;
+    # the bracket acts on the coherence entries as the -2 the solver fixes
     proc = DephasingSemiMarkov(s=1.0, p=0.1)
-    G = jump_superop(proc) - np.eye(4)
-    sol = solve_volterra(0.1, 1.0, G, 3.0, 2e-3)
-    dev = np.abs(sol.maps[:, 1, 1].real
-                 - np.asarray(q_of_t(proc, sol.times))).max()
+    bracket = jump_superop(proc) - np.eye(4)
+    assert np.array_equal(bracket, np.diag([0.0, -2.0, -2.0, 0.0]))
+    sol = solve_volterra(0.1, 1.0, 3.0, 2e-3)
+    dev = np.abs(sol.coherence - np.asarray(q_of_t(proc, sol.times))).max()
     assert dev < 1e-6
-    # populations untouched: the (0,0) superoperator entry stays 1
-    assert np.abs(sol.maps[:, 0, 0] - 1.0).max() < 1e-10
