@@ -69,10 +69,9 @@ _FLAGS = {
     "lambda": (float, "non-unital rate, or rate of single-rate waiting times"),
     "T": (float, "averaging horizon"),
     "mode": (("paper", "min"), "reference: 'paper' is --gamma-ref, 'min' the "
-                               "time-median of gamma in [0, --gamma-max]"),
+                               "time-median of gamma"),
     "form": (("rate", "choi"), "integrand route"),
     "gamma-ref": (float, "fixed reference rate of --mode paper"),
-    "gamma-max": (float, "upper clip of the min-mode median (default none)"),
     "epsilon": (float, "half-width excised around rate poles"),
     "p-min": (float, "lower end of the p sweep or bisection bracket"),
     "p-max": (float, "upper end of the p sweep or bisection bracket"),
@@ -105,7 +104,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     "rate": {**_RATES, "t-max": 6.0, "grid": 500, **_OUTPUT},
     "measure": {"family": "dephasing", "T": 1.0, "mode": "paper",
                 "form": "rate", "gamma-ref": 0.0, "epsilon": 1e-6,
-                "gamma-max": None, **_RATES, "p": None, "lambda": 1.0,
+                **_RATES, "p": None, "lambda": 1.0,
                 "p-min": 0.0, "p-max": 0.5, "p-points": 51, **_OUTPUT},
     "holevo": {"s": 1.0, "p-list": "2,0.1,0.01", "t-max": 6.0, "grid": 500,
                **_OUTPUT},
@@ -288,11 +287,10 @@ def cmd_rate(r: _Resolved) -> tuple[dict, dict]:
 def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
     """deviation-from-semigroup measure (xi, zeta)"""
     kind, mode = r.get("family"), r.get("mode")
-    ref = ({"gamma_ref": r.get("gamma-ref")} if mode == "paper"
-           else {"gamma_max": r.get("gamma-max")})
     cfg = SSSConfig(horizon=r.get("T"), form=r.get("form"),
                     mode="fixed" if mode == "paper" else "min",
-                    excision=r.get("epsilon"), **ref)
+                    gamma_ref=r.get("gamma-ref") if mode == "paper" else 0.0,
+                    excision=r.get("epsilon"))
     if kind == "nonunital":
         proc = NonUnitalSemiMarkov(rate=r.get("lambda"))
         columns = {"lambda": proc.rate}

@@ -60,6 +60,7 @@ from .semimarkov import (
     _level_time,
     _log_abs_q,
     _require_count,
+    _require_positive,
     _zero_counts,
     _zero_time,
     _zero_times,
@@ -101,10 +102,8 @@ class SSSConfig:
         the antiderivative of gamma; ``"choi"`` integrates the trace norm
         of the generator Choi difference over the family constant,
         |gamma - gamma_ref|, by quadrature.
-    :param gamma_ref: the reference rate used by ``mode="fixed"``.
-    :param gamma_max: upper clip of the minimizing reference for
-        ``mode="min"``, which is the time-median of gamma clipped to
-        [0, gamma_max]; default is no upper clip.
+    :param gamma_ref: the reference rate used by ``mode="fixed"``;
+        ``mode="min"`` uses the time-median of gamma, its exact minimizer.
     :param excision: half-width of the neighborhoods removed around rate
         poles before integrating.
     """
@@ -113,24 +112,17 @@ class SSSConfig:
     mode: str = "fixed"
     form: str = "rate"
     gamma_ref: float = 0.0
-    gamma_max: float | None = None
     excision: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon!r}")
+        _require_positive("horizon", self.horizon)
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.form not in _FORMS:
             raise DomainError(f"form must be one of {_FORMS}, got {self.form!r}")
         if not np.isfinite(self.gamma_ref):
             raise DomainError(f"gamma_ref must be finite, got {self.gamma_ref!r}")
-        if self.gamma_max is not None and (
-            not np.isfinite(self.gamma_max) or self.gamma_max <= 0.0
-        ):
-            raise DomainError(f"gamma_max must be positive, got {self.gamma_max!r}")
-        if not np.isfinite(self.excision) or self.excision <= 0.0:
-            raise DomainError(f"excision must be positive, got {self.excision!r}")
+        _require_positive("excision", self.excision)
 
 
 @dataclass(frozen=True)
@@ -161,12 +153,12 @@ class MeasureResult:
 
 
 def _median_rate(proc, start: np.ndarray, length: np.ndarray,
-                 mult: np.ndarray, gamma_max: float | None) -> np.ndarray:
-    """Time-median of gamma over each row's pieces, clipped to [0, gamma_max].
+                 mult: np.ndarray) -> np.ndarray:
+    """Time-median of gamma over each row's pieces.
 
     The average |gamma - r| is convex in r with slope (2 below(r) - L) / T,
     where L is the retained length and below(r) the length of
-    {t: gamma(t) < r}, so the clipped median is its exact minimizer. Moved
+    {t: gamma(t) < r}, so the median is its exact minimizer. Moved
     back onto the first branch of gamma, piece j of a row covers the phases
     [start_j, start_j + length_j], ``mult_j`` times, and there gamma is one
     increasing function of the phase. So below is
@@ -194,14 +186,11 @@ def _median_rate(proc, start: np.ndarray, length: np.ndarray,
     phase = ends[r, j] + (half - below[r, j]) / slope[r, j]
     phase = np.where(0.0 > phase, 0.0, phase)  # gamma(0) = 0 clips a phase < 0
     if isinstance(proc, NonUnitalSemiMarkov):
-        median = gamma_nonunital(proc, phase)
-    else:
-        median = gamma_dephasing(proc, phase)
-        if np.isnan(median).any():
-            raise Singularity("rate pole at t = "
-                              f"{phase[np.isnan(median)][0]:g}")
-    return median if gamma_max is None else np.where(
-        gamma_max < median, gamma_max, median)
+        return gamma_nonunital(proc, phase)
+    median = gamma_dephasing(proc, phase)
+    if np.isnan(median).any():
+        raise Singularity(f"rate pole at t = {phase[np.isnan(median)][0]:g}")
+    return median
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -310,8 +299,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     shift = np.where(keep, shift, 0.0)
     lo, hi = edges[..., 0], edges[..., 2]
     ref = (np.full(n, float(config.gamma_ref)) if config.mode == "fixed"
-           else _median_rate(proc, lo - shift, hi - lo, mult,
-                             config.gamma_max))
+           else _median_rate(proc, lo - shift, hi - lo, mult))
     # gamma rises on each piece, so it crosses ref at most once there
     edges[..., 1] = cut = np.clip(level_time(ref)[:, None] + shift, lo, hi)
     inside = (lo < cut) & (cut < hi)
@@ -405,9 +393,8 @@ def blp_measure(proc, t_max: float, *, n_grid: int = 2001) -> BLPResult:
     hypot(|q| r, dz), which rises by at most |q|'s rise; in the non-unital
     family every pair has D = g |Delta| / 2, which only decays.
     """
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max!r}")
-    times = np.linspace(0.0, float(t_max), _require_count("n_grid", n_grid, 2))
+    times = np.linspace(0.0, _require_positive("t_max", t_max),
+                        _require_count("n_grid", n_grid, 2))
     dist = np.abs(_bloch_factors(proc, times, "blp_measure")[0])
     inc = np.diff(dist)
     measure = float(inc[inc > _REVIVAL_FLOOR].sum())

@@ -88,7 +88,8 @@ class ExponentialWTD:
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-self.rate * t)
+        with np.errstate(over="ignore"):  # e^{-inf} = 0 where rate t overflows
+            return np.exp(-self.rate * t)
 
     def inverse_cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -120,11 +121,14 @@ class ExpConvolutionWTD:
         t = np.asarray(t, dtype=float)
         slow, fast = sorted((self.rate1, self.rate2))
         diff = fast - slow
-        if diff == 0.0:
-            return (1.0 + slow * t) * np.exp(-slow * t)
-        return np.exp(-slow * t) * (
-            1.0 + (slow / diff) * (-np.expm1(-diff * t))
-        )
+        # a rate times t that overflows is inf, and e^{-inf} = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if diff == 0.0:
+                rt = slow * t  # the Erlang limit is 0 where rt is inf
+                return np.where(np.isinf(rt), 0.0, (1.0 + rt) * np.exp(-rt))
+            return np.exp(-slow * t) * (
+                1.0 + (slow / diff) * (-np.expm1(-diff * t))
+            )
 
 
 @dataclass(frozen=True)

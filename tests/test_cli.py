@@ -114,7 +114,6 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
     ["measure", "--family", "nonunital", "--p-points", "3"],
     ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
     ["measure", "--mode", "min", "--gamma-ref", "5"],
-    ["measure", "--p", "0.1", "--gamma-max", "0.01"],
     ["measure", "--family", "nonunital", "--mode", "min", "--gamma-ref", "1"],
     ["measure", "--family", "nonunital", "--s", "2"],
     ["classical-sim", "--seed", "1", "--wtd", "tanhsech", "--lambda2", "1"],
@@ -157,6 +156,8 @@ def test_grids_past_the_cap_exit_2(capsys, argv):
     ["kernel-check", "--lambda", "1"],
     ["divisibility", "--boundary-search", "--family", "nonunital"],
     ["holevo", "--lambda1", "1", "--lambda2", "2"],
+    ["measure", "--p", "0.1", "--gamma-max", "0.01"],
+    ["measure", "--mode", "min", "--gamma-max", "1"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -272,7 +273,7 @@ def _registered_flags(command):
     ["classical-sim", "--seed", "1", "--wtd", "tanhsech"],
     ["kernel-check"],
     ["measure", "--p", "3", "--T", "2"],
-    ["measure", "--p-points", "3", "--mode", "min", "--gamma-max", "0.5"],
+    ["measure", "--p-points", "3", "--mode", "min"],
     ["divisibility", "--boundary-search", "--p-tol", "0.01",
      "--config", os.devnull],
 ])
@@ -395,15 +396,6 @@ def test_measure_min_mode_semigroup_is_exactly_zero(capsys):
                              "--format", "json"])
     assert doc["columns"]["xi"] == [0.0]
     assert doc["columns"]["gamma_ref"] == [0.0]
-
-
-def test_measure_echoes_gamma_max(capsys):
-    doc = _json_out(capsys, ["measure", "--p", "0.1", "--mode", "min",
-                             "--gamma-max", "0.01", "--format", "json"])
-    assert doc["config"]["gamma-max"] == 0.01
-    assert doc["columns"]["gamma_ref"] == [0.01]
-    doc = _json_out(capsys, ["measure", "--p", "0.1", "--format", "json"])
-    assert "gamma-max" not in doc["config"]
 
 
 def test_measure_nonunital_modes(capsys):
@@ -876,6 +868,8 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
       "exponential", "--lambda", "1e-320"], 0, ""),
     (["classical-sim", "--seed", "1", "--lambda1", "1e5", "--paths", "10",
       "--grid", "3"], 0, ""),
+    (["classical-sim", "--seed", "1", "--lambda1", "1e308", "--paths", "10",
+      "--grid", "3"], 0, ""),
     (["measure", "--p", "3", "--epsilon", "1e308"], 3, "entire horizon"),
     (["measure", "--epsilon", "1e300"], 0, ""),
     (["measure", "--p", "3", "--epsilon", "5e-324"], 0, ""),
@@ -893,6 +887,7 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
         "holevo-tiny-s", "blp-huge-p", "divisibility-tiny-s",
         "kernel-check-tiny-s", "classical-sim-tiny-rate",
         "classical-sim-tiny-exponential-rate", "classical-sim-huge-stage-rate",
+        "classical-sim-overflowing-stage-rate",
         "measure-huge-epsilon", "measure-huge-epsilon-without-poles",
         "measure-subnormal-epsilon", "classical-sim-tanhsech-long",
         "measure-nonunital-huge-rate", "measure-nonunital-huge-rate-choi"])
@@ -907,7 +902,8 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     Kronrod weights, which sum to 2, overflow its sum to inf, which it
     refuses. A tiny jump
     rate makes an infinite wait: the path never jumps again. A huge stage
-    rate leaves the exact survival finite. An excision that overflows its
+    rate leaves the exact survival finite, and one whose product with t
+    overflows makes it 0. An excision that overflows its
     phase removes the horizon before the phase is taken, and one whose
     phase is subnormal or 0 takes ln|sin| as ln of the phase. Where lambda t
     overflows, sech is 0, and the antiderivative of the rate and the Choi

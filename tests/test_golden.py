@@ -84,6 +84,15 @@ when a command's own parser began to report an unrecognized flag, as it
 already reported a bad value: its two stderr lines are now the ``qsm rate``
 usage and ``qsm rate: error: ...`` in place of the ``qsm`` usage and
 ``qsm: error: ...``. Its exit code, 2, and every other entry are unchanged.
+
+The ``# meta.defaults_applied`` lines of ``measure_min_sweep.csv``,
+``measure_choi_sweep_min.csv``, ``measure_nonunital_rate_min.csv``,
+``measure_nonunital_choi_min.csv`` and ``measure_poles_min.csv`` were
+re-captured when ``measure`` lost ``--gamma-max``, the upper clip of the
+min-mode median: each lost ``gamma-max``. The ``measure`` entries of
+``cli_help.txt`` (its help, and the usage of ``qsm measure --mode max``)
+lost the flag from both usage lines and its help entry, and the ``--mode``
+help its ``in [0, --gamma-max]``. No data row changed.
 """
 
 import json

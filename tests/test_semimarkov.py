@@ -93,6 +93,19 @@ def test_expconv_stable_near_equal_rates():
     assert np.abs(near.survival(ts) - equal.survival(ts)).max() < 1e-8
 
 
+def test_survival_is_0_where_rate_times_t_overflows():
+    # warnings are errors here; the Erlang form (1 + rt) e^{-rt} is inf * 0
+    # there, and its limit is 0
+    ts = [0.0, 1e-300, 1.0, 1e10]
+    equal = np.asarray(ExpConvolutionWTD(1e300, 1e300).survival(ts))
+    assert equal[[0, 2, 3]].tolist() == [1.0, 0.0, 0.0]
+    assert equal[1] == pytest.approx(2.0 / np.e, rel=1e-15)
+    assert float(ExpConvolutionWTD(1e300, 1e300).survival(1e10)) == 0.0
+    assert np.asarray(ExpConvolutionWTD(1e300, 2e300).survival(
+        [1e10, np.inf])).tolist() == [0.0, 0.0]
+    assert float(ExponentialWTD(1e10).survival(1e300)) == 0.0
+
+
 def test_wtd_validation():
     with pytest.raises(DomainError):
         ExponentialWTD(rate=0.0)
