@@ -553,7 +553,7 @@ class ClassicalSimResult:
 
 
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
-_MAX_RENEWALS = 10**8      # expected renewal steps of a run: about 15 s
+_MAX_RENEWALS = 10**8      # expected renewal steps of a run: 6 to 8 s
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -595,31 +595,48 @@ def _philox_uniforms(seed: int, paths: np.ndarray, start_step: int,
     ``(start_step + steps) * per_step - 1`` of
     ``Generator(Philox(key=(seed, paths[i]))).random``. Both step counts are
     multiples of 4, so the block covers whole counters: counters
-    ``start_step * per_step / 4 + 1`` upward. The 10 rounds run in buffers
+    ``start_step * per_step / 4 + 1`` upward. Rounds 3 to 10 run in buffers
     allocated once per call.
     """
     n_ctr = steps * per_step // 4
     first = start_step * per_step // 4 + 1
     shape = (paths.size, n_ctr)
-    c0 = np.tile(np.arange(first, first + n_ctr, dtype=np.uint64),
-                 (paths.size, 1))
-    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
-    h0, l0, h1, l1, a, b = (np.empty(shape, dtype=np.uint64) for _ in range(6))
-    k1 = paths.astype(np.uint64)[:, None]
+    # the path key at full width: xor with a broadcast column is slower
+    k1 = np.repeat(paths.astype(np.uint64)[:, None], n_ctr, axis=1)
     w1 = np.uint64(_PHILOX_W[1])
-    for r in range(10):
+    # The counter is (c, 0, 0, 0) with c < 2**64, as _MAX_RENEWALS keeps a
+    # run near 10**8 expected steps. So round 1 multiplies only the counter
+    # row (M1 * 0 = 0), and only the path key makes it 2-D.
+    ctr = np.arange(first, first + n_ctr, dtype=np.uint64)
+    row_hi, row_lo = np.empty_like(ctr), np.empty_like(ctr)
+    _mulhilo(ctr, _PHILOX_M[0], row_hi, row_lo, np.empty_like(ctr),
+             np.empty_like(ctr))
+    c0, c1, c2, spare, h0, l0, h1, l1, a, b = (
+        np.empty(shape, dtype=np.uint64) for _ in range(10))
+    np.bitwise_xor(row_hi, k1, out=c2)      # c = (seed, 0, c2, row_lo)
+    # round 2: the seed's product is a constant, so c3 becomes a scalar
+    np.add(k1, w1, out=k1)
+    hi, lo = divmod(seed * _PHILOX_M[0], 2**64)
+    _mulhilo(c2, _PHILOX_M[1], c0, c1, a, b)
+    np.bitwise_xor(c0, np.uint64((seed + _PHILOX_W[0]) % 2**64), out=c0)
+    np.bitwise_xor(row_lo ^ np.uint64(hi), k1, out=c2)
+    c3 = np.uint64(lo)
+    for r in range(2, 10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
+        np.add(k1, w1, out=k1)
         _mulhilo(c0, _PHILOX_M[0], h0, l0, a, b)
         _mulhilo(c2, _PHILOX_M[1], h1, l1, a, b)
         np.bitwise_xor(h1, c1, out=h1)
         np.bitwise_xor(h1, k0, out=h1)        # new c0 = hi1 ^ c1 ^ k0
         np.bitwise_xor(h0, c3, out=h0)
         np.bitwise_xor(h0, k1, out=h0)        # new c2 = hi0 ^ c3 ^ k1
-        c0, c1, c2, c3, h0, l0, h1, l1 = h1, l1, h0, l0, c0, c1, c2, c3
-        np.add(k1, w1, out=k1)
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(paths.size, -1)
-    np.right_shift(words, np.uint64(11), out=words)
-    return words * 2.0**-53
+        c0, c1, c2, c3, h0, l0, h1, l1 = (h1, l1, h0, l0, c0, c1, c2,
+                                          c3 if r > 2 else spare)
+    out = np.empty((paths.size, n_ctr, 4))
+    for j, word in enumerate((c0, c1, c2, c3)):
+        np.right_shift(word, np.uint64(11), out=word)
+        np.multiply(word, 2.0**-53, out=out[..., j])
+    return out.reshape(paths.size, -1)
 
 
 def _mean_wait(wtd) -> float:
@@ -642,6 +659,49 @@ def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
         return wtd.inverse_cdf(u[..., 0])
 
 
+def _grid_bins(times: np.ndarray):
+    """Return ``x -> np.searchsorted(times, x)`` for x that are not NaN.
+
+    Where ``times`` is sorted and ``times[i] * scale``, with ``scale =
+    (len(times) - 1) / times[-1]``, rounds to within 1 of i for every i, the
+    index is found by arithmetic: ``x * scale`` is monotone in x, so its
+    ceiling is within 1 of the sorted position of x, and one comparison on
+    each side fixes it. Elsewhere (where scale overflows, as for a
+    subnormal ``times[-1]``, or on an uneven grid) it is a binary search.
+    """
+    n = times.size - 1
+    with np.errstate(over="ignore"):
+        scale = n / times[-1]
+    if not (np.isfinite(scale) and np.all(times[1:] >= times[:-1])
+            and np.all(np.abs(times * scale - np.arange(n + 1)) < 1.0)):
+        return lambda x: np.searchsorted(times, x)
+    # NaN below, as no x >= NaN: the guess 0 never steps down
+    padded = np.concatenate([[np.nan], times, [np.inf]])
+
+    def bins(x):
+        with np.errstate(over="ignore"):
+            g = np.multiply(x, scale)
+        np.clip(g, 0, n, out=g)                 # and so for x = +-inf
+        g = np.ceil(g, out=g).astype(np.intp)
+        g -= padded[g] >= x                     # times[g - 1] >= x
+        g += padded[g + 1] < x                  # times[g] < x
+        return g
+    return bins
+
+
+def _cumsum_rows(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=1)`` in place: the same sequential sums.
+
+    numpy accumulates one row at a time, so where rows far outnumber
+    columns (short blocks of many paths) a column at a time is faster.
+    """
+    if a.shape[0] < 16 * a.shape[1]:
+        return np.cumsum(a, axis=1, out=a)
+    for j in range(1, a.shape[1]):
+        a[:, j] += a[:, j - 1]
+    return a
+
+
 def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
           paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk a set of paths block by block until each passes ``times[-1]``.
@@ -658,6 +718,7 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
     """
     t_max = times[-1]
     n_bins = times.size + 1
+    bins = _grid_bins(times)
     last = np.zeros(paths.size)     # epoch reached by each path so far
     site = np.zeros(paths.size, dtype=np.int64)
     flips = np.zeros(n_bins, dtype=np.int64)
@@ -669,19 +730,23 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         u = u.reshape(paths.size, steps, per_step)
         w = _waits_from_uniforms(wtd, u)
         # sequential cumsum carried over from the last block: same bits
-        epochs = np.cumsum(np.column_stack([last, w]), axis=1)[:, 1:]
+        w[:, 0] += last
+        epochs = _cumsum_rows(w)
         if start == 0:
             t1 = np.where(epochs[:, 0] < t_max, epochs[:, 0], np.inf)
-            first = np.bincount(np.searchsorted(times, t1), minlength=n_bins)
+            first = np.bincount(bins(t1), minlength=n_bins)
         hops = (u[..., -1] < jump_prob) & (epochs < t_max)
-        n_hops = np.cumsum(hops, axis=1)
-        from_one = ((site[:, None] + n_hops - hops) & 1)[hops].astype(bool)
-        idx = np.searchsorted(times, epochs[hops])
-        flips += (np.bincount(idx[from_one], minlength=n_bins)
-                  - np.bincount(idx[~from_one], minlength=n_bins))
+        sites = hops.astype(np.int64)
+        sites[:, 0] += site
+        _cumsum_rows(sites)             # its parity: the site after a step
+        at = np.flatnonzero(hops)
+        # +1 where a hop lands on site 0, -1 where it leaves it
+        to_zero = 1 - 2 * (sites.ravel()[at] & 1)
+        flips += np.bincount(bins(epochs.ravel()[at]), weights=to_zero,
+                             minlength=n_bins).astype(np.int64)
         going = epochs[:, -1] < t_max
         paths, last = paths[going], epochs[going, -1]
-        site = ((site + n_hops[:, -1]) & 1)[going]
+        site = sites[going, -1] & 1
         start += steps
     return first, flips
 

@@ -167,8 +167,10 @@ def _generator_uniforms(seed, path, start, stop):
 def test_vectorized_streams_equal_per_path_generators(seed, per_step):
     # path ids straddle the first chunk boundary; the doubling schedule's
     # blocks of 4, 8, 16 and 32 steps, and a capped block far along the path
+    # and the largest ids, whose key word the first round xors in
     chunk = semimarkov._CHUNK_UNIFORMS // (4 * per_step)
-    paths = np.arange(chunk - 3, chunk + 3, dtype=np.uint64)
+    paths = np.array([*range(chunk - 3, chunk + 3), 2**63, 2**64 - 1],
+                     dtype=np.uint64)
     for start, steps in ((0, 4), (4, 8), (12, 16), (28, 32), (380, 20)):
         u = semimarkov._philox_uniforms(seed, paths, start, steps, per_step)
         expected = [_generator_uniforms(seed, int(i), start * per_step,
@@ -230,6 +232,30 @@ def test_chunk_size_does_not_change_results(monkeypatch, wtd, jump_prob,
         assert np.array_equal(default.occupation, other.occupation)
 
 
+@pytest.mark.parametrize("n_times", [2, 3, 41, 401, 10**6])
+@pytest.mark.parametrize("t_max", [5e-324, 1e-320, 7.4e-321, 1e-310, 1e-3,
+                                   0.3, 7.7, 200.0, 1e308])
+def test_time_bins_equal_searchsorted(n_times, t_max):
+    # 1e-320 and 7.4e-321 are subnormal horizons whose linspace step rounds
+    # far off i t_max / (n - 1), or makes the grid decrease at its end
+    times = np.linspace(0.0, t_max, n_times)
+    queries = np.concatenate([
+        times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+        [0.0, t_max, np.inf],
+    ])
+    bins = semimarkov._grid_bins(times)(queries)
+    assert np.array_equal(bins, np.searchsorted(times, queries))
+
+
+def test_time_bins_off_a_uniform_grid_equal_searchsorted():
+    # a grid the arithmetic cannot index within one bin takes the search
+    for times in (np.array([0.0, 0.1, 0.5, 2.0]),
+                  np.linspace(0.0, 1.0, 41) ** 2):
+        queries = np.concatenate([times, (times[1:] + times[:-1]) / 2])
+        bins = semimarkov._grid_bins(times)(queries)
+        assert np.array_equal(bins, np.searchsorted(times, queries))
+
+
 def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
     """The original per-path walk: one Generator per path, one path a loop."""
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
@@ -258,19 +284,29 @@ def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
     return survived / n_paths, occ0 / n_paths
 
 
-@pytest.mark.parametrize("wtd, jump_prob, t_max, seed", [
-    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 0.7, 2.0, 2**64 - 1),
-    (ExpConvolutionWTD(rate1=1.5, rate2=1.5), 0.5, 60.0, 2**63),
-    (TanhSechWTD(rate=1.0), 0.3, 80.0, 11),
-    (ExponentialWTD(rate=1.0), 0.6, 50.0, 0),
+_WALK_CASES = [
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 0.7, 2.0, 2**64 - 1, 33),
+    (ExpConvolutionWTD(rate1=1.5, rate2=1.5), 0.5, 60.0, 2**63, 33),
+    (TanhSechWTD(rate=1.0), 0.3, 80.0, 11, 33),
+    (ExponentialWTD(rate=1.0), 0.6, 50.0, 0, 33),
     # about 250 steps a path: blocks of 4, 8, ..., 128 and more
-    (ExponentialWTD(rate=1.0), 0.4, 250.0, 5),
-])
-def test_walk_equals_per_path_loop(wtd, jump_prob, t_max, seed):
+    (ExponentialWTD(rate=1.0), 0.4, 250.0, 5, 33),
+    # many bins, then a subnormal horizon whose grid repeats values
+    (TanhSechWTD(rate=1.0), 0.8, 30.0, 7, 401),
+    (ExponentialWTD(rate=1.0), 0.5, 5e-324, 3, 33),
+]
+
+
+# a case's id is its first four values, the grid size left out
+@pytest.mark.parametrize("wtd, jump_prob, t_max, seed, n_times", _WALK_CASES,
+                         ids=[f"wtd{i}-{p}-{t}-{s}"
+                              for i, (_, p, t, s, _) in enumerate(_WALK_CASES)])
+def test_walk_equals_per_path_loop(wtd, jump_prob, t_max, seed, n_times):
     # several blocks per path and thinned hops: the site parity and the
     # epoch sum both carry over block boundaries
-    survival, occ0 = _loop_reference(wtd, jump_prob, t_max, 200, seed, 33)
+    survival, occ0 = _loop_reference(wtd, jump_prob, t_max, 200, seed,
+                                     n_times)
     result = classical_jump_simulate(wtd, jump_prob, t_max, 200, seed=seed,
-                                     n_times=33)
+                                     n_times=n_times)
     assert np.array_equal(result.survival, survival)
     assert np.array_equal(result.occupation[0], occ0)
