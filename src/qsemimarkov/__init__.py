@@ -9,12 +9,11 @@ their departure from semigroup dynamics:
   a classical Monte Carlo renewal simulator.
 - ``quantum``: generator snapshots with their Choi matrices.
 - ``measures``: the deviation-from-semigroup measure xi from one function,
-  ``sss_measure`` (exact rate and Choi-quadrature routes, fixed and
-  minimized references), zeta = xi/(1+xi), trace-distance revivals and
-  Holevo information curves of the |+>, |-> pair, and CP-divisibility
-  scans with a boundary bisection.
-- ``numerics``: trace norms, adaptive quadrature over given intervals,
-  and a Volterra integro-differential solver.
+  ``sss_measure`` (exact, in rate and Choi forms, fixed and minimized
+  references), zeta = xi/(1+xi), trace-distance revivals and Holevo
+  information curves of the |+>, |-> pair, and CP-divisibility scans with
+  a boundary bisection.
+- ``numerics``: trace norms and a Volterra integro-differential solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.
 

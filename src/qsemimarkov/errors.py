@@ -6,8 +6,7 @@ user input (exit code 2).
 """
 
 __all__ = ["QsmError", "ConfigError", "NumericalError", "NoConvergence",
-           "DomainError", "ToleranceNotMet", "GridError", "NoSignChange",
-           "Singularity"]
+           "DomainError", "GridError", "NoSignChange", "Singularity"]
 
 
 class QsmError(Exception):
@@ -28,10 +27,6 @@ class NoConvergence(NumericalError):
 
 class DomainError(NumericalError):
     """An argument lies outside the mathematical domain of the routine."""
-
-
-class ToleranceNotMet(NumericalError):
-    """Quadrature exhausted its refinement budget before reaching tolerance."""
 
 
 class GridError(NumericalError):

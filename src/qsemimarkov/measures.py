@@ -9,22 +9,21 @@ reported together with its bounded companion zeta = xi / (1 + xi). Two
 reference policies are supported: ``mode="fixed"`` scores against a given
 constant (default 0, the semigroup with no decay), while ``mode="min"``
 minimizes over all constants, which for an L1 cost means the time-median of
-gamma. :func:`sss_measure` computes xi for one process or a sweep over p by
-either of two routes, which must agree. ``form="rate"`` is exact:
-gamma is a log-derivative, so between the kinks where gamma crosses the
-reference the integral is |Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with
-Gamma the antiderivative of gamma; no quadrature is made. ``form="choi"``
-takes the trace norm of the difference of generator Choi matrices over the
-family constant (the trace norm per unit rate), computed at runtime from
-the generator itself. Both families' generators are the rate times one
-unit-rate Choi matrix, so that trace norm is |gamma - gamma_ref| times the
-constant; the route integrates |gamma - gamma_ref| by one adaptive
-quadrature for the whole sweep, batched over the nodes of every p in each
-round, and reports the constant times xi as the raw average. Neither route
+gamma. :func:`sss_measure` computes xi for one process or a sweep over p
+exactly, with no quadrature: gamma is a log-derivative, so between the
+kinks where gamma crosses the reference the integral is
+|Gamma(b) - Gamma(a) - gamma_ref (b - a)|, with Gamma the antiderivative
+of gamma. The two forms state xi two ways. ``form="rate"`` is the rate
+deviation itself. ``form="choi"`` is the time-averaged trace norm of the
+difference of generator Choi matrices, over the family constant (the trace
+norm per unit rate), computed at runtime from the generator itself. Both
+families' generators are the rate times one unit-rate Choi matrix, so that
+trace norm is |gamma - gamma_ref| times the constant: the Choi form takes
+the same xi and reports the constant times xi as the raw average. Nothing
 searches: gamma rises between its poles, so each retained piece holds at
 most one kink, at a closed-form time, and the time-median is one division
-per p. The rate poles are cut out here only, and both routes work on the
-same pieces, split at their kinks. The poles form a lattice of period P,
+per p. The rate poles are cut out here only, and xi is summed over the
+pieces they leave, split at their kinks. The poles form a lattice of period P,
 and gamma has period P, so each p has three pieces whatever its horizon:
 the first, one full stretch between two poles, counted N - 1 times for N
 poles, and the last. A sweep over p is one batch of (p, piece) arrays of
@@ -45,12 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, GridError, NoSignChange, Singularity
-from .numerics import (
-    QuadratureResult,
-    QuadratureRows,
-    adaptive_quad,
-    trace_norm,
-)
+from .numerics import trace_norm
 from .quantum import DephasingGenerator, ProjectorGenerator, choi_of_generator
 from .semimarkov import (
     _MAX_POLES,
@@ -98,10 +92,10 @@ class SSSConfig:
     :param horizon: averaging window T.
     :param mode: ``"fixed"`` scores against ``gamma_ref``; ``"min"``
         minimizes over constant references.
-    :param form: ``"rate"`` sums the rate deviation in closed form from
-        the antiderivative of gamma; ``"choi"`` integrates the trace norm
-        of the generator Choi difference over the family constant,
-        |gamma - gamma_ref|, by quadrature.
+    :param form: ``"rate"`` reports the rate deviation xi; ``"choi"``
+        reports the same xi as the time-averaged trace norm of the
+        generator Choi difference, with the family constant and the raw
+        average beside it.
     :param gamma_ref: the reference rate used by ``mode="fixed"``;
         ``mode="min"`` uses the time-median of gamma, its exact minimizer.
     :param excision: half-width of the neighborhoods removed around rate
@@ -129,16 +123,13 @@ class SSSConfig:
 class MeasureResult:
     """Deviation-from-semigroup score and how it was obtained.
 
-    ``raw_average`` and ``family_constant`` are populated by the Choi route:
-    the former is the time-averaged trace norm, the latter times xi.
-    ``quadrature`` is the Choi route's ``QuadratureResult`` (value, error
-    estimate, evaluation count). The rate route is exact and leaves all
-    three None. ``kinks`` counts the times where gamma crosses the
-    reference, the edges of the pieces on which the integrand is smooth.
-    For a sweep (a 1-d p) every per-process field holds one element per p,
-    ``quadrature`` is the ``QuadratureRows`` of the one batched quadrature,
-    a result per p with the bits of that p alone, and ``excised`` the
-    (lo, hi, row) arrays of the holes, ``row`` indexing p.
+    ``raw_average`` and ``family_constant`` are populated by the Choi form:
+    the former is the time-averaged trace norm of the generator Choi
+    difference, the latter times xi. The rate form leaves both None.
+    ``kinks`` counts the times where gamma crosses the reference, the edges
+    of the pieces on which |gamma - gamma_ref| is smooth. For a sweep (a
+    1-d p) every per-process field holds one element per p, and
+    ``excised`` the (lo, hi, row) arrays of the holes, ``row`` indexing p.
     """
 
     xi: float | np.ndarray
@@ -148,7 +139,6 @@ class MeasureResult:
     config: SSSConfig
     family_constant: float | None = None
     raw_average: float | np.ndarray | None = None
-    quadrature: QuadratureResult | QuadratureRows | None = None
     kinks: int | np.ndarray = 0
 
 
@@ -204,7 +194,7 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
 
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     """Deviation measure of one process, or of every process of a sweep as
-    one batch, by the route the config names.
+    one batch, in the form the config names.
 
     ``proc`` is a ``NonUnitalSemiMarkov`` (one row) or a ``DephasingSemiMarkov``
     (a row per element of a float or 1-d p). Where p > s^2/8 the poles are a
@@ -220,24 +210,19 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     which also splits each piece at its kink, where gamma crosses the
     reference, into the edges [lo, cut, hi].
 
-    The rate route sums mult |Gamma(b) - Gamma(a) - ref (b - a)| over the
+    Both forms sum mult |Gamma(b) - Gamma(a) - ref (b - a)| over the
     (n, 3, 2) sub-pieces, with Gamma = -(1/2) ln|q(t)| for dephasing and
     ln cosh(lambda t) for the non-unital family, taken on the first branch
     (Gamma(t + P) = Gamma(t) + s P/4). At the excision edges t_k +- eps it
     is s t/4 - (1/2) ln(A |sin delta|), with A = sqrt(1 + 1/|eta|^2) and
     delta = +-s|eta| eps/2 exact, so a full piece gains s (P - 2 eps)/4.
-    The Choi route is one quadrature over the sub-pieces of nonzero
-    multiplicity of every row, labelled by row, so each row keeps its own
-    tolerance, budget and ``QuadratureResult``. Both families' generator
-    Choi matrices are the rate times one real unit-rate matrix, built once
-    per call, whose trace norm is the family constant. The trace norm is
-    absolutely homogeneous, so the trace norm of Choi(L_gamma - L_ref) =
-    (gamma - ref) times that matrix is |gamma - ref| times the constant.
-    The integrand is |gamma - ref|, and the raw average the constant times
-    xi; a node counts N - 1 times inside the full piece and once elsewhere.
-    A round takes the new intervals of every row not yet converged in one
-    call (chunked by ``adaptive_quad``). Each row does the arithmetic it
-    does alone, so its bits do not depend on the rest of the sweep.
+    Each row's sum is its own, so its bits do not depend on the rest of the
+    sweep. For the Choi form, both families' generator Choi matrices are
+    the rate times one real unit-rate matrix, built once per call, whose
+    trace norm is the family constant. The trace norm is absolutely
+    homogeneous, so the trace norm of Choi(L_gamma - L_ref) = (gamma - ref)
+    times that matrix is |gamma - ref| times the constant, and its time
+    average, the raw average, is the constant times xi.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -248,9 +233,9 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
 
     :raises DomainError: for another process type, or a p of 2 or more
         dimensions.
-    :raises Singularity: if gamma at a median, at a quadrature node, or
-        Gamma at a piece end or kink is not finite, which happens only at a
-        rate pole inside a tiny excision.
+    :raises Singularity: if gamma at a median, or Gamma at a piece end or
+        kink, is not finite, which happens only at a rate pole inside a
+        tiny excision.
     :raises GridError: if a row's horizon holds more than ``_MAX_POLES``
         rate poles (``_zero_counts``), the rows more than ``_MAX_POLES``
         holes together, or the excision removes all of a row's horizon.
@@ -304,63 +289,45 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     edges[..., 1] = cut = np.clip(level_time(ref)[:, None] + shift, lo, hi)
     inside = (lo < cut) & (cut < hi)
     kinks = np.where(inside, mult, 0.0).sum(axis=1).astype(int)
-    if config.form == "rate":
-        # Gamma on the first branch: 0 at phase 0, in phase form at the
-        # excision edges, from ln|q| or ln cosh elsewhere
-        phase = edges - shift[..., None]
-        big_gamma = np.zeros(phase.shape)
-        at_edge = np.zeros(phase.shape, dtype=bool)
-        if has.any():
-            # Gamma - s t/4 at the excision edges, -(1/2) ln(A |sin delta|):
-            # after the horizon check, so a huge eps never reaches sin
-            amp, delta = np.hypot(1.0, 1.0 / w), 0.5 * proc.s * eps * w
-            sin = np.abs(np.sin(delta))
-            # where sin delta rounds to delta, which may be subnormal or 0:
-            # ln(A delta) = ln(A s|eta|/2) + ln eps
-            log_edge = np.log(amp * 0.5 * proc.s * w) + np.log(eps)
-            np.log(amp * sin, out=log_edge, where=sin != delta)
-            edge_gamma = np.zeros(n)
-            edge_gamma[has] = -0.5 * log_edge
-            at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
-            at_edge[..., 1] = ((at_edge[..., 0] & (cut == lo))
-                               | (at_edge[..., 2] & (cut == hi)))
-            big_gamma[at_edge] = (proc.s * phase[at_edge] / 4.0
-                                  + edge_gamma[np.nonzero(at_edge)[0]])
-        inner = ~at_edge & (phase != 0.0)
-        with np.errstate(over="ignore"):  # an overflowing lambda t: see below
-            big_gamma[inner] = (
-                _log_cosh(proc.rate * phase[inner]) if nonunital else -0.5
-                * _log_abs_q(proc.take(np.nonzero(inner)[0]), phase[inner]))
-        if not np.isfinite(big_gamma).all():
-            raise Singularity("antiderivative of the rate is not finite at t = "
-                              f"{edges[~np.isfinite(big_gamma)][0]:g}")
-        jump = big_gamma[..., 1:] - big_gamma[..., :-1]
-        jump -= ref[:, None, None] * (phase[..., 1:] - phase[..., :-1])
-        jump = mult[..., None] * np.abs(jump, out=jump)
-        xi, raw, quads, constant = (jump.reshape(n, -1).sum(axis=1) / T,
-                                    None, None, None)
-    else:
+    # Gamma on the first branch: 0 at phase 0, in phase form at the
+    # excision edges, from ln|q| or ln cosh elsewhere
+    phase = edges - shift[..., None]
+    big_gamma = np.zeros(phase.shape)
+    at_edge = np.zeros(phase.shape, dtype=bool)
+    if has.any():
+        # Gamma - s t/4 at the excision edges, -(1/2) ln(A |sin delta|):
+        # after the horizon check, so a huge eps never reaches sin
+        amp, delta = np.hypot(1.0, 1.0 / w), 0.5 * proc.s * eps * w
+        sin = np.abs(np.sin(delta))
+        # where sin delta rounds to delta, which may be subnormal or 0:
+        # ln(A delta) = ln(A s|eta|/2) + ln eps
+        log_edge = np.log(amp * 0.5 * proc.s * w) + np.log(eps)
+        np.log(amp * sin, out=log_edge, where=sin != delta)
+        edge_gamma = np.zeros(n)
+        edge_gamma[has] = -0.5 * log_edge
+        at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]
+        at_edge[..., 1] = ((at_edge[..., 0] & (cut == lo))
+                           | (at_edge[..., 2] & (cut == hi)))
+        big_gamma[at_edge] = (proc.s * phase[at_edge] / 4.0
+                              + edge_gamma[np.nonzero(at_edge)[0]])
+    inner = ~at_edge & (phase != 0.0)
+    with np.errstate(over="ignore"):  # an overflowing lambda t: see below
+        big_gamma[inner] = (
+            _log_cosh(proc.rate * phase[inner]) if nonunital else -0.5
+            * _log_abs_q(proc.take(np.nonzero(inner)[0]), phase[inner]))
+    if not np.isfinite(big_gamma).all():
+        raise Singularity("antiderivative of the rate is not finite at t = "
+                          f"{edges[~np.isfinite(big_gamma)][0]:g}")
+    jump = big_gamma[..., 1:] - big_gamma[..., :-1]
+    jump -= ref[:, None, None] * (phase[..., 1:] - phase[..., :-1])
+    jump = mult[..., None] * np.abs(jump, out=jump)
+    xi = jump.reshape(n, -1).sum(axis=1) / T
+    raw = constant = None
+    if config.form == "choi":
         generator = ProjectorGenerator if nonunital else DephasingGenerator
-        rate = gamma_nonunital if nonunital else gamma_dephasing
         # both families' generators are the rate times one real Choi matrix
         constant = trace_norm(
             choi_of_generator(generator(rate=1.0, dim=2)).real)
-
-        def integrand(t: np.ndarray, i: np.ndarray) -> np.ndarray:
-            gamma = rate(proc if nonunital else proc.take(i[:, None]), t)
-            if not np.all(np.isfinite(gamma)):
-                raise Singularity("rate pole at t = "
-                                  f"{t[~np.isfinite(gamma)][0]:g}")
-            # only the full piece counts other than once, and a piece not
-            # kept holds no node
-            full = (lo[i, 1, None] <= t) & (t <= hi[i, 1, None])
-            return np.where(full, mult[i, 1, None], 1.0) * np.abs(
-                gamma - ref[i, None])
-
-        quads = adaptive_quad(integrand, edges[keep][:, :-1].ravel(),
-                              edges[keep][:, 1:].ravel(),
-                              rows=np.nonzero(keep)[0].repeat(2))
-        xi = quads.value / T
         with np.errstate(over="ignore"):  # xi_raw past the float range is inf
             raw = constant * xi
     zeta = xi / (1.0 + xi)
@@ -369,9 +336,8 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
             xi[0].item(), zeta[0].item(), ref[0].item(),
             tuple(zip(holes[0].tolist(), holes[1].tolist())), config,
             constant, None if raw is None else raw[0].item(),
-            None if quads is None else quads[0], kinks[0].item())
-    return MeasureResult(xi, zeta, ref, holes, config, constant, raw, quads,
-                         kinks)
+            kinks[0].item())
+    return MeasureResult(xi, zeta, ref, holes, config, constant, raw, kinks)
 
 
 @dataclass(frozen=True)

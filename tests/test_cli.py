@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, formats, config files, determinism."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -204,13 +205,30 @@ def test_numerical_failures_exit_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def _same_cells_as_rate_form(capsys, argv):
+    """Runs a Choi-form measure and its rate-form twin, asserts both exit 0
+    with nothing on stderr and print the same xi, zeta and gamma_ref cells,
+    and returns the Choi form's rows as dicts of cells."""
+    tables = []
+    for form in ("choi", "rate"):
+        code, out, err = _run(capsys, [*argv, "--form", form])
+        assert code == 0 and err == "", (form, err)
+        tables.append(list(csv.DictReader(
+            l for l in out.splitlines() if not l.startswith("#"))))
+    choi, rate = tables
+    cells = ("p", "xi", "zeta", "gamma_ref")
+    assert [[r[c] for c in cells] for r in choi] \
+        == [[r[c] for c in cells] for r in rate]
+    return choi
+
+
 def test_measure_choi_form_reports_a_rate_pole_inside_a_tiny_excision(capsys):
-    # a node lands within 1e-12 of the pole at t = 0.740796, where gamma is
-    # not finite: the Choi route stops with the rate route's exit code
-    code, out, err = _run(capsys, ["measure", "--p", "3", "--form", "choi",
-                                   "--epsilon", "1e-13"])
-    assert code == 3 and out == ""
-    assert "rate pole" in err and "0.7407" in err
+    # eps = 1e-13 beside the pole at t = 0.740796, where gamma is not
+    # finite: the Choi form sums the rate deviation exactly, as the rate
+    # form does, so no gamma is taken near the pole
+    rows = _same_cells_as_rate_form(capsys, ["measure", "--p", "3",
+                                             "--epsilon", "1e-13"])
+    assert len(rows) == 1 and float(rows[0]["xi"]) > 0.0
 
 
 def test_measure_past_the_underflow_of_q(capsys):
@@ -223,7 +241,7 @@ def test_measure_past_the_underflow_of_q(capsys):
             assert all(np.isfinite(doc["columns"][c][0])
                        for c in ("xi", "zeta", "gamma_ref"))
             assert len(doc["metadata"]["excised_intervals"]) == poles
-    # the Choi route evaluates gamma itself, in closed form: finite too
+    # the Choi form scales the same exact sum: finite too
     code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
                                    "--form", "choi"])
     assert code == 0, err
@@ -736,8 +754,7 @@ def _package_env():
 
 
 def test_commands_without_quadrature_do_not_import_scipy():
-    # no command loads scipy, the Choi route's quadrature included: the
-    # rate route of measure is exact, and the Gauss-Kronrod rule is numpy.
+    # no command loads scipy: measure sums xi exactly in either form.
     # The SVG writer escapes text without xml.sax, which would pull in
     # urllib.request, http, ssl and email (numpy itself loads urllib.parse).
     # The package depends on numpy alone, so every command also runs with
@@ -775,8 +792,7 @@ def test_module_entry_point_exit_codes():
     prints nothing on stdout and one qsm: line on stderr."""
     for argv, code in ((["rate", "--grid", "5"], 0),
                        (["rate", "--grid", "1"], 2),
-                       (["measure", "--p", "3", "--form", "choi",
-                         "--epsilon", "1e-13"], 3)):
+                       (["measure", "--p", "3", "--epsilon", "1e308"], 3)):
         done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli", *argv],
                               env=_package_env(), capture_output=True,
                               text=True)
@@ -855,7 +871,7 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
     (["measure", "--gamma-ref", "1e308"], 0, ""),
     (["rate", "--s", "1e-300", "--p", "0", "--grid", "5"], 0, ""),
     (["measure", "--s", "1e-300", "--p", "0"], 0, ""),
-    (["measure", "--gamma-ref", "1e308", "--form", "choi"], 3, "value inf"),
+    (["measure", "--gamma-ref", "1e308", "--form", "choi"], 0, ""),
     (["measure", "--gamma-ref", "8e307", "--form", "choi"], 0, ""),
     (["holevo", "--s", "1e-300", "--grid", "3"], 2, "8p/s^2 overflows"),
     (["blp", "--p", "1e308"], 2, "8p/s^2 overflows at s = 1.0, p = 1e+308"),
@@ -879,6 +895,10 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
      3, "antiderivative of the rate is not finite"),
     (["measure", "--family", "nonunital", "--lambda", "1e300", "--T", "1e10",
       "--form", "choi"], 3, "is not finite"),
+    (["measure", "--p", "3", "--T", "3", "--mode", "min", "--epsilon",
+      "1e-10", "--form", "choi"], 0, ""),
+    (["measure", "--p", "3", "--T", "60", "--epsilon", "1e-10", "--form",
+      "choi"], 0, ""),
 ], ids=["rate-huge-s", "holevo-huge-s", "kernel-check-huge-s",
         "boundary-huge-s", "blp-huge-s", "measure-inf-p-max",
         "measure-tiny-s", "rate-tiny-s", "measure-huge-p", "measure-huge-ref",
@@ -890,24 +910,23 @@ def test_huge_horizon_warns_nothing_in_process(capsys, argv, code):
         "classical-sim-overflowing-stage-rate",
         "measure-huge-epsilon", "measure-huge-epsilon-without-poles",
         "measure-subnormal-epsilon", "classical-sim-tanhsech-long",
-        "measure-nonunital-huge-rate", "measure-nonunital-huge-rate-choi"])
+        "measure-nonunital-huge-rate", "measure-nonunital-huge-rate-choi",
+        "measure-tiny-epsilon-choi-min", "measure-tiny-epsilon-choi-poles"])
 def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
     """In process, where the test run turns warnings into errors: an s whose
     square overflows, or a p whose 8p/s^2 does, is refused where the process
     is built, as |eta| would be inf and every phase 0 * inf; p = 0 is the
     semigroup also where s^2 underflows; a huge reference rate is reached at
-    a pole or never. The Choi route integrates
-    |gamma - ref| as the rate route does, and its xi_raw, the family constant
-    times xi, is inf past the float range; at 1e308 the quadrature's
-    Kronrod weights, which sum to 2, overflow its sum to inf, which it
-    refuses. A tiny jump
+    a pole or never. The Choi form takes the rate form's xi, zeta and
+    gamma_ref, beside tiny excisions too, and its xi_raw, the family
+    constant times xi, is inf past the float range: at 1e308. A tiny jump
     rate makes an infinite wait: the path never jumps again. A huge stage
     rate leaves the exact survival finite, and one whose product with t
     overflows makes it 0. An excision that overflows its
     phase removes the horizon before the phase is taken, and one whose
     phase is subnormal or 0 takes ln|sin| as ln of the phase. Where lambda t
-    overflows, sech is 0, and the antiderivative of the rate and the Choi
-    route's integral are inf, which are refused."""
+    overflows, sech is 0, and the antiderivative of the rate is inf, which
+    is refused in either form."""
     got, out, err = _run(capsys, argv)
     assert got == code, err
     if code:
@@ -916,6 +935,11 @@ def test_extreme_rates_warn_nothing_in_process(capsys, argv, code, says):
         assert says in lines[0]
     else:
         assert err == ""
+        if "choi" in argv:
+            i = argv.index("--form")
+            rows = _same_cells_as_rate_form(capsys, argv[:i] + argv[i + 2:])
+            huge = "1e308" in argv
+            assert all((r["xi_raw"] == "inf") == huge for r in rows)
 
 
 @pytest.mark.parametrize("argv", [
