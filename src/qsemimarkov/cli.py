@@ -70,7 +70,8 @@ _FLAGS = {
     "T": (float, "averaging horizon"),
     "mode": (("paper", "min"), "reference: 'paper' is --gamma-ref, 'min' the "
                                "time-median of gamma"),
-    "form": (("rate", "choi"), "integrand route"),
+    "form": (("rate", "choi"), "'rate' reports xi; 'choi' adds the Choi "
+                               "trace-norm average and family constant"),
     "gamma-ref": (float, "fixed reference rate of --mode paper"),
     "epsilon": (float, "half-width excised around rate poles"),
     "p-min": (float, "lower end of the p sweep or bisection bracket"),

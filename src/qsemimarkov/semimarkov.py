@@ -77,6 +77,14 @@ def _require_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _unit_interval(u) -> np.ndarray:
+    """u as a float array, refused unless every element lies in [0, 1)."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0.0) or np.any(u >= 1.0):
+        raise DomainError("inverse CDF argument must lie in [0, 1)")
+    return u
+
+
 @dataclass(frozen=True)
 class ExponentialWTD:
     """f(t) = rate * exp(-rate t); the memoryless (semigroup) case."""
@@ -92,9 +100,9 @@ class ExponentialWTD:
             return np.exp(-self.rate * t)
 
     def inverse_cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
-            raise DomainError("inverse CDF argument must lie in [0, 1)")
+        return self._quantile(_unit_interval(u))
+
+    def _quantile(self, u):
         return -np.log1p(-u) / self.rate
 
 
@@ -146,10 +154,10 @@ class TanhSechWTD:
             return 1.0 / np.cosh(self.rate * t)
 
     def inverse_cdf(self, u):
+        return self._quantile(_unit_interval(u))
+
+    def _quantile(self, u):
         # g = sech(rate t) = 1 - u  =>  t = asech(1 - u) / rate
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
-            raise DomainError("inverse CDF argument must lie in [0, 1)")
         return np.arccosh(1.0 / (1.0 - u)) / self.rate
 
 
@@ -553,7 +561,7 @@ class ClassicalSimResult:
 
 
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
-_MAX_RENEWALS = 10**8      # expected renewal steps of a run: 6 to 8 s
+_MAX_RENEWALS = 10**8      # expected renewal steps of a run: 8 to 14 s
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -587,39 +595,36 @@ def _mulhilo(x: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
     np.multiply(x, np.uint64(m), out=lo)      # x m mod 2^64
 
 
-def _philox_uniforms(seed: int, paths: np.ndarray, start_step: int,
-                     steps: int, per_step: int) -> np.ndarray:
-    """Uniforms of ``steps`` renewal steps from ``start_step``, per path.
+def _philox_uniforms(seed: int, paths: np.ndarray, first_counter: int,
+                     n_counters: int) -> np.ndarray:
+    """Uniforms of counters ``first_counter`` upward, one column per path.
 
-    Row i holds draws ``start_step * per_step`` to
-    ``(start_step + steps) * per_step - 1`` of
-    ``Generator(Philox(key=(seed, paths[i]))).random``. Both step counts are
-    multiples of 4, so the block covers whole counters: counters
-    ``start_step * per_step / 4 + 1`` upward. Rounds 3 to 10 run in buffers
-    allocated once per call.
+    The array has shape (4 n_counters, paths.size): column i holds draws
+    ``4 (first_counter - 1)`` to ``4 (first_counter + n_counters - 1) - 1``
+    of ``Generator(Philox(key=(seed, paths[i]))).random``, in stream
+    order. Rounds 3 to 10 run in buffers allocated once per call.
     """
-    n_ctr = steps * per_step // 4
-    first = start_step * per_step // 4 + 1
-    shape = (paths.size, n_ctr)
-    # the path key at full width: xor with a broadcast column is slower
-    k1 = np.repeat(paths.astype(np.uint64)[:, None], n_ctr, axis=1)
+    shape = (n_counters, paths.size)
     w1 = np.uint64(_PHILOX_W[1])
+    k1 = paths.astype(np.uint64)    # the path key word, a row broadcast
     # The counter is (c, 0, 0, 0) with c < 2**64, as _MAX_RENEWALS keeps a
     # run near 10**8 expected steps. So round 1 multiplies only the counter
-    # row (M1 * 0 = 0), and only the path key makes it 2-D.
-    ctr = np.arange(first, first + n_ctr, dtype=np.uint64)
-    row_hi, row_lo = np.empty_like(ctr), np.empty_like(ctr)
-    _mulhilo(ctr, _PHILOX_M[0], row_hi, row_lo, np.empty_like(ctr),
+    # column (M1 * 0 = 0), and only the path key makes it 2-D.
+    ctr = np.arange(first_counter, first_counter + n_counters,
+                    dtype=np.uint64)
+    col_hi, col_lo = np.empty_like(ctr), np.empty_like(ctr)
+    _mulhilo(ctr, _PHILOX_M[0], col_hi, col_lo, np.empty_like(ctr),
              np.empty_like(ctr))
+    col_hi, col_lo = col_hi[:, None], col_lo[:, None]
     c0, c1, c2, spare, h0, l0, h1, l1, a, b = (
         np.empty(shape, dtype=np.uint64) for _ in range(10))
-    np.bitwise_xor(row_hi, k1, out=c2)      # c = (seed, 0, c2, row_lo)
+    np.bitwise_xor(col_hi, k1, out=c2)      # c = (seed, 0, c2, col_lo)
     # round 2: the seed's product is a constant, so c3 becomes a scalar
     np.add(k1, w1, out=k1)
     hi, lo = divmod(seed * _PHILOX_M[0], 2**64)
     _mulhilo(c2, _PHILOX_M[1], c0, c1, a, b)
     np.bitwise_xor(c0, np.uint64((seed + _PHILOX_W[0]) % 2**64), out=c0)
-    np.bitwise_xor(row_lo ^ np.uint64(hi), k1, out=c2)
+    np.bitwise_xor(col_lo ^ np.uint64(hi), k1, out=c2)
     c3 = np.uint64(lo)
     for r in range(2, 10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
@@ -632,11 +637,12 @@ def _philox_uniforms(seed: int, paths: np.ndarray, start_step: int,
         np.bitwise_xor(h0, k1, out=h0)        # new c2 = hi0 ^ c3 ^ k1
         c0, c1, c2, c3, h0, l0, h1, l1 = (h1, l1, h0, l0, c0, c1, c2,
                                           c3 if r > 2 else spare)
-    out = np.empty((paths.size, n_ctr, 4))
+    del h0, l0, h1, l1, a, b        # freed before the output is allocated
+    out = np.empty((n_counters, 4, paths.size))
     for j, word in enumerate((c0, c1, c2, c3)):
         np.right_shift(word, np.uint64(11), out=word)
-        np.multiply(word, 2.0**-53, out=out[..., j])
-    return out.reshape(paths.size, -1)
+        np.multiply(word, 2.0**-53, out=out[:, j])
+    return out.reshape(4 * n_counters, paths.size)
 
 
 def _mean_wait(wtd) -> float:
@@ -656,7 +662,7 @@ def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
         if isinstance(wtd, ExpConvolutionWTD):
             return (-np.log1p(-u[..., 0]) / wtd.rate1
                     - np.log1p(-u[..., 1]) / wtd.rate2)
-        return wtd.inverse_cdf(u[..., 0])
+        return wtd._quantile(u[..., 0])  # u is in [0, 1) by construction
 
 
 def _grid_bins(times: np.ndarray):
@@ -689,16 +695,16 @@ def _grid_bins(times: np.ndarray):
     return bins
 
 
-def _cumsum_rows(a: np.ndarray) -> np.ndarray:
-    """``np.cumsum(a, axis=1)`` in place: the same sequential sums.
+def _cumsum_steps(a: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=0)`` in place: the same sequential sums.
 
-    numpy accumulates one row at a time, so where rows far outnumber
-    columns (short blocks of many paths) a column at a time is faster.
+    numpy accumulates down one column at a time, so where columns far
+    outnumber rows (short blocks of many paths) a row at a time is faster.
     """
-    if a.shape[0] < 16 * a.shape[1]:
-        return np.cumsum(a, axis=1, out=a)
-    for j in range(1, a.shape[1]):
-        a[:, j] += a[:, j - 1]
+    if a.shape[1] < 4 * a.shape[0]:
+        return np.cumsum(a, axis=0, out=a)
+    for j in range(1, len(a)):
+        a[j] += a[j - 1]
     return a
 
 
@@ -706,10 +712,13 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
           paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk a set of paths block by block until each passes ``times[-1]``.
 
-    The first block is 4 renewal steps; each later one doubles, capped at
-    the largest multiple of 4 for which the live paths' draw fits
-    ``_CHUNK_UNIFORMS`` (never below 4). A path stops once its last epoch
-    reaches ``times[-1]``.
+    Blocks are counted in Philox counters per live path: three blocks of
+    one counter, then each twice the last, capped at the most counters for
+    which the live paths' uniforms, carried ones included, fit
+    ``_CHUNK_UNIFORMS`` (never below one). A block takes the whole steps
+    its uniforms hold; the uniforms of a step it only begins (at most
+    ``per_step - 1`` a path) carry into the next block. A path stops once
+    its last epoch reaches ``times[-1]``.
 
     :return: integer histograms over the time indices 0..len(times):
         ``first[j]`` counts paths whose first jump is at a time in
@@ -722,32 +731,41 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
     last = np.zeros(paths.size)     # epoch reached by each path so far
     site = np.zeros(paths.size, dtype=np.int64)
     flips = np.zeros(n_bins, dtype=np.int64)
-    start, steps = 0, 2             # so the first block is 4 steps
+    carry = np.empty((0, paths.size))  # one row per uniform carried
+    counter = n_ctr = 1
     while paths.size:
-        fit = _CHUNK_UNIFORMS // (paths.size * per_step) // 4 * 4
-        steps = max(4, min(2 * steps, fit))
-        u = _philox_uniforms(seed, paths, start, steps, per_step)
-        u = u.reshape(paths.size, steps, per_step)
-        w = _waits_from_uniforms(wtd, u)
+        if counter > 3:             # past the three one-counter blocks
+            fit = (_CHUNK_UNIFORMS // paths.size - len(carry)) // 4
+            n_ctr = max(1, min(2 * n_ctr, fit))
+        u = _philox_uniforms(seed, paths, counter, n_ctr)
+        if len(carry):
+            u = np.concatenate([carry, u])
+        steps = len(u) // per_step
+        carry = u[steps * per_step:]
+        u = u[:steps * per_step].reshape(steps, per_step, paths.size)
+        epochs = _waits_from_uniforms(wtd, u.transpose(0, 2, 1))
         # sequential cumsum carried over from the last block: same bits
-        w[:, 0] += last
-        epochs = _cumsum_rows(w)
-        if start == 0:
-            t1 = np.where(epochs[:, 0] < t_max, epochs[:, 0], np.inf)
+        epochs[0] += last
+        _cumsum_steps(epochs)
+        if counter == 1:
+            t1 = np.where(epochs[0] < t_max, epochs[0], np.inf)
             first = np.bincount(bins(t1), minlength=n_bins)
-        hops = (u[..., -1] < jump_prob) & (epochs < t_max)
+        hops = (u[:, -1] < jump_prob) & (epochs < t_max)
         sites = hops.astype(np.int64)
-        sites[:, 0] += site
-        _cumsum_rows(sites)             # its parity: the site after a step
+        sites[0] += site
+        _cumsum_steps(sites)            # its parity: the site after a step
         at = np.flatnonzero(hops)
         # +1 where a hop lands on site 0, -1 where it leaves it
         to_zero = 1 - 2 * (sites.ravel()[at] & 1)
         flips += np.bincount(bins(epochs.ravel()[at]), weights=to_zero,
                              minlength=n_bins).astype(np.int64)
-        going = epochs[:, -1] < t_max
-        paths, last = paths[going], epochs[going, -1]
-        site = sites[going, -1] & 1
-        start += steps
+        # indices, not a mask: a random mask's branches are slow to index
+        going = np.flatnonzero(epochs[-1] < t_max)
+        paths, last = paths[going], epochs[-1, going]
+        site = sites[-1, going] & 1
+        carry = carry[:, going]
+        counter += n_ctr
+        del u, epochs, hops, sites      # freed before the next block is drawn
     return first, flips
 
 
@@ -763,10 +781,11 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     fixed order (wait draws, then the hop draw), so results are
     bit-reproducible and independent of evaluation order. A path stops once
     its epoch reaches ``t_max``. Paths are walked together in chunks of
-    ``_CHUNK_UNIFORMS // (4 per_step)`` paths, in blocks of 4 steps first
-    and then of doubling length while the live paths' draw fits
-    ``_CHUNK_UNIFORMS`` uniforms, so memory stays bounded for any
-    ``n_paths`` and short paths waste few draws.
+    ``_CHUNK_UNIFORMS // 6`` paths, in blocks of Philox counters: one
+    counter each for three blocks, then doubling while the live paths'
+    uniforms, with those carried from a step a block began, fit
+    ``_CHUNK_UNIFORMS``. So memory stays bounded for any ``n_paths``, and a
+    path draws at most one block past the counters it reads.
 
     :param seed: required 64-bit seed (0 <= seed < 2**64).
     :return: ``ClassicalSimResult`` on a uniform grid of ``n_times`` points
@@ -791,7 +810,9 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
                         f"paths exceed the cap of {_MAX_RENEWALS:.0e}")
     times = np.linspace(0.0, float(t_max), n_times)
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
-    chunk = max(1, _CHUNK_UNIFORMS // (4 * per_step))
+    # a one-counter block fits the budget: 4 uniforms and a carry of at
+    # most 2 (per_step - 1 <= 2) a path
+    chunk = max(1, _CHUNK_UNIFORMS // 6)
     first = np.zeros(times.size + 1, dtype=np.int64)
     flips = np.zeros(times.size + 1, dtype=np.int64)
     for start in range(0, n_paths, chunk):

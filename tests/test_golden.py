@@ -93,6 +93,11 @@ min-mode median: each lost ``gamma-max``. The ``measure`` entries of
 ``cli_help.txt`` (its help, and the usage of ``qsm measure --mode max``)
 lost the flag from both usage lines and its help entry, and the ``--mode``
 help its ``in [0, --gamma-max]``. No data row changed.
+
+The ``--form`` help line of the ``measure`` entry of ``cli_help.txt`` was
+re-captured when that text stopped calling the forms an "integrand
+route", since neither form integrates: it now says what each form reports.
+No other line changed.
 """
 
 import json

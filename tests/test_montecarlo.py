@@ -10,7 +10,7 @@ from qsemimarkov import (
     TanhSechWTD,
     classical_jump_simulate,
 )
-from qsemimarkov import semimarkov
+from qsemimarkov import cli, semimarkov
 
 
 def _z_scores(observed, se, exact):
@@ -92,11 +92,12 @@ def test_determinism_and_seed_sensitivity():
 def test_path_count_extension_is_consistent(monkeypatch):
     # per-path streams are keyed by (seed, path index), so the first 500
     # paths of a longer run reproduce a 500-path run exactly: with chunks of
-    # 500 paths (4-step first blocks of 2 uniforms a step), the long run's
-    # first chunk gives the short run's counts
+    # 500 paths (a chunk holds budget / 6 paths, so that a one-counter
+    # block and its carry fit), the long run's first chunk gives the short
+    # run's counts
     wtd = TanhSechWTD(rate=1.0)
     small = classical_jump_simulate(wtd, 1.0, 1.0, 500, seed=9, n_times=3)
-    monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 4 * 2)
+    monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 6)
     chunks = []
     walk = semimarkov._walk
 
@@ -165,49 +166,80 @@ def _generator_uniforms(seed, path, start, stop):
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("per_step", [2, 3])
 def test_vectorized_streams_equal_per_path_generators(seed, per_step):
-    # path ids straddle the first chunk boundary; the doubling schedule's
-    # blocks of 4, 8, 16 and 32 steps, and a capped block far along the path
-    # and the largest ids, whose key word the first round xors in
-    chunk = semimarkov._CHUNK_UNIFORMS // (4 * per_step)
+    # path ids straddle the first chunk boundary, and the largest ids,
+    # whose key word the first round xors in. The counter ranges are the
+    # schedule's: three of one counter, then 2, 4 and 8 counters, and a
+    # capped block far along the path. They start at draws 0, 4, 8, 12,
+    # 20, 36 and 756: with 3 uniforms a step, draws 4, 8 and 20 lie inside
+    # a step that the range before began
+    chunk = semimarkov._CHUNK_UNIFORMS // 6
     paths = np.array([*range(chunk - 3, chunk + 3), 2**63, 2**64 - 1],
                      dtype=np.uint64)
-    for start, steps in ((0, 4), (4, 8), (12, 16), (28, 32), (380, 20)):
-        u = semimarkov._philox_uniforms(seed, paths, start, steps, per_step)
-        expected = [_generator_uniforms(seed, int(i), start * per_step,
-                                        (start + steps) * per_step)
+    ranges = ((1, 1), (2, 1), (3, 1), (4, 2), (6, 4), (10, 8), (190, 10))
+    inside = [first for first, _ in ranges if 4 * (first - 1) % per_step]
+    assert inside == ([2, 3, 6] if per_step == 3 else [])
+    for first, n_counters in ranges:
+        u = semimarkov._philox_uniforms(seed, paths, first, n_counters)
+        expected = [_generator_uniforms(seed, int(i), 4 * (first - 1),
+                                        4 * (first + n_counters - 1))
                     for i in paths]
-        assert np.array_equal(u, np.array(expected))
+        assert np.array_equal(u, np.array(expected).T)
 
 
-@pytest.mark.parametrize("wtd, t_max, n_paths, longest", [
-    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 2.0, 10_000, 8),
-    (TanhSechWTD(rate=1.0), 400.0, 300, 64),
-])
-def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
-                                                 n_paths, longest):
-    per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
+def _recording_philox(monkeypatch):
+    """Record (live paths, first counter, counters) of every block drawn."""
     draws = []
     philox = semimarkov._philox_uniforms
 
-    def recording_philox(seed, paths, start, steps, k):
-        draws.append((paths.size, start, steps))
-        return philox(seed, paths, start, steps, k)
+    def recording_philox(seed, paths, first_counter, n_counters):
+        draws.append((paths.size, first_counter, n_counters))
+        return philox(seed, paths, first_counter, n_counters)
 
     monkeypatch.setattr(semimarkov, "_philox_uniforms", recording_philox)
+    return draws
+
+
+@pytest.mark.parametrize("wtd, t_max, n_paths, capped", [
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 2.0, 30_000, False),
+    (TanhSechWTD(rate=1.0), 400.0, 300, True),
+    # 2**16 // 512 = 128 uniforms a path: a carry costs the cap a counter
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 400.0, 512, True),
+])
+def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
+                                                 n_paths, capped):
+    per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
+    budget = semimarkov._CHUNK_UNIFORMS
+    draws = _recording_philox(monkeypatch)
     classical_jump_simulate(wtd, 1.0, t_max, n_paths, seed=3, n_times=5)
-    assert draws and draws[0][1] == 0
+    n_capped = 0
     prev = None
-    for n, start, steps in draws:
-        assert steps % 4 == 0
-        if start == 0:
-            assert steps == 4        # every chunk opens with 4 steps
-        else:
-            assert start == prev[1] + prev[2] and steps <= 2 * prev[2]
-        if steps > 4:
-            assert n * steps * per_step <= semimarkov._CHUNK_UNIFORMS
-        prev = (n, start, steps)
-    # two chunks of short paths; long paths soon reach long blocks
-    assert max(steps for _, _, steps in draws) >= longest
+    for n, first, n_ctr in draws:
+        # the uniforms of a step the last block began carry into this one
+        carried = 4 * (first - 1) % per_step
+        assert n * (4 * n_ctr + carried) <= budget
+        if first <= 3:               # three one-counter blocks first
+            assert n_ctr == 1
+        if first > 1:                # counters run on, for fewer paths
+            assert first == prev[1] + prev[2] and n <= prev[0]
+            assert n_ctr <= 2 * prev[2]
+        if first > 3 and n_ctr < 2 * prev[2]:
+            # short of doubling only where one more counter breaks the cap
+            assert n * (4 * (n_ctr + 1) + carried) > budget
+            n_capped += 1
+        prev = (n, first, n_ctr)
+    # every chunk opens at counter 1; long paths reach the budget's cap
+    assert sum(first == 1 for _, first, _ in draws) == -(-n_paths
+                                                          // (budget // 6))
+    assert (n_capped > 0) == capped
+
+
+def test_short_paths_draw_few_counters(monkeypatch, capsys):
+    # the default run's paths read about 2.05 counters each (counted with a
+    # Generator(Philox) per path), and draw little past them
+    draws = _recording_philox(monkeypatch)
+    assert cli.run(["classical-sim", "--seed", "1", "--paths", "10000"]) == 0
+    capsys.readouterr()
+    assert sum(n * n_ctr for n, _, n_ctr in draws) / 10_000 <= 2.1
 
 
 @pytest.mark.parametrize("wtd, jump_prob, t_max", [
@@ -221,9 +253,10 @@ def test_chunk_size_does_not_change_results(monkeypatch, wtd, jump_prob,
         return classical_jump_simulate(wtd, jump_prob, t_max, n_paths,
                                        seed=17, n_times=21)
 
-    # one path per chunk; then all paths in one chunk, where the default
-    # budget splits the 3000 paths into two or three chunks
-    for budget, n_paths in ((1, 300), (10**9, 3000)):
+    # one path per chunk; then chunks of 1000 paths, and all paths in one
+    # chunk with blocks that double without a cap, where the default budget
+    # walks the 3000 paths as one chunk
+    for budget, n_paths in ((1, 300), (6 * 1000, 3000), (10**9, 3000)):
         default = simulate(n_paths)
         monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", budget)
         other = simulate(n_paths)

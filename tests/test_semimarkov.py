@@ -81,8 +81,10 @@ def test_inverse_cdf_round_trip(wtd):
     u = np.linspace(0.0, 0.999, 64)
     t = wtd.inverse_cdf(u)
     assert np.abs((1.0 - np.asarray(wtd.survival(t))) - u).max() < 1e-12
-    with pytest.raises(DomainError):
-        wtd.inverse_cdf(1.0)
+    # the walk calls the formula alone; the public method keeps the check
+    for bad in (1.0, -0.1, [0.5, 1.0]):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\)"):
+            wtd.inverse_cdf(bad)
 
 
 def test_expconv_stable_near_equal_rates():
