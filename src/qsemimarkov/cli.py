@@ -5,10 +5,11 @@ divisibility, classical-sim, kernel-check. ``_DEFAULTS`` names each command's
 flags and their defaults, ``_FLAGS`` each flag's type and help line; a
 command's parser, its ``--help`` and every default it uses come from them,
 and it registers only the flags some mode of it reads. A run whose first
-token is a command builds and parses with that command's parser alone,
-which reports an unknown flag or a bad value in its own usage; the qsm
-parser, which lists the commands with no flags, is built only for its
-help, the version, or a missing or unknown command. Dephasing takes
+token is a command parses with that command's parser alone, which reports
+an unknown flag or a bad value in its own usage; the qsm parser, which
+lists the commands with no flags, is built only for its help, the version,
+or a missing or unknown command. Each parser is built once a process, at
+each help width, and shared by every later run. Dephasing takes
 ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2, p = l1 l2);
 ``measure --family nonunital`` takes ``--lambda``.
 
@@ -29,6 +30,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -136,10 +138,21 @@ def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The qsm parser, every command with its help line and none with flags;
-    or, given ``command``, that command's parser alone, with its flags."""
+    or, given ``command``, that command's parser alone, with its flags.
+
+    The parser is shared: one is built per command and help width in a
+    process, and every call for them returns it, so a caller must not
+    change it. The width is read from the terminal on each call, so
+    ``--help`` wraps as argparse would wrap it.
+    """
     import shutil
     # the width argparse works out itself, once here, not once per flag
-    width = shutil.get_terminal_size().columns - 2
+    return _parser(command, shutil.get_terminal_size().columns - 2)
+
+
+@functools.cache
+def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, wrapping its help to ``width``."""
     formatter = lambda prog: argparse.HelpFormatter(prog, width=width)
     if command is not None:
         # exact flag names only, so that a prefix such as --s cannot land on

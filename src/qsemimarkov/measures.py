@@ -38,6 +38,7 @@ and a bisection on that scan for the dephasing divisibility boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,6 +193,16 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
                         x - np.log(2.0) + np.log1p(np.exp(-2.0 * x)))
 
 
+@functools.cache
+def _family_constant(generator) -> float:
+    """The trace norm of the real Choi matrix of ``generator`` at unit rate.
+
+    Both families' generators are the rate times that one matrix, so the
+    constant depends on the generator class alone and is computed once.
+    """
+    return trace_norm(choi_of_generator(generator(rate=1.0, dim=2)).real)
+
+
 def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     """Deviation measure of one process, or of every process of a sweep as
     one batch, in the form the config names.
@@ -218,11 +229,12 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     delta = +-s|eta| eps/2 exact, so a full piece gains s (P - 2 eps)/4.
     Each row's sum is its own, so its bits do not depend on the rest of the
     sweep. For the Choi form, both families' generator Choi matrices are
-    the rate times one real unit-rate matrix, built once per call, whose
-    trace norm is the family constant. The trace norm is absolutely
-    homogeneous, so the trace norm of Choi(L_gamma - L_ref) = (gamma - ref)
-    times that matrix is |gamma - ref| times the constant, and its time
-    average, the raw average, is the constant times xi.
+    the rate times one real unit-rate matrix, whose trace norm is the
+    family constant (``_family_constant``, taken once a process). The
+    trace norm is absolutely homogeneous, so the trace norm of
+    Choi(L_gamma - L_ref) = (gamma - ref) times that matrix is
+    |gamma - ref| times the constant, and its time average, the raw
+    average, is the constant times xi.
 
     The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
     (one per row where they merge), are listed for the output only, after
@@ -324,10 +336,8 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     xi = jump.reshape(n, -1).sum(axis=1) / T
     raw = constant = None
     if config.form == "choi":
-        generator = ProjectorGenerator if nonunital else DephasingGenerator
-        # both families' generators are the rate times one real Choi matrix
-        constant = trace_norm(
-            choi_of_generator(generator(rate=1.0, dim=2)).real)
+        constant = _family_constant(ProjectorGenerator if nonunital
+                                    else DephasingGenerator)
         with np.errstate(over="ignore"):  # xi_raw past the float range is inf
             raw = constant * xi
     zeta = xi / (1.0 + xi)

@@ -596,13 +596,15 @@ def _mulhilo(x: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
 
 
 def _philox_uniforms(seed: int, paths: np.ndarray, first_counter: int,
-                     n_counters: int) -> np.ndarray:
+                     n_counters: int, lead: int = 0) -> np.ndarray:
     """Uniforms of counters ``first_counter`` upward, one column per path.
 
-    The array has shape (4 n_counters, paths.size): column i holds draws
-    ``4 (first_counter - 1)`` to ``4 (first_counter + n_counters - 1) - 1``
-    of ``Generator(Philox(key=(seed, paths[i]))).random``, in stream
-    order. Rounds 3 to 10 run in buffers allocated once per call.
+    The array has shape (lead + 4 n_counters, paths.size). Its first
+    ``lead`` rows are left unset, for the caller to fill; below them,
+    column i holds draws ``4 (first_counter - 1)`` to
+    ``4 (first_counter + n_counters - 1) - 1`` of
+    ``Generator(Philox(key=(seed, paths[i]))).random``, in stream order.
+    Rounds 3 to 10 run in buffers allocated once per call.
     """
     shape = (n_counters, paths.size)
     w1 = np.uint64(_PHILOX_W[1])
@@ -638,11 +640,12 @@ def _philox_uniforms(seed: int, paths: np.ndarray, first_counter: int,
         c0, c1, c2, c3, h0, l0, h1, l1 = (h1, l1, h0, l0, c0, c1, c2,
                                           c3 if r > 2 else spare)
     del h0, l0, h1, l1, a, b        # freed before the output is allocated
-    out = np.empty((n_counters, 4, paths.size))
+    out = np.empty((lead + 4 * n_counters, paths.size))
+    drawn = out[lead:].reshape(n_counters, 4, paths.size)  # a view
     for j, word in enumerate((c0, c1, c2, c3)):
         np.right_shift(word, np.uint64(11), out=word)
-        np.multiply(word, 2.0**-53, out=out[:, j])
-    return out.reshape(4 * n_counters, paths.size)
+        np.multiply(word, 2.0**-53, out=drawn[:, j])
+    return out
 
 
 def _mean_wait(wtd) -> float:
@@ -717,7 +720,8 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
     which the live paths' uniforms, carried ones included, fit
     ``_CHUNK_UNIFORMS`` (never below one). A block takes the whole steps
     its uniforms hold; the uniforms of a step it only begins (at most
-    ``per_step - 1`` a path) carry into the next block. A path stops once
+    ``per_step - 1`` a path) carry into the next block, drawn with leading
+    rows that hold them, so no block is copied. A path stops once
     its last epoch reaches ``times[-1]``.
 
     :return: integer histograms over the time indices 0..len(times):
@@ -737,9 +741,8 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         if counter > 3:             # past the three one-counter blocks
             fit = (_CHUNK_UNIFORMS // paths.size - len(carry)) // 4
             n_ctr = max(1, min(2 * n_ctr, fit))
-        u = _philox_uniforms(seed, paths, counter, n_ctr)
-        if len(carry):
-            u = np.concatenate([carry, u])
+        u = _philox_uniforms(seed, paths, counter, n_ctr, len(carry))
+        u[:len(carry)] = carry
         steps = len(u) // per_step
         carry = u[steps * per_step:]
         u = u[:steps * per_step].reshape(steps, per_step, paths.size)

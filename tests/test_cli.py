@@ -346,14 +346,21 @@ def test_every_registered_flag_is_read_by_some_mode(monkeypatch, command):
     assert read == _registered_flags(command)
 
 
+# a --config file for each command of test_a_run_builds_one_parser
+_CONFIGS = {"rate": "grid = 4\n", "measure": "p-points = 3\nmode = min\n",
+            "classical-sim": "grid = 3\n"}
+
+
 @pytest.mark.parametrize("argv", [["rate", "--grid", "3"],
                                   ["measure", "--p-points", "2"],
-                                  ["measure", "--config", "CFG"]])
+                                  ["classical-sim", "--seed", "1",
+                                   "--paths", "10"]])
 def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
-    """A run whose first token is a command builds that command's parser
-    alone, and its --config re-parse reuses it."""
-    cfg = tmp_path / "measure.cfg"
-    cfg.write_text("p-points = 2\nmode = min\n")
+    """A command's parser is built once a process and help width: a second
+    run, with a --config re-parse, reuses it, and another width builds a
+    second one."""
+    cfg = tmp_path / "flags.cfg"
+    cfg.write_text(_CONFIGS[argv[0]])
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -362,9 +369,46 @@ def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    code, _, err = _run(capsys, [str(cfg) if a == "CFG" else a for a in argv])
-    assert code == 0, err
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    for extra in ([], ["--config", str(cfg)]):
+        code, _, err = _run(capsys, [*argv, *extra])
+        assert code == 0, err
     assert built == [f"qsm {argv[0]}"]
+    monkeypatch.setenv("COLUMNS", "120")
+    code, _, err = _run(capsys, argv)
+    assert code == 0, err
+    assert built == [f"qsm {argv[0]}"] * 2
+
+
+def test_a_shared_parser_keeps_no_state_between_runs(capsys):
+    """A run after another run and a usage error, in one process, prints
+    the bytes of the same run in a fresh interpreter."""
+    assert _run(capsys, ["measure", "--p", "3", "--mode", "min"])[0] == 0
+    assert _run(capsys, ["measure", "--mode", "max"])[0] == 2
+    code, out, err = _run(capsys, ["measure"])
+    assert code == 0, err
+    done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli",
+                           "measure"], env=_package_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert out == done.stdout
+
+
+def test_help_wraps_to_the_width_of_each_run(capsys, monkeypatch):
+    """``measure --help`` at 80 columns, then at 200 in the same process,
+    wraps to each width: at 200 it is the help transcript's text."""
+    golden = (Path(__file__).parent / "golden" / "cli_help.txt").read_text()
+    head = "$ qsm measure --help\n[exit 0]\n[stdout]\n"
+    wide = golden[golden.index(head) + len(head):]
+    wide = wide[:wide.index("[stderr]\n")]
+    monkeypatch.setenv("COLUMNS", "80")
+    code, narrow, _ = _run(capsys, ["measure", "--help"])
+    assert code == 0
+    assert max(map(len, narrow.splitlines())) <= 78 < len(max(
+        wide.splitlines(), key=len))
+    monkeypatch.setenv("COLUMNS", "200")
+    assert _run(capsys, ["measure", "--help"]) == (0, wide, "")
 
 
 def test_parser_without_a_command_builds_no_flags():

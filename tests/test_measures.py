@@ -903,22 +903,26 @@ def test_trace_norm_of_a_rate_times_the_unit_choi_matrix(generator):
     assert np.abs(norms / (np.abs(x) * trace_norm(unit)) - 1.0).max() <= 1e-15
 
 
-def test_a_choi_route_call_builds_one_unit_rate_choi_matrix(monkeypatch):
+def test_one_unit_rate_choi_matrix_per_family_per_process(monkeypatch):
     # that matrix's trace norm, the family constant, scales xi into the raw
-    # average of every row of a sweep
+    # average of every row of a sweep; a second call reuses it
     built, norms = [], []
     choi, trace_norm = measures.choi_of_generator, measures.trace_norm
     monkeypatch.setattr(measures, "choi_of_generator",
                         lambda g: built.append(g.rate) or choi(g))
     monkeypatch.setattr(measures, "trace_norm",
                         lambda m: norms.append(m.shape) or trace_norm(m))
-    for proc, constant in ((DephasingSemiMarkov(1.0, [0.1, 3.0, 5.0]), 2.0),
-                           (NonUnitalSemiMarkov(rate=1.0), 3.23606797749979)):
+    measures._family_constant.cache_clear()
+    for proc, constant in ((DephasingSemiMarkov(1.0, [0.1, 3.0, 5.0]),
+                            "0x1.0p+1"),
+                           (NonUnitalSemiMarkov(rate=1.0),
+                            "0x1.9e3779b97f4a8p+1")):
         built.clear(), norms.clear()
-        result = sss_measure(proc, SSSConfig(horizon=20.0, mode="min",
-                                             form="choi"))
+        for _ in range(2):
+            result = sss_measure(proc, SSSConfig(horizon=20.0, mode="min",
+                                                 form="choi"))
+            assert result.family_constant == float.fromhex(constant)
         assert built == [1.0] and norms == [(4, 4)]
-        assert result.family_constant == constant
 
 
 # ------------------------------------------------------------ revival measure

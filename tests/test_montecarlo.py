@@ -184,16 +184,21 @@ def test_vectorized_streams_equal_per_path_generators(seed, per_step):
                                         4 * (first + n_counters - 1))
                     for i in paths]
         assert np.array_equal(u, np.array(expected).T)
+        # leading rows for a carry leave the draws below them as they are
+        led = semimarkov._philox_uniforms(seed, paths, first, n_counters, 2)
+        assert led.shape == (2 + len(u), paths.size)
+        assert np.array_equal(led[2:], u)
 
 
 def _recording_philox(monkeypatch):
-    """Record (live paths, first counter, counters) of every block drawn."""
+    """Record (live paths, first counter, counters, carried rows) of every
+    block drawn."""
     draws = []
     philox = semimarkov._philox_uniforms
 
-    def recording_philox(seed, paths, first_counter, n_counters):
-        draws.append((paths.size, first_counter, n_counters))
-        return philox(seed, paths, first_counter, n_counters)
+    def recording_philox(seed, paths, first_counter, n_counters, lead=0):
+        draws.append((paths.size, first_counter, n_counters, lead))
+        return philox(seed, paths, first_counter, n_counters, lead)
 
     monkeypatch.setattr(semimarkov, "_philox_uniforms", recording_philox)
     return draws
@@ -213,9 +218,11 @@ def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
     classical_jump_simulate(wtd, 1.0, t_max, n_paths, seed=3, n_times=5)
     n_capped = 0
     prev = None
-    for n, first, n_ctr in draws:
-        # the uniforms of a step the last block began carry into this one
+    for n, first, n_ctr, lead in draws:
+        # the uniforms of a step the last block began carry into this one,
+        # as the block's leading rows
         carried = 4 * (first - 1) % per_step
+        assert lead == carried
         assert n * (4 * n_ctr + carried) <= budget
         if first <= 3:               # three one-counter blocks first
             assert n_ctr == 1
@@ -228,8 +235,8 @@ def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
             n_capped += 1
         prev = (n, first, n_ctr)
     # every chunk opens at counter 1; long paths reach the budget's cap
-    assert sum(first == 1 for _, first, _ in draws) == -(-n_paths
-                                                          // (budget // 6))
+    assert sum(first == 1 for _, first, _, _ in draws) == -(-n_paths
+                                                             // (budget // 6))
     assert (n_capped > 0) == capped
 
 
@@ -239,7 +246,7 @@ def test_short_paths_draw_few_counters(monkeypatch, capsys):
     draws = _recording_philox(monkeypatch)
     assert cli.run(["classical-sim", "--seed", "1", "--paths", "10000"]) == 0
     capsys.readouterr()
-    assert sum(n * n_ctr for n, _, n_ctr in draws) / 10_000 <= 2.1
+    assert sum(n * n_ctr for n, _, n_ctr, _ in draws) / 10_000 <= 2.1
 
 
 @pytest.mark.parametrize("wtd, jump_prob, t_max", [
