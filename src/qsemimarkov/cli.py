@@ -423,9 +423,12 @@ def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
         columns[f"occupation{site}"] = sim.occupation[site]
         columns[f"occupation{site}_se"] = sim.occupation_se[site]
     # where every path agrees the empirical SE is 0; the binomial SE of the
-    # exact survival keeps the ratio meaningful there. A NaN gap stays NaN
+    # exact survival keeps the ratio meaningful there. A NaN gap stays NaN.
+    # The root is taken before dividing by n, which would underflow to 0
+    # where the exact survival is subnormal
     gap = np.abs(sim.survival - exact)
-    se = np.maximum(sim.survival_se, np.sqrt(exact * (1.0 - exact) / n_paths))
+    se = np.maximum(sim.survival_se,
+                    np.sqrt(exact * (1.0 - exact)) / np.sqrt(n_paths))
     err = np.divide(gap, se, out=np.zeros_like(gap), where=gap != 0.0)
     return columns, {"max_survival_error_se": float(np.max(err))}
 

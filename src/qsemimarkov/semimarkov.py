@@ -29,6 +29,7 @@ stay finite and accurate for large t in every branch of eta.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -561,7 +562,7 @@ class ClassicalSimResult:
 
 
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
-_MAX_RENEWALS = 10**8      # expected renewal steps of a run: 8 to 14 s
+_MAX_RENEWALS = 10**8      # expected renewal steps of a run: 8 to 13 s
 
 # Philox4x64-10 (Salmon et al., SC'11) exactly as numpy's Philox computes it
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -669,45 +670,59 @@ def _waits_from_uniforms(wtd, u: np.ndarray) -> np.ndarray:
 
 
 def _grid_bins(times: np.ndarray):
-    """Return ``x -> np.searchsorted(times, x)`` for x that are not NaN.
+    """Return ``x -> np.searchsorted(times, x)`` for 1-D x without NaN.
 
-    Where ``times`` is sorted and ``times[i] * scale``, with ``scale =
-    (len(times) - 1) / times[-1]``, rounds to within 1 of i for every i, the
-    index is found by arithmetic: ``x * scale`` is monotone in x, so its
-    ceiling is within 1 of the sorted position of x, and one comparison on
-    each side fixes it. Elsewhere (where scale overflows, as for a
-    subnormal ``times[-1]``, or on an uneven grid) it is a binary search.
+    With ``n = len(times) - 1`` and ``scale = n / times[-1]``, let ``y(x)``
+    be the rounded product ``x * scale``, clipped to [0, n], and δ the
+    grid's largest ``|y(times[i]) - i|``. Where ``times`` is sorted and
+    δ < 1/4, most indices are found by arithmetic. Rounding is monotone, so
+    ``y`` is monotone in x. Where ``y(x)`` is more than δ from every
+    integer, with k its floor, ``y(times[k]) <= k + δ < y(x) < k + 1 - δ
+    <= y(times[k + 1])``, so ``times[k] < x < times[k + 1]`` and the index
+    is k + 1. The test is exact: as δ < 1/4, each ``y(times[i]) - i`` is
+    exact (Sterbenz), and so are ``f = y(x) - k`` and, for f >= 1/4,
+    ``f - 1/2``. The index is taken where ``|f - 1/2| < c``, with c the
+    double below the rounded ``1/2 - δ``; where f <= δ, ``1/2 - f`` rounds
+    to at least c, so that f is refused too. The rest (grid points and
+    their neighbours, x <= 0, x >= times[-1], ±inf) takes a binary search,
+    as does every x on a grid whose scale overflows (a subnormal
+    ``times[-1]``) or that is uneven.
     """
     n = times.size - 1
     with np.errstate(over="ignore"):
         scale = n / times[-1]
-    if not (np.isfinite(scale) and np.all(times[1:] >= times[:-1])
-            and np.all(np.abs(times * scale - np.arange(n + 1)) < 1.0)):
-        return lambda x: np.searchsorted(times, x)
-    # NaN below, as no x >= NaN: the guess 0 never steps down
-    padded = np.concatenate([[np.nan], times, [np.inf]])
+    search = functools.partial(np.searchsorted, times)
+    if not (np.isfinite(scale) and np.all(times[1:] >= times[:-1])):
+        return search
+    delta = np.max(np.abs(times * scale - np.arange(n + 1)))
+    if not delta < 0.25:
+        return search
+    c = np.nextafter(0.5 - delta, 0.0)
 
     def bins(x):
         with np.errstate(over="ignore"):
-            g = np.multiply(x, scale)
-        np.clip(g, 0, n, out=g)                 # and so for x = +-inf
-        g = np.ceil(g, out=g).astype(np.intp)
-        g -= padded[g] >= x                     # times[g - 1] >= x
-        g += padded[g + 1] < x                  # times[g] < x
-        return g
+            y = np.multiply(x, scale)
+        np.clip(y, 0, n, out=y)                 # and so for x = +-inf
+        k = y.astype(np.intp)                   # its floor, as y >= 0
+        y -= k                                  # f, exactly
+        y -= 0.5
+        near = np.flatnonzero(np.abs(y, out=y) >= c)  # within δ of k or k+1
+        k += 1
+        k[near] = search(x[near])
+        return k
     return bins
 
 
-def _cumsum_steps(a: np.ndarray) -> np.ndarray:
-    """``np.cumsum(a, axis=0)`` in place: the same sequential sums.
+def _accumulate_steps(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op.accumulate(a, axis=0)`` in place: the same sequential results.
 
     numpy accumulates down one column at a time, so where columns far
     outnumber rows (short blocks of many paths) a row at a time is faster.
     """
     if a.shape[1] < 4 * a.shape[0]:
-        return np.cumsum(a, axis=0, out=a)
+        return op.accumulate(a, axis=0, out=a)
     for j in range(1, len(a)):
-        a[j] += a[j - 1]
+        op(a[j], a[j - 1], out=a[j])
     return a
 
 
@@ -724,17 +739,23 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
     rows that hold them, so no block is copied. A path stops once
     its last epoch reaches ``times[-1]``.
 
+    A path's site is a bool parity, xor-accumulated down a block's steps a
+    row at a time where the block is wide. Each hop before ``times[-1]`` is
+    tallied by its time index j and the site it lands on, in one integer
+    ``np.bincount`` a block over ``2 j + site``.
+
     :return: integer histograms over the time indices 0..len(times):
         ``first[j]`` counts paths whose first jump is at a time in
         (times[j-1], times[j]] (index len(times): none before t_max), and
-        ``flips[j]`` is the net change of the site-0 count at times[j].
+        ``flips[j]``, the net change of the site-0 count at times[j], is
+        the hops there that land on site 0 less those that land on site 1.
     """
     t_max = times[-1]
     n_bins = times.size + 1
     bins = _grid_bins(times)
     last = np.zeros(paths.size)     # epoch reached by each path so far
-    site = np.zeros(paths.size, dtype=np.int64)
-    flips = np.zeros(n_bins, dtype=np.int64)
+    site = np.zeros(paths.size, dtype=bool)
+    landed = np.zeros(2 * n_bins, dtype=np.intp)  # hops by (bin, site)
     carry = np.empty((0, paths.size))  # one row per uniform carried
     counter = n_ctr = 1
     while paths.size:
@@ -749,27 +770,27 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         epochs = _waits_from_uniforms(wtd, u.transpose(0, 2, 1))
         # sequential cumsum carried over from the last block: same bits
         epochs[0] += last
-        _cumsum_steps(epochs)
+        _accumulate_steps(np.add, epochs)
         if counter == 1:
             t1 = np.where(epochs[0] < t_max, epochs[0], np.inf)
             first = np.bincount(bins(t1), minlength=n_bins)
-        hops = (u[:, -1] < jump_prob) & (epochs < t_max)
-        sites = hops.astype(np.int64)
-        sites[0] += site
-        _cumsum_steps(sites)            # its parity: the site after a step
-        at = np.flatnonzero(hops)
-        # +1 where a hop lands on site 0, -1 where it leaves it
-        to_zero = 1 - 2 * (sites.ravel()[at] & 1)
-        flips += np.bincount(bins(epochs.ravel()[at]), weights=to_zero,
-                             minlength=n_bins).astype(np.int64)
+        hops = epochs < t_max
         # indices, not a mask: a random mask's branches are slow to index
-        going = np.flatnonzero(epochs[-1] < t_max)
+        going = np.flatnonzero(hops[-1])
+        hops &= u[:, -1] < jump_prob
+        at = np.flatnonzero(hops)
+        hops[0] ^= site
+        sites = _accumulate_steps(np.bitwise_xor, hops)  # the site after a step
+        key = bins(epochs.ravel()[at])
+        key <<= 1
+        key += sites.ravel()[at]
+        landed += np.bincount(key, minlength=2 * n_bins)
         paths, last = paths[going], epochs[-1, going]
-        site = sites[-1, going] & 1
+        site = sites[-1, going]
         carry = carry[:, going]
         counter += n_ctr
-        del u, epochs, hops, sites      # freed before the next block is drawn
-    return first, flips
+        del u, epochs, hops, sites, at, key  # freed before the next block
+    return first, landed[0::2] - landed[1::2]
 
 
 def classical_jump_simulate(wtd, jump_prob: float, t_max: float,

@@ -249,6 +249,23 @@ def test_measure_past_the_underflow_of_q(capsys):
     assert all(np.isfinite(float(x)) for x in row.split(","))
 
 
+@pytest.mark.parametrize("argv", [["--t-max", "740"],
+                                  ["--wtd", "exponential", "--t-max", "744"]])
+def test_classical_sim_past_a_subnormal_exact_survival(capsys, argv):
+    # the exact survival at the horizon is subnormal (8.4e-322 at t = 740),
+    # where exact (1 - exact) / n underflows to 0 while the gap is not 0:
+    # the SE floor keeps the error ratio finite, with no warning
+    code, out, err = _run(capsys, ["classical-sim", "--seed", "1",
+                                   "--paths", "1000", *argv])
+    assert code == 0, err
+    rows = list(csv.DictReader(l for l in out.splitlines()
+                               if not l.startswith("#")))
+    exact = float(rows[-1]["survival_exact"])
+    assert 0.0 < exact < np.finfo(float).tiny and exact / 1000 == 0.0
+    ratio = [l for l in out.splitlines() if "max_survival_error_se" in l]
+    assert 0.0 < float(ratio[0].split(":")[1]) < 1.0
+
+
 def test_version_and_help_exit_0(capsys):
     code, out, _ = _run(capsys, ["--version"])
     assert code == 0

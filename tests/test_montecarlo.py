@@ -278,10 +278,13 @@ def test_chunk_size_does_not_change_results(monkeypatch, wtd, jump_prob,
 def test_time_bins_equal_searchsorted(n_times, t_max):
     # 1e-320 and 7.4e-321 are subnormal horizons whose linspace step rounds
     # far off i t_max / (n - 1), or makes the grid decrease at its end
+    # far from every grid point, the uniform queries take the arithmetic
+    # route; grid points and their neighbours take the binary search
     times = np.linspace(0.0, t_max, n_times)
     queries = np.concatenate([
         times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
         [0.0, t_max, np.inf],
+        np.random.default_rng(n_times).uniform(0.0, t_max, 10_000),
     ])
     bins = semimarkov._grid_bins(times)(queries)
     assert np.array_equal(bins, np.searchsorted(times, queries))
@@ -334,6 +337,10 @@ _WALK_CASES = [
     # many bins, then a subnormal horizon whose grid repeats values
     (TanhSechWTD(rate=1.0), 0.8, 30.0, 7, 401),
     (ExponentialWTD(rate=1.0), 0.5, 5e-324, 3, 33),
+    # every step hops, so the site alternates; then no step hops, so every
+    # block's tally is empty
+    (TanhSechWTD(rate=1.0), 1.0, 40.0, 13, 33),
+    (ExpConvolutionWTD(rate1=1.0, rate2=2.0), 0.0, 20.0, 2, 33),
 ]
 
 
