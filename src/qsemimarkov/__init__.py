@@ -11,8 +11,7 @@ their departure from semigroup dynamics:
 - ``measures``: the deviation-from-semigroup measure xi from one function,
   ``sss_measure`` (exact, in rate and Choi forms, fixed and minimized
   references), zeta = xi/(1+xi), trace-distance revivals and Holevo
-  information curves of the |+>, |-> pair, and CP-divisibility scans with
-  a boundary bisection.
+  information curves of the |+>, |-> pair, and CP-divisibility scans.
 - ``numerics``: trace norms and a Volterra integro-differential solver.
 - ``emitters`` / ``cli``: CSV/JSON/SVG serialization behind the ``qsm``
   command-line tool.

@@ -44,7 +44,6 @@ from .measures import (
     SSSConfig,
     blp_measure,
     cp_divisibility_scan,
-    divisibility_boundary,
     holevo_curve,
     sss_measure,
 )
@@ -76,14 +75,13 @@ _FLAGS = {
                                "trace-norm average and family constant"),
     "gamma-ref": (float, "fixed reference rate of --mode paper"),
     "epsilon": (float, "half-width excised around rate poles"),
-    "p-min": (float, "lower end of the p sweep or bisection bracket"),
-    "p-max": (float, "upper end of the p sweep or bisection bracket"),
+    "p-min": (float, "lower end of the p sweep"),
+    "p-max": (float, "upper end of the p sweep"),
     "p-points": (int, "sweep length; the sweep runs when no p is given"),
     "p-list": (str, "comma-separated p values"),
     "t-max": (float, "end of the time grid"),
     "grid": (int, "number of time points"),
-    "boundary-search": (bool, "bisect in p for the divisibility boundary"),
-    "p-tol": (float, "bisection width target"),
+    "boundary-search": (bool, "print the divisibility boundary s^2/8"),
     "wtd": (("exponential", "expconv", "tanhsech"), "waiting-time law"),
     "jump-prob": (float, "site-flip probability per renewal"),
     "paths": (int, "number of Monte Carlo paths"),
@@ -100,9 +98,8 @@ _BOOL_FLAGS = {flag for flag, (kind, _) in _FLAGS.items() if kind is bool}
 _OUTPUT = {"format": "csv", "out": None, "config": None}
 _RATES = {"s": 1.0, "p": 3.0, "lambda1": None, "lambda2": None}
 
-# command -> {flag: default}; "command --switch" overrides defaults in that
-# mode. None means no default: the flag is optional, or required. A result
-# echoes the flags it read in this order.
+# command -> {flag: default}. None means no default: the flag is optional,
+# or required. A result echoes the flags it read in this order.
 _DEFAULTS: dict[str, dict[str, object]] = {
     "rate": {**_RATES, "t-max": 6.0, "grid": 500, **_OUTPUT},
     "measure": {"family": "dephasing", "T": 1.0, "mode": "paper",
@@ -112,10 +109,8 @@ _DEFAULTS: dict[str, dict[str, object]] = {
     "holevo": {"s": 1.0, "p-list": "2,0.1,0.01", "t-max": 6.0, "grid": 500,
                **_OUTPUT},
     "blp": {**_RATES, "t-max": 10.0, "grid": 2001, **_OUTPUT},
-    "divisibility": {**_RATES, "t-max": 10.0, "grid": 1000, "p-tol": 1e-4,
-                     "boundary-search": False, "p-min": 0.05, "p-max": 0.4,
-                     **_OUTPUT},
-    "divisibility --boundary-search": {"t-max": 60.0, "grid": 1200},
+    "divisibility": {**_RATES, "t-max": 10.0, "grid": 1000,
+                     "boundary-search": False, **_OUTPUT},
     "classical-sim": {"wtd": "expconv", "lambda1": 1.0, "lambda2": 2.0,
                       "lambda": 1.0, "jump-prob": 1.0, "paths": 100_000,
                       "seed": None, "t-max": 2.0, "grid": 41, **_OUTPUT},
@@ -124,16 +119,13 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
-def _help(flag: str, modes: dict[str, dict[str, object]]) -> str:
-    """The flag's help line with its default in each mode ("" for none)."""
-    shown = []
-    for mode, table in modes.items():
-        default = table.get(flag)
-        if default is not None and default is not False:
-            text = f"{default:g}" if isinstance(default, float) else default
-            shown.append(f"{text} for {mode}" if mode else f"{text}")
-    line = _FLAGS[flag][1]
-    return f"{line} (default {'; '.join(shown)})" if shown else line
+def _help(command: str, flag: str) -> str:
+    """The flag's help line with the command's default, if it has one."""
+    default, line = _DEFAULTS[command][flag], _FLAGS[flag][1]
+    if default is None or default is False:
+        return line
+    text = f"{default:g}" if isinstance(default, float) else default
+    return f"{line} (default {text})"
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -160,15 +152,13 @@ def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
         parser = argparse.ArgumentParser(prog=f"qsm {command}",
                                          allow_abbrev=False,
                                          formatter_class=formatter)
-        modes = {key.partition(" ")[2]: table for key, table in
-                 _DEFAULTS.items() if key.partition(" ")[0] == command}
         for flag in _DEFAULTS[command]:
             kind, _ = _FLAGS[flag]
             kw = ({"action": "store_true"} if kind is bool else
                   {"choices": kind} if isinstance(kind, tuple) else
                   {"type": kind})
             parser.add_argument(f"--{flag}", default=_OUTPUT.get(flag),
-                                help=_help(flag, modes), **kw)
+                                help=_help(command, flag), **kw)
         return parser
     parser = argparse.ArgumentParser(
         prog="qsm",
@@ -222,7 +212,7 @@ class _Resolved:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.defaults = dict(_DEFAULTS[args.command])
+        self.defaults = _DEFAULTS[args.command]
         self.read = set(_OUTPUT)
         self.values: dict[str, object] = {}
         self.applied: set[str] = set()
@@ -376,18 +366,11 @@ def cmd_blp(r: _Resolved) -> tuple[dict, dict]:
 def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
     """CP-divisibility scan or boundary search"""
     if r.get("boundary-search"):
-        r.defaults.update(_DEFAULTS["divisibility --boundary-search"])
-        s = r.get("s")
-        t_max, n = _time_grid(r)
-        bracket = (r.get("p-min"), r.get("p-max"))
-        p_tol = _positive("--p-tol", r.get("p-tol"))
+        # the boundary is p = s^2/8; the process checks s alone
+        boundary = DephasingSemiMarkov(s=r.get("s"), p=0.0).s ** 2 / 8.0
         r.check_unread()
-        est = divisibility_boundary(s, p_bracket=bracket, t_max=t_max,
-                                    n_grid=n, p_tol=p_tol)
-        return ({"p_estimate": np.array([est.p_estimate]),
-                 "p_low": np.array([est.p_low]),
-                 "p_high": np.array([est.p_high])},
-                {"p_boundary_estimate": est.p_estimate})
+        return ({"p_estimate": np.array([boundary])},
+                {"p_boundary_estimate": boundary})
     proc = _dephasing(r)
     t_max, n = _time_grid(r)
     r.check_unread()

@@ -6,7 +6,7 @@ user input (exit code 2).
 """
 
 __all__ = ["QsmError", "ConfigError", "NumericalError", "NoConvergence",
-           "DomainError", "GridError", "NoSignChange", "Singularity"]
+           "DomainError", "GridError", "Singularity"]
 
 
 class QsmError(Exception):
@@ -31,10 +31,6 @@ class DomainError(NumericalError):
 
 class GridError(NumericalError):
     """A time grid or step size is malformed."""
-
-
-class NoSignChange(NumericalError):
-    """Root bracketing failed: f has the same sign at both endpoints."""
 
 
 class Singularity(NumericalError):

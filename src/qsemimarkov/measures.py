@@ -32,8 +32,8 @@ are listed for the output alone; their count over a sweep is capped.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
 vectors: the trace-distance-revival measure and the Holevo information
-curve of the |+>, |-> pair, a CP-divisibility scan over intermediate maps,
-and a bisection on that scan for the dephasing divisibility boundary.
+curve of the |+>, |-> pair, and a CP-divisibility scan over intermediate
+maps.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridError, NoSignChange, Singularity
+from .errors import DomainError, GridError, Singularity
 from .numerics import trace_norm
 from .quantum import DephasingGenerator, ProjectorGenerator, choi_of_generator
 from .semimarkov import (
@@ -71,8 +71,6 @@ __all__ = [
     "blp_measure",
     "DivisibilityReport",
     "cp_divisibility_scan",
-    "BoundaryEstimate",
-    "divisibility_boundary",
     "holevo_curve",
 ]
 
@@ -432,62 +430,6 @@ def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
         times=ts, min_eigenvalues=min_eigs, violation_count=int(violating.sum()),
         first_violation=float(ts[1:][violating][0]) if violating.any() else None,
         singular_steps=int((~regular).sum()), tol=_CP_TOL)
-
-
-@dataclass(frozen=True)
-class BoundaryEstimate:
-    """Bisection bracket for the onset of CP-indivisibility in p."""
-
-    p_estimate: float
-    p_low: float
-    p_high: float
-    s: float
-    t_max: float
-    n_grid: int
-    p_tol: float
-
-
-def divisibility_boundary(s: float, *, p_bracket: tuple[float, float] = (0.05, 0.4),
-                          t_max: float = 60.0, n_grid: int = 1200,
-                          p_tol: float = 1e-4) -> BoundaryEstimate:
-    """Bisect in p for the smallest jump-rate product breaking divisibility.
-
-    Each probe is :func:`cp_divisibility_scan` of the dephasing process
-    (s, p) on a uniform grid over [0, t_max]. The bracket must straddle the
-    boundary: no violation at ``p_bracket[0]``, violation at
-    ``p_bracket[1]``. It is halved until it is ``p_tol`` wide, or one float
-    wide where ``p_tol`` is finer.
-
-    |q| rises only after a zero of q, so a probe violates only where the
-    first zero comes while |q(t1)| >= 1/``_COND_MAX``: the defaults at s = 1
-    find the onset 1.3% above s^2/8.
-
-    :raises DomainError: before any scan, for a bad bracket, a ``p_tol``
-        that is not positive, a ``t_max`` that is not finite, or an
-        ``n_grid`` that is not a whole number >= 2.
-    :raises NoSignChange: if the bracket does not straddle the boundary.
-    """
-    lo, hi = float(p_bracket[0]), float(p_bracket[1])
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bad p bracket {p_bracket!r}")
-    if not p_tol > 0.0:
-        raise DomainError(f"p_tol must be positive, got {p_tol!r}")
-    if not np.isfinite(t_max):
-        raise DomainError(f"t_max must be finite, got {t_max!r}")
-    n_grid = _require_count("n_grid", n_grid, 2)
-    grid = np.linspace(0.0, float(t_max), n_grid)
-    violates = lambda p: not cp_divisibility_scan(
-        DephasingSemiMarkov(s=float(s), p=p), grid).cp_divisible
-    if violates(lo):
-        raise NoSignChange(f"divisibility already broken at p = {lo:g}")
-    if not violates(hi):
-        raise NoSignChange(f"no violation found up to p = {hi:g}")
-    while hi - lo > max(p_tol, np.spacing(hi)):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if violates(mid) else (mid, hi)
-    return BoundaryEstimate(p_estimate=0.5 * (lo + hi), p_low=lo,
-                            p_high=hi, s=float(s), t_max=float(t_max),
-                            n_grid=n_grid, p_tol=float(p_tol))
 
 
 def _one_minus_entropy(r: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
-import mpmath
 import numpy as np
 import pytest
 
@@ -18,12 +17,10 @@ from qsemimarkov import (
     DephasingSemiMarkov,
     JSON_SCHEMA,
     coherence_zeros,
-    measures,
     q_of_t,
 )
 from qsemimarkov import cli, measures, semimarkov
 from qsemimarkov.cli import build_parser, run
-from qsemimarkov.measures import _COND_MAX, _CP_TOL
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
 
@@ -113,12 +110,13 @@ def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
     ["divisibility", "--boundary-search", "--lambda1", "1", "--lambda2", "2"],
     ["measure", "--p", "0.2", "--p-min", "0.1", "--p-points", "7"],
     ["measure", "--family", "nonunital", "--p-points", "3"],
-    ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
+    ["divisibility", "--boundary-search", "--t-max", "60"],
     ["measure", "--mode", "min", "--gamma-ref", "5"],
     ["measure", "--family", "nonunital", "--mode", "min", "--gamma-ref", "1"],
     ["measure", "--family", "nonunital", "--s", "2"],
     ["classical-sim", "--seed", "1", "--wtd", "tanhsech", "--lambda2", "1"],
     ["kernel-check", "--lambda1", "1"],
+    ["divisibility", "--boundary-search", "--grid", "1200"],
 ])
 def test_configuration_errors_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -130,10 +128,10 @@ def test_configuration_errors_exit_2(capsys, argv):
     *([*command, flag, str(2**62)] for command, flag in (
         (["rate"], "--grid"), (["holevo"], "--grid"), (["blp"], "--grid"),
         (["divisibility"], "--grid"),
-        (["divisibility", "--boundary-search"], "--grid"),
         (["classical-sim", "--seed", "1"], "--grid"),
         (["measure"], "--p-points"))),
     ["rate", "--grid", "1000001"],
+    ["divisibility", "--grid", "1000001"],
 ])
 def test_grids_past_the_cap_exit_2(capsys, argv):
     # refused before anything is allocated; a grid near the cap is never run
@@ -159,6 +157,9 @@ def test_grids_past_the_cap_exit_2(capsys, argv):
     ["holevo", "--lambda1", "1", "--lambda2", "2"],
     ["measure", "--p", "0.1", "--gamma-max", "0.01"],
     ["measure", "--mode", "min", "--gamma-max", "1"],
+    # the boundary is s^2/8: no bracket or tolerance is left to set
+    ["divisibility", "--p", "3", "--p-min", "0.2", "--p-tol", "5"],
+    ["divisibility", "--boundary-search", "--p-max", "0.4"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = _run(capsys, argv)
@@ -191,12 +192,6 @@ def test_numerical_failures_exit_3(capsys):
                                    "--epsilon", "0.9"])
     assert code == 3
     assert "qsm: numerical failure:" in err
-    # bisection bracket that does not straddle the boundary
-    code, out, err = _run(capsys, [
-        "divisibility", "--boundary-search", "--p-min", "0.3", "--p-max",
-        "0.4", "--t-max", "30", "--grid", "400",
-    ])
-    assert code == 3
     # 5e6 Volterra steps exceed the cap: refused before the maps are allocated
     code, out, err = _run(capsys, ["kernel-check", "--dt", "1e-6"])
     assert code == 3 and "cap" in err
@@ -282,10 +277,11 @@ def test_divisibility_help_shows_scan_and_boundary_search_defaults(
     code, out, _ = _run(capsys, ["divisibility", "--help"])
     assert code == 0
     text = " ".join(out.split())
-    assert "(default 10; 60 for --boundary-search)" in text
-    assert "(default 1000; 1200 for --boundary-search)" in text
-    for default in ("0.05", "0.4", "0.0001"):
-        assert f"(default {default})" in text
+    assert "--t-max T_MAX end of the time grid (default 10)" in text
+    assert "--grid GRID number of time points (default 1000)" in text
+    assert "print the divisibility boundary s^2/8" in text
+    for gone in ("--p-tol", "--p-min", "--p-max", "for --boundary-search"):
+        assert gone not in text
 
 
 def _registered_flags(command):
@@ -309,7 +305,7 @@ def _registered_flags(command):
     ["kernel-check"],
     ["measure", "--p", "3", "--T", "2"],
     ["measure", "--p-points", "3", "--mode", "min"],
-    ["divisibility", "--boundary-search", "--p-tol", "0.01",
+    ["divisibility", "--boundary-search", "--s", "0.9",
      "--config", os.devnull],
 ])
 def test_defaults_applied_lists_every_default_read(capsys, argv):
@@ -318,8 +314,9 @@ def test_defaults_applied_lists_every_default_read(capsys, argv):
     other than the output flags, is echoed in config."""
     doc = _json_out(capsys, [*argv, "--format", "json"])
     flags = _registered_flags(argv[0])
-    applied = doc["metadata"]["defaults_applied"].split(",")
-    assert set(applied) <= flags
+    # "" where every flag read was given
+    applied = set(doc["metadata"]["defaults_applied"].split(",")) - {""}
+    assert applied <= flags
     given = {tok[2:] for tok in argv if tok.startswith("--")}
     for key in doc["config"]:
         # a switch left off is a choice of mode, not a default
@@ -592,11 +589,11 @@ def test_config_file_boolean_flag(capsys, tmp_path):
     doc = _json_out(capsys, ["divisibility", "--config", str(cfg),
                              "--format", "json"])
     assert doc["config"]["boundary-search"] is False
-    cfg.write_text("boundary-search = true\np-tol = 0.01\n")
+    cfg.write_text("boundary-search = true\ns = 0.9\n")
     doc = _json_out(capsys, ["divisibility", "--config", str(cfg),
                              "--format", "json"])
-    assert doc["config"]["boundary-search"] is True
-    assert list(doc["columns"]) == ["p_estimate", "p_low", "p_high"]
+    assert doc["config"] == {"s": 0.9, "boundary-search": True}
+    assert doc["columns"] == {"p_estimate": [0.9**2 / 8]}
 
 
 @pytest.mark.parametrize("content", [
@@ -713,47 +710,13 @@ def test_divisibility_scan_output(capsys):
     assert doc["metadata"]["violation_count"] == 0
 
 
-def _violates_exactly(p: float, grid: np.ndarray) -> bool:
-    """The scan's predicate in 60-digit arithmetic, at s = 1 and p > 1/8:
-    some step with |q(t1)| >= 1/_COND_MAX has |q(t2)/q(t1)| - 1 > _CP_TOL."""
-    with mpmath.workdps(60):
-        w = mpmath.sqrt(8 * mpmath.mpf(p) - 1)
-        q = [mpmath.exp(-t / 2) * (mpmath.cos(w * t / 2) + mpmath.sin(w * t / 2) / w)
-             for t in map(mpmath.mpf, grid)]
-        floor, tol = mpmath.mpf(1.0 / _COND_MAX), mpmath.mpf(_CP_TOL)
-        return any(abs(q1) >= floor and abs(q2 / q1) - 1 > tol
-                   for q1, q2 in zip(q[:-1], q[1:]))
-
-
-def test_boundary_search_stops_at_one_float(capsys, monkeypatch):
-    # with p_tol below the float spacing the midpoint rounds onto an end;
-    # the search must stop there, after about 55 scans, not loop forever
-    scan, calls = measures.cp_divisibility_scan, []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        assert len(calls) <= 100, "boundary search does not terminate"
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(measures, "cp_divisibility_scan", counted)
-    doc = _json_out(capsys, ["divisibility", "--boundary-search", "--p-tol",
-                             "1e-300", "--grid", "50", "--format", "json"])
-    (lo,), (hi,) = doc["columns"]["p_low"], doc["columns"]["p_high"]
-    assert lo < hi == np.nextafter(lo, 1.0)
-    assert (lo, hi) == (0.12663884364765535, 0.12663884364765537)
-    assert 50 <= len(calls) <= 60
-    # the onset of the predicate itself lies between the two floats
-    grid = np.linspace(0.0, 60.0, 50)
-    assert not _violates_exactly(lo, grid) and _violates_exactly(hi, grid)
-
-
 @pytest.mark.parametrize("s", [0.9, 0.95, 1.1])
 def test_boundary_search_away_from_s_one(capsys, s):
-    # q(t) rounding to 1 + 2e-16 once made map_at's Kraus weight NaN here
+    # the closed form, to the last bit, at any s
     doc = _json_out(capsys, ["divisibility", "--boundary-search", "--s", str(s),
                              "--format", "json"])
-    exact = s**2 / 8
-    assert abs(doc["metadata"]["p_boundary_estimate"] - exact) <= 0.016 * exact
+    assert doc["metadata"]["p_boundary_estimate"] == s**2 / 8
+    assert doc["columns"]["p_estimate"] == [s**2 / 8]
 
 
 def test_holevo_output(capsys):

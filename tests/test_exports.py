@@ -71,6 +71,10 @@ def test_package_exports_every_library_export():
     ("numerics", "QuadratureResult"),
     ("numerics", "QuadratureRows"),
     ("errors", "ToleranceNotMet"),        # only adaptive_quad raised it
+    # the divisibility boundary is the closed form s^2/8, not a bisection
+    ("measures", "divisibility_boundary"),
+    ("measures", "BoundaryEstimate"),
+    ("errors", "NoSignChange"),           # only the bisection raised it
 ])
 def test_deleted_names_stay_out_of_the_exports(module, name):
     assert name not in qsemimarkov.__all__

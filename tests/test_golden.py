@@ -8,12 +8,11 @@ captured with a golden-section reference search, which stopped within about
 1e-8 of the exact time-median the package now computes, so its numbers are
 compared within 1e-8.
 
-The map-stack goldens (Holevo recipe, divisibility scan, boundary searches,
-BLP curve and the non-unital library curves) were captured when every time
-point went through a per-time Kraus map. The closed-form map stack, and
-then the Bloch form of the maps, change only rounding, so the searches stay
-byte-identical and the scan and BLP curves are compared within stated
-tolerances, column by column.
+The map-stack goldens (Holevo recipe, divisibility scan, BLP curve and the
+non-unital library curves) were captured when every time point went through
+a per-time Kraus map. The closed-form map stack, and then the Bloch form of
+the maps, change only rounding, so the scan and BLP curves are compared
+within stated tolerances, column by column.
 
 The Holevo recipe's ``chi_p2`` column was re-captured in 25 cells when chi
 moved from the eigenvalues of 2 x 2 states onto Bloch lengths, with a
@@ -70,9 +69,8 @@ command's flags for each run, before either changed. They pin both
 changes byte for byte.
 
 The headers of ``fig1.csv``, ``fig3.csv``, ``blp_p3.csv``,
-``divisibility_p3.csv``, ``divisibility_boundary.csv``,
-``divisibility_boundary_s0.9.csv`` and ``kernel_check_p3.json`` were
-re-captured when ``--family`` became a ``measure`` flag alone: each lost its
+``divisibility_p3.csv`` and ``kernel_check_p3.json`` were re-captured
+when ``--family`` became a ``measure`` flag alone: each lost its
 ``config.family`` line and ``family`` from ``meta.defaults_applied``. The
 help of ``rate``, ``holevo``, ``blp``, ``divisibility`` and ``kernel-check``
 in ``cli_help.txt`` was re-captured then too, and lost exactly the flags those
@@ -98,6 +96,22 @@ The ``--form`` help line of the ``measure`` entry of ``cli_help.txt`` was
 re-captured when that text stopped calling the forms an "integrand
 route", since neither form integrates: it now says what each form reports.
 No other line changed.
+
+``divisibility_boundary.csv`` and ``divisibility_boundary_s0.9.csv`` were
+re-captured whole when ``divisibility --boundary-search`` began to print
+the closed form s^2/8 in place of a bisection on the scan: ``p_estimate``
+and ``meta.p_boundary_estimate`` read 0.125 and 0.10125 (the bisection read
+0.126605 and 0.102594, high by the scan's floor on |q|), the ``p_low`` and
+``p_high`` columns went, and the headers lost every setting but ``s`` and
+``boundary-search``. The ``divisibility`` entry of ``cli_help.txt`` lost
+``--p-tol``, ``--p-min``, ``--p-max`` and the search-mode defaults of
+``--t-max`` and ``--grid``, and says what ``--boundary-search`` prints; the
+``--p-min`` and ``--p-max`` lines of its ``measure`` entry lost "or
+bisection bracket". The ``05_witnesses.py`` section of ``demos.txt`` now
+prints s^2/8 and the scan either side of it, not the bisection bracket.
+
+``fig3.svg`` (``holevo``) was captured then too, from the code before that
+change; two renders of its recipe were byte-identical.
 """
 
 import json
@@ -273,7 +287,8 @@ def test_fig3_recaptured_cells_are_closer_to_their_oracle():
 
 
 @pytest.mark.parametrize("name, command", [("fig1.svg", "rate"),
-                                           ("fig2.svg", "measure")])
+                                           ("fig2.svg", "measure"),
+                                           ("fig3.svg", "holevo")])
 def test_recipe_svg_golden_bytes(tmp_path, capsys, name, command):
     recipe = Path(__file__).parent.parent / "recipes" / name.replace(".svg",
                                                                      ".cfg")

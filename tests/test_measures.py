@@ -18,7 +18,6 @@ from qsemimarkov import (
     DomainError,
     ExponentialWTD,
     GridError,
-    NoSignChange,
     NonUnitalSemiMarkov,
     ProjectorGenerator,
     SSSConfig,
@@ -27,7 +26,6 @@ from qsemimarkov import (
     classical_jump_simulate,
     coherence_zeros,
     cp_divisibility_scan,
-    divisibility_boundary,
     gamma_dephasing,
     gamma_nonunital,
     holevo_curve,
@@ -37,7 +35,7 @@ from qsemimarkov import (
 )
 
 from qsemimarkov import measures, semimarkov
-from qsemimarkov.measures import _CP_TOL
+from qsemimarkov.measures import _COND_MAX, _CP_TOL
 
 import superop_route as oracle
 from golden_section import minimize_scalar
@@ -968,13 +966,11 @@ def test_blp_validation():
 # which raises OverflowError at inf and truncates 2.5 to 2
 @pytest.mark.parametrize("call", [
     lambda n: blp_measure(DephasingSemiMarkov(s=1.0, p=3.0), 1.0, n_grid=n),
-    lambda n: divisibility_boundary(1.0, n_grid=n),
     lambda n: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, n,
                                       seed=1),
     lambda n: classical_jump_simulate(ExponentialWTD(rate=1.0), 1.0, 1.0, 10,
                                       seed=1, n_times=n),
-], ids=["blp-n_grid", "boundary-n_grid", "classical-n_paths",
-        "classical-n_times"])
+], ids=["blp-n_grid", "classical-n_paths", "classical-n_times"])
 def test_nan_counts_are_domain_errors(call):
     for bad in (np.nan, np.inf, 2.5):
         with pytest.raises(DomainError, match=f"must be >= ., got {bad!r}$"):
@@ -1043,42 +1039,33 @@ def test_scan_grid_validation():
                 cp_divisibility_scan(proc, ts)
 
 
-# ------------------------------------------------------- boundary bisection
+# ------------------------------------------------- the divisibility boundary
 
-def test_boundary_bisection_brackets_exact_threshold():
-    estimate = divisibility_boundary(1.0)
-    assert 0.123 <= estimate.p_estimate <= 0.127
-    assert estimate.p_low < estimate.p_estimate < estimate.p_high
-    assert estimate.p_high - estimate.p_low <= estimate.p_tol
-
-
-def test_boundary_bisection_requires_straddling_bracket():
-    with pytest.raises(NoSignChange):
-        divisibility_boundary(1.0, p_bracket=(0.3, 0.4), t_max=60.0,
-                              n_grid=1200)
-    with pytest.raises(NoSignChange):
-        divisibility_boundary(1.0, p_bracket=(0.01, 0.05), t_max=60.0,
-                              n_grid=1200)
-    with pytest.raises(DomainError):
-        divisibility_boundary(1.0, p_bracket=(0.4, 0.1))
-    with pytest.raises(DomainError, match="p_tol"):
-        divisibility_boundary(1.0, p_tol=0.0)
-
-
-@pytest.mark.parametrize("kwargs, says", [
-    # with p_tol NaN the bisection stops at once, on the unrefined bracket
-    ({"p_tol": np.nan}, "p_tol"),
-    # linspace warns on a non-finite end before a scan could refuse it
-    ({"t_max": np.inf}, "t_max"),
-    ({"t_max": np.nan}, "t_max"),
-], ids=["p_tol-nan", "t_max-inf", "t_max-nan"])
-def test_boundary_refuses_nan_tolerance_and_infinite_horizon(
-        monkeypatch, kwargs, says):
-    def scan(*args):
-        raise AssertionError("scanned before refusing the input")
-    monkeypatch.setattr(measures, "cp_divisibility_scan", scan)
-    with pytest.raises(DomainError, match=says):
-        divisibility_boundary(1.0, **kwargs)
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.1])
+def test_the_scan_breaks_divisibility_only_past_s_squared_over_8(s):
+    # at and below p = s^2/8, q has no zero and |q| never rises. Past it,
+    # with w = sqrt(8p/s^2 - 1), q first vanishes at t0 = 2 (pi - atan w)
+    # / (s w), and |q| then rises to e^{-s t1/2} at t1 = t0 + 2 atan(w)
+    # / (s w). The scan skips steps from |q| < 1/_COND_MAX, so it sees that
+    # rise where the peak is on the grid and above 1/_COND_MAX: there it
+    # violates, never before t0. The envelope at t0 alone is not enough: at
+    # s = 1 some p with e^{-s t0/2} > 1/_COND_MAX peak below it
+    grid = np.linspace(0.0, 60.0, 1200)
+    boundary = s**2 / 8
+    for p in (boundary, np.nextafter(boundary, 0.0)):
+        assert cp_divisibility_scan(DephasingSemiMarkov(s=s, p=p),
+                                    grid).cp_divisible, p
+    checked = 0
+    for w in np.geomspace(0.05, 20.0, 40):
+        t0 = 2.0 * (np.pi - np.arctan(w)) / (s * w)
+        t1 = t0 + 2.0 * np.arctan(w) / (s * w)
+        if t1 > grid[-1] or np.exp(-s * t1 / 2) <= 1.0 / _COND_MAX:
+            continue
+        proc = DephasingSemiMarkov(s=s, p=boundary * (1.0 + w * w))
+        report = cp_divisibility_scan(proc, grid)
+        assert not report.cp_divisible and report.first_violation >= t0, w
+        checked += 1
+    assert checked >= 30
 
 
 def _superop_violates(proc, grid) -> bool:
@@ -1125,17 +1112,6 @@ def test_a_scan_step_violates_past_the_cp_tolerance_alone(step, violations):
     assert report.violation_count == violations and report.tol == 1e-8
     assert report.min_eigenvalues[0] == pytest.approx(-2.848 * step,
                                                       rel=1e-4)
-
-
-@pytest.mark.parametrize("s", [1.0, 0.9])
-def test_boundary_bracket_straddles_the_superop_onset(s):
-    # the bisection probes the closed-form scan; on the 4x4 route too every
-    # step is CP at p_low and some step is not at p_high
-    estimate = divisibility_boundary(s)
-    grid = np.linspace(0.0, 60.0, 1200)
-    assert not _superop_violates(DephasingSemiMarkov(s=s, p=estimate.p_low),
-                                 grid)
-    assert _superop_violates(DephasingSemiMarkov(s=s, p=estimate.p_high), grid)
 
 
 # ------------------------------------------- Bloch forms against 4x4 route
