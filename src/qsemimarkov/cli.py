@@ -413,7 +413,8 @@ def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
     se = np.maximum(sim.survival_se,
                     np.sqrt(exact * (1.0 - exact)) / np.sqrt(n_paths))
     err = np.divide(gap, se, out=np.zeros_like(gap), where=gap != 0.0)
-    return columns, {"max_survival_error_se": float(np.max(err))}
+    return columns, {"max_survival_error_se": float(np.max(err)),
+                     "philox_counters": sim.philox_counters}
 
 
 def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:

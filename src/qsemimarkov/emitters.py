@@ -87,10 +87,12 @@ def _blocks(cols: list[np.ndarray], sep: str) -> Iterator[str]:
 def to_csv(table: ResultTable) -> str:
     """Render the table as CSV with # comment lines for provenance."""
     lines = [f"# command: {table.command}"]
-    for key, value in table.config.items():
-        lines.append(f"# config.{key}: {_num(value)}")
-    for key, value in table.metadata.items():
-        lines.append(f"# meta.{key}: {_num(value)}")
+    for prefix, entries in (("config", table.config),
+                            ("meta", table.metadata)):
+        for key, value in entries.items():
+            text = _num(value)  # an empty value leaves no trailing blank
+            lines.append(f"# {prefix}.{key}: {text}" if text
+                         else f"# {prefix}.{key}:")
     names = list(table.columns)
     lines.append(",".join(names))
     cols = [np.asarray(table.columns[n], dtype=float) for n in names]

@@ -559,6 +559,7 @@ class ClassicalSimResult:
     occupation_se: np.ndarray
     n_paths: int
     seed: int
+    philox_counters: int        # Philox counters drawn over all paths
 
 
 _CHUNK_UNIFORMS = 1 << 16  # uniforms per vectorized block draw; caps memory
@@ -727,42 +728,78 @@ def _accumulate_steps(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
-          paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk a set of paths block by block until each passes ``times[-1]``.
+          n_paths: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk paths ``0 .. n_paths - 1`` until each passes ``times[-1]``.
 
+    Paths are walked in cohorts that share their next Philox counter, a
+    chunk of ``_CHUNK_UNIFORMS // 6`` paths at a time, block by block.
     Blocks are counted in Philox counters per live path: three blocks of
-    one counter, then each twice the last, capped at the most counters for
-    which the live paths' uniforms, carried ones included, fit
+    one counter, then each twice the cohort's last, capped at the most
+    counters for which the cohort's uniforms, carried ones included, fit
     ``_CHUNK_UNIFORMS`` (never below one). A block takes the whole steps
-    its uniforms hold; the uniforms of a step it only begins (at most
-    ``per_step - 1`` a path) carry into the next block, drawn with leading
-    rows that hold them, so no block is copied. A path stops once
-    its last epoch reaches ``times[-1]``.
+    its uniforms hold; the uniforms of a step it only begins carry into the
+    next block, drawn with leading rows that hold them, so no block is
+    copied. A path stops once its last epoch reaches ``times[-1]``.
+
+    A cohort is walked on while at least half a chunk of the paths a block
+    drew for stay live. Then its survivors are parked under their next
+    counter: path keys, last epochs, sites, carried uniforms and the last
+    block's counters. Paths at counter c carry ``4 (c - 1) mod per_step``
+    uniforms each, so cohorts that meet at one counter merge by
+    concatenation, keeping the smaller last block. The next walk takes a
+    chunk of a cohort that holds one, else opens a fresh chunk at counter
+    1, else (the final flush) takes the lowest-counter cohort. So until the
+    last chunk opens every draw covers at least half a chunk. Parked state
+    costs about 33 bytes a path, and a cohort is walked once it holds a
+    chunk.
 
     A path's site is a bool parity, xor-accumulated down a block's steps a
     row at a time where the block is wide. Each hop before ``times[-1]`` is
     tallied by its time index j and the site it lands on, in one integer
     ``np.bincount`` a block over ``2 j + site``.
 
-    :return: integer histograms over the time indices 0..len(times):
-        ``first[j]`` counts paths whose first jump is at a time in
-        (times[j-1], times[j]] (index len(times): none before t_max), and
-        ``flips[j]``, the net change of the site-0 count at times[j], is
-        the hops there that land on site 0 less those that land on site 1.
+    :return: integer histograms over the time indices 0..len(times), and
+        the Philox counters drawn over all paths: ``first[j]`` counts paths
+        whose first jump is at a time in (times[j-1], times[j]] (index
+        len(times): none before t_max), and ``flips[j]``, the net change
+        of the site-0 count at times[j], is the hops there that land on
+        site 0 less those that land on site 1.
     """
     t_max = times[-1]
     n_bins = times.size + 1
     bins = _grid_bins(times)
-    last = np.zeros(paths.size)     # epoch reached by each path so far
-    site = np.zeros(paths.size, dtype=bool)
+    # a one-counter block fits the budget: 4 uniforms and a carry of at
+    # most 2 (per_step - 1 <= 2) a path
+    chunk = max(1, _CHUNK_UNIFORMS // 6)
+    first = np.zeros(n_bins, dtype=np.intp)
     landed = np.zeros(2 * n_bins, dtype=np.intp)  # hops by (bin, site)
-    carry = np.empty((0, paths.size))  # one row per uniform carried
-    counter = n_ctr = 1
-    while paths.size:
+    drawn = 0
+    # next counter -> (paths, last epochs, sites, carried uniforms as rows,
+    # counters of the last block)
+    parked = {}
+    fresh = iter(range(0, n_paths, chunk))
+    counter = live = 0
+    while True:
+        if 2 * live < chunk:        # the cohort walked last has thinned
+            wide = [c for c, (p, *_) in parked.items() if p.size >= chunk]
+            if not wide and (start := next(fresh, None)) is not None:
+                paths = np.arange(start, min(start + chunk, n_paths),
+                                  dtype=np.uint64)
+                parked[1] = (paths, np.zeros(paths.size),
+                             np.zeros(paths.size, dtype=bool),
+                             np.empty((0, paths.size)), 1)
+            if not parked:
+                break
+            counter = wide[0] if wide else min(parked)
+        *cohort, n_ctr = parked.pop(counter)
+        if cohort[0].size > chunk:  # the rest waits at this counter
+            parked[counter] = (*(a[..., chunk:] for a in cohort), n_ctr)
+        paths, last, site, carry = (a[..., :chunk] for a in cohort)
         if counter > 3:             # past the three one-counter blocks
             fit = (_CHUNK_UNIFORMS // paths.size - len(carry)) // 4
             n_ctr = max(1, min(2 * n_ctr, fit))
         u = _philox_uniforms(seed, paths, counter, n_ctr, len(carry))
+        drawn += paths.size * n_ctr
         u[:len(carry)] = carry
         steps = len(u) // per_step
         carry = u[steps * per_step:]
@@ -773,7 +810,7 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         _accumulate_steps(np.add, epochs)
         if counter == 1:
             t1 = np.where(epochs[0] < t_max, epochs[0], np.inf)
-            first = np.bincount(bins(t1), minlength=n_bins)
+            first += np.bincount(bins(t1), minlength=n_bins)
         hops = epochs < t_max
         # indices, not a mask: a random mask's branches are slow to index
         going = np.flatnonzero(hops[-1])
@@ -785,12 +822,18 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         key <<= 1
         key += sites.ravel()[at]
         landed += np.bincount(key, minlength=2 * n_bins)
-        paths, last = paths[going], epochs[-1, going]
-        site = sites[-1, going]
-        carry = carry[:, going]
-        counter += n_ctr
-        del u, epochs, hops, sites, at, key  # freed before the next block
-    return first, landed[0::2] - landed[1::2]
+        counter, live = counter + n_ctr, going.size
+        if live:
+            cohort = (paths[going], epochs[-1, going], sites[-1, going],
+                      carry[:, going])
+            if counter in parked:
+                *other, other_ctr = parked[counter]
+                cohort = [np.concatenate(pair, axis=-1)
+                          for pair in zip(other, cohort)]
+                n_ctr = min(n_ctr, other_ctr)
+            parked[counter] = (*cohort, n_ctr)
+        del u, carry, epochs, hops, sites, at, key  # freed before next block
+    return first, landed[0::2] - landed[1::2], drawn
 
 
 def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
@@ -804,16 +847,23 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
     ``Philox(key=(seed, i))``, each renewal step using its uniforms in a
     fixed order (wait draws, then the hop draw), so results are
     bit-reproducible and independent of evaluation order. A path stops once
-    its epoch reaches ``t_max``. Paths are walked together in chunks of
-    ``_CHUNK_UNIFORMS // 6`` paths, in blocks of Philox counters: one
-    counter each for three blocks, then doubling while the live paths'
+    its epoch reaches ``t_max``. Paths are walked together, up to
+    ``_CHUNK_UNIFORMS // 6`` at a time, in blocks of Philox counters: one
+    counter each for three blocks, then doubling while the walked paths'
     uniforms, with those carried from a step a block began, fit
-    ``_CHUNK_UNIFORMS``. So memory stays bounded for any ``n_paths``, and a
-    path draws at most one block past the counters it reads.
+    ``_CHUNK_UNIFORMS``. A chunk of paths is walked while at least half of
+    it is live. Its survivors are then parked by their next counter until
+    paths of other chunks that reach that counter make up a chunk again;
+    the last cohorts are walked lowest counter first (see ``_walk``).
+    Parked state costs about 33 bytes a path, and a cohort is walked once
+    it holds a chunk, so memory grows with the counters paths are parked
+    at, not with ``n_paths``. A path still draws at most one block past the
+    counters it reads.
 
     :param seed: required 64-bit seed (0 <= seed < 2**64).
     :return: ``ClassicalSimResult`` on a uniform grid of ``n_times`` points
-        spanning [0, t_max], with binomial standard errors.
+        spanning [0, t_max], with binomial standard errors and the Philox
+        counters drawn over all paths.
     :raises GridError: before any path is walked, if the expected renewal
         steps, n_paths (t_max / (mean wait) + 1), exceed ``_MAX_RENEWALS``.
     """
@@ -834,16 +884,8 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
                         f"paths exceed the cap of {_MAX_RENEWALS:.0e}")
     times = np.linspace(0.0, float(t_max), n_times)
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
-    # a one-counter block fits the budget: 4 uniforms and a carry of at
-    # most 2 (per_step - 1 <= 2) a path
-    chunk = max(1, _CHUNK_UNIFORMS // 6)
-    first = np.zeros(times.size + 1, dtype=np.int64)
-    flips = np.zeros(times.size + 1, dtype=np.int64)
-    for start in range(0, n_paths, chunk):
-        paths = np.arange(start, min(start + chunk, n_paths), dtype=np.uint64)
-        f, h = _walk(wtd, per_step, jump_prob, times, seed, paths)
-        first += f
-        flips += h
+    first, flips, drawn = _walk(wtd, per_step, jump_prob, times, seed,
+                                n_paths)
 
     survival = (n_paths - np.cumsum(first[:-1])) / n_paths
     occ0 = (n_paths + np.cumsum(flips[:-1])) / n_paths
@@ -858,4 +900,5 @@ def classical_jump_simulate(wtd, jump_prob: float, t_max: float,
         occupation_se=occupation_se,
         n_paths=n_paths,
         seed=seed,
+        philox_counters=drawn,
     )

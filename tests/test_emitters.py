@@ -47,7 +47,8 @@ def test_table_validation():
 # -------------------------------------------------------------------- csv
 
 def test_csv_layout():
-    text = to_csv(_table())
+    text = to_csv(_table(metadata={"version": "0.1.0", "poles": 1,
+                                   "defaults_applied": ""}))
     lines = text.splitlines()
     assert lines[0] == "# command: rate"
     assert "# config.s: 1" in lines
@@ -55,6 +56,7 @@ def test_csv_layout():
     assert "# config.flag: true" in lines
     assert "# meta.version: 0.1.0" in lines
     assert "# meta.poles: 1" in lines
+    assert "# meta.defaults_applied:" in lines  # no trailing blank
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_idx] == "t,gamma"
     rows = lines[header_idx + 1:]

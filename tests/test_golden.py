@@ -112,6 +112,17 @@ prints s^2/8 and the scan either side of it, not the bisection bracket.
 
 ``fig3.svg`` (``holevo``) was captured then too, from the code before that
 change; two renders of its recipe were byte-identical.
+
+The four ``classical_sim_*.csv`` files gained one line,
+``# meta.philox_counters``, when ``classical-sim`` began to report the
+Philox counters it drew over all paths. Their data rows and every other
+line are unchanged: walking the thinned chunks in parked cohorts changed
+which draws are computed together, not which draws a path reads.
+
+Line 5 of ``divisibility_boundary_s0.9.csv`` and line 7 of ``fig1.csv`` and
+``fig3.csv``, each an empty ``# meta.defaults_applied`` value, lost the
+trailing blank that the CSV writer left after the colon. No other line of
+them changed.
 """
 
 import json

@@ -90,32 +90,24 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_path_count_extension_is_consistent(monkeypatch):
-    # per-path streams are keyed by (seed, path index), so the first 500
-    # paths of a longer run reproduce a 500-path run exactly: with chunks of
-    # 500 paths (a chunk holds budget / 6 paths, so that a one-counter
-    # block and its carry fit), the long run's first chunk gives the short
-    # run's counts
+    # per-path streams are keyed by (seed, path index), so a 1000-path run
+    # counts the paths of a 500-path run and then the per-path loop's paths
+    # 500 to 999, though with chunks of 500 paths (a chunk holds budget / 6
+    # paths, so that a one-counter block and its carry fit) the survivors
+    # of both chunks are walked together, parked by counter
     wtd = TanhSechWTD(rate=1.0)
     small = classical_jump_simulate(wtd, 1.0, 1.0, 500, seed=9, n_times=3)
     monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", 500 * 6)
-    chunks = []
-    walk = semimarkov._walk
-
-    def recording_walk(*args):
-        chunks.append(walk(*args))
-        return chunks[-1]
-
-    monkeypatch.setattr(semimarkov, "_walk", recording_walk)
+    keys = []
+    draws = _recording_philox(monkeypatch, keys)
     large = classical_jump_simulate(wtd, 1.0, 1.0, 1_000, seed=9, n_times=3)
-    assert len(chunks) == 2
-    first, flips = chunks[0]
-    assert np.array_equal(500 - np.cumsum(first[:-1]),
-                          np.rint(small.survival * 500))
-    assert np.array_equal(500 + np.cumsum(flips[:-1]),
-                          np.rint(small.occupation[0] * 500))
-    # and the long run's counts are the sum over its two chunks
-    assert np.array_equal(1_000 - np.cumsum(first + chunks[1][0])[:-1],
-                          np.rint(large.survival * 1_000))
+    _check_schedule(draws, keys, 1_000, per_step=2)
+    assert any(np.unique(k // 500).size == 2 for k in keys)
+    rest = _loop_reference(wtd, 1.0, 1.0, 1_000, 9, 3, first_path=500)
+    for got, want, tail in zip((large.survival, large.occupation[0]),
+                               (small.survival, small.occupation[0]), rest):
+        assert np.array_equal(np.rint(got * 1_000),
+                              np.rint(want * 500) + np.rint(tail * 500))
 
 
 def test_result_shapes_and_se_bounds():
@@ -190,18 +182,57 @@ def test_vectorized_streams_equal_per_path_generators(seed, per_step):
         assert np.array_equal(led[2:], u)
 
 
-def _recording_philox(monkeypatch):
+def _recording_philox(monkeypatch, keys=None):
     """Record (live paths, first counter, counters, carried rows) of every
-    block drawn."""
+    block drawn, and append its path keys to ``keys`` if given."""
     draws = []
     philox = semimarkov._philox_uniforms
 
     def recording_philox(seed, paths, first_counter, n_counters, lead=0):
         draws.append((paths.size, first_counter, n_counters, lead))
+        if keys is not None:
+            keys.append(paths.astype(np.int64))
         return philox(seed, paths, first_counter, n_counters, lead)
 
     monkeypatch.setattr(semimarkov, "_philox_uniforms", recording_philox)
     return draws
+
+
+def _check_schedule(draws, keys, n_paths, per_step):
+    """Check a run's recorded draws against the parked block schedule and
+    return how many fell short of doubling at the uniform budget's cap."""
+    budget = semimarkov._CHUNK_UNIFORMS
+    chunk = budget // 6
+    n_chunks = -(-n_paths // chunk)
+    next_ctr = np.ones(n_paths, dtype=np.int64)  # each path's next counter
+    last = np.zeros(n_paths, dtype=np.int64)     # and its last block's size
+    opened = n_capped = 0
+    for (n, first, n_ctr, lead), k in zip(draws, keys):
+        # the uniforms of a step the path's last block began carry into
+        # this one, as the block's leading rows
+        carried = 4 * (first - 1) % per_step
+        assert lead == carried
+        assert n * (4 * n_ctr + carried) <= budget
+        # each path's counters run on from 1, one block after another
+        assert np.unique(k).size == n and np.all(next_ctr[k] == first)
+        if first == 1:               # chunks open in order
+            assert np.array_equal(k, np.arange(opened * chunk,
+                                               min(n_paths,
+                                                   (opened + 1) * chunk)))
+            opened += 1
+        # until the last chunk opens, a draw covers at least half a chunk
+        assert opened == n_chunks or 2 * n >= chunk
+        if first <= 3:               # three one-counter blocks first
+            assert n_ctr == 1
+        else:                        # then at most doubling a path's last
+            assert n_ctr <= 2 * last[k].min()
+            # short of that only where one more counter breaks the cap
+            n_capped += (n_ctr < 2 * last[k].min()
+                         and n * (4 * (n_ctr + 1) + carried) > budget)
+        next_ctr[k] += n_ctr
+        last[k] = n_ctr
+    assert opened == n_chunks and np.all(next_ctr > 1)
+    return n_capped
 
 
 @pytest.mark.parametrize("wtd, t_max, n_paths, capped", [
@@ -213,31 +244,13 @@ def _recording_philox(monkeypatch):
 def test_blocks_double_within_the_uniform_budget(monkeypatch, wtd, t_max,
                                                  n_paths, capped):
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
-    budget = semimarkov._CHUNK_UNIFORMS
-    draws = _recording_philox(monkeypatch)
-    classical_jump_simulate(wtd, 1.0, t_max, n_paths, seed=3, n_times=5)
-    n_capped = 0
-    prev = None
-    for n, first, n_ctr, lead in draws:
-        # the uniforms of a step the last block began carry into this one,
-        # as the block's leading rows
-        carried = 4 * (first - 1) % per_step
-        assert lead == carried
-        assert n * (4 * n_ctr + carried) <= budget
-        if first <= 3:               # three one-counter blocks first
-            assert n_ctr == 1
-        if first > 1:                # counters run on, for fewer paths
-            assert first == prev[1] + prev[2] and n <= prev[0]
-            assert n_ctr <= 2 * prev[2]
-        if first > 3 and n_ctr < 2 * prev[2]:
-            # short of doubling only where one more counter breaks the cap
-            assert n * (4 * (n_ctr + 1) + carried) > budget
-            n_capped += 1
-        prev = (n, first, n_ctr)
-    # every chunk opens at counter 1; long paths reach the budget's cap
-    assert sum(first == 1 for _, first, _, _ in draws) == -(-n_paths
-                                                             // (budget // 6))
-    assert (n_capped > 0) == capped
+    keys = []
+    draws = _recording_philox(monkeypatch, keys)
+    result = classical_jump_simulate(wtd, 1.0, t_max, n_paths, seed=3,
+                                     n_times=5)
+    assert result.philox_counters == sum(n * k for n, _, k, _ in draws)
+    # long paths reach the budget's cap
+    assert (_check_schedule(draws, keys, n_paths, per_step) > 0) == capped
 
 
 def test_short_paths_draw_few_counters(monkeypatch, capsys):
@@ -247,6 +260,18 @@ def test_short_paths_draw_few_counters(monkeypatch, capsys):
     assert cli.run(["classical-sim", "--seed", "1", "--paths", "10000"]) == 0
     capsys.readouterr()
     assert sum(n * n_ctr for n, _, n_ctr, _ in draws) / 10_000 <= 2.1
+
+
+def test_long_paths_draw_few_counters(monkeypatch, capsys):
+    # the 5000 heavy-tailed tanh-sech paths draw 66.69 counters a path, the
+    # last few in blocks of up to 16; classical-sim reports the counters it
+    # drew
+    draws = _recording_philox(monkeypatch)
+    assert cli.run(["classical-sim", "--seed", "1", "--wtd", "tanhsech",
+                    "--paths", "5000", "--t-max", "200"]) == 0
+    drawn = sum(n * n_ctr for n, _, n_ctr, _ in draws)
+    assert f"# meta.philox_counters: {drawn}\n" in capsys.readouterr().out
+    assert drawn / 5_000 <= 66.69
 
 
 @pytest.mark.parametrize("wtd, jump_prob, t_max", [
@@ -260,18 +285,25 @@ def test_chunk_size_does_not_change_results(monkeypatch, wtd, jump_prob,
         return classical_jump_simulate(wtd, jump_prob, t_max, n_paths,
                                        seed=17, n_times=21)
 
-    # one path per chunk; then chunks of 1000 paths, and all paths in one
-    # chunk with blocks that double without a cap, where the default budget
-    # walks the 3000 paths as one chunk
-    for budget, n_paths in ((1, 300), (6 * 1000, 3000), (10**9, 3000)):
+    # one path per chunk; then chunks of 1000 paths; chunks of 100 paths,
+    # whose survivors merge at two or more counters; and all paths in one
+    # chunk with blocks that double without a cap, where the default
+    # budget walks the 3000 paths as one chunk
+    for budget, n_paths, meet in ((1, 300, 0), (6 * 1000, 3000, 0),
+                                  (6 * 100, 3000, 2), (10**9, 3000, 0)):
         default = simulate(n_paths)
         monkeypatch.setattr(semimarkov, "_CHUNK_UNIFORMS", budget)
+        keys = []
+        draws = _recording_philox(monkeypatch, keys)
         other = simulate(n_paths)
         monkeypatch.undo()
         assert np.array_equal(default.survival, other.survival)
         assert np.array_equal(default.occupation, other.occupation)
-
-
+        # the counters at which one draw walks paths of several chunks
+        chunk = max(1, budget // 6)
+        met = {first for (_, first, _, _), k in zip(draws, keys)
+               if np.unique(k // chunk).size > 1}
+        assert len(met) >= meet
 @pytest.mark.parametrize("n_times", [2, 3, 41, 401, 10**6])
 @pytest.mark.parametrize("t_max", [5e-324, 1e-320, 7.4e-321, 1e-310, 1e-3,
                                    0.3, 7.7, 200.0, 1e308])
@@ -299,13 +331,15 @@ def test_time_bins_off_a_uniform_grid_equal_searchsorted():
         assert np.array_equal(bins, np.searchsorted(times, queries))
 
 
-def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
-    """The original per-path walk: one Generator per path, one path a loop."""
+def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times,
+                    first_path=0):
+    """The original per-path walk: one Generator per path, one path a loop,
+    over paths ``first_path`` to ``n_paths - 1``."""
     per_step = 3 if isinstance(wtd, ExpConvolutionWTD) else 2
     times = np.linspace(0.0, t_max, n_times)
     survived = np.zeros(times.size)
     occ0 = np.zeros(times.size)
-    for i in range(n_paths):
+    for i in range(first_path, n_paths):
         key = np.array([seed, i], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         wait_blocks, hop_blocks, total = [], [], 0.0
@@ -324,7 +358,7 @@ def _loop_reference(wtd, jump_prob, t_max, n_paths, seed, n_times):
         idx = np.searchsorted(np.concatenate([[0.0], epochs[:n_jumps]]),
                               times, side="right") - 1
         occ0 += sites[idx] == 0
-    return survived / n_paths, occ0 / n_paths
+    return survived / (n_paths - first_path), occ0 / (n_paths - first_path)
 
 
 _WALK_CASES = [
