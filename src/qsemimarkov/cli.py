@@ -54,8 +54,8 @@ from .semimarkov import (
     ExponentialWTD,
     NonUnitalSemiMarkov,
     TanhSechWTD,
+    _zero_lattice,
     classical_jump_simulate,
-    coherence_zeros,
     gamma_dephasing,
     q_of_t,
 )
@@ -281,11 +281,12 @@ def cmd_rate(r: _Resolved) -> tuple[dict, dict]:
     proc = _dephasing(r)
     t_max, n = _time_grid(r)
     r.check_unread()
-    poles = coherence_zeros(proc, t_max)
+    # the poles as their lattice [t_1, period, count], or none
+    first, period, count = _zero_lattice(proc, t_max)
     ts = np.linspace(0.0, t_max, n)
     vals = gamma_dephasing(proc, ts)  # NaN at poles, annotated below
-    return ({"t": ts, "gamma": vals},
-            {"singular_times": [float(x) for x in poles]})
+    return ({"t": ts, "gamma": vals}, {"singular_times": [
+        first.item(), period.item(), count.item()] if count else []})
 
 
 def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
@@ -322,10 +323,12 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
         meta["p_boundary"] = s**2 / 8.0
     if choi:
         columns["xi_raw"] = res.raw_average
-    # [lo, hi, p]: only the dephasing family has poles to excise
-    meta["excised_intervals"] = (
-        np.column_stack([*res.excised[:2], p_values[res.excised[2]]]).tolist()
-        if kind == "dephasing" else [])
+    # [lo, hi, p, period, count] per row with poles: its first hole, or its
+    # merged one, and their lattice; only the dephasing family has poles
+    lo, hi, period, count, row = res.excised
+    meta["excised_intervals"] = [[*hole, n] for hole, n in zip(
+        np.column_stack([lo, hi, p_values[row], period]).tolist(),
+        count.tolist())] if kind == "dephasing" else []
     # the non-unital family gives one process's numbers
     return {name: np.atleast_1d(col) for name, col in columns.items()}, meta
 

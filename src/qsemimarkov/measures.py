@@ -27,8 +27,8 @@ pieces they leave, split at their kinks. The poles form a lattice of period P,
 and gamma has period P, so each p has three pieces whatever its horizon:
 the first, one full stretch between two poles, counted N - 1 times for N
 poles, and the last. A sweep over p is one batch of (p, piece) arrays of
-that fixed shape; one process is a batch of one row. The excised intervals
-are listed for the output alone; their count over a sweep is capped.
+that fixed shape; one process is a batch of one row. The excised holes are
+reported the same way, as each row's lattice, so nothing is built per pole.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
 vectors: the trace-distance-revival measure and the Holevo information
@@ -48,7 +48,6 @@ from .errors import DomainError, GridError, Singularity
 from .numerics import trace_norm
 from .quantum import DephasingGenerator, ProjectorGenerator, choi_of_generator
 from .semimarkov import (
-    _MAX_POLES,
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
     _bloch_factors,
@@ -56,9 +55,8 @@ from .semimarkov import (
     _log_abs_q,
     _require_count,
     _require_positive,
-    _zero_counts,
+    _zero_lattice,
     _zero_time,
-    _zero_times,
     gamma_dephasing,
     gamma_nonunital,
 )
@@ -127,8 +125,10 @@ class MeasureResult:
     difference, the latter times xi. The rate form leaves both None.
     ``kinks`` counts the times where gamma crosses the reference, the edges
     of the pieces on which |gamma - gamma_ref| is smooth. For a sweep (a
-    1-d p) every per-process field holds one element per p, and
-    ``excised`` the (lo, hi, row) arrays of the holes, ``row`` indexing p.
+    1-d p) every per-process field holds one element per p. ``excised``
+    holds the arrays (lo, hi, period, count, row), one element per row with
+    poles, ``row`` indexing p: hole k of N is t_1 + (k - 1) P +- eps
+    clipped to [0, T], and [lo, hi] the first, or their union if they meet.
     """
 
     xi: float | np.ndarray
@@ -215,7 +215,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     N P onto the first branch of gamma. A row without poles keeps only its
     first piece, [0, T]. A piece that is empty, or a full piece where the
     holes merge (2 eps >= P), has multiplicity 0. N comes from
-    ``_zero_counts``, t_k from its closed form and P from ``_level_time``,
+    ``_zero_lattice``, t_k from its closed form and P from ``_level_time``,
     which also splits each piece at its kink, where gamma crosses the
     reference, into the edges [lo, cut, hi].
 
@@ -234,21 +234,17 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     |gamma - ref| times the constant, and its time average, the raw
     average, is the constant times xi.
 
-    The holes, the ``eps``-neighborhoods of the poles clipped to [0, T]
-    (one per row where they merge), are listed for the output only, after
-    their count over the whole sweep is checked against ``_MAX_POLES``.
-
-    A float p, or the non-unital family, gives Python numbers, and a 1-d p
-    an array per field: see ``MeasureResult``.
+    The holes are given as each row's lattice, from t_1, t_N, P and N. A
+    float p, or the non-unital family, gives Python numbers, and a 1-d p an
+    array per field: see ``MeasureResult``.
 
     :raises DomainError: for another process type, or a p of 2 or more
         dimensions.
     :raises Singularity: if gamma at a median, or Gamma at a piece end or
         kink, is not finite, which happens only at a rate pole inside a
         tiny excision.
-    :raises GridError: if a row's horizon holds more than ``_MAX_POLES``
-        rate poles (``_zero_counts``), the rows more than ``_MAX_POLES``
-        holes together, or the excision removes all of a row's horizon.
+    :raises GridError: if a row's horizon holds 2**53 or more rate poles
+        (``_zero_lattice``), or the excision removes all of a row's horizon.
     """
     config = config or SSSConfig()
     nonunital = isinstance(proc, NonUnitalSemiMarkov)
@@ -258,7 +254,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         raise DomainError(f"p must be a float or 1-d, got {np.ndim(proc.p)}-d")
     T, eps = config.horizon, config.excision
     n = 1 if nonunital else proc.branch.size
-    counts = np.zeros(n, np.int64) if nonunital else _zero_counts(proc, T)
+    counts = np.zeros(n, np.int64) if nonunital else _zero_lattice(proc, T)[2]
     level_time, period = _level_time(proc)
     has = counts > 0
     edges = np.zeros((n, 3, 3))  # [lo, cut, hi] of the three pieces
@@ -276,16 +272,11 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         merged[has] = 2.0 * eps >= P
         mult[has, 1] = (N - 1) * ~merged[has]
         mult[has, 2] = 1.0
-    per_row = counts.copy()
-    per_row[merged] = 1
-    if per_row.sum() > _MAX_POLES:
-        raise GridError(f"{per_row.sum()} excised intervals over the sweep "
-                        f"exceed the cap of {_MAX_POLES}")
-    row = np.arange(n).repeat(per_row)
-    poles = _zero_times(proc, per_row) if row.size else np.empty(0)
-    holes = (np.maximum(poles - eps, 0.0), np.minimum(poles + eps, T), row)
-    if merged.any():  # a merged hole ends at t_N + eps
-        holes[1][merged[row]] = np.minimum(edges[merged, 2, 0], T)
+    row = np.flatnonzero(has)
+    # the first hole, or the merged one, which ends at t_N + eps; P and N
+    excised = (np.maximum(edges[row, 0, 2], 0.0),
+               np.minimum(edges[row, 1 + merged[row], 0], T),
+               np.ravel(period)[row], counts[row], row)
     mult *= edges[..., 0] < edges[..., 2]
     keep = mult > 0.0
     if not keep.any(axis=1).all():
@@ -331,7 +322,7 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     jump = big_gamma[..., 1:] - big_gamma[..., :-1]
     jump -= ref[:, None, None] * (phase[..., 1:] - phase[..., :-1])
     jump = mult[..., None] * np.abs(jump, out=jump)
-    xi = jump.reshape(n, -1).sum(axis=1) / T
+    xi = jump.sum(axis=(1, 2)) / T
     raw = constant = None
     if config.form == "choi":
         constant = _family_constant(ProjectorGenerator if nonunital
@@ -341,11 +332,10 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
     zeta = xi / (1.0 + xi)
     if nonunital or not np.ndim(proc.p):  # one process: Python numbers
         return MeasureResult(
-            xi[0].item(), zeta[0].item(), ref[0].item(),
-            tuple(zip(holes[0].tolist(), holes[1].tolist())), config,
+            xi[0].item(), zeta[0].item(), ref[0].item(), excised, config,
             constant, None if raw is None else raw[0].item(),
             kinks[0].item())
-    return MeasureResult(xi, zeta, ref, holes, config, constant, raw, kinks)
+    return MeasureResult(xi, zeta, ref, excised, config, constant, raw, kinks)
 
 
 @dataclass(frozen=True)

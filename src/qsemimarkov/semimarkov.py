@@ -61,7 +61,7 @@ _COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
 # the first term dropped, k = _SERIES_TERMS, is below 3e-28 of q - 1
 _SERIES_REACH = 0.25
 _SERIES_TERMS = 20
-_MAX_POLES = 10**6          # zeros per coherence_zeros, holes per sweep
+_MAX_POLES = 10**6          # zeros one coherence_zeros call lists
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -412,37 +412,31 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def _zero_counts(proc, t_max: float) -> np.ndarray:
-    """Number of zeros of q on (0, t_max] for each element of ``proc.p``,
-    flattened.
+def _zero_lattice(proc, t_max: float):
+    """The zeros of q on (0, t_max] for each element of ``proc.p``,
+    flattened, as their lattice t_k = t_1 + (k - 1) P: the arrays
+    (t_1, P, N), of which t_1 and P mean something where N > 0.
 
-    :raises GridError: if one exceeds ``_MAX_POLES``, so that none is
-        listed that could not be held.
+    :raises GridError: if a count is not finite or reaches 2**53, past
+        which a float no longer counts every zero.
     """
-    # an overflowing count is inf, refused; inf * 0 off the oscillating branch
-    with np.errstate(over="ignore", invalid="ignore"):
-        k_max = np.where(proc.branch == _IMAG, np.floor(
-            (proc.s * t_max * proc.w / 2 + np.arctan(proc.w)) / np.pi), 0.0)
-    over = ~(k_max <= _MAX_POLES)  # also refuses a NaN count
+    w = proc.w.ravel()
+    # an overflowing count is inf, refused; inf * 0 and 1 / 0 where w = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        count = np.where(proc.branch.ravel() == _IMAG, np.floor(
+            (proc.s * t_max * w / 2 + np.arctan(w)) / np.pi), 0.0)
+        first = _zero_time(proc.s, w, 1)
+    over = ~(count < 2.0**53)  # also refuses a NaN count
     if over.any():
-        raise GridError(f"{k_max[over].flat[0]:.3g} coherence zeros on "
-                        f"(0, {t_max:g}] exceed the cap of {_MAX_POLES}")
-    return k_max.astype(np.int64).ravel()
+        raise GridError(f"{count[over][0]:.3g} coherence zeros on "
+                        f"(0, {t_max:g}] exceed the exact-count cap of 2**53")
+    return first, _level_time(proc)[1].ravel(), count.astype(np.int64)
 
 
 def _zero_time(s: float, w, k):
     """The k-th zero of q, t_k = 2 (k pi - arctan w) / (s w), where
     eta = i w; w and k broadcast."""
     return 2.0 * (k * np.pi - np.arctan(w)) / (s * w)
-
-
-def _zero_times(proc, counts: np.ndarray) -> np.ndarray:
-    """The first ``counts[i]`` zeros of q for element i of ``proc.p``, in
-    order of i, then of time."""
-    row = np.arange(counts.size).repeat(counts)
-    first = counts.cumsum() - counts
-    ks = np.arange(1, row.size + 1) - first[row]
-    return _zero_time(proc.s, proc.w.ravel()[row], ks)
 
 
 def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
@@ -457,7 +451,14 @@ def coherence_zeros(proc: DephasingSemiMarkov, t_max: float) -> np.ndarray:
     """
     if not t_max >= 0.0:
         raise DomainError(f"t_max must be non-negative, got {t_max!r}")
-    return _zero_times(proc, _zero_counts(proc, t_max))
+    counts = _zero_lattice(proc, t_max)[2]
+    total = counts.sum(dtype=float)
+    if total > _MAX_POLES:
+        raise GridError(f"{total:.3g} coherence zeros on (0, {t_max:g}] "
+                        f"exceed the cap of {_MAX_POLES}")
+    row = np.arange(counts.size).repeat(counts)
+    ks = np.arange(1, row.size + 1) - (counts.cumsum() - counts)[row]
+    return _zero_time(proc.s, proc.w.ravel()[row], ks)
 
 
 def _level_time(proc):

@@ -19,7 +19,7 @@ from qsemimarkov import (
     coherence_zeros,
     q_of_t,
 )
-from qsemimarkov import cli, measures, semimarkov
+from qsemimarkov import cli, semimarkov
 from qsemimarkov.cli import build_parser, run
 
 T_STAR = float(coherence_zeros(DephasingSemiMarkov(s=1.0, p=3.0), 1.0)[0])
@@ -71,12 +71,20 @@ def test_rate_has_no_pole_where_q_decays_without_zeros(capsys):
 
 def test_rate_pole_reported_not_fatal(capsys):
     # grid point landing exactly on the coherence zero: gamma is null in
-    # JSON, and the pole location is listed in the metadata
+    # JSON, and the poles are given in the metadata as their lattice
     doc = _json_out(capsys, ["rate", "--p", "3", "--t-max", str(2 * T_STAR),
                              "--grid", "3", "--format", "json"])
     assert doc["columns"]["gamma"][1] is None
     assert doc["columns"]["t"][1] == pytest.approx(T_STAR, abs=1e-15)
-    assert doc["metadata"]["singular_times"] == pytest.approx([T_STAR])
+    first, period, count = doc["metadata"]["singular_times"]
+    assert first == T_STAR and count == 1
+    assert period == pytest.approx(2.0 * np.pi / np.sqrt(23.0), rel=1e-15)
+    # 1526561 poles to 2e6, and none where p <= s^2/8
+    doc = _json_out(capsys, ["rate", "--p", "3", "--t-max", "2e6",
+                             "--grid", "3", "--format", "json"])
+    assert doc["metadata"]["singular_times"] == [T_STAR, period, 1526561]
+    doc = _json_out(capsys, ["rate", "--p", "0.125", "--format", "json"])
+    assert doc["metadata"]["singular_times"] == []
 
 
 def test_rate_csv_prints_nan_at_a_pole_and_plus_zero_at_t0(capsys):
@@ -195,9 +203,12 @@ def test_numerical_failures_exit_3(capsys):
     # 5e6 Volterra steps exceed the cap: refused before the maps are allocated
     code, out, err = _run(capsys, ["kernel-check", "--dt", "1e-6"])
     assert code == 3 and "cap" in err
-    # 7.6e11 rate poles exceed the cap: refused before they are listed
-    code, out, err = _run(capsys, ["measure", "--p", "3", "--T", "1e12"])
-    assert code == 3 and "cap" in err
+    # 7.6e11 rate poles are no failure: the measure reads their lattice
+    doc = _json_out(capsys, ["measure", "--p", "3", "--T", "1e12",
+                             "--format", "json"])
+    (lo, hi, p, period, count), = doc["metadata"]["excised_intervals"]
+    assert lo < T_STAR < hi and p == 3.0
+    assert count == np.floor((1e12 - T_STAR) / period) + 1 == 763280293171
 
 
 def _same_cells_as_rate_form(capsys, argv):
@@ -235,7 +246,8 @@ def test_measure_past_the_underflow_of_q(capsys):
                                      "--mode", mode, "--format", "json"])
             assert all(np.isfinite(doc["columns"][c][0])
                        for c in ("xi", "zeta", "gamma_ref"))
-            assert len(doc["metadata"]["excised_intervals"]) == poles
+            assert [entry[4] for entry in doc["metadata"][
+                "excised_intervals"]] == [poles] * bool(poles)
     # the Choi form scales the same exact sum: finite too
     code, out, err = _run(capsys, ["measure", "--p", "0.1", "--T", "3000",
                                    "--form", "choi"])
@@ -502,18 +514,25 @@ def test_measure_excision_reported(capsys):
     doc = _json_out(capsys, ["measure", "--p", "3", "--format", "json"])
     intervals = doc["metadata"]["excised_intervals"]
     assert len(intervals) == 1
-    lo, hi, p = intervals[0]
+    lo, hi, p, period, count = intervals[0]
     assert lo == pytest.approx(T_STAR - 1e-6, abs=1e-12)
     assert hi == pytest.approx(T_STAR + 1e-6, abs=1e-12)
-    assert p == 3.0
-    # in a sweep each interval names the p of its row
+    assert p == 3.0 and count == 1
+    assert period == pytest.approx(2.0 * np.pi / np.sqrt(23.0), rel=1e-15)
+    # in a sweep each entry names the p of its row, and no entry is left
+    # for a row without poles
     doc = _json_out(capsys, ["measure", "--p-min", "2.5", "--p-max", "3",
-                             "--p-points", "3", "--format", "json"])
+                             "--p-points", "3", "--T", "3", "--format",
+                             "json"])
     intervals = doc["metadata"]["excised_intervals"]
-    assert [p for _, _, p in intervals] == doc["columns"]["p"]
-    for lo, hi, p in intervals:
-        pole = coherence_zeros(DephasingSemiMarkov(s=1.0, p=p), 1.0)
-        assert lo < pole[0] < hi
+    assert [entry[2] for entry in intervals] == doc["columns"]["p"]
+    for lo, hi, p, period, count in intervals:
+        poles = coherence_zeros(DephasingSemiMarkov(s=1.0, p=p), 3.0)
+        assert lo < poles[0] < hi and count == poles.size == 2
+        assert period == pytest.approx(poles[1] - poles[0], rel=1e-12)
+    doc = _json_out(capsys, ["measure", "--p-max", "0.2", "--p-points", "3",
+                             "--format", "json"])
+    assert doc["metadata"]["excised_intervals"] == []
 
 
 # ----------------------------------------------------- parametrization alias
@@ -842,9 +861,9 @@ def test_module_entry_point_exit_codes():
         "blp-boundary", "kernel-check"])
 def test_huge_horizon_fails_loudly_or_stays_finite(argv, code):
     """A horizon near the float limit is a numerical failure where it holds
-    more than 1e6 rate poles or Volterra steps; elsewhere q is 0 where its
-    phase overflows. In a subprocess, so that overflow warnings stay
-    warnings."""
+    2**53 or more rate poles, past which a float no longer counts them, or
+    more than 1e6 Volterra steps; elsewhere q is 0 where its phase
+    overflows. In a subprocess, so that overflow warnings stay warnings."""
     done = subprocess.run([sys.executable, "-m", "qsemimarkov.cli", *argv],
                           env=_package_env(), capture_output=True, text=True)
     assert done.returncode == code, (argv, done.stderr)
@@ -988,16 +1007,6 @@ def test_classical_sim_past_the_renewal_cap_fails_before_walking(
     assert f"cap of {semimarkov._MAX_RENEWALS:.0e}" in lines[0]
 
 
-def test_measure_sweep_past_the_hole_cap_fails(monkeypatch, capsys):
-    # 22 and 29 holes at p = 3 and 5: each row is within a cap of 40, the
-    # sweep is not
-    monkeypatch.setattr(measures, "_MAX_POLES", 40)
-    code, out, err = _run(capsys, ["measure", "--T", "28.9", "--p-min", "3",
-                                   "--p-max", "5", "--p-points", "2"])
-    assert code == 3 and out == ""
-    assert "51 excised intervals over the sweep exceed the cap of 40" in err
-
-
 def test_measure_sweep_with_a_row_that_loses_its_horizon_fails(capsys):
     # 2 eps = 8 covers every period of p = 3 and its first pole: its
     # excision removes [0, 30], though p = 1/4 keeps a piece
@@ -1037,6 +1046,32 @@ def test_kernel_check_memory_grows_below_100_bytes_per_step():
         assert done.returncode == 0, done.stderr
         peak.append(1024 * int(done.stdout))
     assert (peak[1] - peak[0]) / (5e5 - 5e4) < 100.0, peak
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_measure_output_and_memory_do_not_grow_with_the_poles():
+    """``measure --p 3`` at T = 1e3 and 1e5 (763 and 76328 rate poles), each
+    in a fresh interpreter: the output gives the poles as their lattice, so
+    it stays under 10 kB and the peak RSS within 2 MiB."""
+    script = ("import contextlib, io, resource, sys\n"
+              "from qsemimarkov.cli import run\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    assert run(['measure', '--p', '3', '--T', sys.argv[1]])"
+              " == 0\n"
+              "print(len(out.getvalue().encode()),\n"
+              "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    got = []
+    for horizon in ("1e3", "1e5"):
+        done = subprocess.run([sys.executable, "-c", script, horizon],
+                              env=_package_env(), capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        got.append([int(x) for x in done.stdout.split()])
+    (size_lo, peak_lo), (size_hi, peak_hi) = got
+    assert max(size_lo, size_hi) < 10_000, got
+    assert 1024 * (peak_hi - peak_lo) < 2 * 2**20, got
 
 
 def test_kernel_check_with_a_trajectory_that_overflows_fails_loudly():

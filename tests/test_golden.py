@@ -3,10 +3,7 @@
 Monte Carlo streams are fixed by contract, so the classical-sim files must
 match byte for byte. The Volterra solver may reorder its memory sums, so the
 kernel-check file (JSON, full precision) is compared within rounding. The
-figure recipes must match byte for byte. The min-mode measure sweep was
-captured with a golden-section reference search, which stopped within about
-1e-8 of the exact time-median the package now computes, so its numbers are
-compared within 1e-8.
+figure recipes must match byte for byte.
 
 The map-stack goldens (Holevo recipe, divisibility scan, BLP curve and the
 non-unital library curves) were captured when every time point went through
@@ -23,11 +20,16 @@ than before. Its # lines and every other cell are unchanged, so the recipe
 is compared byte for byte.
 
 The measure goldens (non-unital rate and Choi routes, the dephasing Choi
-sweep, each in both reference modes) pin the measure command byte for byte,
-except the min-mode Choi sweep. Its reference rates were found by a Brent
-search to 1e-12; the package now solves for the time-median to rounding, so
-there its xi, zeta, gamma_ref and xi_raw columns are compared within 1e-10
-relative (one cell differs, gamma_ref at p = 0.22, by 1.1e-12 relative).
+sweep, each in both reference modes, and the min-mode rate sweep) pin the
+measure command byte for byte. ``measure_min_sweep.csv`` was captured with
+a golden-section reference search, which stopped within about 1e-8 of the
+exact time-median, and ``measure_choi_sweep_min.csv`` with a Brent search
+to 1e-12. Both were held within those tolerances until their cells were
+re-captured from the exact median: every gamma_ref of the rate sweep, its
+xi and zeta at p = 0 (4.07e-9 before, 0 now) and its zeta at p = 0.03; and
+gamma_ref at p = 0.22 of the Choi sweep. Each is listed as it was in
+``_MIN_RECAPTURED_BEFORE`` and is no further than before from its 50-digit
+oracle. No other line of them changed.
 
 The ``# meta.max_survival_error_se`` line of the tanh-sech and max-seed
 classical-sim files was re-captured when its denominator became the larger
@@ -51,7 +53,7 @@ The pole-sweep goldens (``measure_poles_paper.csv`` and
 ``measure_poles_min.csv``: ``--T 60 --p-max 5 --p-points 11``, from p = 0
 across the boundary to 59 rate poles per row) were captured with the
 per-p ``sss_measure`` loop, before the sweep was evaluated as one batch.
-They pin the batch byte for byte, ``meta.excised_intervals`` included.
+They pin the batch byte for byte.
 Their xi and zeta cells (p = 0.5 to 5) were re-captured when the measure
 moved onto the pole lattice and took Gamma at the excision edges in phase
 form: the old cells were about 1e-10 relative off a 40-digit oracle. The
@@ -123,6 +125,15 @@ Line 5 of ``divisibility_boundary_s0.9.csv`` and line 7 of ``fig1.csv`` and
 ``fig3.csv``, each an empty ``# meta.defaults_applied`` value, lost the
 trailing blank that the CSV writer left after the colon. No other line of
 them changed.
+
+The ``# meta.excised_intervals`` line of ``measure_poles_paper.csv`` and
+``measure_poles_min.csv`` and the ``# meta.singular_times`` line of
+``fig1.csv`` were re-captured when ``measure`` and ``rate`` began to give
+the rate poles as their lattice t_k = t_1 + (k - 1) P, not as a list.
+Each pole row of a sweep now has one entry, [lo, hi, p, P, N], whose
+[lo, hi] is its first hole with the bits it had before; ``rate`` gives
+[t_1, P, N], its t_1 the first pole listed before. No other line of them
+changed.
 """
 
 import json
@@ -172,11 +183,9 @@ def test_kernel_check_golden_within_rounding(capsys):
                                   abs=1e-9)
 
 
-def _assert_golden(text, gold, tol=None, relative=False):
+def _assert_golden(text, gold, tol=None):
     """Byte-identical, except that each column named in ``tol`` may differ
     from the golden by at most its tolerance, with NaNs in the same cells.
-    With ``relative`` the tolerances are relative to the golden's nonzero
-    cells (absolute where the golden cell is 0).
     """
     if not tol:
         assert text == gold
@@ -199,10 +208,7 @@ def _assert_golden(text, gold, tol=None, relative=False):
             continue
         a, b = np.array(got, dtype=float), np.array(want, dtype=float)
         assert np.array_equal(np.isnan(a), np.isnan(b)), name
-        err = np.abs(a - b)
-        if relative:
-            err = err / np.where(b == 0.0, 1.0, np.abs(b))
-        err = err[~np.isnan(a)]
+        err = np.abs(a - b)[~np.isnan(a)]
         assert err.max(initial=0.0) <= tol[name], (name, err.max())
 
 
@@ -342,11 +348,6 @@ def test_map_stack_golden(capsys, name, argv, tol):
     _assert_golden(out, (GOLDEN / name).read_text(), tol)
 
 
-# the reference rates of this golden came from a search stopped at 1e-12
-_MEASURE_REL_TOL = {"measure_choi_sweep_min.csv": dict.fromkeys(
-    ("xi", "zeta", "gamma_ref", "xi_raw"), 1e-10)}
-
-
 @pytest.mark.parametrize("name, argv", [
     ("measure_nonunital_rate_paper.csv",
      ["--family", "nonunital", "--form", "rate", "--mode", "paper"]),
@@ -361,11 +362,11 @@ _MEASURE_REL_TOL = {"measure_choi_sweep_min.csv": dict.fromkeys(
     *((f"measure_poles_{mode}.csv", ["--T", "60", "--p-max", "5",
                                      "--p-points", "11", "--mode", mode])
       for mode in ("paper", "min")),
+    ("measure_min_sweep.csv", ["--mode", "min"]),
 ])
 def test_measure_golden_bytes(capsys, name, argv):
     out = _output(capsys, ["measure", *argv, "--format", "csv"])
-    _assert_golden(out, (GOLDEN / name).read_text(),
-                   _MEASURE_REL_TOL.get(name), relative=True)
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_nonunital_library_curves_golden():
@@ -379,25 +380,60 @@ def test_nonunital_library_curves_golden():
     assert blp.measure == pytest.approx(gold["blp"], abs=1e-14)
 
 
-def _columns(csv_text):
-    rows = [line.split(",") for line in csv_text.splitlines()
-            if not line.startswith("#")]
-    return {name: np.array([float(row[i]) for row in rows[1:]])
-            for i, name in enumerate(rows[0])}
+# the min-mode cells re-captured when the time-median became exact, as they
+# were: gamma_ref of every row of measure_min_sweep.csv (p = 0, 0.01, .., 0.5)
+_MIN_SWEEP_GAMMA_REF_BEFORE = """4.06530937789e-09 0.00393981882528
+    0.00788992456334 0.011850366191 0.0158212003303 0.0198024691809
+    0.0237942259123 0.027796532556 0.0318094272089 0.0358329763514
+    0.0398672216423 0.043912218355 0.0479680277712 0.0520346933144
+    0.0561122821017 0.0602008346891 0.0643004202375 0.068411083824
+    0.0725328870519 0.0766658825247 0.0808101276224 0.0849656838951
+    0.0891326056021 0.0933109470356 0.0975007724438 0.101702139736
+    0.105915105433 0.110139731246 0.114376076915 0.118624201318
+    0.12288416522 0.127156028076 0.131439859709 0.135735709675
+    0.140043652324 0.144363745628 0.148696054824 0.153040636005
+    0.157397563882 0.161766900467 0.166148704881 0.170543048538
+    0.174949997478 0.179369619992 0.183801977114 0.188247136759
+    0.19270517423 0.197176153876 0.201660141572 0.20615721406
+    0.210667436287""".split()
+# the other cells, by (file, 0-based data row, column)
+_MIN_RECAPTURED_BEFORE = {
+    ("measure_min_sweep.csv", 0, "xi"): "4.06530937789e-09",
+    ("measure_min_sweep.csv", 0, "zeta"): "4.06530936136e-09",
+    ("measure_min_sweep.csv", 3, "zeta"): "0.00468107548978",
+    ("measure_choi_sweep_min.csv", 22, "gamma_ref"): "0.0891326044483",
+    **{("measure_min_sweep.csv", row, "gamma_ref"): cell
+       for row, cell in enumerate(_MIN_SWEEP_GAMMA_REF_BEFORE)},
+}
 
 
-def test_min_mode_sweep_golden_within_search_tolerance(capsys):
-    out = _output(capsys, ["measure", "--mode", "min", "--format", "csv"])
-    gold = (GOLDEN / "measure_min_sweep.csv").read_text()
-    head = [line for line in out.splitlines() if line.startswith("#")]
-    assert head == [line for line in gold.splitlines() if line.startswith("#")]
-    got, want = (_columns(text) for text in (out, gold))
-    assert list(got) == list(want)
-    for name in ("p", "cp_indivisible"):
-        assert np.array_equal(got[name], want[name])
-    for name in ("xi", "zeta", "gamma_ref"):
-        assert np.abs(got[name] - want[name]).max() <= 1e-8
-    # p = 0 is the semigroup (gamma identically 0); the search stopped at
-    # 4.07e-9, the median is exactly 0
-    assert got["p"][0] == 0.0 and want["xi"][0] > 0.0
-    assert got["xi"][0] == got["gamma_ref"][0] == 0.0
+def test_min_mode_recaptured_cells_are_closer_to_their_oracle():
+    """At s = 1 and T = 1 these rows have no pole and gamma rises, so the
+    median is gamma(T/2) and xi = (Gamma(T) - 2 Gamma(T/2))/T. With
+    x = eta t/2, eta^2 = 1 - 8p and E = cosh x + sinh(x)/eta = e^(t/2) q,
+    Gamma = t/4 - ln(E)/2 and gamma = 2p sinh(x)/(eta E). Each re-captured
+    cell is no further from that, in 50-digit arithmetic, than the cell
+    before, and within 1e-11 of it relative (xi = 0 at p = 0)."""
+    golden = {name: [line.split(",") for line in
+                     (GOLDEN / name).read_text().splitlines()
+                     if not line.startswith("#")]
+              for name in {name for name, _, _ in _MIN_RECAPTURED_BEFORE}}
+    with mpmath.workdps(50):
+        for (name, row, column), old in _MIN_RECAPTURED_BEFORE.items():
+            header, cells = golden[name][0], golden[name][row + 1]
+            p = mpmath.mpf(np.linspace(0.0, 0.5, 51)[row])  # bits of the p
+            eta = mpmath.sqrt(mpmath.mpc(1 - 8 * p))
+
+            def e_and_rise(t):  # E(t) and 2p sinh(x)/eta
+                x = eta * t / 2
+                sinc = mpmath.sinh(x) / eta if eta else t / 2
+                return (mpmath.re(mpmath.cosh(x) + sinc),
+                        2 * p * mpmath.re(sinc))
+            (e_half, rise), (e_one, _) = (e_and_rise(mpmath.mpf(t))
+                                          for t in (0.5, 1))
+            xi = mpmath.log(e_half) - mpmath.log(e_one) / 2  # the t/4 cancel
+            oracle = {"xi": xi, "zeta": xi / (1 + xi),
+                      "gamma_ref": rise / e_half}[column]
+            new = mpmath.mpf(cells[header.index(column)])
+            assert abs(new - oracle) <= abs(mpmath.mpf(old) - oracle)
+            assert abs(new - oracle) <= 1e-11 * abs(oracle) + 1e-45  # p = 0

@@ -83,7 +83,7 @@ def test_fixed_reference_equals_log_coherence_decay():
         assert result.xi == pytest.approx(expected, rel=1e-9)
         assert result.zeta == pytest.approx(result.xi / (1 + result.xi), rel=1e-12)
         assert result.gamma_ref == 0.0
-        assert result.excised == ()
+        assert all(part.size == 0 for part in result.excised)
 
 
 def test_fixed_reference_with_pole_excision():
@@ -91,11 +91,11 @@ def test_fixed_reference_with_pole_excision():
     result = sss_measure(proc, SSSConfig(horizon=1.0, excision=1e-6))
     assert result.xi == pytest.approx(12.7802806321268, rel=1e-6)
     t_star = float(coherence_zeros(proc, 1.0)[0])
-    assert len(result.excised) == 1
-    lo, hi = result.excised[0]
-    assert type(lo) is float and type(hi) is float  # CSV metadata repr
-    assert lo == pytest.approx(t_star - 1e-6, abs=1e-12)
-    assert hi == pytest.approx(t_star + 1e-6, abs=1e-12)
+    lo, hi, period, count, row = result.excised
+    assert count.tolist() == [1] and row.tolist() == [0]
+    assert lo[0] == pytest.approx(t_star - 1e-6, abs=1e-12)
+    assert hi[0] == pytest.approx(t_star + 1e-6, abs=1e-12)
+    assert period[0] == pytest.approx(2.0 * np.pi / np.sqrt(23.0), rel=1e-15)
 
 
 def test_semigroup_scores_zero_against_zero_reference():
@@ -685,11 +685,11 @@ def test_sweep_rows_equal_single_measures(T, excision, ps, poles, form, mode):
                        gamma_ref=0.3)
     if not ps:  # one process: Python numbers, as for a float p
         one = sss_measure(NonUnitalSemiMarkov(rate=1.0), config)
-        assert one.excised == () and one.kinks == 1
+        assert all(part.size == 0 for part in one.excised) and one.kinks == 1
         assert type(one.xi) is float and type(one.kinks) is int
         return
     sweep = sss_measure(DephasingSemiMarkov(1.0, ps), config)
-    lo, hi, row = sweep.excised
+    lo, hi, period, count, row = sweep.excised
     for i, p in enumerate(ps):
         proc = DephasingSemiMarkov(s=1.0, p=p)
         assert coherence_zeros(proc, T).size == poles[i]
@@ -699,18 +699,21 @@ def test_sweep_rows_equal_single_measures(T, excision, ps, poles, form, mode):
             == [_bits(x) for x in (one.xi, one.zeta, one.gamma_ref)], proc
         assert _bits(sweep.zeta[i]) == _bits(one.zeta)
         assert sweep.kinks[i] == one.kinks
-        excised = tuple(zip(lo[row == i].tolist(), hi[row == i].tolist()))
-        assert [tuple(map(_bits, h)) for h in excised] \
-            == [tuple(map(_bits, h)) for h in one.excised]
+        # the row's lattice [lo, hi, P, N], with the bits it has alone
+        mine = [part[row == i] for part in sweep.excised[:4]]
+        assert [list(map(_bits, part)) for part in mine] \
+            == [list(map(_bits, part)) for part in one.excised[:4]]
+        assert one.excised[4].tolist() == [0] * bool(poles[i])
+        assert count[row == i].tolist() == [poles[i]] * bool(poles[i])
         if form == "choi":
             assert _bits(sweep.raw_average[i]) == _bits(one.raw_average)
         else:
             assert sweep.raw_average is one.raw_average is None
     assert sweep.family_constant == one.family_constant
-    if 3.0 in ps:  # the horizon ends inside the last hole of p = 3
-        assert hi[row == ps.index(3.0)][-1] == T
-    if 0.25 in ps:  # the five holes of p = 1/4 merged into one
-        assert np.count_nonzero(row == ps.index(0.25)) == 1
+    if ps[0] == 3.0 and poles[0] == 1:  # T inside the first hole of p = 3
+        assert hi[row == 0].tolist() == [T]
+    if 0.25 in ps:  # the five holes of p = 1/4 merged into one, up to T
+        assert hi[row == ps.index(0.25)].tolist() == [T]
 
 
 def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
@@ -721,33 +724,51 @@ def test_sweep_with_a_row_whose_excision_removes_the_horizon_fails():
         sss_measure(DephasingSemiMarkov(1.0, [0.25, 3.0, 0.1]), config)
 
 
-def test_sweep_refuses_the_pole_cap_before_listing_a_pole(monkeypatch):
-    # p = 3 has 7.6e6 rate poles on (0, 1e7]: refused for the whole sweep
-    # before any row, even p = 0.13 and its 3e5 poles, is evaluated
-    monkeypatch.setattr(measures, "_zero_times",
-                        lambda *args: pytest.fail("a pole was listed"))
-    with pytest.raises(GridError, match="cap"):
-        sss_measure(DephasingSemiMarkov(1.0, [0.0, 0.13, 3.0]),
-                        SSSConfig(horizon=1e7))
+@pytest.mark.parametrize("T, excision, ps", [
+    (60.0, 1e-6, np.linspace(0.0, 5.0, 11)),  # measure_poles_*.csv
+    (_T_IN_A_HOLE, 0.01, [3.0, 0.1, 5.0]),  # the last hole of p = 3 ends at T
+    (30.0, 4.0, [0.13, 0.25]),  # the five holes of p = 1/4 merge
+], ids=["pole-sweep", "T-in-a-hole", "merged-holes"])
+def test_each_lattice_expands_to_the_holes_around_every_zero(T, excision, ps):
+    """Hole k of a row is t_k +- eps clipped to [0, T], t_k = t_1 + (k - 1) P,
+    with t_1 = lo + eps; the entry is the first hole, or the union of all
+    where they meet."""
+    lo, hi, period, count, row = sss_measure(
+        DephasingSemiMarkov(1.0, ps),
+        SSSConfig(horizon=T, excision=excision)).excised
+    zeros = [coherence_zeros(DephasingSemiMarkov(1.0, p), T) for p in ps]
+    assert row.tolist() == [i for i, z in enumerate(zeros) if z.size]
+    last = {}
+    for lo_i, hi_i, P, N, i in zip(lo, hi, period, count, row):
+        assert N == zeros[i].size and lo_i > 0.0
+        t = lo_i + excision + P * np.arange(N)
+        np.testing.assert_allclose(t, zeros[i], rtol=1e-13)
+        start = np.maximum(t - excision, 0.0)
+        end = np.minimum(t + excision, T)
+        np.testing.assert_allclose(
+            [start, end], [np.maximum(zeros[i] - excision, 0.0),
+                           np.minimum(zeros[i] + excision, T)], rtol=1e-13)
+        merged = 2.0 * excision >= P
+        assert ((start[1:] <= end[:-1]) == merged).all()
+        assert [lo_i, hi_i] == pytest.approx(
+            [start[0], end[-1] if merged else end[0]], rel=1e-13)
+        last[ps[i]] = end[-1]
+    if T == _T_IN_A_HOLE:
+        assert last[3.0] == T  # the last of p = 3's 22 holes is clipped
+    if excision == 4.0:
+        assert hi.tolist() == [T, T]  # p = 0.13's one hole is clipped too
 
 
-def test_sweep_refuses_its_total_hole_count_past_the_cap(monkeypatch):
-    # 22 holes for p = 3 and 28 for p = 5: each row is within a cap of 49,
-    # the sweep is not, and is refused before any hole is listed
-    config = SSSConfig(horizon=_T_IN_A_HOLE, excision=0.01)
-    rows = DephasingSemiMarkov(1.0, [3.0, 0.1, 5.0])
-    monkeypatch.setattr(measures, "_MAX_POLES", 50)
-    assert sss_measure(rows, config).excised[2].size == 50
-    monkeypatch.setattr(measures, "_MAX_POLES", 49)
-    monkeypatch.setattr(measures, "_zero_times",
-                        lambda *args: pytest.fail("a hole was listed"))
-    with pytest.raises(GridError, match="50 excised intervals .* cap of 49"):
-        sss_measure(rows, config)
-    # merged holes count once: the five of p = 1/4 at eps = 4
-    monkeypatch.setattr(measures, "_MAX_POLES", 1)
-    with pytest.raises(GridError, match="2 excised intervals"):
-        sss_measure(DephasingSemiMarkov(1.0, [0.25, 0.25]),
-                        SSSConfig(horizon=30.0, excision=4.0))
+@pytest.mark.parametrize("mode, form", itertools.product(("fixed", "min"),
+                                                         ("rate", "choi")))
+def test_an_empty_sweep_gives_empty_fields(mode, form):
+    # as q_of_t gives an empty array on an empty t
+    res = sss_measure(DephasingSemiMarkov(1.0, np.array([])),
+                      SSSConfig(mode=mode, form=form))
+    fields = [res.xi, res.zeta, res.gamma_ref, res.kinks, *res.excised]
+    if form == "choi":
+        fields.append(res.raw_average)
+    assert all(isinstance(f, np.ndarray) and f.shape == (0,) for f in fields)
 
 
 def test_a_median_on_a_gap_between_pieces_is_the_gap_s_right_end():
@@ -772,9 +793,14 @@ def test_closed_forms_take_an_array_p_element_by_element():
         one = semimarkov._level_time(DephasingSemiMarkov(1.0, p))
         assert _bits(level_time(refs)[i]) == _bits(one[0](refs[i]))
         assert _bits(period[i]) == _bits(one[1])
-    counts = semimarkov._zero_counts(DephasingSemiMarkov(1.0, ps), 60.0)
-    assert counts.tolist() == [coherence_zeros(DephasingSemiMarkov(1.0, p),
-                                               60.0).size for p in ps]
+    first, lattice_period, counts = semimarkov._zero_lattice(
+        DephasingSemiMarkov(1.0, ps), 60.0)
+    for i, p in enumerate(ps):
+        zeros = coherence_zeros(DephasingSemiMarkov(1.0, p), 60.0)
+        assert counts[i] == zeros.size
+        assert _bits(lattice_period[i]) == _bits(period[i])
+        if zeros.size:
+            assert _bits(first[i]) == _bits(zeros[0])
 
 
 # ------------------------------------------------------------- choi form
@@ -822,7 +848,7 @@ def test_choi_form_matches_rate_form_across_many_poles(mode):
         config = SSSConfig(horizon=T, mode=mode, excision=eps)
         rate = sss_measure(proc, config)
         choi = sss_measure(proc, dataclasses.replace(config, form="choi"))
-        assert len(choi.excised) == n
+        assert choi.excised[3].tolist() == [n]
         assert choi.gamma_ref == rate.gamma_ref
         assert choi.xi == rate.xi
 
