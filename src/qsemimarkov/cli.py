@@ -8,8 +8,8 @@ and it registers only the flags some mode of it reads. A run whose first
 token is a command parses with that command's parser alone, which reports
 an unknown flag or a bad value in its own usage; the qsm parser, which
 lists the commands with no flags, is built only for its help, the version,
-or a missing or unknown command. Each parser is built once a process, at
-each help width, and shared by every later run. Dephasing takes
+or a missing or unknown command. Each parser is built once a process and
+shared by every later run; its help wraps when it prints. Dephasing takes
 ``--s/--p`` or ``--lambda1/--lambda2`` (s = l1 + l2, p = l1 l2);
 ``measure --family nonunital`` takes ``--lambda``.
 
@@ -54,6 +54,7 @@ from .semimarkov import (
     ExponentialWTD,
     NonUnitalSemiMarkov,
     TanhSechWTD,
+    _require_positive,
     _zero_lattice,
     classical_jump_simulate,
     gamma_dephasing,
@@ -128,30 +129,24 @@ def _help(command: str, flag: str) -> str:
     return f"{line} (default {text})"
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The qsm parser, every command with its help line and none with flags;
     or, given ``command``, that command's parser alone, with its flags.
 
-    The parser is shared: one is built per command and help width in a
-    process, and every call for them returns it, so a caller must not
-    change it. The width is read from the terminal on each call, so
-    ``--help`` wraps as argparse would wrap it.
+    The parser is shared: one is built per command in a process, and every
+    call for it returns it, so a caller must not change it. Its help and
+    usage errors wrap to the terminal width when they print.
     """
-    import shutil
-    # the width argparse works out itself, once here, not once per flag
-    return _parser(command, shutil.get_terminal_size().columns - 2)
-
-
-@functools.cache
-def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
-    """The parser of ``build_parser``, wrapping its help to ``width``."""
-    formatter = lambda prog: argparse.HelpFormatter(prog, width=width)
+    # flags are added under a fixed width, so that no add_argument asks the
+    # terminal for its size
+    fixed = functools.partial(argparse.HelpFormatter, width=80)
     if command is not None:
         # exact flag names only, so that a prefix such as --s cannot land on
         # --seed
         parser = argparse.ArgumentParser(prog=f"qsm {command}",
                                          allow_abbrev=False,
-                                         formatter_class=formatter)
+                                         formatter_class=fixed)
         for flag in _DEFAULTS[command]:
             kind, _ = _FLAGS[flag]
             kw = ({"action": "store_true"} if kind is bool else
@@ -159,18 +154,20 @@ def _parser(command: str | None, width: int) -> argparse.ArgumentParser:
                   {"type": kind})
             parser.add_argument(f"--{flag}", default=_OUTPUT.get(flag),
                                 help=_help(command, flag), **kw)
-        return parser
-    parser = argparse.ArgumentParser(
-        prog="qsm",
-        description="Quantum semi-Markov dynamics: rates, maps, and "
-                    "non-Markovianity measures.",
-        formatter_class=formatter,
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"qsm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, cmd in _DISPATCH.items():
-        sub.add_parser(name, help=cmd.__doc__, add_help=False)
+    else:
+        parser = argparse.ArgumentParser(
+            prog="qsm",
+            description="Quantum semi-Markov dynamics: rates, maps, and "
+                        "non-Markovianity measures.",
+            formatter_class=fixed,
+        )
+        parser.add_argument("--version", action="version",
+                            version=f"qsm {__version__}")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, cmd in _DISPATCH.items():
+            sub.add_parser(name, help=cmd.__doc__, add_help=False)
+    # argparse builds a formatter, which reads the width, each time it prints
+    parser.formatter_class = argparse.HelpFormatter
     return parser
 
 
@@ -257,12 +254,6 @@ def _dephasing(r: _Resolved) -> DephasingSemiMarkov:
     return DephasingSemiMarkov(r.get("s"), r.get("p"))
 
 
-def _positive(name: str, value: float) -> float:
-    _require(np.isfinite(value) and value > 0.0,
-             f"{name} must be positive, got {value!r}")
-    return float(value)
-
-
 # refused before allocating: with its CSV, a command takes up to ~300 B per
 # grid point (classical-sim; holevo 190, blp 110, divisibility 90)
 _MAX_GRID = 10**6
@@ -270,7 +261,7 @@ _MAX_GRID = 10**6
 
 def _time_grid(r: _Resolved) -> tuple[float, int]:
     """(--t-max, --grid), checked."""
-    t_max, n = _positive("--t-max", r.get("t-max")), r.get("grid")
+    t_max, n = _require_positive("--t-max", r.get("t-max")), r.get("grid")
     _require(2 <= n <= _MAX_GRID,
              f"--grid must be in [2, {_MAX_GRID}], got {n}")
     return t_max, int(n)
@@ -423,8 +414,8 @@ def cmd_classical_sim(r: _Resolved) -> tuple[dict, dict]:
 def cmd_kernel_check(r: _Resolved) -> tuple[dict, dict]:
     """memory-kernel integration vs closed form"""
     proc = _dephasing(r)
-    dt = _positive("--dt", r.get("dt"))
-    t_max = _positive("--t-max", r.get("t-max"))
+    dt = _require_positive("--dt", r.get("dt"))
+    t_max = _require_positive("--t-max", r.get("t-max"))
     _require(t_max >= 4 * dt, "--t-max must cover at least a few steps")
     r.check_unread()
 

@@ -441,13 +441,26 @@ def holevo_curve(proc, times: Sequence[float]) -> np.ndarray:
     each time, in bits.
 
     chi(t) = S(Phi(t)[I/2]) - S(Phi(t)[|+><+|]), the states mapped to the
-    Bloch vectors (0, 0, b) and (+-a, 0, b), taken as (1 - S)(hypot(a, b))
-    - (1 - S)(|b|). Dephasing gives chi(t) = 1 - H2((1 + |q(t)|) / 2).
+    Bloch vectors (0, 0, b) and (+-a, 0, b). Dephasing (b = 0) gives
+    chi(t) = 1 - H2((1 + |q(t)|) / 2). In the non-unital family, a = g and
+    (1 - S)(r1 = hypot(g, 1 - g)) less (1 - S)(r2 = 1 - g) cancels near 1;
+    so with d = r1 - r2 = g^2/(r1 + r2) and m = 1 - r1 = 2g(1 - g)/(1 + r1),
+    2 ln 2 chi = d ln(1 + r1) + (1 + r2) log1p(d/(1 + r2)) + m ln m - g ln g,
+    the last two taken as g log1p(-d/g) - d ln m where m >= g/2.
     """
     ts = np.asarray(times, dtype=float)
     if (ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all()
             or np.any(ts < 0.0)):
         raise GridError("times must be a 1-D array of finite non-negative "
                         "values")
-    a, b = _bloch_factors(proc, ts, "holevo_curve")
-    return _one_minus_entropy(np.hypot(a, b)) - _one_minus_entropy(np.abs(b))
+    a = _bloch_factors(proc, ts, "holevo_curve")[0]
+    if not isinstance(proc, NonUnitalSemiMarkov):
+        return _one_minus_entropy(np.abs(a))
+    r1, r2 = np.hypot(a, 1.0 - a), 1.0 - a
+    d, m = a * a / (r1 + r2), 2.0 * a * (1.0 - a) / (1.0 + r1)
+    # m = 0 only at g = 0 and g = 1, where m ln m - g ln g = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(m >= 0.5 * a, a * np.log1p(-d / a) - d * np.log(m),
+                        m * np.log(m) - a * np.log(a))
+    return (d * np.log1p(r1) + (1.0 + r2) * np.log1p(d / (1.0 + r2))
+            + np.where(m > 0.0, tail, 0.0)) / (2.0 * np.log(2.0))

@@ -511,20 +511,13 @@ def _level_time(proc):
 
 
 @dataclass(frozen=True)
-class NonUnitalSemiMarkov:
+class NonUnitalSemiMarkov(TanhSechWTD):
     """Qubit renewal process whose jump projects onto |0><0|.
 
-    Waits follow the tanh-sech distribution, so the survival is
-    g(t) = sech(rate t) and the map is Phi(t) = g id + (1 - g) P.
+    It is the tanh-sech law with a projector jump: the survival is
+    g(t) = sech(rate t), the map is Phi(t) = g id + (1 - g) P, and
+    ``classical_jump_simulate`` walks the process as its waits.
     """
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        _require_positive("rate", self.rate)
-
-    def survival(self, t):
-        return TanhSechWTD(self.rate).survival(t)
 
 
 def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
@@ -806,9 +799,11 @@ def _walk(wtd, per_step: int, jump_prob: float, times: np.ndarray, seed: int,
         carry = u[steps * per_step:]
         u = u[:steps * per_step].reshape(steps, per_step, paths.size)
         epochs = _waits_from_uniforms(wtd, u.transpose(0, 2, 1))
-        # sequential cumsum carried over from the last block: same bits
-        epochs[0] += last
-        _accumulate_steps(np.add, epochs)
+        # sequential cumsum carried over from the last block: same bits. An
+        # epoch past the float range is inf: that path never jumps again
+        with np.errstate(over="ignore"):
+            epochs[0] += last
+            _accumulate_steps(np.add, epochs)
         if counter == 1:
             t1 = np.where(epochs[0] < t_max, epochs[0], np.inf)
             first += np.bincount(bins(t1), minlength=n_bins)

@@ -273,6 +273,29 @@ def test_classical_sim_past_a_subnormal_exact_survival(capsys, argv):
     assert 0.0 < float(ratio[0].split(":")[1]) < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--wtd", "exponential"], ["--wtd", "exponential", "--jump-prob", "0.5"],
+    ["--wtd", "tanhsech"]])
+def test_classical_sim_past_an_overflowing_epoch_sum(capsys, argv):
+    # two finite waits near 1e308 sum past the float range: that epoch is
+    # inf, a path that never jumps again, with no overflow warning
+    code, out, err = _run(capsys, ["classical-sim", "--seed", "1", *argv,
+                                   "--lambda", "1e-308", "--paths", "10"])
+    assert code == 0, err
+    rows = list(csv.DictReader(l for l in out.splitlines()
+                               if not l.startswith("#")))
+    assert {row["survival"] for row in rows} == {"1"}
+
+
+def test_positive_flags_are_refused_with_their_name(capsys):
+    for argv, name in ((["blp", "--t-max", "-1"], "--t-max"),
+                       (["kernel-check", "--dt", "0"], "--dt")):
+        code, _, err = _run(capsys, argv)
+        value = float(argv[-1])
+        assert code == 2 and err == (f"qsm: configuration error: {name} must "
+                                     f"be positive and finite, got {value}\n")
+
+
 def test_version_and_help_exit_0(capsys):
     code, out, _ = _run(capsys, ["--version"])
     assert code == 0
@@ -382,9 +405,9 @@ _CONFIGS = {"rate": "grid = 4\n", "measure": "p-points = 3\nmode = min\n",
                                   ["classical-sim", "--seed", "1",
                                    "--paths", "10"]])
 def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
-    """A command's parser is built once a process and help width: a second
-    run, with a --config re-parse, reuses it, and another width builds a
-    second one."""
+    """A command's parser is built once a process, at any help width: a
+    second run, with a --config re-parse, reuses it, and so does a run at
+    another width."""
     cfg = tmp_path / "flags.cfg"
     cfg.write_text(_CONFIGS[argv[0]])
     built = []
@@ -396,7 +419,7 @@ def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     monkeypatch.setenv("COLUMNS", "80")
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     for extra in ([], ["--config", str(cfg)]):
         code, _, err = _run(capsys, [*argv, *extra])
         assert code == 0, err
@@ -404,7 +427,7 @@ def test_a_run_builds_one_parser(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setenv("COLUMNS", "120")
     code, _, err = _run(capsys, argv)
     assert code == 0, err
-    assert built == [f"qsm {argv[0]}"] * 2
+    assert built == [f"qsm {argv[0]}"]
 
 
 def test_a_shared_parser_keeps_no_state_between_runs(capsys):
@@ -435,6 +458,21 @@ def test_help_wraps_to_the_width_of_each_run(capsys, monkeypatch):
         wide.splitlines(), key=len))
     monkeypatch.setenv("COLUMNS", "200")
     assert _run(capsys, ["measure", "--help"]) == (0, wide, "")
+
+
+def test_usage_errors_wrap_to_the_width_of_each_run(capsys, monkeypatch):
+    """One parser prints a usage error at 60 columns, then at 200, each
+    wrapped to its width (the error line itself is not wrapped)."""
+    widths = []
+    for columns in (60, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = _run(capsys, ["measure", "--mode", "max"])
+        assert code == 2 and out == ""
+        usage = err.splitlines()[:-1]
+        assert usage[0].startswith("usage: qsm measure [-h]")
+        assert "invalid choice: 'max'" in err.splitlines()[-1]
+        widths.append(max(map(len, usage)))
+    assert widths[0] <= 58 and widths[1] > 100
 
 
 def test_parser_without_a_command_builds_no_flags():

@@ -1265,6 +1265,29 @@ def test_holevo_matches_an_mpmath_oracle_where_chi_is_small():
             assert abs(got - want) <= 1e-15 * want
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.05, 2.0, 5.0])
+def test_nonunital_holevo_matches_an_mpmath_oracle(lam):
+    # (1 - S)(hypot(g, 1 - g)) - (1 - S)(1 - g) cancels at late times, where
+    # both lengths near 1: chi is taken from g itself, and stays positive
+    proc = NonUnitalSemiMarkov(rate=lam)
+    ts = np.linspace(0.0, 12.0, 481)
+    chi, gs = holevo_curve(proc, ts), proc.survival(ts)
+    assert chi[0] == 1.0 and np.all(chi[gs > 0.0] > 0.0)
+
+    def one_minus_s(r):
+        return ((1 + r) * mpmath.log(1 + r)
+                + ((1 - r) * mpmath.log(1 - r) if r < 1 else 0))
+
+    # chi is near g^2 ln(2/g) / (4 ln 2), 7e-51 at lam t = 60, a difference
+    # of two terms near 2 ln 2: 50 digits would not resolve it
+    with mpmath.workdps(200):
+        for g, got in zip(gs, chi):
+            g = mpmath.mpf(g)
+            want = (one_minus_s(mpmath.sqrt(g**2 + (1 - g)**2))
+                    - one_minus_s(1 - g)) / (2 * mpmath.log(2))
+            assert abs(got - want) <= 1e-14 * want
+
+
 def test_holevo_vanishes_at_coherence_zero():
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     t_star = float(coherence_zeros(proc, 1.0)[0])

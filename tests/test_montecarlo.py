@@ -7,6 +7,7 @@ from qsemimarkov import (
     DomainError,
     ExpConvolutionWTD,
     ExponentialWTD,
+    NonUnitalSemiMarkov,
     TanhSechWTD,
     classical_jump_simulate,
 )
@@ -28,6 +29,25 @@ def test_survival_matches_waiting_time_distribution(wtd):
     assert np.array_equal(result.times, np.linspace(0.0, 2.0, 5))
     exact = np.asarray(wtd.survival(result.times))
     assert _z_scores(result.survival, result.survival_se, exact).max() < 4.0
+
+
+def test_the_nonunital_process_walks_as_its_tanh_sech_waits():
+    # the non-unital process is the tanh-sech law with a projector jump
+    for rate in (0.5, 1.05):
+        got = classical_jump_simulate(NonUnitalSemiMarkov(rate), 0.5, 3.0,
+                                      2000, seed=5, n_times=7)
+        want = classical_jump_simulate(TanhSechWTD(rate), 0.5, 3.0, 2000,
+                                       seed=5, n_times=7)
+        for field in ("times", "survival", "survival_se", "occupation",
+                      "occupation_se"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.philox_counters == want.philox_counters
+    proc = NonUnitalSemiMarkov(1.05)
+    assert repr(proc) == "NonUnitalSemiMarkov(rate=1.05)"
+    assert proc == NonUnitalSemiMarkov(rate=1.05) != TanhSechWTD(1.05)
+    with pytest.raises(DomainError,
+                       match=r"^rate must be positive and finite, got 0\.0$"):
+        NonUnitalSemiMarkov(rate=0.0)
 
 
 @pytest.mark.parametrize("rates", [(1.0, 2.0), (1e5, 2.0), (1e300, 1e-300),
