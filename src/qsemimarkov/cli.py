@@ -54,6 +54,7 @@ from .semimarkov import (
     ExponentialWTD,
     NonUnitalSemiMarkov,
     TanhSechWTD,
+    _IMAG,
     _require_positive,
     _zero_lattice,
     classical_jump_simulate,
@@ -310,7 +311,7 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
     choi = cfg.form == "choi"
     meta = {"family_constant": res.family_constant} if choi else {}
     if kind == "dephasing":
-        columns["cp_indivisible"] = (p_values > s**2 / 8.0).astype(float)
+        columns["cp_indivisible"] = (proc.branch == _IMAG).astype(float)
         meta["p_boundary"] = s**2 / 8.0
     if choi:
         columns["xi_raw"] = res.raw_average

@@ -359,7 +359,7 @@ def blp_measure(proc, t_max: float, *, n_grid: int = 2001) -> BLPResult:
     """
     times = np.linspace(0.0, _require_positive("t_max", t_max),
                         _require_count("n_grid", n_grid, 2))
-    dist = np.abs(_bloch_factors(proc, times, "blp_measure")[0])
+    dist = np.abs(_bloch_factors(proc, times, "blp_measure"))
     inc = np.diff(dist)
     measure = float(inc[inc > _REVIVAL_FLOOR].sum())
     return BLPResult(measure=measure, times=times, trace_distance=dist)
@@ -402,7 +402,7 @@ def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
             or np.any(np.diff(ts) <= 0.0) or ts[0] < 0.0):
         raise GridError("times must be a 1-D increasing finite grid of "
                         "length >= 2")
-    a = _bloch_factors(proc, ts, "cp_divisibility_scan")[0]
+    a = _bloch_factors(proc, ts, "cp_divisibility_scan")
     early = a[:-1]
     if isinstance(proc, NonUnitalSemiMarkov):
         # cond <= _COND_MAX with S^2 - 4 g^2 = 2 (1 - g)^2 (S + 2 g), no 1/g
@@ -453,7 +453,7 @@ def holevo_curve(proc, times: Sequence[float]) -> np.ndarray:
             or np.any(ts < 0.0)):
         raise GridError("times must be a 1-D array of finite non-negative "
                         "values")
-    a = _bloch_factors(proc, ts, "holevo_curve")[0]
+    a = _bloch_factors(proc, ts, "holevo_curve")
     if not isinstance(proc, NonUnitalSemiMarkov):
         return _one_minus_entropy(np.abs(a))
     r1, r2 = np.hypot(a, 1.0 - a), 1.0 - a

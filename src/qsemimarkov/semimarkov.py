@@ -21,9 +21,12 @@ Each jump applies a fixed channel. Two families are implemented:
 Both maps are Phi(t) = w id + (1 - w) J with J the jump channel: w = (1 + q)/2
 for dephasing and w = g for the non-unital family.
 
-q(t) is evaluated in exponential-partial-fraction form, and gamma(t) and
-ln|q(t)| from closed forms that never divide by q or take its log, so they
-stay finite and accurate for large t in every branch of eta.
+Two branches of eta are told apart, by the exact sign of 1 - 8p/s^2: real
+(eta = 0 included) and imaginary, where q oscillates. The real forms run
+through the rise time tau = (1 - e^{-s eta t})/(s eta), t at eta = 0, and
+c = 1 - eta, so they are continuous and exact at eta = 0. gamma(t) and
+ln|q(t)| never divide by q or take its log, so they stay finite and
+accurate for large t on both branches.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "classical_jump_simulate",
 ]
 
-_BRANCH_TOL = 1e-9          # |1 - 8p/s^2| below this selects the eta -> 0 limit
 _COHERENCE_FLOOR = 1e-12    # |q| e^{st/2} below this is a rate pole
 # ln q is log1p of q's Taylor series where R |t| <= _SERIES_REACH, with
 # R = max(s, sqrt(2p)) >= |r| for both roots of r^2 + s r + 2p = 0. There
@@ -167,38 +169,37 @@ REGIME_DIVISIBLE = "cp-divisible"
 REGIME_INDIVISIBLE = "cp-indivisible"
 
 
-_BOUNDARY, _REAL, _IMAG = range(3)  # branches of eta, in proc.branch
+_REAL, _IMAG = range(2)  # branches of eta, in proc.branch: p <= s^2/8, above
 
 
 def _by_branch(proc, t, forms):
     """Each element's value from the form of its branch of eta.
 
-    ``forms`` holds f(p, w, t) for the boundary, real and imaginary
-    branches; ``proc.p`` is a scalar or an array broadcasting against t. A
-    form sees only the elements of its branch, so each element does the
-    arithmetic it would do alone. A p of one element is taken as a float
-    and t on whole, as the same value broadcast.
+    ``forms`` holds f(p, w, c, t) for the real and imaginary branches;
+    ``proc.p`` is a scalar or an array broadcasting against t. A form sees
+    only the elements of its branch, so each element does the arithmetic it
+    would do alone. A p of one element is taken as a float and t on whole,
+    as the same value broadcast.
     """
-    branch, w = proc.branch, proc.w
+    branch, w, c = proc.branch, proc.w, proc.c
     t = np.asarray(t, dtype=float)
     if branch.size == 1:
         return forms[int(branch.flat[0])](np.asarray(proc.p).item(),
-                                          w.item(), t)
-    branch, p, w, t = np.broadcast_arrays(branch, proc.p, w, t)
+                                          w.item(), c.item(), t)
+    branch, p, w, c, t = np.broadcast_arrays(branch, proc.p, w, c, t)
     out = np.empty(t.shape)
     for which, form in enumerate(forms):
         sel = branch == which
         if sel.any():
-            out[sel] = form(p[sel], w[sel], t[sel])
+            out[sel] = form(p[sel], w[sel], c[sel], t[sel])
     return out
 
 
-def _eight_p_by_s2(p, s):
-    """8p/s^2: inf where it overflows, and 0 at p = 0, the semigroup for
-    every s, also where s^2 underflows to 0."""
-    with np.errstate(over="ignore", divide="ignore"):
-        return np.divide(8.0 * p, s**2, out=np.zeros_like(p, dtype=float),
-                         where=p > 0.0)
+def _rise_time(s: float, w, t):
+    """tau = (1 - e^{-s w t})/(s w) on the real branch, eta = w >= 0; it is
+    t at w = 0, and 1/(s w) where s w t overflows."""
+    sw = s * w
+    return np.where(sw == 0.0, t, -np.expm1(-sw * t) / sw)
 
 
 def _times(t) -> np.ndarray:
@@ -221,36 +222,46 @@ class DephasingSemiMarkov:
 
     p is a float, or an array of any shape holding one process per element,
     all sharing s; the closed forms broadcast it against t. Its first bad
-    element is refused by value. Each element's branch of eta and w = |eta|
-    are worked out once, here: eta = 0 where |1 - 8p/s^2| < ``_BRANCH_TOL``.
+    element is refused by value. Each element's branch of eta, w = |eta|
+    and c = (8p/s^2)/(1 + w), 1 - eta on the real branch, are worked out
+    once, here. The branch is the sign of 1 - 8p/s^2, taken exactly: real
+    where p <= s^2/8, eta = 0 included, and imaginary where p > s^2/8.
     """
 
     s: float
     p: float | np.ndarray
     branch: np.ndarray = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = _require_positive("s", self.s)
-        if s * s == np.inf:  # so that s**2, here and in the forms, is finite
+        h = s * s
+        if h == np.inf:  # so that s^2, here and in the forms, is finite
             raise DomainError(f"s must have a finite square, got {s!r}")
-        p = np.array(self.p, dtype=float)  # a copy: branch and w stay true
+        p = np.array(self.p, dtype=float)  # a copy: the fields stay true
         ok = np.isfinite(p) & (p >= 0.0)
         if not ok.all():
             raise DomainError("p must be non-negative and finite, got "
                               f"{float(p[~ok][0])!r}")
-        ratio = _eight_p_by_s2(p, s)
+        # 8p/s^2 is 0 at p = 0, the semigroup for every s, also where s^2
+        # underflows to 0
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = np.divide(8.0 * p, h, out=np.zeros_like(p), where=p > 0.0)
         if np.isinf(ratio).any():  # |eta| would be inf: every phase 0 * inf
             raise DomainError(f"8p/s^2 overflows at s = {self.s!r}, p = "
                               f"{float(p[np.isinf(ratio)].flat[0])!r}")
-        disc = 1.0 - ratio
-        size = np.abs(disc)
-        boundary = size < _BRANCH_TOL
+        # 1 - 8p/s^2 as ((h - 8p) + l)/h with s^2 = h + l exactly (Dekker's
+        # split of s), so it keeps its digits, and its sign, near p = s^2/8
+        big = s * 134217729.0 - (s * 134217729.0 - s)  # 2^27 + 1: top 26 bits
+        small = s - big
+        l = ((big * big - h) + 2.0 * big * small) + small * small
+        disc = np.divide((h - 8.0 * p) + l, h, out=np.ones_like(p),
+                         where=p > 0.0)
+        w = np.sqrt(np.abs(disc))
         self.__dict__.update(  # frozen: the fields are set this once
-            p=p if p.ndim else self.p,
-            branch=np.where(boundary, _BOUNDARY,
-                            np.where(disc > 0.0, _REAL, _IMAG)),
-            w=np.where(boundary, 0.0, np.sqrt(size)))
+            p=p if p.ndim else self.p, w=w, c=ratio / (1.0 + w),  # 1 - eta
+            branch=np.where(disc < 0.0, _IMAG, _REAL))
 
     @classmethod
     def from_rates(cls, rate1: float, rate2: float) -> "DephasingSemiMarkov":
@@ -259,53 +270,53 @@ class DephasingSemiMarkov:
         return cls(s=rate1 + rate2, p=rate1 * rate2)
 
     def take(self, index) -> "DephasingSemiMarkov":
-        """The processes at a numpy ``index`` into p, with their branches
-        and |eta| taken along, not worked out again (one is returned as is)."""
+        """The processes at a numpy ``index`` into p, with their branches,
+        w and c taken along, not worked out again (one is returned as is)."""
         if self.branch.size == 1:
             return self
         part = copy.copy(self)
         part.__dict__.update(p=self.p[index], branch=self.branch[index],
-                             w=self.w[index])
+                             w=self.w[index], c=self.c[index])
         return part
 
     def regime(self) -> str:
-        """Exact classification against the boundary p = s^2 / 8."""
+        """Exact classification against the boundary p = s^2 / 8: the
+        branch of eta, with the semigroup at p = 0."""
         _require_one(self, "regime")
         if self.p == 0.0:
             return REGIME_SEMIGROUP
-        if self.p > self.s**2 / 8.0:
-            return REGIME_INDIVISIBLE
-        return REGIME_DIVISIBLE
+        return REGIME_INDIVISIBLE if self.branch == _IMAG else REGIME_DIVISIBLE
 
 
 def q_of_t(proc: DephasingSemiMarkov, t):
     """Coherence factor q(t); vectorized over t >= 0.
 
-    |q| <= 1 exactly, but q can round to 1 + 2e-16 near t = 0, so it is
-    clipped to [-1, 1] here and nowhere else. q is 0 where s t or the
-    phase x overflows, as e^{-st/2} is 0 there, and NaN at a NaN t.
+    On the real branch q = e^{-s c t/2} (1 + c s tau/2), with c = 1 - eta
+    and tau the rise time, no growing exponential; at p = s^2/8, w = 0, it
+    is e^{-st/2} (1 + st/2). Where q oscillates (p > s^2/8) it is
+    e^{-st/2} (cos x + sin x/|eta|) with x = s|eta|t/2. |q| <= 1 exactly,
+    but q can round to 1 + 2e-16 near t = 0, so it is clipped to [-1, 1]
+    here and nowhere else. q is 0 where s c t or the phase x overflows, as
+    its decay is 0 there, and NaN at a NaN t.
 
     :raises DomainError: for a t < 0.
     """
     t, s = _times(t), proc.s
 
-    def boundary(p, w, t):
-        x = s * t / 2
-        return np.where(np.isinf(x), 0.0, np.exp(-x) * (1.0 + x))
+    def real(p, w, c, t):
+        x = s * c * t / 2
+        return np.where(np.isinf(x), 0.0,
+                        np.exp(-x) * (1.0 + c * s * _rise_time(s, w, t) / 2))
 
-    def real(p, w, t):  # partial fractions: no growing exponentials
-        q = ((1.0 + w) * np.exp(-s * (1.0 - w) * t / 2)
-             + (w - 1.0) * np.exp(-s * (1.0 + w) * t / 2)) / (2.0 * w)
-        return np.where(t == 0.0, 1.0, q)  # where the fractions round
-
-    def imag(p, w, t):
+    def imag(p, w, c, t):
         x = s * t * w / 2
         return np.where(np.isinf(x), 0.0,
                         np.exp(-s * t / 2) * (np.cos(x) + np.sin(x) / w))
 
-    # s t overflows to inf where q is 0; np.where drops inf * 0 and cos(inf)
+    # s t overflows to inf where q is 0; np.where drops inf * 0, cos(inf)
+    # and the 0/0 of tau at w = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.clip(_by_branch(proc, t, (boundary, real, imag)), -1.0, 1.0)
+        return np.clip(_by_branch(proc, t, (real, imag)), -1.0, 1.0)
 
 
 def _log_q_series(s: float, p, t):
@@ -328,38 +339,28 @@ def _log_abs_q(proc: DephasingSemiMarkov, t):
     below lose q - 1 ~ -p t^2 to the cancellation of their O(s t) terms.
     Elsewhere, where q oscillates (p > s^2/8), it is
     -s t/2 + ln|cos x + sin x/|eta|| with x = s|eta|t/2, so only the zeros
-    of q make it -inf. At p = s^2/8 it is -s t/2 + log1p(s t/2). On the
-    real branch ln q is formed in log space where q <= 1/2, so it stays
-    finite where q underflows:
-    -s c t/2 + ln[((1 + eta) + (eta - 1) e^{-s eta t}) / (2 eta)] with
-    c = 1 - eta = (8p/s^2)/(1 + eta); where q > 1/2 it is log1p(q - 1), with
-    q - 1 = [(2 - c) expm1(-s c t/2) - c expm1(-s (2 - c) t/2)] / (2 eta).
-    It is -inf where s t or x overflows, and NaN at a NaN t.
+    of q make it -inf. On the real branch, with c = 1 - eta and tau the
+    rise time, it is formed in log space, -s c t/2 + log1p(c s tau/2), so
+    it stays finite where q underflows; at p = s^2/8 that is
+    -s t/2 + log1p(s t/2). It is -inf where s c t or x overflows, and NaN
+    at a NaN t.
     """
     s, t = proc.s, np.asarray(t, dtype=float)
 
-    def imag(p, w, t):
+    def imag(p, w, c, t):
         x = s * w * t / 2
         log_q = -s * t / 2 + np.log(np.abs(np.cos(x) + np.sin(x) / w))
         return np.where(np.isinf(x), -np.inf, log_q)
 
-    def boundary(p, w, t):
-        log_q = -s * t / 2 + np.log1p(s * t / 2)
-        return np.where(np.isinf(s * t), -np.inf, log_q)
-
-    def real(p, w, t):
-        c = _eight_p_by_s2(p, s) / (1.0 + w)  # 1 - w, to full precision
-        q_minus_1 = ((2.0 - c) * np.expm1(-s * c * t / 2)
-                     - c * np.expm1(-s * (2.0 - c) * t / 2)) / (2.0 * w)
-        log_space = -s * c * t / 2 + np.log(
-            ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t)) / (2.0 * w))
-        return np.where(q_minus_1 > -0.5,
-                        np.log1p(np.maximum(q_minus_1, -0.5)), log_space)
+    def real(p, w, c, t):
+        x = s * c * t / 2
+        return np.where(np.isinf(x), -np.inf,
+                        np.log1p(c * s * _rise_time(s, w, t) / 2) - x)
 
     # -inf at an exact zero of q; where s t overflows, np.where drops the
     # inf - inf and cos(inf) for -inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_q = _by_branch(proc, t, (boundary, real, imag))
+        log_q = _by_branch(proc, t, (real, imag))
         small = t * t * np.maximum(s * s, 2.0 * proc.p) <= _SERIES_REACH**2
     if small.any():
         t, p = np.broadcast_arrays(t, proc.p)
@@ -371,11 +372,11 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """Time-local dephasing rate gamma(t) = -(1/2) d ln q / dt.
 
     Formed from neither q nor q', so it stays finite where q underflows.
-    For p < s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
-    2p (-expm1(-s eta t)) / (s ((1 + eta) + (eta - 1) e^{-s eta t})), and
-    tends to s(1 - eta)/4; at p = s^2/8 it is s^2 t / (8 + 4 s t), s/4
-    where the quotient or 4 s t overflows. Where q oscillates
-    (p > s^2/8) it is 2p sin x / (s (|eta| cos x + sin x)) with
+    For p <= s^2/8 it is 2p / (s eta coth(s eta t / 2) + s), evaluated as
+    p / (1/tau + c s/2) with c = 1 - eta and tau the rise time, and tends
+    to s c/4; at p = s^2/8 (w = 0) it is s^2 t / (8 + 4 s t), tending to
+    s/4. Where q oscillates (p > s^2/8) it is
+    2p sin x / (s (|eta| cos x + sin x)) with
     x = s|eta|t/2, with a pole where |cos x + sin x/|eta|| < 1e-12: the
     test ignores the decay e^{-st/2} of q, so only its zeros are poles. It
     has no limit there, so it is NaN where x overflows. Every branch gives
@@ -387,16 +388,10 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
     """
     t, s = _times(t), proc.s
 
-    def boundary(p, w, t):
-        gamma = s**2 * t / (8.0 + 4.0 * s * t)
-        return np.where(np.isinf(gamma) | np.isinf(4.0 * s * t), s / 4.0,
-                        gamma)
+    def real(p, w, c, t):  # +0.0 at t = 0 (1/tau = inf) and at p = 0
+        return p / (1.0 / _rise_time(s, w, t) + c * s / 2)
 
-    def real(p, w, t):  # +0.0 at t = 0 and at p = 0
-        return (2.0 * p * -np.expm1(-s * w * t)
-                / (s * ((1.0 + w) + (w - 1.0) * np.exp(-s * w * t))))
-
-    def imag(p, w, t):
+    def imag(p, w, c, t):
         x = s * w * t / 2
         sin_x, cos_x = np.sin(x), np.cos(x)
         pole = np.abs(cos_x + sin_x / w) < _COHERENCE_FLOOR
@@ -406,9 +401,10 @@ def gamma_dephasing(proc: DephasingSemiMarkov, t):
         return np.where(pole, np.nan,
                         2.0 * p * sin_x / (s * (w * cos_x + sin_x) + pole))
 
-    # where s t overflows: inf / inf at p = s^2/8, sin(inf) past it
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = _by_branch(proc, t, (boundary, real, imag))
+    # 1/tau is inf at t = 0, where gamma is 0; np.where drops tau's 0/0 at
+    # w = 0 and sin(inf) where s t overflows past p = s^2/8
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma = _by_branch(proc, t, (real, imag))
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -485,24 +481,25 @@ def _level_time(proc):
         return level_time, np.inf
     s = proc.s
 
-    def imag(p, w, r):  # 2/k [atan((4r - s)/k) + atan(s/k)], summed exactly
+    def imag(p, w, c, r):  # 2/k [atan((4r - s)/k) + atan(s/k)], summed exactly
         k = s * w
         return 2.0 / k * np.arctan2(r * k, 2.0 * p - r * s)
 
-    # elsewhere gamma rises to a top rate as t -> inf
-    def boundary(p, w, r):
-        return np.where(r < s / 4.0, 8.0 * r / (s * (s - 4.0 * r)), np.inf)
-
-    def real(p, w, r):
-        top = 2.0 * p / s / (1.0 + w)
-        t = (np.log1p(-r / (s * (1.0 + w) / 4.0))
-             - np.log1p(-r / top)) / (s * w)
-        return np.where(r < top, t, np.inf)
+    # elsewhere gamma rises to its top rate b, the smaller root of
+    # 2g^2 - s g + p, as t -> inf: with the larger root a and
+    # z = r s eta/(2a (b - r)), t(r) = [log1p(z)/z] r/(2a (b - r)), which at
+    # p = s^2/8 (z = 0, a = b = s/4) is 8r/(s (s - 4r))
+    def real(p, w, c, r):
+        a, b = s * (1.0 + w) / 4, s * c / 4
+        u = r / (b - r) / (2.0 * a)
+        z = u * s * w
+        return np.where(r < b, np.where(z == 0.0, u, np.log1p(z) / z * u),
+                        np.inf)
 
     def level_time(r):
         # np.where drops what a form makes past its top rate or float range
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _by_branch(proc, r, (boundary, real, imag))
+            return _by_branch(proc, r, (real, imag))
 
     with np.errstate(divide="ignore"):  # w = 0 off the oscillating branch
         period = np.where(proc.branch == _IMAG, 2.0 * np.pi / (s * proc.w),
@@ -529,17 +526,16 @@ def gamma_nonunital(proc: NonUnitalSemiMarkov, t):
 
 
 def _bloch_factors(proc, t, caller: str):
-    """(a, b) with Phi(t) taking the Bloch vectors (+-1, 0, 0) of |+>, |->
-    to (+-a, 0, b), and the x, y coordinates of any state to a x, a y: (q, 0)
-    for dephasing, (g, 1 - g) for the non-unital family.
+    """The factor a by which Phi(t) scales the x, y Bloch coordinates of any
+    state: q for dephasing, g for the non-unital family (which also moves
+    the z coordinate of |+> and |-> to 1 - g).
     :raises DomainError: for another process type or an array p."""
     _require_one(proc, caller)
     if isinstance(proc, DephasingSemiMarkov):
-        return q_of_t(proc, t), 0.0
+        return q_of_t(proc, t)
     if not isinstance(proc, NonUnitalSemiMarkov):
         raise DomainError(f"unknown process type {type(proc)!r}")
-    g = proc.survival(t)
-    return g, 1.0 - g
+    return proc.survival(t)
 
 
 @dataclass(frozen=True)

@@ -573,6 +573,20 @@ def test_measure_excision_reported(capsys):
     assert doc["metadata"]["excised_intervals"] == []
 
 
+def test_measure_excises_the_poles_just_past_the_boundary(capsys):
+    """|1 - 8p/s^2| = 4e-10 was once taken as eta = 0: the row was flagged
+    cp_indivisible with no pole excised, yet |eta| = 2e-5 puts three zeros
+    of q before T = 1e6."""
+    doc = _json_out(capsys, ["measure", "--p", "0.12500000005", "--T", "1e6",
+                             "--format", "json"])
+    assert doc["columns"]["cp_indivisible"] == [1.0]
+    (lo, hi, p, period, count), = doc["metadata"]["excised_intervals"]
+    poles = coherence_zeros(DephasingSemiMarkov(1.0, 0.12500000005), 1e6)
+    assert count == poles.size == 3 and p == 0.12500000005
+    assert lo < poles[0] < hi
+    assert period == pytest.approx(poles[1] - poles[0], rel=1e-9)
+
+
 # ----------------------------------------------------- parametrization alias
 
 def test_rate_parametrizations_are_identical(capsys):

@@ -1,6 +1,7 @@
 """Waiting-time distributions, coherence factors, rates, maps, kernels."""
 
 import cmath
+import json
 import re
 
 import mpmath
@@ -352,6 +353,118 @@ def test_regime_classification():
     assert DephasingSemiMarkov(s=1.0, p=0.125).regime() == REGIME_DIVISIBLE
     assert DephasingSemiMarkov(s=1.0, p=0.125 + 1e-13).regime() == REGIME_INDIVISIBLE
     assert DephasingSemiMarkov(s=1.0, p=3.0).regime() == REGIME_INDIVISIBLE
+
+
+@pytest.mark.parametrize("s", [0.9, 1.0, 1.1, 3.0])
+def test_every_reader_of_the_branch_agrees_beside_the_boundary(capsys, s):
+    """At p = s^2/8 and its float neighbours the regime, the branch, the
+    measure's cp_indivisible column and the pole lattice all say whether
+    p > s^2/8, as exact rational arithmetic does: a window of 1e-9 about
+    the boundary once took the neighbour above as eta = 0, with no poles.
+    At s = 0.9 the double s^2/8 itself lies above the boundary, as the
+    float s^2 rounds up."""
+    from fractions import Fraction
+
+    from qsemimarkov.cli import run
+
+    edge = s * s / 8
+    for p in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+        above = Fraction(p) > Fraction(s) ** 2 / 8
+        proc = DephasingSemiMarkov(s, float(p))
+        assert (proc.regime() == REGIME_INDIVISIBLE) == above
+        assert (proc.branch == semimarkov._IMAG) == above
+        # |eta| >= 1e-9 above, so the first zero comes before t = 1e13
+        counts = semimarkov._zero_lattice(proc, 1e13)[2]
+        assert (counts > 0).tolist() == [above]
+        assert run(["measure", "--s", repr(s), "--p", repr(float(p)),
+                    "--format", "json"]) == 0
+        column = json.loads(capsys.readouterr().out)["columns"]
+        assert column["cp_indivisible"] == [float(above)]
+
+
+def test_coherence_zeros_just_past_the_boundary():
+    """|eta| = 2e-5 puts three zeros of q before t = 1e6, at
+    t_k = 2 (k pi - arctan w)/(s w); the 1e-9 window listed none."""
+    p = 0.12500000005
+    w = mpmath.sqrt(8 * mpmath.mpf(p) - 1)
+    expected = [float(2 * (k * mpmath.pi - mpmath.atan(w)) / w)
+                for k in (1, 2, 3)]
+    zeros = coherence_zeros(DephasingSemiMarkov(1.0, p), 1e6)
+    assert zeros == pytest.approx(expected, rel=1e-12)
+
+
+def _near_boundary_oracle(s, p, t):
+    """(q, ln|q|, gamma) at 50 digits from the exact s, p and t: q is
+    e^{-st/2} (C + S) with C = cosh z, S = sinh z/eta, z = s eta t/2 (cos
+    and sin where eta = i w, 1 and st/2 at eta = 0), and
+    gamma = 2p S/(s(C + S))."""
+    with mpmath.workdps(50):
+        s, p, t = mpmath.mpf(s), mpmath.mpf(p), mpmath.mpf(t)
+        e2 = 1 - 8 * p / s**2
+        if e2 == 0:
+            C, S = mpmath.mpf(1), s * t / 2
+        elif e2 > 0:
+            e = mpmath.sqrt(e2)
+            C, S = mpmath.cosh(s * e * t / 2), mpmath.sinh(s * e * t / 2) / e
+        else:
+            w = mpmath.sqrt(-e2)
+            C, S = mpmath.cos(s * w * t / 2), mpmath.sin(s * w * t / 2) / w
+        q = mpmath.exp(-s * t / 2) * (C + S)
+        return q, mpmath.log(abs(q)), 2 * p * S / (s * (C + S))
+
+
+def _level_time_oracle(s, p, r):
+    """t(r), where gamma first equals r, at 50 digits: from the roots
+    a > b of 2g^2 - s g + p where p <= s^2/8, from an arctan past it."""
+    with mpmath.workdps(50):
+        s, p, r = mpmath.mpf(s), mpmath.mpf(p), mpmath.mpf(r)
+        e2 = 1 - 8 * p / s**2
+        if e2 == 0:
+            return 8 * r / (s * (s - 4 * r))
+        if e2 > 0:
+            e = mpmath.sqrt(e2)
+            a, b = s * (1 + e) / 4, s * (1 - e) / 4
+            return (mpmath.log1p(-r / a) - mpmath.log1p(-r / b)) / (s * e)
+        k = s * mpmath.sqrt(-e2)
+        return 2 / k * mpmath.atan2(r * k, 2 * p - r * s)
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6,
+                                   -1e-6])
+@pytest.mark.parametrize("s", [0.9, 1.0, 3.0])
+def test_closed_forms_near_the_boundary_match_an_mpmath_oracle(s, delta):
+    """p = (s^2/8)(1 + delta), where a window |1 - 8p/s^2| < 1e-9 once took
+    eta as 0: gamma was up to 2.5e-6 off, ln|q| 1.3e-6, q 3.7e-5 and t(r)
+    1.9e-8.
+
+    ln|q| and gamma are checked to 2e-14 relative on t in [1e-3, 1e4].
+    q is e^{-x} times a factor near 1, with x ~ s t/2 formed in floats
+    to within about 1 ulp, which moves q by x ulp whatever the form; so
+    q is checked to 2e-14 max(1, s t/2) relative, wherever it is a
+    normal float (ln|q| covers the rest). The grid keeps clear of the
+    zeros of q (no point within 4% of one), where no float t pins q or
+    gamma to a relative error.
+    t(r) is checked to 1e-14 relative on r in [-b/2, 0.9 b], with b the
+    top rate s(1 - eta)/4 (s/4 where q oscillates)."""
+    p = s * s / 8 * (1.0 + delta)
+    proc = DephasingSemiMarkov(s, p)
+    ts = np.geomspace(1e-3, 1e4, 41)
+    exact = np.array([[float(v) for v in _near_boundary_oracle(s, p, t)]
+                      for t in ts]).T
+    normal = np.abs(exact[0]) >= np.finfo(float).tiny
+    q, want = q_of_t(proc, ts)[normal], exact[0][normal]
+    bound = 2e-14 * np.maximum(1.0, s * ts[normal] / 2) * np.abs(want)
+    assert np.all(np.abs(q - want) <= bound)
+    for got, want in ((semimarkov._log_abs_q(proc, ts), exact[1]),
+                      (gamma_dephasing(proc, ts), exact[2])):
+        assert np.all(np.abs(got - want) <= 2e-14 * np.abs(want))
+    with mpmath.workdps(50):
+        e2 = 1 - 8 * mpmath.mpf(p) / mpmath.mpf(s) ** 2
+        top = float(s * (1 - mpmath.sqrt(e2)) / 4) if e2 >= 0 else s / 4
+    rs = np.linspace(-top / 2, 0.9 * top, 37)
+    want = np.array([float(_level_time_oracle(s, p, r)) for r in rs])
+    got = semimarkov._level_time(proc)[0](rs)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_from_rates():
