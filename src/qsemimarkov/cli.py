@@ -312,7 +312,7 @@ def cmd_measure(r: _Resolved) -> tuple[dict, dict]:
     meta = {"family_constant": res.family_constant} if choi else {}
     if kind == "dephasing":
         columns["cp_indivisible"] = (proc.branch == _IMAG).astype(float)
-        meta["p_boundary"] = s**2 / 8.0
+        meta["p_boundary"] = proc.p_boundary
     if choi:
         columns["xi_raw"] = res.raw_average
     # [lo, hi, p, period, count] per row with poles: its first hole, or its
@@ -362,7 +362,7 @@ def cmd_divisibility(r: _Resolved) -> tuple[dict, dict]:
     """CP-divisibility scan or boundary search"""
     if r.get("boundary-search"):
         # the boundary is p = s^2/8; the process checks s alone
-        boundary = DephasingSemiMarkov(s=r.get("s"), p=0.0).s ** 2 / 8.0
+        boundary = DephasingSemiMarkov(s=r.get("s"), p=0.0).p_boundary
         r.check_unread()
         return ({"p_estimate": np.array([boundary])},
                 {"p_boundary_estimate": boundary})

@@ -31,9 +31,9 @@ that fixed shape; one process is a batch of one row. The excised holes are
 reported the same way, as each row's lattice, so nothing is built per pole.
 
 Also provided, as closed forms in q(t) or g(t) = sech(lambda t) on Bloch
-vectors: the trace-distance-revival measure and the Holevo information
-curve of the |+>, |-> pair, and a CP-divisibility scan over intermediate
-maps.
+vectors: the trace-distance-revival measure of the |+>, |-> pair, summed
+over the peaks of |q|, its Holevo information curve, and a CP-divisibility
+scan over intermediate maps, singular only where q(t1) has lost its digits.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import DomainError, GridError, Singularity
 from .numerics import trace_norm
 from .quantum import DephasingGenerator, ProjectorGenerator, choi_of_generator
 from .semimarkov import (
+    _IMAG,
     DephasingSemiMarkov,
     NonUnitalSemiMarkov,
     _bloch_factors,
@@ -75,8 +76,6 @@ __all__ = [
 
 _MODES = ("fixed", "min")
 _FORMS = ("rate", "choi")
-_REVIVAL_FLOOR = 1e-12  # trace-distance increments up to this are rounding
-_COND_MAX = 1e12  # a map with a larger condition number has no inverse
 _CP_TOL = 1e-8    # a Choi eigenvalue above -_CP_TOL counts as CP
 # 1/(k (2k - 1)) for k = 24..1: the first term left out is below 3e-18 r^2
 _CHI_SERIES = [1.0 / (k * (2 * k - 1)) for k in range(24, 0, -1)]
@@ -348,20 +347,30 @@ class BLPResult:
 
 
 def blp_measure(proc, t_max: float, *, n_grid: int = 2001) -> BLPResult:
-    """Sum of trace-distance revivals of the pair |+>, |-> over a uniform grid.
+    """Total rise on [0, t_max] of D(t) = (1/2) || Phi(t)[|+><+| - |-><-|] ||_1
+    = |a|, a = q or g, in closed form, with D sampled on ``n_grid`` points.
 
-    D(t) = (1/2) || Phi(t)[|+><+| - |-><-|] ||_1 = |a(t)|, a = q or g, is
-    sampled on ``n_grid`` points; increments above ``_REVIVAL_FLOOR`` are
-    accumulated. No pair revives more. Under dephasing a pair whose Bloch
-    difference has x, y length r <= 2 and z part dz has D = (1/2)
-    hypot(|q| r, dz), which rises by at most |q|'s rise; in the non-unital
-    family every pair has D = g |Delta| / 2, which only decays.
+    No pair rises more: a dephased pair has D = (1/2) hypot(|q| r, dz), r <= 2
+    the x, y length of its Bloch difference, and a non-unital one
+    D = g |Delta| / 2, which only falls, as |q| does where p <= s^2/8. Where
+    q oscillates (w = |eta|, P = 2 pi/(s w)), |q| rises only from each zero
+    t_k = kP - 2 atan(w)/(s w) to |q(kP)| = rho^k, rho = e^{-pi/w}: so the
+    measure is -expm1(-M pi/w)/expm1(pi/w) over the M = floor(t_max/P)
+    peaks, plus |q(t_max)| in a rise: 0 where expm1(pi/w) overflows.
     """
     times = np.linspace(0.0, _require_positive("t_max", t_max),
                         _require_count("n_grid", n_grid, 2))
     dist = np.abs(_bloch_factors(proc, times, "blp_measure"))
-    inc = np.diff(dist)
-    measure = float(inc[inc > _REVIVAL_FLOOR].sum())
+    measure = 0.0
+    if isinstance(proc, DephasingSemiMarkov) and proc.branch == _IMAG:
+        w = proc.w.item()
+        # the phase in periods; a fraction past 1 - atan(w)/pi is in a rise
+        turns = proc.s * w * t_max / (2.0 * np.pi)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf: the limit
+            peaks = np.floor(turns)
+            rise = turns - peaks > 1 - np.arctan(w) / np.pi
+            measure = float(rise * dist[-1] - np.expm1(-peaks * np.pi / w)
+                            / np.expm1(np.pi / w))
     return BLPResult(measure=measure, times=times, trace_distance=dist)
 
 
@@ -370,9 +379,8 @@ class DivisibilityReport:
     """Outcome of a CP-divisibility scan over consecutive intermediate maps.
 
     ``min_eigenvalues[i]`` is the smallest Choi eigenvalue of the propagator
-    from times[i] to times[i+1] (NaN where the early map was numerically
-    singular). A step counts as a violation when that eigenvalue drops below
-    ``-tol``, the CP tolerance ``_CP_TOL``.
+    from times[i] to times[i+1], NaN where q(times[i]) is 0 or subnormal (a
+    singular step). A step violates CP where it is below ``-tol``, ``_CP_TOL``.
     """
 
     times: np.ndarray
@@ -391,11 +399,9 @@ def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
     """Check complete positivity of every consecutive intermediate map.
 
     The map from t1 to t2 is its family's with factor c = q(t2)/q(t1) or
-    g(t2)/g(t1). Dephasing: Choi eigenvalues 1 +- c, 0, 0, condition number
-    1/|q(t1)|. Non-unital: c is in (0, 1], the smallest is 0, and the
-    condition number is that of [[1, 0], [1 - g, g]], (S + sqrt(S^2 - 4 g^2))
-    / (2 g) with S = 2 (1 - g + g^2). Steps above ``_COND_MAX`` are recorded
-    as singular and skipped rather than treated as violations.
+    g(t2)/g(t1). Its Choi eigenvalues are 1 +- c, 0, 0 for dephasing, a step
+    singular only where q(t1) is subnormal or 0; non-unital, c <= 1 and the
+    smallest is 0, with no singular step.
     """
     ts = np.asarray(times, dtype=float)
     if (ts.ndim != 1 or ts.size < 2 or not np.isfinite(ts).all()
@@ -403,23 +409,17 @@ def cp_divisibility_scan(proc, times: Sequence[float]) -> DivisibilityReport:
         raise GridError("times must be a 1-D increasing finite grid of "
                         "length >= 2")
     a = _bloch_factors(proc, ts, "cp_divisibility_scan")
-    early = a[:-1]
-    if isinstance(proc, NonUnitalSemiMarkov):
-        # cond <= _COND_MAX with S^2 - 4 g^2 = 2 (1 - g)^2 (S + 2 g), no 1/g
-        big_s = 2.0 * (1.0 - early + early * early)
-        regular = (big_s + (1.0 - early) * np.sqrt(2.0 * (big_s + 2.0 * early))
-                   <= 2.0 * _COND_MAX * early)
-        min_eigs = np.where(regular, 0.0, np.nan)
-    else:
-        regular = np.abs(early) >= 1.0 / _COND_MAX
-        ratio = np.divide(a[1:], early, out=np.full(early.shape, np.nan),
-                          where=regular)
+    if isinstance(proc, NonUnitalSemiMarkov):  # c <= 1: every eigenvalue is 0
+        min_eigs = np.zeros(ts.size - 1)
+    else:  # NaN where q(t1) is subnormal or 0
+        ratio = np.divide(a[1:], a[:-1], out=np.full(ts.size - 1, np.nan),
+                          where=np.abs(a[:-1]) >= np.finfo(float).tiny)
         min_eigs = np.minimum(0.0, 1.0 - np.abs(ratio))
     violating = min_eigs < -_CP_TOL  # NaN (singular) steps never violate
     return DivisibilityReport(
         times=ts, min_eigenvalues=min_eigs, violation_count=int(violating.sum()),
         first_violation=float(ts[1:][violating][0]) if violating.any() else None,
-        singular_steps=int((~regular).sum()), tol=_CP_TOL)
+        singular_steps=int(np.isnan(min_eigs).sum()), tol=_CP_TOL)
 
 
 def _one_minus_entropy(r: np.ndarray) -> np.ndarray:

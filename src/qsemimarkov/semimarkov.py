@@ -279,6 +279,13 @@ class DephasingSemiMarkov:
                              w=self.w[index], c=self.c[index])
         return part
 
+    @property
+    def p_boundary(self) -> float:
+        """The largest p that ``regime()`` calls divisible: s*s/8, or below."""
+        b = self.s * self.s / 8.0
+        above = DephasingSemiMarkov(self.s, b).branch == _IMAG  # s*s rounds up
+        return float(np.nextafter(b, 0.0)) if above else b
+
     def regime(self) -> str:
         """Exact classification against the boundary p = s^2 / 8: the
         branch of eta, with the semigroup at p = 0."""

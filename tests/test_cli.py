@@ -16,6 +16,7 @@ import pytest
 from qsemimarkov import (
     DephasingSemiMarkov,
     JSON_SCHEMA,
+    REGIME_INDIVISIBLE,
     coherence_zeros,
     q_of_t,
 )
@@ -664,7 +665,8 @@ def test_config_file_boolean_flag(capsys, tmp_path):
     doc = _json_out(capsys, ["divisibility", "--config", str(cfg),
                              "--format", "json"])
     assert doc["config"] == {"s": 0.9, "boundary-search": True}
-    assert doc["columns"] == {"p_estimate": [0.9**2 / 8]}
+    assert list(doc["columns"]) == ["p_estimate"]
+    assert _is_the_boundary(0.9, doc["columns"]["p_estimate"][0])
 
 
 @pytest.mark.parametrize("content", [
@@ -781,13 +783,52 @@ def test_divisibility_scan_output(capsys):
     assert doc["metadata"]["violation_count"] == 0
 
 
-@pytest.mark.parametrize("s", [0.9, 0.95, 1.1])
+def _is_the_boundary(s, p) -> bool:
+    """Whether p is the largest double that regime() calls divisible."""
+    above = float(np.nextafter(p, np.inf))
+    return (DephasingSemiMarkov(s, p).regime() != REGIME_INDIVISIBLE
+            and DephasingSemiMarkov(s, above).regime() == REGIME_INDIVISIBLE)
+
+
+def test_divisibility_sees_the_rise_after_a_tiny_zero(capsys):
+    # q vanishes at t = 55.365 with |q| near 1e-12, and |q| rises on the 33
+    # grid steps after it: no step is skipped for conditioning
+    doc = _json_out(capsys, ["divisibility", "--p", "0.1265", "--t-max", "60",
+                             "--grid", "1000", "--format", "json"])
+    meta = doc["metadata"]
+    assert meta["cp_divisible"] is False and meta["violation_count"] == 33
+    assert meta["first_violation"] == np.linspace(0.0, 60.0, 1000)[923]
+    assert meta["singular_steps"] == 0
+    assert 55.365 < meta["first_violation"] < 55.436
+
+
+def test_divisibility_counts_subnormal_steps_as_singular(capsys):
+    # at p = 3, q is subnormal past t = 1416.6 and 0 past t = 1490: exactly
+    # those steps start from a q with no digits left to divide by
+    doc = _json_out(capsys, ["divisibility", "--p", "3", "--t-max", "3000",
+                             "--grid", "3000", "--format", "json"])
+    q = q_of_t(DephasingSemiMarkov(s=1.0, p=3.0), np.linspace(0, 3000, 3000))
+    lost = np.abs(q[:-1]) < np.finfo(float).tiny
+    assert doc["metadata"]["singular_steps"] == lost.sum() == 1584
+    eigs = np.array(doc["columns"]["min_choi_eigenvalue"], dtype=float)
+    assert np.array_equal(np.isnan(eigs), lost)
+
+
+@pytest.mark.parametrize("s", [0.9, 0.95, 1.1, 1.0, 3.0,
+                               3.516819621666784e-26])
 def test_boundary_search_away_from_s_one(capsys, s):
-    # the closed form, to the last bit, at any s
-    doc = _json_out(capsys, ["divisibility", "--boundary-search", "--s", str(s),
+    # the largest double p that the exact branch test calls divisible: s*s/8,
+    # or one double below it where s*s rounds up (0.9, 0.95)
+    doc = _json_out(capsys, ["divisibility", "--boundary-search", "--s",
+                             repr(s), "--format", "json"])
+    b = doc["metadata"]["p_boundary_estimate"]
+    assert doc["columns"]["p_estimate"] == [b]
+    assert _is_the_boundary(s, b)
+    assert b == DephasingSemiMarkov(s, 0.0).p_boundary
+    assert (b == s * s / 8) == (s not in (0.9, 0.95))
+    doc = _json_out(capsys, ["measure", "--s", repr(s), "--p", "0",
                              "--format", "json"])
-    assert doc["metadata"]["p_boundary_estimate"] == s**2 / 8
-    assert doc["columns"]["p_estimate"] == [s**2 / 8]
+    assert doc["metadata"]["p_boundary"] == b
 
 
 def test_holevo_output(capsys):

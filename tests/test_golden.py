@@ -8,8 +8,8 @@ figure recipes must match byte for byte.
 The map-stack goldens (Holevo recipe, divisibility scan, BLP curve and the
 non-unital library curves) were captured when every time point went through
 a per-time Kraus map. The closed-form map stack, and then the Bloch form of
-the maps, change only rounding, so the scan and BLP curves are compared
-within stated tolerances, column by column.
+the maps, change only rounding, so the scan curve is compared within a
+stated tolerance, column by column, and the BLP curve as below.
 
 The Holevo recipe's ``chi_p2`` column was re-captured in 25 cells when chi
 moved from the eigenvalues of 2 x 2 states onto Bloch lengths, with a
@@ -133,6 +133,24 @@ the rate poles as their lattice t_k = t_1 + (k - 1) P, not as a list.
 Each pole row of a sweep now has one entry, [lo, hi, p, P, N], whose
 [lo, hi] is its first hole with the bits it had before; ``rate`` gives
 [t_1, P, N], its t_1 the first pole listed before. No other line of them
+changed.
+
+``blp_p3.csv`` was re-captured once when ``blp_measure`` began to return
+the revival measure in closed form, the sum of rho^k = e^(-k pi/w) over
+the peaks of |q| plus |q(T)| in a rise, in place of the grid sum of the
+rises above 1e-12. Its ``# meta.blp`` line reads 1.07118629181, the
+closed form 1.0711862918107309 of the 50-digit
+1.0711862918107309213..., where the grid sum read 1.06791012483. Its
+``trace_distance`` column had been held at 2e-13, as 12 of its cells
+differed in the 12th digit from the Bloch form. Each was checked against
+|q(t)| to 50 digits. The 9 where today's cell is no farther were
+re-captured, at t = 4.9, 7.165, 7.29, 8.405, 8.48, 8.58, 8.585, 9.91 and
+9.915. The 3 where today's cell is farther kept the golden's, at
+t = 0.74, 2.025 and 8.6. Each of the 12 is listed, with its two cells and
+its oracle value, in ``_BLP_RECAPTURED`` and ``_BLP_KEPT``. The file is
+compared byte for byte, but for those 3 cells, which the command prints
+one unit off in the 12th digit. The ``05_witnesses.py`` revival line of
+``demos.txt`` reads 1.071186 (1.067910 before). No other line of either
 changed.
 """
 
@@ -341,11 +359,82 @@ def test_help_and_usage_errors_golden(capsys, monkeypatch):
     ("divisibility_boundary.csv", ["divisibility", "--boundary-search"], None),
     ("divisibility_boundary_s0.9.csv",
      ["divisibility", "--boundary-search", "--s", "0.9"], None),
-    ("blp_p3.csv", ["blp", "--p", "3"], {"trace_distance": 2e-13}),
 ])
 def test_map_stack_golden(capsys, name, argv, tol):
     out = _output(capsys, [*argv, "--format", "csv"])
     _assert_golden(out, (GOLDEN / name).read_text(), tol)
+
+
+# blp_p3.csv's trace_distance cells that the Bloch form of the maps moved
+# in the 12th digit, by 0-based data row: (the cell before, today's cell,
+# |q(t)| to 50 digits). Where today's cell is no farther from |q| the golden
+# holds it (_BLP_RECAPTURED); elsewhere it keeps the cell before (_BLP_KEPT)
+_BLP_RECAPTURED = {
+    980: ("0.0459727127482", "0.0459727127483",
+          "4.5972712748250116971868745346331929678107738870768e-2"),
+    1433: ("0.00848247258499", "0.00848247258498",
+           "8.4824725849848940147377528486247588494146533980234e-3"),
+    1458: ("9.39947587488e-05", "9.39947587489e-05",
+           "9.3994758748903306766304746708745897950176789535293e-5"),
+    1681: ("0.00693963446385", "0.00693963446386",
+           "6.9396344638550759620531284701206236115584218795909e-3"),
+    1696: ("0.00423098885587", "0.00423098885588",
+           "4.2309888558750060897390187758455609307804948088529e-3"),
+    1716: ("0.000724914753157", "0.000724914753156",
+           "7.2491475315649234081823807576059190866319045147728e-4"),
+    1717: ("0.000555850108412", "0.000555850108411",
+           "5.5585010841140208719953524207289133871175267468468e-4"),
+    1982: ("3.00127067659e-05", "3.00127067658e-05",
+           "3.0012706765806611091105103856453865845012836828956e-5"),
+    1983: ("5.6167040762e-05", "5.61670407619e-05",
+           "5.6167040761939416282329230426090465124707175601767e-5"),
+}
+_BLP_KEPT = {
+    148: ("0.00134597968202", "0.00134597968203",
+          "1.3459796820249130359258270456127340936489369875378e-3"),
+    405: ("0.0230610385504", "0.0230610385505",
+          "2.3061038550449988849583122131252199261310307428074e-2"),
+    1720: ("5.33017873872e-05", "5.33017873873e-05",
+           "5.3301787387228962639196935372406570794789528472041e-5"),
+}
+
+
+def test_blp_golden_bytes_but_three_rounding_ties(capsys):
+    """``blp --p 3`` matches ``blp_p3.csv`` byte for byte, except at the
+    three kept cells, where it prints today's cell of ``_BLP_KEPT``."""
+    out = _output(capsys, ["blp", "--p", "3", "--format", "csv"]).splitlines()
+    gold = (GOLDEN / "blp_p3.csv").read_text().splitlines()
+    first = gold.index("t,trace_distance") + 1
+    assert len(out) == len(gold)
+    for row, (kept, today, _) in _BLP_KEPT.items():
+        t = gold[first + row].split(",")[0]
+        assert gold[first + row] == f"{t},{kept}"
+        assert out[first + row] == f"{t},{today}"
+        out[first + row] = gold[first + row]
+    assert out == gold
+
+
+def test_blp_changed_cells_against_their_oracle():
+    """Each changed cell's oracle is |q(t)| = |e^(-t/2) (cos wt/2 +
+    sin(wt/2)/w)|, w = sqrt(23) (s = 1, p = 3), at the grid's t. A
+    re-captured cell is no farther from it than the cell before; a kept
+    cell is nearer to it than today's."""
+    rows = [line.split(",") for line in
+            (GOLDEN / "blp_p3.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    ts = np.linspace(0.0, 10.0, 2001)
+    with mpmath.workdps(60):
+        w = mpmath.sqrt(23)
+        for cells, held in ((_BLP_RECAPTURED, 1), (_BLP_KEPT, 0)):
+            for row, pair_and_oracle in cells.items():
+                t = mpmath.mpf(ts[row])
+                q = abs(mpmath.exp(-t / 2) * (mpmath.cos(w * t / 2)
+                                              + mpmath.sin(w * t / 2) / w))
+                assert abs(q - mpmath.mpf(pair_and_oracle[2])) <= 1e-49 * q
+                assert rows[row][1] == pair_and_oracle[held]
+                near, far = (mpmath.mpf(pair_and_oracle[i])
+                             for i in (held, 1 - held))
+                assert abs(near - q) <= abs(far - q)
 
 
 @pytest.mark.parametrize("name, argv", [

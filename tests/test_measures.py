@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import functools
 import itertools
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -35,7 +36,7 @@ from qsemimarkov import (
 )
 
 from qsemimarkov import measures, semimarkov
-from qsemimarkov.measures import _COND_MAX, _CP_TOL
+from qsemimarkov.measures import _CP_TOL
 
 import superop_route as oracle
 from golden_section import minimize_scalar
@@ -952,20 +953,85 @@ def test_one_unit_rate_choi_matrix_per_family_per_process(monkeypatch):
 # ------------------------------------------------------------ revival measure
 
 def test_blp_zero_in_divisible_regime():
-    result = blp_measure(DephasingSemiMarkov(s=1.0, p=0.1), 10.0)
-    assert result.measure <= 1e-10
+    # |q| never rises where p <= s^2/8, nor g in the non-unital family: the
+    # measure is exactly 0, on every horizon
+    eps = np.finfo(float).eps
+    procs = [DephasingSemiMarkov(s=s, p=p) for s in (0.9, 1.0, 3.0)
+             for p in (0.0, 1e-3, 0.1 * s * s / 8, s * s / 8 * (1 - eps))]
+    procs += [DephasingSemiMarkov(s, DephasingSemiMarkov(s, 0.0).p_boundary)
+              for s in (0.9, 1.0)]
+    procs += [NonUnitalSemiMarkov(rate=lam) for lam in (1e-3, 1.0, 1.05, 40.0)]
+    for proc in procs:
+        for T in (1e-3, 10.0, 1e4, 1e308):
+            assert blp_measure(proc, T, n_grid=50).measure == 0.0, (proc, T)
+
+
+def _blp_oracle(s, p, T):
+    """sum_{k <= M} rho^k + [T in a rise] |q(T)| in 50-digit arithmetic,
+    with w = sqrt(8p/s^2 - 1), rho = e^(-pi/w), x = s w T/2, M = floor(x/pi);
+    T is in a rise, from a zero of q to a peak of |q|, where
+    sin x (cos x + sin x/w) < 0, as q' = -(s/2)(w + 1/w) e^(-sT/2) sin x."""
+    with mpmath.workdps(50):
+        s, p, T = (mpmath.mpf(v) for v in (s, p, T))
+        w = mpmath.sqrt(8 * p / s**2 - 1)
+        rho, x = mpmath.exp(-mpmath.pi / w), s * w * T / 2
+        total = rho * (1 - rho ** mpmath.floor(x / mpmath.pi)) / (1 - rho)
+        bracket = mpmath.cos(x) + mpmath.sin(x) / w
+        if mpmath.sin(x) * bracket < 0:
+            total += mpmath.exp(-s * T / 2) * abs(bracket)
+        return total, mpmath.pi / w
+
+
+# (s, p, T, in a rise at T). The first four rows, the fourth just above
+# s^2/8 = 0.125, also check the grid sum the closed form replaced
+_BLP_ROWS = [(1.0, 3.0, 10.0, True), (1.0, 0.2, 600.0, True),
+             (1.0, 0.13, 1e4, False), (1.0, 0.1265, 60.0, False),
+             (1.0, 0.1265, 56.5, True), (1.0, 0.1251, 300.0, False),
+             (0.9, 0.2, 37.3, False), (0.9, 0.2, 34.0, True),
+             (3.0, 5.0, 4.1, False), (1.0, 3.0, 1e308, False)]
+
+
+@pytest.mark.parametrize("s, p, T, rising", _BLP_ROWS)
+def test_blp_closed_form_matches_an_mpmath_oracle(s, p, T, rising):
+    # within 4 eps relative where kappa = pi/w, the condition number of
+    # rho = e^(-pi/w) in w, is at most 16. Past it rho carries the rounding
+    # of w and pi/w, each under an eps, times kappa: (4 + kappa) eps there
+    proc = DephasingSemiMarkov(s=s, p=p)
+    got = blp_measure(proc, T, n_grid=50).measure
+    want, kappa = _blp_oracle(s, p, T)
+    w = proc.w.item()
+    frac = float(mpmath.frac(s * w * T / (2 * mpmath.pi)))
+    assert (frac > 1 - np.arctan(w) / np.pi) == rising
+    bound = (4.0 if kappa <= 16 else 4.0 + float(kappa)) * np.finfo(float).eps
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(got) / want - 1) <= bound, (got, want)
 
 
 def test_blp_counts_coherence_revivals():
+    # the closed form against the grid sum of the rises of |q| it replaced,
+    # on the first four rows, short of T = 1e308, where no grid resolves a
+    # period: refining the grid 100-fold cuts the sum's error at least
+    # 10-fold. That error is first order, from the kink of |q| at each zero,
+    # so at some phases the gain is less: 8.9 at (0.9, 0.2, 37.3)
+    for s, p, T, _ in _BLP_ROWS[:4]:
+        proc = DephasingSemiMarkov(s=s, p=p)
+        exact = float(_blp_oracle(s, p, T)[0])
+        assert blp_measure(proc, T).measure == pytest.approx(exact, rel=1e-14)
+        errors = []
+        for n in (2001, 200001):
+            rises = np.diff(np.abs(q_of_t(proc, np.linspace(0.0, T, n))))
+            errors.append(abs(rises[rises > 0.0].sum() - exact))
+        assert errors[1] < errors[0] / 10, (s, p, T, errors)
+
+
+def test_blp_limit_where_the_phase_overflows():
+    # past every peak the measure is 1/expm1(pi/w), and nothing warns
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
-    result = blp_measure(proc, 10.0, n_grid=2001)
-    # the optimal-pair distance is exactly |q(t)|
-    expected_dist = np.abs(np.asarray(q_of_t(proc, result.times)))
-    assert np.abs(result.trace_distance - expected_dist).max() < 1e-10
-    inc = np.diff(expected_dist)
-    assert result.measure == pytest.approx(float(inc[inc > 1e-12].sum()),
-                                           abs=1e-10)
-    assert result.measure > 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = blp_measure(proc, 1e308)
+    assert result.measure == 1.0 / np.expm1(np.pi / proc.w.item())
+    assert result.trace_distance[-1] == 0.0
 
 
 @pytest.mark.parametrize("proc", [DephasingSemiMarkov(s=1.0, p=3.0),
@@ -1041,14 +1107,20 @@ def test_scan_eigenvalues_match_closed_form(p):
 
 
 def test_scan_records_singular_steps():
+    # q at the float zero t* is about 1e-17, an accurate double: its step
+    # divides. A step is singular only where q(t1) is subnormal (t = 1430,
+    # e^(-715)) or 0 (t = 1500, e^(-750) underflows)
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     t_star = float(coherence_zeros(proc, 1.0)[0])
-    grid = np.array([0.0, 0.5, t_star, 0.9, 1.2])
+    grid = np.array([0.0, 0.5, t_star, 0.9, 1430.0, 1500.0, 1501.0])
+    q = q_of_t(proc, grid)
+    assert 0.0 < abs(q[2]) < 1e-15 and 0.0 < abs(q[4]) < np.finfo(float).tiny
+    assert q[5] == 0.0
     report = cp_divisibility_scan(proc, grid)
-    # the step starting exactly on the coherence zero cannot be inverted
-    assert report.singular_steps == 1
-    assert np.isnan(report.min_eigenvalues[2])
-    assert not np.isnan(report.min_eigenvalues[0])
+    assert report.singular_steps == 2
+    assert np.flatnonzero(np.isnan(report.min_eigenvalues)).tolist() == [4, 5]
+    # |q| rises from t* to 0.9, past any tolerance
+    assert report.min_eigenvalues[2] < -1e10
 
 
 def test_scan_grid_validation():
@@ -1072,10 +1144,8 @@ def test_the_scan_breaks_divisibility_only_past_s_squared_over_8(s):
     # at and below p = s^2/8, q has no zero and |q| never rises. Past it,
     # with w = sqrt(8p/s^2 - 1), q first vanishes at t0 = 2 (pi - atan w)
     # / (s w), and |q| then rises to e^{-s t1/2} at t1 = t0 + 2 atan(w)
-    # / (s w). The scan skips steps from |q| < 1/_COND_MAX, so it sees that
-    # rise where the peak is on the grid and above 1/_COND_MAX: there it
-    # violates, never before t0. The envelope at t0 alone is not enough: at
-    # s = 1 some p with e^{-s t0/2} > 1/_COND_MAX peak below it
+    # / (s w). No step is skipped, so the scan violates wherever that peak
+    # is on the grid, never before t0
     grid = np.linspace(0.0, 60.0, 1200)
     boundary = s**2 / 8
     for p in (boundary, np.nextafter(boundary, 0.0)):
@@ -1085,33 +1155,85 @@ def test_the_scan_breaks_divisibility_only_past_s_squared_over_8(s):
     for w in np.geomspace(0.05, 20.0, 40):
         t0 = 2.0 * (np.pi - np.arctan(w)) / (s * w)
         t1 = t0 + 2.0 * np.arctan(w) / (s * w)
-        if t1 > grid[-1] or np.exp(-s * t1 / 2) <= 1.0 / _COND_MAX:
+        if t1 > grid[-1]:
             continue
         proc = DephasingSemiMarkov(s=s, p=boundary * (1.0 + w * w))
         report = cp_divisibility_scan(proc, grid)
         assert not report.cp_divisible and report.first_violation >= t0, w
+        assert report.singular_steps == 0
         checked += 1
-    assert checked >= 30
+    assert checked >= 34
 
 
 def _superop_violates(proc, grid) -> bool:
-    """Whether the 4x4 route finds a step map that is not CP."""
-    return bool((oracle.divisibility_scan(proc, grid)[0] < -_CP_TOL).any())
+    """Whether the 4x4 route, on the steps it solves, finds a step map that
+    is not CP; and whether the scan does, on the same steps."""
+    want = oracle.divisibility_scan(proc, grid)[0]
+    solved = ~np.isnan(want)
+    scan = cp_divisibility_scan(proc, grid).min_eigenvalues[solved]
+    return bool((want[solved] < -_CP_TOL).any()), bool((scan < -_CP_TOL).any())
 
 
 @pytest.mark.parametrize("n_grid", [50, 1200])
 def test_closed_form_step_test_agrees_with_the_scan(n_grid):
     # the step map from t1 to t2 is dephasing with factor q(t2)/q(t1): the
-    # closed-form scan flags the same processes as the 4x4 route
+    # closed-form scan flags the same processes as the 4x4 route, on the
+    # steps the route solves (its solve gives up where |q(t1)| < 1e-12)
     rng = np.random.default_rng(16)
     grid = np.linspace(0.0, 60.0, n_grid)
     disagree = []
     for s, ratio in zip(rng.uniform(0.5, 2.0, 300), rng.uniform(0.8, 1.3, 300)):
         proc = DephasingSemiMarkov(s=s, p=ratio * s**2 / 8)
-        scan = cp_divisibility_scan(proc, grid).violation_count > 0
-        if _superop_violates(proc, grid) != scan:
+        route, scan = _superop_violates(proc, grid)
+        if route != scan:
             disagree.append((s, ratio))
     assert disagree == []
+
+
+def _q_50_digits(s, p, t):
+    """q(t) and its rounding scale e^(-st/2) (1 + 1/|eta|) (1 + st), the size
+    of the terms a double q sums, in 50-digit arithmetic on either branch."""
+    with mpmath.workdps(50):
+        s, p, t = (mpmath.mpf(v) for v in (s, p, t))
+        eta = mpmath.sqrt(mpmath.mpc(1 - 8 * p / s**2))
+        x = eta * s * t / 2
+        bracket = mpmath.cosh(x) + (mpmath.sinh(x) / eta if eta else s * t / 2)
+        decay = mpmath.exp(-s * t / 2)
+        return (decay * mpmath.re(bracket),
+                decay * (1 + 1 / abs(eta) if eta else 1 + s * t) * (1 + s * t))
+
+
+@pytest.mark.parametrize("s, p, grid", [
+    (1.0, 3.0, np.linspace(0.0, 10.0, 1000)),
+    (1.0, 0.1265, np.linspace(0.0, 60.0, 1000)),
+    (0.9, 0.2, np.linspace(0.0, 40.0, 700)),
+    (3.0, 5.0, np.linspace(0.0, 8.0, 400)),
+    (1.0, 0.1, np.linspace(0.0, 10.0, 300)),
+    (1.0, 3.0, np.array([0.8, 0.8 + 1e-6, 1.0, 1.0 + 3.5114e-6])),
+], ids=["p3", "just-above", "s0.9", "s3", "real", "tolerance-steps"])
+def test_every_scan_verdict_follows_the_exact_step_rule(s, p, grid):
+    # a step violates iff |q(t2)| > (1 + tol) |q(t1)|, with q at the grid's
+    # doubles in 50 digits. A step whose exact ratio lies within rounding of
+    # 1 + tol, the double q's relative error 16 eps scale/|q| at t1 and t2,
+    # has no verdict to check: it is named, and none may be
+    report = cp_divisibility_scan(DephasingSemiMarkov(s=s, p=p), grid)
+    assert report.singular_steps == 0
+    got = report.min_eigenvalues < -report.tol
+    q, scale = zip(*(_q_50_digits(s, p, t) for t in grid))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        edge = 1 + mpmath.mpf(report.tol)
+        near, wrong = [], []
+        for i in range(len(grid) - 1):
+            ratio = abs(q[i + 1]) / abs(q[i])
+            slack = 16 * eps * (scale[i] / abs(q[i])
+                                + scale[i + 1] / abs(q[i + 1]))
+            if abs(ratio / edge - 1) <= slack:
+                near.append((i, grid[i], float(ratio)))
+            elif got[i] != (ratio > edge):
+                wrong.append((i, grid[i], float(ratio)))
+    assert near == [] and wrong == []
+    assert got.any() == (p > s * s / 8)
 
 
 @pytest.mark.parametrize("step, violates", [(1e-6, True), (1e-10, False)])
@@ -1121,7 +1243,7 @@ def test_step_test_and_scan_share_the_cp_tolerance(step, violates):
     proc = DephasingSemiMarkov(s=1.0, p=3.0)
     grid = np.array([0.0, 0.8, 0.8 + step])
     report = cp_divisibility_scan(proc, grid)
-    assert _superop_violates(proc, grid) is violates
+    assert _superop_violates(proc, grid) == (violates, violates)
     assert (report.violation_count == 1) is violates
     assert report.min_eigenvalues[1] == pytest.approx(-16.277 * step,
                                                       rel=1e-4)
@@ -1192,7 +1314,8 @@ def test_plus_minus_pair_attains_the_largest_revivals(proc):
 
 @pytest.mark.parametrize("proc, grid, cut", [
     *((proc, np.linspace(0.0, 10.0, 2001), False) for proc in _FAMILIES),
-    # g = sech(t) takes the condition number past _COND_MAX at t = 27.6
+    # g = sech(t) takes the condition number past the route's 1e12 at
+    # t = 27.6, and g underflows to 0 at t = 711
     (NonUnitalSemiMarkov(rate=1.0), np.linspace(26.0, 30.0, 2001), True),
     (NonUnitalSemiMarkov(rate=1.0), np.linspace(0.0, 800.0, 2001), True),
 ], ids=["dephasing-p3", "dephasing-p0.1", "nonunital", "nonunital-cut",
@@ -1200,13 +1323,14 @@ def test_plus_minus_pair_attains_the_largest_revivals(proc):
 def test_scan_matches_the_superop_route(proc, grid, cut):
     report = cp_divisibility_scan(proc, grid)
     want, cond = oracle.divisibility_scan(proc, grid)
-    singular = np.isnan(want)
-    assert np.array_equal(np.isnan(report.min_eigenvalues), singular)
-    assert report.singular_steps == singular.sum()
-    assert (0 < singular.sum() < singular.size) == cut
+    solved = ~np.isnan(want)
+    assert (0 < (~solved).sum() < solved.size) == cut
+    assert report.singular_steps == 0
     # the solve in the 4x4 route carries an error of about eps cond
-    err = np.abs(report.min_eigenvalues - want)[~singular]
-    assert np.all(err <= 1e-15 * cond[~singular])
+    err = np.abs(report.min_eigenvalues - want)[solved]
+    assert np.all(err <= 1e-15 * cond[solved])
+    # where the route gives up, the non-unital step map is CP: 0
+    assert np.all(report.min_eigenvalues[~solved] == 0.0)
 
 
 # --------------------------------------------------------------- holevo
