@@ -256,7 +256,8 @@ def _dephasing(r: _Resolved) -> DephasingSemiMarkov:
 
 
 # refused before allocating: with its CSV, a command takes up to ~300 B per
-# grid point (classical-sim; holevo 190, blp 110, divisibility 90)
+# grid point (classical-sim; holevo 190 with its three p values, blp 110,
+# divisibility 90); holevo's --p-list times --grid is held to 3 such grids
 _MAX_GRID = 10**6
 
 
@@ -334,17 +335,19 @@ def cmd_holevo(r: _Resolved) -> tuple[dict, dict]:
     except ValueError as exc:
         raise ConfigError(f"bad --p-list {raw_list!r}: {exc}") from exc
     _require(len(p_values) >= 1, "--p-list must name at least one p value")
-    names = [f"chi_p{p:g}" for p in p_values]
-    for i, name in enumerate(names):
-        j = names.index(name)
-        _require(i == j, f"--p-list values {p_values[j]!r} and "
-                 f"{p_values[i]!r} both print as column {name}")
+    names = {}  # column name -> index of its p
+    for i, p in enumerate(p_values):
+        j = names.setdefault(name := f"chi_p{p:g}", i)
+        _require(i == j, f"--p-list values {p_values[j]!r} and {p!r} both "
+                 f"print as column {name}")
     t_max, n = _time_grid(r)
+    _require(len(p_values) * n <= 3 * _MAX_GRID, f"--p-list of {len(p_values)}"
+             f" values at --grid {n} is more than {3 * _MAX_GRID} cells")
     r.check_unread()
     ts = np.linspace(0.0, t_max, n)
     columns = {"t": ts}
-    for name, p in zip(names, p_values):
-        columns[name] = holevo_curve(DephasingSemiMarkov(s=s, p=p), ts)
+    for name, i in names.items():
+        columns[name] = holevo_curve(DephasingSemiMarkov(s, p_values[i]), ts)
     return columns, {"ensemble": "equal-weight |+>,|->"}
 
 

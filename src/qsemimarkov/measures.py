@@ -299,10 +299,10 @@ def sss_measure(proc, config: SSSConfig | None = None) -> MeasureResult:
         # after the horizon check, so a huge eps never reaches sin
         amp, delta = np.hypot(1.0, 1.0 / w), 0.5 * proc.s * eps * w
         sin = np.abs(np.sin(delta))
-        # where sin delta rounds to delta, which may be subnormal or 0:
+        # where sin delta is subnormal or 0, as delta is:
         # ln(A delta) = ln(A s|eta|/2) + ln eps
         log_edge = np.log(amp * 0.5 * proc.s * w) + np.log(eps)
-        np.log(amp * sin, out=log_edge, where=sin != delta)
+        np.log(amp * sin, out=log_edge, where=sin >= np.finfo(float).tiny)
         edge_gamma = np.zeros(n)
         edge_gamma[has] = -0.5 * log_edge
         at_edge[has] = [[0, 0, 1], [1, 0, 1], [1, 0, 0]]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -193,6 +194,18 @@ def test_holevo_refuses_p_values_that_print_as_one_column(capsys):
     code, out, err = _run(capsys, ["holevo", "--p-list", "1e-7,1.00000001e-7"])
     assert code == 2 and out == ""
     assert "1e-07 and 1.00000001e-07" in err and "chi_p1e-07" in err
+
+
+def test_holevo_refuses_more_cells_than_three_full_grids(capsys):
+    # 4 curves of 1e6 points would take ~160 MB more: refused before the
+    # time grid is allocated
+    tracemalloc.start()
+    code, out, err = _run(capsys, ["holevo", "--p-list", "1,2,3,4",
+                                   "--grid", "1000000"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "--p-list of 4 values at --grid 1000000" in err and peak < 1e6
 
 
 def test_numerical_failures_exit_3(capsys):

@@ -164,6 +164,8 @@ import pytest
 from qsemimarkov import NonUnitalSemiMarkov, blp_measure, holevo_curve
 from qsemimarkov.cli import run
 
+import mp_closed_forms as mp
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -309,14 +311,9 @@ def test_fig3_recaptured_cells_are_closer_to_their_oracle():
             if not line.startswith("#")][1:]
     ts = np.linspace(0.0, 6.0, 500)  # fig3.cfg: p = 2 at s = 1
     with mpmath.workdps(60):
-        w = mpmath.sqrt(15)
         for row, (old, new, oracle) in _FIG3_RECAPTURED.items():
             assert rows[row][1] == new
-            t = mpmath.mpf(ts[row])
-            q = abs(mpmath.exp(-t / 2) * (mpmath.cos(w * t / 2)
-                                          + mpmath.sin(w * t / 2) / w))
-            chi = ((1 + q) * mpmath.log1p(q) + (1 - q) * mpmath.log1p(-q)) / (
-                2 * mpmath.log(2))
+            chi = mp.one_minus_s(abs(mp.q(1.0, 2.0, ts[row])))
             assert abs(chi - mpmath.mpf(oracle)) <= 1e-49 * chi
             assert abs(mpmath.mpf(new) - chi) <= abs(mpmath.mpf(old) - chi)
 
@@ -424,12 +421,9 @@ def test_blp_changed_cells_against_their_oracle():
             if not line.startswith("#")][1:]
     ts = np.linspace(0.0, 10.0, 2001)
     with mpmath.workdps(60):
-        w = mpmath.sqrt(23)
         for cells, held in ((_BLP_RECAPTURED, 1), (_BLP_KEPT, 0)):
             for row, pair_and_oracle in cells.items():
-                t = mpmath.mpf(ts[row])
-                q = abs(mpmath.exp(-t / 2) * (mpmath.cos(w * t / 2)
-                                              + mpmath.sin(w * t / 2) / w))
+                q = abs(mp.q(1.0, 3.0, ts[row]))
                 assert abs(q - mpmath.mpf(pair_and_oracle[2])) <= 1e-49 * q
                 assert rows[row][1] == pair_and_oracle[held]
                 near, far = (mpmath.mpf(pair_and_oracle[i])
@@ -498,11 +492,9 @@ _MIN_RECAPTURED_BEFORE = {
 
 def test_min_mode_recaptured_cells_are_closer_to_their_oracle():
     """At s = 1 and T = 1 these rows have no pole and gamma rises, so the
-    median is gamma(T/2) and xi = (Gamma(T) - 2 Gamma(T/2))/T. With
-    x = eta t/2, eta^2 = 1 - 8p and E = cosh x + sinh(x)/eta = e^(t/2) q,
-    Gamma = t/4 - ln(E)/2 and gamma = 2p sinh(x)/(eta E). Each re-captured
-    cell is no further from that, in 50-digit arithmetic, than the cell
-    before, and within 1e-11 of it relative (xi = 0 at p = 0)."""
+    median is gamma(T/2) and xi = (Gamma(T) - 2 Gamma(T/2))/T. Each
+    re-captured cell is no further from that, in 50-digit arithmetic, than
+    the cell before, and within 1e-11 of it relative (xi = 0 at p = 0)."""
     golden = {name: [line.split(",") for line in
                      (GOLDEN / name).read_text().splitlines()
                      if not line.startswith("#")]
@@ -510,19 +502,10 @@ def test_min_mode_recaptured_cells_are_closer_to_their_oracle():
     with mpmath.workdps(50):
         for (name, row, column), old in _MIN_RECAPTURED_BEFORE.items():
             header, cells = golden[name][0], golden[name][row + 1]
-            p = mpmath.mpf(np.linspace(0.0, 0.5, 51)[row])  # bits of the p
-            eta = mpmath.sqrt(mpmath.mpc(1 - 8 * p))
-
-            def e_and_rise(t):  # E(t) and 2p sinh(x)/eta
-                x = eta * t / 2
-                sinc = mpmath.sinh(x) / eta if eta else t / 2
-                return (mpmath.re(mpmath.cosh(x) + sinc),
-                        2 * p * mpmath.re(sinc))
-            (e_half, rise), (e_one, _) = (e_and_rise(mpmath.mpf(t))
-                                          for t in (0.5, 1))
-            xi = mpmath.log(e_half) - mpmath.log(e_one) / 2  # the t/4 cancel
+            p = np.linspace(0.0, 0.5, 51)[row]  # bits of the p
+            xi = mp.big_gamma(1.0, p, 1.0) - 2 * mp.big_gamma(1.0, p, 0.5)
             oracle = {"xi": xi, "zeta": xi / (1 + xi),
-                      "gamma_ref": rise / e_half}[column]
+                      "gamma_ref": mp.gamma(1.0, p, 0.5)}[column]
             new = mpmath.mpf(cells[header.index(column)])
             assert abs(new - oracle) <= abs(mpmath.mpf(old) - oracle)
             assert abs(new - oracle) <= 1e-11 * abs(oracle) + 1e-45  # p = 0

@@ -18,11 +18,8 @@ The range, in which no intermediate overflows or goes subnormal: s in
 [0.1, 60], references r with r/s in [0, 1], and excisions with s eps in
 [1e-9, 1e-3] and, where q oscillates, delta = s|eta| eps/2 at least 5e-8.
 Past it a product that goes subnormal loses bits on one clock and not on
-the other. One quantity leaves the law below that delta: where sin delta
-rounds to delta, Gamma at an excision edge takes ln(A delta) as
-ln(A s|eta|/2) + ln eps, which splits the clock between two logs, so xi
-keeps the law only to within 4 ulps there
-(``test_xi_at_a_tiny_excision_keeps_the_law_to_4_ulps``).
+the other. xi keeps the law also below that delta, with s eps in
+[1e-14, 1e-9] (``test_xi_at_a_tiny_excision_keeps_the_law_bit_for_bit``).
 """
 
 import io
@@ -132,11 +129,11 @@ def test_dephasing_obeys_the_dyadic_law_anywhere_in_range(s, ratio, k, s_t,
     _check_dephasing(s, ratio, k, s_t, s_eps, r_over_s)
 
 
-def test_xi_at_a_tiny_excision_keeps_the_law_to_4_ulps():
-    # delta = s|eta| eps/2 below 2.6e-8: sin delta rounds to delta, and the
-    # edge form ln(A s|eta|/2) + ln eps rounds each log on its own clock
+def test_xi_at_a_tiny_excision_keeps_the_law_bit_for_bit():
+    # delta = s|eta| eps/2 below 2.6e-8, where sin delta rounds to delta:
+    # Gamma at an edge takes ln(A sin delta) on each clock, as sin delta is
+    # a normal double
     rng = np.random.default_rng(2)
-    ulps = []
     for _ in range(60):
         s, ratio, k = 10 ** rng.uniform(-3, 3), rng.uniform(0.2, 5.0), 20
         f = 2.0**k
@@ -145,8 +142,7 @@ def test_xi_at_a_tiny_excision_keeps_the_law_to_4_ulps():
         fast = DephasingSemiMarkov(s * f, ratio * s * s * f * f)
         a = sss_measure(slow, SSSConfig(horizon=T, excision=eps)).xi
         b = sss_measure(fast, SSSConfig(horizon=T / f, excision=eps / f)).xi
-        ulps.append(abs(f * a - b) / np.spacing(b))
-    assert max(ulps) <= 4 and 0 < np.count_nonzero(ulps) < len(ulps)
+        _same("xi", a, b, f)
 
 
 @pytest.mark.parametrize("lam, k", [(1.0, 3), (0.05, -20), (40.0, 30)])

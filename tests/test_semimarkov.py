@@ -29,6 +29,7 @@ from qsemimarkov import (
 )
 from qsemimarkov import semimarkov
 
+import mp_closed_forms as mp
 from superop_route import apply_superop, jump_superop, superop_at
 
 Z = np.diag([1.0, -1.0])
@@ -386,47 +387,9 @@ def test_coherence_zeros_just_past_the_boundary():
     """|eta| = 2e-5 puts three zeros of q before t = 1e6, at
     t_k = 2 (k pi - arctan w)/(s w); the 1e-9 window listed none."""
     p = 0.12500000005
-    w = mpmath.sqrt(8 * mpmath.mpf(p) - 1)
-    expected = [float(2 * (k * mpmath.pi - mpmath.atan(w)) / w)
-                for k in (1, 2, 3)]
+    expected = [float(t) for t in mp.zeros(1.0, p, 1e6)]
     zeros = coherence_zeros(DephasingSemiMarkov(1.0, p), 1e6)
-    assert zeros == pytest.approx(expected, rel=1e-12)
-
-
-def _near_boundary_oracle(s, p, t):
-    """(q, ln|q|, gamma) at 50 digits from the exact s, p and t: q is
-    e^{-st/2} (C + S) with C = cosh z, S = sinh z/eta, z = s eta t/2 (cos
-    and sin where eta = i w, 1 and st/2 at eta = 0), and
-    gamma = 2p S/(s(C + S))."""
-    with mpmath.workdps(50):
-        s, p, t = mpmath.mpf(s), mpmath.mpf(p), mpmath.mpf(t)
-        e2 = 1 - 8 * p / s**2
-        if e2 == 0:
-            C, S = mpmath.mpf(1), s * t / 2
-        elif e2 > 0:
-            e = mpmath.sqrt(e2)
-            C, S = mpmath.cosh(s * e * t / 2), mpmath.sinh(s * e * t / 2) / e
-        else:
-            w = mpmath.sqrt(-e2)
-            C, S = mpmath.cos(s * w * t / 2), mpmath.sin(s * w * t / 2) / w
-        q = mpmath.exp(-s * t / 2) * (C + S)
-        return q, mpmath.log(abs(q)), 2 * p * S / (s * (C + S))
-
-
-def _level_time_oracle(s, p, r):
-    """t(r), where gamma first equals r, at 50 digits: from the roots
-    a > b of 2g^2 - s g + p where p <= s^2/8, from an arctan past it."""
-    with mpmath.workdps(50):
-        s, p, r = mpmath.mpf(s), mpmath.mpf(p), mpmath.mpf(r)
-        e2 = 1 - 8 * p / s**2
-        if e2 == 0:
-            return 8 * r / (s * (s - 4 * r))
-        if e2 > 0:
-            e = mpmath.sqrt(e2)
-            a, b = s * (1 + e) / 4, s * (1 - e) / 4
-            return (mpmath.log1p(-r / a) - mpmath.log1p(-r / b)) / (s * e)
-        k = s * mpmath.sqrt(-e2)
-        return 2 / k * mpmath.atan2(r * k, 2 * p - r * s)
+    assert len(expected) == 3 and zeros == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6,
@@ -449,8 +412,13 @@ def test_closed_forms_near_the_boundary_match_an_mpmath_oracle(s, delta):
     p = s * s / 8 * (1.0 + delta)
     proc = DephasingSemiMarkov(s, p)
     ts = np.geomspace(1e-3, 1e4, 41)
-    exact = np.array([[float(v) for v in _near_boundary_oracle(s, p, t)]
-                      for t in ts]).T
+    with mpmath.workdps(50):
+        exact = np.array([[float(f(s, p, t)) for t in ts]
+                          for f in (mp.q, mp.log_abs_q, mp.gamma)])
+        e2, e = mp.eta(s, p)
+        top = float(s * (1 - e) / 4) if e2 >= 0 else s / 4
+        rs = np.linspace(-top / 2, 0.9 * top, 37)
+        levels = [float(mp.level_time(s, p, r)) for r in rs]
     normal = np.abs(exact[0]) >= np.finfo(float).tiny
     q, want = q_of_t(proc, ts)[normal], exact[0][normal]
     bound = 2e-14 * np.maximum(1.0, s * ts[normal] / 2) * np.abs(want)
@@ -458,13 +426,8 @@ def test_closed_forms_near_the_boundary_match_an_mpmath_oracle(s, delta):
     for got, want in ((semimarkov._log_abs_q(proc, ts), exact[1]),
                       (gamma_dephasing(proc, ts), exact[2])):
         assert np.all(np.abs(got - want) <= 2e-14 * np.abs(want))
-    with mpmath.workdps(50):
-        e2 = 1 - 8 * mpmath.mpf(p) / mpmath.mpf(s) ** 2
-        top = float(s * (1 - mpmath.sqrt(e2)) / 4) if e2 >= 0 else s / 4
-    rs = np.linspace(-top / 2, 0.9 * top, 37)
-    want = np.array([float(_level_time_oracle(s, p, r)) for r in rs])
     got = semimarkov._level_time(proc)[0](rs)
-    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert np.all(np.abs(got - levels) <= 1e-14 * np.abs(levels))
 
 
 def test_from_rates():
